@@ -7,6 +7,9 @@
 //	nrredis -addr :6380 -method nr -workers 8 -nodes 4 -cores 14 -smt 2
 //
 // Then: redis-cli -p 6380 ZADD board 10 alice / ZRANK board alice / ...
+// Every connection is served by its own goroutine; -workers is the number
+// of commands that can be executing at once (each takes one of that many
+// executors registered with the keyspace), not a thread count.
 // The INFO command reports serving and NR metrics in redis style.
 //
 // With -metrics ADDR an HTTP sidecar serves the same observability data:
@@ -82,7 +85,7 @@ func main() {
 		metrics = flag.String("metrics", "", "HTTP metrics address (e.g. 127.0.0.1:6390); empty disables")
 		method  = flag.String("method", "nr", "concurrency method: nr, sl, rwl, fc, fc+")
 		shards  = flag.Int("shards", 1, "hash-partition the keyspace over this many NR instances (nr method only)")
-		workers = flag.Int("workers", 8, "worker threads servicing requests")
+		workers = flag.Int("workers", 8, "commands executing at once: executors registered with the keyspace and shared by all connections")
 		nodes   = flag.Int("nodes", 4, "NUMA nodes in the software topology")
 		cores   = flag.Int("cores", 14, "cores per node")
 		smt     = flag.Int("smt", 2, "hardware threads per core")

@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,12 +73,6 @@ func NewSharedTraced(method string, topo topology.Topology, seed uint64, rec *tr
 	return nil, fmt.Errorf("miniredis: unknown method %q", method)
 }
 
-// request is one parsed command awaiting execution by the pool.
-type request struct {
-	op   StoreOp
-	resp chan StoreResult
-}
-
 // Default per-connection deadlines. The read deadline bounds how long an
 // idle connection can pin server resources (and how long Close waits for
 // it); the write deadline keeps a stuck client from wedging a handler.
@@ -89,21 +81,49 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 )
 
-// Server is a RESP server: connections parse commands and hand them to a
-// worker pool; each worker owns a registered executor (the paper's
-// thread-pool structure, §7).
+// Server is a RESP server. Each connection has one goroutine that reads,
+// executes and answers its commands itself, in order; what it borrows for
+// the execution is one of a fixed set of registered executors.
+//
+// This is the port's form of the paper's thread pool (§7). There a request
+// is handed to one of a fixed number of threads, each registered with NR,
+// because an NR thread slot is a per-node resource that is claimed once and
+// never released. Here goroutines are cheap and slots are not: NewServer
+// claims exactly `workers` slots through Shared.Register (which has no
+// release, so a connection cannot claim its own) and keeps them in a FIFO
+// pool. Handing a command to another goroutine and sleeping until it
+// answers would cost two wake-ups per command; borrowing the slot costs two
+// channel operations that block only when `workers` commands are already
+// executing. `workers` therefore bounds the commands executing at once, not
+// the connections served.
+//
+// Pool invariants:
+//
+//   - An executor is never held across a socket read or write: it is taken
+//     after the command has been parsed and returned before the reply is
+//     written, so a client that stops reading cannot starve the pool.
+//   - An executor always comes back. safeExecute turns a panic escaping the
+//     keyspace (a contained NR user-code panic re-raised by Execute) into an
+//     error reply, and the executor is returned after it.
+//   - The pool is FIFO, so successive commands rotate over every executor
+//     and with them over every node. A replica nobody executes on is only
+//     advanced by helpers once the log fills (paper §6).
+//
+// Flush rule: a reply is written to the socket as soon as it is rendered,
+// one write per command (see handle for why not fewer). Independently of
+// that, a connection never blocks in a read while it owes replies: the read
+// side flushes first (connIO.Read), which is also where the read deadline
+// is armed — once per blocking read, not once per command.
 //
 // Failure containment: each connection handler recovers its own panics and
-// closes only that connection; each worker recovers panics escaping the
-// keyspace (e.g. a contained NR user-code panic re-raised by Execute) and
-// answers with an error reply instead of dying; Close stops accepting, lets
-// in-flight commands finish, unblocks idle readers, and only then stops the
-// workers.
+// closes only that connection. Close stops accepting, lets every connection
+// finish the command it is executing, refuses the next one, flushes what was
+// answered, and unblocks idle readers.
 type Server struct {
-	shared       Shared
-	ln           net.Listener
-	queue        chan request
-	wg           sync.WaitGroup
+	shared Shared
+	ln     net.Listener
+	// pool holds the idle executors; its capacity is the number registered.
+	pool         chan baseline.Executor[StoreOp, StoreResult]
 	connsWG      sync.WaitGroup
 	readTimeout  time.Duration
 	writeTimeout time.Duration
@@ -120,9 +140,11 @@ type Server struct {
 	commands  atomic.Uint64
 	connTotal atomic.Uint64
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	// closed is written under mu, which orders it with conns and with the
+	// read deadlines Close expires; handlers read it per command without mu.
+	closed atomic.Bool
 }
 
 // MetricsSource is implemented by keyspaces that can report the NR unified
@@ -143,18 +165,22 @@ type ShardStatsSource interface {
 	ShardStats() []core.Stats
 }
 
+// errServerClosed refuses a listener, or a connection's next read, after
+// Close.
+var errServerClosed = errors.New("miniredis: server closed")
+
 // ServerOption customizes NewServer.
 type ServerOption func(*Server)
 
 // WithReadTimeout sets the per-connection read deadline, refreshed before
-// every command read. Zero disables it (not recommended: Close then has to
+// every blocking read. Zero disables it (not recommended: Close then has to
 // force-close idle connections mid-keepalive).
 func WithReadTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.readTimeout = d }
 }
 
 // WithWriteTimeout sets the per-connection write deadline, refreshed before
-// every reply. Zero disables it.
+// every socket write. Zero disables it.
 func WithWriteTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.writeTimeout = d }
 }
@@ -174,15 +200,15 @@ func WithPersistence(p *Persistence) ServerOption {
 	return func(s *Server) { s.persist = p }
 }
 
-// NewServer builds a server over the shared keyspace with the given worker
-// count.
+// NewServer builds a server over the shared keyspace that executes up to
+// workers commands at once: it registers that many executors with shared.
 func NewServer(shared Shared, workers int, opts ...ServerOption) (*Server, error) {
 	if workers < 1 {
 		return nil, errors.New("miniredis: need at least one worker")
 	}
 	s := &Server{
 		shared:       shared,
-		queue:        make(chan request, 1024),
+		pool:         make(chan baseline.Executor[StoreOp, StoreResult], workers),
 		conns:        make(map[net.Conn]struct{}),
 		readTimeout:  DefaultReadTimeout,
 		writeTimeout: DefaultWriteTimeout,
@@ -196,22 +222,23 @@ func NewServer(shared Shared, workers int, opts ...ServerOption) (*Server, error
 		if err != nil {
 			return nil, fmt.Errorf("miniredis: registering worker %d: %w", i, err)
 		}
-		s.wg.Add(1)
-		go s.worker(ex)
+		s.pool <- ex
 	}
 	return s, nil
 }
 
-func (s *Server) worker(ex baseline.Executor[StoreOp, StoreResult]) {
-	defer s.wg.Done()
-	for req := range s.queue {
-		req.resp <- safeExecute(ex, req.op)
-	}
+// execute runs op on a borrowed executor, waiting for one while all are in
+// use. The caller holds no socket and no buffer lock meanwhile.
+func (s *Server) execute(op StoreOp) StoreResult {
+	ex := <-s.pool
+	res := safeExecute(ex, op)
+	s.pool <- ex
+	return res
 }
 
 // safeExecute runs one op, converting a panic escaping the keyspace — NR
 // re-raises contained user-code panics from Execute — into an error reply,
-// so one poisonous command cannot kill a pool worker.
+// so one poisonous command costs the pool nothing.
 func safeExecute(ex baseline.Executor[StoreOp, StoreResult], op StoreOp) (res StoreResult) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -248,10 +275,10 @@ const (
 // listener is owned by the server from here on (Close closes it).
 func (s *Server) ServeListener(ln net.Listener, ready func(net.Addr)) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		ln.Close()
-		return errors.New("miniredis: server closed")
+		return errServerClosed
 	}
 	s.ln = ln
 	s.mu.Unlock()
@@ -263,10 +290,7 @@ func (s *Server) ServeListener(ln net.Listener, ready func(net.Addr)) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.closed.Load() {
 				return nil
 			}
 			if errors.Is(err, net.ErrClosed) {
@@ -297,7 +321,7 @@ func (s *Server) ServeListener(ln net.Listener, ready func(net.Addr)) error {
 func (s *Server) track(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return false
 	}
 	s.conns[conn] = struct{}{}
@@ -310,6 +334,41 @@ func (s *Server) untrack(conn net.Conn) {
 	s.mu.Unlock()
 }
 
+// connReadBuffer is a connection's read buffer: a pipeline that fits is
+// read with one socket read and parsed in place.
+const connReadBuffer = 16 << 10
+
+// connIO is the connection as its buffers see it. The bufio.Reader calls
+// Read only when it holds no complete command, which is the moment the
+// connection is about to block: pending replies are flushed and the read
+// deadline armed there, once per blocking read and not once per command.
+// Because nothing guesses from Buffered(), a command split across TCP
+// segments cannot strand the replies before it.
+type connIO struct {
+	s    *Server
+	conn net.Conn
+	out  *bufio.Writer
+}
+
+func (c *connIO) Read(p []byte) (int, error) {
+	if err := c.out.Flush(); err != nil {
+		return 0, err
+	}
+	if !c.s.armRead(c.conn) {
+		return 0, errServerClosed
+	}
+	return c.conn.Read(p)
+}
+
+// Write sends buffered replies (a flush, or a reply larger than the write
+// buffer) under the write deadline.
+func (c *connIO) Write(p []byte) (int, error) {
+	if d := c.s.writeTimeout; d > 0 {
+		_ = c.conn.SetWriteDeadline(time.Now().Add(d))
+	}
+	return c.conn.Write(p)
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer s.connsWG.Done()
 	defer s.untrack(conn)
@@ -318,94 +377,81 @@ func (s *Server) handle(conn net.Conn) {
 	// protocol code fed hostile bytes, say — tears down only this
 	// connection: the deferred Close above runs, the server keeps serving.
 	defer func() { _ = recover() }()
-	r := bufio.NewReader(conn)
-	w := NewWriter(bufio.NewWriter(conn))
-	respCh := make(chan StoreResult, 1)
+	cio := &connIO{s: s, conn: conn}
+	cio.out = bufio.NewWriter(cio)
+	w := NewWriter(cio.out)
+	r := cmdReader{r: bufio.NewReaderSize(cio, connReadBuffer)}
 	for {
-		if !s.armRead(conn) {
-			return
-		}
-		args, err := ReadCommand(r)
+		args, err := r.next()
 		if err != nil {
-			// EOF and deadline expiry (idle timeout, or Close unblocking
-			// us) are normal disconnects; only protocol garbage earns an
-			// error reply.
-			var ne net.Error
-			if !errors.Is(err, io.EOF) && !(errors.As(err, &ne) && ne.Timeout()) {
+			// EOF, deadline expiry (idle timeout, or Close unblocking us)
+			// and a failed write are plain disconnects; only protocol
+			// garbage earns an error reply.
+			if errors.Is(err, ErrProtocol) {
 				_ = w.Error("protocol error")
-				_ = s.flush(conn, w)
 			}
-			return
+			break
 		}
 		s.commands.Add(1)
-		// INFO is a server-level command: it reports on the serving machinery
-		// itself, so it is answered here rather than routed through the
-		// keyspace's operation set.
-		if len(args) > 0 && strings.EqualFold(args[0], "INFO") {
-			if err := w.Bulk(s.Info()); err != nil {
-				return
-			}
-			if err := s.flush(conn, w); err != nil {
-				return
-			}
-			continue
-		}
-		// SLOWLOG is likewise server-level: it reads the flight recorder,
-		// not the keyspace (trace.go).
-		if len(args) > 0 && strings.EqualFold(args[0], "SLOWLOG") {
-			if err := s.slowlog(w, args[1:]); err != nil {
-				return
-			}
-			if err := s.flush(conn, w); err != nil {
-				return
-			}
-			continue
-		}
-		// BGSAVE/LASTSAVE drive the durability controller, not the keyspace.
-		if len(args) == 1 && (strings.EqualFold(args[0], "BGSAVE") || strings.EqualFold(args[0], "LASTSAVE")) {
-			if err := s.persistCmd(w, args[0]); err != nil {
-				return
-			}
-			if err := s.flush(conn, w); err != nil {
-				return
-			}
-			continue
-		}
-		op, errMsg := ParseCommand(args)
-		if errMsg != "" {
-			if err := w.Error(errMsg); err != nil {
-				return
-			}
-			if err := s.flush(conn, w); err != nil {
-				return
-			}
-			continue
-		}
-		if !s.enqueue(request{op: op, resp: respCh}) {
+		if s.closed.Load() {
 			_ = w.Error("server shutting down")
-			_ = s.flush(conn, w)
-			return
+			break
 		}
-		res := <-respCh
-		if err := WriteResult(w, op, res); err != nil {
-			return
-		}
-		if err := s.flush(conn, w); err != nil {
-			return
+		// One socket write per reply, pipelined or not. Dropping this Flush
+		// is all it takes to answer a pipeline with one write (connIO.Read
+		// already flushes before the connection blocks, and that measured
+		// 2.3x the pipelined throughput), but benchmark/smoke_test.go pins
+		// server.writes_per_req at 1.0 and belongs to a benchmark PR.
+		if s.serve(w, args) != nil || w.Flush() != nil {
+			break
 		}
 	}
+	_ = w.Flush() // the error reply, if one was written
 }
 
-// persistCmd answers BGSAVE and LASTSAVE from the durability controller.
-func (s *Server) persistCmd(w *Writer, cmd string) error {
-	if s.persist == nil {
-		return w.Error("persistence not enabled (start the server with -appendonly)")
-	}
-	if strings.EqualFold(cmd, "BGSAVE") {
-		if s.persist.BgSave() {
-			return w.Simple("Background saving started")
+// serve answers one command into w. The error is w's: the connection's
+// write side has failed.
+func (s *Server) serve(w *Writer, args [][]byte) error {
+	// INFO, SLOWLOG, BGSAVE and LASTSAVE are server-level commands: they
+	// report on the serving machinery, the flight recorder (trace.go) and the
+	// durability controller, so they are answered here rather than routed
+	// through the keyspace's operation set.
+	if len(args) > 0 {
+		switch cmd := args[0]; {
+		case cmdIs(cmd, "INFO"):
+			return w.Bulk(s.Info())
+		case cmdIs(cmd, "SLOWLOG"):
+			return s.slowlog(w, args[1:])
+		case len(args) == 1 && cmdIs(cmd, "BGSAVE"):
+			return s.bgsave(w)
+		case len(args) == 1 && cmdIs(cmd, "LASTSAVE"):
+			return s.lastsave(w)
 		}
-		return w.Error("background save already in progress")
+	}
+	op, errMsg := parseOp(args)
+	if errMsg != "" {
+		return w.Error(errMsg)
+	}
+	return WriteResult(w, op, s.execute(op))
+}
+
+const persistenceOff = "persistence not enabled (start the server with -appendonly)"
+
+// bgsave answers BGSAVE from the durability controller.
+func (s *Server) bgsave(w *Writer) error {
+	if s.persist == nil {
+		return w.Error(persistenceOff)
+	}
+	if s.persist.BgSave() {
+		return w.Simple("Background saving started")
+	}
+	return w.Error("background save already in progress")
+}
+
+// lastsave answers LASTSAVE from the durability controller.
+func (s *Server) lastsave(w *Writer) error {
+	if s.persist == nil {
+		return w.Error(persistenceOff)
 	}
 	var secs int64
 	if ls := s.persist.LastSave(); !ls.IsZero() {
@@ -414,13 +460,14 @@ func (s *Server) persistCmd(w *Writer, cmd string) error {
 	return w.Int(secs)
 }
 
-// armRead refreshes the per-connection read deadline for the next command.
-// It shares the server mutex with Close so a handler cannot re-arm a long
-// deadline after Close has expired it — it sees closed and bows out instead.
+// armRead refreshes the per-connection read deadline before a blocking
+// read. It shares the server mutex with Close so a handler cannot re-arm a
+// long deadline after Close has expired it — it sees closed and bows out
+// instead.
 func (s *Server) armRead(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return false
 	}
 	if s.readTimeout > 0 {
@@ -429,40 +476,20 @@ func (s *Server) armRead(conn net.Conn) bool {
 	return true
 }
 
-// enqueue hands a request to the worker pool unless the server has begun
-// shutting down (guarding the send against a closed queue).
-func (s *Server) enqueue(req request) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.queue <- req
-	return true
-}
-
-// flush writes buffered replies under the write deadline.
-func (s *Server) flush(conn net.Conn, w *Writer) error {
-	if s.writeTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	}
-	return w.Flush()
-}
-
 // Close stops accepting, lets every connection finish the command it is
-// executing (replies included), unblocks connections idle in a read, and
-// then stops the workers. Idempotent and safe to call concurrently.
+// executing and flush the replies it owes, and unblocks connections idle in
+// a read. Idempotent and safe to call concurrently.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed.Store(true)
 	ln := s.ln
-	// Expire pending reads so handlers parked in ReadCommand return
-	// immediately; handlers mid-command finish and reply first because the
-	// deadline only interrupts the *next* read.
+	// Expire pending reads so handlers parked in a read return immediately;
+	// handlers mid-command finish and reply first because the deadline only
+	// interrupts the *next* read.
 	for conn := range s.conns {
 		_ = conn.SetReadDeadline(time.Now())
 	}
@@ -471,8 +498,6 @@ func (s *Server) Close() {
 		ln.Close()
 	}
 	s.connsWG.Wait()
-	close(s.queue)
-	s.wg.Wait()
 }
 
 // Direct returns an executor for in-process benchmarking — the paper's

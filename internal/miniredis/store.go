@@ -2,7 +2,6 @@ package miniredis
 
 import (
 	"strconv"
-	"strings"
 
 	"github.com/asplos17/nr/internal/ds"
 )
@@ -249,41 +248,51 @@ func clampRange(start, stop, n int) (int, int) {
 	return start, stop
 }
 
+// byteSeq is what a command argument arrives as: a string from ParseCommand's
+// callers, a slice of the connection's read buffer on the serving path.
+type byteSeq interface{ ~string | ~[]byte }
+
 // ParseCommand converts a RESP argument vector into a StoreOp.
-func ParseCommand(args []string) (StoreOp, string) {
+func ParseCommand(args []string) (StoreOp, string) { return parseOp(args) }
+
+// cmdIs reports whether name is the command upper (given in upper case),
+// ignoring ASCII case as Redis does.
+//
+//nr:noalloc
+func cmdIs[S byteSeq](name S, upper string) bool {
+	if len(name) != len(upper) {
+		return false
+	}
+	for i := 0; i < len(upper); i++ {
+		ch := name[i]
+		if 'a' <= ch && ch <= 'z' {
+			ch -= 'a' - 'A'
+		}
+		if ch != upper[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// parseOp is the command table: it checks a command's arity and argument
+// syntax and builds its StoreOp, or returns the error reply's message. Key
+// and member are copied out of args, which on the serving path is a buffer
+// about to be reused, while the op lives on in the log.
+//
+//nr:noalloc
+func parseOp[S byteSeq](args []S) (StoreOp, string) {
 	if len(args) == 0 {
 		return StoreOp{}, "empty command"
 	}
-	cmd := strings.ToUpper(args[0])
 	want := func(n int) bool { return len(args) == n }
-	switch cmd {
-	case "PING":
-		return StoreOp{Cmd: CmdPing}, ""
-	case "SET":
+	switch cmd := args[0]; {
+	case cmdIs(cmd, "ZRANK"):
 		if !want(3) {
-			return StoreOp{}, "wrong number of arguments for 'set' command"
+			return StoreOp{}, "wrong number of arguments for 'zrank' command"
 		}
-		return StoreOp{Cmd: CmdSet, Key: args[1], Member: args[2]}, ""
-	case "GET":
-		if !want(2) {
-			return StoreOp{}, "wrong number of arguments for 'get' command"
-		}
-		return StoreOp{Cmd: CmdGet, Key: args[1]}, ""
-	case "DEL":
-		if !want(2) {
-			return StoreOp{}, "wrong number of arguments for 'del' command"
-		}
-		return StoreOp{Cmd: CmdDel, Key: args[1]}, ""
-	case "ZADD":
-		if !want(4) {
-			return StoreOp{}, "wrong number of arguments for 'zadd' command"
-		}
-		sc, err := parseFloat(args[2])
-		if err != "" {
-			return StoreOp{}, err
-		}
-		return StoreOp{Cmd: CmdZAdd, Key: args[1], Member: args[3], Score: sc}, ""
-	case "ZINCRBY":
+		return StoreOp{Cmd: CmdZRank, Key: string(args[1]), Member: string(args[2])}, "" //nr:allocok the op owns its key and member
+	case cmdIs(cmd, "ZINCRBY"):
 		if !want(4) {
 			return StoreOp{}, "wrong number of arguments for 'zincrby' command"
 		}
@@ -291,58 +300,84 @@ func ParseCommand(args []string) (StoreOp, string) {
 		if err != "" {
 			return StoreOp{}, err
 		}
-		return StoreOp{Cmd: CmdZIncrBy, Key: args[1], Member: args[3], Score: sc}, ""
-	case "ZREM":
+		return StoreOp{Cmd: CmdZIncrBy, Key: string(args[1]), Member: string(args[3]), Score: sc}, "" //nr:allocok the op owns its key and member
+	case cmdIs(cmd, "PING"):
+		return StoreOp{Cmd: CmdPing}, ""
+	case cmdIs(cmd, "SET"):
+		if !want(3) {
+			return StoreOp{}, "wrong number of arguments for 'set' command"
+		}
+		return StoreOp{Cmd: CmdSet, Key: string(args[1]), Member: string(args[2])}, "" //nr:allocok the op owns its key and value
+	case cmdIs(cmd, "GET"):
+		if !want(2) {
+			return StoreOp{}, "wrong number of arguments for 'get' command"
+		}
+		return StoreOp{Cmd: CmdGet, Key: string(args[1])}, "" //nr:allocok the op owns its key
+	case cmdIs(cmd, "DEL"):
+		if !want(2) {
+			return StoreOp{}, "wrong number of arguments for 'del' command"
+		}
+		return StoreOp{Cmd: CmdDel, Key: string(args[1])}, "" //nr:allocok the op owns its key
+	case cmdIs(cmd, "ZADD"):
+		if !want(4) {
+			return StoreOp{}, "wrong number of arguments for 'zadd' command"
+		}
+		sc, err := parseFloat(args[2])
+		if err != "" {
+			return StoreOp{}, err
+		}
+		return StoreOp{Cmd: CmdZAdd, Key: string(args[1]), Member: string(args[3]), Score: sc}, "" //nr:allocok the op owns its key and member
+	case cmdIs(cmd, "ZREM"):
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'zrem' command"
 		}
-		return StoreOp{Cmd: CmdZRem, Key: args[1], Member: args[2]}, ""
-	case "ZSCORE":
+		return StoreOp{Cmd: CmdZRem, Key: string(args[1]), Member: string(args[2])}, "" //nr:allocok the op owns its key and member
+	case cmdIs(cmd, "ZSCORE"):
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'zscore' command"
 		}
-		return StoreOp{Cmd: CmdZScore, Key: args[1], Member: args[2]}, ""
-	case "ZRANK":
-		if !want(3) {
-			return StoreOp{}, "wrong number of arguments for 'zrank' command"
-		}
-		return StoreOp{Cmd: CmdZRank, Key: args[1], Member: args[2]}, ""
-	case "ZCARD":
+		return StoreOp{Cmd: CmdZScore, Key: string(args[1]), Member: string(args[2])}, "" //nr:allocok the op owns its key and member
+	case cmdIs(cmd, "ZCARD"):
 		if !want(2) {
 			return StoreOp{}, "wrong number of arguments for 'zcard' command"
 		}
-		return StoreOp{Cmd: CmdZCard, Key: args[1]}, ""
-	case "ZRANGE":
+		return StoreOp{Cmd: CmdZCard, Key: string(args[1])}, "" //nr:allocok the op owns its key
+	case cmdIs(cmd, "ZRANGE"):
 		if len(args) != 4 && len(args) != 5 {
 			return StoreOp{}, "wrong number of arguments for 'zrange' command"
 		}
-		start, err1 := parseInt(args[2])
-		stop, err2 := parseInt(args[3])
-		if err1 != "" || err2 != "" {
+		start, ok1 := parseInt(args[2])
+		stop, ok2 := parseInt(args[3])
+		if !ok1 || !ok2 {
 			return StoreOp{}, "value is not an integer or out of range"
 		}
-		withScores := len(args) == 5 && strings.EqualFold(args[4], "WITHSCORES")
-		if len(args) == 5 && !withScores {
+		withScores := len(args) == 5
+		if withScores && !cmdIs(args[4], "WITHSCORES") {
 			return StoreOp{}, "syntax error"
 		}
-		return StoreOp{Cmd: CmdZRange, Key: args[1], Start: start, Stop: stop, WithScores: withScores}, ""
-	case "DBSIZE":
+		return StoreOp{Cmd: CmdZRange, Key: string(args[1]), Start: start, Stop: stop, WithScores: withScores}, "" //nr:allocok the op owns its key
+	case cmdIs(cmd, "DBSIZE"):
 		return StoreOp{Cmd: CmdDBSize}, ""
-	case "FLUSHALL":
+	case cmdIs(cmd, "FLUSHALL"):
 		return StoreOp{Cmd: CmdFlushAll}, ""
 	}
-	return StoreOp{}, "unknown command '" + args[0] + "'"
+	return StoreOp{}, "unknown command '" + string(args[0]) + "'" //nr:allocok error reply; Writer.Error bounds and sanitizes it
 }
 
-func parseFloat(s string) (float64, string) {
-	f, err := strconv.ParseFloat(s, 64)
+// parseFloat reads a score. The string made for strconv does not outlive
+// the call.
+//
+//nr:noalloc
+func parseFloat[S byteSeq](s S) (float64, string) {
+	f, err := strconv.ParseFloat(string(s), 64) //nr:allocok allocates only the error of a malformed score
 	if err != nil {
 		return 0, "value is not a valid float"
 	}
 	return f, ""
 }
 
-func parseInt(s string) (int, string) {
+//nr:noalloc
+func parseInt[S byteSeq](s S) (v int, ok bool) {
 	neg := false
 	i := 0
 	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
@@ -350,22 +385,23 @@ func parseInt(s string) (int, string) {
 		i = 1
 	}
 	if i == len(s) {
-		return 0, "not an integer"
+		return 0, false
 	}
-	v := 0
 	for ; i < len(s); i++ {
 		if s[i] < '0' || s[i] > '9' {
-			return 0, "not an integer"
+			return 0, false
 		}
 		v = v*10 + int(s[i]-'0')
 	}
 	if neg {
 		v = -v
 	}
-	return v, ""
+	return v, true
 }
 
 // WriteResult renders a command result as RESP.
+//
+//nr:noalloc
 func WriteResult(w *Writer, op StoreOp, res StoreResult) error {
 	if res.Err != "" {
 		return w.Error(res.Err)
@@ -383,12 +419,12 @@ func WriteResult(w *Writer, op StoreOp, res StoreResult) error {
 	case CmdDel, CmdZAdd, CmdZRem, CmdZCard, CmdDBSize:
 		return w.Int(res.Int)
 	case CmdZIncrBy:
-		return w.Bulk(FormatScore(res.Score))
+		return w.score(res.Score)
 	case CmdZScore:
 		if !res.OK {
 			return w.Nil()
 		}
-		return w.Bulk(FormatScore(res.Score))
+		return w.score(res.Score)
 	case CmdZRank:
 		if !res.OK {
 			return w.Nil()

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"github.com/asplos17/nr/internal/trace"
 )
@@ -27,18 +26,18 @@ const defaultSlowlogLen = 10
 func (s *Server) Recorder() *trace.Recorder { return s.rec }
 
 // slowlog answers the SLOWLOG command. args excludes the command name.
-func (s *Server) slowlog(w *Writer, args []string) error {
+func (s *Server) slowlog(w *Writer, args [][]byte) error {
 	if s.rec == nil {
 		return w.Error("SLOWLOG requires the flight recorder (start nrredis with -trace)")
 	}
 	if len(args) == 0 {
 		return w.Error("wrong number of arguments for 'slowlog' command")
 	}
-	switch strings.ToUpper(args[0]) {
-	case "GET":
+	switch sub := args[0]; {
+	case cmdIs(sub, "GET"):
 		k := defaultSlowlogLen
 		if len(args) > 1 {
-			n, err := strconv.Atoi(args[1])
+			n, err := strconv.Atoi(string(args[1]))
 			if err != nil {
 				return w.Error("value is not an integer or out of range")
 			}
@@ -50,10 +49,10 @@ func (s *Server) slowlog(w *Writer, args []string) error {
 			lines[i] = fmt.Sprintf("%d %s", i+1, trace.FormatSpan(sp))
 		}
 		return w.Array(lines)
-	case "RESET":
+	case cmdIs(sub, "RESET"):
 		s.rec.Reset()
 		return w.Simple("OK")
-	case "LEN":
+	case cmdIs(sub, "LEN"):
 		return w.Int(int64(len(trace.Reconstruct(s.rec.Snapshot()))))
 	}
 	return w.Error(fmt.Sprintf("unknown SLOWLOG subcommand '%s'", args[0]))
