@@ -17,7 +17,8 @@ RACE_PKGS = ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./
 
 .PHONY: tier1 tier1-race tier2 chaos chaos-recover check test build vet race bench lint
 
-tier1: ## build + vet + lint + unit tests (the acceptance gate)
+tier1: ## gofmt + build + vet + lint + unit tests (the acceptance gate)
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/nrlint ./...

@@ -436,42 +436,6 @@ func heapMB() float64 {
 	return float64(m.HeapAlloc) / (1 << 20)
 }
 
-// BenchmarkTableAblation reproduces Figure 14 on the real implementation:
-// throughput with each technique disabled, on the skip-list priority queue
-// with 10% updates.
-func BenchmarkTableAblation(b *testing.B) {
-	variants := []struct {
-		name string
-		mod  func(*core.Options)
-	}{
-		{"full-NR", func(*core.Options) {}},
-		{"no-combining", func(o *core.Options) { o.DisableCombining = true }},
-		{"read-waits-logtail", func(o *core.Options) { o.ReadWaitLogTail = true }},
-		{"combined-replica-lock", func(o *core.Options) { o.CombinedReplicaLock = true }},
-		{"serial-replica-update", func(o *core.Options) { o.SerialReplicaUpdate = true }},
-		{"centralized-reader-lock", func(o *core.Options) { o.CentralizedReaderLock = true }},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			opts := core.Options{Topology: benchTopo()}
-			v.mod(&opts)
-			inst, err := core.New[ds.PQOp, ds.PQResult](
-				func() core.Sequential[ds.PQOp, ds.PQResult] {
-					pq := ds.NewSkipListPQ(5)
-					for i := 0; i < 100000; i++ {
-						pq.Execute(ds.PQOp{Kind: ds.PQInsert, Key: int64(i * 7)})
-					}
-					return pq
-				}, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runShared(b, &baseline.NRAdapter[ds.PQOp, ds.PQResult]{Inst: inst},
-				pqGen(workload.NewMix(0.1), workload.NewUniform(1<<40)))
-		})
-	}
-}
-
 // BenchmarkExtQueue is an extension beyond the paper's figures: the FIFO
 // queue (§2 lists it among the canonical contended structures) under every
 // method, including the Michael–Scott lock-free queue as the LF baseline.

@@ -1,12 +1,11 @@
-// Command lincheck runs randomized linearizability validation of NR (and,
-// for comparison, the baseline methods) against sequential models: many
-// short concurrent histories are recorded on a real concurrent execution
-// and checked with a Wing&Gong-style checker.
+// Command lincheck runs randomized linearizability validation of NR against
+// sequential models: many short concurrent histories are recorded on a real
+// concurrent execution and checked with a Wing&Gong-style checker.
 //
 // Usage:
 //
 //	lincheck -structure counter -rounds 200 -threads 4 -ops 12
-//	lincheck -structure dict -method nr -ablation readwaitlogtail
+//	lincheck -structure dict -rounds 100
 package main
 
 import (
@@ -38,28 +37,11 @@ func main() {
 		rounds    = flag.Int("rounds", 200, "independent histories to record and check")
 		threads   = flag.Int("threads", 4, "concurrent threads per history")
 		opsPer    = flag.Int("ops", 10, "operations per thread per history")
-		ablation  = flag.String("ablation", "", "none, disablecombining, readwaitlogtail, combinedreplicalock, serialreplicaupdate, centralizedreaderlock")
 		seed      = flag.Int64("seed", 1, "workload seed")
 	)
 	flag.Parse()
 
 	opts := core.Options{Topology: topology.New(2, (*threads+1)/2, 1), LogEntries: 1 << 12}
-	switch *ablation {
-	case "", "none":
-	case "disablecombining":
-		opts.DisableCombining = true
-	case "readwaitlogtail":
-		opts.ReadWaitLogTail = true
-	case "combinedreplicalock":
-		opts.CombinedReplicaLock = true
-	case "serialreplicaupdate":
-		opts.SerialReplicaUpdate = true
-	case "centralizedreaderlock":
-		opts.CentralizedReaderLock = true
-	default:
-		log.Fatalf("lincheck: unknown ablation %q", *ablation)
-	}
-
 	failures := 0
 	for round := 0; round < *rounds; round++ {
 		ok := false
@@ -78,8 +60,8 @@ func main() {
 			fmt.Printf("round %d: NOT LINEARIZABLE\n", round)
 		}
 	}
-	fmt.Printf("lincheck: %d rounds, %d failures (structure=%s ablation=%s threads=%d ops=%d)\n",
-		*rounds, failures, *structure, *ablation, *threads, *opsPer)
+	fmt.Printf("lincheck: %d rounds, %d failures (structure=%s threads=%d ops=%d)\n",
+		*rounds, failures, *structure, *threads, *opsPer)
 	if failures > 0 {
 		os.Exit(1)
 	}

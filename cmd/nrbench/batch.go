@@ -29,9 +29,8 @@ const (
 	batchCores   = 8
 	batchThreads = batchNodes * batchCores
 
-	// batchFixedLinger/batchFixedMin parameterize the fixed-window arm: the
-	// same 100µs the deprecated WithMinBatch shim maps onto, closing early
-	// at four ops.
+	// batchFixedLinger/batchFixedMin parameterize the fixed-window arm: a
+	// 100µs window closing early at four ops.
 	batchFixedLinger = 100 * time.Microsecond
 	batchFixedMin    = 4
 

@@ -21,7 +21,7 @@ import (
 //   - Static: direct calls and method calls through a concrete receiver.
 //     Always resolved.
 //   - Iface: calls through a non-generic interface declared in the module
-//     (e.g. rwlock.Lock, obs.Observer). Resolved conservatively to every
+//     (e.g. obs.Observer). Resolved conservatively to every
 //     module type whose method set implements the interface — one edge per
 //     implementation.
 //   - GenericIface: calls through a generic interface (e.g.

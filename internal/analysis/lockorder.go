@@ -19,7 +19,7 @@ import (
 //
 // Locks are struct fields (or package vars) whose type is sync.Mutex,
 // sync.RWMutex, or a module type with Lock/Unlock methods (rwlock.SpinMutex,
-// StampedMutex, Distributed, the rwlock.Lock interface). A
+// StampedMutex, Distributed). A
 // `//nr:lockorder <class>` directive on the field names its class; a
 // `//nr:lockorder a < b < c` directive anywhere declares the order. The
 // analyzer propagates may-hold sets through the call graph (including

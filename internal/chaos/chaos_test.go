@@ -98,19 +98,6 @@ func TestEverythingAtOnce(t *testing.T) {
 	})
 }
 
-// TestUncombinedPanics exercises the DisableCombining ablation: every
-// thread appends for itself and replays through applyEntry's containment,
-// including the former panic site at the response-delivery check.
-func TestUncombinedPanics(t *testing.T) {
-	runAndCheck(t, Schedule{
-		Nodes: 2, CoresPerNode: 3,
-		OpsPerThread:     250,
-		LogEntries:       32,
-		PanicEveryN:      9,
-		DisableCombining: true,
-	})
-}
-
 // TestSchedulesAreDeterministic pins the injection points: the same seed
 // must yield the identical op stream for every thread.
 func TestSchedulesAreDeterministic(t *testing.T) {

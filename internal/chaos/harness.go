@@ -40,17 +40,13 @@ type Schedule struct {
 	StallFor time.Duration
 	// AbandonEveryN makes a worker post-and-abandon every N ops, retiring
 	// that worker's handle and re-registering a fresh one on the same node
-	// (0 = off). Ignored under DisableCombining.
+	// (0 = off).
 	AbandonEveryN int
 	// ReadFraction is the percentage [0,100] of well-behaved ops that are
 	// reads (default 30).
 	ReadFraction int
-	// DedicatedCombiners / DisableCombining / MinBatch mirror core.Options.
+	// DedicatedCombiners mirrors core.Options.
 	DedicatedCombiners bool
-	DisableCombining   bool
-	// MinBatch mirrors the deprecated core.Options.MinBatch shim; schedules
-	// should set Batch instead.
-	MinBatch int
 	// Batch is the combiner batching policy under test (linger windows,
 	// adaptivity, parallel combining). When Batch.Parallel is set the run
 	// replicates the commuting accumulator (ParDS) instead of DS, so
@@ -121,9 +117,9 @@ type Report struct {
 	// a finer diagnosis than the whole-replica fingerprint when one log's
 	// replay path misbehaves.
 	ClassFingerprints [][]uint64
-	Stats        core.Stats
-	Health       core.Health
-	Elapsed      time.Duration
+	Stats             core.Stats
+	Health            core.Health
+	Elapsed           time.Duration
 	// TraceDumps lists the reason of every automatic flight-recorder dump
 	// ("stall", "panic", "poisoned") the run produced, in order. Populated
 	// only with Schedule.Trace.
@@ -171,10 +167,8 @@ func Run(s Schedule) (*Report, error) {
 			LogEntries:         s.LogEntries,
 			Logs:               s.Logs,
 			LogMapper:          s.logMapper(),
-			MinBatch:           s.MinBatch,
 			Batch:              s.Batch,
 			DedicatedCombiners: s.DedicatedCombiners,
-			DisableCombining:   s.DisableCombining,
 			StallThreshold:     s.StallThreshold,
 			Trace:              rec,
 		})
@@ -268,7 +262,7 @@ func runWorkers(s Schedule, register func() (chaosWorker, error), registerOnNode
 			for seq := 0; seq < s.OpsPerThread; seq++ {
 				op := s.opFor(rng, t, seq)
 				if aw, ok := h.(abandonWorker); ok &&
-					s.AbandonEveryN > 0 && !s.DisableCombining && seq%s.AbandonEveryN == s.AbandonEveryN-1 {
+					s.AbandonEveryN > 0 && seq%s.AbandonEveryN == s.AbandonEveryN-1 {
 					aw.PostAndAbandon(op)
 					outs = append(outs, Outcome{Thread: t, Seq: seq, Op: op, Abandoned: true})
 					// The abandoned handle is dead; take a fresh slot on the
@@ -338,7 +332,7 @@ func run(inst *core.Instance[Op, Result], s Schedule) (*Report, error) {
 		return nil, err
 	}
 	drained := true
-	if s.AbandonEveryN > 0 && !s.DisableCombining {
+	if s.AbandonEveryN > 0 {
 		// Drain orphaned combining slots: one no-op update per node forces a
 		// combining round that scans the node's slots and executes any op a
 		// dead worker left behind. With every orphan executed, the

@@ -77,10 +77,8 @@ func RunSharded(s Schedule, shards int) (*ShardedReport, error) {
 				core.Options{
 					Topology:           topology.New(s.Nodes, s.CoresPerNode, 1),
 					LogEntries:         s.LogEntries,
-					MinBatch:           s.MinBatch,
 					Batch:              s.Batch,
 					DedicatedCombiners: s.DedicatedCombiners,
-					DisableCombining:   s.DisableCombining,
 					StallThreshold:     s.StallThreshold,
 					Trace:              rec,
 				})

@@ -94,12 +94,6 @@ type ConcurrentApplier[O any] interface {
 }
 
 const (
-	// legacyMinBatchLinger is the fixed window the deprecated
-	// Options.MinBatch knob maps onto: the old loop retried collection a
-	// fixed 3 times regardless of the configured value (the dead-knob bug);
-	// the shim gives it real linger semantics with a bounded wait.
-	legacyMinBatchLinger = 100 * time.Microsecond
-
 	// defaultAdaptiveLinger bounds the adaptive window when the caller set
 	// Adaptive without choosing MaxLinger.
 	defaultAdaptiveLinger = 200 * time.Microsecond
@@ -189,7 +183,7 @@ func (i *Instance[O, R]) countPosted(r *replica[O, R], c int) int {
 	pending := 0
 	for idx := range r.slots {
 		s := &r.slots[idx]
-		if s.state.Load() == slotPosted && s.class == int32(c) {
+		if s.state.Load() == slotPosted && s.class.Load() == int32(c) {
 			pending++
 		}
 	}

@@ -37,14 +37,13 @@
 //
 //   - Response tags. Log entries carry (node, slot) so that whichever
 //     thread replays an entry into its *home* replica delivers the response
-//     to the waiting thread. The normal combining path never needs this —
-//     the combiner answers its batch from the node-local combining slots,
-//     exactly as in §5.2 — but the DisableCombining ablation (every thread
-//     appends for itself) relies on it: another same-node updater may
-//     legally replay your entry before you reacquire the replica lock.
-//
-// Every technique the paper ablates in Fig. 13/14 is a knob on Options, so
-// the ablation experiment and the tests can flip them individually.
+//     to the waiting thread. A combiner normally answers its batch from the
+//     node-local combining slots, exactly as in §5.2, but it is not the only
+//     thread that replays into its replica: a same-node cross applier
+//     (cross.go) or a helper may overtake a class combiner between its log
+//     append and its replay, and then the overtaker's replay is the one
+//     that answers the batch. Cross-class operations are answered only
+//     this way.
 package core
 
 import (
@@ -100,9 +99,7 @@ type Options struct {
 	LogEntries int
 
 	// Logs is the number of shared logs (conflict classes); 0 or 1 means
-	// classic single-log NR. Values above 1 require LogMapper and are
-	// incompatible with the ablation knobs below (the ablations model the
-	// paper's single-log protocol).
+	// classic single-log NR. Values above 1 require LogMapper.
 	Logs int
 
 	// LogMapper, when Logs > 1, must hold a func(O) int mapping every
@@ -114,39 +111,11 @@ type Options struct {
 	// it against the instance's operation type.
 	LogMapper any
 
-	// MinBatch is the batch size below which a combiner keeps the replica
-	// fresh instead of appending a small batch (§5.2). Default 1 (off).
-	//
-	// Deprecated: MinBatch predates Batch and is kept as a shim. A value
-	// > 1 with a zero Batch policy maps onto
-	// BatchPolicy{MinBatch: n, MaxLinger: legacyMinBatchLinger}; set Batch
-	// directly for real control.
-	MinBatch int
-
 	// Batch is the combiner's batching policy: how long a round lingers for
 	// concurrent ops to join, whether the window adapts, and whether formed
 	// batches may be executed by parallel combining (see batch.go). The
 	// zero value closes every round after one collection pass.
 	Batch BatchPolicy
-
-	// Ablation knobs (Fig. 13). All default to false = full NR.
-
-	// DisableCombining makes every thread write to the log itself, using
-	// the readers-writer lock for all intra-node synchronization (#1).
-	DisableCombining bool
-	// ReadWaitLogTail makes readers wait for logTail instead of
-	// completedTail (#2, disables the §5.3/§5.4 read optimization).
-	ReadWaitLogTail bool
-	// CombinedReplicaLock protects the replica with the combiner lock,
-	// serializing readers against the entire combining cycle (#3).
-	CombinedReplicaLock bool
-	// SerialReplicaUpdate makes a combiner wait until completedTail reaches
-	// its batch before updating its replica, so replicas update in series
-	// rather than in parallel (#4).
-	SerialReplicaUpdate bool
-	// CentralizedReaderLock swaps the distributed readers-writer lock for a
-	// standard one (#5).
-	CentralizedReaderLock bool
 
 	// DedicatedCombiners starts one background goroutine per node that
 	// keeps the node's replica fresh even when its threads are idle — the
@@ -191,15 +160,6 @@ func (o *Options) fillDefaults() {
 	if o.Logs <= 0 {
 		o.Logs = 1
 	}
-	if o.MinBatch <= 0 {
-		o.MinBatch = 1
-	}
-	// Deprecated-shim lowering: an explicit MinBatch with no policy becomes
-	// a fixed bounded linger for that batch size (the old knob's documented
-	// intent; the old loop never honored it — it retried a fixed 3 times).
-	if o.MinBatch > 1 && o.Batch == (BatchPolicy{}) {
-		o.Batch = BatchPolicy{MinBatch: o.MinBatch, MaxLinger: legacyMinBatchLinger}
-	}
 	if o.Batch.MinBatch < 0 {
 		o.Batch.MinBatch = 0
 	}
@@ -229,7 +189,7 @@ type Persister[O any] interface {
 	Append(idx uint64, token uint64, op O)
 }
 
-// Stats counts internal events; useful for tests and the ablation study.
+// Stats counts internal events.
 // It is one slice of the richer Metrics snapshot (metrics.go).
 type Stats struct {
 	Combines        uint64 `json:"combines"`         // combining rounds executed
@@ -272,8 +232,11 @@ type slot[O, R any] struct {
 	seq uint32
 	// class is the op's conflict class (log index), written with the op and
 	// published by the state release store; the class-c combiner collects
-	// only class-c slots. Always 0 on single-log instances.
-	class int32
+	// only class-c slots. Always 0 on single-log instances. Atomic because a
+	// combiner of another class reads it on a posted slot it will not take,
+	// and by then the slot's own combiner may have answered it and the owner
+	// be posting its next op.
+	class atomic.Int32
 	// state is the protocol word; resp returns the outcome. Each must own
 	// its cache line (checked by nrlint's cachepad against real offsets).
 	//
@@ -301,13 +264,14 @@ const (
 	entryBarrier
 )
 
-// entry is what NR stores in the shared log: the operation plus response
-// routing for the DisableCombining path (slot < 0 means no delivery). seq
-// completes the op token (log, node, slot, seq) so a remote replayer's
-// trace events join the originating op's span; it is published by the log's
-// marker store like the rest of the entry. kind and ticket implement the
-// cross-log barrier: replayers stop at non-entryOp entries and hand control
-// to the cross applier (cross.go).
+// entry is what NR stores in the shared log: the operation plus the
+// response tag (node, slot) under which whichever thread replays it into
+// its home replica answers the waiting thread (slot < 0 means no delivery;
+// see "Response tags" in the package doc). seq completes the op token (log,
+// node, slot, seq) so a remote replayer's trace events join the originating
+// op's span; it is published by the log's marker store like the rest of the
+// entry. kind and ticket implement the cross-log barrier: replayers stop at
+// non-entryOp entries and hand control to the cross applier (cross.go).
 type entry[O any] struct {
 	op     O
 	node   int32
@@ -354,8 +318,8 @@ type replicaLog[O, R any] struct {
 	// no combiner is active, so stale readers don't convoy on the writer
 	// lock (an engineering refinement over Algorithm 1, which lets every
 	// stale reader acquire the writer lock in turn).
-	refresher rwlock.SpinMutex //nr:lockorder refresher
-	rw        rwlock.Lock      //nr:lockorder replicaWriter
+	refresher rwlock.SpinMutex    //nr:lockorder refresher
+	rw        *rwlock.Distributed //nr:lockorder replicaWriter
 	// scratch is the combiner's batch buffer, reused across rounds so a
 	// combining round never allocates. Only the combiner-lock holder
 	// touches it.
@@ -417,7 +381,7 @@ type Instance[O, R any] struct {
 	rec *trace.Recorder
 	// persist, when non-nil, receives every update entry at append time
 	// (durability hook; see AttachPersister). Nil costs one branch per
-	// combining round / uncombined append. Single-log only.
+	// combining round. Single-log only.
 	persist Persister[O]
 	// profLabels holds per-node precomputed pprof label sets ([0] read,
 	// [1] update) for sampled op labeling; nil unless ProfileSampleRate > 0.
@@ -477,11 +441,7 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 	}
 	var mapper func(O) int
 	if m > 1 {
-		switch {
-		case opts.DisableCombining, opts.ReadWaitLogTail,
-			opts.CombinedReplicaLock, opts.SerialReplicaUpdate:
-			return nil, errors.New("core: Logs > 1 is incompatible with the single-log ablation knobs (DisableCombining, ReadWaitLogTail, CombinedReplicaLock, SerialReplicaUpdate)")
-		case opts.LogMapper == nil:
+		if opts.LogMapper == nil {
 			return nil, errors.New("core: Logs > 1 requires a LogMapper assigning each op a conflict class")
 		}
 		fn, ok := opts.LogMapper.(func(O) int)
@@ -534,11 +494,7 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 			lg := &r.logs[j]
 			lg.localTail = logs[j].RegisterReplica()
 			lg.scratch = make([]takenSlot[O, R], 0, maxBatch)
-			if opts.CentralizedReaderLock {
-				lg.rw = rwlock.NewCentralized()
-			} else {
-				lg.rw = rwlock.NewDistributed(maxBatch)
-			}
+			lg.rw = rwlock.NewDistributed(maxBatch)
 			if o := opts.Observer; o != nil {
 				node := n
 				lg.rw.SetWriterWaitHook(func(spins int) { o.WriterWait(node, spins) })
@@ -611,7 +567,7 @@ func (i *Instance[O, R]) dedicatedCombiner(r *replica[O, R]) {
 			if to := i.logs[c].Completed(); to > lg.localTail.Load() {
 				if lg.combinerLock.TryLock() {
 					if to := i.logs[c].Completed(); to > lg.localTail.Load() {
-						i.refreshOwn(r, c, to, true, ring)
+						i.refreshOwn(r, c, to, ring)
 						worked = true
 					}
 					lg.combinerLock.Unlock()
@@ -661,7 +617,7 @@ type Handle[O, R any] struct {
 	// instead of paying a second clock read. Single-goroutine, like seq.
 	tsHint int64
 	// broken is set when this handle's combining slot can no longer be
-	// trusted (a response delivery invariant broke, see updateUncombined);
+	// trusted (PostAndAbandon left an op in it that nobody will collect);
 	// sticky so a late delivery cannot be mistaken for a later op's response.
 	broken error
 }
@@ -808,8 +764,7 @@ func (h *Handle[O, R]) Execute(op O) R {
 // TryExecute runs op with linearizable semantics, reporting a contained
 // failure as an error instead of a panic: a *PanicError when the
 // operation's Execute panicked, ErrPoisoned (wrapped) once replicas have
-// been observed to diverge, ErrResponseLost (wrapped) when a response
-// delivery invariant broke. A nil error means resp is the operation's
+// been observed to diverge. A nil error means resp is the operation's
 // result.
 func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 	i := h.inst
@@ -931,10 +886,6 @@ func (i *Instance[O, R]) dispatch(h *Handle[O, R], op O) (R, obs.OpClass, error)
 		resp, err := i.updateCross(h, op)
 		return resp, obs.OpUpdate, err
 	}
-	if i.opts.DisableCombining {
-		resp, err := i.updateUncombined(h, op)
-		return resp, obs.OpUpdate, err
-	}
 	resp, err := i.combine(h, c, op)
 	return resp, obs.OpUpdate, err
 }
@@ -946,13 +897,9 @@ func (i *Instance[O, R]) dispatch(h *Handle[O, R], op O) (R, obs.OpClass, error)
 // executes the op and delivers a response nobody collects; the slot is
 // permanently retired. A cross-class op is appended (with its barriers)
 // but not applied — whichever thread next crosses the barrier applies it.
-// Meaningless (and a no-op) under DisableCombining.
 func (h *Handle[O, R]) PostAndAbandon(op O) {
 	if h.broken == nil {
 		h.broken = errors.New("core: handle abandoned by PostAndAbandon")
-	}
-	if h.inst.opts.DisableCombining {
-		return
 	}
 	i := h.inst
 	r := i.replicas[h.node]
@@ -970,39 +917,9 @@ func (h *Handle[O, R]) PostAndAbandon(op O) {
 	h.cls = c
 	s.op = op
 	s.seq = h.seq
-	s.class = int32(c)
+	s.class.Store(int32(c))
 	h.ring.Record(trace.KSlotPublish, h.node, h.token(), 0)
 	s.state.Store(slotPosted)
-}
-
-// replicaLogWriteLock takes the lock that protects (r, c) against readers
-// and other replayers: the combiner lock under ablation #3, the
-// readers-writer lock otherwise.
-func (i *Instance[O, R]) replicaLogWriteLock(r *replica[O, R], c int) {
-	if i.opts.CombinedReplicaLock {
-		// A caller that already holds combinerLock (a combiner, or the
-		// dedicated combiner) never reaches here under ablation #3:
-		// refreshOwn short-circuits on (CombinedReplicaLock &&
-		// haveCombinerLock) before taking this path, so the branches are
-		// correlated on the same flag and re-acquisition is infeasible.
-		r.logs[c].combinerLock.Lock() //nr:lockok
-	} else {
-		r.logs[c].rw.Lock()
-	}
-}
-
-func (i *Instance[O, R]) replicaLogTryWriteLock(r *replica[O, R], c int) bool {
-	if i.opts.CombinedReplicaLock {
-		return r.logs[c].combinerLock.TryLock()
-	}
-	return r.logs[c].rw.TryLock()
-}
-
-func (i *Instance[O, R]) replicaLogWriteUnlock(r *replica[O, R], c int) {
-	if i.opts.CombinedReplicaLock {		r.logs[c].combinerLock.Unlock()
-	} else {
-		r.logs[c].rw.Unlock()
-	}
 }
 
 // applyEntry executes log c's entry at absolute index idx against r — with
@@ -1088,7 +1005,7 @@ func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
 	s := &r.slots[h.slot]
 	s.op = op
 	s.seq = h.seq
-	s.class = int32(c)
+	s.class.Store(int32(c))
 	tp := h.tsHint
 	if tp == 0 {
 		tp = h.ring.Now()
@@ -1145,8 +1062,7 @@ func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
 // events land on the combiner's timeline, joined to each op by token).
 // self is the calling thread's own slot index on r (parallel combining
 // must not hand the combiner's op back to the combiner). The caller holds
-// class c's combiner lock; under ablation #3 that lock doubles as the
-// replica lock.
+// class c's combiner lock.
 //
 //nr:hotpath-noio
 //nr:noalloc
@@ -1174,7 +1090,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 	collect := func() {
 		for idx := range r.slots {
 			s := &r.slots[idx]
-			if s.state.Load() == slotPosted && s.class == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
+			if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
 				batch = append(batch, takenSlot[O, R]{s, int32(idx)}) //nr:allocok scratch cap = slot count
 
 				ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
@@ -1201,7 +1117,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 				// side's one-CAS batch reservation); the pre-batch replay
 				// below catches whatever is left in one acquisition.
 				if to := i.logs[c].Completed(); to >= lg.localTail.Load()+lingerRefreshBatch {
-					i.refreshOwn(r, c, to, true, ring)
+					i.refreshOwn(r, c, to, ring)
 				}
 				runtime.Gosched()
 				collect()
@@ -1230,7 +1146,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 	// Append the batch: reserve with one CAS, then fill (§5.1). Entries
 	// carry (node, slot) tags so that if a helper replays them into this
 	// replica first, the helper delivers the responses.
-	start := i.reserveConsuming(r, c, len(batch), true, ring)
+	start := i.reserveConsuming(r, c, len(batch), ring)
 	// One clock read stamps the reservation and the fills: it is taken
 	// AFTER reserveConsuming returns, so a slow reservation (log full,
 	// helping) still shows as a long pickup→reserve phase.
@@ -1246,22 +1162,16 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 		}
 	}
 	for k, t := range batch {
+		// The slot is read before Fill publishes the entry: from then on a
+		// replayer that overtakes this round may answer the slot by tag, and
+		// its owner may already be writing its next op into it.
+		tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
 		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, node: r.id, slot: t.slot, seq: t.s.seq})
-		ring.RecordAt(t1, trace.KLogFill, int(r.id), trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq), start+uint64(k))
+		ring.RecordAt(t1, trace.KLogFill, int(r.id), tok, start+uint64(k))
 	}
 	end := start + uint64(len(batch))
 
-	if i.opts.SerialReplicaUpdate {
-		// Ablation #4: wait for the previous batch's combiner to finish
-		// updating its replica, serializing replica updates across nodes.
-		for i.logs[c].Completed() < start {
-			runtime.Gosched()
-		}
-	}
-
-	if !i.opts.CombinedReplicaLock {
-		lg.rw.Lock()
-	}
+	lg.rw.Lock()
 	// Bring the replica up to date with everything before our batch,
 	// waiting out any holes (§5.1). A cross-log barrier before our batch
 	// must be applied by the cross applier, which takes every log's write
@@ -1270,13 +1180,9 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 	for idx < start {
 		e := i.waitGet(int(r.id), c, idx, ring)
 		if e.kind != entryOp {
-			if !i.opts.CombinedReplicaLock {
-				lg.rw.Unlock()
-			}
+			lg.rw.Unlock()
 			i.advanceCrossTo(r, e.ticket, ring)
-			if !i.opts.CombinedReplicaLock {
-				lg.rw.Lock() //nr:lockok re-acquire: released two lines up, around the cross applier
-			}
+			lg.rw.Lock() //nr:lockok re-acquire: released two lines up, around the cross applier
 			idx = lg.localTail.Load()
 			continue
 		}
@@ -1322,9 +1228,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 		}
 		i.logs[c].AdvanceCompleted(end)
 	}
-	if !i.opts.CombinedReplicaLock {
-		lg.rw.Unlock()
-	}
+	lg.rw.Unlock()
 	if i.batchOn {
 		i.adaptAfterRound(lg, len(batch), i.countPosted(r, c))
 	}
@@ -1355,85 +1259,15 @@ func (i *Instance[O, R]) reportReaderPressure(r *replica[O, R], c int, o obs.Obs
 	}
 }
 
-// uncombinedDeliveryWait bounds how long an uncombined updater waits for a
-// response that the protocol says is already delivered (see below). It only
-// matters when that invariant is broken by a thread dying mid-protocol.
-const uncombinedDeliveryWait = 2 * time.Second
-
-// updateUncombined is ablation #1: no flat combining — the thread appends
-// its own single-entry batch. The response arrives through the entry's
-// (node, slot) tag: either our own replay below delivers it, or a same-node
-// thread that replayed past our entry first already has. Single-log only
-// (ablations are gated off multi-log instances), so class is always 0.
-//
-//nr:hotpath-noio
-//nr:noalloc
-//nr:spin
-func (i *Instance[O, R]) updateUncombined(h *Handle[O, R], op O) (R, error) {
-	r := i.replicas[h.node]
-	lg := &r.logs[0]
-	s := &r.slots[h.slot]
-	s.seq = h.seq
-	s.state.Store(slotTaken) // awaiting response via log replay
-	start := i.reserveConsuming(r, 0, 1, false, h.ring)
-	h.ring.Record(trace.KLogReserve, h.node, start, 1)
-	// Persist before Fill, as in runCombiner (see Persister).
-	if p := i.persist; p != nil {
-		p.Append(start, h.token(), op)
-	}
-	i.logs[0].Fill(start, entry[O]{op: op, node: r.id, slot: int32(h.slot), seq: h.seq})
-	h.ring.Record(trace.KLogFill, h.node, h.token(), start)
-	if i.opts.SerialReplicaUpdate {
-		for i.logs[0].Completed() < start {
-			runtime.Gosched()
-		}
-	}
-	i.replicaLogWriteLock(r, 0)
-	for idx := lg.localTail.Load(); idx <= start; idx++ {
-		i.applyEntry(r, 0, idx, i.waitGet(h.node, 0, idx, h.ring), h.ring)
-		lg.localTail.Store(idx + 1)
-	}
-	i.logs[0].AdvanceCompleted(start + 1)
-	i.replicaLogWriteUnlock(r, 0)
-	// Delivery is guaranteed by now: whoever advanced localTail past our
-	// entry did so under the replica lock and wrote the response first. A
-	// bounded wait guards the invariant instead of a process-killing panic:
-	// if it ever breaks (a replayer died mid-protocol), diagnose and retire
-	// this handle — its slot could still receive a late delivery, which a
-	// fresh op must never mistake for its own response.
-	if s.state.Load() != slotDone {
-		deadline := time.Now().Add(uncombinedDeliveryWait)
-		for s.state.Load() != slotDone {
-			if time.Now().After(deadline) {
-				//nr:allocok broken-invariant path; the handle retires
-				h.broken = fmt.Errorf(
-					"%w: entry %d (node %d slot %d) not delivered after %v; handle retired",
-					ErrResponseLost, start, h.node, h.slot, uncombinedDeliveryWait)
-				var zero R
-				return zero, h.broken
-			}
-			runtime.Gosched()
-		}
-	}
-	resp, err := s.resp, s.err
-	s.state.Store(slotEmpty)
-	return resp, err
-}
-
 // refreshOwn refreshes (r, c) to 'to', applying any cross-log barriers it
 // meets on the way (each barrier costs a release/advance/re-acquire cycle;
-// see cross.go). haveCombinerLock says the caller already holds the lock
-// protecting the replica (a combiner under ablation #3).
-func (i *Instance[O, R]) refreshOwn(r *replica[O, R], c int, to uint64, haveCombinerLock bool, ring *trace.Ring) {
+// see cross.go).
+func (i *Instance[O, R]) refreshOwn(r *replica[O, R], c int, to uint64, ring *trace.Ring) {
+	lg := &r.logs[c]
 	for {
-		var blocked uint64
-		if i.opts.CombinedReplicaLock && haveCombinerLock {
-			blocked = i.refreshTo(r, c, to, ring)
-		} else {
-			i.replicaLogWriteLock(r, c)
-			blocked = i.refreshTo(r, c, to, ring)
-			i.replicaLogWriteUnlock(r, c)
-		}
+		lg.rw.Lock()
+		blocked := i.refreshTo(r, c, to, ring)
+		lg.rw.Unlock()
 		if blocked == 0 {
 			return
 		}
@@ -1451,7 +1285,7 @@ func (i *Instance[O, R]) refreshOwn(r *replica[O, R], c int, to uint64, haveComb
 //
 //nr:noalloc
 //nr:spin
-func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, haveCombinerLock bool, ring *trace.Ring) uint64 {
+func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trace.Ring) uint64 {
 	l := i.logs[c]
 	o := i.observer
 	reported := false
@@ -1469,7 +1303,7 @@ func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, haveCombin
 		}
 		// Drain into our own replica so our localTail is not the laggard.
 		if to := l.Tail(); to > r.logs[c].localTail.Load() {
-			i.refreshOwn(r, c, to, haveCombinerLock, ring)
+			i.refreshOwn(r, c, to, ring)
 		}
 		// Help other replicas, bounded by completedTail (see package doc).
 		to := l.Completed()
@@ -1478,12 +1312,12 @@ func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, haveCombin
 				continue
 			}
 			var blocked uint64
-			if i.replicaLogTryWriteLock(r2, c) {
+			if r2.logs[c].rw.TryLock() {
 				before := r2.logs[c].localTail.Load()
 				blocked = i.refreshTo(r2, c, to, ring)
 				helped := r2.logs[c].localTail.Load() - before
 				i.helpedEntries.Add(helped)
-				i.replicaLogWriteUnlock(r2, c)
+				r2.logs[c].rw.Unlock()
 				if helped > 0 {
 					if o != nil {
 						o.Help(int(r2.id), int(helped))
@@ -1561,38 +1395,12 @@ func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O, fake bool) (R
 	r := i.replicas[h.node]
 	lg := &r.logs[c]
 	tok := h.token()
-	var readTail uint64
-	if i.opts.ReadWaitLogTail {
-		readTail = i.logs[c].Tail() // ablation #2: block on local combiner holes
-	} else {
-		readTail = i.logs[c].Completed()
-	}
+	readTail := i.logs[c].Completed()
 	t0 := h.tsHint
 	if t0 == 0 {
 		t0 = h.ring.Now()
 	}
 	h.ring.RecordAt(t0, trace.KTailRead, h.node, tok, readTail)
-	if i.opts.CombinedReplicaLock {
-		// Ablation #3: the combiner lock protects the replica; readers
-		// serialize with the whole combining cycle. Single-log only, so
-		// refreshTo can never stop at a barrier here.
-		lg.combinerLock.Lock()
-		h.ring.Record(trace.KRLock, h.node, tok, 0)
-		if before := lg.localTail.Load(); before < readTail {
-			i.readerRefreshes.Add(1)
-			for lg.localTail.Load() < readTail {
-				i.refreshTo(r, c, readTail, h.ring)
-				runtime.Gosched()
-			}
-			if o := i.observer; o != nil {
-				o.ReaderRefresh(h.node, int(lg.localTail.Load()-before))
-			}
-			h.ring.Record(trace.KReaderRefresh, h.node, uint64(lg.localTail.Load()-before), 0)
-		}
-		resp, done, err := i.safeRead(r, op, fake)
-		lg.combinerLock.Unlock()
-		return resp, done, err
-	}
 	waited := i.waitReplicaTail(h, r, c, readTail)
 	if h.ring != nil {
 		spins := lg.rw.RLockObserved(h.slot)
@@ -1691,7 +1499,7 @@ func (i *Instance[O, R]) quiesceReplica(r *replica[O, R]) {
 		for {
 			lg := &r.logs[c]
 			var blocked uint64
-			i.replicaLogWriteLock(r, c)
+			lg.rw.Lock()
 			for idx := lg.localTail.Load(); idx < to; idx++ {
 				e := i.logs[c].WaitGet(idx)
 				if e.kind != entryOp {
@@ -1701,7 +1509,7 @@ func (i *Instance[O, R]) quiesceReplica(r *replica[O, R]) {
 				i.applyEntry(r, c, idx, e, nil)
 				lg.localTail.Store(idx + 1)
 			}
-			i.replicaLogWriteUnlock(r, c)
+			lg.rw.Unlock()
 			if blocked == 0 {
 				break
 			}
@@ -1729,11 +1537,11 @@ func (i *Instance[O, R]) CheckpointReplica(node int, fn func(ds Sequential[O, R]
 	r := i.replicas[node]
 	i.quiesceReplica(r)
 	for c := range i.logs {
-		i.replicaLogWriteLock(r, c) //nr:lockok index order across one replica's logs
+		r.logs[c].rw.Lock() //nr:lockok index order across one replica's logs
 	}
 	fn(r.ds, r.logs[0].localTail.Load())
 	for c := len(i.logs) - 1; c >= 0; c-- {
-		i.replicaLogWriteUnlock(r, c)
+		r.logs[c].rw.Unlock()
 	}
 }
 
@@ -1744,10 +1552,10 @@ func (i *Instance[O, R]) InspectReplica(node int, fn func(ds Sequential[O, R])) 
 	r := i.replicas[node]
 	i.quiesceReplica(r)
 	for c := range i.logs {
-		i.replicaLogWriteLock(r, c) //nr:lockok index order across one replica's logs
+		r.logs[c].rw.Lock() //nr:lockok index order across one replica's logs
 	}
 	fn(r.ds)
 	for c := len(i.logs) - 1; c >= 0; c-- {
-		i.replicaLogWriteUnlock(r, c)
+		r.logs[c].rw.Unlock()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/topology"
@@ -200,30 +201,13 @@ func TestConcurrentIncrementsTinyLogWraps(t *testing.T) {
 	incrementsAreDense(t, Options{Topology: topology.New(2, 2, 1), LogEntries: 16}, 4, 3000)
 }
 
-func TestAblationOptionsPreserveCorrectness(t *testing.T) {
-	cases := []struct {
-		name string
-		mod  func(*Options)
-	}{
-		{"DisableCombining", func(o *Options) { o.DisableCombining = true }},
-		{"ReadWaitLogTail", func(o *Options) { o.ReadWaitLogTail = true }},
-		{"CombinedReplicaLock", func(o *Options) { o.CombinedReplicaLock = true }},
-		{"SerialReplicaUpdate", func(o *Options) { o.SerialReplicaUpdate = true }},
-		{"CentralizedReaderLock", func(o *Options) { o.CentralizedReaderLock = true }},
-		{"MinBatch4", func(o *Options) { o.MinBatch = 4 }},
-		{"Everything", func(o *Options) {
-			o.ReadWaitLogTail = true
-			o.SerialReplicaUpdate = true
-			o.CentralizedReaderLock = true
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			opts := smallTopo()
-			c.mod(&opts)
-			incrementsAreDense(t, opts, 4, 1500)
-		})
-	}
+func TestConcurrentIncrementsLingering(t *testing.T) {
+	// With a linger window each node's combiner holds its round open while
+	// the other node keeps appending, so the mid-linger freshening of the
+	// combiner's own replica runs under contention.
+	opts := smallTopo()
+	opts.Batch = BatchPolicy{MinBatch: 4, MaxLinger: 100 * time.Microsecond}
+	incrementsAreDense(t, opts, 4, 1500)
 }
 
 // TestReadYourWrites: after a thread's update returns, its subsequent read
@@ -446,11 +430,11 @@ func TestHeavyMixedStress(t *testing.T) {
 }
 
 // TestMinBatchStillServesLoneThread: with MinBatch larger than the thread
-// count, a lone thread's combiner must still make progress after its
-// bounded refresh attempts.
+// count, a lone thread's combiner must still make progress once its linger
+// window closes.
 func TestMinBatchStillServesLoneThread(t *testing.T) {
 	opts := smallTopo()
-	opts.MinBatch = 8
+	opts.Batch = BatchPolicy{MinBatch: 8, MaxLinger: 100 * time.Microsecond}
 	inst := newCounterInstance(t, opts)
 	h, err := inst.Register()
 	if err != nil {
@@ -535,13 +519,11 @@ func TestRegisterSkipsExplicitlyFilledNodes(t *testing.T) {
 
 // TestSequentialEquivalenceProperty: through a single handle, NR must be
 // observationally identical to the bare sequential structure, for any
-// operation stream and any ablation configuration (quick.Check).
+// operation stream (quick.Check).
 func TestSequentialEquivalenceProperty(t *testing.T) {
 	configs := []Options{
 		smallTopo(),
 		{Topology: topology.New(2, 2, 1), LogEntries: 16}, // wrapping log
-		func() Options { o := smallTopo(); o.DisableCombining = true; return o }(),
-		func() Options { o := smallTopo(); o.CombinedReplicaLock = true; return o }(),
 	}
 	f := func(stream []byte) bool {
 		for _, opts := range configs {

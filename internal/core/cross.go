@@ -70,7 +70,7 @@ func (i *Instance[O, R]) appendCross(h *Handle[O, R], op O) uint64 {
 	i.crossSeq++
 	t := i.crossSeq
 	for c := range i.logs {
-		i.crossIdx[c] = i.reserveConsuming(r, c, 1, false, h.ring)
+		i.crossIdx[c] = i.reserveConsuming(r, c, 1, h.ring)
 	}
 	tok := h.token()
 	h.ring.Record(trace.KLogReserve, h.node, i.crossIdx[0], uint64(len(i.logs)))

@@ -72,13 +72,6 @@ func panicKey(cls int, idx uint64) uint64 {
 // every subsequent TryExecute fails fast.
 var ErrPoisoned = errors.New("core: instance poisoned by non-deterministic Sequential.Execute panic")
 
-// ErrResponseLost is reported when an uncombined update's response was not
-// delivered within the bounded wait — the delivery invariant documented at
-// updateUncombined was broken (a replayer died mid-protocol). The submitting
-// handle is left unusable (sticky per-handle error) because a late delivery
-// into its slot could otherwise be mistaken for a later op's response.
-var ErrResponseLost = errors.New("core: uncombined update response not delivered within bound")
-
 // PanicError is the outcome of an operation whose Sequential.Execute
 // panicked. It is delivered to the submitting thread through TryExecute (or
 // re-raised by Execute) regardless of which thread — combiner, helper,
@@ -389,12 +382,12 @@ func (i *Instance[O, R]) watchdog() {
 					continue
 				}
 				var blocked uint64
-				if i.replicaLogTryWriteLock(r2, c) {
+				if r2.logs[c].rw.TryLock() {
 					before := r2.logs[c].localTail.Load()
 					blocked = i.refreshTo(r2, c, to, ring)
 					helped := r2.logs[c].localTail.Load() - before
 					i.helpedEntries.Add(helped)
-					i.replicaLogWriteUnlock(r2, c)
+					r2.logs[c].rw.Unlock()
 					if helped > 0 {
 						if o := i.observer; o != nil {
 							o.Help(int(r2.id), int(helped))

@@ -83,8 +83,7 @@ type ReplicaGauges struct {
 	// the replica's logs; 0 when the batching policy is off or non-adaptive.
 	LingerWindowNs int64 `json:"linger_window_ns"`
 	// ReaderAcquires is the cumulative read-lock acquisition count across
-	// this replica's readers-writer locks (0 under the centralized ablation
-	// lock, which has no per-reader counters).
+	// this replica's readers-writer locks.
 	ReaderAcquires uint64 `json:"reader_acquires"`
 	// WriterAcquires is the cumulative write-lock acquisition count across
 	// this replica's readers-writer locks — combiner rounds, reader-elected

@@ -83,10 +83,6 @@ func TestMultiLogGating(t *testing.T) {
 		!strings.Contains(err.Error(), "func(O) int") {
 		t.Fatalf("bad mapper type: got %v, want type error", err)
 	}
-	if _, err := New(create, Options{Topology: top, Logs: 4, LogMapper: mlMapper(4), DisableCombining: true}); err == nil ||
-		!strings.Contains(err.Error(), "ablation") {
-		t.Fatalf("Logs>1 + DisableCombining: got %v, want ablation error", err)
-	}
 	if _, err := New(create, Options{Topology: top, Logs: maxLogs + 1, LogMapper: mlMapper(maxLogs + 1)}); err == nil ||
 		!strings.Contains(err.Error(), "maximum") {
 		t.Fatalf("Logs>maxLogs: got %v, want range error", err)
@@ -316,8 +312,7 @@ func (c *mlCrossCells) IsReadOnly(op mlOp) bool { return op.kind == 1 || op.kind
 // TestMultiLogReaderWaitsOwnClassOnly pins the read-path independence
 // claim: a reader of class 0 completes even while class 1's log holds a
 // reserved-but-unfilled entry (a stalled class-1 combiner mid-append).
-// Under single-log NR the hole would blockReadWaitLogTail-style readers;
-// multi-log readers never look at other classes' logs.
+// Multi-log readers never look at other classes' logs.
 func TestMultiLogReaderWaitsOwnClassOnly(t *testing.T) {
 	const m = 2
 	inst := newMultiLog(t, m, Options{Topology: topology.New(1, 4, 1)})
@@ -454,7 +449,7 @@ func TestMultiLogMetrics(t *testing.T) {
 func TestSingleLogUnchanged(t *testing.T) {
 	inst, err := New(func() Sequential[mlOp, int64] {
 		return &mlCells{cells: make([]int64, 1)}
-	}, Options{Topology: topology.New(1, 2, 1), DisableCombining: true})
+	}, Options{Topology: topology.New(1, 2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +461,7 @@ func TestSingleLogUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := h.Execute(mlOp{kind: 0, class: 0, delta: 3}); got != 3 {
-		t.Fatalf("uncombined add = %d, want 3", got)
+		t.Fatalf("add = %d, want 3", got)
 	}
 }
 

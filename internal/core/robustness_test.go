@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/asplos17/nr/internal/topology"
+	"github.com/asplos17/nr/internal/trace"
 )
 
 // bomb is a keyed accumulator whose negative-key updates panic after a
@@ -252,23 +253,56 @@ func (s *sleeper) Execute(op bombOp) int64 {
 }
 func (s *sleeper) IsReadOnly(op bombOp) bool { return op.Key == 0 }
 
-// TestUncombinedPanicDelivery: under DisableCombining the response (or
-// contained panic) travels through the log's (node, slot) tags; the former
-// hard panic site at the delivery check must stay silent on healthy runs.
-func TestUncombinedPanicDelivery(t *testing.T) {
-	inst := newBombInstance(t, Options{
-		Topology: topology.New(2, 2, 1), LogEntries: 64, DisableCombining: true})
-	h, err := inst.Register()
+// TestTagDeliversContainedPanic: a replayer that overtakes a combiner
+// between its log append and its own replay (a same-node cross applier or a
+// helper) answers the combiner's batch through the entries' (node, slot)
+// tags — a contained panic included. The overtaken combiner is played by
+// hand: slot taken, entry appended, replay not yet begun.
+func TestTagDeliversContainedPanic(t *testing.T) {
+	rec := trace.New(trace.Config{RingSlots: 64})
+	inst := newBombInstance(t, Options{Topology: topology.New(2, 2, 1), LogEntries: 64, Trace: rec})
+	h, err := inst.RegisterOnNode(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.TryExecute(bombOp{Key: -3, Delta: 2}); err == nil {
-		t.Fatal("uncombined panic op returned no error")
-	} else if pe := new(PanicError); !errors.As(err, &pe) {
-		t.Fatalf("want PanicError, got %v", err)
+	r := inst.replicas[0]
+	s := &r.slots[h.slot]
+	s.state.Store(slotTaken)
+	idx, ok := inst.logs[0].TryReserve(1)
+	if !ok {
+		t.Fatal("empty log refused a reservation")
 	}
-	if got, err := h.TryExecute(bombOp{Key: 3, Delta: 2}); err != nil || got != 2 {
-		t.Fatalf("uncombined update after panic: %d, %v", got, err)
+	inst.logs[0].Fill(idx, entry[bombOp]{op: bombOp{Key: -3, Delta: 2}, node: r.id, slot: int32(h.slot), seq: 7})
+
+	ring := rec.AcquireRing()
+	r.logs[0].rw.Lock()
+	inst.refreshTo(r, 0, idx+1, ring)
+	r.logs[0].rw.Unlock()
+
+	if st := s.state.Load(); st != slotDone {
+		t.Fatalf("slot state = %d after the overtaking replay, want slotDone", st)
+	}
+	var pe *PanicError
+	if !errors.As(s.err, &pe) || pe.Index != idx {
+		t.Fatalf("slot error = %v, want *PanicError at log index %d", s.err, idx)
+	}
+	if got := r.logs[0].localTail.Load(); got != idx+1 {
+		t.Errorf("localTail = %d, want %d: a poisonous op must advance it like any other", got, idx+1)
+	}
+	if got := inst.Stats().Panics; got != 1 {
+		t.Errorf("Stats.Panics = %d, want 1", got)
+	}
+	// The delivering replay stamps the panic with the op's token, so a trace
+	// joins it to the submitter's span.
+	tok := trace.TokenWithLog(0, 0, h.slot, 7)
+	found := false
+	for _, e := range rec.Snapshot().Events() {
+		if e.Kind == trace.KPanic && e.A == idx && e.B == tok {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no KPanic event at index %d carrying token %#x", idx, tok)
 	}
 }
 

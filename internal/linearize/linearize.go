@@ -2,8 +2,7 @@
 // Wing & Gong with Lowe's memoization, plus a concurrent-history recorder.
 // The repository uses it to validate NR's central claim — that the
 // transformation of an arbitrary sequential structure is linearizable
-// (§4) — on real concurrent executions, including under every ablation
-// option.
+// (§4) — on real concurrent executions.
 package linearize
 
 import (

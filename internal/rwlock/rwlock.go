@@ -4,58 +4,13 @@
 // per-reader locks — it sets its flag and waits for every reader lock to
 // drain. Writer and readers each perform a single atomic write on distinct
 // cache lines to enter the critical section.
-//
-// The package also ships a Centralized lock with the same interface so the
-// ablation experiment (technique #5 in Fig. 13/14) can swap implementations.
 package rwlock
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Lock is the common interface over the distributed and centralized
-// readers-writer locks. Readers identify themselves with a slot index so the
-// distributed variant can give each reader its own cache line.
-type Lock interface {
-	// RLock acquires the lock in read mode for reader slot.
-	RLock(slot int)
-	// RLockObserved is RLock, additionally reporting how many scheduler
-	// yields the acquisition spent blocked behind a writer (0 on the
-	// uncontended path). Implementations without that visibility report 0.
-	RLockObserved(slot int) (spins int)
-	// RUnlock releases read mode for reader slot.
-	RUnlock(slot int)
-	// Lock acquires the lock in write mode.
-	Lock()
-	// TryLock attempts write mode without blocking on other writers,
-	// reporting success.
-	TryLock() bool
-	// Unlock releases write mode.
-	Unlock()
-	// SetWriterWaitHook installs fn to be called whenever a write-mode
-	// acquisition had to spin waiting for readers to drain, with the number
-	// of scheduler yields it spent. Must be called before the lock is
-	// shared; a nil fn (the default) disables the hook. Implementations
-	// without reader-wait visibility may ignore it.
-	SetWriterWaitHook(fn func(spins int))
-	// ReaderAcquires returns the cumulative number of read-mode
-	// acquisitions — the reader-arrival signal NR's batching controller and
-	// windowed telemetry fold into their rate views. The distributed lock
-	// counts per reader slot on the slot's own cache line, so counting
-	// costs readers nothing extra; implementations without per-reader
-	// state (Centralized) report 0 rather than put an atomic counter on
-	// the shared read path.
-	ReaderAcquires() uint64
-	// WriterAcquires returns the cumulative number of write-mode
-	// acquisitions (Lock plus successful TryLock). Writers are already
-	// serialized on the writer flag, so the count costs one uncontended
-	// atomic add per acquisition; NR's replay paths use it to prove they
-	// take the replica lock once per batch, not once per entry.
-	WriterAcquires() uint64
-}
 
 // padded is one per-reader flag on its own cache line (size checked by
 // nrlint's cachepad: a []padded must stride whole lines, §5.5). acq rides
@@ -72,6 +27,8 @@ type padded struct {
 }
 
 // Distributed is the paper's lock: per-reader flags plus one writer flag.
+// Readers identify themselves with a slot index so each has its own cache
+// line.
 //
 // Writer protocol: set writer flag (one atomic write); wait until all reader
 // flags are clear. Reader protocol: wait while writer flag is set; set own
@@ -113,7 +70,8 @@ func (l *Distributed) RLock(slot int) {
 }
 
 // RLockObserved acquires read mode for reader slot, reporting how many
-// scheduler yields it spent blocked behind a writer.
+// scheduler yields it spent blocked behind a writer (0 on the uncontended
+// path).
 //
 //nr:noalloc
 //nr:spin
@@ -145,11 +103,17 @@ func (l *Distributed) RUnlock(slot int) {
 	l.readers[slot].v.Store(0)
 }
 
-// SetWriterWaitHook installs the writer-wait observer hook.
+// SetWriterWaitHook installs fn to be called whenever a write-mode
+// acquisition had to spin waiting for readers to drain, with the number of
+// scheduler yields it spent. Must be called before the lock is shared; a nil
+// fn (the default) disables the hook.
 func (l *Distributed) SetWriterWaitHook(fn func(spins int)) { l.onWriterWait = fn }
 
 // ReaderAcquires sums the per-slot acquisition counters: the cumulative
-// number of read-mode acquisitions this lock has served. Slots are read
+// number of read-mode acquisitions this lock has served — the
+// reader-arrival signal NR's batching controller and windowed telemetry fold
+// into their rate views. Each slot counts on its own cache line, so counting
+// costs readers nothing extra. Slots are read
 // individually while readers keep arriving, so the sum is approximately
 // one instant (monotone, never wildly wrong) — the same contract as every
 // other gauge in the observability layer.
@@ -207,73 +171,12 @@ func (l *Distributed) TryLock() bool {
 	return true
 }
 
-// WriterAcquires returns the cumulative write-mode acquisition count.
+// WriterAcquires returns the cumulative number of write-mode acquisitions
+// (Lock plus successful TryLock). Writers are already serialized on the
+// writer flag, so the count costs one uncontended atomic add per
+// acquisition; NR's replay paths use it to prove they take the replica lock
+// once per batch, not once per entry.
 func (l *Distributed) WriterAcquires() uint64 { return l.writerAcq.Load() }
-
-// Centralized adapts sync.RWMutex to the slot-based interface. It is the
-// "standard readers-writer lock" baseline the ablation study compares
-// against (Fig. 13, technique #5).
-type Centralized struct {
-	mu sync.RWMutex
-	// writerAcq counts write acquisitions. Unlike the read path (see
-	// ReaderAcquires), the write side is already exclusive, so one atomic
-	// add does not distort the baseline being measured.
-	writerAcq atomic.Uint64
-}
-
-// NewCentralized returns a centralized readers-writer lock.
-func NewCentralized() *Centralized { return &Centralized{} }
-
-// RLock acquires read mode; the slot is ignored. Centralized exists to
-// measure exactly this blocking behavior against the distributed lock
-// (Fig. 13), so the no-block contract is waived for the whole adapter.
-//
-//nr:blockok
-func (l *Centralized) RLock(int) { l.mu.RLock() }
-
-// RLockObserved acquires read mode; sync.RWMutex gives no wait visibility,
-// so the reported spin count is always 0.
-//
-//nr:blockok ablation baseline (see RLock)
-func (l *Centralized) RLockObserved(slot int) int {
-	l.mu.RLock()
-	return 0
-}
-
-// RUnlock releases read mode; the slot is ignored.
-func (l *Centralized) RUnlock(int) { l.mu.RUnlock() }
-
-// Lock acquires write mode.
-//
-//nr:blockok ablation baseline (see RLock)
-func (l *Centralized) Lock() {
-	l.mu.Lock()
-	l.writerAcq.Add(1)
-}
-
-// TryLock attempts write mode without blocking.
-func (l *Centralized) TryLock() bool {
-	if !l.mu.TryLock() {
-		return false
-	}
-	l.writerAcq.Add(1)
-	return true
-}
-
-// Unlock releases write mode.
-func (l *Centralized) Unlock() { l.mu.Unlock() }
-
-// SetWriterWaitHook is a no-op: sync.RWMutex gives no reader-wait
-// visibility.
-func (l *Centralized) SetWriterWaitHook(func(spins int)) {}
-
-// ReaderAcquires reports 0: counting acquisitions on a centralized lock
-// would itself need a shared atomic on the read path, distorting the very
-// baseline this lock exists to measure (like RLockObserved's 0 spins).
-func (l *Centralized) ReaderAcquires() uint64 { return 0 }
-
-// WriterAcquires returns the cumulative write-mode acquisition count.
-func (l *Centralized) WriterAcquires() uint64 { return l.writerAcq.Load() }
 
 // SpinMutex is a test-and-test-and-set spinlock: the "one big lock" (SL)
 // baseline of Fig. 4 and the combiner lock inside NR.

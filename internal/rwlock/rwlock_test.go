@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// exerciseMutualExclusion drives readers and writers over a shared counter
-// and checks the invariants: writers are exclusive against everyone; readers
-// never observe a torn write.
-func exerciseMutualExclusion(t *testing.T, l Lock, readerSlots int) {
-	t.Helper()
+// TestDistributedMutualExclusion drives readers and writers over a shared
+// counter and checks the invariants: writers are exclusive against everyone;
+// readers never observe a torn write.
+func TestDistributedMutualExclusion(t *testing.T) {
+	const readerSlots = 4
+	l := NewDistributed(readerSlots)
 	var (
 		shared    int64 // protected
 		shadow    int64 // atomic copy for readers to validate against
@@ -62,14 +63,6 @@ func exerciseMutualExclusion(t *testing.T, l Lock, readerSlots int) {
 	if shared != 4*perG {
 		t.Fatalf("lost updates: shared = %d, want %d", shared, 4*perG)
 	}
-}
-
-func TestDistributedMutualExclusion(t *testing.T) {
-	exerciseMutualExclusion(t, NewDistributed(4), 4)
-}
-
-func TestCentralizedMutualExclusion(t *testing.T) {
-	exerciseMutualExclusion(t, NewCentralized(), 4)
 }
 
 func TestDistributedParallelReaders(t *testing.T) {
@@ -208,16 +201,6 @@ func TestSpinMutex(t *testing.T) {
 
 func BenchmarkDistributedRead(b *testing.B) {
 	l := NewDistributed(1)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			l.RLock(0)
-			l.RUnlock(0)
-		}
-	})
-}
-
-func BenchmarkCentralizedRead(b *testing.B) {
-	l := NewCentralized()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			l.RLock(0)

@@ -60,13 +60,6 @@ type Config struct {
 	SMT          int
 	// LogEntries sizes the shared circular log (default 64K).
 	LogEntries int
-	// MinBatch makes combiners wait for at least this many operations
-	// before appending, refreshing the replica meanwhile (default 1 = off).
-	//
-	// Deprecated: MinBatch alone cannot say how long to wait; it is kept as
-	// a shim that lowers onto Batch (a MinBatch target with a fixed 100µs
-	// linger window). Set Batch instead.
-	MinBatch int
 	// Batch is the combiner batching policy: how long a combiner lingers
 	// for concurrent operations to share a round, whether the window adapts
 	// to observed arrival rates, and whether commutative batches are handed
@@ -147,9 +140,8 @@ func (f LogMapperFunc[O]) LogIndex(op O) int { return f(op) }
 //
 //	inst, err := nr.New(create, nr.WithLogs[Op](4, nr.LogMapperFunc[Op](classOf)))
 //
-// Multi-log instances reject the single-log ablation knobs and persistence
-// (per-log WALs need a cross-log recovery barrier, ROADMAP item 5), and
-// require a non-nil mapper. Misrouted classes outside [0, m) are folded
+// Multi-log instances reject persistence (per-log WALs need a cross-log
+// recovery barrier, ROADMAP item 5) and require a non-nil mapper. Misrouted classes outside [0, m) are folded
 // into range rather than trusted.
 func WithLogs[O any](m int, mapper LogMapper[O]) Option {
 	return func(s *settings) {
@@ -226,16 +218,6 @@ func WithBatchPolicy(p BatchPolicy) Option {
 // disjoint-key accumulators qualify; last-writer-wins maps do not.
 type ConcurrentApplier[O any] interface {
 	ConcurrentApply(op O) bool
-}
-
-// WithMinBatch makes combiners wait for at least n posted operations
-// before appending a batch, refreshing the replica meanwhile (§5.2).
-//
-// Deprecated: WithMinBatch names a batch size but not a wait bound; it is
-// retained as a shim equivalent to WithBatchPolicy(BatchPolicy{MinBatch: n,
-// MaxLinger: 100 * time.Microsecond}). Use WithBatchPolicy.
-func WithMinBatch(n int) Option {
-	return func(s *settings) { s.cfg.MinBatch = n }
 }
 
 // WithDedicatedCombiners starts one background goroutine per node that
@@ -322,10 +304,6 @@ type PanicError = core.PanicError
 // "Failure model".
 var ErrPoisoned = core.ErrPoisoned
 
-// ErrResponseLost is reported when a response delivery invariant broke (a
-// thread died mid-protocol); the affected handle is retired.
-var ErrResponseLost = core.ErrResponseLost
-
 // ErrClosed is reported (via errors.Is) by Register and RegisterOnNode
 // after Close on an instance built with dedicated combiners; see
 // WithDedicatedCombiners.
@@ -355,7 +333,6 @@ func (s *settings) lower() core.Options {
 		LogEntries:         cfg.LogEntries,
 		Logs:               s.logs,
 		LogMapper:          s.mapper,
-		MinBatch:           cfg.MinBatch,
 		Batch:              cfg.Batch,
 		DedicatedCombiners: cfg.DedicatedCombiners,
 		StallThreshold:     cfg.StallThreshold,
@@ -417,14 +394,6 @@ func New[O, R any](create func() Sequential[O, R], options ...Option) (*Instance
 		inst.tel = startTelemetry(inst, s.telemetry)
 	}
 	return inst, nil
-}
-
-// NewWithConfig builds an instance from a flat Config.
-//
-// Deprecated: use New(create, WithConfig(cfg)) — or better, the individual
-// options — which additionally carry observers and metrics.
-func NewWithConfig[O, R any](create func() Sequential[O, R], cfg Config) (*Instance[O, R], error) {
-	return New(create, WithConfig(cfg))
 }
 
 // Register binds the calling goroutine to the next hardware-thread position
@@ -559,8 +528,8 @@ func (h *Handle[O, R]) Execute(op O) R { return h.inner.Execute(op) }
 
 // TryExecute runs op with linearizable semantics, reporting contained
 // failures as errors: a *PanicError when user Execute panicked, ErrPoisoned
-// once replicas have diverged, ErrResponseLost when a delivery invariant
-// broke. A nil error means resp is the operation's result.
+// once replicas have diverged. A nil error means resp is the operation's
+// result.
 func (h *Handle[O, R]) TryExecute(op O) (R, error) { return h.inner.TryExecute(op) }
 
 // Node returns the node this handle is bound to.

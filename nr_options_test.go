@@ -45,8 +45,8 @@ func TestWithConfigComposesWithLaterOptions(t *testing.T) {
 	}
 }
 
-func TestNewWithConfigShim(t *testing.T) {
-	inst, err := nr.NewWithConfig(newRegister, nr.Config{Nodes: 2, CoresPerNode: 1, SMT: 1, LogEntries: 256})
+func TestWithConfigAloneBuildsAndServes(t *testing.T) {
+	inst, err := nr.New(newRegister, nr.WithConfig(nr.Config{Nodes: 2, CoresPerNode: 1, SMT: 1, LogEntries: 256}))
 	if err != nil {
 		t.Fatal(err)
 	}
