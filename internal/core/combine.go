@@ -1,0 +1,272 @@
+package core
+
+import (
+	"runtime"
+	"time"
+
+	"github.com/asplos17/nr/internal/obs"
+	"github.com/asplos17/nr/internal/trace"
+)
+
+// runCombiner executes one combining round on conflict class c, recording
+// its trace events into ring (the combining thread's own ring — combiner
+// events land on the combiner's timeline, joined to each op by token).
+// self is the calling thread's own slot index on r (parallel combining
+// must not hand the combiner's op back to the combiner). The caller holds
+// class c's combiner lock.
+//
+//nr:hotpath-noio
+//nr:noalloc
+//nr:spin
+func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *trace.Ring) {
+	lg := &r.logs[c]
+	o := i.observer
+	var began time.Time
+	if o != nil {
+		o.CombineStart(int(r.id))
+		began = time.Now()
+	}
+	// One clock read covers the round start and the pickups: collection is a
+	// single pass over the node's slots, far shorter than the clock
+	// resolution that matters here, and the round runs under the combiner
+	// lock — every clock read it saves shortens the serialized section.
+	t0 := ring.Now()
+	ring.RecordAt(t0, trace.KCombineStart, int(r.id), 0, uint64(c))
+	// Collect the batch: every posted class-c slot on this node (§5.2),
+	// into this log's preallocated scratch buffer (cap = slot count, so
+	// append below never allocates). The class is read before the CAS and
+	// stable after it: a posted slot's contents are frozen until a combiner
+	// transitions it, and only the owner resets it after slotDone.
+	batch := lg.scratch[:0]
+	collect := func() {
+		for idx := range r.slots {
+			s := &r.slots[idx]
+			if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
+				batch = append(batch, takenSlot[O, R]{s, int32(idx)}) //nr:allocok scratch cap = slot count
+
+				ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
+			}
+		}
+	}
+	collect()
+	// Linger phase (the batching policy engine, batch.go): hold the round
+	// open for a bounded spin window so concurrently arriving ops join it —
+	// k ops in one round share one lock acquisition and one log-tail CAS.
+	// The wait is not dead time: the combiner absorbs completed entries
+	// into its replica meanwhile (the same freshening the old fixed-retry
+	// loop did) and yields on every pass so same-node posters can actually
+	// publish — essential on a box with fewer cores than threads.
+	firstPass := len(batch)
+	var window time.Duration
+	if i.batchOn && len(batch) < i.batchTarget {
+		if window = i.lingerWindow(lg); window > 0 {
+			deadline := time.Now().Add(window)
+			for len(batch) < i.batchTarget {
+				// Batch-aware freshening: absorbing the backlog costs one
+				// replica write-lock acquisition per pass, so take it only
+				// once the backlog amortizes it (mirroring the append
+				// side's one-CAS batch reservation); the pre-batch replay
+				// below catches whatever is left in one acquisition.
+				if to := i.logs[c].Completed(); to >= lg.localTail.Load()+lingerRefreshBatch {
+					i.refreshOwn(r, c, to, ring)
+				}
+				runtime.Gosched()
+				collect()
+				if !time.Now().Before(deadline) {
+					break
+				}
+			}
+			t0 = ring.Now() // re-stamp: lingering took real time
+			ring.RecordAt(t0, trace.KLinger, int(r.id), uint64(len(batch)-firstPass), uint64(window))
+		}
+	}
+	if len(batch) == 0 {
+		if i.batchOn {
+			i.adaptAfterRound(lg, 0, i.countPosted(r, c))
+		}
+		if o != nil {
+			i.reportReaderPressure(r, c, o)
+			o.CombineEnd(int(r.id), 0, 0, time.Since(began))
+		}
+		ring.Record(trace.KCombineEnd, int(r.id), 0, 0)
+		return
+	}
+	i.combines.Add(1)
+	i.combinedOps.Add(uint64(len(batch)))
+
+	// Append the batch: reserve with one CAS, then fill (§5.1). Entries
+	// carry (node, slot) tags so that if a helper replays them into this
+	// replica first, the helper delivers the responses.
+	start := i.reserveConsuming(r, c, len(batch), ring)
+	// One clock read stamps the reservation and the fills: it is taken
+	// AFTER reserveConsuming returns, so a slow reservation (log full,
+	// helping) still shows as a long pickup→reserve phase.
+	t1 := ring.Now()
+	ring.RecordAt(t1, trace.KLogReserve, int(r.id), start, uint64(len(batch)))
+	// Persist before Fill: the entry's marker store must publish the
+	// persister's bookkeeping along with the entry (see Persister).
+	// Persisters exist only on single-log instances, where c is 0 and the
+	// token is the classic node|slot|seq.
+	if p := i.persist; p != nil {
+		for k, t := range batch {
+			p.Append(start+uint64(k), trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq), t.s.op)
+		}
+	}
+	for k, t := range batch {
+		// The slot is read before Fill publishes the entry: from then on a
+		// replayer that overtakes this round may answer the slot by tag, and
+		// its owner may already be writing its next op into it.
+		tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
+		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, node: r.id, slot: t.slot, seq: t.s.seq})
+		ring.RecordAt(t1, trace.KLogFill, int(r.id), tok, start+uint64(k))
+	}
+	end := start + uint64(len(batch))
+
+	lg.rw.Lock()
+	// Bring the replica up to date with everything before our batch,
+	// waiting out any holes (§5.1). A cross-log barrier before our batch
+	// must be applied by the cross applier, which takes every log's write
+	// lock — release ours around the call (cross.go's lock order).
+	idx := lg.localTail.Load()
+	for idx < start {
+		e := i.waitGet(int(r.id), c, idx, ring)
+		if e.kind != entryOp {
+			lg.rw.Unlock()
+			i.advanceCrossTo(r, e.ticket, ring)
+			lg.rw.Lock() //nr:lockok re-acquire: released two lines up, around the cross applier
+			idx = lg.localTail.Load()
+			continue
+		}
+		i.applyEntry(r, c, idx, e, ring)
+		idx++
+		lg.localTail.Store(idx)
+	}
+	parallel := 0
+	if idx == start {
+		// Fast path (the paper's §5.2): apply our ops from the node-local
+		// combining slots rather than re-reading the log. safeExecute keeps
+		// a panicking op from killing the combiner: the outcome is recorded
+		// at the op's log index and delivered like any response.
+		lg.localTail.Store(end)
+		i.logs[c].AdvanceCompleted(end)
+		if i.conc != nil && len(batch) > 1 && i.batchCommutes(batch) {
+			// Parallel combining (batch.go): hand the batch back to the
+			// parked owners to execute concurrently against the replica.
+			parallel = i.parallelApply(r, c, batch, start, self, ring)
+		}
+		if parallel == 0 {
+			for k, t := range batch {
+				tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
+				// KExecute is stamped before the op runs and KRespond after
+				// delivery, so the execute→respond gap is the op's real duration.
+				ring.Record(trace.KExecute, int(r.id), tok, start+uint64(k))
+				t.s.resp, t.s.err = i.safeExecute(r, c, t.s.op, start+uint64(k))
+				if t.s.err != nil {
+					ring.Record(trace.KPanic, int(r.id), start+uint64(k), tok)
+				}
+				t.s.state.Store(slotDone)
+				ring.Record(trace.KRespond, int(r.id), tok, start+uint64(k))
+			}
+		}
+	} else {
+		// A helper replayed past our batch start while we were appending;
+		// finish through the log — tag delivery answers our batch slots.
+		// (Helpers consume barriers before advancing past them, so the
+		// entries in [idx, end) are ours alone: plain ops.)
+		for ; idx < end; idx++ {
+			i.applyEntry(r, c, idx, i.waitGet(int(r.id), c, idx, ring), ring)
+			lg.localTail.Store(idx + 1)
+		}
+		i.logs[c].AdvanceCompleted(end)
+	}
+	lg.rw.Unlock()
+	if i.batchOn {
+		i.adaptAfterRound(lg, len(batch), i.countPosted(r, c))
+	}
+	if o != nil {
+		if i.batchOn {
+			o.BatchRound(int(r.id), window, len(batch)-firstPass, parallel)
+		}
+		i.reportReaderPressure(r, c, o)
+		o.CombineEnd(int(r.id), len(batch), len(batch), time.Since(began))
+	}
+	ring.Record(trace.KCombineEnd, int(r.id), uint64(len(batch)), uint64(len(batch)))
+}
+
+// reportReaderPressure fires the ReaderPressure hook with log c's read-lock
+// acquisitions since the node's previous class-c combining round — the
+// combiner-side view of reader traffic the adaptive batching controller
+// folds into its linger signals. Caller holds (r, c)'s combiner lock (which
+// protects lastReaderAcq) and has already nil-checked o.
+//
+//nr:noalloc
+func (i *Instance[O, R]) reportReaderPressure(r *replica[O, R], c int, o obs.Observer) {
+	lg := &r.logs[c]
+	acq := lg.rw.ReaderAcquires()
+	delta := acq - lg.lastReaderAcq
+	lg.lastReaderAcq = acq
+	if o != nil && delta > 0 {
+		o.ReaderPressure(int(r.id), int(delta))
+	}
+}
+
+// reserveConsuming reserves n entries of log c on behalf of r. When the
+// log is full, simply spinning would deadlock: the recycler needs *every*
+// replica's localTail to advance, including replicas on nodes whose threads
+// are currently inactive (§6). So a blocked appender (1) drains the log
+// into its own replica and (2) helps lagging replicas catch up to
+// completedTail — driving the cross applier through any barrier that is
+// what actually blocks a lagging replica.
+//
+//nr:noalloc
+//nr:spin
+func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trace.Ring) uint64 {
+	l := i.logs[c]
+	o := i.observer
+	reported := false
+	for {
+		start, casRetries, ok := l.TryReserveObserved(n)
+		if o != nil && casRetries > 0 {
+			o.LogTailRetry(int(r.id), casRetries)
+		}
+		if ok {
+			return start
+		}
+		if !reported {
+			reported = true // one log-full event per blocked reservation
+			ring.Record(trace.KLogFull, int(r.id), l.Tail(), 0)
+		}
+		// Drain into our own replica so our localTail is not the laggard.
+		if to := l.Tail(); to > r.logs[c].localTail.Load() {
+			i.refreshOwn(r, c, to, ring)
+		}
+		// Help other replicas, bounded by completedTail (see package doc).
+		to := l.Completed()
+		for _, r2 := range i.replicas {
+			if r2 == r || r2.logs[c].localTail.Load() >= to {
+				continue
+			}
+			var blocked uint64
+			if r2.logs[c].rw.TryLock() {
+				before := r2.logs[c].localTail.Load()
+				blocked = i.refreshTo(r2, c, to, ring)
+				helped := r2.logs[c].localTail.Load() - before
+				i.helpedEntries.Add(helped)
+				r2.logs[c].rw.Unlock()
+				if helped > 0 {
+					if o != nil {
+						o.Help(int(r2.id), int(helped))
+					}
+					ring.Record(trace.KHelp, int(r2.id), helped, 0)
+				}
+			}
+			if blocked != 0 {
+				// The laggard is parked at a cross-log barrier; apply the
+				// cross op for it (with no replica lock held — the cross
+				// applier takes every log's lock itself).
+				i.advanceCrossTo(r2, blocked, ring)
+			}
+		}
+		runtime.Gosched()
+	}
+}

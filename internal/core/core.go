@@ -47,10 +47,8 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -748,678 +746,6 @@ type FakeUpdater[O, R any] interface {
 	TryReadOnly(op O) (resp R, done bool) //nr:opaque black-box boundary
 }
 
-// Execute runs op with linearizable semantics (ExecuteConcurrent in §4).
-// If the operation's Sequential.Execute panicked — on whichever thread
-// actually ran it — the panic is re-raised here, on the submitting
-// goroutine, wrapped in a *PanicError. Use TryExecute to receive it as an
-// error instead.
-func (h *Handle[O, R]) Execute(op O) R {
-	resp, err := h.TryExecute(op)
-	if err != nil {
-		panic(err)
-	}
-	return resp
-}
-
-// TryExecute runs op with linearizable semantics, reporting a contained
-// failure as an error instead of a panic: a *PanicError when the
-// operation's Execute panicked, ErrPoisoned (wrapped) once replicas have
-// been observed to diverge. A nil error means resp is the operation's
-// result.
-func (h *Handle[O, R]) TryExecute(op O) (R, error) {
-	i := h.inst
-	if h.broken != nil {
-		var zero R
-		return zero, h.broken
-	}
-	if err := i.poisonedErr(); err != nil {
-		var zero R
-		return zero, err
-	}
-	h.seq++
-	if rate := i.profRate; rate > 0 && h.seq%rate == 0 {
-		return i.executeLabeled(h, op)
-	}
-	o := i.observer
-	if o == nil && h.ring == nil {
-		resp, _, err := i.dispatch(h, op)
-		return resp, err
-	}
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-		h.tsHint = h.ring.At(start)
-	} else {
-		h.tsHint = 0
-	}
-	resp, class, err := i.dispatch(h, op)
-	if o != nil {
-		elapsed := time.Since(start)
-		o.OpDone(h.node, class, elapsed)
-		// The op-end timestamp is derived from the observer's clock reads —
-		// the recorder adds no clock read of its own on this path.
-		h.ring.RecordAt(h.tsHint+int64(elapsed), trace.KOpEnd, h.node, h.token(), uint64(class))
-	} else {
-		h.ring.Record(trace.KOpEnd, h.node, h.token(), uint64(class))
-	}
-	return resp, err
-}
-
-// executeLabeled is TryExecute's sampled-profiling body: the dispatch runs
-// under runtime/pprof labels (nr_node, nr_op) so CPU profiles attribute
-// time to op class and node. Label attachment allocates, which is why it is
-// taken only every ProfileSampleRate-th op per handle.
-func (i *Instance[O, R]) executeLabeled(h *Handle[O, R], op O) (R, error) {
-	cls := 1
-	if i.replicas[h.node].ds.IsReadOnly(op) {
-		cls = 0
-	}
-	var (
-		resp  R
-		class obs.OpClass
-		err   error
-	)
-	o := i.observer
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-		h.tsHint = h.ring.At(start)
-	} else {
-		h.tsHint = 0
-	}
-	pprof.Do(context.Background(), i.profLabels[h.node][cls], func(context.Context) {
-		resp, class, err = i.dispatch(h, op)
-	})
-	if o != nil {
-		elapsed := time.Since(start)
-		o.OpDone(h.node, class, elapsed)
-		// Same derivation as the unsampled path in TryExecute: the op-end
-		// timestamp comes from the observer's clock reads (tsHint+elapsed),
-		// so a sampled op's span ends exactly like every other op's.
-		h.ring.RecordAt(h.tsHint+int64(elapsed), trace.KOpEnd, h.node, h.token(), uint64(class))
-	} else {
-		h.ring.Record(trace.KOpEnd, h.node, h.token(), uint64(class))
-	}
-	return resp, err
-}
-
-// dispatch routes op to the read or update path of its conflict class and
-// reports which class served it: ops a FakeUpdater resolved without logging
-// count as reads, matching the Stats.ReadOps accounting. Each op is counted
-// exactly once, in the class that actually served it — a fake update that
-// fails its read-path attempt counts only as an update, so
-// ReadOps+UpdateOps always equals the number of ops executed and agrees
-// with the per-class latency histograms the metrics observer keeps.
-func (i *Instance[O, R]) dispatch(h *Handle[O, R], op O) (R, obs.OpClass, error) {
-	r := i.replicas[h.node]
-	c := i.opClass(op)
-	if c == CrossLog {
-		h.cls = 0 // cross ops tokenize on log 0, where their entry lives
-	} else {
-		h.cls = c
-	}
-	if r.ds.IsReadOnly(op) {
-		i.readOps.Add(1)
-		if c == CrossLog {
-			resp, err := i.readOnlyCross(h, op)
-			return resp, obs.OpRead, err
-		}
-		resp, _, err := i.readOnlyVia(h, c, op, false)
-		return resp, obs.OpRead, err
-	}
-	if _, ok := r.ds.(FakeUpdater[O, R]); ok && c != CrossLog {
-		// First attempt the operation as a read (§6). Linearizable: the
-		// no-op outcome is justified by the replica state at the read
-		// point; a false return falls through to the full update, which
-		// re-executes the operation atomically. A panic inside TryReadOnly
-		// is final (done=true): retrying on the update path would replay
-		// the panic into every replica. Cross-class updates skip the fast
-		// path — a consistent multi-class read needs every log's lock,
-		// costing more than the log append it would save.
-		if resp, done, err := i.readOnlyVia(h, c, op, true); done {
-			i.readOps.Add(1)
-			return resp, obs.OpRead, err
-		}
-	}
-	i.updateOps.Add(1)
-	if c == CrossLog {
-		resp, err := i.updateCross(h, op)
-		return resp, obs.OpUpdate, err
-	}
-	resp, err := i.combine(h, c, op)
-	return resp, obs.OpUpdate, err
-}
-
-// PostAndAbandon publishes op to this handle's combining slot and returns
-// without waiting for the response, then marks the handle unusable. It
-// simulates a thread that dies between publishing and combining — the §6
-// stalled-thread hazard — for the chaos tests: the node's next combiner
-// executes the op and delivers a response nobody collects; the slot is
-// permanently retired. A cross-class op is appended (with its barriers)
-// but not applied — whichever thread next crosses the barrier applies it.
-func (h *Handle[O, R]) PostAndAbandon(op O) {
-	if h.broken == nil {
-		h.broken = errors.New("core: handle abandoned by PostAndAbandon")
-	}
-	i := h.inst
-	r := i.replicas[h.node]
-	s := &r.slots[h.slot]
-	h.seq++
-	c := i.opClass(op)
-	if c == CrossLog {
-		h.cls = 0
-		s.seq = h.seq
-		s.state.Store(slotTaken) // response delivered to a slot nobody reads
-		i.crossOps.Add(1)
-		i.appendCross(h, op)
-		return
-	}
-	h.cls = c
-	s.op = op
-	s.seq = h.seq
-	s.class.Store(int32(c))
-	h.ring.Record(trace.KSlotPublish, h.node, h.token(), 0)
-	s.state.Store(slotPosted)
-}
-
-// applyEntry executes log c's entry at absolute index idx against r — with
-// panic containment, so a poisonous op advances localTail like any other —
-// and, if the entry originated on r's node with a response slot, delivers
-// the outcome (value or error). Callers have already ruled out barrier and
-// cross entries (refreshTo stops at them; cross.go applies them).
-//
-//nr:hotpath-noio
-//nr:noalloc
-func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry[O], ring *trace.Ring) {
-	res, err := i.safeExecute(r, c, e.op, idx)
-	// Per-entry trace events are recorded only for the replay that DELIVERS
-	// a response (plus any contained panic): replays happen (replicas-1)
-	// extra times per op, always under a replica's write-side lock, so
-	// recording each would multiply the serialized cost of every update by
-	// the node count. Bulk replay remains visible through the aggregate
-	// events (KReaderRefresh, KHelp, KCombineEnd).
-	if e.slot >= 0 && e.node == r.id {
-		tok := trace.TokenWithLog(c, int(e.node), int(e.slot), e.seq)
-		ring.Record(trace.KReplay, int(r.id), idx, tok)
-		if err != nil {
-			ring.Record(trace.KPanic, int(r.id), idx, tok)
-		}
-		s := &r.slots[e.slot]
-		s.resp, s.err = res, err
-		s.state.Store(slotDone)
-		ring.Record(trace.KRespond, int(r.id), tok, idx)
-	} else if err != nil {
-		ring.Record(trace.KPanic, int(r.id), idx, 0)
-	}
-}
-
-// refreshTo replays filled entries of log c into the replica up to 'to',
-// stopping early at a hole — a reader may proceed when it finds an empty
-// entry (§5.3) — or at a cross-log barrier/cross entry, whose ticket it
-// returns (0 otherwise): the caller must release the replica lock and run
-// the cross applier (advanceCrossTo) before replaying further. Caller
-// holds (r, c)'s write-side lock.
-//
-//nr:noalloc
-func (i *Instance[O, R]) refreshTo(r *replica[O, R], c int, to uint64, ring *trace.Ring) uint64 {
-	lg := &r.logs[c]
-	for idx := lg.localTail.Load(); idx < to; idx++ {
-		e, ok := i.logs[c].Get(idx)
-		if !ok {
-			return 0
-		}
-		if e.kind != entryOp {
-			return e.ticket
-		}
-		i.applyEntry(r, c, idx, e, ring)
-		lg.localTail.Store(idx + 1)
-	}
-	return 0
-}
-
-// waitGet fetches log c's entry at idx, recording a hole-wait event (with
-// the spin count) when the entry was reserved but not yet filled.
-//
-//nr:noalloc
-func (i *Instance[O, R]) waitGet(node, c int, idx uint64, ring *trace.Ring) entry[O] {
-	if ring == nil {
-		return i.logs[c].WaitGet(idx)
-	}
-	e, spins := i.logs[c].WaitGetObserved(idx)
-	if spins > 0 {
-		ring.Record(trace.KHoleWait, node, idx, uint64(spins))
-	}
-	return e
-}
-
-// combine is Algorithm 1's Combine on conflict class c: post the op, then
-// either become the class-c combiner or wait for a response (a value or a
-// contained panic).
-//
-//nr:hotpath-noio
-//nr:noalloc
-//nr:spin
-func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
-	r := i.replicas[h.node]
-	lg := &r.logs[c]
-	s := &r.slots[h.slot]
-	s.op = op
-	s.seq = h.seq
-	s.class.Store(int32(c))
-	tp := h.tsHint
-	if tp == 0 {
-		tp = h.ring.Now()
-	}
-	h.ring.RecordAt(tp, trace.KSlotPublish, h.node, h.token(), 0)
-	s.state.Store(slotPosted)
-	for {
-		st := s.state.Load()
-		if st == slotDone {
-			resp, err := s.resp, s.err
-			s.state.Store(slotEmpty)
-			return resp, err
-		}
-		if st == slotParallel && s.state.CompareAndSwap(slotParallel, slotParClaimed) {
-			// Parallel combining: the combiner reserved our op's log index
-			// and handed execution back to us. The combiner still holds the
-			// replica write lock, so running against the replica here is as
-			// protected as the combiner's own fast path; concurrency with
-			// the batch's other ops is the structure's ConcurrentApply
-			// contract. A failed CAS means the combiner reclaimed the op
-			// (we were scheduled out past parallelClaimWait) — then we wait
-			// for slotDone like any combined op.
-			idx := s.idx
-			tok := h.token()
-			h.ring.Record(trace.KExecute, h.node, tok, idx)
-			resp, err := i.safeExecute(r, c, op, idx)
-			if err != nil {
-				h.ring.Record(trace.KPanic, h.node, idx, tok)
-			}
-			h.ring.Record(trace.KRespond, h.node, tok, idx)
-			s.state.Store(slotEmpty)
-			// The decrement releases the combiner's round; the slot store
-			// above must precede it so the slot is reusable before the
-			// combiner unlocks.
-			lg.parPending.Add(-1)
-			return resp, err
-		}
-		if lg.combinerLock.TryLock() {
-			if s.state.Load() != slotDone {
-				i.runCombiner(r, c, int32(h.slot), h.ring)
-			}
-			lg.combinerLock.Unlock()
-			// runCombiner served every posted class-c slot, including ours.
-			resp, err := s.resp, s.err
-			s.state.Store(slotEmpty)
-			return resp, err
-		}
-		runtime.Gosched()
-	}
-}
-
-// runCombiner executes one combining round on conflict class c, recording
-// its trace events into ring (the combining thread's own ring — combiner
-// events land on the combiner's timeline, joined to each op by token).
-// self is the calling thread's own slot index on r (parallel combining
-// must not hand the combiner's op back to the combiner). The caller holds
-// class c's combiner lock.
-//
-//nr:hotpath-noio
-//nr:noalloc
-//nr:spin
-func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *trace.Ring) {
-	lg := &r.logs[c]
-	o := i.observer
-	var began time.Time
-	if o != nil {
-		o.CombineStart(int(r.id))
-		began = time.Now()
-	}
-	// One clock read covers the round start and the pickups: collection is a
-	// single pass over the node's slots, far shorter than the clock
-	// resolution that matters here, and the round runs under the combiner
-	// lock — every clock read it saves shortens the serialized section.
-	t0 := ring.Now()
-	ring.RecordAt(t0, trace.KCombineStart, int(r.id), 0, uint64(c))
-	// Collect the batch: every posted class-c slot on this node (§5.2),
-	// into this log's preallocated scratch buffer (cap = slot count, so
-	// append below never allocates). The class is read before the CAS and
-	// stable after it: a posted slot's contents are frozen until a combiner
-	// transitions it, and only the owner resets it after slotDone.
-	batch := lg.scratch[:0]
-	collect := func() {
-		for idx := range r.slots {
-			s := &r.slots[idx]
-			if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
-				batch = append(batch, takenSlot[O, R]{s, int32(idx)}) //nr:allocok scratch cap = slot count
-
-				ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
-			}
-		}
-	}
-	collect()
-	// Linger phase (the batching policy engine, batch.go): hold the round
-	// open for a bounded spin window so concurrently arriving ops join it —
-	// k ops in one round share one lock acquisition and one log-tail CAS.
-	// The wait is not dead time: the combiner absorbs completed entries
-	// into its replica meanwhile (the same freshening the old fixed-retry
-	// loop did) and yields on every pass so same-node posters can actually
-	// publish — essential on a box with fewer cores than threads.
-	firstPass := len(batch)
-	var window time.Duration
-	if i.batchOn && len(batch) < i.batchTarget {
-		if window = i.lingerWindow(lg); window > 0 {
-			deadline := time.Now().Add(window)
-			for len(batch) < i.batchTarget {
-				// Batch-aware freshening: absorbing the backlog costs one
-				// replica write-lock acquisition per pass, so take it only
-				// once the backlog amortizes it (mirroring the append
-				// side's one-CAS batch reservation); the pre-batch replay
-				// below catches whatever is left in one acquisition.
-				if to := i.logs[c].Completed(); to >= lg.localTail.Load()+lingerRefreshBatch {
-					i.refreshOwn(r, c, to, ring)
-				}
-				runtime.Gosched()
-				collect()
-				if !time.Now().Before(deadline) {
-					break
-				}
-			}
-			t0 = ring.Now() // re-stamp: lingering took real time
-			ring.RecordAt(t0, trace.KLinger, int(r.id), uint64(len(batch)-firstPass), uint64(window))
-		}
-	}
-	if len(batch) == 0 {
-		if i.batchOn {
-			i.adaptAfterRound(lg, 0, i.countPosted(r, c))
-		}
-		if o != nil {
-			i.reportReaderPressure(r, c, o)
-			o.CombineEnd(int(r.id), 0, 0, time.Since(began))
-		}
-		ring.Record(trace.KCombineEnd, int(r.id), 0, 0)
-		return
-	}
-	i.combines.Add(1)
-	i.combinedOps.Add(uint64(len(batch)))
-
-	// Append the batch: reserve with one CAS, then fill (§5.1). Entries
-	// carry (node, slot) tags so that if a helper replays them into this
-	// replica first, the helper delivers the responses.
-	start := i.reserveConsuming(r, c, len(batch), ring)
-	// One clock read stamps the reservation and the fills: it is taken
-	// AFTER reserveConsuming returns, so a slow reservation (log full,
-	// helping) still shows as a long pickup→reserve phase.
-	t1 := ring.Now()
-	ring.RecordAt(t1, trace.KLogReserve, int(r.id), start, uint64(len(batch)))
-	// Persist before Fill: the entry's marker store must publish the
-	// persister's bookkeeping along with the entry (see Persister).
-	// Persisters exist only on single-log instances, where c is 0 and the
-	// token is the classic node|slot|seq.
-	if p := i.persist; p != nil {
-		for k, t := range batch {
-			p.Append(start+uint64(k), trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq), t.s.op)
-		}
-	}
-	for k, t := range batch {
-		// The slot is read before Fill publishes the entry: from then on a
-		// replayer that overtakes this round may answer the slot by tag, and
-		// its owner may already be writing its next op into it.
-		tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
-		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, node: r.id, slot: t.slot, seq: t.s.seq})
-		ring.RecordAt(t1, trace.KLogFill, int(r.id), tok, start+uint64(k))
-	}
-	end := start + uint64(len(batch))
-
-	lg.rw.Lock()
-	// Bring the replica up to date with everything before our batch,
-	// waiting out any holes (§5.1). A cross-log barrier before our batch
-	// must be applied by the cross applier, which takes every log's write
-	// lock — release ours around the call (cross.go's lock order).
-	idx := lg.localTail.Load()
-	for idx < start {
-		e := i.waitGet(int(r.id), c, idx, ring)
-		if e.kind != entryOp {
-			lg.rw.Unlock()
-			i.advanceCrossTo(r, e.ticket, ring)
-			lg.rw.Lock() //nr:lockok re-acquire: released two lines up, around the cross applier
-			idx = lg.localTail.Load()
-			continue
-		}
-		i.applyEntry(r, c, idx, e, ring)
-		idx++
-		lg.localTail.Store(idx)
-	}
-	parallel := 0
-	if idx == start {
-		// Fast path (the paper's §5.2): apply our ops from the node-local
-		// combining slots rather than re-reading the log. safeExecute keeps
-		// a panicking op from killing the combiner: the outcome is recorded
-		// at the op's log index and delivered like any response.
-		lg.localTail.Store(end)
-		i.logs[c].AdvanceCompleted(end)
-		if i.conc != nil && len(batch) > 1 && i.batchCommutes(batch) {
-			// Parallel combining (batch.go): hand the batch back to the
-			// parked owners to execute concurrently against the replica.
-			parallel = i.parallelApply(r, c, batch, start, self, ring)
-		}
-		if parallel == 0 {
-			for k, t := range batch {
-				tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
-				// KExecute is stamped before the op runs and KRespond after
-				// delivery, so the execute→respond gap is the op's real duration.
-				ring.Record(trace.KExecute, int(r.id), tok, start+uint64(k))
-				t.s.resp, t.s.err = i.safeExecute(r, c, t.s.op, start+uint64(k))
-				if t.s.err != nil {
-					ring.Record(trace.KPanic, int(r.id), start+uint64(k), tok)
-				}
-				t.s.state.Store(slotDone)
-				ring.Record(trace.KRespond, int(r.id), tok, start+uint64(k))
-			}
-		}
-	} else {
-		// A helper replayed past our batch start while we were appending;
-		// finish through the log — tag delivery answers our batch slots.
-		// (Helpers consume barriers before advancing past them, so the
-		// entries in [idx, end) are ours alone: plain ops.)
-		for ; idx < end; idx++ {
-			i.applyEntry(r, c, idx, i.waitGet(int(r.id), c, idx, ring), ring)
-			lg.localTail.Store(idx + 1)
-		}
-		i.logs[c].AdvanceCompleted(end)
-	}
-	lg.rw.Unlock()
-	if i.batchOn {
-		i.adaptAfterRound(lg, len(batch), i.countPosted(r, c))
-	}
-	if o != nil {
-		if i.batchOn {
-			o.BatchRound(int(r.id), window, len(batch)-firstPass, parallel)
-		}
-		i.reportReaderPressure(r, c, o)
-		o.CombineEnd(int(r.id), len(batch), len(batch), time.Since(began))
-	}
-	ring.Record(trace.KCombineEnd, int(r.id), uint64(len(batch)), uint64(len(batch)))
-}
-
-// reportReaderPressure fires the ReaderPressure hook with log c's read-lock
-// acquisitions since the node's previous class-c combining round — the
-// combiner-side view of reader traffic the adaptive batching controller
-// folds into its linger signals. Caller holds (r, c)'s combiner lock (which
-// protects lastReaderAcq) and has already nil-checked o.
-//
-//nr:noalloc
-func (i *Instance[O, R]) reportReaderPressure(r *replica[O, R], c int, o obs.Observer) {
-	lg := &r.logs[c]
-	acq := lg.rw.ReaderAcquires()
-	delta := acq - lg.lastReaderAcq
-	lg.lastReaderAcq = acq
-	if o != nil && delta > 0 {
-		o.ReaderPressure(int(r.id), int(delta))
-	}
-}
-
-// refreshOwn refreshes (r, c) to 'to', applying any cross-log barriers it
-// meets on the way (each barrier costs a release/advance/re-acquire cycle;
-// see cross.go).
-func (i *Instance[O, R]) refreshOwn(r *replica[O, R], c int, to uint64, ring *trace.Ring) {
-	lg := &r.logs[c]
-	for {
-		lg.rw.Lock()
-		blocked := i.refreshTo(r, c, to, ring)
-		lg.rw.Unlock()
-		if blocked == 0 {
-			return
-		}
-		i.advanceCrossTo(r, blocked, ring)
-	}
-}
-
-// reserveConsuming reserves n entries of log c on behalf of r. When the
-// log is full, simply spinning would deadlock: the recycler needs *every*
-// replica's localTail to advance, including replicas on nodes whose threads
-// are currently inactive (§6). So a blocked appender (1) drains the log
-// into its own replica and (2) helps lagging replicas catch up to
-// completedTail — driving the cross applier through any barrier that is
-// what actually blocks a lagging replica.
-//
-//nr:noalloc
-//nr:spin
-func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trace.Ring) uint64 {
-	l := i.logs[c]
-	o := i.observer
-	reported := false
-	for {
-		start, casRetries, ok := l.TryReserveObserved(n)
-		if o != nil && casRetries > 0 {
-			o.LogTailRetry(int(r.id), casRetries)
-		}
-		if ok {
-			return start
-		}
-		if !reported {
-			reported = true // one log-full event per blocked reservation
-			ring.Record(trace.KLogFull, int(r.id), l.Tail(), 0)
-		}
-		// Drain into our own replica so our localTail is not the laggard.
-		if to := l.Tail(); to > r.logs[c].localTail.Load() {
-			i.refreshOwn(r, c, to, ring)
-		}
-		// Help other replicas, bounded by completedTail (see package doc).
-		to := l.Completed()
-		for _, r2 := range i.replicas {
-			if r2 == r || r2.logs[c].localTail.Load() >= to {
-				continue
-			}
-			var blocked uint64
-			if r2.logs[c].rw.TryLock() {
-				before := r2.logs[c].localTail.Load()
-				blocked = i.refreshTo(r2, c, to, ring)
-				helped := r2.logs[c].localTail.Load() - before
-				i.helpedEntries.Add(helped)
-				r2.logs[c].rw.Unlock()
-				if helped > 0 {
-					if o != nil {
-						o.Help(int(r2.id), int(helped))
-					}
-					ring.Record(trace.KHelp, int(r2.id), helped, 0)
-				}
-			}
-			if blocked != 0 {
-				// The laggard is parked at a cross-log barrier; apply the
-				// cross op for it (with no replica lock held — the cross
-				// applier takes every log's lock itself).
-				i.advanceCrossTo(r2, blocked, ring)
-			}
-		}
-		runtime.Gosched()
-	}
-}
-
-// waitReplicaTail waits until (r, c)'s localTail reaches readTail,
-// combining with an active class-c combiner when one exists and otherwise
-// electing one reader to refresh the replica (§5.3). It reports whether it
-// had to wait at all.
-//
-//nr:noalloc
-//nr:spin
-func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c int, readTail uint64) (waited bool) {
-	lg := &r.logs[c]
-	for lg.localTail.Load() < readTail {
-		waited = true
-		if lg.combinerLock.Locked() {
-			// A combiner exists; it will advance the replica (§5.3).
-			runtime.Gosched()
-			continue
-		}
-		// No combiner: elect one reader to refresh the replica under the
-		// writer lock; the rest wait for localTail to advance.
-		if !lg.refresher.TryLock() {
-			runtime.Gosched()
-			continue
-		}
-		lg.rw.Lock()
-		var blocked uint64
-		if before := lg.localTail.Load(); before < readTail {
-			i.readerRefreshes.Add(1)
-			blocked = i.refreshTo(r, c, readTail, h.ring)
-			if o := i.observer; o != nil {
-				o.ReaderRefresh(h.node, int(lg.localTail.Load()-before))
-			}
-			h.ring.Record(trace.KReaderRefresh, h.node, uint64(lg.localTail.Load()-before), 0)
-		}
-		lg.rw.Unlock()
-		lg.refresher.Unlock()
-		if blocked != 0 {
-			// Parked at a cross-log barrier: apply the cross op (the
-			// applier takes every log's lock, so ours had to go first).
-			i.advanceCrossTo(r, blocked, h.ring)
-		}
-	}
-	return waited
-}
-
-// readOnlyVia is Algorithm 1's ReadOnly (§5.3) on conflict class c: wait
-// until the local replica reflects class c's completedTail as of the start
-// of the read, then run the operation locally under that class's read-side
-// lock — reads never wait on logs their class does not touch. With fake
-// set, the operation is attempted through the structure's
-// FakeUpdater.TryReadOnly instead of Execute (§6), and done reports whether
-// that resolved it. The body avoids closures so the read hot path does not
-// allocate.
-//
-//nr:hotpath-noio
-//nr:noalloc
-//nr:spin
-func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O, fake bool) (R, bool, error) {
-	r := i.replicas[h.node]
-	lg := &r.logs[c]
-	tok := h.token()
-	readTail := i.logs[c].Completed()
-	t0 := h.tsHint
-	if t0 == 0 {
-		t0 = h.ring.Now()
-	}
-	h.ring.RecordAt(t0, trace.KTailRead, h.node, tok, readTail)
-	waited := i.waitReplicaTail(h, r, c, readTail)
-	if h.ring != nil {
-		spins := lg.rw.RLockObserved(h.slot)
-		// Uncontended reads acquired the lock nanoseconds after t0: reuse
-		// the clock read. Only a read that actually waited (for the tail or
-		// for the lock) pays a second one for a faithful rlock timestamp.
-		t1 := t0
-		if waited || spins > 0 {
-			t1 = h.ring.Now()
-		}
-		h.ring.RecordAt(t1, trace.KRLock, h.node, tok, uint64(spins))
-	} else {
-		lg.rw.RLock(h.slot)
-	}
-	resp, done, err := i.safeRead(r, op, fake)
-	lg.rw.RUnlock(h.slot)
-	return resp, done, err
-}
-
 // stats builds the counter slice of the Metrics snapshot.
 func (i *Instance[O, R]) stats() Stats {
 	var racquires, wacquires uint64
@@ -1489,73 +815,4 @@ func (i *Instance[O, R]) MemoryBytes() uint64 {
 		}
 	}
 	return total
-}
-
-// quiesceReplica brings one replica up to date with every log's completed
-// tail, applying cross-log barriers as it meets them.
-func (i *Instance[O, R]) quiesceReplica(r *replica[O, R]) {
-	for c := range i.logs {
-		to := i.logs[c].Completed()
-		for {
-			lg := &r.logs[c]
-			var blocked uint64
-			lg.rw.Lock()
-			for idx := lg.localTail.Load(); idx < to; idx++ {
-				e := i.logs[c].WaitGet(idx)
-				if e.kind != entryOp {
-					blocked = e.ticket
-					break
-				}
-				i.applyEntry(r, c, idx, e, nil)
-				lg.localTail.Store(idx + 1)
-			}
-			lg.rw.Unlock()
-			if blocked == 0 {
-				break
-			}
-			i.advanceCrossTo(r, blocked, nil)
-		}
-	}
-}
-
-// Quiesce brings every replica up to date with all completed operations on
-// every log. It is a testing/maintenance aid (e.g. before inspecting
-// replicas); the algorithm itself never needs it.
-func (i *Instance[O, R]) Quiesce() {
-	for _, r := range i.replicas {
-		i.quiesceReplica(r)
-	}
-}
-
-// CheckpointReplica quiesces node's replica to the completed tail, then
-// runs fn with every log's write lock held, passing the replica's applied
-// index on log 0: every log-0 entry with index < applied is reflected in
-// ds, none at or beyond it. The persistence layer snapshots through this —
-// the applied index is the snapshot's replay resumption point. (Persistence
-// is single-log, so log 0's index is the whole story there.)
-func (i *Instance[O, R]) CheckpointReplica(node int, fn func(ds Sequential[O, R], applied uint64)) {
-	r := i.replicas[node]
-	i.quiesceReplica(r)
-	for c := range i.logs {
-		r.logs[c].rw.Lock() //nr:lockok index order across one replica's logs
-	}
-	fn(r.ds, r.logs[0].localTail.Load())
-	for c := len(i.logs) - 1; c >= 0; c-- {
-		r.logs[c].rw.Unlock()
-	}
-}
-
-// InspectReplica runs fn against node's replica with every log's write
-// lock held, after quiescing that replica. Tests use it to compare replica
-// states.
-func (i *Instance[O, R]) InspectReplica(node int, fn func(ds Sequential[O, R])) {
-	r := i.replicas[node]
-	i.quiesceReplica(r)
-	for c := range i.logs {
-		r.logs[c].rw.Lock() //nr:lockok index order across one replica's logs
-	}
-	fn(r.ds)
-	for c := len(i.logs) - 1; c >= 0; c-- {
-		r.logs[c].rw.Unlock()
-	}
 }
