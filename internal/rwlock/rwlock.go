@@ -110,13 +110,13 @@ func (l *Distributed) RUnlock(slot int) {
 func (l *Distributed) SetWriterWaitHook(fn func(spins int)) { l.onWriterWait = fn }
 
 // ReaderAcquires sums the per-slot acquisition counters: the cumulative
-// number of read-mode acquisitions this lock has served — the
-// reader-arrival signal NR's batching controller and windowed telemetry fold
-// into their rate views. Each slot counts on its own cache line, so counting
-// costs readers nothing extra. Slots are read
-// individually while readers keep arriving, so the sum is approximately
-// one instant (monotone, never wildly wrong) — the same contract as every
-// other gauge in the observability layer.
+// number of read-mode acquisitions this lock has served — the reader-arrival
+// signal NR's batching controller and windowed telemetry fold into their
+// rate views. Each slot counts on its own cache line, so counting costs
+// readers nothing extra. Slots are read individually while readers keep
+// arriving, so the sum is approximately one instant (monotone, never wildly
+// wrong) — the same contract as every other gauge in the observability
+// layer.
 func (l *Distributed) ReaderAcquires() uint64 {
 	var total uint64
 	for i := range l.readers {

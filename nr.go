@@ -141,8 +141,8 @@ func (f LogMapperFunc[O]) LogIndex(op O) int { return f(op) }
 //	inst, err := nr.New(create, nr.WithLogs[Op](4, nr.LogMapperFunc[Op](classOf)))
 //
 // Multi-log instances reject persistence (per-log WALs need a cross-log
-// recovery barrier, ROADMAP item 5) and require a non-nil mapper. Misrouted classes outside [0, m) are folded
-// into range rather than trusted.
+// recovery barrier, ROADMAP item 5) and require a non-nil mapper. Misrouted
+// classes outside [0, m) are folded into range rather than trusted.
 func WithLogs[O any](m int, mapper LogMapper[O]) Option {
 	return func(s *settings) {
 		s.logs = m
