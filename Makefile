@@ -6,11 +6,10 @@
 
 GO ?= go
 
-# Where make bench writes its JSON result. Parameterized so a later PR's
-# committed trajectory (BENCH_PR*.json) is never silently overwritten by a
-# default run: bump the default each PR, or override with
-# `make bench BENCH_OUT=/tmp/bench.json`.
-BENCH_OUT ?= BENCH_PR10.json
+# Where make bench writes its JSON result: an untracked file (.gitignore),
+# so a default run never overwrites the committed BENCH_PR*.json trajectory.
+# Override with `make bench BENCH_OUT=/tmp/bench.json`.
+BENCH_OUT ?= bench-local.json
 
 # The packages where a data race is a protocol bug, not just a test bug.
 RACE_PKGS = ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis
@@ -45,8 +44,8 @@ chaos: ## fault-injection suite under the race detector, fixed seeds
 chaos-recover: ## kill-and-recover matrix only: crash/SIGKILL/torn-tail recovery under -race
 	$(GO) test -race -count=1 -v -run 'Recover|KillAndRecover' ./internal/chaos/
 
-bench: ## real-implementation benchmark: recorder overhead + shard and multi-log sweeps + persistence cost + batch-policy ladder + telemetry cost
-	$(GO) run ./cmd/nrbench -tracecmp -persistcmp -batchcmp -assertbatch 2 -obscmp -threads 8 -shards 1,2,4,8 -logs 1,2,4 -json $(BENCH_OUT)
+bench: ## real-implementation benchmark: recorder overhead + shard and multi-log sweeps + persistence cost + telemetry cost
+	$(GO) run ./cmd/nrbench -tracecmp -persistcmp -obscmp -threads 8 -shards 1,2,4,8 -logs 1,2,4 -json $(BENCH_OUT)
 
 build:
 	$(GO) build ./...

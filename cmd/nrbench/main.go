@@ -31,23 +31,21 @@ import (
 
 func main() {
 	var (
-		figID       = flag.String("fig", "", "experiment id (e.g. 5b, 7c, 11a, 14, size)")
-		all         = flag.Bool("all", false, "run every experiment")
-		list        = flag.Bool("list", false, "list experiment ids")
-		ops         = flag.Int("ops", 0, "operations per simulated thread (default 1500)")
-		real        = flag.Bool("real", false, "benchmark the real implementation (not the simulator)")
-		tracecmp    = flag.Bool("tracecmp", false, "benchmark the real implementation twice (flight recorder off/on) and report the overhead")
-		jsonPath    = flag.String("json", "", "with -real/-tracecmp: write results as JSON to this path")
-		duration    = flag.Duration("dur", 2*time.Second, "with -real: measurement duration")
-		threads     = flag.Int("threads", 0, "with -real: worker goroutines (default GOMAXPROCS)")
-		readPct     = flag.Int("readpct", 90, "with -real: percentage of read operations")
-		shards      = flag.String("shards", "", "with -tracecmp: also sweep nr.NewSharded at these shard counts (e.g. 1,2,4,8)")
-		logsFlag    = flag.String("logs", "", "with -tracecmp: also sweep nr.WithLogs at these log counts (e.g. 1,2,4)")
-		persist     = flag.Bool("persistcmp", false, "benchmark the durability cost: persistence off vs fsync-never vs group-fsync on an all-update workload")
-		batchcmp    = flag.Bool("batchcmp", false, "benchmark the batch-policy ladder: none vs fixed-linger vs adaptive vs parallel-combining on an all-update workload")
-		assertBatch = flag.Int("assertbatch", 0, "with -batchcmp: fail unless the adaptive arm's combiner_batch_p99 is at least this")
-		obscmp      = flag.Bool("obscmp", false, "benchmark the telemetry-collector cost: windowed collector off vs on at its default cadence")
-		cpuprof     = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
+		figID    = flag.String("fig", "", "experiment id (e.g. 5b, 7c, 11a, 14, size)")
+		all      = flag.Bool("all", false, "run every experiment")
+		list     = flag.Bool("list", false, "list experiment ids")
+		ops      = flag.Int("ops", 0, "operations per simulated thread (default 1500)")
+		real     = flag.Bool("real", false, "benchmark the real implementation (not the simulator)")
+		tracecmp = flag.Bool("tracecmp", false, "benchmark the real implementation twice (flight recorder off/on) and report the overhead")
+		jsonPath = flag.String("json", "", "with -real/-tracecmp: write results as JSON to this path")
+		duration = flag.Duration("dur", 2*time.Second, "with -real: measurement duration")
+		threads  = flag.Int("threads", 0, "with -real: worker goroutines (default GOMAXPROCS)")
+		readPct  = flag.Int("readpct", 90, "with -real: percentage of read operations")
+		shards   = flag.String("shards", "", "with -tracecmp: also sweep nr.NewSharded at these shard counts (e.g. 1,2,4,8)")
+		logsFlag = flag.String("logs", "", "with -tracecmp: also sweep nr.WithLogs at these log counts (e.g. 1,2,4)")
+		persist  = flag.Bool("persistcmp", false, "benchmark the durability cost: persistence off vs fsync-never vs group-fsync on an all-update workload")
+		obscmp   = flag.Bool("obscmp", false, "benchmark the telemetry-collector cost: windowed collector off vs on at its default cadence")
+		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 	)
 	flag.Parse()
 
@@ -65,7 +63,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *real || *tracecmp || *persist || *batchcmp || *obscmp {
+	if *real || *tracecmp || *persist || *obscmp {
 		shardCounts, err := parseShardList(*shards)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nrbench: %v\n", err)
@@ -77,16 +75,14 @@ func main() {
 			os.Exit(2)
 		}
 		cfg := realConfig{
-			Duration:       *duration,
-			Threads:        *threads,
-			ReadPct:        *readPct,
-			JSONPath:       *jsonPath,
-			Shards:         shardCounts,
-			Logs:           logCounts,
-			PersistCmp:     *persist,
-			BatchCmp:       *batchcmp,
-			AssertBatchP99: *assertBatch,
-			ObsCmp:         *obscmp,
+			Duration:   *duration,
+			Threads:    *threads,
+			ReadPct:    *readPct,
+			JSONPath:   *jsonPath,
+			Shards:     shardCounts,
+			Logs:       logCounts,
+			PersistCmp: *persist,
+			ObsCmp:     *obscmp,
 		}
 		run := runReal
 		switch {
@@ -94,8 +90,6 @@ func main() {
 			run = runTraceCompare
 		case *persist && !*real:
 			run = runPersistOnly
-		case *batchcmp && !*real:
-			run = runBatchOnly
 		case *obscmp && !*real:
 			run = runObsOnly
 		}

@@ -30,11 +30,6 @@ type realConfig struct {
 	// PersistCmp appends the durability-cost comparison (persist.go) to the
 	// -tracecmp run.
 	PersistCmp bool
-	// BatchCmp appends the batch-policy ladder (batch.go) to the -tracecmp
-	// run; AssertBatchP99, when positive, makes an adaptive arm whose
-	// combiner_batch_p99 falls below it a hard failure.
-	BatchCmp       bool
-	AssertBatchP99 int
 	// ObsCmp appends the telemetry-collector cost comparison (obscmp.go) to
 	// the -tracecmp run.
 	ObsCmp bool
@@ -122,7 +117,7 @@ func (cfg realConfig) topoOption() nr.Option {
 // runWorkers drives a workload against any executor — single-log, sharded,
 // persistent — for cfg.Duration and returns the op count and wall time. gen
 // maps one PRNG draw to the next operation; every arm of every comparison
-// (real, persistence, sharding, batching) shares this one driver.
+// (real, persistence, sharding) shares this one driver.
 func runWorkers[O, R any](exec nr.Executor[O, R], cfg realConfig, gen func(r uint64) O) (uint64, time.Duration, error) {
 	var stop atomic.Bool
 	var total atomic.Uint64
@@ -278,15 +273,13 @@ type flightRecorderReport struct {
 // tracedResult is the BENCH_PR3/PR5/PR6/PR7/PR10.json schema: BENCH_PR2's
 // fields (from the recorder-off run, so the series stays comparable across
 // PRs), the flight-recorder overhead block, and — when requested — the
-// sharding sweep, the multi-log sweep, the durability-cost ladder, and the
-// batch-policy ladder.
+// sharding sweep, the multi-log sweep and the durability-cost ladder.
 type tracedResult struct {
 	realResult
 	FlightRecorder flightRecorderReport `json:"flight_recorder"`
 	ShardSweep     *shardSweepReport    `json:"shard_sweep,omitempty"`
 	LogSweep       *logSweepReport      `json:"log_sweep,omitempty"`
 	Persistence    *persistReport       `json:"persistence,omitempty"`
-	BatchLadder    *batchLadderReport   `json:"batch_ladder,omitempty"`
 	Telemetry      *obsReport           `json:"telemetry,omitempty"`
 }
 
@@ -353,13 +346,6 @@ func runTraceCompare(cfg realConfig) error {
 			return err
 		}
 		res.Persistence = rep
-	}
-	if cfg.BatchCmp {
-		rep, err := runBatchLadder(cfg, cfg.AssertBatchP99)
-		if err != nil {
-			return err
-		}
-		res.BatchLadder = rep
 	}
 	if cfg.ObsCmp {
 		rep, err := runObsCompare(cfg)

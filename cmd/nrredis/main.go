@@ -90,7 +90,6 @@ func main() {
 		cores   = flag.Int("cores", 14, "cores per node")
 		smt     = flag.Int("smt", 2, "hardware threads per core")
 		seed    = flag.Uint64("seed", 1, "replica determinism seed")
-		batch   = flag.String("batch", "none", "combiner batching policy (nr method only): none, adaptive, or a fixed linger window duration (e.g. 100us)")
 
 		appendOnly = flag.Bool("appendonly", false, "durable mode (nr method, 1 shard): append-only log + snapshots in -dir, recovered on start")
 		dataDir    = flag.String("dir", "nrredis-data", "data directory for -appendonly state")
@@ -119,27 +118,13 @@ func main() {
 			ProfileSampleRate: *traceProf,
 		})
 	}
-	var batchOpts []nr.Option
-	switch *batch {
-	case "none", "":
-	case "adaptive":
-		batchOpts = append(batchOpts, nr.WithBatchPolicy(nr.BatchAdaptive()))
-	default:
-		d, err := time.ParseDuration(*batch)
-		if err != nil || d <= 0 {
-			log.Fatalf("nrredis: -batch must be none, adaptive, or a positive duration (got %q)", *batch)
-		}
-		batchOpts = append(batchOpts, nr.WithBatchPolicy(nr.BatchPolicy{MaxLinger: d}))
-	}
-	if len(batchOpts) > 0 && *method != miniredis.MethodNR {
-		log.Fatalf("nrredis: -batch applies only to -method nr (got %q)", *method)
-	}
+	var nrOpts []nr.Option
 	// Telemetry rides only on the NR method (like -trace, it is silently
 	// absent for baselines, which have no NR instance to observe); explicit
 	// SLO flags on a baseline are an error rather than a silent no-op.
 	if *method == miniredis.MethodNR {
 		if *telemetry > 0 {
-			batchOpts = append(batchOpts, nr.WithTelemetry(*telemetry, *telWindows))
+			nrOpts = append(nrOpts, nr.WithTelemetry(*telemetry, *telWindows))
 		}
 		for _, s := range []struct {
 			spec  string
@@ -153,7 +138,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("nrredis: %s: %v", s.name, err)
 			}
-			batchOpts = append(batchOpts, nr.WithSLO(s.class, p99, p999))
+			nrOpts = append(nrOpts, nr.WithSLO(s.class, p99, p999))
 		}
 	} else if *sloRead != "" || *sloUpdate != "" {
 		log.Fatalf("nrredis: -slo-read/-slo-update apply only to -method nr (got %q)", *method)
@@ -169,7 +154,7 @@ func main() {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("nrredis: creating -dir: %v", err)
 		}
-		shared, persist, err = miniredis.NewPersistentShared(topo, *seed, *dataDir, rec, batchOpts...)
+		shared, persist, err = miniredis.NewPersistentShared(topo, *seed, *dataDir, rec, nrOpts...)
 		if err == nil {
 			log.Printf("nrredis: durable keyspace in %s (replayed %d ops, dropped %d)",
 				*dataDir, persist.Recovered.Replayed, persist.Recovered.Dropped)
@@ -178,9 +163,9 @@ func main() {
 		if *method != miniredis.MethodNR {
 			log.Fatalf("nrredis: -shards applies only to -method nr (got %q)", *method)
 		}
-		shared, err = miniredis.NewShardedShared(topo, *seed, *shards, rec, batchOpts...)
+		shared, err = miniredis.NewShardedShared(topo, *seed, *shards, rec, nrOpts...)
 	default:
-		shared, err = miniredis.NewSharedTraced(*method, topo, *seed, rec, batchOpts...)
+		shared, err = miniredis.NewSharedTraced(*method, topo, *seed, rec, nrOpts...)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -18,10 +18,10 @@ import (
 //     spin-read set below). Pure spin reads — atomic Load/CompareAndSwap,
 //     TryLock, Locked, the log/lock tail accessors Tail/Completed/
 //     HeldSince/HeldFor, and the clock reads Now/Since/Before/After/Until
-//     that deadline-polling linger windows are built from — do not count
-//     as progress. A combiner that polls `time.Now().Before(deadline)`
-//     waiting for slots to fill is spinning exactly like one polling an
-//     atomic flag, and must Gosched so the would-be batch members can run.
+//     that deadline-polling waits are built from — do not count as
+//     progress. A thread that polls `time.Now().Before(deadline)` waiting
+//     for a flag is spinning exactly like one polling the flag alone, and
+//     must Gosched so the thread it waits on can run.
 //
 //  2. An infinite loop (`for {}`) in a method of a type that owns a `stop`
 //     channel or `poisoned` flag must reference that field or contain some
@@ -43,7 +43,7 @@ var SpinLoop = &Analyzer{
 var spinReadNames = map[string]bool{
 	"Load": true, "CompareAndSwap": true, "TryLock": true, "Locked": true,
 	"Tail": true, "Completed": true, "HeldSince": true, "HeldFor": true,
-	// Clock reads: a linger window polling time.Now().Before(deadline) is a
+	// Clock reads: a bounded wait polling time.Now().Before(deadline) is a
 	// busy-wait like any other. (`<-time.After(d)` still yields — the
 	// channel receive counts, not the call.)
 	"Now": true, "Since": true, "Before": true, "After": true, "Until": true,

@@ -86,12 +86,12 @@ func goodChannelWait(f *flag, ch chan struct{}) {
 	}
 }
 
-// Linger windows: a combiner polling a deadline is spinning on the clock.
+// Bounded waits: a thread polling a deadline is spinning on the clock.
 // time.Now/Before/Since are spin reads, not work.
 
 //nr:spin
-func badLinger(f *flag, deadline time.Time) {
-	for time.Now().Before(deadline) { // want "busy-wait loop in //nr:spin function badLinger may spin"
+func badDeadline(f *flag, deadline time.Time) {
+	for time.Now().Before(deadline) { // want "busy-wait loop in //nr:spin function badDeadline may spin"
 		if f.v.Load() != 0 {
 			return
 		}
@@ -99,7 +99,7 @@ func badLinger(f *flag, deadline time.Time) {
 }
 
 //nr:spin
-func goodLinger(f *flag, deadline time.Time) {
+func goodDeadline(f *flag, deadline time.Time) {
 	for time.Now().Before(deadline) {
 		if f.v.Load() != 0 {
 			return

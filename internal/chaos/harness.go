@@ -47,12 +47,6 @@ type Schedule struct {
 	ReadFraction int
 	// DedicatedCombiners mirrors core.Options.
 	DedicatedCombiners bool
-	// Batch is the combiner batching policy under test (linger windows,
-	// adaptivity, parallel combining). When Batch.Parallel is set the run
-	// replicates the commuting accumulator (ParDS) instead of DS, so
-	// declared-independent adds actually take the parallel handoff path —
-	// and injected faults land inside linger windows and parallel rounds.
-	Batch core.BatchPolicy
 	// StallThreshold enables the core watchdog (default 1ms when
 	// StallEveryN > 0, else off).
 	StallThreshold time.Duration
@@ -167,7 +161,6 @@ func Run(s Schedule) (*Report, error) {
 			LogEntries:         s.LogEntries,
 			Logs:               s.Logs,
 			LogMapper:          s.logMapper(),
-			Batch:              s.Batch,
 			DedicatedCombiners: s.DedicatedCombiners,
 			StallThreshold:     s.StallThreshold,
 			Trace:              rec,
@@ -187,11 +180,11 @@ func Run(s Schedule) (*Report, error) {
 }
 
 // newDS picks the replicated structure for the schedule: the plain
-// accumulator, or the commuting one when parallel combining or multi-log
-// is under test (DS's add responses are order-dependent and its map is not
-// safe for the concurrent application either mode allows).
+// accumulator, or the commuting one when multi-log is under test (DS's add
+// responses are order-dependent and its map is not safe for the concurrent
+// application of different classes' batches).
 func (s *Schedule) newDS() func() core.Sequential[Op, Result] {
-	if s.Batch.Parallel || s.Logs > 1 {
+	if s.Logs > 1 {
 		return func() core.Sequential[Op, Result] { return NewParDS() }
 	}
 	return func() core.Sequential[Op, Result] { return NewDS() }

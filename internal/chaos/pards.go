@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// ParDS is the commuting variant of the chaos accumulator, used when a
-// schedule tests parallel combining (Schedule.Batch.Parallel). DS cannot
-// declare its adds — its response is the key's accumulated value, which
-// depends on execution order, and its map is not thread-safe — so ParDS
-// changes both: fixed atomic cells, and an add's response is its own delta
-// (order-independent, as the ConcurrentApplier contract requires). The
-// invariant checker never inspects add responses, only errors and the
-// state fold, so the two variants are interchangeable under Check.
+// ParDS is the commuting variant of the chaos accumulator, used by
+// multi-log schedules (Schedule.Logs > 1), where different classes' batches
+// may be applied to one replica concurrently. DS's response is the key's
+// accumulated value, which depends on execution order, and its map is not
+// thread-safe — so ParDS changes both: fixed atomic cells, and an add's
+// response is its own delta (order-independent). The invariant checker
+// never inspects add responses, only errors and the state fold, so the two
+// variants are interchangeable under Check.
 //
 // Keys must lie in [0, ParKeys); Schedule.opFor draws from [0, 64).
 type ParDS struct {
@@ -25,9 +25,8 @@ const ParKeys = 64
 // NewParDS returns an empty commuting accumulator.
 func NewParDS() *ParDS { return &ParDS{} }
 
-// Execute applies op. Adds are atomic because declared-independent ops may
-// run concurrently against the same replica during a parallel round; the
-// faulty kinds (panic, stall) stay undeclared and therefore serial.
+// Execute applies op. Adds are atomic because ops of different conflict
+// classes may run concurrently against the same replica.
 func (d *ParDS) Execute(op Op) Result {
 	switch op.Kind {
 	case KindSum:
@@ -60,12 +59,6 @@ func (d *ParDS) panicHookFires() bool { return true }
 
 // IsReadOnly classifies Sum as the only read.
 func (d *ParDS) IsReadOnly(op Op) bool { return op.Kind == KindSum }
-
-// ConcurrentApply declares exactly the well-behaved adds independent:
-// atomically applied, delta-valued responses, any order. The faulty kinds
-// must stay serial — a panic mid-parallel-round would be a different fault
-// than the one the schedule encodes.
-func (d *ParDS) ConcurrentApply(op Op) bool { return op.Kind == KindAdd }
 
 // ClassFingerprint digests only the cells of one conflict class under the
 // multi-log harness mapper (key % logs) — the per-class convergence

@@ -77,7 +77,6 @@ func RunSharded(s Schedule, shards int) (*ShardedReport, error) {
 				core.Options{
 					Topology:           topology.New(s.Nodes, s.CoresPerNode, 1),
 					LogEntries:         s.LogEntries,
-					Batch:              s.Batch,
 					DedicatedCombiners: s.DedicatedCombiners,
 					StallThreshold:     s.StallThreshold,
 					Trace:              rec,

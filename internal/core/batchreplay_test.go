@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"github.com/asplos17/nr/internal/topology"
 )
@@ -54,36 +53,5 @@ func TestBatchReplayLocksOncePerBatch(t *testing.T) {
 	if delta > 2 {
 		t.Fatalf("node-1 catch-up over %d entries took the writer lock %d times, want once per batch (<= 2)",
 			updates, delta)
-	}
-}
-
-// TestLingerFreshensBacklog pins the linger phase's batch-aware freshening:
-// a combiner that lingers with lingerRefreshBatch completed entries behind
-// it absorbs them during the wait, under one writer-lock acquisition of its
-// own, instead of leaving them to the round's pre-batch replay.
-func TestLingerFreshensBacklog(t *testing.T) {
-	opts := smallTopo()
-	opts.Batch = BatchPolicy{MinBatch: 2, MaxLinger: time.Millisecond}
-	inst := newCounterInstance(t, opts)
-	h1, err := inst.RegisterOnNode(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < lingerRefreshBatch; k++ {
-		h1.Execute(ctrInc)
-	}
-	h0, err := inst.RegisterOnNode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A lone thread never reaches MinBatch, so this round lingers its whole
-	// window with the backlog in view.
-	if got := h0.Execute(ctrInc); got != lingerRefreshBatch+1 {
-		t.Fatalf("node-0 increment = %d, want %d", got, lingerRefreshBatch+1)
-	}
-	var m Metrics
-	inst.MetricsInto(&m, false)
-	if got := m.Replicas[0].WriterAcquires; got != 2 {
-		t.Fatalf("node 0 took the replica writer lock %d times, want 2 (mid-linger freshen + the round itself)", got)
 	}
 }

@@ -4,21 +4,18 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/trace"
 )
 
 // runCombiner executes one combining round on conflict class c, recording
 // its trace events into ring (the combining thread's own ring — combiner
 // events land on the combiner's timeline, joined to each op by token).
-// self is the calling thread's own slot index on r (parallel combining
-// must not hand the combiner's op back to the combiner). The caller holds
-// class c's combiner lock.
+// The caller holds class c's combiner lock.
 //
 //nr:hotpath-noio
 //nr:noalloc
 //nr:spin
-func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *trace.Ring) {
+func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) {
 	lg := &r.logs[c]
 	o := i.observer
 	var began time.Time
@@ -38,54 +35,15 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 	// stable after it: a posted slot's contents are frozen until a combiner
 	// transitions it, and only the owner resets it after slotDone.
 	batch := lg.scratch[:0]
-	collect := func() {
-		for idx := range r.slots {
-			s := &r.slots[idx]
-			if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
-				batch = append(batch, takenSlot[O, R]{s, int32(idx)}) //nr:allocok scratch cap = slot count
-
-				ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
-			}
-		}
-	}
-	collect()
-	// Linger phase (the batching policy engine, batch.go): hold the round
-	// open for a bounded spin window so concurrently arriving ops join it —
-	// k ops in one round share one lock acquisition and one log-tail CAS.
-	// The wait is not dead time: the combiner absorbs completed entries
-	// into its replica meanwhile (the same freshening the old fixed-retry
-	// loop did) and yields on every pass so same-node posters can actually
-	// publish — essential on a box with fewer cores than threads.
-	firstPass := len(batch)
-	var window time.Duration
-	if i.batchOn && len(batch) < i.batchTarget {
-		if window = i.lingerWindow(lg); window > 0 {
-			deadline := time.Now().Add(window)
-			for len(batch) < i.batchTarget {
-				// Batch-aware freshening: absorbing the backlog costs one
-				// replica write-lock acquisition per pass, so take it only
-				// once the backlog amortizes it (mirroring the append
-				// side's one-CAS batch reservation); the pre-batch replay
-				// below catches whatever is left in one acquisition.
-				if to := i.logs[c].Completed(); to >= lg.localTail.Load()+lingerRefreshBatch {
-					i.refreshOwn(r, c, to, ring)
-				}
-				runtime.Gosched()
-				collect()
-				if !time.Now().Before(deadline) {
-					break
-				}
-			}
-			t0 = ring.Now() // re-stamp: lingering took real time
-			ring.RecordAt(t0, trace.KLinger, int(r.id), uint64(len(batch)-firstPass), uint64(window))
+	for idx := range r.slots {
+		s := &r.slots[idx]
+		if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
+			batch = append(batch, takenSlot[O, R]{s, int32(idx)}) //nr:allocok scratch cap = slot count
+			ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
 		}
 	}
 	if len(batch) == 0 {
-		if i.batchOn {
-			i.adaptAfterRound(lg, 0, i.countPosted(r, c))
-		}
 		if o != nil {
-			i.reportReaderPressure(r, c, o)
 			o.CombineEnd(int(r.id), 0, 0, time.Since(began))
 		}
 		ring.Record(trace.KCombineEnd, int(r.id), 0, 0)
@@ -141,7 +99,6 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 		idx++
 		lg.localTail.Store(idx)
 	}
-	parallel := 0
 	if idx == start {
 		// Fast path (the paper's §5.2): apply our ops from the node-local
 		// combining slots rather than re-reading the log. safeExecute keeps
@@ -149,24 +106,17 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 		// at the op's log index and delivered like any response.
 		lg.localTail.Store(end)
 		i.logs[c].AdvanceCompleted(end)
-		if i.conc != nil && len(batch) > 1 && i.batchCommutes(batch) {
-			// Parallel combining (batch.go): hand the batch back to the
-			// parked owners to execute concurrently against the replica.
-			parallel = i.parallelApply(r, c, batch, start, self, ring)
-		}
-		if parallel == 0 {
-			for k, t := range batch {
-				tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
-				// KExecute is stamped before the op runs and KRespond after
-				// delivery, so the execute→respond gap is the op's real duration.
-				ring.Record(trace.KExecute, int(r.id), tok, start+uint64(k))
-				t.s.resp, t.s.err = i.safeExecute(r, c, t.s.op, start+uint64(k))
-				if t.s.err != nil {
-					ring.Record(trace.KPanic, int(r.id), start+uint64(k), tok)
-				}
-				t.s.state.Store(slotDone)
-				ring.Record(trace.KRespond, int(r.id), tok, start+uint64(k))
+		for k, t := range batch {
+			tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
+			// KExecute is stamped before the op runs and KRespond after
+			// delivery, so the execute→respond gap is the op's real duration.
+			ring.Record(trace.KExecute, int(r.id), tok, start+uint64(k))
+			t.s.resp, t.s.err = i.safeExecute(r, c, t.s.op, start+uint64(k))
+			if t.s.err != nil {
+				ring.Record(trace.KPanic, int(r.id), start+uint64(k), tok)
 			}
+			t.s.state.Store(slotDone)
+			ring.Record(trace.KRespond, int(r.id), tok, start+uint64(k))
 		}
 	} else {
 		// A helper replayed past our batch start while we were appending;
@@ -180,34 +130,10 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, self int32, ring *
 		i.logs[c].AdvanceCompleted(end)
 	}
 	lg.rw.Unlock()
-	if i.batchOn {
-		i.adaptAfterRound(lg, len(batch), i.countPosted(r, c))
-	}
 	if o != nil {
-		if i.batchOn {
-			o.BatchRound(int(r.id), window, len(batch)-firstPass, parallel)
-		}
-		i.reportReaderPressure(r, c, o)
 		o.CombineEnd(int(r.id), len(batch), len(batch), time.Since(began))
 	}
 	ring.Record(trace.KCombineEnd, int(r.id), uint64(len(batch)), uint64(len(batch)))
-}
-
-// reportReaderPressure fires the ReaderPressure hook with log c's read-lock
-// acquisitions since the node's previous class-c combining round — the
-// combiner-side view of reader traffic the adaptive batching controller
-// folds into its linger signals. Caller holds (r, c)'s combiner lock (which
-// protects lastReaderAcq) and has already nil-checked o.
-//
-//nr:noalloc
-func (i *Instance[O, R]) reportReaderPressure(r *replica[O, R], c int, o obs.Observer) {
-	lg := &r.logs[c]
-	acq := lg.rw.ReaderAcquires()
-	delta := acq - lg.lastReaderAcq
-	lg.lastReaderAcq = acq
-	if o != nil && delta > 0 {
-		o.ReaderPressure(int(r.id), int(delta))
-	}
 }
 
 // reserveConsuming reserves n entries of log c on behalf of r. When the

@@ -109,12 +109,6 @@ type Options struct {
 	// it against the instance's operation type.
 	LogMapper any
 
-	// Batch is the combiner's batching policy: how long a round lingers for
-	// concurrent ops to join, whether the window adapts, and whether formed
-	// batches may be executed by parallel combining (see batch.go). The
-	// zero value closes every round after one collection pass.
-	Batch BatchPolicy
-
 	// DedicatedCombiners starts one background goroutine per node that
 	// keeps the node's replica fresh even when its threads are idle — the
 	// optional optimization of §4 and the paper's own suggested fix for
@@ -158,18 +152,6 @@ func (o *Options) fillDefaults() {
 	if o.Logs <= 0 {
 		o.Logs = 1
 	}
-	if o.Batch.MinBatch < 0 {
-		o.Batch.MinBatch = 0
-	}
-	if o.Batch.MaxLinger < 0 {
-		o.Batch.MaxLinger = 0
-	}
-	if o.Batch.Adaptive && o.Batch.MaxLinger == 0 {
-		o.Batch.MaxLinger = defaultAdaptiveLinger
-	}
-	if per := o.Topology.ThreadsPerNode(); o.Batch.MaxBatch <= 0 || o.Batch.MaxBatch > per {
-		o.Batch.MaxBatch = per
-	}
 }
 
 // Persister receives every update operation at log-append time, before
@@ -196,7 +178,6 @@ type Stats struct {
 	HelpedEntries   uint64 `json:"helped_entries"`   // log entries applied to other nodes' replicas
 	ReadOps         uint64 `json:"read_ops"`         // read-only ops executed
 	UpdateOps       uint64 `json:"update_ops"`       // update ops executed
-	ParallelOps     uint64 `json:"parallel_ops"`     // update ops handed to owners by parallel combining
 	CrossOps        uint64 `json:"cross_ops"`        // multi-class ops serialized through the cross-log barrier
 	ReaderAcquires  uint64 `json:"reader_acquires"`  // read-lock acquisitions across all replicas (rwlock per-slot counters)
 	WriterAcquires  uint64 `json:"writer_acquires"`  // write-lock acquisitions across all replica locks
@@ -204,18 +185,14 @@ type Stats struct {
 	Stalls          uint64 `json:"stalls"`           // combiner stalls flagged by the watchdog
 }
 
-// slot state machine values. slotParallel/slotParClaimed exist only on the
-// parallel-combining path: the combiner hands a taken slot back to its owner
-// (slotParallel), who claims it by CAS (slotParClaimed) and executes the op
-// itself; an unclaimed handoff is reclaimed by the combiner via the same
-// CAS, so exactly one side runs the op.
+// slot state machine values: the owner posts (slotEmpty → slotPosted), a
+// combiner collects (→ slotTaken) and answers (→ slotDone), the owner reads
+// the response and resets the slot.
 const (
 	slotEmpty uint32 = iota
 	slotPosted
 	slotTaken
 	slotDone
-	slotParallel
-	slotParClaimed
 )
 
 // slot is one thread's mailbox to its node's combiner (§5.2). The op is
@@ -244,11 +221,6 @@ type slot[O, R any] struct {
 	//nr:cacheline
 	resp R
 	err  error
-	// idx is the op's absolute log index under parallel combining, written
-	// by the combiner before its slotParallel release store and read by the
-	// owner after the acquire load that observes it. It shares the response
-	// line deliberately: same writer, same reader, same phase.
-	idx uint64
 }
 
 // entry kinds stored in the shared logs. entryOp is a normal operation;
@@ -322,20 +294,6 @@ type replicaLog[O, R any] struct {
 	// combining round never allocates. Only the combiner-lock holder
 	// touches it.
 	scratch []takenSlot[O, R]
-
-	// Batching-policy state (batch.go). lingerWindow is the adaptive spin
-	// window in nanoseconds — only the combiner-lock holder writes it, but
-	// Metrics() reads it concurrently as a gauge, hence atomic; batchDist
-	// is this log's observed batch-size distribution (lock-free), the
-	// adaptive policy's slow signal; parPending counts outstanding
-	// parallel-combining handoffs within the current round.
-	lingerWindow atomic.Int64
-	batchDist    obs.CountDist
-	parPending   atomic.Int64
-	// lastReaderAcq is the rw lock's reader-acquisition count as of the end
-	// of the previous combining round; the delta is the round's
-	// ReaderPressure report. Only the combiner-lock holder touches it.
-	lastReaderAcq uint64
 }
 
 // replica is one node's copy of the structure plus its synchronization:
@@ -365,14 +323,6 @@ type Instance[O, R any] struct {
 	// (class 0 for everything).
 	mapper   func(O) int
 	replicas []*replica[O, R]
-	// batch mirrors opts.Batch (normalized); batchOn gates the policy
-	// engine's per-round work, batchTarget is the batch size a lingering
-	// round closes at, and conc is the structure's ConcurrentApply (nil
-	// unless parallel combining is enabled AND the structure opts in).
-	batch       BatchPolicy
-	batchOn     bool
-	batchTarget int
-	conc        func(O) bool
 	// observer mirrors opts.Observer for the hot paths' nil check.
 	observer obs.Observer
 	// rec mirrors opts.Trace (nil = flight recorder off).
@@ -406,7 +356,6 @@ type Instance[O, R any] struct {
 	helpedEntries   atomic.Uint64
 	readOps         atomic.Uint64
 	updateOps       atomic.Uint64
-	parallelOps     atomic.Uint64
 	crossOps        atomic.Uint64
 	panics          atomic.Uint64
 	stalls          atomic.Uint64
@@ -464,13 +413,7 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 		observer: opts.Observer,
 		rec:      opts.Trace,
 		place:    topology.NewFillPlacement(opts.Topology),
-		batch:    opts.Batch,
-		batchOn:  opts.Batch.MaxLinger > 0 || opts.Batch.Parallel,
 		crossIdx: make([]uint64, m),
-	}
-	inst.batchTarget = inst.batch.MaxBatch
-	if mb := inst.batch.MinBatch; mb > 0 && mb < inst.batchTarget {
-		inst.batchTarget = mb
 	}
 	if rate := opts.Trace.ProfileSampleRate(); rate > 0 {
 		inst.profRate = uint32(rate)
@@ -499,13 +442,6 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 			}
 		}
 		inst.replicas = append(inst.replicas, r)
-	}
-	if opts.Batch.Parallel {
-		// ConcurrentApply must be a pure function of op, so any replica's
-		// structure answers for all of them.
-		if ca, ok := inst.replicas[0].ds.(ConcurrentApplier[O]); ok {
-			inst.conc = ca.ConcurrentApply
-		}
 	}
 	if opts.DedicatedCombiners || opts.StallThreshold > 0 {
 		inst.stop = make(chan struct{})
@@ -762,7 +698,6 @@ func (i *Instance[O, R]) stats() Stats {
 		HelpedEntries:   i.helpedEntries.Load(),
 		ReadOps:         i.readOps.Load(),
 		UpdateOps:       i.updateOps.Load(),
-		ParallelOps:     i.parallelOps.Load(),
 		CrossOps:        i.crossOps.Load(),
 		ReaderAcquires:  racquires,
 		WriterAcquires:  wacquires,

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/topology"
@@ -199,15 +198,6 @@ func TestConcurrentIncrementsTinyLogWraps(t *testing.T) {
 	// A log much smaller than the op count forces many wrap-arounds and
 	// exercises the §5.6 recycling protocol under contention.
 	incrementsAreDense(t, Options{Topology: topology.New(2, 2, 1), LogEntries: 16}, 4, 3000)
-}
-
-func TestConcurrentIncrementsLingering(t *testing.T) {
-	// With a linger window each node's combiner holds its round open while
-	// the other node keeps appending, so the mid-linger freshening of the
-	// combiner's own replica runs under contention.
-	opts := smallTopo()
-	opts.Batch = BatchPolicy{MinBatch: 4, MaxLinger: 100 * time.Microsecond}
-	incrementsAreDense(t, opts, 4, 1500)
 }
 
 // TestReadYourWrites: after a thread's update returns, its subsequent read
@@ -425,24 +415,6 @@ func TestHeavyMixedStress(t *testing.T) {
 	for _, sz := range sizes[1:] {
 		if sz != sizes[0] {
 			t.Fatalf("replica sizes diverged: %v", sizes)
-		}
-	}
-}
-
-// TestMinBatchStillServesLoneThread: with MinBatch larger than the thread
-// count, a lone thread's combiner must still make progress once its linger
-// window closes.
-func TestMinBatchStillServesLoneThread(t *testing.T) {
-	opts := smallTopo()
-	opts.Batch = BatchPolicy{MinBatch: 8, MaxLinger: 100 * time.Microsecond}
-	inst := newCounterInstance(t, opts)
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 200; i++ {
-		if got := h.Execute(ctrInc); got != i {
-			t.Fatalf("inc #%d = %d", i, got)
 		}
 	}
 }

@@ -199,11 +199,3 @@ func (i *Instance[O, R]) readOnlyCross(h *Handle[O, R], op O) (R, error) {
 	}
 	return resp, err
 }
-
-// lingerRefreshBatch is the backlog (in completed entries) below which a
-// lingering combiner skips the mid-linger freshen: absorbing the backlog
-// costs a replica write-lock acquisition, so it is taken only when the
-// batch of entries amortizes it (mirroring the append side's one-CAS batch
-// reservation). Smaller backlogs are absorbed by the round's single
-// pre-batch replay.
-const lingerRefreshBatch uint64 = 8

@@ -29,9 +29,7 @@ func TestSlotLayout(t *testing.T) {
 	if respOff != 72 {
 		t.Errorf("slot.resp offset = %d, want 72 (state's line padded out at 20-72)", respOff)
 	}
-	// idx rides the response line after err (same writer, same reader, same
-	// phase — see the field comment), growing the slot from 96 to 104.
-	if size := unsafe.Sizeof(s); size != 104 {
-		t.Errorf("slot[int64,int64] size = %d, want 104", size)
+	if size := unsafe.Sizeof(s); size != 96 {
+		t.Errorf("slot[int64,int64] size = %d, want 96 (resp 72-80, err 80-96)", size)
 	}
 }

@@ -54,12 +54,6 @@ type ReplicaLogGauges struct {
 	// CombinerHeldNs is how long this class's current combiner-lock holder
 	// has been inside its round (0 when the lock is free).
 	CombinerHeldNs int64 `json:"combiner_held_ns"`
-	// LingerWindowNs is this class's current adaptive linger window.
-	LingerWindowNs int64 `json:"linger_window_ns"`
-	// Batches and BatchMean summarize this class's observed combining batch
-	// sizes on this replica (count of rounds, mean ops per round).
-	Batches   uint64  `json:"batches"`
-	BatchMean float64 `json:"batch_mean"`
 }
 
 // ReplicaGauges is a live snapshot of one replica's position in the logs.
@@ -79,9 +73,6 @@ type ReplicaGauges struct {
 	// CombinerHeldNs is the longest current combiner-lock hold across the
 	// replica's logs (0 when all are free).
 	CombinerHeldNs int64 `json:"combiner_held_ns"`
-	// LingerWindowNs is the largest current adaptive linger window across
-	// the replica's logs; 0 when the batching policy is off or non-adaptive.
-	LingerWindowNs int64 `json:"linger_window_ns"`
 	// ReaderAcquires is the cumulative read-lock acquisition count across
 	// this replica's readers-writer locks.
 	ReaderAcquires uint64 `json:"reader_acquires"`
@@ -213,7 +204,7 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
 		g.Logs = g.Logs[:nlogs]
 		var (
 			localSum, lagSum, racq, wacq uint64
-			heldMax, lingerMax           int64
+			heldMax                      int64
 		)
 		for c := range r.logs {
 			lg := &r.logs[c]
@@ -223,15 +214,11 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
 				lag = completed - local
 			}
 			held := int64(lg.combinerLock.HeldFor(now))
-			linger := lg.lingerWindow.Load()
 			g.Logs[c] = ReplicaLogGauges{
 				Log:            c,
 				LocalTail:      local,
 				CompletedLag:   lag,
 				CombinerHeldNs: held,
-				LingerWindowNs: linger,
-				Batches:        lg.batchDist.Count(),
-				BatchMean:      lg.batchDist.Mean(),
 			}
 			localSum += local
 			lagSum += lag
@@ -240,16 +227,12 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
 			if held > heldMax {
 				heldMax = held
 			}
-			if linger > lingerMax {
-				lingerMax = linger
-			}
 		}
 		g.Node = n
 		g.LocalTail = localSum
 		g.CompletedLag = lagSum
 		g.Registered = registered
 		g.CombinerHeldNs = heldMax
-		g.LingerWindowNs = lingerMax
 		g.ReaderAcquires = racq
 		g.WriterAcquires = wacq
 	}

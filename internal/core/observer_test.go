@@ -24,8 +24,6 @@ type recordingObserver struct {
 	helpEntries     atomic.Uint64
 	tailRetries     atomic.Uint64
 	writerWaits     atomic.Uint64
-	batchRounds     atomic.Uint64
-	readerAcquires  atomic.Uint64
 	stalls          atomic.Uint64
 	panics          atomic.Uint64
 	opDone          [obs.NumOpClasses]atomic.Uint64
@@ -56,14 +54,6 @@ func (r *recordingObserver) Help(node, entries int) {
 func (r *recordingObserver) LogTailRetry(node, retries int) { r.tailRetries.Add(uint64(retries)) }
 
 func (r *recordingObserver) WriterWait(node, spins int) { r.writerWaits.Add(1) }
-
-func (r *recordingObserver) BatchRound(node int, window time.Duration, gained, parallel int) {
-	r.batchRounds.Add(1)
-}
-
-func (r *recordingObserver) ReaderPressure(node, acquires int) {
-	r.readerAcquires.Add(uint64(acquires))
-}
 
 func (r *recordingObserver) Stall(node int, held time.Duration) { r.stalls.Add(1) }
 

@@ -206,39 +206,14 @@ func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
 	h.ring.RecordAt(tp, trace.KSlotPublish, h.node, h.token(), 0)
 	s.state.Store(slotPosted)
 	for {
-		st := s.state.Load()
-		if st == slotDone {
+		if s.state.Load() == slotDone {
 			resp, err := s.resp, s.err
 			s.state.Store(slotEmpty)
 			return resp, err
 		}
-		if st == slotParallel && s.state.CompareAndSwap(slotParallel, slotParClaimed) {
-			// Parallel combining: the combiner reserved our op's log index
-			// and handed execution back to us. The combiner still holds the
-			// replica write lock, so running against the replica here is as
-			// protected as the combiner's own fast path; concurrency with
-			// the batch's other ops is the structure's ConcurrentApply
-			// contract. A failed CAS means the combiner reclaimed the op
-			// (we were scheduled out past parallelClaimWait) — then we wait
-			// for slotDone like any combined op.
-			idx := s.idx
-			tok := h.token()
-			h.ring.Record(trace.KExecute, h.node, tok, idx)
-			resp, err := i.safeExecute(r, c, op, idx)
-			if err != nil {
-				h.ring.Record(trace.KPanic, h.node, idx, tok)
-			}
-			h.ring.Record(trace.KRespond, h.node, tok, idx)
-			s.state.Store(slotEmpty)
-			// The decrement releases the combiner's round; the slot store
-			// above must precede it so the slot is reusable before the
-			// combiner unlocks.
-			lg.parPending.Add(-1)
-			return resp, err
-		}
 		if lg.combinerLock.TryLock() {
 			if s.state.Load() != slotDone {
-				i.runCombiner(r, c, int32(h.slot), h.ring)
+				i.runCombiner(r, c, h.ring)
 			}
 			lg.combinerLock.Unlock()
 			// runCombiner served every posted class-c slot, including ours.

@@ -145,6 +145,52 @@ func TestTraceSpansAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestTwoPostedOpsShareOneReservation pins the one-CAS k-entry reservation
+// (§5.1) deterministically, with nothing configured: an op left posted by
+// one handle and an op executed by another handle of the same node must go
+// through one combining round that reserves both log entries at once.
+func TestTwoPostedOpsShareOneReservation(t *testing.T) {
+	obsv := &recordingObserver{}
+	opts := smallTopo()
+	opts.Trace = trace.New(trace.Config{RingSlots: 256})
+	opts.Observer = obsv
+	inst := newCounterInstance(t, opts)
+	h1, err := inst.RegisterOnNode(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := inst.RegisterOnNode(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := inst.Stats()
+	h1.PostAndAbandon(ctrInc)
+	// The combiner collects slots in index order, so h1's op is applied
+	// first and h2's increment returns 2.
+	if got := h2.Execute(ctrInc); got != 2 {
+		t.Fatalf("second increment of the round = %d, want 2", got)
+	}
+	after := inst.Stats()
+	if d := after.Combines - before.Combines; d != 1 {
+		t.Errorf("Combines grew by %d, want 1 round for both ops", d)
+	}
+	if d := after.CombinedOps - before.CombinedOps; d != 2 {
+		t.Errorf("CombinedOps grew by %d, want 2", d)
+	}
+	var reserves []uint64
+	for _, e := range inst.TraceSnapshot().Events() {
+		if e.Kind == trace.KLogReserve {
+			reserves = append(reserves, e.B)
+		}
+	}
+	if len(reserves) != 1 || reserves[0] != 2 {
+		t.Errorf("log reservations (entries each) = %v, want one reservation of 2", reserves)
+	}
+	if got := obsv.tailRetries.Load(); got != 0 {
+		t.Errorf("LogTailRetry reported %d retries on an uncontended tail", got)
+	}
+}
+
 // TestTraceHotPathDoesNotAllocate pins the recorder-attached hot path at
 // zero allocations per op, for both classes.
 func TestTraceHotPathDoesNotAllocate(t *testing.T) {

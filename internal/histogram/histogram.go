@@ -1,7 +1,8 @@
-// Package histogram provides a compact log-scaled latency histogram for
-// benchmark reporting: lock-free recording, power-of-two buckets with four
-// linear sub-buckets each, and percentile queries. It backs the
-// nrredis-bench client's latency report.
+// Package histogram provides a compact log-scaled latency histogram:
+// lock-free recording, power-of-two buckets with four linear sub-buckets
+// each, and percentile queries. It backs the per-class latency
+// distributions of obs.Metrics and, through cumulative bucket captures, the
+// windowed tails and SLOs of obs/tsdb.
 package histogram
 
 import (

@@ -300,8 +300,8 @@ func BenchmarkReserveFill(b *testing.B) {
 // under concurrent publishers: every TryReserve(n) must hand back n
 // consecutive indices owned by exactly one publisher, and the union of all
 // grants must tile the log's index space with no overlap and no gap — the
-// property the batching combiner leans on when it reserves one multi-entry
-// range for a whole linger batch.
+// property the combiner leans on when it reserves one multi-entry range
+// for a whole batch.
 func TestMultiEntryReservationPartitions(t *testing.T) {
 	const (
 		publishers = 4

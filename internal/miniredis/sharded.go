@@ -16,8 +16,8 @@ import (
 // (shards >= 2; use NewSharedTraced for the single-log deployment). Only
 // the NR method shards — the point is splitting NR's shared log — and the
 // recorder, when non-nil, is shared across shards so SLOWLOG and
-// /debug/trace cover the whole keyspace. Extra nr options (a batching
-// policy, say) apply to every shard alike.
+// /debug/trace cover the whole keyspace. Extra nr options (telemetry, SLOs)
+// apply to every shard alike.
 func NewShardedShared(topo topology.Topology, seed uint64, shards int, rec *trace.Recorder, extra ...nr.Option) (Shared, error) {
 	options := []nr.Option{
 		nr.WithNodes(topo.Nodes(), topo.CoresPerNode(), topo.SMT()),

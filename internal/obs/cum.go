@@ -95,9 +95,6 @@ type NodeCum struct {
 	CombineNanos  uint64
 	// ReaderRefreshes counts reads that replayed the log themselves.
 	ReaderRefreshes uint64
-	// ReaderPressure is the cumulative reader-lock acquisition count
-	// reported by the node's combiners (see Observer.ReaderPressure).
-	ReaderPressure uint64
 }
 
 // Cum is a cumulative bucket-level capture of a whole Metrics observer:
@@ -135,7 +132,6 @@ func (m *Metrics) ReadCum(dst *Cum) {
 			CombineRounds:   n.combineRounds.Load(),
 			CombineNanos:    n.combineNanos.Load(),
 			ReaderRefreshes: n.readerRefreshes.Load(),
-			ReaderPressure:  n.readerAcquires.Load(),
 		}
 	}
 }
@@ -179,6 +175,5 @@ func AddCum(dst, src *Cum) {
 		d.CombineRounds += s.CombineRounds
 		d.CombineNanos += s.CombineNanos
 		d.ReaderRefreshes += s.ReaderRefreshes
-		d.ReaderPressure += s.ReaderPressure
 	}
 }

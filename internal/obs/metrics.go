@@ -24,11 +24,6 @@ type nodeMetrics struct {
 
 	combineRounds    atomic.Uint64
 	combineNanos     atomic.Uint64
-	lingerRounds     atomic.Uint64
-	lingerNanos      atomic.Uint64
-	lingerGained     atomic.Uint64
-	parallelRounds   atomic.Uint64
-	parallelOps      atomic.Uint64
 	readerRefreshes  atomic.Uint64
 	refreshedEntries atomic.Uint64
 	helps            atomic.Uint64
@@ -37,8 +32,6 @@ type nodeMetrics struct {
 	tailRetries      atomic.Uint64
 	writerWaits      atomic.Uint64
 	writerWaitSpins  atomic.Uint64
-	pressureRounds   atomic.Uint64
-	readerAcquires   atomic.Uint64
 	stalls           atomic.Uint64
 	panics           atomic.Uint64
 }
@@ -109,27 +102,6 @@ func (m *Metrics) WriterWait(node, spins int) {
 	n.writerWaitSpins.Add(uint64(spins))
 }
 
-// BatchRound implements Observer. Rounds with a zero window and no parallel
-// handoff (an adaptive window decayed shut) still count toward lingerRounds
-// so the per-round averages stay honest about what the policy is doing.
-func (m *Metrics) BatchRound(node int, window time.Duration, gained, parallel int) {
-	n := m.at(node)
-	n.lingerRounds.Add(1)
-	n.lingerNanos.Add(uint64(window.Nanoseconds()))
-	n.lingerGained.Add(uint64(gained))
-	if parallel > 0 {
-		n.parallelRounds.Add(1)
-		n.parallelOps.Add(uint64(parallel))
-	}
-}
-
-// ReaderPressure implements Observer.
-func (m *Metrics) ReaderPressure(node, acquires int) {
-	n := m.at(node)
-	n.pressureRounds.Add(1)
-	n.readerAcquires.Add(uint64(acquires))
-}
-
 // Stall implements Observer.
 func (m *Metrics) Stall(node int, held time.Duration) {
 	m.at(node).stalls.Add(1)
@@ -183,11 +155,6 @@ type NodeSnapshot struct {
 
 	CombineRounds    uint64 `json:"combine_rounds"`
 	CombineNanos     uint64 `json:"combine_ns"`
-	LingerRounds     uint64 `json:"linger_rounds"`
-	LingerNanos      uint64 `json:"linger_ns"`
-	LingerGained     uint64 `json:"linger_gained"`
-	ParallelRounds   uint64 `json:"parallel_rounds"`
-	ParallelOps      uint64 `json:"parallel_ops"`
 	ReaderRefreshes  uint64 `json:"reader_refreshes"`
 	RefreshedEntries uint64 `json:"refreshed_entries"`
 	Helps            uint64 `json:"helps"`
@@ -196,8 +163,6 @@ type NodeSnapshot struct {
 	TailRetries      uint64 `json:"tail_retries"`
 	WriterWaits      uint64 `json:"writer_waits"`
 	WriterWaitSpins  uint64 `json:"writer_wait_spins"`
-	PressureRounds   uint64 `json:"pressure_rounds"`
-	ReaderAcquires   uint64 `json:"reader_acquires"`
 	Stalls           uint64 `json:"stalls"`
 	Panics           uint64 `json:"panics"`
 }
@@ -231,11 +196,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			Appends:          n.appends.Snapshot(),
 			CombineRounds:    n.combineRounds.Load(),
 			CombineNanos:     n.combineNanos.Load(),
-			LingerRounds:     n.lingerRounds.Load(),
-			LingerNanos:      n.lingerNanos.Load(),
-			LingerGained:     n.lingerGained.Load(),
-			ParallelRounds:   n.parallelRounds.Load(),
-			ParallelOps:      n.parallelOps.Load(),
 			ReaderRefreshes:  n.readerRefreshes.Load(),
 			RefreshedEntries: n.refreshedEntries.Load(),
 			Helps:            n.helps.Load(),
@@ -244,8 +204,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			TailRetries:      n.tailRetries.Load(),
 			WriterWaits:      n.writerWaits.Load(),
 			WriterWaitSpins:  n.writerWaitSpins.Load(),
-			PressureRounds:   n.pressureRounds.Load(),
-			ReaderAcquires:   n.readerAcquires.Load(),
 			Stalls:           n.stalls.Load(),
 			Panics:           n.panics.Load(),
 		})

@@ -18,17 +18,6 @@
 //     cross-node contention point of the update path (§5.1).
 //   - WriterWait: a replica writer spun waiting for the distributed
 //     readers-writer lock's reader flags to drain (§5.5).
-//   - BatchRound: one combining round under an active batching policy,
-//     with the linger window used, the ops the window gained, and the ops
-//     handed off by parallel combining (the policy engine's own telemetry,
-//     on top of CombineEnd's batch size).
-//   - ReaderPressure: one combining round's view of the node's reader
-//     traffic — how many read-lock acquisitions the replica saw since the
-//     node's previous round. Reported by the combiner (not per read: the
-//     read path stays free of observer calls beyond OpDone) from the
-//     distributed lock's per-slot acquisition counters, it is the signal
-//     the adaptive batching controller needs to fold reader refresh into
-//     its linger decisions (ROADMAP item 1 remainder).
 //   - Stall: the watchdog flagged a combiner holding its lock past the
 //     configured threshold (§6's stalled-thread hazard).
 //   - PanicContained: a user Execute panic was contained (failure model).
@@ -93,16 +82,6 @@ type Observer interface {
 	// WriterWait fires when acquiring a replica's writer lock had to spin
 	// for reader flags to drain; spins counts scheduler yields.
 	WriterWait(node, spins int)
-	// BatchRound fires once per non-empty combining round while a batching
-	// policy is active: window is the linger window the round used (0 when
-	// an adaptive window has decayed shut), gained how many ops the linger
-	// phase collected beyond the first pass, parallel how many ops were
-	// handed to parked owners for concurrent execution (0 = serial round).
-	BatchRound(node int, window time.Duration, gained, parallel int)
-	// ReaderPressure fires once per combining round on node with the
-	// number of read-lock acquisitions the node's replica saw since the
-	// previous round (0-acquisition rounds are not reported).
-	ReaderPressure(node, acquires int)
 	// Stall fires when the watchdog flags node's combiner lock as held
 	// longer than the stall threshold (once per acquisition).
 	Stall(node int, held time.Duration)
@@ -255,12 +234,6 @@ func (Nop) LogTailRetry(int, int) {}
 // WriterWait implements Observer.
 func (Nop) WriterWait(int, int) {}
 
-// BatchRound implements Observer.
-func (Nop) BatchRound(int, time.Duration, int, int) {}
-
-// ReaderPressure implements Observer.
-func (Nop) ReaderPressure(int, int) {}
-
 // Stall implements Observer.
 func (Nop) Stall(int, time.Duration) {}
 
@@ -348,20 +321,6 @@ func (m Multi) LogTailRetry(node, retries int) {
 func (m Multi) WriterWait(node, spins int) {
 	for _, o := range m {
 		o.WriterWait(node, spins)
-	}
-}
-
-// BatchRound implements Observer.
-func (m Multi) BatchRound(node int, window time.Duration, gained, parallel int) {
-	for _, o := range m {
-		o.BatchRound(node, window, gained, parallel)
-	}
-}
-
-// ReaderPressure implements Observer.
-func (m Multi) ReaderPressure(node, acquires int) {
-	for _, o := range m {
-		o.ReaderPressure(node, acquires)
 	}
 }
 

@@ -25,7 +25,6 @@ func AppendMetrics(e *Exposition, m *core.Metrics) {
 	e.Counter("nr_combined_ops_total", "Update operations appended via combining.", float64(m.Stats.CombinedOps))
 	e.Counter("nr_reader_refreshes_total", "Reads that replayed the log into their replica themselves.", float64(m.Stats.ReaderRefreshes))
 	e.Counter("nr_helped_entries_total", "Log entries applied to other nodes' replicas by helpers.", float64(m.Stats.HelpedEntries))
-	e.Counter("nr_parallel_ops_total", "Update operations handed to posting goroutines by parallel combining.", float64(m.Stats.ParallelOps))
 	e.Counter("nr_reader_acquires_total", "Read-lock acquisitions across all replicas.", float64(m.Stats.ReaderAcquires))
 	e.Counter("nr_panics_total", "User Execute panics contained.", float64(m.Stats.Panics))
 	e.Counter("nr_stalls_total", "Combiner stalls flagged by the watchdog.", float64(m.Stats.Stalls))
@@ -63,7 +62,6 @@ func AppendMetrics(e *Exposition, m *core.Metrics) {
 		e.Gauge("nr_replica_registered", "Handles bound to the replica's node.", float64(r.Registered), node)
 		e.Gauge("nr_replica_reader_acquires", "Cumulative read-lock acquisitions on the replica.", float64(r.ReaderAcquires), node)
 		e.Gauge("nr_replica_writer_acquires", "Cumulative writer-lock acquisitions on the replica (batch-replay witness).", float64(r.WriterAcquires), node)
-		e.Gauge("nr_replica_linger_window_ns", "Current adaptive linger window, nanoseconds (max over logs).", float64(r.LingerWindowNs), node)
 		if len(r.Logs) > 1 {
 			for _, lg := range r.Logs {
 				nl := []Label{node, {"log", strconv.Itoa(lg.Log)}}

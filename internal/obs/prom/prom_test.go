@@ -28,7 +28,7 @@ func buildExposition() *Exposition {
 	m := core.Metrics{
 		Stats: core.Stats{
 			ReadOps: 1100000, UpdateOps: 140000, Combines: 9000, CombinedOps: 131000,
-			ReaderRefreshes: 2500, HelpedEntries: 1200, ParallelOps: 700,
+			ReaderRefreshes: 2500, HelpedEntries: 1200,
 			ReaderAcquires: 180000, Panics: 1, Stalls: 2,
 			CrossOps: 450, WriterAcquires: 12000,
 		},
@@ -39,12 +39,12 @@ func buildExposition() *Exposition {
 		},
 		Replicas: []core.ReplicaGauges{
 			{Node: 0, LocalTail: 4995, CompletedLag: 2, Registered: 4, ReaderAcquires: 95000,
-				WriterAcquires: 6500, LingerWindowNs: 15000, Logs: []core.ReplicaLogGauges{
+				WriterAcquires: 6500, Logs: []core.ReplicaLogGauges{
 					{Log: 0, LocalTail: 2998, CompletedLag: 1},
 					{Log: 1, LocalTail: 1997, CompletedLag: 1},
 				}},
 			{Node: 1, LocalTail: 4983, CompletedLag: 7, Registered: 4, ReaderAcquires: 85000,
-				WriterAcquires: 5500, LingerWindowNs: 11000, Logs: []core.ReplicaLogGauges{
+				WriterAcquires: 5500, Logs: []core.ReplicaLogGauges{
 					{Log: 0, LocalTail: 2990, CompletedLag: 5},
 					{Log: 1, LocalTail: 1993, CompletedLag: 2},
 				}},
@@ -140,13 +140,13 @@ func TestExpositionCoversSnapshot(t *testing.T) {
 		// Stats counters.
 		"nr_read_ops_total", "nr_update_ops_total", "nr_combines_total",
 		"nr_combined_ops_total", "nr_reader_refreshes_total", "nr_helped_entries_total",
-		"nr_parallel_ops_total", "nr_reader_acquires_total", "nr_panics_total", "nr_stalls_total",
+		"nr_reader_acquires_total", "nr_panics_total", "nr_stalls_total",
 		// Log and health gauges.
 		"nr_log_tail", "nr_log_completed", "nr_log_min_tail", "nr_log_size",
 		"nr_log_occupancy", "nr_poisoned",
 		// Per-replica gauges.
 		"nr_replica_local_tail", "nr_replica_completed_lag", "nr_replica_registered",
-		"nr_replica_reader_acquires", "nr_replica_linger_window_ns",
+		"nr_replica_reader_acquires",
 		// WAL durability.
 		"nr_wal_appends_total", "nr_wal_pages_total", "nr_wal_fsyncs_total",
 		"nr_wal_fsync_seconds_total", "nr_wal_rotations_total", "nr_wal_seal_stalls_total",

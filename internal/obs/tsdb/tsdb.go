@@ -5,8 +5,8 @@
 // The split matters: everything NR already exposes — core.Stats counters,
 // the log/replica gauges, obs.Metrics histograms, persist.Stats — is
 // cumulative since process start. Cumulative views answer "how much ever",
-// not "how fast now": a dashboard, an SLO tracker, or the adaptive batching
-// controller all need rates and percentiles *over the last few seconds*.
+// not "how fast now": a dashboard and an SLO tracker both need rates and
+// percentiles *over the last few seconds*.
 // Two cumulative captures subtract into exactly that (counter deltas become
 // rates; raw histogram buckets subtract bucket-wise into the interval's
 // distribution — summary percentiles do not subtract, which is why the
@@ -48,7 +48,6 @@ type Gauges struct {
 	CombinedOps     uint64 `json:"combined_ops"`
 	ReaderRefreshes uint64 `json:"reader_refreshes"`
 	HelpedEntries   uint64 `json:"helped_entries"`
-	ParallelOps     uint64 `json:"parallel_ops"`
 	ReaderAcquires  uint64 `json:"reader_acquires"`
 	Panics          uint64 `json:"panics"`
 	Stalls          uint64 `json:"stalls"`

@@ -175,6 +175,36 @@ func TestWindowBatchDistribution(t *testing.T) {
 	}
 }
 
+// TestNodeWindowFromReplicaGauges: a node's lag and read-lock acquisition
+// rate come from the replica gauges the Source samples, matched by node.
+func TestNodeWindowFromReplicaGauges(t *testing.T) {
+	clk := newClock()
+	var g Gauges
+	c := New(testConfig(clk, Config{
+		Windows:  4,
+		Observed: []*obs.Metrics{obs.NewMetrics(2)},
+		Source:   func(dst *Gauges) { *dst = g },
+	}))
+	for i := uint64(1); i <= 2; i++ {
+		g.Replicas = []ReplicaGauge{
+			{Node: 0, ReaderAcquires: 500 * i},
+			{Node: 1, ReaderAcquires: 30 * i, CompletedLag: 7},
+		}
+		clk.step(time.Second)
+		c.Advance()
+	}
+	w, _ := c.Last()
+	if len(w.Nodes) != 2 {
+		t.Fatalf("node windows = %+v, want 2", w.Nodes)
+	}
+	if got := w.Nodes[0].ReaderAcquiresPerSec; got != 500 {
+		t.Errorf("node 0 reader acquires/s = %v, want 500", got)
+	}
+	if got := w.Nodes[1]; got.ReaderAcquiresPerSec != 30 || got.CompletedLag != 7 {
+		t.Errorf("node 1 window = %+v, want 30 acquires/s and lag 7", got)
+	}
+}
+
 func TestShardedObserversMergeBucketwise(t *testing.T) {
 	clk := newClock()
 	m0, m1 := obs.NewMetrics(1), obs.NewMetrics(1)

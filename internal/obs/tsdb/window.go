@@ -67,6 +67,16 @@ type Window struct {
 	Nodes []NodeWindow `json:"nodes,omitempty"`
 }
 
+// replica returns node's slice of the capture, nil when it has none.
+func (g *Gauges) replica(node int) *ReplicaGauge {
+	for i := range g.Replicas {
+		if g.Replicas[i].Node == node {
+			return &g.Replicas[i]
+		}
+	}
+	return nil
+}
+
 // rate divides a counter delta by the window length, clamping misordered
 // captures (counter reset, racy reads) to 0.
 func rate(cur, prev uint64, secs float64) float64 {
@@ -119,8 +129,8 @@ func deriveWindow(prev, cur *sample) Window {
 		w.DurableLag = cur.g.DurableLag
 	}
 
-	// Per-node: counter deltas from the merged observer capture, lag from
-	// the closing gauges.
+	// Per-node: counter deltas from the merged observer capture; lag (from
+	// the closing capture) and read-lock acquisitions from the gauges.
 	for i := range cur.cum.Nodes {
 		cn := &cur.cum.Nodes[i]
 		nw := NodeWindow{Node: i}
@@ -130,15 +140,14 @@ func deriveWindow(prev, cur *sample) Window {
 			nw.UpdateOpsPerSec = rate(cn.UpdateOps, pn.UpdateOps, secs)
 			nw.CombinesPerSec = rate(cn.CombineRounds, pn.CombineRounds, secs)
 			nw.ReaderRefreshPerSec = rate(cn.ReaderRefreshes, pn.ReaderRefreshes, secs)
-			nw.ReaderAcquiresPerSec = rate(cn.ReaderPressure, pn.ReaderPressure, secs)
 			if wall := secs * 1e9; wall > 0 && cn.CombineNanos >= pn.CombineNanos {
 				nw.CombineBusyFrac = float64(cn.CombineNanos-pn.CombineNanos) / wall
 			}
 		}
-		for _, rg := range cur.g.Replicas {
-			if rg.Node == i {
-				nw.CompletedLag = rg.CompletedLag
-				break
+		if rg := cur.g.replica(i); rg != nil {
+			nw.CompletedLag = rg.CompletedLag
+			if pg := prev.g.replica(i); pg != nil {
+				nw.ReaderAcquiresPerSec = rate(rg.ReaderAcquires, pg.ReaderAcquires, secs)
 			}
 		}
 		w.Nodes = append(w.Nodes, nw)

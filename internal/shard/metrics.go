@@ -78,7 +78,6 @@ func addStats(a, b core.Stats) core.Stats {
 	a.HelpedEntries += b.HelpedEntries
 	a.ReadOps += b.ReadOps
 	a.UpdateOps += b.UpdateOps
-	a.ParallelOps += b.ParallelOps
 	a.ReaderAcquires += b.ReaderAcquires
 	a.Panics += b.Panics
 	a.Stalls += b.Stalls

@@ -113,14 +113,6 @@ const (
 	// KPanic: a user Execute panic was contained on Node. A=log index
 	// (^uint64(0) for the read path).
 	KPanic
-	// KLinger: a combiner's linger window closed (batching policy). Node,
-	// A=ops the window gained beyond the first collection pass, B=window
-	// nanos.
-	KLinger
-	// KParallel: a batch was handed to its parked owners for concurrent
-	// execution (parallel combining). Node, A=ops handed, B=batch start
-	// index.
-	KParallel
 	numKinds
 )
 
@@ -145,8 +137,6 @@ var kindNames = [numKinds]string{
 	KLogFull:       "log-full",
 	KStall:         "stall",
 	KPanic:         "panic",
-	KLinger:        "linger",
-	KParallel:      "parallel-apply",
 }
 
 // String names the kind the way exporters print it.

@@ -60,12 +60,6 @@ type Config struct {
 	SMT          int
 	// LogEntries sizes the shared circular log (default 64K).
 	LogEntries int
-	// Batch is the combiner batching policy: how long a combiner lingers
-	// for concurrent operations to share a round, whether the window adapts
-	// to observed arrival rates, and whether commutative batches are handed
-	// back to the posting goroutines for parallel execution. The zero value
-	// disables lingering. See BatchPolicy.
-	Batch BatchPolicy
 	// DedicatedCombiners starts one background goroutine per node that
 	// keeps that node's replica fresh even when its threads are idle (the
 	// paper's §4 optional optimization and its §6 inactive-replica fix).
@@ -174,50 +168,6 @@ func WithNodes(nodes, coresPerNode, smt int) Option {
 // WithLogEntries sizes the shared circular log (default 64K entries).
 func WithLogEntries(n int) Option {
 	return func(s *settings) { s.cfg.LogEntries = n }
-}
-
-// BatchPolicy tunes combiner batching (DESIGN.md §13): a combiner that
-// acquires its node's combining lock may linger up to MaxLinger for
-// concurrent threads to publish their operations, closing the round early
-// once MinBatch operations are in hand; with Adaptive set the effective
-// window is learned from observed batch sizes instead of fixed; with
-// Parallel set, batches whose operations all commute (see
-// ConcurrentApplier) are handed back to the posting goroutines to execute
-// against the replica concurrently. The zero policy disables lingering —
-// every round takes only what is already posted.
-type BatchPolicy = core.BatchPolicy
-
-// BatchNone is the zero batching policy: no lingering, no parallel
-// combining — each combining round takes only the operations already
-// posted, minimizing latency at the cost of one-op rounds under load.
-func BatchNone() BatchPolicy { return BatchPolicy{} }
-
-// BatchAdaptive is the recommended batching policy: the combiner's linger
-// window opens and closes with observed arrival rates (up to a default
-// 200µs ceiling), so lone threads pay nothing while saturated nodes form
-// full batches. Adjust the ceiling by setting MaxLinger on the returned
-// policy.
-func BatchAdaptive() BatchPolicy { return BatchPolicy{Adaptive: true} }
-
-// WithBatchPolicy sets the combiner batching policy; see BatchPolicy,
-// BatchNone, BatchAdaptive.
-func WithBatchPolicy(p BatchPolicy) Option {
-	return func(s *settings) { s.cfg.Batch = p }
-}
-
-// ConcurrentApplier is the opt-in commutativity contract for parallel
-// combining (BatchPolicy.Parallel): a replicated structure additionally
-// implementing it declares, per operation, whether that operation may be
-// applied concurrently with the other update operations of its batch.
-// ConcurrentApply must be a pure function of the operation, and returning
-// true asserts two things about op against any batch of declared-true
-// operations: executing them in any order yields the same structure state
-// AND the same per-operation responses (remote replicas replay the batch
-// serially in log order), and Execute is thread-safe for these operations
-// (they may run concurrently against the same replica). Counters and
-// disjoint-key accumulators qualify; last-writer-wins maps do not.
-type ConcurrentApplier[O any] interface {
-	ConcurrentApply(op O) bool
 }
 
 // WithDedicatedCombiners starts one background goroutine per node that
@@ -333,7 +283,6 @@ func (s *settings) lower() core.Options {
 		LogEntries:         cfg.LogEntries,
 		Logs:               s.logs,
 		LogMapper:          s.mapper,
-		Batch:              cfg.Batch,
 		DedicatedCombiners: cfg.DedicatedCombiners,
 		StallThreshold:     cfg.StallThreshold,
 	}

@@ -183,7 +183,6 @@ func addMetricsToGauges(g *tsdb.Gauges, m *core.Metrics) {
 	g.CombinedOps += m.Stats.CombinedOps
 	g.ReaderRefreshes += m.Stats.ReaderRefreshes
 	g.HelpedEntries += m.Stats.HelpedEntries
-	g.ParallelOps += m.Stats.ParallelOps
 	g.ReaderAcquires += m.Stats.ReaderAcquires
 	g.Panics += m.Stats.Panics
 	g.Stalls += m.Stats.Stalls
