@@ -49,8 +49,8 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		ring.Record(trace.KCombineEnd, int(r.id), 0, 0)
 		return
 	}
-	i.combines.Add(1)
-	i.combinedOps.Add(uint64(len(batch)))
+	r.counters.combines.Add(1)
+	r.counters.combinedOps.Add(uint64(len(batch)))
 
 	// Append the batch: reserve with one CAS, then fill (§5.1). Entries
 	// carry (node, slot) tags so that if a helper replays them into this
@@ -177,7 +177,7 @@ func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trac
 				before := r2.logs[c].localTail.Load()
 				blocked = i.refreshTo(r2, c, to, ring)
 				helped := r2.logs[c].localTail.Load() - before
-				i.helpedEntries.Add(helped)
+				r.counters.helpedEntries.Add(helped)
 				r2.logs[c].rw.Unlock()
 				if helped > 0 {
 					if o != nil {

@@ -296,6 +296,23 @@ type replicaLog[O, R any] struct {
 	scratch []takenSlot[O, R]
 }
 
+// opCounters is one node's share of the Stats counters, bumped only by
+// threads running on that node (and by the watchdog's rare helping pass), so
+// counting an op costs no cross-node cache-line transfer: the log-tail CAS
+// stays the update path's only one (§5.1) and a read touches node-local
+// memory only (§5.3). Stats sums the nodes.
+//
+//nr:cacheline
+type opCounters struct {
+	readOps         atomic.Uint64
+	updateOps       atomic.Uint64
+	combines        atomic.Uint64
+	combinedOps     atomic.Uint64
+	readerRefreshes atomic.Uint64
+	helpedEntries   atomic.Uint64
+	_               [16]byte
+}
+
 // replica is one node's copy of the structure plus its synchronization:
 // the shared sequential structure, the node's combining slots, and one
 // replicaLog of per-log state per shared log.
@@ -313,6 +330,14 @@ type replica[O, R any] struct {
 	crossDone  atomic.Uint64
 	slots      []slot[O, R]
 	registered int // slots handed out on this node
+
+	// A whole line of padding on either side keeps the counters off the
+	// lines of the fields above, which every node reads, wherever the
+	// allocator puts the struct.
+	_ [64]byte
+	//nr:cacheline
+	counters opCounters
+	_        [64]byte
 }
 
 // Instance is a concurrent, NUMA-aware version of a sequential structure.
@@ -350,15 +375,11 @@ type Instance[O, R any] struct {
 	// the exhaustion error's assigned-vs-skipped report accurate.
 	fillSkips int
 
-	combines        atomic.Uint64
-	combinedOps     atomic.Uint64
-	readerRefreshes atomic.Uint64
-	helpedEntries   atomic.Uint64
-	readOps         atomic.Uint64
-	updateOps       atomic.Uint64
-	crossOps        atomic.Uint64
-	panics          atomic.Uint64
-	stalls          atomic.Uint64
+	// Per-op counters live in each replica (opCounters); these count rare
+	// events.
+	crossOps atomic.Uint64
+	panics   atomic.Uint64
+	stalls   atomic.Uint64
 
 	// Failure containment state (failure.go).
 	tracker      panicTracker
@@ -684,26 +705,24 @@ type FakeUpdater[O, R any] interface {
 
 // stats builds the counter slice of the Metrics snapshot.
 func (i *Instance[O, R]) stats() Stats {
-	var racquires, wacquires uint64
+	st := Stats{
+		CrossOps: i.crossOps.Load(),
+		Panics:   i.panics.Load(),
+		Stalls:   i.stalls.Load(),
+	}
 	for _, r := range i.replicas {
+		st.Combines += r.counters.combines.Load()
+		st.CombinedOps += r.counters.combinedOps.Load()
+		st.ReaderRefreshes += r.counters.readerRefreshes.Load()
+		st.HelpedEntries += r.counters.helpedEntries.Load()
+		st.ReadOps += r.counters.readOps.Load()
+		st.UpdateOps += r.counters.updateOps.Load()
 		for c := range r.logs {
-			racquires += r.logs[c].rw.ReaderAcquires()
-			wacquires += r.logs[c].rw.WriterAcquires()
+			st.ReaderAcquires += r.logs[c].rw.ReaderAcquires()
+			st.WriterAcquires += r.logs[c].rw.WriterAcquires()
 		}
 	}
-	return Stats{
-		Combines:        i.combines.Load(),
-		CombinedOps:     i.combinedOps.Load(),
-		ReaderRefreshes: i.readerRefreshes.Load(),
-		HelpedEntries:   i.helpedEntries.Load(),
-		ReadOps:         i.readOps.Load(),
-		UpdateOps:       i.updateOps.Load(),
-		CrossOps:        i.crossOps.Load(),
-		ReaderAcquires:  racquires,
-		WriterAcquires:  wacquires,
-		Panics:          i.panics.Load(),
-		Stalls:          i.stalls.Load(),
-	}
+	return st
 }
 
 // Replicas returns the number of per-node replicas.

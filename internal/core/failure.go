@@ -386,7 +386,7 @@ func (i *Instance[O, R]) watchdog() {
 					before := r2.logs[c].localTail.Load()
 					blocked = i.refreshTo(r2, c, to, ring)
 					helped := r2.logs[c].localTail.Load() - before
-					i.helpedEntries.Add(helped)
+					r2.counters.helpedEntries.Add(helped)
 					r2.logs[c].rw.Unlock()
 					if helped > 0 {
 						if o := i.observer; o != nil {

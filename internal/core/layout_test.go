@@ -33,3 +33,21 @@ func TestSlotLayout(t *testing.T) {
 		t.Errorf("slot[int64,int64] size = %d, want 96 (resp 72-80, err 80-96)", size)
 	}
 }
+
+// TestReplicaCountersLayout pins the node-local op counters (opCounters) to
+// one cache line of their own inside the replica: a full line of padding on
+// either side, so no field every node reads can share their line whatever
+// the struct's base alignment.
+func TestReplicaCountersLayout(t *testing.T) {
+	var r replica[int64, int64]
+	if size := unsafe.Sizeof(r.counters); size != 64 {
+		t.Errorf("opCounters size = %d, want 64", size)
+	}
+	off := unsafe.Offsetof(r.counters)
+	if before := unsafe.Offsetof(r.registered) + unsafe.Sizeof(r.registered); off < before+64 {
+		t.Errorf("replica.counters at offset %d, less than a line after registered (ends at %d)", off, before)
+	}
+	if end := off + unsafe.Sizeof(r.counters); unsafe.Sizeof(r) < end+64 {
+		t.Errorf("replica ends %d bytes after its counters, want >= 64", unsafe.Sizeof(r)-end)
+	}
+}

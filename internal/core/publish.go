@@ -122,7 +122,7 @@ func (i *Instance[O, R]) dispatch(h *Handle[O, R], op O) (R, obs.OpClass, error)
 		h.cls = c
 	}
 	if r.ds.IsReadOnly(op) {
-		i.readOps.Add(1)
+		r.counters.readOps.Add(1)
 		if c == CrossLog {
 			resp, err := i.readOnlyCross(h, op)
 			return resp, obs.OpRead, err
@@ -140,11 +140,11 @@ func (i *Instance[O, R]) dispatch(h *Handle[O, R], op O) (R, obs.OpClass, error)
 		// path — a consistent multi-class read needs every log's lock,
 		// costing more than the log append it would save.
 		if resp, done, err := i.readOnlyVia(h, c, op, true); done {
-			i.readOps.Add(1)
+			r.counters.readOps.Add(1)
 			return resp, obs.OpRead, err
 		}
 	}
-	i.updateOps.Add(1)
+	r.counters.updateOps.Add(1)
 	if c == CrossLog {
 		resp, err := i.updateCross(h, op)
 		return resp, obs.OpUpdate, err

@@ -31,7 +31,7 @@ func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c in
 		lg.rw.Lock()
 		var blocked uint64
 		if before := lg.localTail.Load(); before < readTail {
-			i.readerRefreshes.Add(1)
+			r.counters.readerRefreshes.Add(1)
 			blocked = i.refreshTo(r, c, readTail, h.ring)
 			if o := i.observer; o != nil {
 				o.ReaderRefresh(h.node, int(lg.localTail.Load()-before))

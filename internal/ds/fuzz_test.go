@@ -1,9 +1,6 @@
 package ds
 
-import (
-	"encoding/binary"
-	"testing"
-)
+import "testing"
 
 // FuzzDictImplementationsAgree feeds an arbitrary operation stream to the
 // skip-list dictionary, the B-tree dictionary, and a map oracle; all three
@@ -79,27 +76,34 @@ func FuzzSortedSetConsistency(f *testing.F) {
 			if !z.consistent() {
 				t.Fatal("hash and skip list diverged")
 			}
+			if !z.byScore.checkSpans() {
+				t.Fatal("span invariant violated")
+			}
 		}
 	})
 }
 
 // FuzzSkipListRankInvariant checks rank bookkeeping under arbitrary
-// insert/delete streams.
+// insert/delete/move streams.
 func FuzzSkipListRankInvariant(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 9, 0, 0, 3, 0, 0, 5, 0, 2, 9, 4, 2, 3, 5, 2, 4, 3, 2, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewSkipList[int64, struct{}](func(a, b int64) bool { return a < b }, 5)
-		for len(data) >= 2 {
-			key := int64(binary.LittleEndian.Uint16(data[:2]) % 64)
-			if data[0]%2 == 0 {
+		for len(data) >= 3 {
+			key, to := int64(data[1]%64), int64(data[2]%64)
+			switch data[0] % 3 {
+			case 0:
 				s.Insert(key, struct{}{})
-			} else {
+			case 1:
 				s.Delete(key)
+			case 2:
+				s.Move(key, to)
 			}
-			data = data[2:]
-		}
-		if !s.checkSpans() {
-			t.Fatal("span invariant violated")
+			data = data[3:]
+			if !s.checkSpans() {
+				t.Fatal("span invariant violated")
+			}
 		}
 		for i := 0; i < s.Len(); i++ {
 			k, _, ok := s.ByRank(i)

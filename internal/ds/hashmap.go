@@ -69,14 +69,26 @@ func (m *HashMap[V]) Set(key string, val V) bool {
 
 // Get returns the value stored under key.
 func (m *HashMap[V]) Get(key string) (V, bool) {
-	h := fnv1a(key)
-	for e := m.buckets[h&m.mask]; e != nil; e = e.next {
-		if e.hash == h && e.key == key {
-			return e.val, true
-		}
+	if p := m.Ref(key); p != nil {
+		return *p, true
 	}
 	var zero V
 	return zero, false
+}
+
+// Ref returns a pointer to the value stored under key, or nil if the key is
+// absent: one lookup for a caller that reads the value and then writes it.
+// The pointer is valid until the key is deleted.
+//
+//nr:noalloc
+func (m *HashMap[V]) Ref(key string) *V {
+	h := fnv1a(key)
+	for e := m.buckets[h&m.mask]; e != nil; e = e.next {
+		if e.hash == h && e.key == key {
+			return &e.val
+		}
+	}
+	return nil
 }
 
 // Delete removes key, reporting whether it was present.

@@ -397,7 +397,8 @@ func (s *SeqSortedSet) Execute(op ZOp) ZResult {
 		added := s.z.Add(op.Member, op.Score)
 		return ZResult{Score: op.Score, OK: added}
 	case ZIncrBy:
-		return ZResult{Score: s.z.IncrBy(op.Member, op.Score), OK: true}
+		sc := s.z.IncrBy(op.Member, op.Score)
+		return ZResult{Score: sc, OK: sc == sc} // NaN: refused, nothing changed
 	case ZRem:
 		return ZResult{OK: s.z.Remove(op.Member)}
 	case ZScore:

@@ -68,50 +68,106 @@ func (s *SkipList[K, V]) Len() int { return s.length }
 
 func (s *SkipList[K, V]) equal(a, b K) bool { return !s.less(a, b) && !s.less(b, a) }
 
+// preds is a skip-list search's per-level result: update[i] is the last node
+// at level i whose key sorts before the searched key, ranks[i] the number of
+// elements up to and including it (head has rank 0).
+type preds[K, V any] struct {
+	update [skipMaxLevel]*skipNode[K, V]
+	ranks  [skipMaxLevel]int
+}
+
+// search fills p with key's predecessors at every occupied level. With
+// finger set, p must hold the predecessors of a key that sorts before key:
+// each level's walk then starts from whichever of the level above's stop and
+// that old predecessor is further along, so a short move costs a short walk
+// instead of a descent from the head.
+//
+//nr:noalloc
+func (s *SkipList[K, V]) search(key K, p *preds[K, V], finger bool) {
+	x, rank := s.head, 0
+	for i := s.level - 1; i >= 0; i-- {
+		if finger && p.ranks[i] > rank {
+			x, rank = p.update[i], p.ranks[i]
+		}
+		for x.next[i].to != nil && s.less(x.next[i].to.key, key) {
+			rank += x.next[i].span
+			x = x.next[i].to
+		}
+		p.update[i], p.ranks[i] = x, rank
+	}
+}
+
+// link splices n, tower and all, in after the predecessors in p, raising
+// the list's level to the tower's height if need be.
+//
+//nr:noalloc
+func (s *SkipList[K, V]) link(n *skipNode[K, V], p *preds[K, V]) {
+	lvl := len(n.next)
+	for i := s.level; i < lvl; i++ {
+		p.ranks[i] = 0
+		p.update[i] = s.head
+		s.head.next[i].span = s.length
+	}
+	if lvl > s.level {
+		s.level = lvl
+	}
+	for i := 0; i < lvl; i++ {
+		before := p.ranks[0] - p.ranks[i] // elements after update[i] that sort before n
+		n.next[i].to = p.update[i].next[i].to
+		p.update[i].next[i].to = n
+		n.next[i].span = p.update[i].next[i].span - before
+		p.update[i].next[i].span = before + 1
+	}
+	for i := lvl; i < s.level; i++ {
+		p.update[i].next[i].span++
+	}
+	s.length++
+}
+
 // Insert adds key with val, or replaces the value if key is present.
 // It reports whether the key was newly inserted.
 func (s *SkipList[K, V]) Insert(key K, val V) bool {
-	var (
-		update [skipMaxLevel]*skipNode[K, V]
-		ranks  [skipMaxLevel]int
-	)
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		if i == s.level-1 {
-			ranks[i] = 0
-		} else {
-			ranks[i] = ranks[i+1]
-		}
-		for x.next[i].to != nil && s.less(x.next[i].to.key, key) {
-			ranks[i] += x.next[i].span
-			x = x.next[i].to
-		}
-		update[i] = x
-	}
-	if nxt := x.next[0].to; nxt != nil && s.equal(nxt.key, key) {
+	var p preds[K, V]
+	s.search(key, &p, false)
+	if nxt := p.update[0].next[0].to; nxt != nil && s.equal(nxt.key, key) {
 		nxt.val = val
 		return false
 	}
-	lvl := s.randLevel()
-	if lvl > s.level {
-		for i := s.level; i < lvl; i++ {
-			ranks[i] = 0
-			update[i] = s.head
-			update[i].next[i].span = s.length
-		}
-		s.level = lvl
+	s.link(&skipNode[K, V]{key: key, val: val, next: make([]skipLink[K, V], s.randLevel())}, &p)
+	return true
+}
+
+// Move re-keys the element stored under old to key, keeping its value, and
+// reports whether old was present. The result is that of Delete(old) then
+// Insert(key, value), an element already stored under key being replaced,
+// but it costs one search and no allocation. If key still sorts between the
+// element's neighbours the key is overwritten in place. Otherwise the node
+// is unlinked and relinked with the tower it has: no new level is drawn, so
+// the list's shape still depends on the operation stream alone.
+//
+//nr:noalloc
+func (s *SkipList[K, V]) Move(old, key K) bool {
+	var p preds[K, V]
+	s.search(old, &p, false)
+	n := p.update[0].next[0].to
+	if n == nil || !s.equal(n.key, old) {
+		return false
 	}
-	n := &skipNode[K, V]{key: key, val: val, next: make([]skipLink[K, V], lvl)}
-	for i := 0; i < lvl; i++ {
-		n.next[i].to = update[i].next[i].to
-		update[i].next[i].to = n
-		n.next[i].span = update[i].next[i].span - (ranks[0] - ranks[i])
-		update[i].next[i].span = ranks[0] - ranks[i] + 1
+	prev, next := p.update[0], n.next[0].to
+	if (prev == s.head || s.less(prev.key, key)) && (next == nil || s.less(key, next.key)) {
+		n.key = key
+		return true
 	}
-	for i := lvl; i < s.level; i++ {
-		update[i].next[i].span++
+	s.removeNode(n, p.update[:])
+	// Unlinking n, which sits after every old predecessor, moved none of
+	// them and changed none of their ranks: they are the finger.
+	s.search(key, &p, s.less(old, key))
+	if at := p.update[0].next[0].to; at != nil && s.equal(at.key, key) {
+		at.val = n.val
+		return true
 	}
-	s.length++
+	n.key = key
+	s.link(n, &p)
 	return true
 }
 
@@ -287,17 +343,28 @@ func (s *SkipList[K, V]) nodeAtRank(r int) *skipNode[K, V] {
 	return x
 }
 
-// checkSpans validates the span bookkeeping; it is used by tests only.
+// checkSpans validates the span bookkeeping; it is used by tests only. At
+// every level each link's span must be the rank difference of its endpoints,
+// and the trailing link's span the number of elements after its node.
 func (s *SkipList[K, V]) checkSpans() bool {
+	rank := map[*skipNode[K, V]]int{s.head: 0}
+	n := 0
+	for x := s.head.next[0].to; x != nil; x = x.next[0].to {
+		n++
+		rank[x] = n
+	}
+	if n != s.length {
+		return false
+	}
 	for i := 0; i < s.level; i++ {
-		total := 0
-		for x := s.head; x.next[i].to != nil; x = x.next[i].to {
-			total += x.next[i].span
-		}
-		// Links at level i must cover exactly the elements reachable below the
-		// last node of that level; at level 0 the sum is the length.
-		if i == 0 && total != s.length {
-			return false
+		for x := s.head; x != nil; x = x.next[i].to {
+			end := s.length
+			if to := x.next[i].to; to != nil {
+				end = rank[to]
+			}
+			if x.next[i].span != end-rank[x] {
+				return false
+			}
 		}
 	}
 	return true

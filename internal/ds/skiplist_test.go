@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -179,7 +180,7 @@ func TestSkipListAgainstMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
 		k := int64(rng.Intn(500))
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			v := rng.Uint64()
 			wantNew := func() bool { _, ok := oracle[k]; return !ok }()
@@ -199,6 +200,27 @@ func TestSkipListAgainstMapOracle(t *testing.T) {
 			if gok != wok || (gok && gv != wv) {
 				t.Fatalf("op %d: Get(%d) = %d,%v, want %d,%v", i, k, gv, gok, wv, wok)
 			}
+		case 3:
+			// Mostly short hops (the fast path and the finger walk), some
+			// anywhere, some onto a key that is taken or onto itself.
+			to := k + int64(rng.Intn(7)) - 3
+			if rng.Intn(4) == 0 {
+				to = int64(rng.Intn(500))
+			}
+			v, present := oracle[k]
+			if got := s.Move(k, to); got != present {
+				t.Fatalf("op %d: Move(%d, %d) = %v, want %v", i, k, to, got, present)
+			}
+			if present {
+				delete(oracle, k)
+				oracle[to] = v
+			}
+			if gv, ok := s.Get(to); present && (!ok || gv != v) {
+				t.Fatalf("op %d: after Move(%d, %d) Get = %d,%v, want %d", i, k, to, gv, ok, v)
+			}
+			if !s.checkSpans() {
+				t.Fatalf("op %d: span invariant violated by Move(%d, %d)", i, k, to)
+			}
 		}
 		if s.Len() != len(oracle) {
 			t.Fatalf("op %d: Len = %d, want %d", i, s.Len(), len(oracle))
@@ -206,6 +228,16 @@ func TestSkipListAgainstMapOracle(t *testing.T) {
 	}
 	if !s.checkSpans() {
 		t.Error("span invariant violated after random workload")
+	}
+	var keys []int64
+	for k := range oracle {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for r, k := range keys {
+		if got, _, ok := s.ByRank(r); !ok || got != k {
+			t.Fatalf("ByRank(%d) = %d,%v, want %d", r, got, ok, k)
+		}
 	}
 }
 
@@ -310,6 +342,25 @@ func BenchmarkSkipListInsertDelete(b *testing.B) {
 		} else {
 			s.Delete(k)
 		}
+	}
+}
+
+// BenchmarkSortedSetIncrBy is the replayed update of the paper's §8.3
+// workload on one replica: the local proxy for the benchmark's
+// store.update_ns.
+func BenchmarkSortedSetIncrBy(b *testing.B) {
+	const members = 10000
+	z := NewSortedSet(members, 23)
+	names := make([]string, members)
+	for i := range names {
+		names[i] = fmt.Sprintf("item:%06d", i)
+		z.Add(names[i], float64(i))
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.IncrBy(names[rng.Intn(members)], 1)
 	}
 }
 

@@ -36,34 +36,57 @@ func NewSortedSet(capacity int, seed uint64) *SortedSet {
 func (z *SortedSet) Len() int { return z.byMember.Len() }
 
 // Add sets member's score, reporting whether the member was newly added.
-// Matches Redis ZADD.
+// Matches Redis ZADD. A NaN score has no place in the order and is ignored.
 func (z *SortedSet) Add(member string, score float64) bool {
-	if old, ok := z.byMember.Get(member); ok {
-		if old == score {
-			return false
-		}
-		z.byScore.Delete(scoredMember{old, member})
-		z.byScore.Insert(scoredMember{score, member}, struct{}{})
-		z.byMember.Set(member, score)
+	if score != score {
 		return false
 	}
-	z.byMember.Set(member, score)
-	z.byScore.Insert(scoredMember{score, member}, struct{}{})
+	if p := z.byMember.Ref(member); p != nil {
+		z.rescore(p, member, score)
+		return false
+	}
+	z.insert(member, score)
 	return true
 }
 
 // IncrBy adds delta to member's score (creating it at delta if absent) and
-// returns the new score. Matches Redis ZINCRBY: the member is deleted from
-// and reinserted into the skip list.
+// returns the new score. Matches Redis ZINCRBY, down to zslUpdateScore: the
+// member's skip-list node is moved, not deleted and reinserted. If the new
+// score would be NaN (a NaN delta, or inf + -inf) nothing changes and NaN is
+// returned.
+//
+//nr:noalloc
 func (z *SortedSet) IncrBy(member string, delta float64) float64 {
-	old, ok := z.byMember.Get(member)
-	if ok {
-		z.byScore.Delete(scoredMember{old, member})
+	p := z.byMember.Ref(member)
+	if p == nil {
+		if delta == delta {
+			z.insert(member, delta) //nr:allocok a new member needs its hash entry and skip-list node
+		}
+		return delta
 	}
-	score := old + delta
+	score := *p + delta
+	if score == score {
+		z.rescore(p, member, score)
+	}
+	return score
+}
+
+// insert adds a member known to be absent.
+func (z *SortedSet) insert(member string, score float64) {
 	z.byMember.Set(member, score)
 	z.byScore.Insert(scoredMember{score, member}, struct{}{})
-	return score
+}
+
+// rescore moves a present member, whose hash-map value p points to, to
+// score; an unchanged score leaves the skip list alone.
+//
+//nr:noalloc
+func (z *SortedSet) rescore(p *float64, member string, score float64) {
+	if *p == score {
+		return
+	}
+	z.byScore.Move(scoredMember{*p, member}, scoredMember{score, member})
+	*p = score
 }
 
 // Remove deletes member, reporting whether it was present.

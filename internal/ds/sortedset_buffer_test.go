@@ -2,7 +2,10 @@ package ds
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +112,29 @@ func TestSortedSetTieBreakByMember(t *testing.T) {
 	}
 }
 
+// A NaN compares "equal" to every key under lessScored, so one that got in
+// would overwrite a neighbour on insert and unlink a stranger on the next
+// move. Neither Add nor IncrBy lets one in.
+func TestSortedSetRefusesNaN(t *testing.T) {
+	z := NewSortedSet(0, 4)
+	for i, m := range []string{"a", "b", "c"} {
+		z.Add(m, float64(i))
+	}
+	model := map[string]float64{"a": 0, "b": 1, "c": 2}
+	if z.Add("x", math.NaN()) || z.Add("b", math.NaN()) {
+		t.Error("Add with a NaN score reported a new member")
+	}
+	if got := z.IncrBy("x", math.NaN()); got == got {
+		t.Errorf("IncrBy(x, NaN) = %v, want NaN", got)
+	}
+	z.Add("c", math.Inf(1))
+	model["c"] = math.Inf(1)
+	if got := z.IncrBy("c", math.Inf(-1)); got == got {
+		t.Errorf("IncrBy(inf, -inf) = %v, want NaN", got)
+	}
+	checkSortedSetAgainst(t, z, model)
+}
+
 func TestSortedSetRandomConsistency(t *testing.T) {
 	z := NewSortedSet(0, 5)
 	rng := rand.New(rand.NewSource(6))
@@ -127,6 +153,84 @@ func TestSortedSetRandomConsistency(t *testing.T) {
 	}
 	if !z.consistent() {
 		t.Fatal("sorted set inconsistent after random workload")
+	}
+}
+
+// TestSortedSetAgainstSortedSlice drives Add, IncrBy (positive, negative and
+// zero deltas) and Remove against a model kept as a sorted slice. Scores are
+// small integers, so ties are common and the member decides; sets of a dozen
+// members keep the list's level at the height of its tallest tower, so
+// moving that tower shrinks the list and raises it again.
+func TestSortedSetAgainstSortedSlice(t *testing.T) {
+	for _, members := range []int{3, 12, 150} {
+		z := NewSortedSet(0, uint64(members))
+		model := map[string]float64{}
+		rng := rand.New(rand.NewSource(int64(members)))
+		for i := 0; i < 6000; i++ {
+			m := fmt.Sprintf("m%03d", rng.Intn(members))
+			old, present := model[m]
+			switch rng.Intn(8) {
+			case 0:
+				sc := float64(rng.Intn(9))
+				if got := z.Add(m, sc); got == present {
+					t.Fatalf("op %d: Add(%s) = %v with present=%v", i, m, got, present)
+				}
+				model[m] = sc
+			case 1:
+				if got := z.Remove(m); got != present {
+					t.Fatalf("op %d: Remove(%s) = %v, want %v", i, m, got, present)
+				}
+				delete(model, m)
+			default:
+				delta := float64(rng.Intn(9) - 4)
+				if rng.Intn(6) == 0 {
+					delta *= 25 // across the whole set
+				}
+				if got := z.IncrBy(m, delta); got != old+delta {
+					t.Fatalf("op %d: IncrBy(%s, %v) = %v, want %v", i, m, delta, got, old+delta)
+				}
+				model[m] = old + delta
+			}
+			checkSortedSetAgainst(t, z, model)
+			if t.Failed() {
+				t.Fatalf("diverged at op %d (%d members)", i, members)
+			}
+		}
+	}
+}
+
+// checkSortedSetAgainst compares every read of z with the model.
+func checkSortedSetAgainst(t *testing.T, z *SortedSet, model map[string]float64) {
+	t.Helper()
+	want := make([]scoredMember, 0, len(model))
+	for m, sc := range model {
+		want = append(want, scoredMember{sc, m})
+	}
+	sort.Slice(want, func(i, j int) bool { return lessScored(want[i], want[j]) })
+	if z.Len() != len(want) {
+		t.Errorf("Len = %d, want %d", z.Len(), len(want))
+	}
+	if !z.consistent() {
+		t.Error("hash map and skip list disagree")
+	}
+	if !z.byScore.checkSpans() {
+		t.Error("span invariant violated")
+	}
+	for r, w := range want {
+		if got, ok := z.Rank(w.member); !ok || got != r {
+			t.Errorf("Rank(%s) = %d,%v, want %d", w.member, got, ok, r)
+		}
+		if m, sc, ok := z.ByRank(r); !ok || m != w.member || sc != w.score {
+			t.Errorf("ByRank(%d) = %s,%v,%v, want %s,%v", r, m, sc, ok, w.member, w.score)
+		}
+	}
+	var got []scoredMember
+	z.Range(0, z.Len()-1, func(m string, sc float64) bool {
+		got = append(got, scoredMember{sc, m})
+		return true
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("Range = %v, want %v", got, want)
 	}
 }
 

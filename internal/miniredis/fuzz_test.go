@@ -142,6 +142,7 @@ func FuzzParseCommand(f *testing.F) {
 	f.Add("ZRANGE", "key", "0", "-1")
 	f.Add("SET", "", "", "")
 	f.Add("zincrby", "k", "nan", "m")
+	f.Add("ZADD", "k", "-NaN", "m")
 	f.Fuzz(func(t *testing.T, a, b, c, d string) {
 		for _, args := range [][]string{{a}, {a, b}, {a, b, c}, {a, b, c, d}} {
 			raw := make([][]byte, len(args))
@@ -150,12 +151,11 @@ func FuzzParseCommand(f *testing.F) {
 			}
 			op, errMsg := ParseCommand(args)
 			rawOp, rawMsg := parseOp(raw)
-			// NaN scores compare unequal to themselves; compare the rest.
-			if op.Score != op.Score && rawOp.Score != rawOp.Score {
-				op.Score, rawOp.Score = 0, 0
-			}
 			if op != rawOp || errMsg != rawMsg {
 				t.Fatalf("%q: strings give %+v %q, bytes %+v %q", args, op, errMsg, rawOp, rawMsg)
+			}
+			if op.Score != op.Score {
+				t.Fatalf("%q: parsed a NaN score", args)
 			}
 			if errMsg != "" {
 				continue

@@ -141,6 +141,40 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// NaN scores over the wire, executed on both replicas: refused, nothing
+// mutated (see TestStoreRefusesNaNScores for what one did to the keyspace).
+func TestServerRefusesNaNScores(t *testing.T) {
+	_, addr := startServer(t, MethodNR)
+	c := dial(t, addr)
+	for i, m := range []string{"a", "b", "c"} {
+		c.cmd(t, "ZADD", "k", fmt.Sprint(i), m)
+	}
+	if got := c.cmd(t, "ZADD", "k", "nan", "x"); got != "-ERR "+notFloat {
+		t.Errorf("ZADD k nan x = %q", got)
+	}
+	if got := c.cmd(t, "ZINCRBY", "k", "NaN", "a"); got != "-ERR "+notFloat {
+		t.Errorf("ZINCRBY k NaN a = %q", got)
+	}
+	if got := c.cmd(t, "ZINCRBY", "k", "1", "x"); got != "1" {
+		t.Errorf("ZINCRBY k 1 x = %q", got)
+	}
+	if got := c.cmd(t, "ZADD", "k", "inf", "c"); got != ":0" {
+		t.Errorf("ZADD k inf c = %q", got)
+	}
+	if got := c.cmd(t, "ZINCRBY", "k", "-inf", "c"); got != "-ERR "+resultNaN {
+		t.Errorf("ZINCRBY k -inf c = %q", got)
+	}
+	if got := c.cmd(t, "ZRANGE", "k", "0", "-1", "WITHSCORES"); got != "a,0,b,1,x,1,c,+Inf" {
+		t.Errorf("ZRANGE = %q", got)
+	}
+	if got := c.cmd(t, "ZRANK", "k", "a"); got != ":0" {
+		t.Errorf("ZRANK k a = %q", got)
+	}
+	if got := c.cmd(t, "ZCARD", "k"); got != ":4" {
+		t.Errorf("ZCARD = %q", got)
+	}
+}
+
 func TestServerInlineCommands(t *testing.T) {
 	_, addr := startServer(t, MethodSL)
 	c := dial(t, addr)

@@ -112,7 +112,14 @@ func hashKey(key string) uint64 {
 	return h | 1
 }
 
-const wrongType = "WRONGTYPE Operation against a key holding the wrong kind of value"
+const (
+	wrongType = "WRONGTYPE Operation against a key holding the wrong kind of value"
+	// Redis's replies to a NaN score. A NaN has no place in the (score,
+	// member) order, so both are refused before anything is mutated, and
+	// identically on every replica.
+	notFloat  = "value is not a valid float"
+	resultNaN = "resulting score is not a number (NaN)"
+)
 
 // Execute implements the black-box contract. It is strictly sequential.
 func (st *Store) Execute(op StoreOp) StoreResult {
@@ -141,6 +148,9 @@ func (st *Store) Execute(op StoreOp) StoreResult {
 		return StoreResult{Int: 0, OK: true}
 
 	case CmdZAdd:
+		if op.Score != op.Score {
+			return StoreResult{Err: notFloat}
+		}
 		z, ok := st.zsetFor(op.Key, true)
 		if !ok {
 			return StoreResult{Err: wrongType}
@@ -153,11 +163,7 @@ func (st *Store) Execute(op StoreOp) StoreResult {
 		return StoreResult{Int: n, OK: true}
 
 	case CmdZIncrBy:
-		z, ok := st.zsetFor(op.Key, true)
-		if !ok {
-			return StoreResult{Err: wrongType}
-		}
-		return StoreResult{Score: z.IncrBy(op.Member, op.Score), OK: true}
+		return st.zincrby(op)
 
 	case CmdZRem:
 		z, ok := st.zsetFor(op.Key, false)
@@ -232,6 +238,25 @@ func (st *Store) Execute(op StoreOp) StoreResult {
 		return StoreResult{OK: true}
 	}
 	return StoreResult{Err: "unknown command"}
+}
+
+// zincrby is the paper's update (§8.3), executed once per replica under that
+// replica's writer lock: on a member that exists it allocates nothing.
+//
+//nr:noalloc
+func (st *Store) zincrby(op StoreOp) StoreResult {
+	if op.Score != op.Score {
+		return StoreResult{Err: notFloat}
+	}
+	z, ok := st.zsetFor(op.Key, true) //nr:allocok creates the sorted set on a key's first use
+	if !ok {
+		return StoreResult{Err: wrongType}
+	}
+	sc := z.IncrBy(op.Member, op.Score)
+	if sc != sc {
+		return StoreResult{Err: resultNaN}
+	}
+	return StoreResult{Score: sc, OK: true}
 }
 
 // clampRange converts Redis-style (possibly negative) range bounds.
@@ -370,8 +395,8 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 //nr:noalloc
 func parseFloat[S byteSeq](s S) (float64, string) {
 	f, err := strconv.ParseFloat(string(s), 64) //nr:allocok allocates only the error of a malformed score
-	if err != nil {
-		return 0, "value is not a valid float"
+	if err != nil || f != f {
+		return 0, notFloat
 	}
 	return f, ""
 }

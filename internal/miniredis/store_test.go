@@ -2,7 +2,9 @@ package miniredis
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -68,6 +70,63 @@ func TestStoreSortedSetOps(t *testing.T) {
 	}
 	if r := st.Execute(StoreOp{Cmd: CmdZRank, Key: "nokey", Member: "m"}); r.OK {
 		t.Error("ZRANK missing key = OK")
+	}
+}
+
+// A NaN compares "equal" to every (score, member) key. Let in, ZADD k nan x
+// overwrote a neighbour's skip-list node instead of inserting (four members
+// by name, three by score) and the ZINCRBY after it unlinked an unrelated
+// member. Both are refused without mutating, also for ops that never went
+// through parseOp (library callers, WAL replay).
+func TestStoreRefusesNaNScores(t *testing.T) {
+	st := NewStore(2)
+	for i, m := range []string{"a", "b", "c"} {
+		st.Execute(StoreOp{Cmd: CmdZAdd, Key: "k", Member: m, Score: float64(i)})
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdZAdd, Key: "k", Member: "x", Score: math.NaN()}); r.Err != notFloat {
+		t.Errorf("ZADD k nan x = %+v, want %q", r, notFloat)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdZIncrBy, Key: "k", Member: "x", Score: 1}); r.Err != "" || r.Score != 1 {
+		t.Errorf("ZINCRBY k 1 x = %+v", r)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdZIncrBy, Key: "k", Member: "x", Score: math.NaN()}); r.Err != notFloat {
+		t.Errorf("ZINCRBY k nan x = %+v, want %q", r, notFloat)
+	}
+	st.Execute(StoreOp{Cmd: CmdZAdd, Key: "k", Member: "c", Score: math.Inf(1)})
+	if r := st.Execute(StoreOp{Cmd: CmdZIncrBy, Key: "k", Member: "c", Score: math.Inf(-1)}); r.Err != resultNaN {
+		t.Errorf("ZINCRBY k -inf c (at +inf) = %+v, want %q", r, resultNaN)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdZAdd, Key: "fresh", Member: "x", Score: math.NaN()}); r.Err != notFloat {
+		t.Errorf("ZADD fresh nan x = %+v", r)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdDBSize}); r.Int != 1 {
+		t.Errorf("a refused ZADD created its key: DBSIZE = %d", r.Int)
+	}
+	for rank, m := range []string{"a", "b", "x", "c"} {
+		if r := st.Execute(StoreOp{Cmd: CmdZRank, Key: "k", Member: m}); !r.OK || r.Int != int64(rank) {
+			t.Errorf("ZRANK k %s = %+v, want %d", m, r, rank)
+		}
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdZRange, Key: "k", Start: 0, Stop: -1}); strings.Join(r.Members, ",") != "a,b,x,c" {
+		t.Errorf("ZRANGE k 0 -1 = %v", r.Members)
+	}
+}
+
+// The replayed update: ZINCRBY of a member that exists moves its skip-list
+// node and allocates nothing, on every replica that executes it.
+func TestStoreZIncrByAllocatesNothing(t *testing.T) {
+	st := NewStore(2)
+	ops := make([]StoreOp, 64)
+	for i := range ops {
+		ops[i] = StoreOp{Cmd: CmdZIncrBy, Key: "z", Member: fmt.Sprintf("m%02d", i), Score: 7}
+		st.Execute(StoreOp{Cmd: CmdZAdd, Key: "z", Member: ops[i].Member, Score: float64(i)})
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		st.Execute(ops[i%len(ops)]) // +7 among scores 0..63: off the same-position fast path
+		i++
+	}); n != 0 {
+		t.Errorf("ZINCRBY of an existing member: %v allocs/op, want 0", n)
 	}
 }
 

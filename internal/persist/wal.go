@@ -22,15 +22,6 @@ type walPage struct {
 	frontier uint64
 }
 
-// TokenPair is one appended record's (log index, op token), journaled
-// in memory for detectability: a checkpoint folds the pairs below its
-// applied index into the snapshot's token set. Kept by the WAL because
-// the append path already holds w.mu with both values in hand — a
-// separate caller-side structure would cost a second lock per operation.
-type TokenPair struct {
-	Idx, Tok uint64
-}
-
 // WAL is an append-only record log. Append never performs file I/O — see
 // the package comment. A WAL is safe for concurrent Append; Sync and Close
 // may be called from any goroutine.
@@ -47,7 +38,7 @@ type WAL struct {
 	active   []byte
 	frontier uint64            // lowest index not yet appended contiguously
 	pending  map[uint64]uint64 // interval start -> end for out-of-order appends
-	tokens   []TokenPair       // un-checkpointed (index, token) journal
+	tokens   tokenJournal      // un-checkpointed (index, token) pairs
 	closed   bool
 
 	// The sticky failure lives under its own lock, never w.mu: the flusher
@@ -152,7 +143,7 @@ func (w *WAL) Append(idx, token uint64, enc func([]byte) ([]byte, error)) error 
 	// Journal the token before the encode attempt: even if encoding fails
 	// (poisoning the WAL), the operation still executes in memory, so a
 	// later checkpoint's snapshot covers it and must carry its token.
-	w.tokens = append(w.tokens, TokenPair{Idx: idx, Tok: token})
+	w.tokens.put(idx, token)
 	out, err := appendRecord(w.active, idx, token, enc)
 	if err != nil {
 		w.mu.Unlock()
@@ -186,7 +177,7 @@ func (w *WAL) AppendBytes(idx, token uint64, payload []byte) error {
 		w.mu.Unlock()
 		return ErrWALClosed
 	}
-	w.tokens = append(w.tokens, TokenPair{Idx: idx, Tok: token})
+	w.tokens.put(idx, token)
 	w.active = appendFramed(w.active, idx, token, payload)
 	w.appends.Add(1)
 	w.advanceFrontierLocked(idx)
@@ -251,17 +242,11 @@ func (w *WAL) DurableIndex() uint64 { return w.durable.Load() }
 
 // TokensBelow copies out every journaled (index, token) pair with index
 // below idx — the set a checkpoint at applied index idx must fold into
-// its snapshot. Checkpoint-path only; O(journal).
+// its snapshot — in no particular order. Checkpoint-path only; O(journal).
 func (w *WAL) TokensBelow(idx uint64) []TokenPair {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var out []TokenPair
-	for _, pr := range w.tokens {
-		if pr.Idx < idx {
-			out = append(out, pr)
-		}
-	}
-	return out
+	return w.tokens.below(idx)
 }
 
 // DropTokensBelow compacts the token journal, discarding pairs with index
@@ -270,13 +255,7 @@ func (w *WAL) TokensBelow(idx uint64) []TokenPair {
 func (w *WAL) DropTokensBelow(idx uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	kept := w.tokens[:0]
-	for _, pr := range w.tokens {
-		if pr.Idx >= idx {
-			kept = append(kept, pr)
-		}
-	}
-	w.tokens = kept
+	w.tokens.dropBelow(idx)
 }
 
 // Sync seals the current page, flushes everything queued, fsyncs (under
