@@ -6,8 +6,8 @@
 
 GO ?= go
 
-# Where make bench writes its JSON result: an untracked file (.gitignore),
-# so a default run never overwrites the committed BENCH_PR*.json trajectory.
+# Where make bench writes its JSON report: an untracked file (.gitignore);
+# the committed baseline is benchmark/results/baseline.json.
 # Override with `make bench BENCH_OUT=/tmp/bench.json`.
 BENCH_OUT ?= bench-local.json
 
@@ -44,8 +44,8 @@ chaos: ## fault-injection suite under the race detector, fixed seeds
 chaos-recover: ## kill-and-recover matrix only: crash/SIGKILL/torn-tail recovery under -race
 	$(GO) test -race -count=1 -v -run 'Recover|KillAndRecover' ./internal/chaos/
 
-bench: ## real-implementation benchmark: recorder overhead + shard and multi-log sweeps + persistence cost + telemetry cost
-	$(GO) run ./cmd/nrbench -tracecmp -persistcmp -obscmp -threads 8 -shards 1,2,4,8 -logs 1,2,4 -json $(BENCH_OUT)
+bench: ## the repository's benchmark (BENCHMARK.json, benchmark/README.md): all five workloads, end-to-end and per-layer metrics
+	$(GO) run ./benchmark -workload all -out $(BENCH_OUT)
 
 build:
 	$(GO) build ./...

@@ -1,6 +1,7 @@
-// Command nrbench regenerates the paper's evaluation: every figure and
-// table of §8, as throughput series printed in the same units the paper
-// plots (operations per microsecond).
+// Command nrbench holds the two measurements benchmark/ (the repository's
+// benchmark, BENCHMARK.json) leaves out because a 2-CPU box cannot make
+// them: the paper's §8 thread sweeps, and how the sharded and multi-log
+// deployments scale.
 //
 // Usage:
 //
@@ -9,18 +10,24 @@
 //	nrbench -all                  # everything (slow)
 //	nrbench -fig 7c -ops 4000     # more ops per thread = smoother series
 //
-// Thread-sweep experiments run on the deterministic NUMA simulator
-// (internal/sim); the memory tables measure the real implementation.
+//	nrbench -shards 1,2,4,8 -logs 1,2,4 [-threads 8] [-dur 2s] [-json out.json]
 //
-// -real instead benchmarks the actual NR implementation end to end (no
-// simulator): a mixed read/update workload against the public nr API with
-// metrics enabled, reporting throughput and per-class latency percentiles.
-// -json PATH writes the -real results as machine-readable JSON.
+// The first form regenerates every figure and table of §8 as throughput
+// series in the paper's units (operations per microsecond). Thread-sweep
+// experiments run on the deterministic NUMA simulator (internal/sim); the
+// memory tables measure the real implementation.
+//
+// The second form measures the real implementation (sweep.go): nr.NewSharded
+// at each -shards count and nr.WithLogs at each -logs count, update-heavy,
+// each point the median of 3 rounds. Every other number about the real
+// implementation (throughput, latency, the cost of observability, tracing
+// and durability) comes from `go run ./benchmark`.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"sort"
@@ -29,121 +36,98 @@ import (
 	"github.com/asplos17/nr/internal/bench"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit status (2 for a usage error, 1 for a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nrbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		figID    = flag.String("fig", "", "experiment id (e.g. 5b, 7c, 11a, 14, size)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiment ids")
-		ops      = flag.Int("ops", 0, "operations per simulated thread (default 1500)")
-		real     = flag.Bool("real", false, "benchmark the real implementation (not the simulator)")
-		tracecmp = flag.Bool("tracecmp", false, "benchmark the real implementation twice (flight recorder off/on) and report the overhead")
-		jsonPath = flag.String("json", "", "with -real/-tracecmp: write results as JSON to this path")
-		duration = flag.Duration("dur", 2*time.Second, "with -real: measurement duration")
-		threads  = flag.Int("threads", 0, "with -real: worker goroutines (default GOMAXPROCS)")
-		readPct  = flag.Int("readpct", 90, "with -real: percentage of read operations")
-		shards   = flag.String("shards", "", "with -tracecmp: also sweep nr.NewSharded at these shard counts (e.g. 1,2,4,8)")
-		logsFlag = flag.String("logs", "", "with -tracecmp: also sweep nr.WithLogs at these log counts (e.g. 1,2,4)")
-		persist  = flag.Bool("persistcmp", false, "benchmark the durability cost: persistence off vs fsync-never vs group-fsync on an all-update workload")
-		obscmp   = flag.Bool("obscmp", false, "benchmark the telemetry-collector cost: windowed collector off vs on at its default cadence")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
+		figID    = fs.String("fig", "", "experiment id (e.g. 5b, 7c, 11a, 14, size)")
+		all      = fs.Bool("all", false, "run every experiment")
+		list     = fs.Bool("list", false, "list experiment ids")
+		ops      = fs.Int("ops", 0, "operations per simulated thread (default 1500)")
+		shards   = fs.String("shards", "", "sweep nr.NewSharded at these shard counts (e.g. 1,2,4,8)")
+		logs     = fs.String("logs", "", "sweep nr.WithLogs at these log counts (e.g. 1,2,4)")
+		threads  = fs.Int("threads", 0, "with -shards/-logs: worker goroutines (default GOMAXPROCS)")
+		duration = fs.Duration("dur", 2*time.Second, "with -shards/-logs: duration of one round")
+		jsonPath = fs.String("json", "", "with -shards/-logs: write the sweeps as JSON to this path")
+		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "nrbench: %v\n", err)
+		return code
+	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nrbench: %v\n", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "nrbench: %v\n", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	if *real || *tracecmp || *persist || *obscmp {
-		shardCounts, err := parseShardList(*shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nrbench: %v\n", err)
-			os.Exit(2)
+	shardCounts, err := parseCounts("shards", *shards)
+	if err != nil {
+		return fail(2, err)
+	}
+	logCounts, err := parseCounts("logs", *logs)
+	if err != nil {
+		return fail(2, err)
+	}
+	if len(shardCounts)+len(logCounts) > 0 {
+		if *duration <= 0 {
+			return fail(2, fmt.Errorf("-dur must be positive (got %s)", *duration))
 		}
-		logCounts, err := parseLogList(*logsFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nrbench: %v\n", err)
-			os.Exit(2)
+		if err := runSweeps(stdout, shardCounts, logCounts, *threads, *duration, *jsonPath); err != nil {
+			return fail(1, err)
 		}
-		cfg := realConfig{
-			Duration:   *duration,
-			Threads:    *threads,
-			ReadPct:    *readPct,
-			JSONPath:   *jsonPath,
-			Shards:     shardCounts,
-			Logs:       logCounts,
-			PersistCmp: *persist,
-			ObsCmp:     *obscmp,
-		}
-		run := runReal
-		switch {
-		case *tracecmp:
-			run = runTraceCompare
-		case *persist && !*real:
-			run = runPersistOnly
-		case *obscmp && !*real:
-			run = runObsOnly
-		}
-		if err := run(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "nrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return 0
 	}
 
 	figs := bench.Figures()
-	if *list {
-		ids := make([]string, 0, len(figs))
-		for id := range figs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
+	ids := make([]string, 0, len(figs))
+	for id := range figs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+
+	switch {
+	case *list:
 		for _, id := range ids {
-			fmt.Printf("%-6s %s\n", id, figs[id].Title)
+			fmt.Fprintf(stdout, "%-6s %s\n", id, figs[id].Title)
 		}
-		return
+		return 0
+	case *all:
+	case *figID != "":
+		if _, ok := figs[*figID]; !ok {
+			return fail(2, fmt.Errorf("unknown experiment %q (try -list)", *figID))
+		}
+		ids = []string{*figID}
+	default:
+		fs.Usage()
+		return 2
 	}
 
 	cfg := bench.Config{OpsPerThread: *ops}
-	runOne := func(id string) {
-		f, ok := figs[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "nrbench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
+	for _, id := range ids {
+		f := figs[id]
 		start := time.Now()
 		series := f.Run(cfg)
-		fmt.Printf("=== Figure %s: %s ===\n", f.ID, f.Title)
-		bench.Print(os.Stdout, f.XLabel, series)
+		fmt.Fprintf(stdout, "=== Figure %s: %s ===\n", f.ID, f.Title)
+		bench.Print(stdout, f.XLabel, series)
 		if s := bench.Summarize(series); s != "" {
-			fmt.Println(s)
+			fmt.Fprintln(stdout, s)
 		}
-		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "(%.1fs)\n\n", time.Since(start).Seconds())
 	}
-
-	switch {
-	case *all:
-		ids := make([]string, 0, len(figs))
-		for id := range figs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			runOne(id)
-		}
-	case *figID != "":
-		runOne(*figID)
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
+	return 0
 }

@@ -35,6 +35,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	nr "github.com/asplos17/nr"
@@ -79,36 +80,54 @@ func validateDurability(method string, shards int) error {
 	return nil
 }
 
+// shutdownSignals end the server cleanly: SIGINT from a terminal, SIGTERM
+// from kill(1), systemd and container runtimes.
+var shutdownSignals = []os.Signal{os.Interrupt, syscall.SIGTERM}
+
 func main() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, shutdownSignals...)
+	if err := run(os.Args[1:], sig, nil); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the server's whole life: build the keyspace from args, serve until
+// a value arrives on sig (or the listener fails), then drain the connections
+// and close the durable state. It returns only once that has finished, so
+// every write the server acknowledged is on disk when the process exits.
+// ready, if non-nil, is told the bound address (for -addr with port 0).
+func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
+	fs := flag.NewFlagSet("nrredis", flag.ExitOnError)
 	var (
-		addr    = flag.String("addr", "127.0.0.1:6380", "listen address")
-		metrics = flag.String("metrics", "", "HTTP metrics address (e.g. 127.0.0.1:6390); empty disables")
-		method  = flag.String("method", "nr", "concurrency method: nr, sl, rwl, fc, fc+")
-		shards  = flag.Int("shards", 1, "hash-partition the keyspace over this many NR instances (nr method only)")
-		workers = flag.Int("workers", 8, "commands executing at once: executors registered with the keyspace and shared by all connections")
-		nodes   = flag.Int("nodes", 4, "NUMA nodes in the software topology")
-		cores   = flag.Int("cores", 14, "cores per node")
-		smt     = flag.Int("smt", 2, "hardware threads per core")
-		seed    = flag.Uint64("seed", 1, "replica determinism seed")
+		addr    = fs.String("addr", "127.0.0.1:6380", "listen address")
+		metrics = fs.String("metrics", "", "HTTP metrics address (e.g. 127.0.0.1:6390); empty disables")
+		method  = fs.String("method", "nr", "concurrency method: nr, sl, rwl, fc, fc+")
+		shards  = fs.Int("shards", 1, "hash-partition the keyspace over this many NR instances (nr method only)")
+		workers = fs.Int("workers", 8, "commands executing at once: executors registered with the keyspace and shared by all connections")
+		nodes   = fs.Int("nodes", 4, "NUMA nodes in the software topology")
+		cores   = fs.Int("cores", 14, "cores per node")
+		smt     = fs.Int("smt", 2, "hardware threads per core")
+		seed    = fs.Uint64("seed", 1, "replica determinism seed")
 
-		appendOnly = flag.Bool("appendonly", false, "durable mode (nr method, 1 shard): append-only log + snapshots in -dir, recovered on start")
-		dataDir    = flag.String("dir", "nrredis-data", "data directory for -appendonly state")
+		appendOnly = fs.Bool("appendonly", false, "durable mode (nr method, 1 shard): append-only log + snapshots in -dir, recovered on start")
+		dataDir    = fs.String("dir", "nrredis-data", "data directory for -appendonly state")
 
-		telemetry  = flag.Duration("telemetry", time.Second, "windowed telemetry capture cadence (nr method only); 0 disables")
-		telWindows = flag.Int("telemetry-windows", 120, "telemetry windows retained in the ring")
-		sloRead    = flag.String("slo-read", "", "read-latency SLO as p99[,p999] durations, e.g. 500us,2ms; empty disables")
-		sloUpdate  = flag.String("slo-update", "", "update-latency SLO as p99[,p999] durations; empty disables")
+		telemetry  = fs.Duration("telemetry", time.Second, "windowed telemetry capture cadence (nr method only); 0 disables")
+		telWindows = fs.Int("telemetry-windows", 120, "telemetry windows retained in the ring")
+		sloRead    = fs.String("slo-read", "", "read-latency SLO as p99[,p999] durations, e.g. 500us,2ms; empty disables")
+		sloUpdate  = fs.String("slo-update", "", "update-latency SLO as p99[,p999] durations; empty disables")
 
-		traceOn    = flag.Bool("trace", true, "attach the flight recorder (nr method only): SLOWLOG + /debug/trace")
-		traceSlots = flag.Int("trace-slots", 4096, "flight-recorder ring slots per thread (rounded to a power of two)")
-		traceDump  = flag.String("trace-dump-dir", "", "directory for automatic black-box dumps on stall/panic/poison; empty disables")
-		traceProf  = flag.Int("trace-pprof-rate", 0, "label every Nth op with pprof labels (nr_node, nr_op); 0 disables")
+		traceOn    = fs.Bool("trace", true, "attach the flight recorder (nr method only): SLOWLOG + /debug/trace")
+		traceSlots = fs.Int("trace-slots", 4096, "flight-recorder ring slots per thread (rounded to a power of two)")
+		traceDump  = fs.String("trace-dump-dir", "", "directory for automatic black-box dumps on stall/panic/poison; empty disables")
+		traceProf  = fs.Int("trace-pprof-rate", 0, "label every Nth op with pprof labels (nr_node, nr_op); 0 disables")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 
 	topo := topology.New(*nodes, *cores, *smt)
 	if *workers > topo.TotalThreads() {
-		log.Fatalf("nrredis: %d workers exceed topology capacity %d", *workers, topo.TotalThreads())
+		return fmt.Errorf("nrredis: %d workers exceed topology capacity %d", *workers, topo.TotalThreads())
 	}
 	var rec *trace.Recorder
 	if *traceOn && *method == miniredis.MethodNR {
@@ -136,12 +155,12 @@ func main() {
 			}
 			p99, p999, err := parseSLOSpec(s.spec)
 			if err != nil {
-				log.Fatalf("nrredis: %s: %v", s.name, err)
+				return fmt.Errorf("nrredis: %s: %v", s.name, err)
 			}
 			nrOpts = append(nrOpts, nr.WithSLO(s.class, p99, p999))
 		}
 	} else if *sloRead != "" || *sloUpdate != "" {
-		log.Fatalf("nrredis: -slo-read/-slo-update apply only to -method nr (got %q)", *method)
+		return fmt.Errorf("nrredis: -slo-read/-slo-update apply only to -method nr (got %q)", *method)
 	}
 	var shared miniredis.Shared
 	var persist *miniredis.Persistence
@@ -149,10 +168,10 @@ func main() {
 	switch {
 	case *appendOnly:
 		if err := validateDurability(*method, *shards); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
-			log.Fatalf("nrredis: creating -dir: %v", err)
+			return fmt.Errorf("nrredis: creating -dir: %w", err)
 		}
 		shared, persist, err = miniredis.NewPersistentShared(topo, *seed, *dataDir, rec, nrOpts...)
 		if err == nil {
@@ -161,14 +180,14 @@ func main() {
 		}
 	case *shards > 1:
 		if *method != miniredis.MethodNR {
-			log.Fatalf("nrredis: -shards applies only to -method nr (got %q)", *method)
+			return fmt.Errorf("nrredis: -shards applies only to -method nr (got %q)", *method)
 		}
 		shared, err = miniredis.NewShardedShared(topo, *seed, *shards, rec, nrOpts...)
 	default:
 		shared, err = miniredis.NewSharedTraced(*method, topo, *seed, rec, nrOpts...)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	srvOpts := []miniredis.ServerOption{miniredis.WithRecorder(rec)}
 	if persist != nil {
@@ -176,7 +195,7 @@ func main() {
 	}
 	srv, err := miniredis.NewServer(shared, *workers, srvOpts...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if *metrics != "" {
@@ -204,19 +223,27 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "nrredis: shutting down")
-		srv.Close()
-		if persist != nil {
-			persist.Close() // final WAL fsync; a clean shutdown loses nothing
-		}
-	}()
-
 	log.Printf("nrredis: method=%s shards=%d workers=%d topology=%s", *method, *shards, *workers, topo)
-	if err := srv.Serve(*addr, func(a net.Addr) { log.Printf("nrredis: listening on %s", a) }); err != nil {
-		log.Fatal(err)
+	serveErr := make(chan error, 1)
+	go func() {
+		serveErr <- srv.Serve(*addr, func(a net.Addr) {
+			log.Printf("nrredis: listening on %s", a)
+			if ready != nil {
+				ready(a)
+			}
+		})
+	}()
+	select {
+	case <-sig:
+		fmt.Fprintln(os.Stderr, "nrredis: shutting down")
+	case err = <-serveErr: // the listener failed on its own
 	}
+	// Close stops accepting, lets every connection finish and answer the
+	// command it is executing, and waits for all of them; only then is the
+	// last acknowledged write in the WAL for the final fsync to cover.
+	srv.Close()
+	if persist != nil {
+		persist.Close()
+	}
+	return err
 }

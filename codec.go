@@ -11,7 +11,7 @@ import (
 // price of gob's per-value overhead (type prefixes, reflection, an
 // allocation per op) on the combiner's append path — for throughput-
 // sensitive workloads, write a hand-rolled Codec instead; see
-// internal/chaos and cmd/nrbench for examples.
+// internal/chaos and internal/miniredis for examples.
 type GobCodec[O any] struct {
 	mu  sync.Mutex
 	buf bytes.Buffer

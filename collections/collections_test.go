@@ -8,12 +8,12 @@ import (
 	nr "github.com/asplos17/nr"
 )
 
-func smallCfg() nr.Option {
-	return nr.WithConfig(nr.Config{Nodes: 2, CoresPerNode: 3, LogEntries: 512})
+func smallCfg() []nr.Option {
+	return []nr.Option{nr.WithNodes(2, 3, 1), nr.WithLogEntries(512)}
 }
 
 func TestMapBasic(t *testing.T) {
-	m, err := NewMap[string, int](smallCfg())
+	m, err := NewMap[string, int](smallCfg()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestMapBasic(t *testing.T) {
 }
 
 func TestMapConcurrentDisjoint(t *testing.T) {
-	m, err := NewMap[int, int](smallCfg())
+	m, err := NewMap[int, int](smallCfg()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMapConcurrentDisjoint(t *testing.T) {
 }
 
 func TestPriorityQueueOrdering(t *testing.T) {
-	q, err := NewPriorityQueue[string](smallCfg())
+	q, err := NewPriorityQueue[string](smallCfg()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPriorityQueueOrdering(t *testing.T) {
 }
 
 func TestPriorityQueueConcurrentConservation(t *testing.T) {
-	q, err := NewPriorityQueue[int64](smallCfg())
+	q, err := NewPriorityQueue[int64](smallCfg()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPriorityQueueConcurrentConservation(t *testing.T) {
 }
 
 func TestSortedSetBasic(t *testing.T) {
-	z, err := NewSortedSet(0, smallCfg())
+	z, err := NewSortedSet(0, smallCfg()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSortedSetBasic(t *testing.T) {
 }
 
 func TestSortedSetConcurrentLeaderboard(t *testing.T) {
-	z, err := NewSortedSet(7, smallCfg())
+	z, err := NewSortedSet(7, smallCfg()...)
 	if err != nil {
 		t.Fatal(err)
 	}

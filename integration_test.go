@@ -67,12 +67,12 @@ func (c *apiCounter) IsReadOnly(op cOp) bool { return !op.inc }
 // structure the repository ships through the public API concurrently and
 // checks replica agreement.
 func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
-	cfg := nr.WithConfig(nr.Config{Nodes: 2, CoresPerNode: 2, LogEntries: 512})
+	cfg := []nr.Option{nr.WithNodes(2, 2, 1), nr.WithLogEntries(512)}
 
 	t.Run("skiplist-pq", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[ds.PQOp, ds.PQResult] {
 			return ds.NewSkipListPQ(3)
-		}, cfg)
+		}, cfg...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 	t.Run("pairing-heap", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[ds.PQOp, ds.PQResult] {
 			return ds.NewHeapPQ()
-		}, cfg)
+		}, cfg...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 	t.Run("stack", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[ds.StackOp, ds.StackResult] {
 			return ds.NewSeqStack(64)
-		}, cfg)
+		}, cfg...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 	t.Run("sorted-set", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[ds.ZOp, ds.ZResult] {
 			return ds.NewSeqSortedSet(16, 11)
-		}, cfg)
+		}, cfg...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 	t.Run("miniredis-store", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[miniredis.StoreOp, miniredis.StoreResult] {
 			return miniredis.NewStore(13)
-		}, cfg)
+		}, cfg...)
 		if err != nil {
 			t.Fatal(err)
 		}

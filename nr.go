@@ -46,39 +46,19 @@ type Sequential[O, R any] interface {
 	IsReadOnly(op O) bool //nr:opaque
 }
 
-// Config tunes an instance as a flat struct. The zero value is the paper's
-// Intel testbed with a 64K-entry log.
-//
-// Config predates the functional options and remains fully supported via
-// WithConfig; options cover everything Config does and more (observers,
-// metrics), so new code should prefer them.
-type Config struct {
-	// Nodes, CoresPerNode, SMT describe the software NUMA topology.
-	// All three default as a group to 4×14×2 when Nodes is zero.
-	Nodes        int
-	CoresPerNode int
-	SMT          int
-	// LogEntries sizes the shared circular log (default 64K).
-	LogEntries int
-	// DedicatedCombiners starts one background goroutine per node that
-	// keeps that node's replica fresh even when its threads are idle (the
-	// paper's §4 optional optimization and its §6 inactive-replica fix).
-	// Call Close when done with the instance.
-	DedicatedCombiners bool
-	// StallThreshold, when positive, starts a watchdog that flags combiners
-	// holding their lock longer than this — a stalled or preempted thread,
-	// the failure mode §6 of the paper singles out — and surfaces them via
-	// Stats and Health while the helping path keeps the log draining. Call
-	// Close when done with the instance.
-	StallThreshold time.Duration
-}
-
 // Option configures New. Options are applied in order; later options win.
 type Option func(*settings)
 
 // settings accumulates option state before it is lowered to core.Options.
 type settings struct {
-	cfg           Config
+	// nodes, coresPerNode, smt describe the software NUMA topology; with
+	// nodes zero they default as a group to the paper's Intel testbed,
+	// 4×14×2.
+	nodes, coresPerNode, smt int
+	logEntries               int
+	dedicatedCombiners       bool
+	stallThreshold           time.Duration
+
 	logs          int
 	mapper        any // func(O) int, type-checked by core.New
 	observers     []obs.Observer
@@ -148,26 +128,17 @@ func WithLogs[O any](m int, mapper LogMapper[O]) Option {
 	}
 }
 
-// WithConfig applies an entire Config struct, exactly as the pre-options
-// New(create, cfg) did. It composes with the other options: placed first it
-// acts as a base that later options override.
-func WithConfig(cfg Config) Option {
-	return func(s *settings) { s.cfg = cfg }
-}
-
 // WithNodes sets the software NUMA topology: nodes × coresPerNode × smt
 // hardware threads. Zero coresPerNode or smt default to 1.
 func WithNodes(nodes, coresPerNode, smt int) Option {
 	return func(s *settings) {
-		s.cfg.Nodes = nodes
-		s.cfg.CoresPerNode = coresPerNode
-		s.cfg.SMT = smt
+		s.nodes, s.coresPerNode, s.smt = nodes, coresPerNode, smt
 	}
 }
 
 // WithLogEntries sizes the shared circular log (default 64K entries).
 func WithLogEntries(n int) Option {
-	return func(s *settings) { s.cfg.LogEntries = n }
+	return func(s *settings) { s.logEntries = n }
 }
 
 // WithDedicatedCombiners starts one background goroutine per node that
@@ -175,7 +146,7 @@ func WithLogEntries(n int) Option {
 // Instances built with it must be Closed; after Close, Register returns a
 // sticky ErrClosed (a fresh handle's node might never drain again).
 func WithDedicatedCombiners() Option {
-	return func(s *settings) { s.cfg.DedicatedCombiners = true }
+	return func(s *settings) { s.dedicatedCombiners = true }
 }
 
 // WithStallThreshold starts a watchdog that flags combiners holding their
@@ -183,7 +154,7 @@ func WithDedicatedCombiners() Option {
 // Metrics/Health while the helping path keeps the log draining. Instances
 // built with it must be Closed.
 func WithStallThreshold(d time.Duration) Option {
-	return func(s *settings) { s.cfg.StallThreshold = d }
+	return func(s *settings) { s.stallThreshold = d }
 }
 
 // WithObserver attaches an event observer to the instance: it receives
@@ -278,26 +249,25 @@ type Handle[O, R any] struct {
 // histograms must not share buckets) while the user-supplied observers and
 // the flight recorder are shared across calls by design.
 func (s *settings) lower() core.Options {
-	cfg := s.cfg
 	opts := core.Options{
-		LogEntries:         cfg.LogEntries,
+		LogEntries:         s.logEntries,
 		Logs:               s.logs,
 		LogMapper:          s.mapper,
-		DedicatedCombiners: cfg.DedicatedCombiners,
-		StallThreshold:     cfg.StallThreshold,
+		DedicatedCombiners: s.dedicatedCombiners,
+		StallThreshold:     s.stallThreshold,
 	}
 	nodes := 4 // the default Intel testbed
-	if cfg.Nodes != 0 {
-		smt := cfg.SMT
+	if s.nodes != 0 {
+		smt := s.smt
 		if smt == 0 {
 			smt = 1
 		}
-		cores := cfg.CoresPerNode
+		cores := s.coresPerNode
 		if cores == 0 {
 			cores = 1
 		}
-		opts.Topology = topology.New(cfg.Nodes, cores, smt)
-		nodes = cfg.Nodes
+		opts.Topology = topology.New(s.nodes, cores, smt)
+		nodes = s.nodes
 	}
 	// Full slice expression: a second lower() call must not overwrite the
 	// obs.Metrics a previous call appended into shared backing storage.

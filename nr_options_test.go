@@ -31,35 +31,13 @@ func TestOptionsConfigureTopology(t *testing.T) {
 	}
 }
 
-func TestWithConfigComposesWithLaterOptions(t *testing.T) {
-	// WithConfig is a base; later options override its fields.
-	inst, err := nr.New(newRegister,
-		nr.WithConfig(nr.Config{Nodes: 4, CoresPerNode: 2, SMT: 1, LogEntries: 512}),
-		nr.WithNodes(2, 2, 1),
-	)
+func TestLaterOptionWins(t *testing.T) {
+	inst, err := nr.New(newRegister, nr.WithNodes(4, 2, 1), nr.WithLogEntries(512), nr.WithNodes(2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inst.Replicas() != 2 {
 		t.Errorf("Replicas = %d, want 2 (later option should win)", inst.Replicas())
-	}
-}
-
-func TestWithConfigAloneBuildsAndServes(t *testing.T) {
-	inst, err := nr.New(newRegister, nr.WithConfig(nr.Config{Nodes: 2, CoresPerNode: 1, SMT: 1, LogEntries: 256}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Replicas() != 2 {
-		t.Errorf("Replicas = %d, want 2", inst.Replicas())
-	}
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Execute(regOp{write: true, val: 9})
-	if got := h.Execute(regOp{}); got != 9 {
-		t.Errorf("read = %d, want 9", got)
 	}
 }
 
