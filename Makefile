@@ -12,7 +12,7 @@ GO ?= go
 BENCH_OUT ?= bench-local.json
 
 # The packages where a data race is a protocol bug, not just a test bug.
-RACE_PKGS = ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
+RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
 
 .PHONY: tier1 tier1-race tier2 chaos chaos-recover check test build vet race bench lint
 

@@ -54,7 +54,7 @@ const (
 	sweepMaxNodes = 4
 )
 
-type dictExecutor = nr.Executor[ds.DictOp, ds.DictResult]
+type dictInstance = *nr.Instance[ds.DictOp, ds.DictResult]
 
 // sweepPoint is one count's measurement: its median round.
 type sweepPoint struct {
@@ -90,7 +90,7 @@ type sweepDoc struct {
 type sweep struct {
 	unit      string // "shard" or "log"
 	benchmark string
-	build     func(n, nodes, threads int) (dictExecutor, sweepPoint, error)
+	build     func(n, nodes, threads int) (dictInstance, sweepPoint, error)
 }
 
 // topo spreads threads over nodes with room so registration cannot fail.
@@ -102,41 +102,35 @@ func topo(nodes, threads int) (perNode int, opt nr.Option) {
 var shardSweep = sweep{
 	unit:      "shard",
 	benchmark: "nr-skiplist-dict-mixed",
-	build: func(shards, nodes, threads int) (dictExecutor, sweepPoint, error) {
+	build: func(shards, nodes, threads int) (dictInstance, sweepPoint, error) {
 		nodes /= shards
 		if nodes < 1 {
 			nodes = 1
 		}
 		perNode, opt := topo(nodes, threads)
-		// Key-mod routing: the keys are uniform already, so the cheaper
-		// modulus routes as evenly as the hashing Router would.
+		// Key-mod classes, the log sweep's mapper: the keys are uniform
+		// already, so the cheaper modulus spreads as evenly as a hash would.
 		inst, err := nr.NewSharded(
 			func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewSkipListDict(1) },
 			shards,
-			func(op ds.DictOp) int { return int(uint64(op.Key) % uint64(shards)) },
+			nr.LogMapperFunc[ds.DictOp](ds.DictClass(shards)),
 			opt,
 		)
-		if err != nil { // a nil *ShardedInstance must not become a non-nil interface
-			return nil, sweepPoint{}, err
-		}
-		return inst, sweepPoint{Shards: shards, Nodes: nodes, ThreadsPerNode: perNode}, nil
+		return inst, sweepPoint{Shards: shards, Nodes: nodes, ThreadsPerNode: perNode}, err
 	},
 }
 
 var logSweep = sweep{
 	unit:      "log",
 	benchmark: "nr-partitioned-dict-mixed",
-	build: func(m, nodes, threads int) (dictExecutor, sweepPoint, error) {
+	build: func(m, nodes, threads int) (dictInstance, sweepPoint, error) {
 		perNode, opt := topo(nodes, threads)
 		inst, err := nr.New(
 			func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewPartitionedDict(m, 1) },
 			opt,
 			nr.WithLogs[ds.DictOp](m, nr.LogMapperFunc[ds.DictOp](ds.DictClass(m))),
 		)
-		if err != nil {
-			return nil, sweepPoint{}, err
-		}
-		return inst, sweepPoint{Logs: m, Nodes: nodes, ThreadsPerNode: perNode}, nil
+		return inst, sweepPoint{Logs: m, Nodes: nodes, ThreadsPerNode: perNode}, err
 	},
 }
 
@@ -168,10 +162,10 @@ func dictOp(r uint64) ds.DictOp {
 
 // runWorkers drives the workload from threads registered goroutines for dur
 // and returns the op count and wall time.
-func runWorkers(exec dictExecutor, threads int, dur time.Duration) (uint64, time.Duration, error) {
-	handles := make([]nr.OpExecutor[ds.DictOp, ds.DictResult], threads)
+func runWorkers(inst dictInstance, threads int, dur time.Duration) (uint64, time.Duration, error) {
+	handles := make([]*nr.Handle[ds.DictOp, ds.DictResult], threads)
 	for t := range handles {
-		h, err := exec.RegisterExecutor()
+		h, err := inst.Register()
 		if err != nil {
 			return 0, 0, err
 		}
@@ -183,7 +177,7 @@ func runWorkers(exec dictExecutor, threads int, dur time.Duration) (uint64, time
 	start := time.Now()
 	for t, h := range handles {
 		wg.Add(1)
-		go func(h nr.OpExecutor[ds.DictOp, ds.DictResult], seed uint64) {
+		go func(h *nr.Handle[ds.DictOp, ds.DictResult], seed uint64) {
 			defer wg.Done()
 			rng := workload.NewRNG(seed)
 			var ops uint64

@@ -59,23 +59,13 @@ func parseSLOSpec(spec string) (p99, p999 time.Duration, err error) {
 	return p99, p999, nil
 }
 
-// validateDurability gates the -appendonly flag combinations at startup:
-// durability is one WAL whose recovery generation covers ONE instance's
-// log. A sharded deployment would need one WAL per shard plus a
-// cross-shard recovery barrier — a generation record tying the shards'
-// recovery cut points together so a crash between two shards' fsyncs
-// cannot resurrect a keyspace no linearization ever produced. The recovery
-// format does not record one yet (ROADMAP item 5); multi-log instances are
-// refused one layer down (nr.WithLogs with persistence) for the same
-// reason.
-func validateDurability(method string, shards int) error {
+// validateDurability gates -appendonly on the method: only NR has an op log
+// to persist. Which NR shapes can be durable is nr's own ruling (it refuses
+// persistence × shards, as it does persistence × logs), surfaced as the
+// constructor's error.
+func validateDurability(method string) error {
 	if method != miniredis.MethodNR {
 		return fmt.Errorf("nrredis: -appendonly requires -method nr (got %q)", method)
-	}
-	if shards > 1 {
-		return fmt.Errorf("nrredis: -appendonly supports a single shard (got -shards %d): "+
-			"consistent recovery across %d WALs needs a cross-shard barrier the recovery format does not record yet (ROADMAP item 5)",
-			shards, shards)
 	}
 	return nil
 }
@@ -165,29 +155,30 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 	var shared miniredis.Shared
 	var persist *miniredis.Persistence
 	var err error
-	switch {
-	case *appendOnly:
-		if err := validateDurability(*method, *shards); err != nil {
+	dir := "" // the durable state's directory; empty = in-memory only
+	if *appendOnly {
+		if err := validateDurability(*method); err != nil {
 			return err
 		}
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			return fmt.Errorf("nrredis: creating -dir: %w", err)
 		}
-		shared, persist, err = miniredis.NewPersistentShared(topo, *seed, *dataDir, rec, nrOpts...)
-		if err == nil {
-			log.Printf("nrredis: durable keyspace in %s (replayed %d ops, dropped %d)",
-				*dataDir, persist.Recovered.Replayed, persist.Recovered.Dropped)
-		}
+		dir = *dataDir
+	}
+	switch {
+	case *method == miniredis.MethodNR:
+		shared, persist, err = miniredis.NewNRShared(topo, *seed, *shards, dir, rec, nrOpts...)
 	case *shards > 1:
-		if *method != miniredis.MethodNR {
-			return fmt.Errorf("nrredis: -shards applies only to -method nr (got %q)", *method)
-		}
-		shared, err = miniredis.NewShardedShared(topo, *seed, *shards, rec, nrOpts...)
+		return fmt.Errorf("nrredis: -shards applies only to -method nr (got %q)", *method)
 	default:
 		shared, err = miniredis.NewSharedTraced(*method, topo, *seed, rec, nrOpts...)
 	}
 	if err != nil {
 		return err
+	}
+	if persist != nil {
+		log.Printf("nrredis: durable keyspace in %s (replayed %d ops, dropped %d)",
+			dir, persist.Recovered.Replayed, persist.Recovered.Dropped)
 	}
 	srvOpts := []miniredis.ServerOption{miniredis.WithRecorder(rec)}
 	if persist != nil {

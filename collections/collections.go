@@ -68,33 +68,51 @@ func (s *seqMap[K, V]) IsReadOnly(op mapOp[K, V]) bool {
 	return op.kind == mapGet || op.kind == mapLen
 }
 
-// Map is a linearizable, NUMA-aware hash map. It drives whatever
-// nr.Executor it is given — a plain instance under NewMap, a
-// hash-partitioned one under NewShardedMap — through the same typed API.
+// mapKey is the key function of the map's conflict classes (nr.KeyMapper):
+// per-key operations belong to their key's class, Len spans them all.
+func mapKey[K comparable, V any](op mapOp[K, V]) (K, bool) {
+	return op.key, op.kind != mapLen
+}
+
+// Map is a linearizable, NUMA-aware hash map: one set of replicas over one
+// log under NewMap, partitioned by key hash over private replica sets under
+// NewShardedMap or over logs under NewMapWithLogs, all behind the same
+// typed API.
 type Map[K comparable, V any] struct {
-	exec nr.Executor[mapOp[K, V], mapResp[V]]
+	inst *nr.Instance[mapOp[K, V], mapResp[V]]
 }
 
 // NewMap builds a map replicated per the given nr options (default topology
 // with none).
 func NewMap[K comparable, V any](opts ...nr.Option) (*Map[K, V], error) {
-	inst, err := nr.New(func() nr.Sequential[mapOp[K, V], mapResp[V]] {
+	return NewShardedMap[K, V](1, opts...)
+}
+
+// NewShardedMap builds a map hash-partitioned over the given number of
+// shards (nr.NewSharded), each replicated per the nr options, so updates to
+// different shards never contend on a shared log. Per-key operations keep
+// Map's full linearizability — every operation on a key lands on the shard
+// that owns it. Len sums counts taken at each shard's own linearization
+// point (per-shard linearizable): concurrent updates may or may not be
+// included, though the result is always a size the map could have had.
+func NewShardedMap[K comparable, V any](shards int, opts ...nr.Option) (*Map[K, V], error) {
+	inst, err := nr.NewSharded(func() nr.Sequential[mapOp[K, V], mapResp[V]] {
 		return &seqMap[K, V]{m: make(map[K]V)}
-	}, opts...)
+	}, shards, nr.KeyMapper(shards, mapKey[K, V]), opts...)
 	if err != nil {
 		return nil, err
 	}
-	return &Map[K, V]{exec: inst}, nil
+	return &Map[K, V]{inst: inst}, nil
 }
 
 // MapHandle executes map operations for one goroutine.
 type MapHandle[K comparable, V any] struct {
-	h nr.OpExecutor[mapOp[K, V], mapResp[V]]
+	h *nr.Handle[mapOp[K, V], mapResp[V]]
 }
 
 // Register binds the calling goroutine to the map.
 func (m *Map[K, V]) Register() (*MapHandle[K, V], error) {
-	h, err := m.exec.RegisterExecutor()
+	h, err := m.inst.Register()
 	if err != nil {
 		return nil, err
 	}
@@ -102,14 +120,14 @@ func (m *Map[K, V]) Register() (*MapHandle[K, V], error) {
 }
 
 // Stats exposes the underlying NR counters.
-func (m *Map[K, V]) Stats() nr.Stats { return m.exec.Stats() }
+func (m *Map[K, V]) Stats() nr.Stats { return m.inst.Stats() }
 
 // Metrics exposes the unified observability snapshot (aggregate when
 // sharded).
-func (m *Map[K, V]) Metrics() nr.Metrics { return m.exec.Metrics() }
+func (m *Map[K, V]) Metrics() nr.Metrics { return m.inst.Metrics() }
 
 // Close stops the underlying instance's background goroutines.
-func (m *Map[K, V]) Close() { m.exec.Close() }
+func (m *Map[K, V]) Close() { m.inst.Close() }
 
 // Get returns the value stored under key.
 func (h *MapHandle[K, V]) Get(key K) (V, bool) {
@@ -127,7 +145,12 @@ func (h *MapHandle[K, V]) Delete(key K) bool {
 	return h.h.Execute(mapOp[K, V]{kind: mapDelete, key: key}).ok
 }
 
-// Len returns the number of entries.
+// Len returns the number of entries: the cross-class call, one count per
+// private replica set, summed.
 func (h *MapHandle[K, V]) Len() int {
-	return h.h.Execute(mapOp[K, V]{kind: mapLen}).n
+	total := 0
+	for _, r := range h.h.ExecuteAll(mapOp[K, V]{kind: mapLen}) {
+		total += r.n
+	}
+	return total
 }

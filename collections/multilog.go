@@ -1,8 +1,6 @@
 package collections
 
 import (
-	"hash/maphash"
-
 	nr "github.com/asplos17/nr"
 )
 
@@ -11,29 +9,30 @@ import (
 // may apply different classes' batches to the SAME replica concurrently
 // (each log has its own per-replica combiner and writer lock), so the
 // structure must tolerate that — disjoint sub-maps do, a single Go map
-// would race. The seed is shared by every replica and by the log mapper,
-// so all of them agree on which class owns a key.
+// would race. Every replica asks the instance's own log mapper which class
+// owns a key, so all of them agree.
 type seqPartMap[K comparable, V any] struct {
-	seed  maphash.Seed
+	class nr.LogMapper[mapOp[K, V]]
 	parts []map[K]V
 }
 
-func (s *seqPartMap[K, V]) part(key K) map[K]V {
-	return s.parts[maphash.Comparable(s.seed, key)%uint64(len(s.parts))]
+// part returns the sub-map of a per-key op's class.
+func (s *seqPartMap[K, V]) part(op mapOp[K, V]) map[K]V {
+	return s.parts[s.class.LogIndex(op)]
 }
 
 func (s *seqPartMap[K, V]) Execute(op mapOp[K, V]) mapResp[V] {
 	switch op.kind {
 	case mapGet:
-		v, ok := s.part(op.key)[op.key]
+		v, ok := s.part(op)[op.key]
 		return mapResp[V]{val: v, ok: ok}
 	case mapPut:
-		p := s.part(op.key)
+		p := s.part(op)
 		_, existed := p[op.key]
 		p[op.key] = op.val
 		return mapResp[V]{ok: !existed}
 	case mapDelete:
-		p := s.part(op.key)
+		p := s.part(op)
 		_, ok := p[op.key]
 		delete(p, op.key)
 		return mapResp[V]{ok: ok}
@@ -55,26 +54,17 @@ func (s *seqPartMap[K, V]) IsReadOnly(op mapOp[K, V]) bool {
 // commutativity-partitioned logs (nr.WithLogs): per-key operations are
 // hashed to a conflict class and only contend with that class, while Len
 // spans every class and serializes through the cross-log barrier — unlike
-// ShardedMap's Len, it stays fully linearizable. Compared with
+// NewShardedMap's Len, it stays fully linearizable. Compared with
 // NewShardedMap this keeps ONE set of replicas (one structure per node,
 // single memory footprint) and one registration per goroutine; sharding
 // multiplies whole instances. The extra opts are passed through to nr.New
 // and must not include another WithLogs.
 func NewMapWithLogs[K comparable, V any](logs int, opts ...nr.Option) (*Map[K, V], error) {
-	seed := maphash.MakeSeed()
-	n := uint64(logs)
-	if logs < 1 {
-		n = 1 // match core's Logs <= 0 → single-log default
-	}
-	mapper := nr.LogMapperFunc[mapOp[K, V]](func(op mapOp[K, V]) int {
-		if op.kind == mapLen {
-			return nr.CrossLog
-		}
-		return int(maphash.Comparable(seed, op.key) % n)
-	})
-	all := append(append([]nr.Option(nil), opts...), nr.WithLogs[mapOp[K, V]](logs, mapper))
+	logs = max(logs, 1) // match core's Logs <= 0 → single-log default
+	mapper := nr.KeyMapper(logs, mapKey[K, V])
+	all := append(append([]nr.Option(nil), opts...), nr.WithLogs(logs, mapper))
 	inst, err := nr.New(func() nr.Sequential[mapOp[K, V], mapResp[V]] {
-		s := &seqPartMap[K, V]{seed: seed, parts: make([]map[K]V, n)}
+		s := &seqPartMap[K, V]{class: mapper, parts: make([]map[K]V, logs)}
 		for i := range s.parts {
 			s.parts[i] = make(map[K]V)
 		}
@@ -83,5 +73,5 @@ func NewMapWithLogs[K comparable, V any](logs int, opts ...nr.Option) (*Map[K, V
 	if err != nil {
 		return nil, err
 	}
-	return &Map[K, V]{exec: inst}, nil
+	return &Map[K, V]{inst: inst}, nil
 }

@@ -66,7 +66,7 @@ func TestMapWithLogsLinearizable(t *testing.T) {
 }
 
 // TestMapWithLogsLenBounds pins the linearizable-Len claim that sets the
-// multi-log map apart from ShardedMap: every Len lands between the inserts
+// multi-log map apart from NewShardedMap: every Len lands between the inserts
 // completed before it started and those started before it returned.
 func TestMapWithLogsLenBounds(t *testing.T) {
 	m, err := NewMapWithLogs[int64, uint64](4, nr.WithNodes(2, 4, 1))

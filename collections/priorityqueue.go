@@ -105,7 +105,7 @@ func (q *seqPQ[T]) IsReadOnly(op pqOp[T]) bool {
 // PriorityQueue is a linearizable, NUMA-aware min-priority queue: items pop
 // in ascending priority order, FIFO within equal priorities.
 type PriorityQueue[T any] struct {
-	exec nr.Executor[pqOp[T], pqResp[T]]
+	inst *nr.Instance[pqOp[T], pqResp[T]]
 }
 
 // NewPriorityQueue builds a priority queue replicated per the given nr
@@ -117,17 +117,17 @@ func NewPriorityQueue[T any](opts ...nr.Option) (*PriorityQueue[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PriorityQueue[T]{exec: inst}, nil
+	return &PriorityQueue[T]{inst: inst}, nil
 }
 
 // PriorityQueueHandle executes operations for one goroutine.
 type PriorityQueueHandle[T any] struct {
-	h nr.OpExecutor[pqOp[T], pqResp[T]]
+	h *nr.Handle[pqOp[T], pqResp[T]]
 }
 
 // Register binds the calling goroutine to the queue.
 func (q *PriorityQueue[T]) Register() (*PriorityQueueHandle[T], error) {
-	h, err := q.exec.RegisterExecutor()
+	h, err := q.inst.Register()
 	if err != nil {
 		return nil, err
 	}

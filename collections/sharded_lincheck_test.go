@@ -9,7 +9,7 @@ import (
 )
 
 // TestShardedMapLinearizable records short concurrent histories through the
-// ShardedMap facade and verifies them against the dictionary model. This is
+// NewShardedMap facade and verifies them against the dictionary model. This is
 // the per-key-linearizability claim of DESIGN.md §11 made executable: every
 // operation here touches a single key, and linearizability is local
 // (Herlihy & Wing) — a history over multiple objects is linearizable iff
@@ -33,7 +33,7 @@ func TestShardedMapLinearizable(t *testing.T) {
 				t.Fatal(err)
 			}
 			wg.Add(1)
-			go func(g int, h *ShardedMapHandle[int64, uint64]) {
+			go func(g int, h *MapHandle[int64, uint64]) {
 				defer wg.Done()
 				cl := rec.Client(g)
 				rng := uint64(round*37+g)*2654435761 + 1
@@ -67,8 +67,30 @@ func TestShardedMapLinearizable(t *testing.T) {
 		}
 		wg.Wait()
 		if !linearize.Check(linearize.DictModel(), rec.History()) {
-			t.Fatalf("round %d: ShardedMap history not linearizable", round)
+			t.Fatalf("round %d: sharded Map history not linearizable", round)
 		}
 		m.Close()
+	}
+}
+
+// TestShardedMapLenSumsShards pins Len on a sharded map: the keyless count
+// runs on every shard and the counts add up.
+func TestShardedMapLenSumsShards(t *testing.T) {
+	m, err := NewShardedMap[int64, uint64](3, nr.WithNodes(1, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	h, err := m.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 40 // enough that all 3 shards hold some w.h.p.
+	for k := int64(0); k < keys; k++ {
+		h.Put(k, uint64(k))
+	}
+	h.Delete(7)
+	if n := h.Len(); n != keys-1 {
+		t.Errorf("Len = %d, want %d", n, keys-1)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // It wraps the repository's coupled hash-map + skip-list structure — the
 // §6 "coupled data structures" case — through NR.
 type SortedSet struct {
-	exec nr.Executor[ds.ZOp, ds.ZResult]
+	inst *nr.Instance[ds.ZOp, ds.ZResult]
 }
 
 // NewSortedSet builds a sorted set replicated per the given nr options.
@@ -26,17 +26,17 @@ func NewSortedSet(seed uint64, opts ...nr.Option) (*SortedSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SortedSet{exec: inst}, nil
+	return &SortedSet{inst: inst}, nil
 }
 
 // SortedSetHandle executes operations for one goroutine.
 type SortedSetHandle struct {
-	h nr.OpExecutor[ds.ZOp, ds.ZResult]
+	h *nr.Handle[ds.ZOp, ds.ZResult]
 }
 
 // Register binds the calling goroutine to the set.
 func (z *SortedSet) Register() (*SortedSetHandle, error) {
-	h, err := z.exec.RegisterExecutor()
+	h, err := z.inst.Register()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -138,22 +139,7 @@ var ErrDeadlock = errors.New("chaos: workers did not finish within timeout (dead
 // deadlock) — injected faults are data, not errors.
 func Run(s Schedule) (*Report, error) {
 	s.fillDefaults()
-	var (
-		rec    *trace.Recorder
-		dumpMu sync.Mutex
-		dumps  []string
-	)
-	if s.Trace {
-		rec = trace.New(trace.Config{
-			RingSlots:       2048,
-			DumpMinInterval: -1, // short runs: record every failure, no rate limit
-			OnDump: func(reason string, _ trace.Snapshot) {
-				dumpMu.Lock()
-				dumps = append(dumps, reason)
-				dumpMu.Unlock()
-			},
-		})
-	}
+	rec, dumps := s.recorder()
 	inst, err := core.New[Op, Result](
 		s.newDS(),
 		core.Options{
@@ -170,13 +156,37 @@ func Run(s Schedule) (*Report, error) {
 	}
 	defer inst.Close()
 	rep, err := run(inst, s)
-	if rep != nil && s.Trace {
-		dumpMu.Lock()
-		rep.TraceDumps = append(rep.TraceDumps, dumps...)
-		dumpMu.Unlock()
+	if rep != nil && rec != nil {
+		rep.TraceDumps = dumps()
 		rep.TraceEvents = len(rec.Snapshot().Events())
 	}
 	return rep, err
+}
+
+// recorder builds the schedule's flight recorder (nil without Trace) and
+// the accessor for the reasons of the automatic dumps it has produced.
+func (s *Schedule) recorder() (rec *trace.Recorder, dumps func() []string) {
+	if !s.Trace {
+		return nil, nil
+	}
+	var (
+		mu      sync.Mutex
+		reasons []string
+	)
+	rec = trace.New(trace.Config{
+		RingSlots:       2048,
+		DumpMinInterval: -1, // short runs: record every failure, no rate limit
+		OnDump: func(reason string, _ trace.Snapshot) {
+			mu.Lock()
+			reasons = append(reasons, reason)
+			mu.Unlock()
+		},
+	})
+	return rec, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(reasons)
+	}
 }
 
 // newDS picks the replicated structure for the schedule: the plain
@@ -209,23 +219,22 @@ func (s *Schedule) logMapper() any {
 // accumulator variant it replicated.
 type fingerprinter interface{ Fingerprint() uint64 }
 
-// chaosWorker is the per-worker execution front the shared driver drives —
-// the nr.OpExecutor surface. The chaos extras are optional capabilities
-// probed per handle, which is what lets one loop serve both deployment
-// shapes instead of the former duplicated single/sharded copies.
+// chaosWorker is the per-worker execution front the shared driver drives:
+// what *core.Handle (Run) and *nr.Handle (RunSharded) have in common. The
+// chaos extras are optional capabilities probed per handle.
 type chaosWorker interface {
 	TryExecute(op Op) (Result, error)
 	Node() int
 }
 
-// fanWorker is the cross-shard capability (sharded handles): Sum fans out
-// and returns the per-shard totals.
+// fanWorker is the cross-shard capability (nr handles): Sum fans out and
+// returns the per-shard totals.
 type fanWorker interface {
 	TryExecuteAll(op Op) ([]Result, error)
 }
 
-// abandonWorker is the death-injection capability (plain handles): post an
-// op and walk away mid-protocol.
+// abandonWorker is the death-injection capability: post an op and walk
+// away mid-protocol.
 type abandonWorker interface {
 	PostAndAbandon(op Op)
 }

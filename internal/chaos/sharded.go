@@ -1,5 +1,5 @@
-// Sharded chaos runs: the same seeded fault schedules driven through a
-// shard.Instance, so fault containment is exercised across shard
+// Sharded chaos runs: the same seeded fault schedules driven through
+// nr.NewSharded, so fault containment is exercised across shard
 // boundaries. The interesting invariant beyond the plain harness is
 // isolation: a panic or stall injected into one shard must be contained by
 // that shard's machinery without perturbing the others' convergence.
@@ -7,13 +7,9 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"github.com/asplos17/nr/internal/core"
-	"github.com/asplos17/nr/internal/shard"
-	"github.com/asplos17/nr/internal/topology"
-	"github.com/asplos17/nr/internal/trace"
+	nr "github.com/asplos17/nr"
 )
 
 // ShardedReport is a Report plus per-shard detail. The embedded Report's
@@ -53,43 +49,37 @@ func RunSharded(s Schedule, shards int) (*ShardedReport, error) {
 	if s.AbandonEveryN > 0 {
 		return nil, fmt.Errorf("chaos: sharded runs do not support abandonment schedules")
 	}
-	var (
-		rec    *trace.Recorder
-		dumpMu sync.Mutex
-		dumps  []string
-	)
-	if s.Trace {
-		rec = trace.New(trace.Config{
-			RingSlots:       2048,
-			DumpMinInterval: -1,
-			OnDump: func(reason string, _ trace.Snapshot) {
-				dumpMu.Lock()
-				dumps = append(dumps, reason)
-				dumpMu.Unlock()
-			},
-		})
+	rec, dumps := s.recorder()
+	opts := []nr.Option{
+		nr.WithNodes(s.Nodes, s.CoresPerNode, 1),
+		nr.WithLogEntries(s.LogEntries),
+		nr.WithStallThreshold(s.StallThreshold),
 	}
-	inst, err := shard.New(shards,
-		func(op Op) int { return int(op.Key) % shards },
-		func(int) (*core.Instance[Op, Result], error) {
-			return core.New[Op, Result](
-				s.newDS(),
-				core.Options{
-					Topology:           topology.New(s.Nodes, s.CoresPerNode, 1),
-					LogEntries:         s.LogEntries,
-					DedicatedCombiners: s.DedicatedCombiners,
-					StallThreshold:     s.StallThreshold,
-					Trace:              rec,
-				})
-		})
+	if s.DedicatedCombiners {
+		opts = append(opts, nr.WithDedicatedCombiners())
+	}
+	if rec != nil {
+		opts = append(opts, nr.WithFlightRecorderInstance(rec))
+	}
+	newDS := s.newDS()
+	inst, err := nr.NewSharded(
+		func() nr.Sequential[Op, Result] { return newDS() },
+		shards,
+		nr.LogMapperFunc[Op](func(op Op) int {
+			if op.Kind == KindSum {
+				return nr.CrossLog
+			}
+			return int(op.Key) % shards
+		}),
+		opts...)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: building sharded instance: %w", err)
 	}
 	defer inst.Close()
 
 	start := time.Now()
-	// The shared driver probes the sharded handle's fan-out capability and
-	// spreads Sum across shards; everything else routes by key as usual.
+	// The shared driver sees that the handle can fan out and spreads Sum
+	// across shards; everything else routes by key as usual.
 	all, err := runWorkers(s,
 		func() (chaosWorker, error) {
 			h, err := inst.Register()
@@ -113,22 +103,20 @@ func RunSharded(s Schedule, shards int) (*ShardedReport, error) {
 
 	rep := &ShardedReport{Report: Report{Schedule: s, Elapsed: time.Since(start), Outcomes: all}}
 	rep.Fingerprints = make([]uint64, inst.Replicas())
-	for si := 0; si < inst.Shards(); si++ {
-		fps := make([]uint64, inst.Replicas())
-		for n := 0; n < inst.Replicas(); n++ {
-			inst.Shard(si).InspectReplica(n, func(ds core.Sequential[Op, Result]) {
-				fps[n] = ds.(fingerprinter).Fingerprint()
-			})
-			rep.Fingerprints[n] += fps[n]
-		}
-		rep.ShardFingerprints = append(rep.ShardFingerprints, fps)
+	rep.ShardFingerprints = make([][]uint64, shards)
+	for n := range rep.Fingerprints {
+		si := 0
+		inst.Inspect(n, func(ds nr.Sequential[Op, Result]) { // once per shard, in shard order
+			fp := ds.(fingerprinter).Fingerprint()
+			rep.ShardFingerprints[si] = append(rep.ShardFingerprints[si], fp)
+			rep.Fingerprints[n] += fp
+			si++
+		})
 	}
 	rep.Stats = inst.Stats()
 	rep.Health = inst.Health()
-	if s.Trace {
-		dumpMu.Lock()
-		rep.TraceDumps = append(rep.TraceDumps, dumps...)
-		dumpMu.Unlock()
+	if rec != nil {
+		rep.TraceDumps = dumps()
 		rep.TraceEvents = len(rec.Snapshot().Events())
 	}
 	return rep, nil

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	nr "github.com/asplos17/nr"
-	"github.com/asplos17/nr/internal/topology"
-	"github.com/asplos17/nr/internal/trace"
 )
 
 // StoreCodec is the WAL codec for StoreOp (nr.Codec): fixed header, two
@@ -220,34 +218,7 @@ func (p *Persistence) LastSave() time.Time { return p.inst.LastSave() }
 // shutdown paths use it).
 func (p *Persistence) Sync() error { return p.inst.SyncWAL() }
 
-// NewPersistentShared builds the NR keyspace with durability: recover (or
-// create) the keyspace from dir, append every update to dir's append-only
-// log, and expose checkpoints via the returned Persistence. Close the
-// returned closer (the NR instance) on shutdown to flush the log.
-func NewPersistentShared(topo topology.Topology, seed uint64, dir string, rec *trace.Recorder, extra ...nr.Option) (Shared, *Persistence, error) {
-	options := []nr.Option{
-		nr.WithNodes(topo.Nodes(), topo.CoresPerNode(), topo.SMT()),
-		nr.WithMetrics(),
-		nr.WithPersistenceOptions(), // defaults: group fsync every 2ms
-	}
-	if rec != nil {
-		options = append(options, nr.WithFlightRecorderInstance(rec))
-	}
-	options = append(options, extra...)
-	recovered, err := nr.Recover(dir, func(data []byte) (nr.Sequential[StoreOp, StoreResult], error) {
-		return RestoreStore(data, seed)
-	}, StoreCodec{}, options...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("miniredis: recovering keyspace from %q: %w", dir, err)
-	}
-	p := &Persistence{inst: recovered.Instance}
-	p.Recovered.Replayed = recovered.ReplayedOps()
-	p.Recovered.Dropped = recovered.DroppedRecords()
-	return &nrShared{exec: recovered.Instance}, p, nil
-}
-
-// ClosePersistent flushes and closes the persistent keyspace built by
-// NewPersistentShared.
+// Close flushes and closes the persistent keyspace built by NewNRShared.
 func (p *Persistence) Close() {
 	_ = p.inst.SyncWAL()
 	p.inst.Close()

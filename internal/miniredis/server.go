@@ -44,23 +44,8 @@ func NewSharedTraced(method string, topo topology.Topology, seed uint64, rec *tr
 	maxThreads := topo.TotalThreads()
 	switch method {
 	case MethodNR:
-		// The metrics observer feeds INFO's latency section and the
-		// /metrics endpoint; it is cheap enough to be on by default.
-		options := []nr.Option{
-			nr.WithNodes(topo.Nodes(), topo.CoresPerNode(), topo.SMT()),
-			nr.WithMetrics(),
-		}
-		if rec != nil {
-			options = append(options, nr.WithFlightRecorderInstance(rec))
-		}
-		options = append(options, extra...)
-		inst, err := nr.New(
-			func() nr.Sequential[StoreOp, StoreResult] { return NewStore(seed) },
-			options...)
-		if err != nil {
-			return nil, err
-		}
-		return &nrShared{exec: inst}, nil
+		shared, _, err := NewNRShared(topo, seed, 1, "", rec, extra...)
+		return shared, err
 	case MethodSL:
 		return baseline.NewSpinLocked[StoreOp, StoreResult](NewStore(seed)), nil
 	case MethodRWL:
@@ -148,7 +133,7 @@ type Server struct {
 }
 
 // MetricsSource is implemented by keyspaces that can report the NR unified
-// metrics snapshot (baseline.NRAdapter does; the lock/FC baselines do not).
+// metrics snapshot (nrShared does; the lock/FC baselines do not).
 type MetricsSource interface {
 	Metrics() core.Metrics
 }
@@ -194,7 +179,7 @@ func WithRecorder(rec *trace.Recorder) ServerOption {
 }
 
 // WithPersistence hands the server the durability controller from
-// NewPersistentShared, enabling the BGSAVE and LASTSAVE commands. Without
+// NewNRShared, enabling the BGSAVE and LASTSAVE commands. Without
 // it both answer with an error.
 func WithPersistence(p *Persistence) ServerOption {
 	return func(s *Server) { s.persist = p }

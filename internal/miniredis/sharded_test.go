@@ -11,7 +11,7 @@ import (
 // adapter: keyed ops behave exactly like the flat store, DBSIZE sums across
 // shards, FLUSHALL clears every shard.
 func TestShardedKeyspace(t *testing.T) {
-	shared, err := NewShardedShared(topology.New(2, 2, 1), 1, 4, nil)
+	shared, _, err := NewNRShared(topology.New(2, 2, 1), 1, 4, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

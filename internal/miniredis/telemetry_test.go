@@ -170,7 +170,7 @@ func TestMetricsPrometheusBaseline(t *testing.T) {
 }
 
 func TestShardedMetricsCarryShardStats(t *testing.T) {
-	shared, err := NewShardedShared(topology.New(2, 4, 1), 7, 4, nil,
+	shared, _, err := NewNRShared(topology.New(2, 4, 1), 7, 4, "", nil,
 		nr.WithTelemetry(5*time.Millisecond, 16))
 	if err != nil {
 		t.Fatal(err)

@@ -293,6 +293,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestCapacityMissSlowsLargeStructures(t *testing.T) {
+	t.Parallel()
 	small := New(topology.Intel4x14x2(), IntelCosts())
 	big := New(topology.Intel4x14x2(), IntelCosts())
 	r := Run{Threads: 8, OpsPerThread: 500, UpdatePermille: 1000}

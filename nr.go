@@ -30,6 +30,7 @@ package nr
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"github.com/asplos17/nr/internal/core"
@@ -70,27 +71,37 @@ type settings struct {
 }
 
 // CrossLog is the LogMapper sentinel for operations that touch more than one
-// conflict class. Such operations serialize through log 0 behind a ticket
-// barrier appended to every other log, so all replicas apply them at the
-// same point relative to every class's history (DESIGN.md §16).
+// conflict class. Inside one instance such operations serialize through log
+// 0 behind a ticket barrier appended to every other log, so all replicas
+// apply them at the same point relative to every class's history (DESIGN.md
+// §16). Across the shards of NewSharded there is no such barrier: Execute
+// refuses them and Handle.ExecuteAll is the cross-class call.
 const CrossLog = core.CrossLog
 
-// LogMapper assigns every operation a conflict class for a multi-log
-// instance (WithLogs): a log index in [0, m), or CrossLog for operations
-// spanning classes. The contract, on which linearizability rests:
+// LogMapper is the one commutativity contract: it assigns every operation a
+// conflict class in [0, m), or CrossLog for operations spanning classes.
+// WithLogs gives each class its own log inside one instance; NewSharded
+// gives each class its own private replicas. The contract, on which
+// linearizability rests:
 //
-//   - LogIndex must be a pure function of the operation (every replica must
-//     agree on each op's class).
+//   - LogIndex must be a pure function of the operation and stable for the
+//     instance's lifetime (every replica must agree on each op's class; the
+//     class is where the operation's state lives).
 //   - Operations mapped to different classes must commute: executing them in
 //     either order yields the same structure state and the same responses.
-//   - The sequential structure must tolerate operations of different classes
-//     being applied to one replica in different interleavings than another
-//     replica saw (which commutativity makes semantically invisible).
+//   - Under WithLogs the sequential structure must tolerate operations of
+//     different classes being applied to one replica concurrently and in
+//     different interleavings than another replica saw (which commutativity
+//     makes semantically invisible).
+//   - LogIndex must be safe for concurrent use.
+//
+// A class outside [0, m) is not trusted: both engines fold it into range as
+// ((c % m) + m) % m, which keeps a pure mapper pure.
 //
 // CheckMapperCommutes probes a mapper against its structure; the multi-log
 // fuzz tests in this repo show the pattern. Partitioned structures (one
-// sub-structure per class, class = hash(key) mod m) satisfy the contract by
-// construction.
+// sub-structure per class, class = hash(key) mod m, see KeyMapper) satisfy
+// the contract by construction.
 type LogMapper[O any] interface {
 	LogIndex(op O) int
 }
@@ -115,8 +126,7 @@ func (f LogMapperFunc[O]) LogIndex(op O) int { return f(op) }
 //	inst, err := nr.New(create, nr.WithLogs[Op](4, nr.LogMapperFunc[Op](classOf)))
 //
 // Multi-log instances reject persistence (per-log WALs need a cross-log
-// recovery barrier, ROADMAP item 5) and require a non-nil mapper. Misrouted
-// classes outside [0, m) are folded into range rather than trusted.
+// recovery barrier, ROADMAP item 5) and require a non-nil mapper.
 func WithLogs[O any](m int, mapper LogMapper[O]) Option {
 	return func(s *settings) {
 		s.logs = m
@@ -230,17 +240,26 @@ var ErrPoisoned = core.ErrPoisoned
 // WithDedicatedCombiners.
 var ErrClosed = core.ErrClosed
 
-// Instance is a replicated, linearizable version of a sequential structure.
+// Instance is a replicated, linearizable version of a sequential structure:
+// one shard (one set of per-node replicas over one set of logs) from New,
+// several from NewSharded.
 type Instance[O, R any] struct {
-	inner *core.Instance[O, R]
-	pst   *persistence[O] // nil unless built with WithPersistence/Recover
-	tel   *Telemetry      // nil unless built with WithTelemetry/WithSLO
+	inner  *core.Instance[O, R]   // shards[0]: the whole instance unless built by NewSharded
+	shards []*core.Instance[O, R] // every shard's private replica set, in class order
+	mapper LogMapper[O]           // op → shard; nil with one shard
+	pst    *persistence[O]        // nil unless built with WithPersistence/Recover
+	tel    *Telemetry             // nil unless built with WithTelemetry/WithSLO
 }
 
 // Handle executes operations on behalf of one registered goroutine. It is
 // not safe for concurrent use; register one handle per goroutine.
 type Handle[O, R any] struct {
-	inner *core.Handle[O, R]
+	// inner is the core handle operations run on: the only one there is on a
+	// one-shard instance, otherwise the handle of the shard the most recent
+	// operation went to (so Node and LastToken need no sharded variant).
+	inner  *core.Handle[O, R]
+	hs     []*core.Handle[O, R] // one per shard, all on the same node
+	mapper LogMapper[O]
 }
 
 // lower converts the accumulated settings into one core.Options value. It
@@ -284,6 +303,13 @@ func (s *settings) lower() core.Options {
 // produce identical replicas (same seeds, same initial contents). With no
 // options it simulates the paper's testbed (4×14×2, 64K-entry log).
 func New[O, R any](create func() Sequential[O, R], options ...Option) (*Instance[O, R], error) {
+	return build(create, 1, nil, options)
+}
+
+// build is New and NewSharded: shards core instances from one settings
+// value. Every shard gets the same options, so a construction error is
+// always the first shard's, before anything has been started.
+func build[O, R any](create func() Sequential[O, R], shards int, mapper LogMapper[O], options []Option) (*Instance[O, R], error) {
 	if create == nil {
 		return nil, errors.New("nr: create function is nil")
 	}
@@ -291,20 +317,29 @@ func New[O, R any](create func() Sequential[O, R], options ...Option) (*Instance
 	for _, o := range options {
 		o(&s)
 	}
+	// Fail before building anything: one WAL covers one log of one shard,
+	// and recovery has no generation record tying several together, so a
+	// crash between two WALs' fsyncs could resurrect a state no
+	// linearization ever produced (ROADMAP item 5).
 	if s.persist != nil && s.logs > 1 {
-		// Fail before building anything: per-log WALs lack the cross-log
-		// recovery generations recovery would need (ROADMAP item 5).
-		return nil, errors.New("nr: WithLogs(m > 1) cannot be combined with persistence; per-log WALs lack a cross-log recovery barrier")
+		return nil, errors.New("nr: WithLogs(m > 1) cannot be combined with persistence; per-log WALs lack a cross-log recovery barrier (ROADMAP item 5)")
 	}
-	inner, err := core.New[O, R](func() core.Sequential[O, R] { return create() }, s.lower())
-	if err != nil {
-		return nil, err
+	if s.persist != nil && shards > 1 {
+		return nil, fmt.Errorf("nr: NewSharded(shards = %d) cannot be combined with persistence; per-shard WALs lack a cross-shard recovery barrier (ROADMAP item 5)", shards)
 	}
-	inst := &Instance[O, R]{inner: inner}
+	inst := &Instance[O, R]{shards: make([]*core.Instance[O, R], shards), mapper: mapper}
+	for i := range inst.shards {
+		sh, err := core.New[O, R](func() core.Sequential[O, R] { return create() }, s.lower())
+		if err != nil {
+			return nil, err
+		}
+		inst.shards[i] = sh
+	}
+	inst.inner = inst.shards[0]
 	if s.persist != nil {
 		pst, perr := attachPersistence(inst, s.persist)
 		if perr != nil {
-			inner.Close()
+			inst.inner.Close()
 			return nil, perr
 		}
 		inst.pst = pst
@@ -324,7 +359,7 @@ func (i *Instance[O, R]) Register() (*Handle[O, R], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Handle[O, R]{inner: h}, nil
+	return i.mirror(h)
 }
 
 // RegisterOnNode binds the calling goroutine to an explicit NUMA node.
@@ -333,14 +368,31 @@ func (i *Instance[O, R]) RegisterOnNode(node int) (*Handle[O, R], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Handle[O, R]{inner: h}, nil
+	return i.mirror(h)
 }
 
-// Replicas returns the number of per-node replicas.
+// mirror completes a registration begun on the first shard by taking a slot
+// on the same node of every other shard. Shards are registered only here,
+// so per-node occupancy is identical across them and the mirrored
+// registrations cannot run out of slots before the first shard does.
+func (i *Instance[O, R]) mirror(h0 *core.Handle[O, R]) (*Handle[O, R], error) {
+	hs := make([]*core.Handle[O, R], len(i.shards))
+	hs[0] = h0
+	for s := 1; s < len(hs); s++ {
+		h, err := i.shards[s].RegisterOnNode(h0.Node())
+		if err != nil {
+			return nil, fmt.Errorf("nr: mirroring registration onto shard %d: %w", s, err)
+		}
+		hs[s] = h
+	}
+	return &Handle[O, R]{inner: h0, hs: hs, mapper: i.mapper}, nil
+}
+
+// Replicas returns the number of per-node replicas (of each shard).
 func (i *Instance[O, R]) Replicas() int { return i.inner.Replicas() }
 
-// Logs returns the number of shared logs (conflict classes): 1 for a
-// classic instance, WithLogs' m otherwise.
+// Logs returns the number of shared logs (conflict classes) per shard: 1
+// for a classic instance, WithLogs' m otherwise.
 func (i *Instance[O, R]) Logs() int { return i.inner.Logs() }
 
 // Metrics returns the unified observability snapshot: Stats counters,
@@ -349,10 +401,11 @@ func (i *Instance[O, R]) Logs() int { return i.inner.Logs() }
 // operation class and combiner batch-size distributions (Observed field).
 // Instances built with persistence additionally carry the WAL's durability
 // gauges (Persist field), including the durable-index lag: how many
-// completed operations a crash right now would lose.
+// completed operations a crash right now would lose. A sharded instance
+// reports the fold of its shards (see ShardMetrics).
 func (i *Instance[O, R]) Metrics() Metrics {
-	m := i.inner.Metrics()
-	i.fillPersist(&m)
+	var m Metrics
+	i.MetricsInto(&m, true)
 	return m
 }
 
@@ -360,6 +413,10 @@ func (i *Instance[O, R]) Metrics() Metrics {
 // skips or includes the Observed summary. The telemetry collector's cadence
 // tick uses it to avoid allocating a snapshot per tick.
 func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
+	if len(i.shards) > 1 {
+		i.foldInto(m)
+		return
+	}
 	i.inner.MetricsInto(m, observed)
 	i.fillPersist(m)
 }
@@ -391,22 +448,32 @@ func (i *Instance[O, R]) fillPersist(m *Metrics) {
 
 // Stats returns internal counters (combining rounds, reads, helps, ...).
 // It is the Stats slice of Metrics.
-func (i *Instance[O, R]) Stats() Stats { return i.inner.Stats() }
+func (i *Instance[O, R]) Stats() Stats { return i.Metrics().Stats }
 
 // Health reports the instance's failure state: contained panics, currently
 // stalled combiners (when a stall threshold is set), and whether the
 // instance has been poisoned by a non-deterministic Execute panic. It is
 // the Health slice of Metrics.
-func (i *Instance[O, R]) Health() Health { return i.inner.Health() }
+func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
 
-// MemoryBytes reports the shared log's footprint plus, for replicas whose
+// MemoryBytes reports the shared logs' footprint plus, for replicas whose
 // sequential structure implements interface{ MemoryBytes() uint64 }, the
 // replicas' footprints — the space cost the paper tabulates.
-func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
+func (i *Instance[O, R]) MemoryBytes() uint64 {
+	var total uint64
+	for _, sh := range i.shards {
+		total += sh.MemoryBytes()
+	}
+	return total
+}
 
 // Quiesce brings every replica up to date with all completed operations —
 // useful before inspecting replicas, never required for correctness.
-func (i *Instance[O, R]) Quiesce() { i.inner.Quiesce() }
+func (i *Instance[O, R]) Quiesce() {
+	for _, sh := range i.shards {
+		sh.Quiesce()
+	}
+}
 
 // Close stops the dedicated combiners, if configured, and — on a
 // persistent instance — flushes and closes the write-ahead log (call
@@ -418,7 +485,9 @@ func (i *Instance[O, R]) Close() {
 	if i.tel != nil {
 		i.tel.Close()
 	}
-	i.inner.Close()
+	for _, sh := range i.shards {
+		sh.Close()
+	}
 	if i.pst != nil {
 		_ = i.pst.wal.Close()
 	}
@@ -434,24 +503,46 @@ type FakeUpdater[O, R any] interface {
 }
 
 // Inspect quiesces node's replica and runs fn on its sequential structure
-// with the write lock held. fn must not retain the structure.
+// with the write lock held; on a sharded instance once per shard, in shard
+// order. fn must not retain the structure.
 func (i *Instance[O, R]) Inspect(node int, fn func(s Sequential[O, R])) {
-	i.inner.InspectReplica(node, func(ds core.Sequential[O, R]) { fn(ds) })
+	for _, sh := range i.shards {
+		sh.InspectReplica(node, func(ds core.Sequential[O, R]) { fn(ds) })
+	}
 }
 
-// Execute runs op with linearizable semantics. If the operation's
-// Sequential.Execute panics — on whichever goroutine ran it — the panic is
-// re-raised here wrapped in a *PanicError; the NR machinery itself survives.
-// Use TryExecute to receive contained failures as errors instead.
-func (h *Handle[O, R]) Execute(op O) R { return h.inner.Execute(op) }
+// Execute runs op with linearizable semantics (on a sharded instance: on
+// the shard that owns op's class, so per-class histories are exactly as
+// linearizable as under one shard). If the operation's Sequential.Execute
+// panics — on whichever goroutine ran it — the panic is re-raised here
+// wrapped in a *PanicError; the NR machinery itself survives. Use
+// TryExecute to receive contained failures as errors instead.
+func (h *Handle[O, R]) Execute(op O) R {
+	if len(h.hs) > 1 {
+		if err := h.route(op); err != nil {
+			panic(err)
+		}
+	}
+	return h.inner.Execute(op)
+}
 
 // TryExecute runs op with linearizable semantics, reporting contained
 // failures as errors: a *PanicError when user Execute panicked, ErrPoisoned
-// once replicas have diverged. A nil error means resp is the operation's
-// result.
-func (h *Handle[O, R]) TryExecute(op O) (R, error) { return h.inner.TryExecute(op) }
+// once replicas have diverged (failures are shard-scoped: a poisoned shard
+// fails only the operations routed to it), and on a sharded instance an
+// error naming ExecuteAll when the mapper classifies op CrossLog. A nil
+// error means resp is the operation's result.
+func (h *Handle[O, R]) TryExecute(op O) (R, error) {
+	if len(h.hs) > 1 {
+		if err := h.route(op); err != nil {
+			var zero R
+			return zero, err
+		}
+	}
+	return h.inner.TryExecute(op)
+}
 
-// Node returns the node this handle is bound to.
+// Node returns the node this handle is bound to (the same on every shard).
 func (h *Handle[O, R]) Node() int { return h.inner.Node() }
 
 // PostAndAbandon submits an update without waiting for its response: the
@@ -459,7 +550,14 @@ func (h *Handle[O, R]) Node() int { return h.inner.Node() }
 // combiner picks it up, while the caller moves on immediately. The
 // response is discarded. Capture LastToken right after the call to make
 // the abandoned op detectable after a crash.
-func (h *Handle[O, R]) PostAndAbandon(op O) { h.inner.PostAndAbandon(op) }
+func (h *Handle[O, R]) PostAndAbandon(op O) {
+	if len(h.hs) > 1 {
+		if err := h.route(op); err != nil {
+			panic(err)
+		}
+	}
+	h.inner.PostAndAbandon(op)
+}
 
 // LastToken identifies the most recent operation submitted through this
 // handle: the flight-recorder token (log index | node | combining slot |

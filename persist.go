@@ -57,7 +57,6 @@ type PersistOption func(*persistTuning)
 
 type persistTuning struct {
 	segmentBytes  int
-	pageBytes     int
 	groupInterval time.Duration
 	fsync         persist.FsyncMode
 	onSync        func(SyncInfo)
@@ -82,11 +81,6 @@ func WithGroupInterval(d time.Duration) PersistOption {
 // WithSegmentBytes sets the WAL segment rotation threshold (default 8 MiB).
 func WithSegmentBytes(n int) PersistOption {
 	return func(t *persistTuning) { t.segmentBytes = n }
-}
-
-// WithPageBytes sets the WAL's in-memory page size (default 128 KiB).
-func WithPageBytes(n int) PersistOption {
-	return func(t *persistTuning) { t.pageBytes = n }
 }
 
 // WithSyncHook installs fn to be called (on the flusher goroutine) after
@@ -235,7 +229,6 @@ func attachPersistence[O, R any](inst *Instance[O, R], pc *persistConfig) (*pers
 	}
 	wal, err := persist.Open(pc.dir, gen, persist.Options{
 		SegmentBytes:  t.segmentBytes,
-		PageBytes:     t.pageBytes,
 		GroupInterval: t.groupInterval,
 		Fsync:         t.fsync,
 		OnSync:        t.onSync,

@@ -1,213 +1,189 @@
-// Sharding surface of the nr package: NewSharded composes S independent NR
-// instances — each with its own shared log, replicas, and locks — behind a
-// router, breaking the single-log tail-CAS bottleneck (§5.1) that caps a
-// plain instance's update throughput. Operations with a routable key keep
-// full per-key linearizability (every op on a key lands in the same shard's
-// log); cross-shard fan-outs are per-shard linearizable only. See DESIGN.md
-// §11 "Sharding".
+// Sharding: NewSharded gives each conflict class of a LogMapper its own
+// private replica set — a complete NR shard with its own logs, replicas and
+// locks — breaking the single-log tail-CAS bottleneck (§5.1) that caps one
+// log's update throughput. Operations of one class keep full linearizability
+// (every op of the class lands in the same shard's log); ExecuteAll, the
+// cross-class call, is per-shard linearizable only. See DESIGN.md §11.
 package nr
 
 import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 
 	"github.com/asplos17/nr/internal/core"
-	"github.com/asplos17/nr/internal/shard"
 )
 
-// Router maps an operation to the shard that owns it, in [0, shards). It
-// must be a pure function of the operation and stable for the instance's
-// lifetime: the shard it returns is where the operation's state lives, so
-// an unstable router splits a key's history across logs and forfeits that
-// key's linearizability. Routers must be safe for concurrent use.
-type Router[O any] func(op O) int
-
-// KeyRouter builds the ready-made key-hash Router: key extracts the
-// comparable routing key from an operation, and the router spreads keys
-// uniformly over shards with a randomly seeded hash (stable within one
-// instance's lifetime, deliberately not across processes — shards are not
-// a persistence boundary).
-func KeyRouter[O any, K comparable](shards int, key func(O) K) Router[O] {
+// KeyMapper builds the ready-made key-hash LogMapper for NewSharded and
+// WithLogs: key extracts the comparable key an operation touches, or reports
+// false for an operation that spans keys (classified CrossLog), and keys
+// spread uniformly over classes under a randomly seeded hash (stable within
+// one process, deliberately not across processes: classes are not a
+// persistence boundary). A structure partitioned per class can hold the
+// mapper and ask it where a key lives.
+func KeyMapper[O any, K comparable](classes int, key func(O) (K, bool)) LogMapper[O] {
 	seed := maphash.MakeSeed()
-	n := uint64(shards)
-	return func(op O) int {
-		return int(maphash.Comparable(seed, key(op)) % n)
-	}
+	n := uint64(max(classes, 1))
+	return LogMapperFunc[O](func(op O) int {
+		k, ok := key(op)
+		if !ok {
+			return CrossLog
+		}
+		return int(maphash.Comparable(seed, k) % n)
+	})
 }
 
-// ShardedMetrics is the sharded observability snapshot: an aggregate
-// core-metrics view (counters summed, health OR-ed, gauges folded) plus the
-// per-shard breakdowns it was folded from. The aggregate's Observed field
-// is nil — latency percentiles do not merge — so per-class histograms live
-// in the per-shard entries.
-type ShardedMetrics = shard.Metrics
-
-// ShardedInstance is S independent NR instances behind one Router. Each
-// shard is a complete Instance — own log, own replicas per node, own
-// combiner and reader locks — built over the same software topology, so
-// update traffic routed to different shards contends on nothing at all.
-type ShardedInstance[O, R any] struct {
-	inner *shard.Instance[O, R]
-	tel   *Telemetry // nil unless built with WithTelemetry/WithSLO
-}
-
-// ShardedHandle executes operations on behalf of one registered goroutine:
-// one per-shard handle slot on every shard, all bound to the same node,
-// behind a single routing front. Like Handle, it is not safe for concurrent
-// use; register one per goroutine.
-type ShardedHandle[O, R any] struct {
-	inner *shard.Handle[O, R]
-}
-
-// NewSharded builds a sharded instance: shards independent NR instances
-// (create is invoked once per node per shard; replicas of a shard must
-// start identical, and shards start as S copies of the same empty
-// structure), routed by router. The options apply to every shard alike —
-// WithMetrics attaches a separate metrics observer per shard, while
-// WithObserver's observers and WithFlightRecorder's recorder are shared
-// across shards.
-func NewSharded[O, R any](create func() Sequential[O, R], shards int, router Router[O], options ...Option) (*ShardedInstance[O, R], error) {
-	if create == nil {
-		return nil, errors.New("nr: create function is nil")
-	}
-	if router == nil {
-		return nil, errors.New("nr: router is nil")
-	}
+// NewSharded builds an instance of shards private replica sets, one per
+// conflict class of mapper (create is invoked once per node per shard;
+// shards start as copies of the same empty structure). It is the same
+// Instance with the same Handle as New builds: Execute runs an operation on
+// the shard owning its class, ExecuteAll on every shard. One shard is
+// exactly New (mapper ignored, may be nil). The options apply to every
+// shard alike — WithMetrics attaches a separate metrics observer per shard,
+// while WithObserver's observers and the flight recorder are shared — and
+// persistence is refused (ROADMAP item 5).
+func NewSharded[O, R any](create func() Sequential[O, R], shards int, mapper LogMapper[O], options ...Option) (*Instance[O, R], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("nr: need at least one shard, got %d", shards)
 	}
-	var s settings
-	for _, o := range options {
-		o(&s)
+	if shards == 1 {
+		mapper = nil
+	} else if mapper == nil {
+		return nil, errors.New("nr: NewSharded(shards > 1) requires a LogMapper assigning each op a conflict class")
 	}
-	inner, err := shard.New(shards, func(op O) int { return router(op) },
-		func(int) (*core.Instance[O, R], error) {
-			return core.New[O, R](func() core.Sequential[O, R] { return create() }, s.lower())
-		})
-	if err != nil {
-		return nil, err
+	return build(create, shards, mapper, options)
+}
+
+// Shards returns the number of private replica sets: 1 unless built by
+// NewSharded.
+func (i *Instance[O, R]) Shards() int { return len(i.shards) }
+
+// ShardMetrics returns each shard's own snapshot, in shard order: the
+// breakdown Metrics folds on a sharded instance, including the per-shard
+// latency histograms (Observed) the fold cannot carry.
+func (i *Instance[O, R]) ShardMetrics() []Metrics {
+	ms := make([]Metrics, len(i.shards))
+	for s, sh := range i.shards {
+		sh.MetricsInto(&ms[s], true)
 	}
-	inst := &ShardedInstance[O, R]{inner: inner}
-	if s.telemetry != nil {
-		inst.tel = startShardedTelemetry(inst, s.telemetry)
+	i.fillPersist(&ms[0])
+	return ms
+}
+
+// errCrossShard is what Execute and TryExecute answer on a sharded instance
+// for an operation that belongs to no single shard.
+var errCrossShard = errors.New("nr: operation spans shards (the mapper returned CrossLog); use ExecuteAll")
+
+// route points h.inner at the shard owning op's class.
+func (h *Handle[O, R]) route(op O) error {
+	c := h.mapper.LogIndex(op)
+	if c == CrossLog {
+		return errCrossShard
 	}
-	return inst, nil
-}
-
-// Register binds the calling goroutine to the next hardware-thread position
-// (fill placement, decided once and mirrored onto every shard so the
-// goroutine lands on the same node everywhere) and returns its handle.
-func (i *ShardedInstance[O, R]) Register() (*ShardedHandle[O, R], error) {
-	h, err := i.inner.Register()
-	if err != nil {
-		return nil, err
+	if m := len(h.hs); c < 0 || c >= m {
+		c = ((c % m) + m) % m
 	}
-	return &ShardedHandle[O, R]{inner: h}, nil
+	h.inner = h.hs[c]
+	return nil
 }
 
-// RegisterOnNode binds the calling goroutine to an explicit NUMA node on
-// every shard.
-func (i *ShardedInstance[O, R]) RegisterOnNode(node int) (*ShardedHandle[O, R], error) {
-	h, err := i.inner.RegisterOnNode(node)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedHandle[O, R]{inner: h}, nil
-}
-
-// Shards returns the shard count.
-func (i *ShardedInstance[O, R]) Shards() int { return i.inner.Shards() }
-
-// Replicas returns the per-shard replica count (uniform across shards).
-func (i *ShardedInstance[O, R]) Replicas() int { return i.inner.Replicas() }
-
-// Metrics returns the aggregate observability snapshot (counters summed,
-// health OR-ed, gauges folded), the same shape a plain Instance reports, so
-// Executor-typed code reads one snapshot whatever the deployment. The
-// aggregate's Observed field is nil — latency percentiles do not merge; use
-// ShardMetrics for the per-shard breakdown with histograms.
-func (i *ShardedInstance[O, R]) Metrics() Metrics { return i.inner.Metrics().Aggregate }
-
-// ShardMetrics returns the full sharded snapshot: the aggregate plus the
-// per-shard core snapshots it was folded from.
-func (i *ShardedInstance[O, R]) ShardMetrics() ShardedMetrics { return i.inner.Metrics() }
-
-// Stats returns the aggregate counters (per-shard Stats summed).
-func (i *ShardedInstance[O, R]) Stats() Stats { return i.inner.Stats() }
-
-// Health returns the aggregate failure state: poisoned if any shard is,
-// with summed panic/stall counters and the union of stalled nodes. A
-// poisoned shard refuses only the operations routed to it; the per-shard
-// slice of Metrics shows which one it is.
-func (i *ShardedInstance[O, R]) Health() Health { return i.inner.Health() }
-
-// TraceSnapshot returns a point-in-time copy of the flight recorder's
-// contents. The recorder is shared across shards (each registered goroutine
-// records all of its shards' events into its own ring), so one snapshot
-// covers the whole sharded instance; it is the zero TraceSnapshot when the
-// instance was built without WithFlightRecorder.
-func (i *ShardedInstance[O, R]) TraceSnapshot() TraceSnapshot {
-	return i.inner.Shard(0).TraceSnapshot()
-}
-
-// FlightRecorder returns the shared recorder (nil without
-// WithFlightRecorder).
-func (i *ShardedInstance[O, R]) FlightRecorder() *FlightRecorder {
-	return i.inner.Shard(0).TraceRecorder()
-}
-
-// MemoryBytes sums the shards' footprints: every shard's log plus, for
-// replicas implementing interface{ MemoryBytes() uint64 }, the replicas.
-func (i *ShardedInstance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
-
-// Quiesce brings every replica of every shard up to date with all completed
-// operations.
-func (i *ShardedInstance[O, R]) Quiesce() { i.inner.Quiesce() }
-
-// Close stops every shard's background goroutines (dedicated combiners,
-// stall watchdogs) and the telemetry collector, if attached. Idempotent.
-func (i *ShardedInstance[O, R]) Close() {
-	if i.tel != nil {
-		i.tel.Close()
-	}
-	i.inner.Close()
-}
-
-// Inspect quiesces the given shard's replica on node and runs fn on its
-// sequential structure with the write lock held. fn must not retain the
-// structure.
-func (i *ShardedInstance[O, R]) Inspect(shardIdx, node int, fn func(s Sequential[O, R])) {
-	i.inner.Shard(shardIdx).InspectReplica(node, func(ds core.Sequential[O, R]) { fn(ds) })
-}
-
-// Execute routes op to its shard and runs it there with that shard's full
-// linearizable guarantees; ops sharing a routing key always share a shard,
-// so per-key histories are exactly as linearizable as under plain NR.
-// Contained panics re-raise here like Handle.Execute.
-func (h *ShardedHandle[O, R]) Execute(op O) R { return h.inner.Execute(op) }
-
-// TryExecute routes op to its shard, reporting contained failures as errors
-// (see Handle.TryExecute). Failures are shard-scoped: a poisoned shard
-// fails only the operations routed to it.
-func (h *ShardedHandle[O, R]) TryExecute(op O) (R, error) { return h.inner.TryExecute(op) }
-
-// ExecuteAll runs op on every shard in shard order and returns the
-// per-shard responses — the cross-shard fan-out for operations without a
-// single routable key (global counts, flushes). Semantics are per-shard
+// ExecuteAll is the cross-class call: it runs op on every private replica
+// set and returns one response per shard, in shard order. With one shard
+// that is a single linearizable response (a CrossLog op under WithLogs goes
+// through the cross-log barrier). With several, semantics are per-shard
 // linearizable: each shard applies op at its own linearization point, with
-// no instant at which all shards are observed together — concurrent routed
-// updates may land between the per-shard applications. A contained failure
-// on any shard is re-raised as a panic; use TryExecuteAll for errors.
-func (h *ShardedHandle[O, R]) ExecuteAll(op O) []R { return h.inner.ExecuteAll(op) }
+// no instant at which all shards are observed together — concurrent
+// operations may land between the per-shard applications. A contained
+// failure on any shard is re-raised as a panic; use TryExecuteAll for
+// errors.
+func (h *Handle[O, R]) ExecuteAll(op O) []R {
+	resps, err := h.TryExecuteAll(op)
+	if err != nil {
+		panic(err)
+	}
+	return resps
+}
 
 // TryExecuteAll is ExecuteAll reporting contained failures as errors. Every
 // shard is attempted even when an earlier one fails; the first error comes
 // back alongside the responses (zero-valued at failed shards).
-func (h *ShardedHandle[O, R]) TryExecuteAll(op O) ([]R, error) { return h.inner.TryExecuteAll(op) }
+func (h *Handle[O, R]) TryExecuteAll(op O) ([]R, error) {
+	resps := make([]R, len(h.hs))
+	var firstErr error
+	for s, ch := range h.hs {
+		h.inner = ch
+		r, err := ch.TryExecute(op)
+		resps[s] = r
+		if err != nil && firstErr == nil {
+			firstErr = err
+			if len(h.hs) > 1 {
+				firstErr = fmt.Errorf("shard %d: %w", s, err)
+			}
+		}
+	}
+	return resps, firstErr
+}
 
-// ShardOf reports which shard the router sends op to.
-func (h *ShardedHandle[O, R]) ShardOf(op O) int { return h.inner.ShardOf(op) }
+// foldInto fills m with the fold of the shards' snapshots: Stats and Health
+// counters summed, Health flags OR-ed, log positions summed with Occupancy
+// reporting the fullest shard (the bottleneck: one full log blocks that
+// shard's appenders however empty the others are), per-node replica gauges
+// summed across shards. Logs and Observed stay empty — per-class gauges and
+// latency percentiles do not merge across independent shards; ShardMetrics
+// has them.
+func (i *Instance[O, R]) foldInto(m *Metrics) {
+	replicas := m.Replicas[:0]
+	*m = Metrics{Replicas: replicas}
+	var one Metrics
+	for _, sh := range i.shards {
+		sh.MetricsInto(&one, false)
+		addStats(&m.Stats, &one.Stats)
+		addHealth(&m.Health, &one.Health)
+		m.Log.Tail += one.Log.Tail
+		m.Log.Completed += one.Log.Completed
+		m.Log.MinTail += one.Log.MinTail
+		m.Log.Size += one.Log.Size
+		m.Log.Occupancy = max(m.Log.Occupancy, one.Log.Occupancy)
+		for _, r := range one.Replicas {
+			for len(m.Replicas) <= r.Node {
+				m.Replicas = append(m.Replicas, core.ReplicaGauges{Node: len(m.Replicas)})
+			}
+			a := &m.Replicas[r.Node]
+			a.LocalTail += r.LocalTail
+			a.CompletedLag += r.CompletedLag
+			a.Registered += r.Registered
+			a.ReaderAcquires += r.ReaderAcquires
+			a.WriterAcquires += r.WriterAcquires
+			a.CombinerHeldNs = max(a.CombinerHeldNs, r.CombinerHeldNs) // the longest-held combiner
+		}
+	}
+}
 
-// Node returns the node this handle is bound to (the same on every shard).
-func (h *ShardedHandle[O, R]) Node() int { return h.inner.Node() }
+func addStats(a, b *Stats) {
+	a.Combines += b.Combines
+	a.CombinedOps += b.CombinedOps
+	a.ReaderRefreshes += b.ReaderRefreshes
+	a.HelpedEntries += b.HelpedEntries
+	a.ReadOps += b.ReadOps
+	a.UpdateOps += b.UpdateOps
+	a.CrossOps += b.CrossOps
+	a.ReaderAcquires += b.ReaderAcquires
+	a.WriterAcquires += b.WriterAcquires
+	a.Panics += b.Panics
+	a.Stalls += b.Stalls
+}
+
+func addHealth(a, b *Health) {
+	if b.Poisoned && !a.Poisoned {
+		a.Poisoned = true
+		a.PoisonReason = b.PoisonReason
+	}
+	a.Panics += b.Panics
+	a.Stalls += b.Stalls
+	for _, n := range b.StalledNodes { // union: a node stalled on any shard
+		if !slices.Contains(a.StalledNodes, n) {
+			a.StalledNodes = append(a.StalledNodes, n)
+		}
+	}
+}

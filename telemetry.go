@@ -13,11 +13,10 @@ import (
 	"github.com/asplos17/nr/internal/core"
 	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/obs/tsdb"
-	"github.com/asplos17/nr/internal/shard"
 )
 
 // Telemetry is the windowed collector attached by WithTelemetry; read it
-// via Instance.Telemetry / ShardedInstance.Telemetry. Snapshot returns the
+// via Instance.Telemetry. Snapshot returns the
 // retained windows oldest-first, Last the most recent one, SLOStatuses the
 // tracked objectives.
 type Telemetry = tsdb.Collector
@@ -93,24 +92,28 @@ func WithSLONotify(fn func(BreachEvent)) Option {
 	}
 }
 
-// Telemetry returns the windowed collector, nil unless the instance was
-// built with WithTelemetry/WithSLO.
+// Telemetry returns the windowed collector (aggregated across shards), nil
+// unless the instance was built with WithTelemetry/WithSLO.
 func (i *Instance[O, R]) Telemetry() *Telemetry { return i.tel }
 
-// Telemetry returns the windowed collector (aggregated across shards), nil
-// unless built with WithTelemetry/WithSLO.
-func (i *ShardedInstance[O, R]) Telemetry() *Telemetry { return i.tel }
-
-// startTelemetry builds and starts the collector for a plain instance.
+// startTelemetry builds and starts the collector: gauges from the
+// instance's (folded) snapshot, latency buckets from every shard's metrics
+// observer, merged bucket-wise inside the collector.
 func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Collector {
 	var observed []*obs.Metrics
-	if m := inst.inner.ObservedMetrics(); m != nil {
-		observed = append(observed, m)
+	for _, sh := range inst.shards {
+		if m := sh.ObservedMetrics(); m != nil {
+			observed = append(observed, m)
+		}
 	}
+	var m Metrics // reused across ticks: the collector serializes Source calls
 	c := tsdb.New(tsdb.Config{
 		Interval: t.interval,
 		Windows:  t.windows,
-		Source:   instanceSource(inst),
+		Source: func(g *tsdb.Gauges) {
+			inst.MetricsInto(&m, false)
+			setGauges(g, &m)
+		},
 		Observed: observed,
 		SLOs:     t.slos,
 		OnBreach: breachChain(inst.inner.TraceRecorder().AutoDump, t.onBreach),
@@ -119,99 +122,37 @@ func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Co
 	return c
 }
 
-// instanceSource builds the collector's gauge source for one instance. The
-// scratch snapshot is reused across ticks — the collector serializes calls.
-func instanceSource[O, R any](inst *Instance[O, R]) func(*tsdb.Gauges) {
-	var m Metrics
-	return func(g *tsdb.Gauges) {
-		inst.MetricsInto(&m, false)
-		resetGauges(g)
-		addMetricsToGauges(g, &m)
-	}
-}
+// setGauges converts one snapshot into g, keeping g's Replicas capacity.
+func setGauges(g *tsdb.Gauges, m *core.Metrics) {
+	*g = tsdb.Gauges{Replicas: g.Replicas[:0]}
+	g.ReadOps = m.Stats.ReadOps
+	g.UpdateOps = m.Stats.UpdateOps
+	g.Combines = m.Stats.Combines
+	g.CombinedOps = m.Stats.CombinedOps
+	g.ReaderRefreshes = m.Stats.ReaderRefreshes
+	g.HelpedEntries = m.Stats.HelpedEntries
+	g.ReaderAcquires = m.Stats.ReaderAcquires
+	g.Panics = m.Stats.Panics
+	g.Stalls = m.Stats.Stalls
 
-// startShardedTelemetry builds and starts the aggregate collector for a
-// sharded instance: per-shard gauges are summed (occupancy takes the
-// fullest shard — the bottleneck), per-shard observers merge bucket-wise
-// inside the collector.
-func startShardedTelemetry[O, R any](inst *ShardedInstance[O, R], t *telemetryConfig) *tsdb.Collector {
-	var observed []*obs.Metrics
-	for s := 0; s < inst.inner.Shards(); s++ {
-		if m := inst.inner.Shard(s).ObservedMetrics(); m != nil {
-			observed = append(observed, m)
-		}
-	}
-	c := tsdb.New(tsdb.Config{
-		Interval: t.interval,
-		Windows:  t.windows,
-		Source:   shardedSource(inst.inner),
-		Observed: observed,
-		SLOs:     t.slos,
-		OnBreach: breachChain(inst.inner.Shard(0).TraceRecorder().AutoDump, t.onBreach),
-	})
-	c.Start()
-	return c
-}
-
-// shardedSource builds the aggregate gauge source: per-shard snapshots into
-// reused scratch, folded into one Gauges.
-func shardedSource[O, R any](inner *shard.Instance[O, R]) func(*tsdb.Gauges) {
-	ms := make([]Metrics, inner.Shards())
-	return func(g *tsdb.Gauges) {
-		resetGauges(g)
-		for s := 0; s < inner.Shards(); s++ {
-			inner.Shard(s).MetricsInto(&ms[s], false)
-			addMetricsToGauges(g, &ms[s])
-		}
-	}
-}
-
-// resetGauges zeroes g while keeping its Replicas capacity.
-func resetGauges(g *tsdb.Gauges) {
-	replicas := g.Replicas[:0]
-	*g = tsdb.Gauges{Replicas: replicas}
-}
-
-// addMetricsToGauges folds one core snapshot into g: counters and log
-// positions summed, occupancy taking the fullest log (the bottleneck),
-// per-node replica gauges summed index-wise, WAL counters summed with
-// durable lag from the snapshot's own pairing.
-func addMetricsToGauges(g *tsdb.Gauges, m *core.Metrics) {
-	g.ReadOps += m.Stats.ReadOps
-	g.UpdateOps += m.Stats.UpdateOps
-	g.Combines += m.Stats.Combines
-	g.CombinedOps += m.Stats.CombinedOps
-	g.ReaderRefreshes += m.Stats.ReaderRefreshes
-	g.HelpedEntries += m.Stats.HelpedEntries
-	g.ReaderAcquires += m.Stats.ReaderAcquires
-	g.Panics += m.Stats.Panics
-	g.Stalls += m.Stats.Stalls
-
-	g.LogTail += m.Log.Tail
-	g.LogCompleted += m.Log.Completed
-	if m.Log.Occupancy > g.LogOccupancy {
-		g.LogOccupancy = m.Log.Occupancy
-	}
+	g.LogTail = m.Log.Tail
+	g.LogCompleted = m.Log.Completed
+	g.LogOccupancy = m.Log.Occupancy
 	for _, r := range m.Replicas {
-		for len(g.Replicas) <= r.Node {
-			g.Replicas = append(g.Replicas, tsdb.ReplicaGauge{Node: len(g.Replicas)})
-		}
-		a := &g.Replicas[r.Node]
-		a.CompletedLag += r.CompletedLag
-		a.ReaderAcquires += r.ReaderAcquires
-		if a.CompletedLag > g.MaxReplicaLag {
-			g.MaxReplicaLag = a.CompletedLag
-		}
+		g.Replicas = append(g.Replicas, tsdb.ReplicaGauge{
+			Node: r.Node, CompletedLag: r.CompletedLag, ReaderAcquires: r.ReaderAcquires,
+		})
+		g.MaxReplicaLag = max(g.MaxReplicaLag, r.CompletedLag)
 	}
-	if m.Persist != nil {
+	if p := m.Persist; p != nil {
 		g.HasWAL = true
-		g.WALAppends += m.Persist.Appends
-		g.WALPages += m.Persist.Pages
-		g.WALFsyncs += m.Persist.Fsyncs
-		g.WALFsyncNanos += m.Persist.FsyncNanos
-		g.WALSealStalls += m.Persist.SealStalls
-		g.DurableIndex += m.Persist.DurableIndex
-		g.DurableLag += m.Persist.DurableLag
+		g.WALAppends = p.Appends
+		g.WALPages = p.Pages
+		g.WALFsyncs = p.Fsyncs
+		g.WALFsyncNanos = p.FsyncNanos
+		g.WALSealStalls = p.SealStalls
+		g.DurableIndex = p.DurableIndex
+		g.DurableLag = p.DurableLag
 	}
 }
 

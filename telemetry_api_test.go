@@ -157,7 +157,7 @@ func TestWithSLOBreachNotify(t *testing.T) {
 
 func TestShardedTelemetryAggregates(t *testing.T) {
 	inst, err := nr.NewSharded(newKV, 4,
-		nr.KeyRouter(4, func(op kvOp) uint64 { return op.Key }),
+		nr.KeyMapper(4, func(op kvOp) (uint64, bool) { return op.Key, true }),
 		nr.WithNodes(2, 4, 1),
 		nr.WithTelemetry(2*time.Millisecond, 16),
 	)
