@@ -25,7 +25,7 @@ import (
 //     module type whose method set implements the interface — one edge per
 //     implementation.
 //   - GenericIface: calls through a generic interface (e.g.
-//     core.Persister[O], whose type argument is still a type parameter at
+//     nr.Codec[O], whose type argument is still a type parameter at
 //     the call site, so types.Implements cannot decide). Resolved by
 //     method name + parameter/result arity against module types. These
 //     edges cross the black-box boundary into user-supplied code, so each

@@ -21,7 +21,7 @@ import (
 // caller's goroutine with the caller's obligations. Go edges are not (a
 // spawned goroutine's allocations are the go statement's, which the local
 // scan already flags). GenericIface edges are not: they cross the black-box
-// boundary into user-supplied operations (core.Persister[O] and friends),
+// boundary into user-supplied code (nr.Codec[O] and friends),
 // and a user data structure is allowed to allocate — the paper's contract is
 // about NR's own mechanism, not the boxed structure.
 //

@@ -23,8 +23,8 @@ import (
 // `//nr:lockorder <class>` directive on the field names its class; a
 // `//nr:lockorder a < b < c` directive anywhere declares the order. The
 // analyzer propagates may-hold sets through the call graph (including
-// generic-interface edges — that is how combiner context reaches the WAL
-// through core.Persister) and reports: acquisitions inverting the declared
+// generic-interface edges — that is how the log follower's context reaches
+// a user's nr.Codec) and reports: acquisitions inverting the declared
 // order, blocking re-acquisition of a held class, and cycles among
 // undeclared lock pairs. `//nr:lockok` on the acquisition line suppresses a
 // documented exception (e.g. a branch proven unreachable while the class is

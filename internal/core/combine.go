@@ -61,15 +61,6 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 	// helping) still shows as a long pickup→reserve phase.
 	t1 := ring.Now()
 	ring.RecordAt(t1, trace.KLogReserve, int(r.id), start, uint64(len(batch)))
-	// Persist before Fill: the entry's marker store must publish the
-	// persister's bookkeeping along with the entry (see Persister).
-	// Persisters exist only on single-log instances, where c is 0 and the
-	// token is the classic node|slot|seq.
-	if p := i.persist; p != nil {
-		for k, t := range batch {
-			p.Append(start+uint64(k), trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq), t.s.op)
-		}
-	}
 	for k, t := range batch {
 		// The slot is read before Fill publishes the entry: from then on a
 		// replayer that overtakes this round may answer the slot by tag, and
@@ -142,7 +133,8 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 // are currently inactive (§6). So a blocked appender (1) drains the log
 // into its own replica and (2) helps lagging replicas catch up to
 // completedTail — driving the cross applier through any barrier that is
-// what actually blocks a lagging replica.
+// what actually blocks a lagging replica. The one tail it cannot help is a
+// log follower's (persistence): it wakes the follower and yields to it.
 //
 //nr:noalloc
 //nr:spin
@@ -161,6 +153,9 @@ func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trac
 		if !reported {
 			reported = true // one log-full event per blocked reservation
 			ring.Record(trace.KLogFull, int(r.id), l.Tail(), 0)
+		}
+		if f := i.follower; f != nil {
+			f.Kick()
 		}
 		// Drain into our own replica so our localTail is not the laggard.
 		if to := l.Tail(); to > r.logs[c].localTail.Load() {

@@ -49,6 +49,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -154,20 +155,83 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Persister receives every update operation at log-append time, before
-// the entry's marker store makes it visible to replayers: idx is the
-// entry's absolute log index, token the op's flight-recorder identity
-// (node|slot|seq). Implementations must be concurrency-safe — combiners on
-// different nodes append concurrently — and must not call back into the
-// instance. Ordering matters: because Append happens before the entry is
-// visible, any thread that observes the entry applied (localTail past idx)
-// also observes the persister's bookkeeping for it, which is what makes a
-// concurrent checkpoint's token set complete. Persisters are a single-log
-// facility: AttachPersister refuses multi-log instances (per-log WALs would
-// need per-log recovery generations, ROADMAP item 5).
-type Persister[O any] interface {
-	Append(idx uint64, token uint64, op O)
+// Follower is one more consumer of the shared log, beside the replicas: a
+// tail registered with the log (so entry recycling waits for it exactly as
+// it waits for a replica) that one goroutine advances by reading filled
+// entries in index order. The persistence layer follows the log this way:
+// the log already totally orders every update, so durability reads it
+// instead of being pushed into from the combiner, and nothing runs for it
+// between a combiner's reserve and Fill. A follower that falls a whole log
+// behind blocks appenders (they kick it and yield; see reserveConsuming) —
+// that is the durable path's backpressure. Followers are a single-log
+// facility (per-log WALs would need per-log recovery generations, ROADMAP
+// item 5).
+type Follower[O any] struct {
+	log  *log.Log[entry[O]]
+	tail *atomic.Uint64
+	wake chan struct{}
 }
+
+// Follow registers the instance's follower. It must be called before any
+// operation executes (the log cannot grow a tail once entries are being
+// recycled) and at most once; multi-log instances are refused.
+func (i *Instance[O, R]) Follow() (*Follower[O], error) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	if len(i.logs) > 1 {
+		return nil, errors.New("core: Follow on a multi-log instance (persistence requires Logs == 1; per-log WALs lack cross-log recovery generations)")
+	}
+	if i.logs[0].Tail() != 0 || i.follower != nil {
+		return nil, errors.New("core: Follow after operations have executed or a second time")
+	}
+	i.follower = &Follower[O]{log: i.logs[0], tail: i.logs[0].RegisterReplica(), wake: make(chan struct{}, 1)}
+	return i.follower, nil
+}
+
+// Drain calls fn for every filled entry from the follower's position on, in
+// index order, with the op's token (node|slot|seq, what Handle.LastToken
+// returned to its submitter), and stops at the first entry not yet filled:
+// a combiner preempted between reserve and Fill delays the follower, never
+// the other way round. The entry may be recycled once fn returns. Only the
+// follower's one goroutine may call Drain.
+func (f *Follower[O]) Drain(fn func(idx, token uint64, op O)) {
+	for idx := f.tail.Load(); ; idx++ {
+		e, ok := f.log.Get(idx)
+		if !ok {
+			return
+		}
+		fn(idx, trace.TokenWithLog(0, int(e.node), int(e.slot), e.seq), e.op)
+		f.tail.Store(idx + 1)
+	}
+}
+
+// Pos returns the follower's position: every entry below it has been
+// through Drain's fn.
+func (f *Follower[O]) Pos() uint64 { return f.tail.Load() }
+
+// LogTail returns the log's tail, the position a barrier taken now must
+// wait for the follower to reach.
+func (f *Follower[O]) LogTail() uint64 { return f.log.Tail() }
+
+// Wake is signalled by Kick; the follower's goroutine selects on it beside
+// its own timer.
+func (f *Follower[O]) Wake() <-chan struct{} { return f.wake }
+
+// Kick wakes the follower without blocking: barriers call it, and an
+// appender that finds the log full — it cannot help this tail by replaying,
+// only yield to it.
+//
+//nr:noalloc
+func (f *Follower[O]) Kick() {
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Detach takes the follower's tail out of the recycling minimum, for good:
+// the instance stays usable in memory after its persistence is closed.
+func (f *Follower[O]) Detach() { f.tail.Store(math.MaxUint64) }
 
 // Stats counts internal events.
 // It is one slice of the richer Metrics snapshot (metrics.go).
@@ -264,22 +328,22 @@ type takenSlot[O, R any] struct {
 // independence that lets commuting classes proceed in parallel on one node.
 //
 // The lock classes declared on the fields below, plus the cross-apply lock
-// (replica.crossApply) and the WAL appender lock (persist.WAL.mu), form the
-// system-wide acquisition order that makes NR's deadlock-freedom argument
-// (§5.3/§5.5) machine-checkable. Every replicaLog instance's combiner lock
-// is one class ("combiner[i] instances are one class"): no path nests two
-// combiner locks, of the same or different logs.
+// (replica.crossApply), form the system-wide acquisition order that makes
+// NR's deadlock-freedom argument (§5.3/§5.5) machine-checkable. Every
+// replicaLog instance's combiner lock is one class ("combiner[i] instances
+// are one class"): no path nests two combiner locks, of the same or
+// different logs.
 //
-// A combiner holds combiner while taking replicaWriter to replay, and holds
-// both while appending to the WAL through the Persister hook; an elected
-// refreshing reader holds refresher while taking replicaWriter; the cross
-// applier holds crossApply while taking every log's replicaWriter in index
-// order, and is only ever invoked with no replicaWriter held. Nothing
-// acquires in the other direction — readers that find the combiner lock
-// busy help via TryLock instead of waiting, which is why TryLock sites are
-// exempt from inversion checking.
+// A combiner holds combiner while taking replicaWriter to replay (and takes
+// nothing for durability: the WAL follows the log on its own goroutine, see
+// Follower); an elected refreshing reader holds refresher while taking
+// replicaWriter; the cross applier holds crossApply while taking every
+// log's replicaWriter in index order, and is only ever invoked with no
+// replicaWriter held. Nothing acquires in the other direction — readers
+// that find the combiner lock busy help via TryLock instead of waiting,
+// which is why TryLock sites are exempt from inversion checking.
 //
-//nr:lockorder combiner < crossApply < replicaWriter < walAppend
+//nr:lockorder combiner < crossApply < replicaWriter
 //nr:lockorder refresher < replicaWriter
 type replicaLog[O, R any] struct {
 	localTail    *atomic.Uint64
@@ -352,10 +416,10 @@ type Instance[O, R any] struct {
 	observer obs.Observer
 	// rec mirrors opts.Trace (nil = flight recorder off).
 	rec *trace.Recorder
-	// persist, when non-nil, receives every update entry at append time
-	// (durability hook; see AttachPersister). Nil costs one branch per
-	// combining round. Single-log only.
-	persist Persister[O]
+	// follower, when non-nil, is the log tail persistence reads through
+	// (see Follow). The update path touches it only to kick it when the log
+	// is full.
+	follower *Follower[O]
 	// profLabels holds per-node precomputed pprof label sets ([0] read,
 	// [1] update) for sampled op labeling; nil unless ProfileSampleRate > 0.
 	profLabels [][2]pprof.LabelSet
@@ -588,24 +652,6 @@ func (h *Handle[O, R]) token() uint64 {
 // after TryExecute/Execute returns or PostAndAbandon is called; zero
 // before the handle's first operation.
 func (h *Handle[O, R]) LastToken() uint64 { return h.token() }
-
-// AttachPersister installs p as the instance's durability hook. It must be
-// called before any operation executes — the hook cannot retroactively
-// cover entries already appended — and fails otherwise. Multi-log instances
-// are refused: per-log WALs would need per-log recovery generations and a
-// cross-log recovery barrier (ROADMAP item 5).
-func (i *Instance[O, R]) AttachPersister(p Persister[O]) error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if len(i.logs) > 1 {
-		return errors.New("core: AttachPersister on a multi-log instance (persistence requires Logs == 1; per-log WALs lack cross-log recovery generations)")
-	}
-	if i.logs[0].Tail() != 0 {
-		return errors.New("core: AttachPersister after operations have executed")
-	}
-	i.persist = p
-	return nil
-}
 
 // ErrClosed is reported (wrapped, via errors.Is) by Register and
 // RegisterOnNode after Close on an instance configured with dedicated

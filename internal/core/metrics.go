@@ -91,7 +91,9 @@ type ReplicaGauges struct {
 // persist.Stats (core does not import persist — the dependency points the
 // other way) and adds the derived durability-lag gauge.
 type PersistGauges struct {
-	// Appends is the number of operations appended to the WAL.
+	// Appends is the number of records the log follower has handed to the
+	// WAL; it trails the operations acknowledged by up to one group
+	// interval, and DurableLag includes that backlog.
 	Appends uint64 `json:"appends"`
 	// Pages is the number of page flushes the WAL performed.
 	Pages uint64 `json:"pages"`
@@ -101,13 +103,14 @@ type PersistGauges struct {
 	FsyncNanos uint64 `json:"fsync_ns"`
 	// Rotations is the number of segment rotations.
 	Rotations uint64 `json:"rotations"`
-	// SealStalls is the number of appends that had to wait for a segment
-	// seal to complete.
+	// SealStalls is the number of page hand-offs that found the flusher's
+	// queue full: the follower waited, and the shared log absorbed it.
 	SealStalls uint64 `json:"seal_stalls"`
 	// DurableIndex is the highest log index known fsync-durable.
 	DurableIndex uint64 `json:"durable_index"`
 	// DurableLag is Log.Completed - DurableIndex clamped at 0: how many
-	// completed operations would be lost to a crash right now.
+	// completed operations would be lost to a crash right now, whether the
+	// follower has not read them yet or the WAL has not synced them.
 	DurableLag uint64 `json:"durable_lag"`
 }
 

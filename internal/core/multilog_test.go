@@ -92,15 +92,10 @@ func TestMultiLogGating(t *testing.T) {
 	if got := inst.Logs(); got != 4 {
 		t.Fatalf("Logs() = %d, want 4", got)
 	}
-	if err := inst.AttachPersister(nopPersister[mlOp]{}); err == nil ||
-		!strings.Contains(err.Error(), "multi-log") {
-		t.Fatalf("AttachPersister on multi-log: got %v, want refusal", err)
+	if _, err := inst.Follow(); err == nil || !strings.Contains(err.Error(), "multi-log") {
+		t.Fatalf("Follow on multi-log: got %v, want refusal", err)
 	}
 }
-
-type nopPersister[O any] struct{}
-
-func (nopPersister[O]) Append(uint64, uint64, O) {}
 
 // TestMultiLogSequential drives every op shape through a multi-log
 // instance from one goroutine and checks exact results.

@@ -243,20 +243,30 @@ func (l *Log[O]) WaitGet(idx uint64) O {
 	return op
 }
 
+// holeSpinLoads bounds the marker loads spent on a hole before the first
+// scheduler yield. Nothing sits between a combiner's reserve and its Fill,
+// so a hole normally closes within a few stores; yielding at once would pay
+// a scheduler round trip for it. Past the bound the filler is taken to be
+// preempted, and only a yield can let it run.
+const holeSpinLoads = 256
+
 // WaitGetObserved is WaitGet, additionally reporting how many scheduler
-// yields were spent waiting on a reserved-but-unfilled entry. Hole waits are
-// the log-side stall signal of §5.1 (a combiner preempted between reserve
-// and fill blocks every replayer behind it), so the flight recorder tags
-// them with the spin count.
+// yields were spent waiting on a reserved-but-unfilled entry (the bounded
+// spin before the first yield is not counted). Hole waits are the log-side
+// stall signal of §5.1 (a combiner preempted between reserve and fill
+// blocks every replayer behind it), so the flight recorder tags them with
+// the yield count.
 //
 //nr:noalloc
 //nr:spin
 func (l *Log[O]) WaitGetObserved(idx uint64) (O, int) {
 	e := &l.entries[idx%l.size]
 	spins := 0
-	for e.marker.Load() != idx+1 {
-		spins++
-		runtime.Gosched()
+	for n := 0; e.marker.Load() != idx+1; n++ {
+		if n >= holeSpinLoads {
+			spins++
+			runtime.Gosched()
+		}
 	}
 	return e.op, spins
 }

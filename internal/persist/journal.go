@@ -4,8 +4,9 @@ package persist
 // TokenPair is one appended record's (log index, op token), journaled
 // in memory for detectability: a checkpoint folds the pairs below its
 // applied index into the snapshot's token set. Kept by the WAL because
-// the append path already holds w.mu with both values in hand — a
-// separate caller-side structure would cost a second lock per operation.
+// only the WAL knows which pairs it can give up: those below the durable
+// watermark are in its segment files (WAL.TokensBetween reads them back),
+// so the journal holds the durable lag, not the run's history.
 type TokenPair struct {
 	Idx, Tok uint64
 }
@@ -28,13 +29,14 @@ type tokenChunk struct {
 	have [tokenChunkWords]uint64
 }
 
-// tokenJournal is the un-checkpointed (index, token) journal, in chunks
-// addressed by log index: an append writes one word in place whichever
-// order the indices arrive in, nothing is ever copied to make room, and a
-// checkpoint frees the chunks it covers whole. Not safe for concurrent use
-// (the WAL guards it with w.mu).
+// tokenJournal is the (index, token) journal of the records at or above
+// floor, in chunks addressed by log index: an append writes one word in
+// place, nothing is ever copied to make room, and dropBelow frees the
+// chunks it covers whole. Not safe for concurrent use (the WAL guards it
+// with w.mu).
 type tokenJournal struct {
 	chunks map[uint64]*tokenChunk // by idx / tokenChunkEntries
+	floor  uint64                 // highest dropBelow so far: nothing below it is held
 	// last is the chunk of the latest put, so appends in index order touch
 	// the map once per chunk.
 	last   *tokenChunk
@@ -75,6 +77,10 @@ func (j *tokenJournal) below(idx uint64) []TokenPair {
 // dropBelow discards every pair with index below idx: chunks wholly below
 // are freed, the one idx falls in keeps its positions from idx on.
 func (j *tokenJournal) dropBelow(idx uint64) {
+	if idx <= j.floor {
+		return
+	}
+	j.floor = idx
 	for no, c := range j.chunks {
 		first := no * tokenChunkEntries
 		switch {

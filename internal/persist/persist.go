@@ -4,25 +4,28 @@
 //
 // The shared log (internal/log) is already a redo log: it totally orders
 // every update operation. Durability therefore only has to persist that
-// order — each WAL record carries the entry's absolute log index, its op
-// token (node|slot|seq, the flight recorder's identity for the op), and an
-// opaque payload encoding the operation. Records are framed with a CRC and
-// batched into pages; a combiner appending a record only memcpys into the
-// current in-memory page and, when a page fills, hands it to a dedicated
-// flusher goroutine over a channel. The flusher owns all file I/O: it
-// writes sealed pages to generation-numbered segment files, starts their
-// kernel writeback immediately, and issues one group fdatasync per cycle —
-// pipelined one cycle behind the writes, so the sync waits on I/O already
-// in flight (NVTraverse's insight applied to a log: only the sync points
-// need ordering, not every record).
+// order, and it does so by following the log, not by being called from the
+// threads that fill it: one appender (NR's log follower, core.Follower)
+// reads filled entries in index order and hands each to the WAL — the
+// entry's absolute log index, its op token (node|slot|seq, the flight
+// recorder's identity for the op), and an opaque payload encoding the
+// operation. Records are framed with a CRC and encoded in place into the
+// current in-memory page; a full page, or the partial one at each group
+// interval, goes to a dedicated flusher goroutine over a channel. The
+// flusher owns all file I/O: it writes sealed pages to generation-numbered
+// segment files, starts their kernel writeback immediately, and issues one
+// group fdatasync per cycle — pipelined one cycle behind the writes, so the
+// sync waits on I/O already in flight (NVTraverse's insight applied to a
+// log: only the sync points need ordering, not every record).
 //
-// Because combiners on different nodes append concurrently, records reach
-// the WAL slightly out of log-index order. The WAL tracks the contiguity
-// frontier — the lowest index F such that every index below F has been
-// appended — and publishes F as the durable watermark after each fsync.
-// Recovery replays exactly the contiguous prefix: records beyond the first
-// gap are unusable (an un-persisted earlier op would change their
-// pre-state) and are dropped. The durable state after a crash is therefore
+// Records reach the WAL in log-index order, so the frontier — one past the
+// last index appended — is all the bookkeeping a page needs: the WAL
+// publishes it as the durable watermark after the fsync that covers the
+// page. Recovery replays exactly the contiguous prefix: records beyond the
+// first gap are unusable (an un-persisted earlier op would change their
+// pre-state) and are dropped, and the reader sorts what it finds, so
+// segments written when combiners still appended concurrently, slightly out
+// of order, load as before. The durable state after a crash is therefore
 // always the longest contiguous durable prefix of the operation history.
 //
 // Snapshots bound replay: SaveSnapshot atomically (temp file + rename)
@@ -70,7 +73,7 @@ const (
 // higher-sequence segments) reconstructs the exact on-disk state a crash at
 // this boundary would have left.
 type SyncInfo struct {
-	DurableIndex uint64 // contiguity frontier covered by this sync
+	DurableIndex uint64 // append frontier covered by this sync
 	Segment      string // file name (not path) of the active segment
 	Offset       int64  // segment size in bytes at this sync
 }
@@ -85,15 +88,17 @@ type Options struct {
 	// sealed and queued for the flusher when it reaches this size. Sized
 	// so that one GroupInterval's worth of appends at full throughput
 	// usually fits in a single page — then the steady state is one seal,
-	// one write, one fsync per interval, and appenders rarely park on the
-	// page queue mid-interval.
+	// one write, one fsync per interval.
 	PageBytes int
 	// QueuePages is the sealed-page channel capacity (default 8). When the
-	// flusher falls this far behind, appenders block (backpressure),
-	// counted in Stats.SealStalls.
+	// flusher falls this far behind, the appender blocks (counted in
+	// Stats.SealStalls), stops reading the shared log, and the log — which
+	// never recycles an entry the appender has not read — becomes the
+	// backpressure on updates.
 	QueuePages int
-	// GroupInterval is how often the flusher seals and writes a partial
-	// page so a trickle of appends still becomes durable (default 2ms).
+	// GroupInterval is how often the appender calls Flush, handing the
+	// flusher a partial page so a trickle of appends still becomes durable
+	// (default 2ms). The WAL keeps no timer: the cadence is the appender's.
 	// The group sync trails the writes by one cycle, so end-to-end
 	// durability latency is about two intervals; Sync bypasses the
 	// pipeline.
@@ -122,12 +127,12 @@ func (o *Options) fillDefaults() {
 
 // Stats are point-in-time WAL counters.
 type Stats struct {
-	Appends    uint64 // records appended
+	Appends    uint64 // records handed to the WAL by its appender
 	Pages      uint64 // pages written by the flusher
 	Fsyncs     uint64 // fsync calls issued
 	FsyncNanos uint64 // cumulative wall time inside those fsyncs
 	Rotations  uint64 // segment rotations
-	SealStalls uint64 // appends that blocked on a full flush queue
+	SealStalls uint64 // page hand-offs that blocked on a full flush queue
 }
 
 // ErrWALClosed is returned by Append and Sync after Close.

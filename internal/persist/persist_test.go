@@ -69,32 +69,20 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWALOutOfOrderFrontier(t *testing.T) {
+// Segments written before the WAL became single-writer hold records slightly
+// out of index order (combiners on different nodes appended concurrently);
+// the loader still sorts them and stops at the first gap.
+func TestLoadToleratesOutOfOrderRecords(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, Options{})
-	for _, idx := range []uint64{1, 0, 3, 2} {
-		if err := w.Append(idx, idx, encU64(idx)); err != nil {
-			t.Fatalf("Append(%d): %v", idx, err)
+	seg := segmentHeader(1, 0)
+	for _, idx := range []uint64{1, 0, 3, 2, 5} { // a gap at index 4
+		var err error
+		if seg, err = appendRecord(seg, idx, idx, encU64(idx)); err != nil {
+			t.Fatalf("appendRecord(%d): %v", idx, err)
 		}
 	}
-	if err := w.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if got := w.DurableIndex(); got != 4 {
-		t.Fatalf("DurableIndex = %d, want 4", got)
-	}
-	// A gap at index 4: the frontier must not pass it.
-	if err := w.Append(5, 5, encU64(5)); err != nil {
-		t.Fatalf("Append(5): %v", err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if got := w.DurableIndex(); got != 4 {
-		t.Fatalf("DurableIndex after gap = %d, want 4", got)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1, 0)), seg, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	st, err := Load(dir)
 	if err != nil {
@@ -103,55 +91,13 @@ func TestWALOutOfOrderFrontier(t *testing.T) {
 	if len(st.Records) != 4 {
 		t.Fatalf("contiguous records = %d, want 4 (record 5 is beyond the gap)", len(st.Records))
 	}
-	if st.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", st.Dropped)
-	}
-}
-
-func TestWALConcurrentAppend(t *testing.T) {
-	dir := t.TempDir()
-	w := openTestWAL(t, dir, Options{PageBytes: 256, QueuePages: 2})
-	const (
-		writers = 8
-		each    = 500
-	)
-	// Writers append disjoint index slices out of order relative to each
-	// other, mimicking concurrent combiners filling disjoint reservations.
-	var wg sync.WaitGroup
-	for wr := 0; wr < writers; wr++ {
-		wg.Add(1)
-		go func(wr int) {
-			defer wg.Done()
-			for k := 0; k < each; k++ {
-				idx := uint64(k*writers + wr)
-				if err := w.Append(idx, idx, encU64(idx)); err != nil {
-					t.Errorf("Append(%d): %v", idx, err)
-					return
-				}
-			}
-		}(wr)
-	}
-	wg.Wait()
-	if err := w.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if got := w.DurableIndex(); got != writers*each {
-		t.Fatalf("DurableIndex = %d, want %d", got, writers*each)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	st, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if len(st.Records) != writers*each {
-		t.Fatalf("records = %d, want %d", len(st.Records), writers*each)
-	}
 	for i, r := range st.Records {
 		if r.Index != uint64(i) {
 			t.Fatalf("record %d has index %d", i, r.Index)
 		}
+	}
+	if st.Dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", st.Dropped)
 	}
 }
 
@@ -468,12 +414,16 @@ func TestWALSyncTimelyWithoutExplicitSync(t *testing.T) {
 	if err := w.Append(0, 0, encU64(0)); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
+	// The appender's Flush cadence, not a Sync, is what makes it durable:
+	// one Flush hands the page over, the next one's empty page completes the
+	// pipelined fsync.
 	deadline := time.Now().Add(5 * time.Second)
 	for w.DurableIndex() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("group ticker never made the record durable")
+			t.Fatalf("flushing every group interval never made the record durable")
 		}
-		time.Sleep(time.Millisecond)
+		w.Flush()
+		time.Sleep(w.GroupInterval())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

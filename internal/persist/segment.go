@@ -90,23 +90,6 @@ func appendRecord(dst []byte, idx, token uint64, enc func([]byte) ([]byte, error
 	return dst, nil
 }
 
-// appendFramed frames a pre-encoded payload into dst: the allocation-free
-// fast path of appendRecord for callers that encode outside the WAL lock
-// (no closure, no rollback — a byte slice cannot fail to encode).
-func appendFramed(dst []byte, idx, token uint64, payload []byte) []byte {
-	base := len(dst)
-	var zero [recHeaderSize]byte
-	dst = append(dst, zero[:]...)
-	dst = append(dst, payload...)
-	hdr := dst[base:]
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:], idx)
-	binary.LittleEndian.PutUint64(hdr[16:], token)
-	crc := crc32.Checksum(hdr[4:recHeaderSize+len(payload)], castagnoli)
-	binary.LittleEndian.PutUint32(hdr[0:], crc)
-	return dst
-}
-
 // segmentHeader renders a segment file header.
 func segmentHeader(gen, seq uint64) []byte {
 	hdr := make([]byte, segHeaderSize)

@@ -1,52 +1,53 @@
-// The write-ahead log: lock-framed in-memory pages on the append side, a
-// dedicated flusher goroutine owning every file operation on the other.
+// The write-ahead log: one appender framing records into in-memory pages, a
+// dedicated flusher goroutine owning every file operation on the other side.
 package persist
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // walPage is one sealed page handed to the flusher. frontier is the
-// contiguity frontier captured at seal time: once every page sealed up to
-// and including this one is on disk, all records below frontier are
-// durable. An empty buf still carries a frontier (Sync uses that to
-// publish progress when the active page is empty).
+// append frontier captured at seal time: once this page is on disk, all
+// records below frontier are durable. An empty buf still carries a frontier
+// (Sync and Flush use that to publish progress when the active page is
+// empty).
 type walPage struct {
 	buf      []byte
 	frontier uint64
 }
 
-// WAL is an append-only record log. Append never performs file I/O — see
-// the package comment. A WAL is safe for concurrent Append; Sync and Close
-// may be called from any goroutine.
+// WAL is an append-only record log with one appender: records arrive in
+// log-index order, without gaps, from a single goroutine (NR's log
+// follower). Append and Flush never perform file I/O — see the package
+// comment. Sync, Close and the token-journal methods may be called from any
+// goroutine.
 type WAL struct {
 	dir  string
 	gen  uint64
 	opts Options
 
-	// mu guards the append side: active page and frontier bookkeeping.
-	// The flusher only ever TryLocks it (after a drain), so an appender
-	// blocked handing off a page while holding mu cannot deadlock against
-	// the flusher.
+	// mu guards the append side: active page, frontier and token journal.
+	// Pages are sealed (queued for the flusher) only under it, so they reach
+	// the flusher in index order whoever seals; the flusher itself never
+	// takes it, so a sealer blocked on a full queue while holding mu cannot
+	// deadlock against the flusher. Its one regular holder is the appender:
+	// Sync and the checkpoint's journal reads are rare.
 	mu       sync.Mutex //nr:lockorder walAppend
 	active   []byte
-	frontier uint64            // lowest index not yet appended contiguously
-	pending  map[uint64]uint64 // interval start -> end for out-of-order appends
-	tokens   tokenJournal      // un-checkpointed (index, token) pairs
+	frontier uint64       // one past the last index appended
+	tokens   tokenJournal // (index, token) pairs not yet durable or checkpointed
 	closed   bool
 
-	// The sticky failure lives under its own lock, never w.mu: the flusher
-	// records and checks failures mid-cycle, when an appender may be
-	// holding w.mu blocked on the page queue.
-	failMu    sync.Mutex
-	failure   error // sticky: encode or I/O error poisons the WAL
-	hasFailed atomic.Bool
+	// failure is sticky: the first encode or I/O error poisons the WAL. Not
+	// under w.mu: the flusher records and checks failures mid-cycle, when a
+	// sealer may be holding w.mu blocked on the page queue.
+	failure atomic.Pointer[error]
 
 	pages chan walPage
 	free  chan []byte    // page buffer recycling
@@ -54,14 +55,7 @@ type WAL struct {
 	quit  chan struct{}
 	done  chan struct{}
 
-	durable atomic.Uint64 // published contiguity frontier after sync
-
-	// Seal-request protocol (see flushCycle): the flusher posts sealReq
-	// when it needs the active page; the next Append honors it by sealing
-	// early. seals counts completed seals — incremented after the page
-	// handoff — so the flusher can tell a post-request seal happened.
-	sealReq atomic.Bool
-	seals   atomic.Uint64
+	durable atomic.Uint64 // published frontier after sync
 
 	appends    atomic.Uint64
 	pagesOut   atomic.Uint64
@@ -81,8 +75,9 @@ type WAL struct {
 	// initiated at write time by startWriteback — has had a full cycle to
 	// complete: the fdatasync then waits on almost nothing instead of on a
 	// device-speed flush of everything just written. The price is one cycle
-	// of added durability latency, bounded by the GroupInterval tick.
-	// Sync and Close bypass the pipeline and fsync immediately.
+	// of added durability latency, bounded by the appender's Flush cadence
+	// (GroupInterval). Sync and Close bypass the pipeline and fsync
+	// immediately.
 	pendFrontier uint64 // highest frontier among written-but-unsynced pages
 	pendHave     bool   // a frontier is pending publication
 	pendWrote    bool   // unsynced bytes exist in the segment
@@ -97,16 +92,15 @@ func Open(dir string, gen uint64, opts Options) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{
-		dir:     dir,
-		gen:     gen,
-		opts:    opts,
-		active:  make([]byte, 0, opts.PageBytes+4096),
-		pending: make(map[uint64]uint64),
-		pages:   make(chan walPage, opts.QueuePages),
-		free:    make(chan []byte, opts.QueuePages),
-		syncc:   make(chan chan bool),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		dir:    dir,
+		gen:    gen,
+		opts:   opts,
+		active: make([]byte, 0, opts.PageBytes+4096),
+		pages:  make(chan walPage, opts.QueuePages),
+		free:   make(chan []byte, opts.QueuePages),
+		syncc:  make(chan chan bool),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	if err := w.openSegment(0); err != nil {
 		return nil, err
@@ -118,104 +112,73 @@ func Open(dir string, gen uint64, opts Options) (*WAL, error) {
 // Gen returns the generation this WAL writes.
 func (w *WAL) Gen() uint64 { return w.gen }
 
+// GroupInterval returns the cadence at which the appender should call
+// Flush (Options.GroupInterval with its default filled in).
+func (w *WAL) GroupInterval() time.Duration { return w.opts.GroupInterval }
+
 // Append frames one record for log index idx carrying the op token. enc
-// appends the operation's payload encoding to its argument and returns the
-// extended slice; it runs with w.mu held and must not call back into the
-// WAL. Append does no file I/O: it memcpys into the active page and, when
-// the page fills, hands it to the flusher. It blocks only when the flusher
-// is QueuePages behind (backpressure). An encode error poisons the WAL:
-// the contiguity frontier could never pass the lost record, so pretending
-// to continue would silently freeze durability.
+// appends the operation's payload encoding to its argument — the active
+// page itself, so a record is encoded in place — and returns the extended
+// slice; it runs with w.mu held and must not call back into the WAL. Append
+// does no file I/O and, when the page fills, hands it to the flusher; it
+// blocks only when the flusher is QueuePages behind (backpressure, which
+// the appender passes on to the shared log by not advancing its tail).
+//
+// The token is journaled whatever happens next: even when encoding fails or
+// the WAL has already failed, the operation executed in memory, so a later
+// checkpoint's snapshot covers it and must carry its token. An encode error
+// poisons the WAL: the frontier could never pass the lost record.
 //
 //nr:hotpath-noio
 func (w *WAL) Append(idx, token uint64, enc func([]byte) ([]byte, error)) error {
-	if w.hasFailed.Load() {
-		return w.stickyErr()
-	}
-	// The appender lock is held only for a memcpy into the active page; the
-	// combiner already serializes appenders, so this never contends in NR
-	// configurations (it exists for direct multi-writer WAL users).
-	w.mu.Lock() //nr:blockok
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return ErrWALClosed
 	}
-	// Journal the token before the encode attempt: even if encoding fails
-	// (poisoning the WAL), the operation still executes in memory, so a
-	// later checkpoint's snapshot covers it and must carry its token.
 	w.tokens.put(idx, token)
+	if w.failed() {
+		return w.stickyErr()
+	}
 	out, err := appendRecord(w.active, idx, token, enc)
 	if err != nil {
-		w.mu.Unlock()
 		werr := fmt.Errorf("persist: encode record %d: %w", idx, err)
 		w.fail(werr)
 		return werr
 	}
 	w.active = out
 	w.appends.Add(1)
-	w.advanceFrontierLocked(idx)
-	if len(w.active) >= w.opts.PageBytes || w.sealReq.Load() {
+	w.frontier = idx + 1
+	if len(w.active) >= w.opts.PageBytes {
 		w.sealLocked()
 	}
-	w.mu.Unlock()
 	return nil
 }
 
-// AppendBytes is Append for a payload encoded by the caller (outside the
-// WAL lock): it frames and memcpys the bytes into the active page with no
-// closure and no possibility of an encode error. payload may be reused the
-// moment AppendBytes returns. This is the hot-path entry point — encode
-// into a pooled buffer, then hand the bytes over.
+// Flush is the appender's end-of-batch call, made at least once per
+// GroupInterval: it trims the token journal to the durable watermark and
+// hands the flusher the partial page — or an empty one while written bytes
+// still await their pipelined fsync — so a trickle of appends becomes
+// durable within about two intervals. It does nothing on an idle WAL.
 //
 //nr:hotpath-noio
-func (w *WAL) AppendBytes(idx, token uint64, payload []byte) error {
-	if w.hasFailed.Load() {
-		return w.stickyErr()
-	}
-	w.mu.Lock() //nr:blockok single combiner; memcpy-length critical section (see Append)
-	if w.closed {
-		w.mu.Unlock()
-		return ErrWALClosed
-	}
-	w.tokens.put(idx, token)
-	w.active = appendFramed(w.active, idx, token, payload)
-	w.appends.Add(1)
-	w.advanceFrontierLocked(idx)
-	if len(w.active) >= w.opts.PageBytes || w.sealReq.Load() {
+func (w *WAL) Flush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	// Pairs below the durable watermark are on disk in this generation's
+	// segments, where TokensBetween finds them again. A failed WAL's
+	// watermark stops, so failure mode keeps every pair from there on.
+	durable := w.durable.Load()
+	w.tokens.dropBelow(durable)
+	if !w.closed && !w.failed() && (len(w.active) > 0 || durable < w.frontier) {
 		w.sealLocked()
-	}
-	w.mu.Unlock()
-	return nil
-}
-
-// advanceFrontierLocked merges [idx, idx+1) into the contiguity frontier.
-// Log reservations partition the index space, so each index is appended
-// exactly once and single-entry interval merging suffices. In-order
-// appends (the overwhelmingly common case: combiners drain reservations in
-// index order) advance the frontier directly and never touch the pending
-// map. Caller holds w.mu.
-func (w *WAL) advanceFrontierLocked(idx uint64) {
-	if idx == w.frontier && len(w.pending) == 0 {
-		w.frontier = idx + 1
-		return
-	}
-	w.pending[idx] = idx + 1
-	for {
-		end, ok := w.pending[w.frontier]
-		if !ok {
-			return
-		}
-		delete(w.pending, w.frontier)
-		w.frontier = end
 	}
 }
 
 // sealLocked queues the active page for the flusher and installs a fresh
 // buffer. Caller holds w.mu; the blocking send (flusher QueuePages behind)
-// intentionally stalls all appenders — that is the backpressure. It is
-// deadlock-free because the flusher never blocks on w.mu. The seal counter
-// is bumped only after the handoff completes, so a flusher observing the
-// bump knows the page is in (or already through) the queue.
+// is the backpressure. It is deadlock-free because the flusher never takes
+// w.mu.
 func (w *WAL) sealLocked() {
 	p := walPage{buf: w.active, frontier: w.frontier}
 	select {
@@ -227,26 +190,54 @@ func (w *WAL) sealLocked() {
 	select {
 	case w.pages <- p:
 	default:
-		// Flusher backpressure: QueuePages full pages are already in flight
-		// and blocking the appender is the WAL's documented throttle.
 		w.sealStalls.Add(1)
-		w.pages <- p //nr:blockok
+		w.pages <- p
 	}
-	w.seals.Add(1)
-	w.sealReq.Store(false)
 }
 
 // DurableIndex returns the published durable watermark: every record with
 // index below it has been written (and, under FsyncGroup, fsynced).
 func (w *WAL) DurableIndex() uint64 { return w.durable.Load() }
 
-// TokensBelow copies out every journaled (index, token) pair with index
-// below idx — the set a checkpoint at applied index idx must fold into
-// its snapshot — in no particular order. Checkpoint-path only; O(journal).
-func (w *WAL) TokensBelow(idx uint64) []TokenPair {
+// TokensBetween returns the (index, token) pair of every record in
+// [from, to) — the set a checkpoint at applied index to folds into its
+// snapshot when the previous one covered everything below from — in no
+// particular order, or an error when it cannot account for every index in
+// the range (each must have been appended, none dropped by
+// DropTokensBelow). Pairs still journaled come from memory; those Flush
+// already trimmed are read back from this generation's segment files,
+// newest first, stopping at the segment that holds from.
+func (w *WAL) TokensBetween(from, to uint64) ([]TokenPair, error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.tokens.below(idx)
+	floor := min(max(w.tokens.floor, from), to)
+	out := w.tokens.below(to)
+	w.mu.Unlock()
+	var segs []segmentFile
+	if floor > from { // something to read back
+		var err error
+		if segs, err = listSegments(w.dir); err != nil {
+			return nil, err
+		}
+	}
+	want := len(out) + int(floor-from)
+	for k := len(segs) - 1; k >= 0 && len(out) < want; k-- {
+		if segs[k].gen != w.gen {
+			continue
+		}
+		recs, _, err := readSegment(filepath.Join(w.dir, segs[k].name))
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range recs {
+			if from <= r.Index && r.Index < floor {
+				out = append(out, TokenPair{Idx: r.Index, Tok: r.Token})
+			}
+		}
+	}
+	if uint64(len(out)) != to-from {
+		return nil, fmt.Errorf("persist: journal and generation %d's segments account for %d of the %d records in [%d, %d)", w.gen, len(out), to-from, from, to)
+	}
+	return out, nil
 }
 
 // DropTokensBelow compacts the token journal, discarding pairs with index
@@ -264,6 +255,9 @@ func (w *WAL) DropTokensBelow(idx uint64) {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	closed := w.closed
+	if !closed {
+		w.sealLocked()
+	}
 	w.mu.Unlock()
 	if closed {
 		if err := w.stickyErr(); err != nil {
@@ -299,6 +293,9 @@ func (w *WAL) Close() error {
 	w.mu.Lock()
 	already := w.closed
 	w.closed = true
+	if !already {
+		w.sealLocked()
+	}
 	w.mu.Unlock()
 	if !already {
 		close(w.quit)
@@ -307,30 +304,17 @@ func (w *WAL) Close() error {
 	return w.stickyErr()
 }
 
-// fail records the first failure; later ones are dropped. It never touches
-// w.mu, so the flusher may call it at any point in a cycle. failMu guards a
-// single pointer write on a path that ends durability; blocking is moot.
-//
-//nr:blockok
-func (w *WAL) fail(err error) {
-	w.failMu.Lock()
-	if w.failure == nil {
-		w.failure = err
-		w.hasFailed.Store(true)
-	}
-	w.failMu.Unlock()
-}
+// fail records the first failure; later ones are dropped.
+func (w *WAL) fail(err error) { w.failure.CompareAndSwap(nil, &err) }
 
-func (w *WAL) failed() bool { return w.hasFailed.Load() }
+func (w *WAL) failed() bool { return w.failure.Load() != nil }
 
-// stickyErr returns the first recorded failure. Reached only after
-// hasFailed flips, so the spin-context contract no longer applies.
-//
-//nr:blockok
+// stickyErr returns the first recorded failure, nil if none.
 func (w *WAL) stickyErr() error {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.failure
+	if p := w.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -353,9 +337,13 @@ func (w *WAL) openSegment(seq uint64) error {
 	return nil
 }
 
-// writePage writes one page's bytes and recycles its buffer, tracking the
-// highest frontier seen this cycle.
-func (w *WAL) writePage(p walPage, frontier *uint64, have, wrote *bool) {
+// writePage writes one page's bytes, recycles its buffer and notes the
+// page's frontier for the pipelined group sync: no fsync happens here;
+// syncPending at the start of a later cycle (or a forced Sync/Close) makes
+// the bytes durable and publishes the frontier. Pages arrive in index
+// order, so the latest frontier is the highest; a page that brings neither
+// bytes nor progress leaves nothing to publish.
+func (w *WAL) writePage(p walPage) {
 	if len(p.buf) > 0 && !w.failed() {
 		if _, err := w.file.Write(p.buf); err != nil {
 			w.fail(fmt.Errorf("persist: write %s: %w", w.segName, err))
@@ -365,93 +353,28 @@ func (w *WAL) writePage(p walPage, frontier *uint64, have, wrote *bool) {
 			}
 			w.segSize += int64(len(p.buf))
 			w.pagesOut.Add(1)
-			*wrote = true
+			w.pendWrote = true
 		}
 	}
-	if p.frontier > *frontier || !*have {
-		*frontier = p.frontier
+	if w.pendWrote || p.frontier > w.durable.Load() {
+		w.pendFrontier, w.pendHave = p.frontier, true
 	}
-	*have = true
-	if p.buf != nil {
+	select {
+	case w.free <- p.buf[:0]:
+	default:
+	}
+}
+
+// writeQueued writes up to limit queued pages without waiting for more.
+func (w *WAL) writeQueued(limit int) {
+	for ; limit > 0; limit-- {
 		select {
-		case w.free <- p.buf[:0]:
+		case p := <-w.pages:
+			w.writePage(p)
 		default:
+			return
 		}
 	}
-}
-
-// flushCycle is the flusher's unit of work: write every queued page — and,
-// when sealActive is set, the active page too — then note the result for
-// the pipelined group sync (syncPending).
-//
-// Capturing the active page cannot rely on TryLock alone: under sustained
-// load an appender parked handing off a sealed page is holding w.mu, and
-// on a single CPU the flusher then never observes the lock free — a
-// livelock that starves the fsync, the watermark, and rotation while the
-// drain happily writes pages forever. Instead the flusher posts a seal
-// request that the next append honors (sealing the active page early),
-// and waits for the seal counter to pass the value read before posting:
-// any seal completed after the request covers every record appended
-// before this cycle began, which is exactly Sync's contract. TryLock
-// remains the quiescent-path fallback — with no appends arriving to honor
-// the request, the lock is free.
-func (w *WAL) flushCycle(sealActive bool) {
-	var frontier uint64
-	have, wrote := false, false
-	drain := func() {
-		for {
-			select {
-			case p := <-w.pages:
-				w.writePage(p, &frontier, &have, &wrote)
-			default:
-				return
-			}
-		}
-	}
-	if sealActive {
-		target := w.seals.Load()
-		w.sealReq.Store(true)
-		for {
-			drain()
-			if w.seals.Load() > target {
-				// An appender sealed after the request; the handoff
-				// completed before the counter bump, so the final drain
-				// below collects that page.
-				w.sealReq.Store(false)
-				break
-			}
-			if w.mu.TryLock() {
-				w.sealReq.Store(false)
-				p := walPage{buf: w.active, frontier: w.frontier}
-				select {
-				case b := <-w.free:
-					w.active = b[:0]
-				default:
-					w.active = make([]byte, 0, w.opts.PageBytes+4096)
-				}
-				w.mu.Unlock()
-				w.writePage(p, &frontier, &have, &wrote)
-				break
-			}
-			runtime.Gosched()
-		}
-	}
-	drain()
-	w.notePending(frontier, have, wrote)
-}
-
-// notePending folds one cycle's written pages into the pending-sync state.
-// No I/O happens here; syncPending at the start of a later cycle (or a
-// forced Sync/Close) makes the bytes durable and publishes the frontier.
-func (w *WAL) notePending(frontier uint64, have, wrote bool) {
-	if !have {
-		return
-	}
-	if frontier > w.pendFrontier || !w.pendHave {
-		w.pendFrontier = frontier
-	}
-	w.pendHave = true
-	w.pendWrote = w.pendWrote || wrote
 }
 
 // syncPending ends the previous cycle: one group fsync if it wrote
@@ -496,56 +419,30 @@ func (w *WAL) rotate() {
 	w.rotations.Add(1)
 }
 
-// dirty reports whether the active page holds unflushed bytes; used by the
-// ticker to skip no-op cycles. TryLock keeps the flusher off the appender
-// lock; a miss just defers to the next tick.
-func (w *WAL) dirty() bool {
-	if !w.mu.TryLock() {
-		return true // an appender is active; assume there is work
-	}
-	d := len(w.active) > 0
-	w.mu.Unlock()
-	return d
-}
-
+// flusher is the WAL's only file writer. It has no timer of its own: the
+// appender's Flush paces it, handing over a page (possibly empty) whenever
+// there is something to write or a frontier to publish.
 func (w *WAL) flusher() {
 	defer close(w.done)
-	tick := time.NewTicker(w.opts.GroupInterval)
-	defer tick.Stop()
 	for {
 		select {
 		case p := <-w.pages:
 			w.syncPending()
-			var frontier uint64
-			have, wrote := false, false
-			w.writePage(p, &frontier, &have, &wrote)
+			w.writePage(p)
 			// Bounded drain: at most QueuePages more pages before closing the
 			// cycle. Under sustained appends the queue refills as fast as it
 			// drains; an unbounded drain would postpone the end of the cycle —
 			// the group fsync, the durable watermark, segment rotation —
 			// indefinitely. FIFO page order makes stopping early safe: the
 			// frontier noted covers exactly the pages written.
-			for drained := 0; drained < w.opts.QueuePages; drained++ {
-				select {
-				case p := <-w.pages:
-					w.writePage(p, &frontier, &have, &wrote)
-					continue
-				default:
-				}
-				break
-			}
-			w.notePending(frontier, have, wrote)
-		case <-tick.C:
-			w.syncPending()
-			if w.dirty() {
-				w.flushCycle(true)
-			}
+			w.writeQueued(w.opts.QueuePages)
 		case reply := <-w.syncc:
-			w.flushCycle(true)
+			// Sync sealed before asking, so everything it covers is queued.
+			w.writeQueued(math.MaxInt)
 			w.syncPending()
 			reply <- true
 		case <-w.quit:
-			w.flushCycle(true)
+			w.writeQueued(math.MaxInt)
 			w.syncPending()
 			if w.file != nil {
 				if err := w.file.Close(); err != nil && !w.failed() {

@@ -489,7 +489,7 @@ func (i *Instance[O, R]) Close() {
 		sh.Close()
 	}
 	if i.pst != nil {
-		_ = i.pst.wal.Close()
+		i.pst.close()
 	}
 }
 

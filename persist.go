@@ -1,16 +1,18 @@
-// Durability surface of the nr package: WithPersistence attaches
-// internal/persist's write-ahead log to an instance — every update
-// operation is appended (with its op token) to generation-numbered segment
-// files by a flusher goroutine that group-fsyncs off the hot path —
-// Checkpoint snapshots a replica atomically, and Recover rebuilds an
-// instance from the durable state after a crash, answering
-// Recovered.WasExecuted(token) for detectable recovery. See DESIGN.md
-// "Durability & recovery".
+// Durability surface of the nr package: WithPersistence makes
+// internal/persist's write-ahead log follow the instance's shared log — a
+// follower goroutine reads the filled entries in index order and appends
+// each (with its op token) to generation-numbered segment files that a
+// flusher goroutine group-fsyncs; submitting and combining threads do
+// nothing for durability — Checkpoint snapshots a replica atomically, and
+// Recover rebuilds an instance from the durable state after a crash,
+// answering Recovered.WasExecuted(token) for detectable recovery. See
+// DESIGN.md "Durability & recovery".
 package nr
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,9 +22,10 @@ import (
 )
 
 // Codec serializes operations for the write-ahead log. AppendEncode
-// appends op's encoding to dst and returns the extended slice — it runs on
-// the combiner's append path, so implementations should avoid allocation
-// (append into dst, no intermediate buffers). Decode must invert it.
+// appends op's encoding to dst and returns the extended slice — it runs
+// once per update on the log follower, which must keep up with every
+// combiner, so implementations should avoid allocation (append into dst, no
+// intermediate buffers). Decode must invert it.
 // Encoding must be deterministic and self-delimiting is NOT required: each
 // record's payload is length-framed by the WAL.
 type Codec[O any] interface {
@@ -113,11 +116,16 @@ type resumeState struct {
 	tokens map[uint64]struct{}
 }
 
-// WithPersistence makes the instance durable: every update operation is
-// appended to a write-ahead log in dir (group-fsynced off the hot path by
-// a dedicated flusher goroutine; operations never block on I/O), and
-// Checkpoint/Recover snapshot and rebuild the structure through codec and
-// the Snapshotter interface, which the structure must implement.
+// WithPersistence makes the instance durable: a follower goroutine reads
+// every update operation off the shared log and appends it to a write-ahead
+// log in dir, group-fsynced by a dedicated flusher goroutine. Operations do
+// no durability work and never block on I/O; an operation is durable about
+// two group intervals after it is acknowledged, or when SyncWAL returns.
+// The shared log is the backpressure: it does not recycle an entry the
+// follower has not read, so updates wait (as they wait for a lagging
+// replica) only when the disk falls a whole log behind. Checkpoint/Recover
+// snapshot and rebuild the structure through codec and the Snapshotter
+// interface, which the structure must implement.
 //
 // The O type parameter must match the instance's operation type. dir must
 // be fresh (or empty): starting a new instance over existing durable state
@@ -136,55 +144,73 @@ func WithPersistenceOptions(popts ...PersistOption) Option {
 	return func(s *settings) { s.persistTuning = append(s.persistTuning, popts...) }
 }
 
-// persistence implements core.Persister on top of a WAL. Detectability
-// bookkeeping splits in two: the WAL journals the (index, token) pairs
-// not yet covered by a snapshot (under the lock the append already
-// holds — see persist.TokenPair), and snapTokens is the cumulative token
-// set already folded into the latest snapshot, touched only under snapMu.
+// persistence makes a WAL follow the instance's shared log. Detectability
+// bookkeeping splits in two: the WAL journals the (index, token) pairs of
+// the records not yet durable (see persist.TokenPair), and snapTokens is the
+// cumulative token set already folded into the latest snapshot, which
+// covered every index below snapIndex; both touched only under snapMu.
 type persistence[O any] struct {
 	dir   string
 	codec Codec[O]
 	wal   *persist.WAL
+	fol   *core.Follower[O]
 
-	// encPool recycles per-op encode buffers (*[]byte) so the hot path
-	// allocates nothing in steady state.
-	encPool sync.Pool
+	// The follower goroutine's state: the op being appended and the encoder
+	// closure over it, built once so an append allocates nothing.
+	cur     O
+	encode  func([]byte) ([]byte, error)
+	quit    chan struct{}
+	done    chan struct{}
+	closing sync.Once
 
-	snapMu     sync.Mutex // serializes checkpoints; guards snapTokens
+	snapMu     sync.Mutex // serializes checkpoints; guards snapTokens, snapIndex
 	snapTokens map[uint64]struct{}
+	snapIndex  uint64
 	lastSave   atomic.Int64
 
 	snapshotEvery uint64
-	snapCounter   atomic.Uint64
+	snapCounter   uint64 // follower-goroutine only
 	snapInFlight  atomic.Bool
 	checkpoint    func() error // bound to the owning Instance
 }
 
-// Append implements core.Persister: encode into a pooled buffer outside
-// every lock, then hand the bytes to the WAL (memcpy into the active
-// page, token journaled under the same lock; no file I/O, no per-op
-// allocation).
-//
-//nr:hotpath-noio
-func (p *persistence[O]) Append(idx uint64, token uint64, op O) {
-	bp, _ := p.encPool.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
+// follow is the log follower: the one goroutine that appends to the WAL. A
+// pass reads the shared log up to the first unfilled entry — so it keeps
+// going while it is behind — and hands the WAL's partial page to the
+// flusher; then it sleeps until the group interval's tick, a barrier's kick,
+// or an appender's (the log is full). WAL errors are sticky and surface on
+// the next SyncWAL / Checkpoint; the follower keeps reading past them so
+// the log never fills behind a dead disk, and the instance runs on in
+// memory.
+func (p *persistence[O]) follow() {
+	defer close(p.done)
+	tick := time.NewTicker(p.wal.GroupInterval())
+	defer tick.Stop()
+	for {
+		p.fol.Drain(p.append)
+		p.wal.Flush()
+		select {
+		case <-tick.C:
+		case <-p.fol.Wake():
+		case <-p.quit:
+			// Close: everything reserved before it was called (waiting out
+			// holes), then let go of the log.
+			for tail := p.fol.LogTail(); p.fol.Pos() < tail; {
+				p.fol.Drain(p.append)
+				runtime.Gosched()
+			}
+			p.fol.Detach()
+			return
+		}
 	}
-	buf, encErr := p.codec.AppendEncode((*bp)[:0], op)
-	*bp = buf[:0]
-	// WAL errors are sticky; the hot path cannot return them, so they
-	// surface on the next SyncWAL / Checkpoint / Close.
-	if encErr != nil {
-		// Route the encode failure through the WAL's poison path: the
-		// contiguity frontier could never pass the lost record.
-		_ = p.wal.Append(idx, token, func([]byte) ([]byte, error) { return nil, encErr })
-	} else {
-		_ = p.wal.AppendBytes(idx, token, buf)
-	}
-	p.encPool.Put(bp)
+}
+
+// append hands one log entry to the WAL, encoded in place into its page.
+func (p *persistence[O]) append(idx, token uint64, op O) {
+	p.cur = op
+	_ = p.wal.Append(idx, token, p.encode)
 	if n := p.snapshotEvery; n > 0 {
-		if p.snapCounter.Add(1)%n == 0 && p.snapInFlight.CompareAndSwap(false, true) {
+		if p.snapCounter++; p.snapCounter%n == 0 && p.snapInFlight.CompareAndSwap(false, true) {
 			go func() {
 				defer p.snapInFlight.Store(false)
 				_ = p.checkpoint()
@@ -193,8 +219,26 @@ func (p *persistence[O]) Append(idx uint64, token uint64, op O) {
 	}
 }
 
-// attachPersistence builds the persistence for inst from pc and installs
-// it as the core's persister. Called from New with no operations executed.
+// waitFollowed blocks until the follower has appended every entry below idx
+// to the WAL (immediately once Close has detached it).
+func (p *persistence[O]) waitFollowed(idx uint64) {
+	for p.fol.Pos() < idx {
+		p.fol.Kick()
+		runtime.Gosched()
+	}
+}
+
+// close drains the follower to the log tail and closes the WAL.
+func (p *persistence[O]) close() {
+	p.closing.Do(func() {
+		close(p.quit)
+		<-p.done
+		_ = p.wal.Close()
+	})
+}
+
+// attachPersistence builds the persistence for inst from pc and starts its
+// log follower. Called from New with no operations executed.
 func attachPersistence[O, R any](inst *Instance[O, R], pc *persistConfig) (*persistence[O], error) {
 	codec, ok := pc.codec.(Codec[O])
 	if !ok {
@@ -236,18 +280,24 @@ func attachPersistence[O, R any](inst *Instance[O, R], pc *persistConfig) (*pers
 	if err != nil {
 		return nil, err
 	}
+	fol, err := inst.inner.Follow()
+	if err != nil {
+		wal.Close()
+		return nil, err
+	}
 	p := &persistence[O]{
 		dir:           pc.dir,
 		codec:         codec,
 		wal:           wal,
+		fol:           fol,
+		quit:          make(chan struct{}),
+		done:          make(chan struct{}),
 		snapTokens:    snapTokens,
 		snapshotEvery: uint64(max(t.snapshotEvery, 0)),
+		checkpoint:    inst.Checkpoint,
 	}
-	p.checkpoint = func() error { return inst.Checkpoint() }
-	if err := inst.inner.AttachPersister(p); err != nil {
-		wal.Close()
-		return nil, err
-	}
+	p.encode = func(dst []byte) ([]byte, error) { return p.codec.AppendEncode(dst, p.cur) }
+	go p.follow()
 	return p, nil
 }
 
@@ -281,7 +331,13 @@ func (i *Instance[O, R]) Checkpoint() error {
 	if serr != nil {
 		return serr
 	}
-	covered := p.wal.TokensBelow(applied)
+	// The replica applied everything below applied, but the follower reads
+	// the log on its own schedule: wait until it has journaled those tokens.
+	p.waitFollowed(applied)
+	covered, err := p.wal.TokensBetween(p.snapIndex, applied)
+	if err != nil {
+		return err
+	}
 	toks := make([]uint64, 0, len(p.snapTokens)+len(covered))
 	for tok := range p.snapTokens {
 		toks = append(toks, tok)
@@ -289,7 +345,7 @@ func (i *Instance[O, R]) Checkpoint() error {
 	for _, pr := range covered {
 		toks = append(toks, pr.Tok)
 	}
-	err := persist.SaveSnapshot(p.dir, persist.Snapshot{
+	err = persist.SaveSnapshot(p.dir, persist.Snapshot{
 		Gen:     p.wal.Gen(),
 		Index:   applied,
 		Tokens:  toks,
@@ -300,24 +356,27 @@ func (i *Instance[O, R]) Checkpoint() error {
 	}
 	// Only after the snapshot is durably named: fold the covered tokens
 	// into the cumulative set (guarded by snapMu, held here) and compact
-	// the WAL's journal. New appends journal indices >= applied, so the
-	// set dropped is exactly the set folded.
+	// the WAL's journal. The next checkpoint asks for [applied, ...), so
+	// the set dropped is exactly the set folded.
 	for _, pr := range covered {
 		p.snapTokens[pr.Tok] = struct{}{}
 	}
+	p.snapIndex = applied
 	p.wal.DropTokensBelow(applied)
 	p.lastSave.Store(time.Now().UnixNano())
 	return nil
 }
 
-// SyncWAL blocks until every operation appended before the call is durable
-// (a group fsync), returning the WAL's sticky failure, if any. This is the
-// explicit durability barrier: after SyncWAL returns nil, those operations
-// survive kill -9.
+// SyncWAL blocks until every operation acknowledged before the call is
+// durable — the log follower has reached the log tail read at the call, and
+// the WAL has flushed and group-fsynced — returning the WAL's sticky
+// failure, if any. This is the explicit durability barrier: after SyncWAL
+// returns nil, those operations survive kill -9.
 func (i *Instance[O, R]) SyncWAL() error {
 	if i.pst == nil {
 		return ErrNoPersistence
 	}
+	i.pst.waitFollowed(i.pst.fol.LogTail())
 	return i.pst.wal.Sync()
 }
 
@@ -344,7 +403,9 @@ func (i *Instance[O, R]) LastSave() time.Time {
 }
 
 // WALStats returns point-in-time WAL counters; ok is false without
-// persistence.
+// persistence. Appends counts records the log follower has handed to the
+// WAL, which trails the operations acknowledged by up to one group interval
+// (SyncWAL first for an exact count).
 func (i *Instance[O, R]) WALStats() (stats PersistStats, ok bool) {
 	if i.pst == nil {
 		return PersistStats{}, false

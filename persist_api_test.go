@@ -386,3 +386,35 @@ func TestNoPersistenceErrors(t *testing.T) {
 		t.Error("LastSave non-zero on non-persistent instance")
 	}
 }
+
+// Durability costs the submitting and combining threads nothing: the WAL
+// follows the shared log on its own goroutine, and that goroutine encodes in
+// place into a recycled page. AllocsPerRun counts the whole process, so the
+// follower's and the flusher's steady state are held to zero as well.
+func TestDurableUpdateAllocatesNothing(t *testing.T) {
+	inst := smallPersistent(t, t.TempDir())
+	defer inst.Close()
+	h, err := inst.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 2000; i++ { // fill the map's buckets and the WAL's page pool
+		h.Execute(kvOp{Key: i % 7, Delta: 1})
+	}
+	if err := inst.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	i := uint64(0)
+	if n := testing.AllocsPerRun(2000, func() {
+		h.Execute(kvOp{Key: i % 7, Delta: 1})
+		i++
+	}); n != 0 {
+		t.Errorf("update with persistence attached: %v allocs/op, want 0", n)
+	}
+	if err := inst.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if ws, _ := inst.WALStats(); ws.Appends < 4000 {
+		t.Fatalf("WAL appends = %d: the measured updates were not persisted", ws.Appends)
+	}
+}
