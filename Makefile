@@ -14,10 +14,11 @@ BENCH_OUT ?= bench-local.json
 # The packages where a data race is a protocol bug, not just a test bug.
 RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
 
-.PHONY: tier1 tier1-race tier2 chaos chaos-recover check test build vet race bench lint
+.PHONY: tier1 tier1-race tier2 chaos chaos-recover check test build vet race bench lint lint-sarif
 
-tier1: ## gofmt + build + vet + lint + unit tests (the acceptance gate)
+tier1: ## gofmt + one-benchmark rule + build + vet + lint + unit tests (the acceptance gate)
 	test -z "$$(gofmt -l .)"
+	! grep -rn '^func Benchmark' --include='*_test.go' . | grep -v '^./benchmark/'
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/nrlint ./...

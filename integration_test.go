@@ -138,6 +138,104 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 		}, func(s nr.Sequential[ds.ZOp, ds.ZResult]) int { return s.(*ds.SeqSortedSet).Inner().Len() })
 	})
 
+	t.Run("queue", func(t *testing.T) {
+		inst, err := nr.New(func() nr.Sequential[ds.QueueOp, ds.QueueResult] {
+			return ds.NewSeqQueue(64)
+		}, cfg...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveAndCompare(t, inst, func(rng *workload.RNG) ds.QueueOp {
+			switch rng.Intn(5) {
+			case 0, 1:
+				return ds.QueueOp{Kind: ds.QueueEnqueue, Value: int64(rng.Next())}
+			case 2, 3:
+				return ds.QueueOp{Kind: ds.QueueDequeue}
+			}
+			return ds.QueueOp{Kind: ds.QueuePeek}
+		}, func(s nr.Sequential[ds.QueueOp, ds.QueueResult]) int { return s.(*ds.SeqQueue).Len() })
+	})
+
+	// Get reorders recency, so which keys survive eviction depends on the
+	// order of reads too: the fingerprint is over the surviving key set.
+	t.Run("lru", func(t *testing.T) {
+		const keys = 200
+		inst, err := nr.New(func() nr.Sequential[ds.LRUOp, ds.LRUResult] {
+			return ds.NewSeqLRU(64)
+		}, cfg...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveAndCompare(t, inst, func(rng *workload.RNG) ds.LRUOp {
+			k := int64(rng.Intn(keys))
+			switch rng.Intn(4) {
+			case 0:
+				return ds.LRUOp{Kind: ds.LRUPut, Key: k, Value: rng.Next()}
+			case 1:
+				return ds.LRUOp{Kind: ds.LRUGet, Key: k}
+			case 2:
+				return ds.LRUOp{Kind: ds.LRURemove, Key: k}
+			}
+			return ds.LRUOp{Kind: ds.LRUPeek, Key: k}
+		}, func(s nr.Sequential[ds.LRUOp, ds.LRUResult]) int {
+			sum := 0
+			for k := int64(0); k < keys; k++ {
+				if s.Execute(ds.LRUOp{Kind: ds.LRUPeek, Key: k}).OK {
+					sum += int(k*k) + 1
+				}
+			}
+			return sum
+		})
+	})
+
+	// Three dictionaries behind one op type: swapping the constructor is the
+	// whole port (the black-box claim). Keys are few enough that deletes hit
+	// absent keys, which FastPathDict serves through TryReadOnly (§6).
+	dictOp := func(rng *workload.RNG) ds.DictOp {
+		k := int64(rng.Intn(300))
+		switch rng.Intn(4) {
+		case 0:
+			return ds.DictOp{Kind: ds.DictInsert, Key: k, Value: rng.Next()}
+		case 1, 2:
+			return ds.DictOp{Kind: ds.DictDelete, Key: k}
+		}
+		return ds.DictOp{Kind: ds.DictLookup, Key: k}
+	}
+	for _, d := range []struct {
+		name   string
+		create func() nr.Sequential[ds.DictOp, ds.DictResult]
+	}{
+		{"skiplist-dict", func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewSkipListDict(5) }},
+		{"btree-dict", func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewBTreeDict() }},
+		{"fastpath-dict", func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(5) }},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			inst, err := nr.New(d.create, cfg...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveAndCompare(t, inst, dictOp, func(s nr.Sequential[ds.DictOp, ds.DictResult]) int {
+				return s.(interface{ Len() int }).Len()
+			})
+		})
+	}
+
+	// The buffer's length never changes; a read of entry 0 and seven derived
+	// entries is its replica fingerprint.
+	t.Run("buffer", func(t *testing.T) {
+		inst, err := nr.New(func() nr.Sequential[ds.BufferOp, ds.BufferResult] {
+			return ds.NewSeqBuffer(256)
+		}, cfg...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveAndCompare(t, inst, func(rng *workload.RNG) ds.BufferOp {
+			return ds.BufferOp{Update: rng.Intn(2) == 0, Seed: rng.Next(), C: 4}
+		}, func(s nr.Sequential[ds.BufferOp, ds.BufferResult]) int {
+			return int(s.Execute(ds.BufferOp{Seed: 1, C: 8}).Sum)
+		})
+	})
+
 	t.Run("miniredis-store", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[miniredis.StoreOp, miniredis.StoreResult] {
 			return miniredis.NewStore(13)

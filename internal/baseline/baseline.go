@@ -8,8 +8,8 @@
 //	FC+  — flat combining for updates plus a readers-writer lock so
 //	       read-only operations run in parallel on the structure
 //
-// All methods implement the same Shared interface so the benchmark harness
-// can drive any of them (and NR) interchangeably.
+// All methods implement the same Shared interface, so nrredis (-method
+// sl|rwl|fc|fc+) drives any of them where it would drive NR.
 package baseline
 
 import (
@@ -293,21 +293,4 @@ func (f *FlatCombiningPlus[O, R]) combineRound() {
 		s.state.Store(fcDone)
 	}
 	f.rw.Unlock()
-}
-
-// NRAdapter presents a core.Instance through the Shared interface so the
-// harness can drive NR exactly like the baselines.
-type NRAdapter[O, R any] struct {
-	Inst *core.Instance[O, R]
-}
-
-// Register registers a thread with the underlying NR instance.
-func (a *NRAdapter[O, R]) Register() (Executor[O, R], error) {
-	return a.Inst.Register()
-}
-
-// Metrics exposes the instance's unified observability snapshot so harnesses
-// driving NR through the Shared interface can still report it.
-func (a *NRAdapter[O, R]) Metrics() core.Metrics {
-	return a.Inst.Metrics()
 }

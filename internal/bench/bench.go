@@ -7,8 +7,8 @@
 //
 // The thread sweeps run on the simulated NUMA machine (internal/sim) — the
 // substitution for the paper's 4-socket testbed — while the memory tables
-// (Fig. 5f, 6c, 7e) measure the real implementation, and bench_test.go at
-// the repository root drives the real implementation under testing.B.
+// (Fig. 5f, 6c, 7e) measure the real implementation. Measured throughput of
+// the real implementation comes from the benchmark/ package alone.
 package bench
 
 import (

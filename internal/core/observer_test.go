@@ -283,42 +283,3 @@ func TestNoObserverHotPathDoesNotAllocate(t *testing.T) {
 		t.Errorf("update path allocates %.1f objects/op, want 0", avg)
 	}
 }
-
-// BenchmarkNoObserverUpdate reports allocs/op for the combined update path
-// without an observer (must be 0).
-func BenchmarkNoObserverUpdate(b *testing.B) {
-	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := inst.Register()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		h.Execute(ctrInc)
-	}
-}
-
-// BenchmarkNoObserverRead reports allocs/op for the local read path without
-// an observer (must be 0).
-func BenchmarkNoObserverRead(b *testing.B) {
-	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := inst.Register()
-	if err != nil {
-		b.Fatal(err)
-	}
-	h.Execute(ctrInc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		h.Execute(ctrRead)
-	}
-}

@@ -40,11 +40,11 @@ func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 		return zero, err
 	}
 	h.seq++
-	if rate := i.profRate; rate > 0 && h.seq%rate == 0 {
-		return i.executeLabeled(h, op)
-	}
+	// Every ProfileSampleRate-th op per handle dispatches under pprof labels.
+	rate := i.profRate
+	labeled := rate > 0 && h.seq%rate == 0
 	o := i.observer
-	if o == nil && h.ring == nil {
+	if o == nil && h.ring == nil && !labeled {
 		resp, _, err := i.dispatch(h, op)
 		return resp, err
 	}
@@ -55,7 +55,16 @@ func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 	} else {
 		h.tsHint = 0
 	}
-	resp, class, err := i.dispatch(h, op)
+	var (
+		resp  R
+		class obs.OpClass
+		err   error
+	)
+	if labeled {
+		resp, class, err = i.dispatchLabeled(h, op)
+	} else {
+		resp, class, err = i.dispatch(h, op)
+	}
 	if o != nil {
 		elapsed := time.Since(start)
 		o.OpDone(h.node, class, elapsed)
@@ -68,42 +77,18 @@ func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 	return resp, err
 }
 
-// executeLabeled is TryExecute's sampled-profiling body: the dispatch runs
-// under runtime/pprof labels (nr_node, nr_op) so CPU profiles attribute
-// time to op class and node. Label attachment allocates, which is why it is
-// taken only every ProfileSampleRate-th op per handle.
-func (i *Instance[O, R]) executeLabeled(h *Handle[O, R], op O) (R, error) {
+// dispatchLabeled is dispatch under runtime/pprof labels (nr_node, nr_op), so
+// CPU profiles attribute time to op class and node. Label attachment
+// allocates, which is why TryExecute samples it.
+func (i *Instance[O, R]) dispatchLabeled(h *Handle[O, R], op O) (resp R, class obs.OpClass, err error) {
 	cls := 1
 	if i.replicas[h.node].ds.IsReadOnly(op) {
 		cls = 0
 	}
-	var (
-		resp  R
-		class obs.OpClass
-		err   error
-	)
-	o := i.observer
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-		h.tsHint = h.ring.At(start)
-	} else {
-		h.tsHint = 0
-	}
 	pprof.Do(context.Background(), i.profLabels[h.node][cls], func(context.Context) {
 		resp, class, err = i.dispatch(h, op)
 	})
-	if o != nil {
-		elapsed := time.Since(start)
-		o.OpDone(h.node, class, elapsed)
-		// Same derivation as the unsampled path in TryExecute: the op-end
-		// timestamp comes from the observer's clock reads (tsHint+elapsed),
-		// so a sampled op's span ends exactly like every other op's.
-		h.ring.RecordAt(h.tsHint+int64(elapsed), trace.KOpEnd, h.node, h.token(), uint64(class))
-	} else {
-		h.ring.Record(trace.KOpEnd, h.node, h.token(), uint64(class))
-	}
-	return resp, err
+	return resp, class, err
 }
 
 // dispatch routes op to the read or update path of its conflict class and

@@ -212,7 +212,7 @@ func TestTraceHotPathDoesNotAllocate(t *testing.T) {
 }
 
 // TestTraceProfileLabelsSampled exercises the pprof-labeled sampling path:
-// every rate-th op routes through executeLabeled and must still return
+// every rate-th op dispatches through dispatchLabeled and must still return
 // correct results and record its span end.
 func TestTraceProfileLabelsSampled(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 256, ProfileSampleRate: 2})

@@ -203,28 +203,3 @@ func TestBTreeDictMatchesSkipListDict(t *testing.T) {
 		t.Error("BTreeDict read-only classification wrong")
 	}
 }
-
-func BenchmarkBTreeInsertDelete(b *testing.B) {
-	bt := NewBTree()
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := int64(rng.Intn(200000))
-		if i%2 == 0 {
-			bt.Insert(k, 1)
-		} else {
-			bt.Delete(k)
-		}
-	}
-}
-
-func BenchmarkBTreeGet(b *testing.B) {
-	bt := NewBTree()
-	for i := int64(0); i < 200000; i++ {
-		bt.Insert(i, uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Get(int64(i % 200000))
-	}
-}

@@ -6,8 +6,7 @@ package ds
 // modelling a stack's tail pointer or a tree's root) plus c-1 entries chosen
 // by the caller — either reading them or reading-and-writing them.
 type Buffer struct {
-	lines   []bufferLine
-	touched uint64 // accumulator so reads cannot be optimized away
+	lines []bufferLine
 }
 
 // bufferLine is one logical cache line plus one spare line of padding.
@@ -29,13 +28,13 @@ func NewBuffer(n int) *Buffer {
 func (b *Buffer) Len() int { return len(b.lines) }
 
 // Read touches entry 0 and the given entries, reading each; it returns a
-// checksum so the work is observable.
+// checksum so the work is observable. It writes nothing: NR runs the reads
+// of one replica concurrently.
 func (b *Buffer) Read(entries []int) uint64 {
 	sum := b.lines[0].data
 	for _, e := range entries {
 		sum += b.lines[e%len(b.lines)].data
 	}
-	b.touched += 0 // keep method shape parallel to Update
 	return sum
 }
 

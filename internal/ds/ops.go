@@ -304,8 +304,7 @@ type BufferResult struct {
 
 // SeqBuffer adapts Buffer to the black-box contract.
 type SeqBuffer struct {
-	b       *Buffer
-	scratch []int
+	b *Buffer
 }
 
 // NewSeqBuffer returns a buffer with n entries.
@@ -320,10 +319,11 @@ func (s *SeqBuffer) Execute(op BufferOp) BufferResult {
 	if c < 1 {
 		c = 1
 	}
-	if cap(s.scratch) < c-1 {
-		s.scratch = make([]int, 0, c-1)
-	}
-	entries := s.scratch[:0]
+	// The entries live on the caller's stack (c <= 64 in every sweep of
+	// §8.2; a larger c allocates), never in the structure: NR runs the reads
+	// of one replica concurrently.
+	var local [63]int
+	entries := local[:0]
 	x := op.Seed | 1
 	for i := 0; i < c-1; i++ {
 		x ^= x << 13

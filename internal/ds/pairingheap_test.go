@@ -142,19 +142,3 @@ func TestPairingHeapDeepDoesNotOverflow(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkPairingHeapInsertDeleteMin(b *testing.B) {
-	h := newIntHeap()
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1000; i++ {
-		h.Insert(int64(rng.Intn(1 << 30)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			h.Insert(int64(rng.Intn(1 << 30)))
-		} else {
-			h.DeleteMin()
-		}
-	}
-}

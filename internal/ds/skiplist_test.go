@@ -1,7 +1,6 @@
 package ds
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -328,49 +327,5 @@ func TestSkipListInsertDeleteRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkSkipListInsertDelete(b *testing.B) {
-	s := newIntList(17)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := int64(rng.Intn(200000))
-		if i%2 == 0 {
-			s.Insert(k, 1)
-		} else {
-			s.Delete(k)
-		}
-	}
-}
-
-// BenchmarkSortedSetIncrBy is the replayed update of the paper's §8.3
-// workload on one replica: the local proxy for the benchmark's
-// store.update_ns.
-func BenchmarkSortedSetIncrBy(b *testing.B) {
-	const members = 10000
-	z := NewSortedSet(members, 23)
-	names := make([]string, members)
-	for i := range names {
-		names[i] = fmt.Sprintf("item:%06d", i)
-		z.Add(names[i], float64(i))
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.IncrBy(names[rng.Intn(members)], 1)
-	}
-}
-
-func BenchmarkSkipListGet(b *testing.B) {
-	s := newIntList(19)
-	for i := int64(0); i < 200000; i++ {
-		s.Insert(i, uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Get(int64(i % 200000))
 	}
 }

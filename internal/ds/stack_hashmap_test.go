@@ -188,20 +188,3 @@ func TestHashMapRetrievalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkHashMapSetGet(b *testing.B) {
-	m := NewHashMap[int](1024)
-	keys := make([]string, 4096)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i%len(keys)]
-		if i%2 == 0 {
-			m.Set(k, i)
-		} else {
-			m.Get(k)
-		}
-	}
-}

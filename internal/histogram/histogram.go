@@ -173,16 +173,6 @@ func DeltaCount(cur, prev *Cum) uint64 {
 	return cur.Total - prev.Total
 }
 
-// DeltaMean returns the mean duration of the observations between prev and
-// cur (0 with none).
-func DeltaMean(cur, prev *Cum) time.Duration {
-	n := DeltaCount(cur, prev)
-	if n == 0 || cur.Sum < prev.Sum {
-		return 0
-	}
-	return time.Duration((cur.Sum - prev.Sum) / n)
-}
-
 // DeltaPercentile returns a lower bound on the p-th percentile (0 < p <=
 // 100) of the observations recorded between the prev and cur captures,
 // walking the bucket-wise difference without materializing it.

@@ -269,33 +269,6 @@ func TestMemoryBytes(t *testing.T) {
 	}
 }
 
-func BenchmarkReserveFill(b *testing.B) {
-	l, _ := New[uint64](1<<16, 32)
-	lt := l.RegisterReplica()
-	var consumed atomic.Uint64
-	stop := make(chan struct{})
-	go func() {
-		// Consumer keeps the log from filling.
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tail := l.Tail()
-			lt.Store(tail)
-			consumed.Store(tail)
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := l.Reserve(1)
-		l.Fill(s, uint64(i))
-	}
-	b.StopTimer()
-	close(stop)
-}
-
 // TestMultiEntryReservationPartitions is the batch-reservation contract
 // under concurrent publishers: every TryReserve(n) must hand back n
 // consecutive indices owned by exactly one publisher, and the union of all

@@ -1,8 +1,9 @@
 // Package obs is NR's observability layer: a zero-allocation event hook
-// interface (Observer) that internal/core, internal/log, and internal/rwlock
-// fire protocol events into, plus a built-in Metrics observer that turns
-// those events into per-node latency histograms, combiner batch-size
-// distributions, and event counters.
+// interface (Observer) that internal/core fires protocol events into (all
+// nine hooks, the log's and the lock's included: neither internal/log nor
+// internal/rwlock imports this package), plus a built-in Metrics observer
+// that turns those events into per-node latency histograms, combiner
+// batch-size distributions, and event counters.
 //
 // The paper's argument for NR is quantitative — batch sizes, log occupancy,
 // and the read/update latency split explain why NR wins (§6, §8) — so the

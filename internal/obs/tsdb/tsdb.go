@@ -308,18 +308,3 @@ func (c *Collector) LatestCum(dst *obs.Cum) bool {
 	dst.Nodes = append(dst.Nodes[:0], s.cum.Nodes...)
 	return true
 }
-
-// LatestGauges copies the newest capture's gauge snapshot into dst
-// (reusing dst.Replicas' capacity), reporting whether a capture exists.
-func (c *Collector) LatestGauges(dst *Gauges) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.prevLocked()
-	if s == nil {
-		return false
-	}
-	replicas := append(dst.Replicas[:0], s.g.Replicas...)
-	*dst = s.g
-	dst.Replicas = replicas
-	return true
-}

@@ -301,24 +301,14 @@ func TestSLOBreachRateLimit(t *testing.T) {
 	}
 }
 
-func TestLatestCumAndGauges(t *testing.T) {
+func TestLatestCum(t *testing.T) {
 	clk := newClock()
 	m := obs.NewMetrics(1)
-	var g Gauges
-	c := New(testConfig(clk, Config{
-		Windows:  4,
-		Observed: []*obs.Metrics{m},
-		Source: func(dst *Gauges) {
-			*dst = g
-			dst.Replicas = append(dst.Replicas[:0], g.Replicas...)
-		},
-	}))
+	c := New(testConfig(clk, Config{Windows: 4, Observed: []*obs.Metrics{m}}))
 
 	for i := 0; i < 42; i++ {
 		m.OpDone(0, obs.OpRead, time.Microsecond)
 	}
-	g.ReadOps = 42
-	g.Replicas = []ReplicaGauge{{Node: 0, CompletedLag: 7}}
 	clk.step(time.Second)
 	c.Advance()
 
@@ -328,13 +318,6 @@ func TestLatestCumAndGauges(t *testing.T) {
 	}
 	if got := cum.Latency[obs.OpRead].Total; got != 42 {
 		t.Errorf("latest capture read count = %d, want 42", got)
-	}
-	var lg Gauges
-	if !c.LatestGauges(&lg) {
-		t.Fatal("LatestGauges found nothing")
-	}
-	if lg.ReadOps != 42 || len(lg.Replicas) != 1 || lg.Replicas[0].CompletedLag != 7 {
-		t.Errorf("latest gauges = %+v, want the closing capture", lg)
 	}
 }
 
@@ -395,13 +378,11 @@ func TestConcurrentStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var cum obs.Cum
-			var g Gauges
 			for i := 0; i < 200; i++ {
 				_ = c.Snapshot()
 				_, _ = c.Last()
 				_ = c.SLOStatuses()
 				_ = c.LatestCum(&cum)
-				_ = c.LatestGauges(&g)
 			}
 		}()
 	}

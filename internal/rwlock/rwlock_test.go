@@ -198,13 +198,3 @@ func TestSpinMutex(t *testing.T) {
 		t.Fatalf("counter = %d, want 40000 (lost updates)", counter)
 	}
 }
-
-func BenchmarkDistributedRead(b *testing.B) {
-	l := NewDistributed(1)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			l.RLock(0)
-			l.RUnlock(0)
-		}
-	})
-}

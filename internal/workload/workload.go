@@ -1,13 +1,9 @@
-// Package workload generates the benchmark workloads of §8: key
-// distributions (uniform and zipf with parameter 1.5), update/read operation
-// mixes, and the "external work" loop of e random writes between operations
-// that pollutes the cache and throttles the operation arrival rate.
+// Package workload holds the seedable generator every load generator in the
+// repository draws from (benchmark/, cmd/nrbench, internal/bench, the
+// integration tests), so a seed names one operation stream everywhere.
 package workload
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RNG is a small, fast, seedable xorshift64* generator. Every thread in a
 // benchmark owns one, so workload generation never synchronizes.
@@ -42,142 +38,4 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Next()>>11) / float64(1<<53)
-}
-
-// KeyDist produces keys in [0, n).
-type KeyDist interface {
-	// Key returns the next key using rng.
-	Key(rng *RNG) int64
-	// N returns the key-space size.
-	N() int64
-}
-
-// Uniform draws keys uniformly from [0, n) — the paper's low-contention
-// distribution (§8.1.3).
-type Uniform struct {
-	n int64
-}
-
-// NewUniform returns a uniform distribution over [0, n).
-func NewUniform(n int64) *Uniform {
-	if n < 1 {
-		panic("workload: uniform key space must be >= 1")
-	}
-	return &Uniform{n: n}
-}
-
-// Key returns a uniformly random key.
-func (u *Uniform) Key(rng *RNG) int64 { return int64(rng.Next() % uint64(u.n)) }
-
-// N returns the key-space size.
-func (u *Uniform) N() int64 { return u.n }
-
-// Zipf draws keys from a zipfian distribution with parameter theta — the
-// paper uses zipf(1.5) as its high-contention distribution (§8.1.3). Keys
-// are sampled by inverting the CDF over a precomputed table of partial
-// harmonic sums; rank 0 is the hottest key.
-type Zipf struct {
-	n   int64
-	cdf []float64
-}
-
-// NewZipf returns a zipf(theta) distribution over [0, n). The CDF table
-// costs O(n) to build and makes sampling O(log n) with no float pow per
-// draw.
-func NewZipf(n int64, theta float64) *Zipf {
-	if n < 1 {
-		panic("workload: zipf key space must be >= 1")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := int64(0); i < n; i++ {
-		sum += 1.0 / math.Pow(float64(i+1), theta)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{n: n, cdf: cdf}
-}
-
-// Key returns a zipf-distributed key; smaller keys are hotter.
-func (z *Zipf) Key(rng *RNG) int64 {
-	u := rng.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int64(lo)
-}
-
-// N returns the key-space size.
-func (z *Zipf) N() int64 { return z.n }
-
-// OpKind classifies a generated operation.
-type OpKind uint8
-
-// Generated operation kinds, mirroring the flat-combining benchmark's
-// generic add/remove/read (§8.1).
-const (
-	OpAdd OpKind = iota
-	OpRemove
-	OpRead
-)
-
-// Mix draws operation kinds with a given update ratio; updates split evenly
-// between add and remove so the structure size stays roughly constant (§8.1).
-type Mix struct {
-	updatePermille int // updates per 1000 ops
-}
-
-// NewMix returns a mix with the given update fraction (0..1).
-func NewMix(updateRatio float64) Mix {
-	if updateRatio < 0 || updateRatio > 1 {
-		panic(fmt.Sprintf("workload: update ratio %f out of [0,1]", updateRatio))
-	}
-	return Mix{updatePermille: int(math.Round(updateRatio * 1000))}
-}
-
-// UpdateRatio returns the configured update fraction.
-func (m Mix) UpdateRatio() float64 { return float64(m.updatePermille) / 1000 }
-
-// Kind returns the next operation kind.
-func (m Mix) Kind(rng *RNG) OpKind {
-	if rng.Intn(1000) < m.updatePermille {
-		if rng.Intn(2) == 0 {
-			return OpAdd
-		}
-		return OpRemove
-	}
-	return OpRead
-}
-
-// ExternalWork performs e writes to thread-local memory between operations,
-// emulating the paper's cache-polluting "work" parameter (§8.1). The scratch
-// buffer should be per-thread and survive across calls.
-type ExternalWork struct {
-	scratch []uint64
-}
-
-// NewExternalWork returns a worker with a scratch area of the given size in
-// 64-bit words (the paper writes to random locations in thread-local
-// memory; 16K words ≈ 128 KiB, larger than the paper's L2).
-func NewExternalWork(words int) *ExternalWork {
-	if words < 1 {
-		words = 1
-	}
-	return &ExternalWork{scratch: make([]uint64, words)}
-}
-
-// Do performs e random writes.
-func (w *ExternalWork) Do(rng *RNG, e int) {
-	for i := 0; i < e; i++ {
-		w.scratch[rng.Next()%uint64(len(w.scratch))] = rng.state
-	}
 }

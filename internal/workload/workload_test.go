@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRNGDeterministicAndNonZeroSeed(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
@@ -40,177 +36,5 @@ func TestRNGFloat64Range(t *testing.T) {
 		if f := r.Float64(); f < 0 || f >= 1 {
 			t.Fatalf("Float64 = %f", f)
 		}
-	}
-}
-
-func TestUniformCoversKeySpace(t *testing.T) {
-	u := NewUniform(16)
-	if u.N() != 16 {
-		t.Errorf("N = %d", u.N())
-	}
-	r := NewRNG(11)
-	counts := make([]int, 16)
-	const draws = 160000
-	for i := 0; i < draws; i++ {
-		k := u.Key(r)
-		if k < 0 || k >= 16 {
-			t.Fatalf("key %d out of range", k)
-		}
-		counts[k]++
-	}
-	for k, c := range counts {
-		// Expect ~10000 each; allow ±30%.
-		if c < 7000 || c > 13000 {
-			t.Errorf("key %d drawn %d times, badly non-uniform", k, c)
-		}
-	}
-}
-
-func TestUniformPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewUniform(0) did not panic")
-		}
-	}()
-	NewUniform(0)
-}
-
-func TestZipfSkew(t *testing.T) {
-	z := NewZipf(1000, 1.5)
-	if z.N() != 1000 {
-		t.Errorf("N = %d", z.N())
-	}
-	r := NewRNG(13)
-	counts := make([]int, 1000)
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		k := z.Key(r)
-		if k < 0 || k >= 1000 {
-			t.Fatalf("key %d out of range", k)
-		}
-		counts[k]++
-	}
-	// zipf(1.5) over 1000 keys: key 0 has probability 1/H ≈ 0.38.
-	frac0 := float64(counts[0]) / draws
-	if frac0 < 0.30 || frac0 < float64(counts[1])/draws {
-		t.Errorf("hottest key fraction = %.3f, want ≈0.38 and > key 1", frac0)
-	}
-	// Monotone-ish decay: hot decile dominates.
-	hot, cold := 0, 0
-	for k := 0; k < 100; k++ {
-		hot += counts[k]
-	}
-	for k := 900; k < 1000; k++ {
-		cold += counts[k]
-	}
-	if hot < 50*cold {
-		t.Errorf("zipf(1.5) hot decile %d vs cold decile %d: insufficient skew", hot, cold)
-	}
-}
-
-func TestZipfTheoreticalHead(t *testing.T) {
-	// P(key 0) must equal 1/H_{n,theta} within sampling error.
-	n, theta := int64(100), 1.5
-	h := 0.0
-	for i := int64(1); i <= n; i++ {
-		h += 1 / math.Pow(float64(i), theta)
-	}
-	z := NewZipf(n, theta)
-	r := NewRNG(17)
-	hits := 0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		if z.Key(r) == 0 {
-			hits++
-		}
-	}
-	want := 1 / h
-	got := float64(hits) / draws
-	if math.Abs(got-want) > 0.02 {
-		t.Errorf("P(key 0) = %.3f, want %.3f", got, want)
-	}
-}
-
-func TestMixRatios(t *testing.T) {
-	cases := []float64{0, 0.1, 0.5, 1}
-	r := NewRNG(19)
-	for _, ratio := range cases {
-		m := NewMix(ratio)
-		if got := m.UpdateRatio(); math.Abs(got-ratio) > 1e-9 {
-			t.Errorf("UpdateRatio = %f, want %f", got, ratio)
-		}
-		var add, rem, rd int
-		const draws = 100000
-		for i := 0; i < draws; i++ {
-			switch m.Kind(r) {
-			case OpAdd:
-				add++
-			case OpRemove:
-				rem++
-			case OpRead:
-				rd++
-			}
-		}
-		gotUpd := float64(add+rem) / draws
-		if math.Abs(gotUpd-ratio) > 0.02 {
-			t.Errorf("ratio %f: measured update fraction %f", ratio, gotUpd)
-		}
-		if ratio > 0 {
-			// add/remove split evenly.
-			if balance := math.Abs(float64(add-rem)) / float64(add+rem); balance > 0.05 {
-				t.Errorf("ratio %f: add/remove imbalance %f", ratio, balance)
-			}
-		}
-	}
-}
-
-func TestMixPanicsOutOfRange(t *testing.T) {
-	for _, bad := range []float64{-0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewMix(%f) did not panic", bad)
-				}
-			}()
-			NewMix(bad)
-		}()
-	}
-}
-
-func TestExternalWorkWrites(t *testing.T) {
-	w := NewExternalWork(64)
-	r := NewRNG(23)
-	w.Do(r, 1000)
-	nonzero := 0
-	for _, v := range w.scratch {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	if nonzero == 0 {
-		t.Error("external work wrote nothing")
-	}
-	// Clamp.
-	w2 := NewExternalWork(0)
-	w2.Do(r, 10) // must not panic
-}
-
-// Property: zipf keys always fall in range for any n, theta in a sane band.
-func TestZipfRangeProperty(t *testing.T) {
-	f := func(nRaw uint16, thetaRaw uint8, seed uint64) bool {
-		n := int64(nRaw%500) + 1
-		theta := 0.5 + float64(thetaRaw%20)/10 // 0.5..2.4
-		z := NewZipf(n, theta)
-		r := NewRNG(seed)
-		for i := 0; i < 50; i++ {
-			k := z.Key(r)
-			if k < 0 || k >= n {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
