@@ -24,8 +24,9 @@ tier1: ## gofmt + one-benchmark rule + build + vet + lint + unit tests (the acce
 	$(GO) run ./cmd/nrlint ./...
 	$(GO) test ./...
 
-tier1-race: ## race detector on the protocol-critical packages
+tier1-race: ## race detector on the protocol-critical packages, and on the durable path's kill-and-recover cuts
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run 'Recover' ./internal/chaos
 
 lint: ## nrlint: NR layout, hot-path, and concurrency-contract invariants (DESIGN.md §10)
 	$(GO) run ./cmd/nrlint -v ./...

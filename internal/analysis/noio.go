@@ -7,10 +7,12 @@ import (
 
 // NoIO checks that functions annotated //nr:hotpath-noio never touch the
 // filesystem. The durability design (DESIGN.md §12) hinges on one
-// invariant: the combiner appends to an in-memory WAL page and the flusher
-// goroutine alone pays for write(2)/fsync(2). One stray os call on the
-// combining path and every thread on the node stalls behind the disk —
-// exactly the latency cliff group fsync exists to avoid.
+// invariant: operations do nothing for durability — the log follower reads
+// the shared log on its own goroutine and alone pays for write(2)/fsync(2).
+// The annotated roots are core's combine, publish, read and replay paths;
+// one stray os call on any of them (or below: the trace ring, an observer)
+// and every thread on the node stalls behind the disk — exactly the latency
+// cliff group fsync exists to avoid.
 //
 // Flagged sites: calls to functions and methods declared in os, syscall,
 // or io/ioutil (this covers *os.File methods — Write, Sync, ReadAt — since

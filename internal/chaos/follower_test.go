@@ -89,9 +89,9 @@ func fingerprint(inst *nr.Instance[Op, Result]) (fp uint64) {
 }
 
 // (a) The follower's tail gates recycling exactly like a replica's: with the
-// disk stopped, the flusher stalls, the follower stalls handing it pages,
-// the 64-entry log fills and updates wait — never overwriting an entry the
-// follower has not read — and everything resumes when the disk answers.
+// disk stopped, the follower stalls inside its group sync, the 64-entry log
+// fills and updates wait — never overwriting an entry the follower has not
+// read — and everything resumes when the disk answers.
 func TestRecoverLogWaitsForSlowFollower(t *testing.T) {
 	const (
 		logEntries = 64
@@ -360,7 +360,7 @@ func TestRecoverCheckpointAfterWALFailure(t *testing.T) {
 	dir := t.TempDir()
 	var sl syncLog
 	inst := followedInstance(t, dir, 64, &sl, nr.WithSegmentBytes(4<<10))
-	// The flusher opens segment 1 with O_EXCL when segment 0 passes 4 KiB;
+	// The WAL opens segment 1 with O_EXCL when segment 0 passes 4 KiB;
 	// a file already under that name makes the rotation fail.
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*-00000000.wal"))
 	if len(segs) != 1 {

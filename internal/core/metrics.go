@@ -103,9 +103,6 @@ type PersistGauges struct {
 	FsyncNanos uint64 `json:"fsync_ns"`
 	// Rotations is the number of segment rotations.
 	Rotations uint64 `json:"rotations"`
-	// SealStalls is the number of page hand-offs that found the flusher's
-	// queue full: the follower waited, and the shared log absorbed it.
-	SealStalls uint64 `json:"seal_stalls"`
 	// DurableIndex is the highest log index known fsync-durable.
 	DurableIndex uint64 `json:"durable_index"`
 	// DurableLag is Log.Completed - DurableIndex clamped at 0: how many

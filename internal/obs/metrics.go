@@ -20,7 +20,6 @@ type Metrics struct {
 type nodeMetrics struct {
 	latency [NumOpClasses]histogram.Histogram
 	batch   CountDist
-	appends CountDist
 
 	combineRounds    atomic.Uint64
 	combineNanos     atomic.Uint64
@@ -63,14 +62,14 @@ func (m *Metrics) CombineStart(node int) {}
 // CombineEnd implements Observer. Rounds that collected nothing count
 // toward combineRounds but not the batch distribution, so the distribution
 // describes batch sizes of rounds that did work (its Count matches
-// core.Stats.Combines, its Sum matches CombinedOps).
-func (m *Metrics) CombineEnd(node, batch, appended int, elapsed time.Duration) {
+// core.Stats.Combines, its Sum matches CombinedOps). appended always equals
+// batch, so it gets no distribution of its own.
+func (m *Metrics) CombineEnd(node, batch, _ int, elapsed time.Duration) {
 	n := m.at(node)
 	n.combineRounds.Add(1)
 	n.combineNanos.Add(uint64(elapsed.Nanoseconds()))
 	if batch > 0 {
 		n.batch.Record(uint64(batch))
-		n.appends.Record(uint64(appended))
 	}
 }
 
@@ -147,11 +146,8 @@ type NodeSnapshot struct {
 	Node   int             `json:"node"`
 	Read   LatencySnapshot `json:"read"`
 	Update LatencySnapshot `json:"update"`
-	// Batch is the distribution of combiner batch sizes on this node;
-	// Appends the distribution of log entries appended per round (they
-	// differ only when a round appends nothing).
-	Batch   DistSnapshot `json:"batch"`
-	Appends DistSnapshot `json:"appends"`
+	// Batch is the distribution of combiner batch sizes on this node.
+	Batch DistSnapshot `json:"batch"`
 
 	CombineRounds    uint64 `json:"combine_rounds"`
 	CombineNanos     uint64 `json:"combine_ns"`
@@ -193,7 +189,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			Read:             latencySnapshot(&n.latency[OpRead]),
 			Update:           latencySnapshot(&n.latency[OpUpdate]),
 			Batch:            n.batch.Snapshot(),
-			Appends:          n.appends.Snapshot(),
 			CombineRounds:    n.combineRounds.Load(),
 			CombineNanos:     n.combineNanos.Load(),
 			ReaderRefreshes:  n.readerRefreshes.Load(),

@@ -69,7 +69,8 @@ type Observer interface {
 	CombineStart(node int)
 	// CombineEnd fires when the round finishes: batch ops were collected
 	// from the node's slots, appended log entries were reserved+filled
-	// (equal to batch on the normal path), taking elapsed overall.
+	// (always equal to batch: every collected op gets one entry), taking
+	// elapsed overall.
 	CombineEnd(node, batch, appended int, elapsed time.Duration)
 	// ReaderRefresh fires when a reader replayed entries log entries into
 	// its own replica because no combiner was active to do it.

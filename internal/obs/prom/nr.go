@@ -77,7 +77,6 @@ func AppendMetrics(e *Exposition, m *core.Metrics) {
 		e.Counter("nr_wal_fsyncs_total", "WAL fsync calls.", float64(p.Fsyncs))
 		e.Counter("nr_wal_fsync_seconds_total", "Total time inside WAL fsync.", float64(p.FsyncNanos)/1e9)
 		e.Counter("nr_wal_rotations_total", "WAL segment rotations.", float64(p.Rotations))
-		e.Counter("nr_wal_seal_stalls_total", "WAL page hand-offs that found the flusher's queue full.", float64(p.SealStalls))
 		e.Gauge("nr_wal_durable_index", "Highest log index known fsync-durable.", float64(p.DurableIndex))
 		e.Gauge("nr_wal_durable_lag", "Completed operations not yet durable.", float64(p.DurableLag))
 	}

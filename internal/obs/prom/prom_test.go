@@ -51,7 +51,7 @@ func buildExposition() *Exposition {
 		},
 		Persist: &core.PersistGauges{
 			Appends: 140000, Pages: 3000, Fsyncs: 321, FsyncNanos: 640000000,
-			Rotations: 2, SealStalls: 1, DurableIndex: 4978, DurableLag: 12,
+			Rotations: 2, DurableIndex: 4978, DurableLag: 12,
 		},
 	}
 	AppendMetrics(e, &m)
@@ -149,7 +149,7 @@ func TestExpositionCoversSnapshot(t *testing.T) {
 		"nr_replica_reader_acquires",
 		// WAL durability.
 		"nr_wal_appends_total", "nr_wal_pages_total", "nr_wal_fsyncs_total",
-		"nr_wal_fsync_seconds_total", "nr_wal_rotations_total", "nr_wal_seal_stalls_total",
+		"nr_wal_fsync_seconds_total", "nr_wal_rotations_total",
 		"nr_wal_durable_index", "nr_wal_durable_lag",
 		// Distributions.
 		"nr_op_latency_seconds_bucket", "nr_op_latency_seconds_sum", "nr_op_latency_seconds_count",

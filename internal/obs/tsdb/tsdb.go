@@ -64,7 +64,6 @@ type Gauges struct {
 	WALPages      uint64 `json:"wal_pages"`
 	WALFsyncs     uint64 `json:"wal_fsyncs"`
 	WALFsyncNanos uint64 `json:"wal_fsync_ns"`
-	WALSealStalls uint64 `json:"wal_seal_stalls"`
 	DurableIndex  uint64 `json:"durable_index"`
 	DurableLag    uint64 `json:"durable_lag"`
 

@@ -10,13 +10,13 @@
 // entry's absolute log index, its op token (node|slot|seq, the flight
 // recorder's identity for the op), and an opaque payload encoding the
 // operation. Records are framed with a CRC and encoded in place into the
-// current in-memory page; a full page, or the partial one at each group
-// interval, goes to a dedicated flusher goroutine over a channel. The
-// flusher owns all file I/O: it writes sealed pages to generation-numbered
-// segment files, starts their kernel writeback immediately, and issues one
-// group fdatasync per cycle — pipelined one cycle behind the writes, so the
-// sync waits on I/O already in flight (NVTraverse's insight applied to a
-// log: only the sync points need ordering, not every record).
+// current in-memory page, and the appender does the file I/O itself: it
+// writes a full page, or the partial one at each group interval, to
+// generation-numbered segment files, starts the kernel writeback
+// immediately, and issues one group fdatasync per cycle — pipelined one
+// cycle behind the writes, so the sync waits on I/O already in flight
+// (NVTraverse's insight applied to a log: only the sync points need
+// ordering, not every record). The package starts no goroutine.
 //
 // Records reach the WAL in log-index order, so the frontier — one past the
 // last index appended — is all the bookkeeping a page needs: the WAL
@@ -57,7 +57,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type FsyncMode int
 
 const (
-	// FsyncGroup (the default) makes the flusher fsync once per flush
+	// FsyncGroup (the default) makes the WAL fsync once per flush
 	// cycle — many records, one fsync, issued at the start of the next
 	// cycle so the previous cycle's writeback has already completed.
 	FsyncGroup FsyncMode = iota
@@ -84,29 +84,24 @@ type Options struct {
 	// may exceed it by up to one flush batch; rotation happens between
 	// batches.
 	SegmentBytes int
-	// PageBytes is the in-memory page size (default 128 KiB): a page is
-	// sealed and queued for the flusher when it reaches this size. Sized
-	// so that one GroupInterval's worth of appends at full throughput
-	// usually fits in a single page — then the steady state is one seal,
-	// one write, one fsync per interval.
+	// PageBytes is the in-memory page size (default 128 KiB): Append writes
+	// the page to the segment when it reaches this size. Sized so that one
+	// GroupInterval's worth of appends at full throughput usually fits in a
+	// single page — then the steady state is one write and one fsync per
+	// interval.
 	PageBytes int
-	// QueuePages is the sealed-page channel capacity (default 8). When the
-	// flusher falls this far behind, the appender blocks (counted in
-	// Stats.SealStalls), stops reading the shared log, and the log — which
-	// never recycles an entry the appender has not read — becomes the
-	// backpressure on updates.
-	QueuePages int
-	// GroupInterval is how often the appender calls Flush, handing the
-	// flusher a partial page so a trickle of appends still becomes durable
-	// (default 2ms). The WAL keeps no timer: the cadence is the appender's.
-	// The group sync trails the writes by one cycle, so end-to-end
-	// durability latency is about two intervals; Sync bypasses the
-	// pipeline.
+	// GroupInterval is how often the appender calls Flush, which writes the
+	// partial page so a trickle of appends still becomes durable (default
+	// 2ms). The WAL keeps no timer: the cadence is the appender's. The
+	// group sync trails the writes by one cycle, so end-to-end durability
+	// latency is about two intervals; Sync bypasses the pipeline.
 	GroupInterval time.Duration
 	// Fsync selects the sync policy (default FsyncGroup).
 	Fsync FsyncMode
-	// OnSync, when non-nil, is called by the flusher goroutine after every
-	// completed sync. It must not call back into the WAL.
+	// OnSync, when non-nil, is called after every completed sync by
+	// whichever goroutine completed it: the appender, or the caller of
+	// Sync/Close. It runs with the WAL's lock held and must not call back
+	// into the WAL.
 	OnSync func(SyncInfo)
 }
 
@@ -117,9 +112,6 @@ func (o *Options) fillDefaults() {
 	if o.PageBytes <= 0 {
 		o.PageBytes = 128 << 10
 	}
-	if o.QueuePages <= 0 {
-		o.QueuePages = 8
-	}
 	if o.GroupInterval <= 0 {
 		o.GroupInterval = 2 * time.Millisecond
 	}
@@ -128,11 +120,11 @@ func (o *Options) fillDefaults() {
 // Stats are point-in-time WAL counters.
 type Stats struct {
 	Appends    uint64 // records handed to the WAL by its appender
-	Pages      uint64 // pages written by the flusher
+	Pages      uint64 // pages written to the segment files
 	Fsyncs     uint64 // fsync calls issued
 	FsyncNanos uint64 // cumulative wall time inside those fsyncs
 	Rotations  uint64 // segment rotations
-	SealStalls uint64 // page hand-offs that blocked on a full flush queue
+	SealStalls uint64 // always zero (no page queue); kept because benchmark/traced.go reads it
 }
 
 // ErrWALClosed is returned by Append and Sync after Close.

@@ -142,7 +142,8 @@ func loadSnapshot(path string) (Snapshot, error) {
 	off := 24
 	n := binary.LittleEndian.Uint64(body[off:])
 	off += 8
-	if n > uint64(len(body)-off)/8 {
+	// The tokens must leave room for the payload length that follows them.
+	if room := len(body) - off - 8; room < 0 || n > uint64(room)/8 {
 		return Snapshot{}, corruptf("%s: snapshot token count %d overruns file", base, n)
 	}
 	s.Tokens = make([]uint64, n)

@@ -440,7 +440,6 @@ func (i *Instance[O, R]) fillPersist(m *Metrics) {
 		Fsyncs:       ws.Fsyncs,
 		FsyncNanos:   ws.FsyncNanos,
 		Rotations:    ws.Rotations,
-		SealStalls:   ws.SealStalls,
 		DurableIndex: durable,
 		DurableLag:   lag,
 	}

@@ -1,12 +1,12 @@
 // Durability surface of the nr package: WithPersistence makes
 // internal/persist's write-ahead log follow the instance's shared log — a
-// follower goroutine reads the filled entries in index order and appends
-// each (with its op token) to generation-numbered segment files that a
-// flusher goroutine group-fsyncs; submitting and combining threads do
-// nothing for durability — Checkpoint snapshots a replica atomically, and
-// Recover rebuilds an instance from the durable state after a crash,
-// answering Recovered.WasExecuted(token) for detectable recovery. See
-// DESIGN.md "Durability & recovery".
+// follower goroutine reads the filled entries in index order, appends each
+// (with its op token) to generation-numbered segment files and group-fsyncs
+// them itself; submitting and combining threads do nothing for durability —
+// Checkpoint snapshots a replica atomically, and Recover rebuilds an
+// instance from the durable state after a crash, answering
+// Recovered.WasExecuted(token) for detectable recovery. See DESIGN.md
+// "Durability & recovery".
 package nr
 
 import (
@@ -47,7 +47,7 @@ type Snapshotter interface {
 type SyncInfo = persist.SyncInfo
 
 // PersistStats are point-in-time WAL counters (appends, pages, fsyncs,
-// rotations, backpressure stalls).
+// rotations).
 type PersistStats = persist.Stats
 
 // ErrNoPersistence is returned by persistence methods (Checkpoint,
@@ -63,7 +63,6 @@ type persistTuning struct {
 	groupInterval time.Duration
 	fsync         persist.FsyncMode
 	onSync        func(SyncInfo)
-	snapshotEvery int
 }
 
 // WithFsyncNever disables fsync: the WAL still writes pages, but the OS
@@ -86,20 +85,13 @@ func WithSegmentBytes(n int) PersistOption {
 	return func(t *persistTuning) { t.segmentBytes = n }
 }
 
-// WithSyncHook installs fn to be called (on the flusher goroutine) after
-// every WAL sync with the durable watermark and the segment byte offset it
-// covers. The chaos harness uses it to enumerate crash points; monitoring
-// can use it to export durability lag. fn must not call into the instance.
+// WithSyncHook installs fn to be called after every WAL sync — on the
+// goroutine that completed it: the log follower, or the caller of SyncWAL /
+// Close — with the durable watermark and the segment byte offset it covers.
+// The chaos harness uses it to enumerate crash points; monitoring can use it
+// to export durability lag. fn must not call into the instance.
 func WithSyncHook(fn func(SyncInfo)) PersistOption {
 	return func(t *persistTuning) { t.onSync = fn }
-}
-
-// WithSnapshotEvery makes the instance Checkpoint itself automatically
-// after every n persisted update operations (n <= 0, the default, means
-// only explicit Checkpoint calls). The snapshot runs on a background
-// goroutine, never on an operation's path.
-func WithSnapshotEvery(n int) PersistOption {
-	return func(t *persistTuning) { t.snapshotEvery = n }
 }
 
 // persistConfig is the non-generic option payload accumulated in settings;
@@ -117,15 +109,15 @@ type resumeState struct {
 }
 
 // WithPersistence makes the instance durable: a follower goroutine reads
-// every update operation off the shared log and appends it to a write-ahead
-// log in dir, group-fsynced by a dedicated flusher goroutine. Operations do
-// no durability work and never block on I/O; an operation is durable about
-// two group intervals after it is acknowledged, or when SyncWAL returns.
-// The shared log is the backpressure: it does not recycle an entry the
-// follower has not read, so updates wait (as they wait for a lagging
-// replica) only when the disk falls a whole log behind. Checkpoint/Recover
-// snapshot and rebuild the structure through codec and the Snapshotter
-// interface, which the structure must implement.
+// every update operation off the shared log, appends it to a write-ahead log
+// in dir and group-fsyncs it. Operations do no durability work and never
+// block on I/O; an operation is durable about two group intervals after it
+// is acknowledged, or when SyncWAL returns. The shared log is the
+// backpressure: it does not recycle an entry the follower has not read, so
+// updates wait (as they wait for a lagging replica) only when the disk falls
+// a whole log behind. Checkpoint/Recover snapshot and rebuild the structure
+// through codec and the Snapshotter interface, which the structure must
+// implement.
 //
 // The O type parameter must match the instance's operation type. dir must
 // be fresh (or empty): starting a new instance over existing durable state
@@ -167,21 +159,16 @@ type persistence[O any] struct {
 	snapTokens map[uint64]struct{}
 	snapIndex  uint64
 	lastSave   atomic.Int64
-
-	snapshotEvery uint64
-	snapCounter   uint64 // follower-goroutine only
-	snapInFlight  atomic.Bool
-	checkpoint    func() error // bound to the owning Instance
 }
 
 // follow is the log follower: the one goroutine that appends to the WAL. A
 // pass reads the shared log up to the first unfilled entry — so it keeps
-// going while it is behind — and hands the WAL's partial page to the
-// flusher; then it sleeps until the group interval's tick, a barrier's kick,
-// or an appender's (the log is full). WAL errors are sticky and surface on
-// the next SyncWAL / Checkpoint; the follower keeps reading past them so
-// the log never fills behind a dead disk, and the instance runs on in
-// memory.
+// going while it is behind — and ends the WAL's group cycle (fsync of the
+// last one's writes, then the partial page); then it sleeps until the group
+// interval's tick, a barrier's kick, or an appender's (the log is full). WAL
+// errors are sticky and surface on the next SyncWAL / Checkpoint; the
+// follower keeps reading past them so the log never fills behind a dead
+// disk, and the instance runs on in memory.
 func (p *persistence[O]) follow() {
 	defer close(p.done)
 	tick := time.NewTicker(p.wal.GroupInterval())
@@ -209,14 +196,6 @@ func (p *persistence[O]) follow() {
 func (p *persistence[O]) append(idx, token uint64, op O) {
 	p.cur = op
 	_ = p.wal.Append(idx, token, p.encode)
-	if n := p.snapshotEvery; n > 0 {
-		if p.snapCounter++; p.snapCounter%n == 0 && p.snapInFlight.CompareAndSwap(false, true) {
-			go func() {
-				defer p.snapInFlight.Store(false)
-				_ = p.checkpoint()
-			}()
-		}
-	}
 }
 
 // waitFollowed blocks until the follower has appended every entry below idx
@@ -286,15 +265,13 @@ func attachPersistence[O, R any](inst *Instance[O, R], pc *persistConfig) (*pers
 		return nil, err
 	}
 	p := &persistence[O]{
-		dir:           pc.dir,
-		codec:         codec,
-		wal:           wal,
-		fol:           fol,
-		quit:          make(chan struct{}),
-		done:          make(chan struct{}),
-		snapTokens:    snapTokens,
-		snapshotEvery: uint64(max(t.snapshotEvery, 0)),
-		checkpoint:    inst.Checkpoint,
+		dir:        pc.dir,
+		codec:      codec,
+		wal:        wal,
+		fol:        fol,
+		quit:       make(chan struct{}),
+		done:       make(chan struct{}),
+		snapTokens: snapTokens,
 	}
 	p.encode = func(dst []byte) ([]byte, error) { return p.codec.AppendEncode(dst, p.cur) }
 	go p.follow()

@@ -150,7 +150,6 @@ func setGauges(g *tsdb.Gauges, m *core.Metrics) {
 		g.WALPages = p.Pages
 		g.WALFsyncs = p.Fsyncs
 		g.WALFsyncNanos = p.FsyncNanos
-		g.WALSealStalls = p.SealStalls
 		g.DurableIndex = p.DurableIndex
 		g.DurableLag = p.DurableLag
 	}
