@@ -2,7 +2,9 @@
 # protocol-critical packages under the race detector; tier2 adds the race
 # detector everywhere; chaos replays the seeded fault-injection schedules
 # (internal/chaos, seeds 1 / 42 / 0xc0ffee / 0xdeadbeef) under -race.
-# lint runs nrlint, the NR-specific static analyzers (DESIGN.md §10).
+# lint runs nrlint, the NR-specific static analyzers (DESIGN.md §10). fuzz
+# runs every Fuzz* target with random inputs (their seed corpora already run
+# in tier1).
 
 GO ?= go
 
@@ -12,9 +14,9 @@ GO ?= go
 BENCH_OUT ?= bench-local.json
 
 # The packages where a data race is a protocol bug, not just a test bug.
-RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
+RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/histogram ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
 
-.PHONY: tier1 tier1-race tier2 chaos chaos-recover check test build vet race bench lint lint-sarif
+.PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench lint lint-sarif
 
 tier1: ## gofmt + one-benchmark rule + build + vet + lint + unit tests (the acceptance gate)
 	test -z "$$(gofmt -l .)"
@@ -45,6 +47,14 @@ chaos: ## fault-injection suite under the race detector, fixed seeds
 
 chaos-recover: ## kill-and-recover matrix only: crash/SIGKILL/torn-tail recovery under -race
 	$(GO) test -race -count=1 -v -run 'Recover|KillAndRecover' ./internal/chaos/
+
+fuzz: ## every Fuzz* target that go test -list finds, 30 s each with random inputs; a failing input is saved under the package's testdata/fuzz
+	set -e; for p in $$($(GO) list ./...); do \
+		ts=$$($(GO) test -list '^Fuzz' "$$p"); \
+		for t in $$(echo "$$ts" | grep '^Fuzz' || true); do \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 30s -parallel 2 "$$p"; \
+		done; \
+	done
 
 bench: ## the repository's benchmark (BENCHMARK.json, benchmark/README.md): all five workloads, end-to-end and per-layer metrics
 	$(GO) run ./benchmark -workload all -out $(BENCH_OUT)

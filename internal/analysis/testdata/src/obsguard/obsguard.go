@@ -16,12 +16,12 @@ type server struct {
 }
 
 func (s *server) unguarded() {
-	s.observer.CombineStart(0) // want "call through possibly-nil observer s.observer"
+	s.observer.WriterWait(0, 1) // want "call through possibly-nil observer s.observer"
 }
 
 func (s *server) guarded() {
 	if s.observer != nil {
-		s.observer.CombineStart(0)
+		s.observer.WriterWait(0, 1)
 	}
 }
 
@@ -47,13 +47,13 @@ func (s *server) andChain(n int) {
 func (s *server) invalidated(other obs.Observer) {
 	if s.observer != nil {
 		s.observer = other
-		s.observer.CombineStart(0) // want "call through possibly-nil observer s.observer"
+		s.observer.WriterWait(0, 1) // want "call through possibly-nil observer s.observer"
 	}
 }
 
 func (s *server) wrongGuard(other obs.Observer) {
 	if other != nil {
-		s.observer.CombineStart(0) // want "call through possibly-nil observer s.observer"
+		s.observer.WriterWait(0, 1) // want "call through possibly-nil observer s.observer"
 	}
 }
 

@@ -28,7 +28,7 @@ func TestBatchReplayLocksOncePerBatch(t *testing.T) {
 	}
 
 	var m Metrics
-	inst.MetricsInto(&m, false)
+	inst.MetricsInto(&m)
 	before := m.Replicas[1].WriterAcquires
 	if m.Replicas[1].LocalTail != 0 {
 		t.Fatalf("node 1 replayed %d entries before its first read", m.Replicas[1].LocalTail)
@@ -42,7 +42,7 @@ func TestBatchReplayLocksOncePerBatch(t *testing.T) {
 		t.Fatalf("node-1 read = %d, want %d", got, updates)
 	}
 
-	inst.MetricsInto(&m, false)
+	inst.MetricsInto(&m)
 	if m.Replicas[1].LocalTail != updates {
 		t.Fatalf("node 1 localTail = %d after read, want %d", m.Replicas[1].LocalTail, updates)
 	}

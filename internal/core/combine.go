@@ -20,7 +20,6 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 	o := i.observer
 	var began time.Time
 	if o != nil {
-		o.CombineStart(int(r.id))
 		began = time.Now()
 	}
 	// One clock read covers the round start and the pickups: collection is a
@@ -162,32 +161,45 @@ func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trac
 			i.refreshOwn(r, c, to, ring)
 		}
 		// Help other replicas, bounded by completedTail (see package doc).
-		to := l.Completed()
-		for _, r2 := range i.replicas {
-			if r2 == r || r2.logs[c].localTail.Load() >= to {
-				continue
+		i.helpLaggards(r, c, l.Completed(), ring)
+		runtime.Gosched()
+	}
+}
+
+// helpLaggards replays log c up to 'to' into every replica but self that
+// lags it and whose writer lock is free: the inactive-replica helping path
+// (§6), shared by a blocked appender and the stall watchdog. A laggard
+// parked at a cross-log barrier gets the cross op applied for it, with no
+// replica lock held (the cross applier takes every log's lock itself). The
+// entries are charged to the helper's node, or to the helped replica's when
+// no node is helping (self nil: the watchdog).
+//
+//nr:noalloc
+func (i *Instance[O, R]) helpLaggards(self *replica[O, R], c int, to uint64, ring *trace.Ring) {
+	for _, r2 := range i.replicas {
+		if r2 == self || r2.logs[c].localTail.Load() >= to {
+			continue
+		}
+		var blocked uint64
+		if r2.logs[c].rw.TryLock() {
+			before := r2.logs[c].localTail.Load()
+			blocked = i.refreshTo(r2, c, to, ring)
+			helped := r2.logs[c].localTail.Load() - before
+			charged := self
+			if charged == nil {
+				charged = r2
 			}
-			var blocked uint64
-			if r2.logs[c].rw.TryLock() {
-				before := r2.logs[c].localTail.Load()
-				blocked = i.refreshTo(r2, c, to, ring)
-				helped := r2.logs[c].localTail.Load() - before
-				r.counters.helpedEntries.Add(helped)
-				r2.logs[c].rw.Unlock()
-				if helped > 0 {
-					if o != nil {
-						o.Help(int(r2.id), int(helped))
-					}
-					ring.Record(trace.KHelp, int(r2.id), helped, 0)
+			charged.counters.helpedEntries.Add(helped)
+			r2.logs[c].rw.Unlock()
+			if helped > 0 {
+				if o := i.observer; o != nil {
+					o.Help(int(r2.id), int(helped))
 				}
-			}
-			if blocked != 0 {
-				// The laggard is parked at a cross-log barrier; apply the
-				// cross op for it (with no replica lock held — the cross
-				// applier takes every log's lock itself).
-				i.advanceCrossTo(r2, blocked, ring)
+				ring.Record(trace.KHelp, int(r2.id), helped, 0)
 			}
 		}
-		runtime.Gosched()
+		if blocked != 0 {
+			i.advanceCrossTo(r2, blocked, ring)
+		}
 	}
 }

@@ -147,19 +147,7 @@ func (i *Instance[O, R]) applyCross(r *replica[O, R], next uint64, ring *trace.R
 			// completed tail covering the cross op on every log, so its
 			// class-local wait suffices to see the op's effects.
 			i.logs[0].AdvanceCompleted(idx + 1)
-			if e.slot >= 0 && e.node == r.id {
-				tok := trace.TokenWithLog(0, int(e.node), int(e.slot), e.seq)
-				ring.Record(trace.KReplay, int(r.id), idx, tok)
-				if err != nil {
-					ring.Record(trace.KPanic, int(r.id), idx, tok)
-				}
-				s := &r.slots[e.slot]
-				s.resp, s.err = res, err
-				s.state.Store(slotDone)
-				ring.Record(trace.KRespond, int(r.id), tok, idx)
-			} else if err != nil {
-				ring.Record(trace.KPanic, int(r.id), idx, 0)
-			}
+			i.deliver(r, 0, idx, e, res, err, ring)
 			break
 		}
 		i.applyEntry(r, 0, idx, e, ring)

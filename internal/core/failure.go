@@ -373,32 +373,9 @@ func (i *Instance[O, R]) watchdog() {
 		}
 		// Recovery: the inactive-replica helping path on every log, bounded
 		// by completedTail (safe against in-flight combiners; see package
-		// doc). A laggard parked at a cross-log barrier needs the cross
-		// applier driven, same as the reserveConsuming helping path.
+		// doc).
 		for c := range i.logs {
-			to := i.logs[c].Completed()
-			for _, r2 := range i.replicas {
-				if r2.logs[c].localTail.Load() >= to {
-					continue
-				}
-				var blocked uint64
-				if r2.logs[c].rw.TryLock() {
-					before := r2.logs[c].localTail.Load()
-					blocked = i.refreshTo(r2, c, to, ring)
-					helped := r2.logs[c].localTail.Load() - before
-					r2.counters.helpedEntries.Add(helped)
-					r2.logs[c].rw.Unlock()
-					if helped > 0 {
-						if o := i.observer; o != nil {
-							o.Help(int(r2.id), int(helped))
-						}
-						ring.Record(trace.KHelp, int(r2.id), helped, 0)
-					}
-				}
-				if blocked != 0 {
-					i.advanceCrossTo(r2, blocked, ring)
-				}
-			}
+			i.helpLaggards(nil, c, i.logs[c].Completed(), ring)
 		}
 	}
 }

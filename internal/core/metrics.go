@@ -3,9 +3,9 @@
 // Stats (flat counters) and Health (failure state) predate this file; both
 // are now slices of one coherent Metrics read-out that adds the live gauges
 // the counters cannot express — log occupancy, per-replica completedTail
-// lag — plus, when the instance was built with an obs.Metrics observer, the
-// event-derived distributions (latency histograms per op class, combiner
-// batch sizes). Those are exactly the quantities the paper uses to explain
+// lag — plus a slot for the event-derived distributions (latency per op
+// class, combiner batch sizes) that the nr layer fills from its obs.Metrics
+// observer. Those are exactly the quantities the paper uses to explain
 // NR's behaviour: batch size decides whether combining wins (§5.2, Fig. 13),
 // log occupancy and replica lag decide when appenders must help (§5.6, §6),
 // and the read/update latency split is the read-path argument of §5.3.
@@ -112,8 +112,8 @@ type PersistGauges struct {
 }
 
 // Metrics is the unified observability snapshot: counters, failure state,
-// live gauges, and (when an obs.Metrics observer is attached) event-derived
-// latency and batch-size distributions.
+// live gauges, and (filled by the nr layer when it attached an obs.Metrics
+// observer) event-derived latency and batch-size distributions.
 type Metrics struct {
 	Stats  Stats  `json:"stats"`
 	Health Health `json:"health"`
@@ -129,7 +129,8 @@ type Metrics struct {
 	// WAL; core never sees it).
 	Persist *PersistGauges `json:"persist,omitempty"`
 	// Observed carries the obs.Metrics snapshot, nil when the instance was
-	// built without one.
+	// built without one (filled by the public nr layer, which owns the
+	// observer: one per instance, however many shards).
 	Observed *obs.Snapshot `json:"observed,omitempty"`
 }
 
@@ -138,17 +139,16 @@ type Metrics struct {
 // reads of live positions (monotone counters, so never wildly wrong).
 func (i *Instance[O, R]) Metrics() Metrics {
 	var m Metrics
-	i.MetricsInto(&m, true)
+	i.MetricsInto(&m)
 	return m
 }
 
 // MetricsInto fills m in place, reusing m.Logs' and m.Replicas' capacity
 // (including each ReplicaGauges' nested Logs slice), so a caller that polls
 // on a cadence (the telemetry collector) does not allocate a fresh snapshot
-// every tick after the first. observed=false skips the obs.Metrics summary
-// (two histogram merges and a per-node slice) — the collector reads the
-// observer's raw buckets itself via obs.ReadCum and has no use for it.
-func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
+// every tick after the first. Persist and Observed are left nil: the public
+// nr layer owns the WAL and the metrics observer and fills both.
+func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 	m.Stats = i.stats()
 	m.Health = i.health()
 	m.Persist = nil
@@ -236,19 +236,6 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
 		g.ReaderAcquires = racq
 		g.WriterAcquires = wacq
 	}
-	if observed {
-		if mo := obs.FindMetrics(i.opts.Observer); mo != nil {
-			s := mo.Snapshot()
-			m.Observed = &s
-		}
-	}
-}
-
-// ObservedMetrics returns the instance's built-in obs.Metrics observer, or
-// nil when it was built without one. The telemetry collector uses it to
-// read raw cumulative buckets (obs.ReadCum) instead of summary snapshots.
-func (i *Instance[O, R]) ObservedMetrics() *obs.Metrics {
-	return obs.FindMetrics(i.opts.Observer)
 }
 
 // Stats returns the counter slice of the Metrics snapshot. It remains as a

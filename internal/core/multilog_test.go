@@ -413,7 +413,7 @@ func TestMultiLogMetrics(t *testing.T) {
 		h.Execute(mlOp{kind: 0, class: 0, delta: 1}) // all traffic on class 0
 	}
 	var mm Metrics
-	inst.MetricsInto(&mm, false)
+	inst.MetricsInto(&mm)
 	if len(mm.Logs) != m {
 		t.Fatalf("len(Logs) = %d, want %d", len(mm.Logs), m)
 	}
@@ -433,7 +433,7 @@ func TestMultiLogMetrics(t *testing.T) {
 	}
 	// Refill in place: no per-tick allocation after the first fill.
 	before := &mm.Logs[0]
-	inst.MetricsInto(&mm, false)
+	inst.MetricsInto(&mm)
 	if &mm.Logs[0] != before {
 		t.Error("MetricsInto reallocated m.Logs on refill")
 	}

@@ -12,12 +12,23 @@ import "github.com/asplos17/nr/internal/trace"
 //nr:noalloc
 func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry[O], ring *trace.Ring) {
 	res, err := i.safeExecute(r, c, e.op, idx)
-	// Per-entry trace events are recorded only for the replay that DELIVERS
-	// a response (plus any contained panic): replays happen (replicas-1)
-	// extra times per op, always under a replica's write-side lock, so
-	// recording each would multiply the serialized cost of every update by
-	// the node count. Bulk replay remains visible through the aggregate
-	// events (KReaderRefresh, KHelp, KCombineEnd).
+	i.deliver(r, c, idx, e, res, err, ring)
+}
+
+// deliver hands the outcome of log c's entry at idx, just executed against
+// r, to its submitter's slot if the entry originated on r's node with a
+// response slot, and records a contained panic either way.
+//
+// Per-entry trace events are recorded only for the replay that DELIVERS a
+// response (plus any contained panic): replays happen (replicas-1) extra
+// times per op, always under a replica's write-side lock, so recording each
+// would multiply the serialized cost of every update by the node count. Bulk
+// replay remains visible through the aggregate events (KReaderRefresh,
+// KHelp, KCombineEnd).
+//
+//nr:hotpath-noio
+//nr:noalloc
+func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O], res R, err error, ring *trace.Ring) {
 	if e.slot >= 0 && e.node == r.id {
 		tok := trace.TokenWithLog(c, int(e.node), int(e.slot), e.seq)
 		ring.Record(trace.KReplay, int(r.id), idx, tok)

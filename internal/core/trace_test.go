@@ -270,7 +270,8 @@ func TestMetricsSnapshotRacesClose(t *testing.T) {
 		StallThreshold:     50 * time.Millisecond,
 		Trace:              rec,
 	}
-	opts.Observer = obs.NewMetrics(2)
+	mo := obs.NewMetrics(2)
+	opts.Observer = mo
 	inst := newCounterInstance(t, opts)
 	h, err := inst.Register()
 	if err != nil {
@@ -288,8 +289,8 @@ func TestMetricsSnapshotRacesClose(t *testing.T) {
 				return
 			default:
 			}
-			m := inst.Metrics()
-			if m.Observed != nil && m.Observed.Update.Count > 0 && m.Observed.Update.MaxNs < m.Observed.Update.P50Ns {
+			_ = inst.Metrics()
+			if o := mo.Snapshot(); o.Update.Count > 0 && o.Update.MaxNs < o.Update.P50Ns {
 				t.Error("torn latency snapshot: max below p50")
 			}
 			_ = inst.Health()

@@ -2,19 +2,24 @@ package histogram
 
 import (
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
+// capture reads h into a fresh Cum.
+func capture(h *Histogram) *Cum {
+	var c Cum
+	c.Add(h)
+	return &c
+}
+
+// percentile is the lifetime percentile: the delta against an empty capture.
+func percentile(c *Cum, p float64) uint64 { return DeltaPercentile(c, &Cum{}, p) }
+
 func TestEmpty(t *testing.T) {
-	h := New()
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
+	c := capture(&Histogram{})
+	if c.Total != 0 || c.Sum != 0 || c.Max != 0 || percentile(c, 50) != 0 {
 		t.Error("empty histogram returned nonzero stats")
-	}
-	if h.Summary() != "no samples" {
-		t.Errorf("Summary = %q", h.Summary())
 	}
 }
 
@@ -40,43 +45,41 @@ func TestBucketMonotonicity(t *testing.T) {
 
 func TestBucketRoundTripAccuracy(t *testing.T) {
 	// The bucket lower bound must be within 25% of the recorded value
-	// (two fractional bits per power of two).
-	for _, ns := range []uint64{5, 100, 999, 12345, 1 << 20, 7777777} {
-		low := bucketLow(bucketOf(ns))
-		if low > ns || float64(ns-low)/float64(ns) > 0.25 {
-			t.Errorf("value %d mapped to bucket low %d (error > 25%%)", ns, low)
+	// (two fractional bits per power of two), small batch sizes included.
+	for _, v := range []uint64{5, 7, 31, 100, 999, 12345, 1 << 20, 7777777} {
+		low := bucketLow(bucketOf(v))
+		if low > v || float64(v-low)/float64(v) > 0.25 {
+			t.Errorf("value %d mapped to bucket low %d (error > 25%%)", v, low)
 		}
 	}
 }
 
 func TestPercentilesOnKnownDistribution(t *testing.T) {
-	h := New()
-	// 1..1000 microseconds, uniform.
-	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
+	var h Histogram
+	// 1..1000 microseconds, uniform, recorded in nanoseconds.
+	for i := uint64(1); i <= 1000; i++ {
+		h.Record(i * 1000)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("Count = %d", h.Count())
+	c := capture(&h)
+	if c.Total != 1000 {
+		t.Fatalf("Total = %d", c.Total)
 	}
-	p50 := h.Percentile(50)
-	if p50 < 350*time.Microsecond || p50 > 650*time.Microsecond {
-		t.Errorf("p50 = %s, want ~500µs", p50)
+	if p50 := percentile(c, 50); p50 < 350_000 || p50 > 650_000 {
+		t.Errorf("p50 = %dns, want ~500µs", p50)
 	}
-	p99 := h.Percentile(99)
-	if p99 < 800*time.Microsecond || p99 > time.Millisecond {
-		t.Errorf("p99 = %s, want ~990µs", p99)
+	if p99 := percentile(c, 99); p99 < 800_000 || p99 > 1_000_000 {
+		t.Errorf("p99 = %dns, want ~990µs", p99)
 	}
-	if h.Max() != time.Millisecond {
-		t.Errorf("Max = %s", h.Max())
+	if c.Max != 1_000_000 {
+		t.Errorf("Max = %d", c.Max)
 	}
-	mean := h.Mean()
-	if mean < 450*time.Microsecond || mean > 550*time.Microsecond {
-		t.Errorf("mean = %s, want ~500µs", mean)
+	if mean := c.Sum / c.Total; mean < 450_000 || mean > 550_000 {
+		t.Errorf("mean = %dns, want ~500µs", mean)
 	}
 }
 
 func TestConcurrentRecord(t *testing.T) {
-	h := New()
+	var h Histogram
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -84,44 +87,68 @@ func TestConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 10000; i++ {
-				h.Record(time.Duration(rng.Intn(1_000_000)) * time.Nanosecond)
+				h.Record(uint64(rng.Intn(1_000_000)))
 			}
 		}(g)
 	}
-	wg.Wait()
-	if h.Count() != 80000 {
-		t.Fatalf("Count = %d, want 80000", h.Count())
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
+	// Captures race with recording, as the telemetry collector's do.
 	for i := 0; i < 100; i++ {
-		a.Record(time.Microsecond)
-		b.Record(time.Millisecond)
+		capture(&h)
 	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Max() != time.Millisecond {
-		t.Errorf("merged max = %s", a.Max())
-	}
-	if p := a.Percentile(25); p > 2*time.Microsecond {
-		t.Errorf("p25 after merge = %s, want ~1µs", p)
-	}
-	if p := a.Percentile(90); p < 500*time.Microsecond {
-		t.Errorf("p90 after merge = %s, want ~1ms", p)
+	wg.Wait()
+	if c := capture(&h); c.Total != 80000 {
+		t.Fatalf("Total = %d, want 80000", c.Total)
 	}
 }
 
-func TestSummaryContainsFields(t *testing.T) {
-	h := New()
-	h.Record(time.Millisecond)
-	s := h.Summary()
-	for _, field := range []string{"n=1", "mean=", "p50=", "p99=", "max="} {
-		if !strings.Contains(s, field) {
-			t.Errorf("Summary %q missing %q", s, field)
-		}
+// TestMerge: one Cum accumulating several histograms is their merge, the
+// way obs.Metrics folds its per-node histograms.
+func TestMerge(t *testing.T) {
+	var a, b Histogram
+	for i := 0; i < 100; i++ {
+		a.Record(1000)
+		b.Record(1_000_000)
+	}
+	var c Cum
+	c.Add(&a)
+	c.Add(&b)
+	if c.Total != 200 {
+		t.Fatalf("merged count = %d", c.Total)
+	}
+	if c.Max != 1_000_000 {
+		t.Errorf("merged max = %d", c.Max)
+	}
+	if p := percentile(&c, 25); p > 2000 {
+		t.Errorf("p25 after merge = %d, want ~1000", p)
+	}
+	if p := percentile(&c, 90); p < 500_000 {
+		t.Errorf("p90 after merge = %d, want ~1000000", p)
+	}
+}
+
+// TestDeltaPercentileIsTheWindow: the difference of two captures describes
+// only what was recorded between them.
+func TestDeltaPercentileIsTheWindow(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 1000; i++ {
+		h.Record(8)
+	}
+	before := capture(&h)
+	for i := 0; i < 100; i++ {
+		h.Record(31)
+	}
+	after := capture(&h)
+	if n := DeltaCount(after, before); n != 100 {
+		t.Fatalf("DeltaCount = %d, want 100", n)
+	}
+	// 31 sits in [28, 32): the window's median is 28, the lifetime's 8.
+	if p := DeltaPercentile(after, before, 50); p != 28 {
+		t.Errorf("window p50 = %d, want 28", p)
+	}
+	if p := percentile(after, 50); p != 8 {
+		t.Errorf("lifetime p50 = %d, want 8", p)
+	}
+	if DeltaCount(before, after) != 0 || DeltaPercentile(before, after, 50) != 0 {
+		t.Error("misordered captures not clamped to an empty window")
 	}
 }

@@ -106,9 +106,9 @@ func (e nrExecutor) Execute(op StoreOp) StoreResult {
 }
 
 // Metrics implements MetricsSource for INFO and /metrics: the unified
-// snapshot, folded when sharded (Observed is nil there — per-shard latency
-// histograms do not merge — so INFO's latency section is absent for sharded
-// keyspaces).
+// snapshot, folded when sharded (Observed still covers every shard: the
+// keyspace has one metrics observer, so INFO's latency section is the
+// whole keyspace's).
 func (s *nrShared) Metrics() core.Metrics { return s.inst.Metrics() }
 
 // Telemetry implements TelemetrySource: the windowed collector attached by

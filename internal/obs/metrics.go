@@ -7,9 +7,9 @@ import (
 	"github.com/asplos17/nr/internal/histogram"
 )
 
-// Metrics is the built-in Observer: per-node, per-op-class latency
-// histograms, combiner batch-size distributions, and counters for every
-// hook event. All recording is lock-free; Snapshot may be called
+// Metrics is the built-in Observer: per-node histograms of operation
+// latency (one per op class) and combiner batch size, and counters for every
+// hook event. All recording is lock-free; ReadCum and Snapshot may be called
 // concurrently with recording.
 type Metrics struct {
 	nodes []nodeMetrics
@@ -19,7 +19,7 @@ type Metrics struct {
 // so a Metrics is a single allocation per node.
 type nodeMetrics struct {
 	latency [NumOpClasses]histogram.Histogram
-	batch   CountDist
+	batch   histogram.Histogram
 
 	combineRounds    atomic.Uint64
 	combineNanos     atomic.Uint64
@@ -44,9 +44,6 @@ func NewMetrics(nodes int) *Metrics {
 	return &Metrics{nodes: make([]nodeMetrics, nodes)}
 }
 
-// Nodes returns the number of nodes the observer tracks.
-func (m *Metrics) Nodes() int { return len(m.nodes) }
-
 // at returns the node's metrics, clamping out-of-range ids (node -1 is
 // used by handles registered outside the topology) to node 0.
 func (m *Metrics) at(node int) *nodeMetrics {
@@ -55,9 +52,6 @@ func (m *Metrics) at(node int) *nodeMetrics {
 	}
 	return &m.nodes[node]
 }
-
-// CombineStart implements Observer. Round accounting happens in CombineEnd.
-func (m *Metrics) CombineStart(node int) {}
 
 // CombineEnd implements Observer. Rounds that collected nothing count
 // toward combineRounds but not the batch distribution, so the distribution
@@ -116,7 +110,7 @@ func (m *Metrics) OpDone(node int, class OpClass, elapsed time.Duration) {
 	if class >= NumOpClasses {
 		class = OpUpdate
 	}
-	m.at(node).latency[class].Record(elapsed)
+	m.at(node).latency[class].Record(uint64(elapsed.Nanoseconds()))
 }
 
 // LatencySnapshot summarizes one latency histogram. Durations are reported
@@ -130,15 +124,44 @@ type LatencySnapshot struct {
 	MaxNs  uint64 `json:"max_ns"`
 }
 
-func latencySnapshot(h *histogram.Histogram) LatencySnapshot {
-	return LatencySnapshot{
-		Count:  h.Count(),
-		MeanNs: uint64(h.Mean().Nanoseconds()),
-		P50Ns:  uint64(h.Percentile(50).Nanoseconds()),
-		P90Ns:  uint64(h.Percentile(90).Nanoseconds()),
-		P99Ns:  uint64(h.Percentile(99).Nanoseconds()),
-		MaxNs:  uint64(h.Max().Nanoseconds()),
+// DistSnapshot summarizes the batch-size histogram.
+type DistSnapshot struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   uint64  `json:"p50"`
+	P99   uint64  `json:"p99"`
+	Max   uint64  `json:"max"`
+}
+
+// lifetime is the empty capture percentiles are taken against: the delta
+// from nothing is the whole history.
+var lifetime histogram.Cum
+
+func latencySnapshot(c *histogram.Cum) LatencySnapshot {
+	s := LatencySnapshot{
+		Count: c.Total,
+		P50Ns: histogram.DeltaPercentile(c, &lifetime, 50),
+		P90Ns: histogram.DeltaPercentile(c, &lifetime, 90),
+		P99Ns: histogram.DeltaPercentile(c, &lifetime, 99),
+		MaxNs: c.Max,
 	}
+	if c.Total > 0 {
+		s.MeanNs = c.Sum / c.Total
+	}
+	return s
+}
+
+func distSnapshot(c *histogram.Cum) DistSnapshot {
+	s := DistSnapshot{
+		Count: c.Total,
+		P50:   histogram.DeltaPercentile(c, &lifetime, 50),
+		P99:   histogram.DeltaPercentile(c, &lifetime, 99),
+		Max:   c.Max,
+	}
+	if c.Total > 0 {
+		s.Mean = float64(c.Sum) / float64(c.Total)
+	}
+	return s
 }
 
 // NodeSnapshot is one node's slice of a Snapshot.
@@ -172,39 +195,38 @@ type Snapshot struct {
 	Nodes  []NodeSnapshot  `json:"nodes"`
 }
 
-// Snapshot captures the current state. It is safe to call while events are
-// still being recorded; counters are read individually, so the snapshot is
-// only approximately a single instant (like core.Stats).
+// Snapshot summarizes one ReadCum capture. It is safe to call while events
+// are still being recorded; counters are read individually, so the snapshot
+// is only approximately a single instant (like core.Stats).
 func (m *Metrics) Snapshot() Snapshot {
-	var s Snapshot
-	merged := [NumOpClasses]*histogram.Histogram{histogram.New(), histogram.New()}
-	var batch CountDist
-	for i := range m.nodes {
-		n := &m.nodes[i]
-		merged[OpRead].Merge(&n.latency[OpRead])
-		merged[OpUpdate].Merge(&n.latency[OpUpdate])
-		batch.Merge(&n.batch)
-		s.Nodes = append(s.Nodes, NodeSnapshot{
-			Node:             i,
-			Read:             latencySnapshot(&n.latency[OpRead]),
-			Update:           latencySnapshot(&n.latency[OpUpdate]),
-			Batch:            n.batch.Snapshot(),
-			CombineRounds:    n.combineRounds.Load(),
-			CombineNanos:     n.combineNanos.Load(),
-			ReaderRefreshes:  n.readerRefreshes.Load(),
-			RefreshedEntries: n.refreshedEntries.Load(),
-			Helps:            n.helps.Load(),
-			HelpedEntries:    n.helpedEntries.Load(),
-			TailRetryEvents:  n.tailRetryEvents.Load(),
-			TailRetries:      n.tailRetries.Load(),
-			WriterWaits:      n.writerWaits.Load(),
-			WriterWaitSpins:  n.writerWaitSpins.Load(),
-			Stalls:           n.stalls.Load(),
-			Panics:           n.panics.Load(),
-		})
+	var c Cum
+	m.ReadCum(&c)
+	s := Snapshot{
+		Read:   latencySnapshot(&c.Latency[OpRead]),
+		Update: latencySnapshot(&c.Latency[OpUpdate]),
+		Batch:  distSnapshot(&c.Batch),
+		Nodes:  make([]NodeSnapshot, len(c.Nodes)),
 	}
-	s.Read = latencySnapshot(merged[OpRead])
-	s.Update = latencySnapshot(merged[OpUpdate])
-	s.Batch = batch.Snapshot()
+	for i := range c.Nodes {
+		n := &c.Nodes[i]
+		s.Nodes[i] = NodeSnapshot{
+			Node:             i,
+			Read:             latencySnapshot(&n.Latency[OpRead]),
+			Update:           latencySnapshot(&n.Latency[OpUpdate]),
+			Batch:            distSnapshot(&n.Batch),
+			CombineRounds:    n.CombineRounds,
+			CombineNanos:     n.CombineNanos,
+			ReaderRefreshes:  n.ReaderRefreshes,
+			RefreshedEntries: n.RefreshedEntries,
+			Helps:            n.Helps,
+			HelpedEntries:    n.HelpedEntries,
+			TailRetryEvents:  n.TailRetryEvents,
+			TailRetries:      n.TailRetries,
+			WriterWaits:      n.WriterWaits,
+			WriterWaitSpins:  n.WriterWaitSpins,
+			Stalls:           n.Stalls,
+			Panics:           n.Panics,
+		}
+	}
 	return s
 }

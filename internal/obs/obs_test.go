@@ -1,89 +1,9 @@
 package obs
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestCountDistBasics(t *testing.T) {
-	var d CountDist
-	if d.Count() != 0 || d.Mean() != 0 || d.Percentile(99) != 0 {
-		t.Fatal("zero CountDist not empty")
-	}
-	for _, v := range []uint64{0, 1, 1, 2, 3, 4, 8, 100} {
-		d.Record(v)
-	}
-	if d.Count() != 8 {
-		t.Errorf("Count = %d, want 8", d.Count())
-	}
-	if d.Sum() != 119 {
-		t.Errorf("Sum = %d, want 119", d.Sum())
-	}
-	if d.Max() != 100 {
-		t.Errorf("Max = %d, want 100", d.Max())
-	}
-	if got, want := d.Mean(), 119.0/8; got != want {
-		t.Errorf("Mean = %v, want %v", got, want)
-	}
-	// Power-of-two buckets report lower bounds: the p50 rank (the 4th of 8
-	// observations) lands in the 2–3 bucket.
-	if p := d.Percentile(50); p != 2 {
-		t.Errorf("P50 = %d, want 2", p)
-	}
-	// P100 must land in the bucket holding the max: 100 is in [64,128).
-	if p := d.Percentile(100); p != 64 {
-		t.Errorf("P100 = %d, want 64", p)
-	}
-}
-
-func TestCountDistPercentileWithinTwoOfExact(t *testing.T) {
-	// Bucket lower bounds underestimate by at most 2x for any value.
-	var d CountDist
-	for v := uint64(1); v <= 1000; v++ {
-		d.Record(v)
-	}
-	for _, p := range []float64{10, 50, 90, 99} {
-		exact := uint64(p / 100 * 1000)
-		got := d.Percentile(p)
-		if got > exact || got*2 < exact/2 {
-			t.Errorf("P%v = %d, exact %d: outside [exact/4, exact]", p, got, exact)
-		}
-	}
-}
-
-func TestCountDistMerge(t *testing.T) {
-	var a, b CountDist
-	a.Record(1)
-	a.Record(5)
-	b.Record(9)
-	a.Merge(&b)
-	if a.Count() != 3 || a.Sum() != 15 || a.Max() != 9 {
-		t.Errorf("after merge: count=%d sum=%d max=%d, want 3/15/9", a.Count(), a.Sum(), a.Max())
-	}
-}
-
-func TestCountDistConcurrentRecord(t *testing.T) {
-	var d CountDist
-	const goroutines, per = 8, 1000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				d.Record(uint64(i % 64))
-			}
-		}()
-	}
-	wg.Wait()
-	if d.Count() != goroutines*per {
-		t.Errorf("Count = %d, want %d", d.Count(), goroutines*per)
-	}
-	if d.Max() != 63 {
-		t.Errorf("Max = %d, want 63", d.Max())
-	}
-}
 
 func TestMetricsSnapshotAggregatesAcrossNodes(t *testing.T) {
 	m := NewMetrics(2)
@@ -106,13 +26,19 @@ func TestMetricsSnapshotAggregatesAcrossNodes(t *testing.T) {
 	if s.Update.Count != 1 {
 		t.Errorf("merged update count = %d, want 1", s.Update.Count)
 	}
-	if s.Batch.Count != 2 || s.Batch.Max != 5 {
-		t.Errorf("merged batch dist = %+v, want count 2 max 5", s.Batch)
+	if s.Batch.Count != 2 || s.Batch.Max != 5 || s.Batch.Mean != 4 {
+		t.Errorf("merged batch dist = %+v, want count 2 max 5 mean 4", s.Batch)
+	}
+	if s.Read.MeanNs != 150 || s.Read.MaxNs != 200 || s.Read.P50Ns != 96 {
+		t.Errorf("merged read latency = %+v, want mean 150 max 200 p50 96 (100's bucket)", s.Read)
 	}
 	if len(s.Nodes) != 2 {
 		t.Fatalf("nodes = %d, want 2", len(s.Nodes))
 	}
 	n0, n1 := s.Nodes[0], s.Nodes[1]
+	if n0.Batch.P50 != 3 || n1.Batch.P50 != 5 {
+		t.Errorf("per-node batch p50 = %d/%d, want 3/5 (small sizes are exact)", n0.Batch.P50, n1.Batch.P50)
+	}
 	if n0.CombineRounds != 1 || n1.CombineRounds != 1 {
 		t.Errorf("combine rounds = %d/%d, want 1/1", n0.CombineRounds, n1.CombineRounds)
 	}
@@ -149,10 +75,10 @@ type recorder struct {
 	combines, ops int
 }
 
-func (r *recorder) CombineStart(int)                   { r.combines++ }
-func (r *recorder) OpDone(int, OpClass, time.Duration) { r.ops++ }
+func (r *recorder) CombineEnd(int, int, int, time.Duration) { r.combines++ }
+func (r *recorder) OpDone(int, OpClass, time.Duration)      { r.ops++ }
 
-func TestCombineAndFindMetrics(t *testing.T) {
+func TestCombine(t *testing.T) {
 	if Combine() != nil {
 		t.Error("Combine() != nil")
 	}
@@ -169,26 +95,13 @@ func TestCombineAndFindMetrics(t *testing.T) {
 		t.Fatalf("Combine(two) = %T, want Multi", o)
 	}
 	// Fan-out reaches both.
-	o.CombineStart(0)
+	o.CombineEnd(0, 2, 2, time.Nanosecond)
 	o.OpDone(0, OpRead, time.Nanosecond)
 	if r.combines != 1 || r.ops != 1 {
 		t.Errorf("recorder missed events: %+v", r)
 	}
-	if s := m.Snapshot(); s.Read.Count != 1 {
-		t.Errorf("metrics missed OpDone: read count = %d", s.Read.Count)
-	}
-	// FindMetrics unwraps any composition shape.
-	if FindMetrics(o) != m {
-		t.Error("FindMetrics(Multi) failed")
-	}
-	if FindMetrics(m) != m {
-		t.Error("FindMetrics(direct) failed")
-	}
-	if FindMetrics(r) != nil {
-		t.Error("FindMetrics(non-metrics) != nil")
-	}
-	if FindMetrics(nil) != nil {
-		t.Error("FindMetrics(nil) != nil")
+	if s := m.Snapshot(); s.Read.Count != 1 || s.Batch.Count != 1 {
+		t.Errorf("metrics missed events: read count = %d, batch count = %d", s.Read.Count, s.Batch.Count)
 	}
 }
 

@@ -96,30 +96,12 @@ var latencyBounds = func() []float64 {
 	return out
 }()
 
-// latencyData coarsens one internal cumulative capture onto latencyBounds.
-func latencyData(c *histogram.Cum) HistogramData {
-	d := HistogramData{
-		UpperBounds: latencyBounds,
-		CumCounts:   make([]uint64, len(latencyBounds)),
-		Count:       c.Total,
-		Sum:         float64(c.Sum) / 1e9,
-	}
-	for i := 0; i < histogram.NumBuckets; i++ {
-		if c.Counts[i] == 0 {
-			continue
-		}
-		low := float64(histogram.BucketLower(i)) / 1e9
-		for b, ub := range latencyBounds {
-			if low <= ub {
-				d.CumCounts[b] += c.Counts[i]
-			}
-		}
-	}
-	return d
-}
-
 // batchBounds is the `le` ladder for the combiner batch-size histogram:
-// powers of two matching obs.CountDist's native buckets, 1..1024.
+// powers of two, 1..1024 operations. An internal bucket is placed at its
+// lower edge (histData), and with four buckets per power of two that edge is
+// within 1.25× of every size the bucket holds: a round counted under
+// le="b" has at most 1.25·b operations (sizes below 8 are exact), so the
+// worst case is 1.25×.
 var batchBounds = func() []float64 {
 	out := make([]float64, 0, 11)
 	for v := 1.0; v <= 1024; v *= 2 {
@@ -128,27 +110,25 @@ var batchBounds = func() []float64 {
 	return out
 }()
 
-// batchData renders a CountCum capture onto batchBounds. CountDist bucket b
-// holds values with bits.Len64(v)==b, so bucket b's low edge 1<<(b-1) is
-// the value attributed to its observations.
-func batchData(c *obs.CountCum) HistogramData {
+// histData coarsens one internal cumulative capture onto a ladder of upper
+// bounds, in units of unit internal values (1e9 turns nanoseconds into
+// seconds). Each internal bucket is placed at its lower edge: its
+// observations count under every bound at or above that edge.
+func histData(c *histogram.Cum, bounds []float64, unit float64) HistogramData {
 	d := HistogramData{
-		UpperBounds: batchBounds,
-		CumCounts:   make([]uint64, len(batchBounds)),
+		UpperBounds: bounds,
+		CumCounts:   make([]uint64, len(bounds)),
 		Count:       c.Total,
-		Sum:         float64(c.Sum),
+		Sum:         float64(c.Sum) / unit,
 	}
-	for b, n := range c.Counts {
-		if n == 0 {
+	for i := 0; i < histogram.NumBuckets; i++ {
+		if c.Counts[i] == 0 {
 			continue
 		}
-		low := 0.0
-		if b > 0 {
-			low = float64(uint64(1) << (b - 1))
-		}
-		for i, ub := range batchBounds {
+		low := float64(histogram.BucketLower(i)) / unit
+		for b, ub := range bounds {
 			if low <= ub {
-				d.CumCounts[i] += n
+				d.CumCounts[b] += c.Counts[i]
 			}
 		}
 	}
@@ -160,11 +140,11 @@ func batchData(c *obs.CountCum) HistogramData {
 // histogram.
 func AppendCum(e *Exposition, c *obs.Cum) {
 	e.Histogram("nr_op_latency_seconds", "End-to-end operation latency by class.",
-		latencyData(&c.Latency[obs.OpRead]), Label{"class", "read"})
+		histData(&c.Latency[obs.OpRead], latencyBounds, 1e9), Label{"class", "read"})
 	e.Histogram("nr_op_latency_seconds", "End-to-end operation latency by class.",
-		latencyData(&c.Latency[obs.OpUpdate]), Label{"class", "update"})
+		histData(&c.Latency[obs.OpUpdate], latencyBounds, 1e9), Label{"class", "update"})
 	e.Histogram("nr_combiner_batch_size", "Operations per non-empty combining round.",
-		batchData(&c.Batch))
+		histData(&c.Batch, batchBounds, 1))
 }
 
 // AppendSLO folds SLO statuses into e.

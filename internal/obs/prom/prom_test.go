@@ -170,6 +170,35 @@ func TestExpositionCoversSnapshot(t *testing.T) {
 	}
 }
 
+// TestBatchBucketsCountNoRoundBelowItsSize: a round is never counted under
+// an `le` bound more than 1.25× below its size. Rounds of 31 ops belong
+// under le="32", not le="16"; rounds of 5–7 ops under le="8", not le="4".
+func TestBatchBucketsCountNoRoundBelowItsSize(t *testing.T) {
+	om := obs.NewMetrics(1)
+	for i := 0; i < 10; i++ {
+		om.CombineEnd(0, 31, 31, time.Microsecond)
+		om.CombineEnd(0, 5+i%3, 5+i%3, time.Microsecond)
+	}
+	var cum obs.Cum
+	om.ReadCum(&cum)
+	e := New()
+	AppendCum(e, &cum)
+	var b strings.Builder
+	if _, err := e.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`nr_combiner_batch_size_bucket{le="4"} 0`,
+		`nr_combiner_batch_size_bucket{le="8"} 10`,
+		`nr_combiner_batch_size_bucket{le="16"} 10`,
+		`nr_combiner_batch_size_bucket{le="32"} 20`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition lacks %s:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestLintCatchesViolations(t *testing.T) {
 	cases := []struct {
 		name, text, wantErr string

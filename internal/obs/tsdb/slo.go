@@ -91,8 +91,8 @@ func (c *Collector) checkSLOLocked(prev, cur *sample, now time.Time) (BreachEven
 			continue // no traffic: nothing to judge
 		}
 		st.total++
-		st.lastP99 = histogram.DeltaPercentile(ch, ph, 99)
-		st.lastP999 = histogram.DeltaPercentile(ch, ph, 99.9)
+		st.lastP99 = time.Duration(histogram.DeltaPercentile(ch, ph, 99))
+		st.lastP999 = time.Duration(histogram.DeltaPercentile(ch, ph, 99.9))
 		breached := (st.slo.P99 > 0 && st.lastP99 > st.slo.P99) ||
 			(st.slo.P999 > 0 && st.lastP999 > st.slo.P999)
 		st.lastBreachedW = breached

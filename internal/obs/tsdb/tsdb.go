@@ -10,7 +10,9 @@
 // Two cumulative captures subtract into exactly that (counter deltas become
 // rates; raw histogram buckets subtract bucket-wise into the interval's
 // distribution — summary percentiles do not subtract, which is why the
-// collector captures buckets via obs.ReadCum, not obs.Snapshot).
+// collector captures buckets via obs.ReadCum, not obs.Snapshot). An instance
+// has one obs.Metrics observer however many shards it has, so one ReadCum
+// per tick is the whole capture.
 //
 // The capture path is allocation-free in steady state: ring slots are
 // reused, the Gauges struct is filled in place by a caller-supplied Source
@@ -81,10 +83,9 @@ type Config struct {
 	// lock, never concurrently with itself, so it may reuse private scratch
 	// state. nil means no gauges (distribution-only telemetry).
 	Source func(*Gauges)
-	// Observed are the obs.Metrics observers whose raw buckets each capture
-	// folds in (several for a sharded instance, merged bucket-wise). May be
-	// empty: rates still work, latency percentiles read as 0.
-	Observed []*obs.Metrics
+	// Observed is the obs.Metrics observer whose raw buckets each capture
+	// reads. May be nil: rates still work, latency percentiles read as 0.
+	Observed *obs.Metrics
 	// SLOs are the latency objectives to track per window.
 	SLOs []SLO
 	// OnBreach, when set, is called (outside the collector's lock, on the
@@ -115,7 +116,6 @@ type Collector struct {
 	samples  []sample // ring; n valid, next write at head
 	head     int
 	n        int
-	scratch  obs.Cum // shard-merge scratch, reused every tick
 	slo      []sloState
 	lastFire time.Time
 
@@ -207,10 +207,10 @@ func (c *Collector) Close() {
 }
 
 // Advance takes one capture now: gauges via Source, raw distribution
-// buckets via obs.ReadCum (merged across observers for sharded instances),
-// then evaluates SLOs against the previous capture. Exported so tests (and
-// callers that own their own cadence) can drive the ring deterministically.
-// Allocation-free in steady state — ring slots and scratch are reused.
+// buckets via obs.ReadCum, then evaluates SLOs against the previous capture.
+// Exported so tests (and callers that own their own cadence) can drive the
+// ring deterministically. Allocation-free in steady state — ring slots are
+// reused.
 //
 //nr:noalloc
 func (c *Collector) Advance() {
@@ -225,7 +225,9 @@ func (c *Collector) Advance() {
 	if c.cfg.Source != nil {
 		c.cfg.Source(&s.g)
 	}
-	c.captureCum(s)
+	if c.cfg.Observed != nil {
+		c.cfg.Observed.ReadCum(&s.cum)
+	}
 	prev := c.prevLocked()
 	c.head = (c.head + 1) % len(c.samples)
 	if c.n < len(c.samples) {
@@ -238,36 +240,6 @@ func (c *Collector) Advance() {
 	if fire && c.cfg.OnBreach != nil {
 		c.cfg.OnBreach(ev)
 	}
-}
-
-// captureCum fills s.cum from the configured observers: a straight ReadCum
-// for the common single-observer case, a scratch-merged AddCum fold for
-// sharded instances. Caller holds c.mu.
-//
-//nr:noalloc
-func (c *Collector) captureCum(s *sample) {
-	switch len(c.cfg.Observed) {
-	case 0:
-	case 1:
-		c.cfg.Observed[0].ReadCum(&s.cum)
-	default:
-		resetCum(&s.cum)
-		for _, m := range c.cfg.Observed {
-			m.ReadCum(&c.scratch)
-			obs.AddCum(&s.cum, &c.scratch)
-		}
-	}
-}
-
-// resetCum zeroes a Cum while keeping its Nodes capacity.
-//
-//nr:noalloc
-func resetCum(dst *obs.Cum) {
-	for c := range dst.Latency {
-		dst.Latency[c].Reset()
-	}
-	dst.Batch.Reset()
-	dst.Nodes = dst.Nodes[:0]
 }
 
 // prevLocked returns the most recent complete sample before head, nil when
@@ -290,7 +262,7 @@ func (c *Collector) Samples() int {
 	return c.n
 }
 
-// LatestCum copies the newest capture's merged distribution buckets into
+// LatestCum copies the newest capture's distribution buckets into
 // dst (reusing dst.Nodes' capacity), reporting whether a capture exists.
 // The Prometheus exposition reads cumulative histogram buckets this way —
 // at most one collector interval stale, which a scraper cannot tell from

@@ -117,7 +117,7 @@ func TestCounterResetClampsToZero(t *testing.T) {
 func TestWindowLatencyTailsFromBucketDeltas(t *testing.T) {
 	clk := newClock()
 	m := obs.NewMetrics(2)
-	c := New(testConfig(clk, Config{Windows: 4, Observed: []*obs.Metrics{m}}))
+	c := New(testConfig(clk, Config{Windows: 4, Observed: m}))
 
 	// First interval: all reads fast.
 	for i := 0; i < 1000; i++ {
@@ -155,7 +155,7 @@ func TestWindowLatencyTailsFromBucketDeltas(t *testing.T) {
 func TestWindowBatchDistribution(t *testing.T) {
 	clk := newClock()
 	m := obs.NewMetrics(1)
-	c := New(testConfig(clk, Config{Windows: 4, Observed: []*obs.Metrics{m}}))
+	c := New(testConfig(clk, Config{Windows: 4, Observed: m}))
 
 	for i := 0; i < 100; i++ {
 		m.CombineEnd(0, 8, 8, time.Microsecond)
@@ -182,7 +182,7 @@ func TestNodeWindowFromReplicaGauges(t *testing.T) {
 	var g Gauges
 	c := New(testConfig(clk, Config{
 		Windows:  4,
-		Observed: []*obs.Metrics{obs.NewMetrics(2)},
+		Observed: obs.NewMetrics(2),
 		Source:   func(dst *Gauges) { *dst = g },
 	}))
 	for i := uint64(1); i <= 2; i++ {
@@ -205,31 +205,13 @@ func TestNodeWindowFromReplicaGauges(t *testing.T) {
 	}
 }
 
-func TestShardedObserversMergeBucketwise(t *testing.T) {
-	clk := newClock()
-	m0, m1 := obs.NewMetrics(1), obs.NewMetrics(1)
-	c := New(testConfig(clk, Config{Windows: 4, Observed: []*obs.Metrics{m0, m1}}))
-
-	for i := 0; i < 500; i++ {
-		m0.OpDone(0, obs.OpRead, time.Microsecond)
-		m1.OpDone(0, obs.OpRead, time.Microsecond)
-	}
-	clk.step(time.Second)
-	c.Advance()
-
-	w, _ := c.Last()
-	if w.Nodes[0].ReadOpsPerSec != 1000 {
-		t.Errorf("merged node read rate = %v, want 1000 across two shards", w.Nodes[0].ReadOpsPerSec)
-	}
-}
-
 func TestSLOBreachAndBudget(t *testing.T) {
 	clk := newClock()
 	m := obs.NewMetrics(1)
 	var breaches []BreachEvent
 	c := New(testConfig(clk, Config{
 		Windows:           8,
-		Observed:          []*obs.Metrics{m},
+		Observed:          m,
 		SLOs:              []SLO{{Class: obs.OpRead, P99: time.Millisecond, Budget: 0.5}},
 		OnBreach:          func(ev BreachEvent) { breaches = append(breaches, ev) },
 		BreachMinInterval: time.Nanosecond, // no rate limit for the test
@@ -280,7 +262,7 @@ func TestSLOBreachRateLimit(t *testing.T) {
 	var fired atomic.Int32
 	c := New(testConfig(clk, Config{
 		Windows:           8,
-		Observed:          []*obs.Metrics{m},
+		Observed:          m,
 		SLOs:              []SLO{{Class: obs.OpRead, P99: time.Millisecond}},
 		OnBreach:          func(BreachEvent) { fired.Add(1) },
 		BreachMinInterval: 30 * time.Second,
@@ -304,7 +286,7 @@ func TestSLOBreachRateLimit(t *testing.T) {
 func TestLatestCum(t *testing.T) {
 	clk := newClock()
 	m := obs.NewMetrics(1)
-	c := New(testConfig(clk, Config{Windows: 4, Observed: []*obs.Metrics{m}}))
+	c := New(testConfig(clk, Config{Windows: 4, Observed: m}))
 
 	for i := 0; i < 42; i++ {
 		m.OpDone(0, obs.OpRead, time.Microsecond)
@@ -338,7 +320,7 @@ func TestConcurrentStress(t *testing.T) {
 	c := New(Config{
 		Interval: time.Millisecond,
 		Windows:  16,
-		Observed: []*obs.Metrics{m},
+		Observed: m,
 		Source:   func(dst *Gauges) { dst.ReadOps = ops.Load() },
 		SLOs:     []SLO{{Class: obs.OpRead, P99: time.Microsecond}},
 		OnBreach: func(BreachEvent) {},

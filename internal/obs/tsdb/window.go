@@ -106,18 +106,21 @@ func deriveWindow(prev, cur *sample) Window {
 	}
 	w.OpsPerSec = w.ReadOpsPerSec + w.UpdateOpsPerSec
 
-	w.BatchMean = obs.CountDeltaMean(&cur.cum.Batch, &prev.cum.Batch)
-	w.BatchP50 = obs.CountDeltaPercentile(&cur.cum.Batch, &prev.cum.Batch, 50)
-	w.BatchP99 = obs.CountDeltaPercentile(&cur.cum.Batch, &prev.cum.Batch, 99)
+	b, bp := &cur.cum.Batch, &prev.cum.Batch
+	if n := histogram.DeltaCount(b, bp); n > 0 && b.Sum >= bp.Sum {
+		w.BatchMean = float64(b.Sum-bp.Sum) / float64(n)
+	}
+	w.BatchP50 = histogram.DeltaPercentile(b, bp, 50)
+	w.BatchP99 = histogram.DeltaPercentile(b, bp, 99)
 
 	rd, up := &cur.cum.Latency[obs.OpRead], &cur.cum.Latency[obs.OpUpdate]
 	rdp, upp := &prev.cum.Latency[obs.OpRead], &prev.cum.Latency[obs.OpUpdate]
-	w.ReadP50Ns = uint64(histogram.DeltaPercentile(rd, rdp, 50).Nanoseconds())
-	w.ReadP99Ns = uint64(histogram.DeltaPercentile(rd, rdp, 99).Nanoseconds())
-	w.ReadP999Ns = uint64(histogram.DeltaPercentile(rd, rdp, 99.9).Nanoseconds())
-	w.UpdateP50Ns = uint64(histogram.DeltaPercentile(up, upp, 50).Nanoseconds())
-	w.UpdateP99Ns = uint64(histogram.DeltaPercentile(up, upp, 99).Nanoseconds())
-	w.UpdateP999Ns = uint64(histogram.DeltaPercentile(up, upp, 99.9).Nanoseconds())
+	w.ReadP50Ns = histogram.DeltaPercentile(rd, rdp, 50)
+	w.ReadP99Ns = histogram.DeltaPercentile(rd, rdp, 99)
+	w.ReadP999Ns = histogram.DeltaPercentile(rd, rdp, 99.9)
+	w.UpdateP50Ns = histogram.DeltaPercentile(up, upp, 50)
+	w.UpdateP99Ns = histogram.DeltaPercentile(up, upp, 99)
+	w.UpdateP999Ns = histogram.DeltaPercentile(up, upp, 99.9)
 
 	if cur.g.HasWAL {
 		w.HasWAL = true
@@ -129,15 +132,15 @@ func deriveWindow(prev, cur *sample) Window {
 		w.DurableLag = cur.g.DurableLag
 	}
 
-	// Per-node: counter deltas from the merged observer capture; lag (from
-	// the closing capture) and read-lock acquisitions from the gauges.
+	// Per-node: counter deltas from the observer capture; lag (from the
+	// closing capture) and read-lock acquisitions from the gauges.
 	for i := range cur.cum.Nodes {
 		cn := &cur.cum.Nodes[i]
 		nw := NodeWindow{Node: i}
 		if i < len(prev.cum.Nodes) {
 			pn := &prev.cum.Nodes[i]
-			nw.ReadOpsPerSec = rate(cn.ReadOps, pn.ReadOps, secs)
-			nw.UpdateOpsPerSec = rate(cn.UpdateOps, pn.UpdateOps, secs)
+			nw.ReadOpsPerSec = rate(cn.Latency[obs.OpRead].Total, pn.Latency[obs.OpRead].Total, secs)
+			nw.UpdateOpsPerSec = rate(cn.Latency[obs.OpUpdate].Total, pn.Latency[obs.OpUpdate].Total, secs)
 			nw.CombinesPerSec = rate(cn.CombineRounds, pn.CombineRounds, secs)
 			nw.ReaderRefreshPerSec = rate(cn.ReaderRefreshes, pn.ReaderRefreshes, secs)
 			if wall := secs * 1e9; wall > 0 && cn.CombineNanos >= pn.CombineNanos {

@@ -278,7 +278,8 @@ func Load(dir string) (*RecoveryState, error) {
 		break
 	}
 	// Collect the generation's records across all segments, then order by
-	// log index: concurrent combiners append slightly out of order.
+	// log index. The one log follower appends in index order; the sort keeps
+	// segments written when concurrent combiners appended loadable.
 	var recs []Record
 	for _, sf := range segs {
 		if sf.gen != st.Gen {

@@ -181,11 +181,12 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// WithMetrics attaches the built-in metrics observer: per-node latency
-// histograms split by operation class, combiner batch-size distributions,
-// and counters for every protocol event, all folded into the snapshot
+// WithMetrics attaches the built-in metrics observer: per-node histograms
+// of operation latency split by class and of combiner batch size, and
+// counters for every protocol event, all folded into the snapshot
 // Instance.Metrics returns (its Observed field is non-nil exactly when the
-// instance was built with WithMetrics).
+// instance was built with WithMetrics). A sharded instance has one such
+// observer, shared by every shard, so Observed covers all of its traffic.
 func WithMetrics() Option {
 	return func(s *settings) { s.metrics = true }
 }
@@ -244,11 +245,12 @@ var ErrClosed = core.ErrClosed
 // one shard (one set of per-node replicas over one set of logs) from New,
 // several from NewSharded.
 type Instance[O, R any] struct {
-	inner  *core.Instance[O, R]   // shards[0]: the whole instance unless built by NewSharded
-	shards []*core.Instance[O, R] // every shard's private replica set, in class order
-	mapper LogMapper[O]           // op → shard; nil with one shard
-	pst    *persistence[O]        // nil unless built with WithPersistence/Recover
-	tel    *Telemetry             // nil unless built with WithTelemetry/WithSLO
+	inner   *core.Instance[O, R]   // shards[0]: the whole instance unless built by NewSharded
+	shards  []*core.Instance[O, R] // every shard's private replica set, in class order
+	mapper  LogMapper[O]           // op → shard; nil with one shard
+	metrics *obs.Metrics           // the one metrics observer all shards share; nil unless WithMetrics/WithTelemetry
+	pst     *persistence[O]        // nil unless built with WithPersistence/Recover
+	tel     *Telemetry             // nil unless built with WithTelemetry/WithSLO
 }
 
 // Handle executes operations on behalf of one registered goroutine. It is
@@ -262,12 +264,11 @@ type Handle[O, R any] struct {
 	mapper LogMapper[O]
 }
 
-// lower converts the accumulated settings into one core.Options value. It
-// is called once per core instance built — S times for a sharded instance —
-// so every call hands out a fresh obs.Metrics observer (per-shard latency
-// histograms must not share buckets) while the user-supplied observers and
-// the flight recorder are shared across calls by design.
-func (s *settings) lower() core.Options {
+// lower converts the accumulated settings into the one core.Options value
+// every shard is built from. The WithMetrics observer it creates is shared
+// by every shard, as WithObserver's observers and the flight recorder are,
+// and returned so the instance can read it (nil without WithMetrics).
+func (s *settings) lower() (core.Options, *obs.Metrics) {
 	opts := core.Options{
 		LogEntries:         s.logEntries,
 		Logs:               s.logs,
@@ -288,15 +289,15 @@ func (s *settings) lower() core.Options {
 		opts.Topology = topology.New(s.nodes, cores, smt)
 		nodes = s.nodes
 	}
-	// Full slice expression: a second lower() call must not overwrite the
-	// obs.Metrics a previous call appended into shared backing storage.
-	observers := s.observers[:len(s.observers):len(s.observers)]
+	observers := s.observers
+	var mo *obs.Metrics
 	if s.metrics {
-		observers = append(observers, obs.NewMetrics(nodes))
+		mo = obs.NewMetrics(nodes)
+		observers = append(observers, mo)
 	}
 	opts.Observer = obs.Combine(observers...)
 	opts.Trace = s.trace
-	return opts
+	return opts, mo
 }
 
 // New builds an instance. create is invoked once per NUMA node and must
@@ -307,8 +308,8 @@ func New[O, R any](create func() Sequential[O, R], options ...Option) (*Instance
 }
 
 // build is New and NewSharded: shards core instances from one settings
-// value. Every shard gets the same options, so a construction error is
-// always the first shard's, before anything has been started.
+// value, lowered once. Every shard gets the same options, so a construction
+// error is always the first shard's, before anything has been started.
 func build[O, R any](create func() Sequential[O, R], shards int, mapper LogMapper[O], options []Option) (*Instance[O, R], error) {
 	if create == nil {
 		return nil, errors.New("nr: create function is nil")
@@ -327,9 +328,10 @@ func build[O, R any](create func() Sequential[O, R], shards int, mapper LogMappe
 	if s.persist != nil && shards > 1 {
 		return nil, fmt.Errorf("nr: NewSharded(shards = %d) cannot be combined with persistence; per-shard WALs lack a cross-shard recovery barrier (ROADMAP item 5)", shards)
 	}
-	inst := &Instance[O, R]{shards: make([]*core.Instance[O, R], shards), mapper: mapper}
+	opts, mo := s.lower()
+	inst := &Instance[O, R]{shards: make([]*core.Instance[O, R], shards), mapper: mapper, metrics: mo}
 	for i := range inst.shards {
-		sh, err := core.New[O, R](func() core.Sequential[O, R] { return create() }, s.lower())
+		sh, err := core.New[O, R](func() core.Sequential[O, R] { return create() }, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -415,10 +417,14 @@ func (i *Instance[O, R]) Metrics() Metrics {
 func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
 	if len(i.shards) > 1 {
 		i.foldInto(m)
-		return
+	} else {
+		i.inner.MetricsInto(m)
 	}
-	i.inner.MetricsInto(m, observed)
 	i.fillPersist(m)
+	if observed && i.metrics != nil {
+		s := i.metrics.Snapshot()
+		m.Observed = &s
+	}
 }
 
 // fillPersist folds the WAL's counters into the snapshot when the instance

@@ -1,12 +1,14 @@
 package nr_test
 
 import (
+	"math"
 	"os"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	nr "github.com/asplos17/nr"
 	"github.com/asplos17/nr/internal/ds"
@@ -104,9 +106,10 @@ func TestShardedExecuteAll(t *testing.T) {
 	}
 }
 
-// TestShardedMetricsAndTrace checks that WithMetrics gives every shard its
-// own observer folded into one aggregate, and that a shared flight recorder
-// yields a single snapshot covering ops routed to different shards.
+// TestShardedMetricsAndTrace checks that the shards' Stats fold into one
+// aggregate, that the one metrics observer splits reads from updates, and
+// that a shared flight recorder yields a single snapshot covering ops routed
+// to different shards.
 func TestShardedMetricsAndTrace(t *testing.T) {
 	inst, err := nr.NewSharded(newSeqMap, 2, nr.KeyMapper(2, byKey),
 		nr.WithNodes(1, 2, 1), nr.WithLogEntries(128),
@@ -131,14 +134,7 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 		}
 	}
 
-	shards := inst.ShardMetrics()
-	if len(shards) != 2 {
-		t.Fatalf("ShardMetrics has %d entries, want 2", len(shards))
-	}
 	agg := inst.Metrics()
-	if agg.Observed != nil {
-		t.Errorf("folded Observed = %v, want nil (percentiles do not merge)", agg.Observed)
-	}
 	s := agg.Stats
 	if got := s.ReadOps + s.UpdateOps; got != ops {
 		t.Errorf("aggregate ReadOps+UpdateOps = %d, want %d", got, ops)
@@ -146,17 +142,8 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 	if s.ReadOps != uint64(reads) {
 		t.Errorf("aggregate ReadOps = %d, want %d", s.ReadOps, reads)
 	}
-	// Per-shard observers are distinct: each shard observed only its own
-	// routed traffic, and the observations sum to the whole.
-	var obsOps uint64
-	for i, ms := range shards {
-		if ms.Observed == nil {
-			t.Fatalf("shard %d: Observed is nil, want per-shard metrics", i)
-		}
-		obsOps += ms.Observed.Read.Count + ms.Observed.Update.Count
-	}
-	if obsOps != ops {
-		t.Errorf("per-shard observed ops sum = %d, want %d", obsOps, ops)
+	if o := agg.Observed; o == nil || o.Read.Count != uint64(reads) || o.Update.Count != ops-uint64(reads) {
+		t.Errorf("Observed = %+v, want %d reads and %d updates", o, reads, ops-reads)
 	}
 	if h := inst.Health(); h.Poisoned {
 		t.Errorf("aggregate Health poisoned: %+v", h)
@@ -172,6 +159,81 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 	}
 	if inst.FlightRecorder() == nil {
 		t.Error("FlightRecorder() = nil with WithFlightRecorder set")
+	}
+}
+
+// TestShardedInstanceHasOneObserver: WithMetrics gives a sharded instance
+// one metrics observer that every shard records into, so the folded
+// snapshot's Observed covers all traffic, no shard carries its own, and one
+// telemetry capture sees every shard.
+func TestShardedInstanceHasOneObserver(t *testing.T) {
+	const shards, threads, perThread = 4, 4, 250
+	inst, err := nr.NewSharded(newSeqMap, shards, nr.KeyMapper(shards, byKey),
+		nr.WithNodes(2, 2, 1), nr.WithLogEntries(256),
+		nr.WithMetrics(), nr.WithTelemetry(time.Hour, 4)) // the test drives the captures
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	var wg sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		h, err := inst.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perThread; i++ {
+				key := "k" + strconv.Itoa(tid*perThread+i)
+				if i%3 == 0 {
+					h.Execute(mapOp{get: true, key: key})
+				} else {
+					h.Execute(mapOp{key: key, val: i})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const n = threads * perThread
+
+	m := inst.Metrics()
+	if m.Observed == nil {
+		t.Fatal("folded Metrics().Observed is nil on a sharded instance built WithMetrics")
+	}
+	if got := m.Observed.Read.Count + m.Observed.Update.Count; got != n {
+		t.Errorf("Observed read+update count = %d, want %d (every shard's ops)", got, n)
+	}
+	if m.Observed.Update.Count != m.Stats.UpdateOps || m.Observed.Batch.Count != m.Stats.Combines {
+		t.Errorf("Observed updates/rounds = %d/%d, folded Stats say %d/%d",
+			m.Observed.Update.Count, m.Observed.Batch.Count, m.Stats.UpdateOps, m.Stats.Combines)
+	}
+	var used int
+	for s, ms := range inst.ShardMetrics() {
+		if ms.Observed != nil {
+			t.Errorf("ShardMetrics()[%d].Observed is non-nil; the shards share one observer", s)
+		}
+		if ms.Stats.ReadOps+ms.Stats.UpdateOps > 0 {
+			used++
+		}
+	}
+	if used < 2 {
+		t.Fatalf("traffic reached %d shard(s); the check needs several", used)
+	}
+
+	tel := inst.Telemetry()
+	tel.Advance()
+	w, ok := tel.Last()
+	if !ok {
+		t.Fatal("no telemetry window after two captures")
+	}
+	var rate float64
+	for _, nw := range w.Nodes {
+		rate += nw.ReadOpsPerSec + nw.UpdateOpsPerSec
+	}
+	if len(w.Nodes) != 2 || math.Round(rate*w.Seconds) != n {
+		t.Errorf("window node rates sum to %.0f ops over %d nodes, want %d (every shard's traffic)",
+			rate*w.Seconds, len(w.Nodes), n)
 	}
 }
 

@@ -40,9 +40,9 @@ func KeyMapper[O any, K comparable](classes int, key func(O) (K, bool)) LogMappe
 // Instance with the same Handle as New builds: Execute runs an operation on
 // the shard owning its class, ExecuteAll on every shard. One shard is
 // exactly New (mapper ignored, may be nil). The options apply to every
-// shard alike — WithMetrics attaches a separate metrics observer per shard,
-// while WithObserver's observers and the flight recorder are shared — and
-// persistence is refused (ROADMAP item 5).
+// shard alike and their observers are shared: WithMetrics' one metrics
+// observer, WithObserver's observers and the flight recorder each see every
+// shard's events. Persistence is refused (ROADMAP item 5).
 func NewSharded[O, R any](create func() Sequential[O, R], shards int, mapper LogMapper[O], options ...Option) (*Instance[O, R], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("nr: need at least one shard, got %d", shards)
@@ -60,12 +60,12 @@ func NewSharded[O, R any](create func() Sequential[O, R], shards int, mapper Log
 func (i *Instance[O, R]) Shards() int { return len(i.shards) }
 
 // ShardMetrics returns each shard's own snapshot, in shard order: the
-// breakdown Metrics folds on a sharded instance, including the per-shard
-// latency histograms (Observed) the fold cannot carry.
+// breakdown Metrics folds on a sharded instance. Observed is nil in every
+// entry: the shards share one metrics observer, which Metrics reports.
 func (i *Instance[O, R]) ShardMetrics() []Metrics {
 	ms := make([]Metrics, len(i.shards))
 	for s, sh := range i.shards {
-		sh.MetricsInto(&ms[s], true)
+		sh.MetricsInto(&ms[s])
 	}
 	i.fillPersist(&ms[0])
 	return ms
@@ -129,15 +129,15 @@ func (h *Handle[O, R]) TryExecuteAll(op O) ([]R, error) {
 // counters summed, Health flags OR-ed, log positions summed with Occupancy
 // reporting the fullest shard (the bottleneck: one full log blocks that
 // shard's appenders however empty the others are), per-node replica gauges
-// summed across shards. Logs and Observed stay empty — per-class gauges and
-// latency percentiles do not merge across independent shards; ShardMetrics
-// has them.
+// summed across shards. Logs stays empty — per-class gauges do not merge
+// across independent shards; ShardMetrics has them. Observed is not a fold:
+// MetricsInto reads the one observer every shard shares.
 func (i *Instance[O, R]) foldInto(m *Metrics) {
 	replicas := m.Replicas[:0]
 	*m = Metrics{Replicas: replicas}
 	var one Metrics
 	for _, sh := range i.shards {
-		sh.MetricsInto(&one, false)
+		sh.MetricsInto(&one)
 		addStats(&m.Stats, &one.Stats)
 		addHealth(&m.Health, &one.Health)
 		m.Log.Tail += one.Log.Tail

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/asplos17/nr/internal/core"
-	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/obs/tsdb"
 )
 
@@ -97,15 +96,9 @@ func WithSLONotify(fn func(BreachEvent)) Option {
 func (i *Instance[O, R]) Telemetry() *Telemetry { return i.tel }
 
 // startTelemetry builds and starts the collector: gauges from the
-// instance's (folded) snapshot, latency buckets from every shard's metrics
-// observer, merged bucket-wise inside the collector.
+// instance's (folded) snapshot, latency and batch buckets from the metrics
+// observer every shard records into.
 func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Collector {
-	var observed []*obs.Metrics
-	for _, sh := range inst.shards {
-		if m := sh.ObservedMetrics(); m != nil {
-			observed = append(observed, m)
-		}
-	}
 	var m Metrics // reused across ticks: the collector serializes Source calls
 	c := tsdb.New(tsdb.Config{
 		Interval: t.interval,
@@ -114,7 +107,7 @@ func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Co
 			inst.MetricsInto(&m, false)
 			setGauges(g, &m)
 		},
-		Observed: observed,
+		Observed: inst.metrics,
 		SLOs:     t.slos,
 		OnBreach: breachChain(inst.inner.TraceRecorder().AutoDump, t.onBreach),
 	})
