@@ -21,6 +21,7 @@ RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./i
 tier1: ## gofmt + one-benchmark rule + build + vet + lint + unit tests (the acceptance gate)
 	test -z "$$(gofmt -l .)"
 	! grep -rn '^func Benchmark' --include='*_test.go' . | grep -v '^./benchmark/'
+	! grep -rnE 'atomic\.(Add|And|Or|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' --include='*.go' --exclude='*_test.go' .
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/nrlint ./...

@@ -1,7 +1,7 @@
 // Command nrlint runs the NR-specific static analyzers (internal/analysis)
 // over package directories:
 //
-//	nrlint [-only cachepad,noalloc] [-v] [-json] [-sarif out.sarif] ./...
+//	nrlint [-only lockorder,noalloc] [-v] [-json] [-sarif out.sarif] ./...
 //
 // Patterns are directories; a trailing /... walks recursively (testdata,
 // vendor, and dot-directories are skipped, as the go tool does). With no

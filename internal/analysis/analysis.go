@@ -7,16 +7,17 @@
 // The container this repo builds in has no module cache and no network, so
 // x/tools is not importable; everything here uses only the standard library
 // (go/ast, go/parser, go/types and the "source" importer). The API mirrors
-// x/tools closely enough that the analyzers (cachepad.go, atomicmix.go,
-// noalloc.go, spinloop.go, obsguard.go) would port to a real multichecker by
-// changing imports.
+// x/tools closely enough that the analyzers (noalloc.go, spinloop.go,
+// obsguard.go, noio.go, lockorder.go, noblock.go) would port to a real
+// multichecker by changing imports.
 //
-// The analyzers enforce NR's unchecked invariants — the memory-layout and
-// hot-path discipline the paper's NUMA win depends on (§5.1, §5.2, §5.5 of
+// The analyzers enforce NR's unchecked invariants — the hot-path and
+// lock discipline the paper's NUMA win depends on (§5.1, §5.2, §5.5 of
 // "Black-box Concurrent Data Structures for NUMA Architectures") — from
-// `//nr:` comment directives placed on the real types and functions. See
+// `//nr:` comment directives placed on the real fields and functions. See
 // directive.go for the grammar and DESIGN.md §10 for the invariant ↔ paper
-// mapping.
+// mapping. Cache-line layout is pinned by each package's layout tests, and
+// atomic-word copies by go vet's copylocks check.
 package analysis
 
 import (
@@ -56,9 +57,6 @@ type Pass struct {
 	// Pkg and Info are the type-checked package and its fact tables.
 	Pkg  *types.Package
 	Info *types.Info
-	// Sizes computes real field offsets and sizes for the gc compiler on
-	// this architecture; cachepad's layout math uses it.
-	Sizes types.Sizes
 	// Directives are the package's parsed //nr: annotations.
 	Directives *Directives
 	// Graph is the module-wide call graph over every package the loader has
@@ -91,7 +89,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:      pkg.Files,
 			Pkg:        pkg.Types,
 			Info:       pkg.Info,
-			Sizes:      pkg.Sizes,
 			Directives: dirs,
 			Graph:      g,
 			report:     func(d Diagnostic) { out = append(out, d) },
@@ -118,5 +115,5 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns every nrlint analyzer in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{CachePad, AtomicMix, NoAlloc, SpinLoop, ObsGuard, NoIO, LockOrder, NoBlock}
+	return []*Analyzer{NoAlloc, SpinLoop, ObsGuard, NoIO, LockOrder, NoBlock}
 }

@@ -7,14 +7,6 @@ import (
 	"github.com/asplos17/nr/internal/analysis/analysistest"
 )
 
-func TestCachePad(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.CachePad, "cachepad")
-}
-
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.AtomicMix, "atomicmix")
-}
-
 func TestNoAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.NoAlloc, "noalloc")
 }

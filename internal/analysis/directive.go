@@ -2,13 +2,6 @@ package analysis
 
 // //nr: directive grammar (see DESIGN.md §10):
 //
-//	//nr:cacheline            on a struct field: the field must not share a
-//	                          64-byte cache line with any other annotated
-//	                          field of the same struct, and an explicit blank
-//	                          pad following it must keep the next field on a
-//	                          later line. On a struct type declaration: the
-//	                          struct's size must be a multiple of 64 so
-//	                          array/slice elements never share a line.
 //	//nr:noalloc              on a function: the body must contain no
 //	                          statically-detectable allocation site, and no
 //	                          call chain from it may reach one (interprocedural
@@ -47,7 +40,7 @@ package analysis
 //	//nr:guarded              on a line: suppresses obsguard for that site.
 //
 // Like //go:build, a directive is only recognized with no space after the
-// slashes, so prose mentioning "nr:cacheline" never annotates anything.
+// slashes, so prose mentioning "nr:noalloc" never annotates anything.
 
 import (
 	"go/ast"
@@ -58,7 +51,7 @@ import (
 // Directive is one parsed //nr: annotation.
 type Directive struct {
 	Pos  token.Pos
-	Name string // "cacheline", "noalloc", ...
+	Name string // "noalloc", "spin", ...
 	Args string // remainder after the name, trimmed
 }
 
@@ -66,7 +59,6 @@ type Directive struct {
 // are attached to, plus a by-line index for site suppressions.
 type Directives struct {
 	funcs  map[*ast.FuncDecl][]Directive
-	types  map[*ast.TypeSpec][]Directive
 	fields map[*ast.Field][]Directive
 	// lines maps filename -> line -> directive names appearing on that line.
 	lines map[string]map[int][]string
@@ -126,13 +118,12 @@ func groupDirectives(groups ...*ast.CommentGroup) []Directive {
 
 // CollectDirectives parses every //nr: annotation in files. Attachment
 // follows doc/line comments: a directive in a FuncDecl doc annotates the
-// function; in a TypeSpec doc (or the enclosing single-spec GenDecl doc) it
-// annotates the type; in a struct field's doc or trailing line comment it
-// annotates the field (including embedded fields, which have no names).
+// function; in a struct field's or interface method's doc or trailing line
+// comment it annotates the field (including embedded fields, which have no
+// names).
 func CollectDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	ds := &Directives{
 		funcs:  make(map[*ast.FuncDecl][]Directive),
-		types:  make(map[*ast.TypeSpec][]Directive),
 		fields: make(map[*ast.Field][]Directive),
 		lines:  make(map[string]map[int][]string),
 		fset:   fset,
@@ -165,13 +156,6 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {
 						continue
-					}
-					groups := []*ast.CommentGroup{ts.Doc, ts.Comment}
-					if len(decl.Specs) == 1 {
-						groups = append(groups, decl.Doc)
-					}
-					if dirs := groupDirectives(groups...); len(dirs) > 0 {
-						ds.types[ts] = dirs
 					}
 					switch t := ts.Type.(type) {
 					case *ast.StructType:
@@ -216,11 +200,6 @@ func has(dirs []Directive, name string) bool {
 // FuncHas reports whether fn carries the named directive.
 func (ds *Directives) FuncHas(fn *ast.FuncDecl, name string) bool {
 	return has(ds.funcs[fn], name)
-}
-
-// TypeHas reports whether ts carries the named directive.
-func (ds *Directives) TypeHas(ts *ast.TypeSpec, name string) bool {
-	return has(ds.types[ts], name)
 }
 
 // FieldHas reports whether field carries the named directive.

@@ -12,15 +12,15 @@ const directiveSrc = `package p
 type base struct{ x int }
 
 type s struct {
-	//nr:cacheline
+	//nr:nilguard
 	base
 	plain int
-	//nr:cacheline with trailing words
+	//nr:nilguard with trailing words
 	a int
-	b int //nr:cacheline
-	// nr:cacheline — spaced, prose, not a directive
+	b int //nr:nilguard
+	// nr:nilguard — spaced, prose, not a directive
 	c int
-	//nr:nilguard
+	//nr:noalloc
 	hook func()
 }
 
@@ -38,9 +38,8 @@ func plain() {
 func suppressedSameLine() {}
 func suppressedLineAbove() {}
 
-//nr:cacheline
 type padded[T any] struct {
-	//nr:cacheline
+	//nr:nilguard
 	v T
 	_ [56]byte
 }
@@ -56,8 +55,8 @@ func parseDirectiveSrc(t *testing.T) (*Directives, *ast.File, *token.FileSet) {
 	return CollectDirectives(fset, []*ast.File{f}), f, fset
 }
 
-// findStruct returns the TypeSpec named name and its struct fields.
-func findStruct(t *testing.T, f *ast.File, name string) (*ast.TypeSpec, []*ast.Field) {
+// findStruct returns the fields of the struct type named name.
+func findStruct(t *testing.T, f *ast.File, name string) []*ast.Field {
 	t.Helper()
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
@@ -73,11 +72,11 @@ func findStruct(t *testing.T, f *ast.File, name string) (*ast.TypeSpec, []*ast.F
 			if !ok {
 				t.Fatalf("%s is not a struct", name)
 			}
-			return ts, st.Fields.List
+			return st.Fields.List
 		}
 	}
 	t.Fatalf("struct %s not found", name)
-	return nil, nil
+	return nil
 }
 
 func findFunc(t *testing.T, f *ast.File, name string) *ast.FuncDecl {
@@ -104,7 +103,7 @@ func fieldName(field *ast.Field) string {
 
 func TestDirectiveFieldAttachment(t *testing.T) {
 	ds, f, _ := parseDirectiveSrc(t)
-	_, fields := findStruct(t, f, "s")
+	fields := findStruct(t, f, "s")
 
 	want := map[string]bool{
 		"base":  true, // embedded field: doc comment attaches despite no name
@@ -112,15 +111,15 @@ func TestDirectiveFieldAttachment(t *testing.T) {
 		"a":     true,  // trailing prose after the name is tolerated
 		"b":     true,  // same-line trailing comment
 		"c":     false, // "// nr:" with a space is prose, not a directive
-		"hook":  false, // carries nilguard, not cacheline
+		"hook":  false, // carries noalloc, not nilguard
 	}
 	for _, field := range fields {
 		name := fieldName(field)
-		if got := ds.FieldHas(field, "cacheline"); got != want[name] {
-			t.Errorf("FieldHas(%s, cacheline) = %v, want %v", name, got, want[name])
+		if got := ds.FieldHas(field, "nilguard"); got != want[name] {
+			t.Errorf("FieldHas(%s, nilguard) = %v, want %v", name, got, want[name])
 		}
-		if name == "hook" && !ds.FieldHas(field, "nilguard") {
-			t.Errorf("FieldHas(hook, nilguard) = false, want true")
+		if name == "hook" && !ds.FieldHas(field, "noalloc") {
+			t.Errorf("FieldHas(hook, noalloc) = false, want true")
 		}
 	}
 }
@@ -142,13 +141,10 @@ func TestDirectiveFuncAttachment(t *testing.T) {
 
 func TestDirectiveGenericType(t *testing.T) {
 	ds, f, _ := parseDirectiveSrc(t)
-	ts, fields := findStruct(t, f, "padded")
-	if !ds.TypeHas(ts, "cacheline") {
-		t.Error("TypeHas(padded, cacheline) = false, want true")
-	}
+	fields := findStruct(t, f, "padded")
 	for _, field := range fields {
-		if fieldName(field) == "v" && !ds.FieldHas(field, "cacheline") {
-			t.Error("FieldHas(padded.v, cacheline) = false, want true")
+		if fieldName(field) == "v" && !ds.FieldHas(field, "nilguard") {
+			t.Error("FieldHas(padded.v, nilguard) = false, want true")
 		}
 	}
 }

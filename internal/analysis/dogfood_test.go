@@ -5,10 +5,10 @@ import "testing"
 // TestRepoPackagesClean runs every analyzer over the repo's own annotated
 // packages and requires zero diagnostics. This pins the dogfood-clean state
 // reached in PR 4 and doubles as the hard edge-case suite: internal/core is
-// heavily generic (slot[O, R] forces cachepad's representative
-// instantiation), internal/trace carries build-tagged variants
+// heavily generic (the call graph must resolve methods on instantiated types
+// such as replica[O, R]), internal/trace carries build-tagged variants
 // (word_race.go vs word_norace.go — the loader must pick exactly one), and
-// internal/rwlock mixes embedded annotated types with //nr:nilguard hooks.
+// internal/rwlock mixes //nr:spin locks with //nr:nilguard hooks.
 // A regression that makes any analyzer panic or false-positive on real NR
 // code fails here before it fails in `make lint`.
 func TestRepoPackagesClean(t *testing.T) {

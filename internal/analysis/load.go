@@ -26,7 +26,6 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	Sizes   types.Sizes
 
 	// loader is the Loader that produced this package; Run reaches the
 	// module call graph through it for the interprocedural analyzers.
@@ -207,7 +206,6 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		Files:   files,
 		Types:   tpkg,
 		Info:    info,
-		Sizes:   l.sizes,
 		loader:  l,
 	}
 	l.pkgs[path] = pkg

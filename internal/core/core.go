@@ -277,14 +277,11 @@ type slot[O, R any] struct {
 	// be posting its next op.
 	class atomic.Int32
 	// state is the protocol word; resp returns the outcome. Each must own
-	// its cache line (checked by nrlint's cachepad against real offsets).
-	//
-	//nr:cacheline
+	// its cache line (pinned by TestSlotLayout).
 	state atomic.Uint32
 	_     [52]byte
-	//nr:cacheline
-	resp R
-	err  error
+	resp  R
+	err   error
 }
 
 // entry kinds stored in the shared logs. entryOp is a normal operation;
@@ -364,9 +361,8 @@ type replicaLog[O, R any] struct {
 // threads running on that node (and by the watchdog's rare helping pass), so
 // counting an op costs no cross-node cache-line transfer: the log-tail CAS
 // stays the update path's only one (§5.1) and a read touches node-local
-// memory only (§5.3). Stats sums the nodes.
-//
-//nr:cacheline
+// memory only (§5.3). Stats sums the nodes. It fills one cache line
+// (TestReplicaCountersLayout).
 type opCounters struct {
 	readOps         atomic.Uint64
 	updateOps       atomic.Uint64
@@ -398,8 +394,7 @@ type replica[O, R any] struct {
 	// A whole line of padding on either side keeps the counters off the
 	// lines of the fields above, which every node reads, wherever the
 	// allocator puts the struct.
-	_ [64]byte
-	//nr:cacheline
+	_        [64]byte
 	counters opCounters
 	_        [64]byte
 }

@@ -8,11 +8,9 @@ import (
 
 // TestSlotLayout pins the combining slot's cache-line discipline (§5.2) at
 // the layout the hand-computed pad was sized for: the protocol word (state)
-// and the response word (resp) on distinct 64-byte lines. nrlint's cachepad
-// checks the same property statically for every build; this test keeps it
-// pinned in plain `go test` runs too, with exact offsets on 64-bit targets
-// so any field insertion or resize shows up as a diff, not a mystery
-// slowdown.
+// and the response word (resp) on distinct 64-byte lines, with exact
+// offsets on 64-bit targets so any field insertion or resize shows up as a
+// diff, not a mystery slowdown.
 func TestSlotLayout(t *testing.T) {
 	var s slot[int64, int64]
 	stateOff := unsafe.Offsetof(s.state)

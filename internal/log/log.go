@@ -21,10 +21,7 @@ import (
 type cacheLine = [64]byte
 
 // entry is one log cell; the pad keeps adjacent entries from false sharing
-// under concurrent Fill/Get (size checked by nrlint's cachepad at the
-// representative int64 instantiation).
-//
-//nr:cacheline
+// under concurrent Fill/Get (one line at int64, pinned by TestEntryLayout).
 type entry[O any] struct {
 	op     O
 	marker atomic.Uint64 // absolute index + 1 once filled
@@ -38,16 +35,14 @@ type Log[O any] struct {
 	size     uint64
 	maxBatch uint64
 
-	_ cacheLine
-	//nr:cacheline
-	tail atomic.Uint64 // next unreserved absolute index (logTail)
-	_    cacheLine
-	//nr:cacheline
+	// tail, completed and min each own a cache line (TestLogLayout).
+	_         cacheLine
+	tail      atomic.Uint64 // next unreserved absolute index (logTail)
+	_         cacheLine
 	completed atomic.Uint64 // no completed ops at or after this index (completedTail)
 	_         cacheLine
-	//nr:cacheline
-	min atomic.Uint64 // last known smallest localTail (logMin)
-	_   cacheLine
+	min       atomic.Uint64 // last known smallest localTail (logMin)
+	_         cacheLine
 
 	localTails []*atomic.Uint64 // one per registered replica
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // TestPaddedLayout pins the per-reader flag at exactly one cache line so a
-// []padded strides whole lines (§5.5) — the property nrlint's cachepad
-// checks statically via the //nr:cacheline annotation.
+// []padded strides whole lines (§5.5), and the writer flag on a line of its
+// own ahead of them.
 func TestPaddedLayout(t *testing.T) {
 	if size := unsafe.Sizeof(padded{}); size != 64 {
 		t.Errorf("padded size = %d, want 64 (one cache line per reader flag)", size)

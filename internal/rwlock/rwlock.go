@@ -12,13 +12,11 @@ import (
 	"time"
 )
 
-// padded is one per-reader flag on its own cache line (size checked by
-// nrlint's cachepad: a []padded must stride whole lines, §5.5). acq rides
+// padded is one per-reader flag on its own cache line (size pinned by
+// TestPaddedLayout: a []padded must stride whole lines, §5.5). acq rides
 // on the same line: it counts the slot's read acquisitions, written only by
 // the slot's owning reader (atomically, because Metrics snapshots read it
 // concurrently), so the count is contention-free.
-//
-//nr:cacheline
 type padded struct {
 	v   atomic.Int32
 	_   [4]byte
@@ -40,7 +38,7 @@ type Distributed struct {
 	// writerAcq rides the writer flag's cache line: both are written only
 	// by the (single) active writer, so the counter adds no new sharing.
 	writerAcq atomic.Uint64
-	//nr:cacheline
+	// writer owns line 0; the readers slice starts line 1 (TestPaddedLayout).
 	writer  atomic.Int32
 	_       [52]byte
 	readers []padded
@@ -179,9 +177,8 @@ func (l *Distributed) TryLock() bool {
 func (l *Distributed) WriterAcquires() uint64 { return l.writerAcq.Load() }
 
 // SpinMutex is a test-and-test-and-set spinlock: the "one big lock" (SL)
-// baseline of Fig. 4 and the combiner lock inside NR.
-//
-//nr:cacheline
+// baseline of Fig. 4 and the combiner lock inside NR. It fills one cache
+// line (TestSpinMutexLayout).
 type SpinMutex struct {
 	state atomic.Int32
 	_     [60]byte

@@ -53,7 +53,6 @@ var instantKinds = map[Kind]bool{
 	KHoleWait:      true,
 	KReaderRefresh: true,
 	KHelp:          true,
-	KWriterWait:    true,
 	KLogFull:       true,
 	KStall:         true,
 	KPanic:         true,

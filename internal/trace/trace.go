@@ -46,6 +46,9 @@
 // persists a snapshot (file and/or callback, rate-limited) when the
 // protocol detects a stall, a contained panic, or poisoning, so failures
 // ship with their own trace.
+//
+// Writer waits on the distributed readers-writer lock are not recorded
+// here: they reach only the metrics observer (obs.Observer.WriterWait).
 package trace
 
 import (
@@ -103,8 +106,6 @@ const (
 	// KHelp: entries were replayed into another node's replica. Node=the
 	// helped replica, A=entries.
 	KHelp
-	// KWriterWait: a writer spun on reader flags. Node, A=spins.
-	KWriterWait
 	// KLogFull: an appender found the log full and fell back to draining
 	// and helping. Node, A=log tail at the failure.
 	KLogFull
@@ -133,7 +134,6 @@ var kindNames = [numKinds]string{
 	KOpEnd:         "op-end",
 	KReaderRefresh: "reader-refresh",
 	KHelp:          "help",
-	KWriterWait:    "writer-wait",
 	KLogFull:       "log-full",
 	KStall:         "stall",
 	KPanic:         "panic",
@@ -214,11 +214,10 @@ type Ring struct {
 	rec  *Recorder
 	id   int32
 	mask uint64
-	//nr:cacheline
+	// pos is on a later line than slots (TestRingLayout).
 	slots []eventSlot
 	_     [40]byte // keep pos off the slots' cache lines
-	//nr:cacheline
-	pos atomic.Uint64
+	pos   atomic.Uint64
 }
 
 // ID returns the ring's id within its recorder.
@@ -289,7 +288,8 @@ func (g *Ring) RecordAt(ts int64, k Kind, node int, a, b uint64) {
 // automatic dumps, no profile sampling.
 type Config struct {
 	// RingSlots is each ring's capacity; rounded up to a power of two
-	// (default 1024). Memory is 32 bytes per slot per ring.
+	// (default 1024) and capped at 1<<20 slots. Memory is 32 bytes per
+	// slot per ring, so at most 32 MiB.
 	RingSlots int
 	// DumpDir, when non-empty, makes AutoDump write a Chrome trace JSON
 	// file (nrtrace-<reason>-<n>.json) there on stall/panic/poison.
@@ -308,10 +308,17 @@ type Config struct {
 	ProfileSampleRate int
 }
 
+// maxRingSlots caps Config.RingSlots: 32 MiB per ring, and a bound the
+// power-of-two round-up below cannot overflow on.
+const maxRingSlots = 1 << 20
+
 func (c Config) ringSlots() int {
 	n := c.RingSlots
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		n = 1024
+	case n > maxRingSlots:
+		n = maxRingSlots
 	}
 	// Round up to a power of two.
 	p := 1

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // ring returns a fresh recorder+ring pair with the given slot count.
@@ -24,6 +26,33 @@ func TestConfigRingSlotsRoundsToPowerOfTwo(t *testing.T) {
 		if got := (Config{RingSlots: tc.in}).ringSlots(); got != tc.want {
 			t.Errorf("ringSlots(%d) = %d, want %d", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestConfigRingSlotsIsCapped: rounding a request above 2^62 up to a power
+// of two overflowed to 0 and never finished, hanging the first AcquireRing.
+func TestConfigRingSlotsIsCapped(t *testing.T) {
+	for _, in := range []int{maxRingSlots + 1, math.MaxInt64/2 + 2, math.MaxInt} {
+		got := make(chan int, 1)
+		go func() { got <- (Config{RingSlots: in}).ringSlots() }()
+		select {
+		case n := <-got:
+			if n != maxRingSlots {
+				t.Errorf("ringSlots(%d) = %d, want %d", in, n, maxRingSlots)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ringSlots(%d) did not return within 5s", in)
+		}
+	}
+}
+
+// TestRingLayout pins the writers' position counter on a later cache line
+// than the slots header every snapshot reads.
+func TestRingLayout(t *testing.T) {
+	var g Ring
+	slotsEnd := unsafe.Offsetof(g.slots) + unsafe.Sizeof(g.slots) - 1
+	if pos := unsafe.Offsetof(g.pos); pos/64 <= slotsEnd/64 {
+		t.Errorf("Ring.pos (offset %d) is not on a later 64-byte line than Ring.slots (ends at %d)", pos, slotsEnd)
 	}
 }
 

@@ -113,7 +113,7 @@ func TestShardedExecuteAll(t *testing.T) {
 func TestShardedMetricsAndTrace(t *testing.T) {
 	inst, err := nr.NewSharded(newSeqMap, 2, nr.KeyMapper(2, byKey),
 		nr.WithNodes(1, 2, 1), nr.WithLogEntries(128),
-		nr.WithMetrics(), nr.WithFlightRecorder(nr.TraceConfig{RingSlots: 256}))
+		nr.WithMetrics(), nr.WithFlightRecorderInstance(nr.NewFlightRecorder(nr.TraceConfig{RingSlots: 256})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 		t.Fatal("no spans reconstructed from sharded trace")
 	}
 	if inst.FlightRecorder() == nil {
-		t.Error("FlightRecorder() = nil with WithFlightRecorder set")
+		t.Error("FlightRecorder() = nil with WithFlightRecorderInstance set")
 	}
 }
 
