@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		series := f.Run(cfg)
 		fmt.Fprintf(stdout, "=== Figure %s: %s ===\n", f.ID, f.Title)
 		bench.Print(stdout, f.XLabel, series)
-		if s := bench.Summarize(series); s != "" {
+		if s := bench.Summarize(f, series); s != "" {
 			fmt.Fprintln(stdout, s)
 		}
 		fmt.Fprintf(stdout, "(%.1fs)\n\n", time.Since(start).Seconds())

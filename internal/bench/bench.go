@@ -85,6 +85,7 @@ type Figure struct {
 	ID     string
 	Title  string
 	XLabel string
+	Unit   string // of the y values: "ops/us" unless the registry says otherwise
 	Run    func(cfg Config) []Series
 }
 
@@ -217,8 +218,9 @@ func Print(w io.Writer, xLabel string, series []Series) {
 }
 
 // Summarize reports, for the largest x, how NR compares to every other
-// method — the "NR is better than ... by ..." sentences of §8.
-func Summarize(series []Series) string {
+// method — the "NR is better than ... by ..." sentences of §8 — in f's x
+// label and unit.
+func Summarize(f Figure, series []Series) string {
 	var nr *Series
 	for i := range series {
 		if series[i].Method == "NR" {
@@ -230,7 +232,7 @@ func Summarize(series []Series) string {
 	}
 	last := nr.Points[len(nr.Points)-1]
 	var b strings.Builder
-	fmt.Fprintf(&b, "at %d threads: NR=%.2f ops/us", last.X, last.OpsPerUs)
+	fmt.Fprintf(&b, "at %s=%d: NR=%.2f %s", f.XLabel, last.X, last.OpsPerUs, f.Unit)
 	for _, s := range series {
 		if s.Method == "NR" || len(s.Points) == 0 {
 			continue

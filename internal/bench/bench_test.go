@@ -126,14 +126,39 @@ func TestPrintAndSummarize(t *testing.T) {
 			t.Errorf("Print output missing %q:\n%s", want, out)
 		}
 	}
-	sum := Summarize(series)
+	sum := Summarize(Figure{XLabel: "threads", Unit: "ops/us"}, series)
 	if !strings.Contains(sum, "NR=10.00") || !strings.Contains(sum, "5.0x vs SL") {
 		t.Errorf("Summarize = %q", sum)
 	}
-	if Summarize(nil) != "" {
+	if Summarize(Figure{}, nil) != "" {
 		t.Error("Summarize(nil) non-empty")
 	}
 	Print(&sb, "x", nil) // must not panic
+}
+
+// TestSummarizeLabelsXAndUnit: the summary names the figure's x axis and
+// unit, not threads and ops/us whatever the figure plots.
+func TestSummarizeLabelsXAndUnit(t *testing.T) {
+	figs := Figures()
+	cases := []struct {
+		id     string
+		series []Series
+		want   string
+	}{
+		{"5f", []Series{
+			{Method: "NR", Points: []Point{{X: 200000, OpsPerUs: 44}}},
+			{Method: "others", Points: []Point{{X: 200000, OpsPerUs: 11}}},
+		}, "at items=200000: NR=44.00 MB, 4.0x vs others"},
+		{"5c", []Series{
+			{Method: "NR", Points: []Point{{X: 1, OpsPerUs: 1}, {X: 112, OpsPerUs: 6}}},
+			{Method: "SL", Points: []Point{{X: 1, OpsPerUs: 2}, {X: 112, OpsPerUs: 3}}},
+		}, "at threads=112: NR=6.00 ops/us, 2.0x vs SL"},
+	}
+	for _, c := range cases {
+		if got := Summarize(figs[c.id], c.series); got != c.want {
+			t.Errorf("Summarize(%s) = %q, want %q", c.id, got, c.want)
+		}
+	}
 }
 
 func TestDefaultSweepHitsNodeBoundaries(t *testing.T) {

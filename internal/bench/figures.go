@@ -21,7 +21,12 @@ func extWorkNs(e int) uint64 { return uint64(e) * 2 }
 // the paper's figure/table ids.
 func Figures() map[string]Figure {
 	figs := map[string]Figure{}
-	add := func(f Figure) { figs[f.ID] = f }
+	add := func(f Figure) {
+		if f.Unit == "" {
+			f.Unit = "ops/us"
+		}
+		figs[f.ID] = f
+	}
 
 	pqMethods := []string{"NR", "SL", "RWL", "FC", "FC+", "LF"}
 	lockMethods := []string{"NR", "SL", "RWL", "FC", "FC+"}
@@ -63,7 +68,7 @@ func Figures() map[string]Figure {
 			}
 			return out
 		}})
-	add(Figure{ID: "5f", Title: "Skip list priority queue memory (MB) at max threads", XLabel: "method",
+	add(Figure{ID: "5f", Title: "Skip list priority queue memory (MB) at max threads", XLabel: "items", Unit: "MB",
 		Run: func(cfg Config) []Series { return memoryTable(cfg, "skiplistpq") }})
 
 	// --- Figure 6: pairing heap priority queue -----------------------------
@@ -75,7 +80,7 @@ func Figures() map[string]Figure {
 		Run: func(cfg Config) []Series {
 			return threadSweep(cfg, PairingHeapPQ, 1000, 0, methodSet(lockMethods...))
 		}})
-	add(Figure{ID: "6c", Title: "Pairing heap memory (MB) at max threads", XLabel: "method",
+	add(Figure{ID: "6c", Title: "Pairing heap memory (MB) at max threads", XLabel: "items", Unit: "MB",
 		Run: func(cfg Config) []Series { return memoryTable(cfg, "pairingheap") }})
 
 	// --- Figure 7: skip list dictionary ------------------------------------
@@ -95,7 +100,7 @@ func Figures() map[string]Figure {
 		Run: func(cfg Config) []Series {
 			return threadSweep(cfg, DictZipf, 1000, 0, methodSet(pqMethods...))
 		}})
-	add(Figure{ID: "7e", Title: "Skip list dictionary memory (MB) at max threads", XLabel: "method",
+	add(Figure{ID: "7e", Title: "Skip list dictionary memory (MB) at max threads", XLabel: "items", Unit: "MB",
 		Run: func(cfg Config) []Series { return memoryTable(cfg, "dict") }})
 
 	// --- Figure 8: stack -----------------------------------------------------
@@ -147,9 +152,9 @@ func Figures() map[string]Figure {
 		}
 	}
 	add(Figure{ID: "10a", Title: "NR speedup vs cache lines per op (c), 10% updates (y = ×)", XLabel: "c",
-		Run: cSweep(100)})
+		Unit: "x", Run: cSweep(100)})
 	add(Figure{ID: "10b", Title: "NR speedup vs cache lines per op (c), 100% updates (y = ×)", XLabel: "c",
-		Run: cSweep(1000)})
+		Unit: "x", Run: cSweep(1000)})
 
 	// --- §8.2.3: structure size sweep ----------------------------------------
 	add(Figure{ID: "size", Title: "Synthetic structure size sweep (c=8, 100% updates, max threads)", XLabel: "n",
@@ -195,7 +200,7 @@ func Figures() map[string]Figure {
 
 	// --- Figure 13/14: ablation ---------------------------------------------
 	add(Figure{ID: "14", Title: "Throughput loss when disabling each NR technique (%)", XLabel: "upd%",
-		Run: runAblation})
+		Unit: "%", Run: runAblation})
 
 	// --- Extensions beyond the paper -----------------------------------------
 	queueProfile := sim.Profile{
@@ -361,7 +366,7 @@ func memoryTable(cfg Config, structure string) []Series {
 		panic("bench: unknown structure " + structure)
 	}
 	return []Series{
-		{Method: "NR", Points: []Point{{X: 0, OpsPerUs: nrMB}}},
-		{Method: "others", Points: []Point{{X: 0, OpsPerUs: singleMB}}},
+		{Method: "NR", Points: []Point{{X: items, OpsPerUs: nrMB}}},
+		{Method: "others", Points: []Point{{X: items, OpsPerUs: singleMB}}},
 	}
 }

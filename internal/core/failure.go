@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/asplos17/nr/internal/rwlock"
 	"github.com/asplos17/nr/internal/trace"
 )
 
@@ -296,7 +297,7 @@ func (i *Instance[O, R]) health() Health {
 		i.poisonMu.Unlock()
 	}
 	if th := i.opts.StallThreshold; th > 0 {
-		now := time.Now().UnixNano()
+		now := rwlock.StampNow()
 		for n, r := range i.replicas {
 			if r.crossApply.HeldFor(now) > th {
 				h.StalledNodes = append(h.StalledNodes, n)
@@ -340,7 +341,7 @@ func (i *Instance[O, R]) watchdog() {
 			return
 		case <-tick.C:
 		}
-		now := time.Now().UnixNano()
+		now := rwlock.StampNow()
 		stalled := false
 		for n, r := range i.replicas {
 			for c := 0; c <= m; c++ {

@@ -19,9 +19,8 @@
 package core
 
 import (
-	"time"
-
 	"github.com/asplos17/nr/internal/obs"
+	"github.com/asplos17/nr/internal/rwlock"
 )
 
 // LogGauges is a live snapshot of one shared log's position counters.
@@ -186,7 +185,7 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 	}
 	m.Log = agg
 
-	now := time.Now().UnixNano()
+	now := rwlock.StampNow()
 	if cap(m.Replicas) < len(i.replicas) {
 		grown := make([]ReplicaGauges, len(i.replicas))
 		copy(grown, m.Replicas)

@@ -89,16 +89,16 @@ func FuzzSkipListRankInvariant(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 9, 0, 0, 3, 0, 0, 5, 0, 2, 9, 4, 2, 3, 5, 2, 4, 3, 2, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewSkipList[int64, struct{}](func(a, b int64) bool { return a < b }, 5)
+		s := NewSkipList[struct{}](5)
 		for len(data) >= 3 {
-			key, to := int64(data[1]%64), int64(data[2]%64)
+			key, to := IntKey(int64(data[1]%64)), IntKey(int64(data[2]%64))
 			switch data[0] % 3 {
 			case 0:
 				s.Insert(key, struct{}{})
 			case 1:
 				s.Delete(key)
 			case 2:
-				s.Move(key, to)
+				s.Move(key, to, struct{}{})
 			}
 			data = data[3:]
 			if !s.checkSpans() {

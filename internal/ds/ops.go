@@ -38,12 +38,12 @@ func IsReadOnlyPQ(op PQOp) bool { return op.Kind == PQFindMin }
 
 // SkipListPQ adapts SkipList to the black-box priority-queue contract.
 type SkipListPQ struct {
-	sl *SkipList[int64, struct{}]
+	sl *SkipList[struct{}]
 }
 
 // NewSkipListPQ returns an empty skip-list priority queue.
 func NewSkipListPQ(seed uint64) *SkipListPQ {
-	return &SkipListPQ{sl: NewSkipList[int64, struct{}](func(a, b int64) bool { return a < b }, seed)}
+	return &SkipListPQ{sl: NewSkipList[struct{}](seed)}
 }
 
 // Len returns the number of elements.
@@ -53,16 +53,23 @@ func (p *SkipListPQ) Len() int { return p.sl.Len() }
 func (p *SkipListPQ) Execute(op PQOp) PQResult {
 	switch op.Kind {
 	case PQInsert:
-		p.sl.Insert(op.Key, struct{}{})
+		p.sl.Insert(IntKey(op.Key), struct{}{})
 		return PQResult{Key: op.Key, OK: true}
 	case PQDeleteMin:
-		k, _, ok := p.sl.DeleteMin()
-		return PQResult{Key: k, OK: ok}
+		return pqResult(p.sl.DeleteMin())
 	case PQFindMin:
-		k, _, ok := p.sl.Min()
-		return PQResult{Key: k, OK: ok}
+		return pqResult(p.sl.Min())
 	}
 	return PQResult{}
+}
+
+// pqResult answers a minimum query; an empty queue answers key 0, as HeapPQ
+// does, not the zero Key's int.
+func pqResult(k Key, _ struct{}, ok bool) PQResult {
+	if !ok {
+		return PQResult{}
+	}
+	return PQResult{Key: k.Int(), OK: true}
 }
 
 // IsReadOnly reports whether op is read-only.
@@ -131,12 +138,12 @@ func IsReadOnlyDict(op DictOp) bool { return op.Kind == DictLookup || op.Kind ==
 
 // SkipListDict adapts SkipList to the black-box dictionary contract.
 type SkipListDict struct {
-	sl *SkipList[int64, uint64]
+	sl *SkipList[uint64]
 }
 
 // NewSkipListDict returns an empty skip-list dictionary.
 func NewSkipListDict(seed uint64) *SkipListDict {
-	return &SkipListDict{sl: NewSkipList[int64, uint64](func(a, b int64) bool { return a < b }, seed)}
+	return &SkipListDict{sl: NewSkipList[uint64](seed)}
 }
 
 // Len returns the number of elements.
@@ -146,12 +153,12 @@ func (d *SkipListDict) Len() int { return d.sl.Len() }
 func (d *SkipListDict) Execute(op DictOp) DictResult {
 	switch op.Kind {
 	case DictInsert:
-		inserted := d.sl.Insert(op.Key, op.Value)
+		inserted := d.sl.Insert(IntKey(op.Key), op.Value)
 		return DictResult{Value: op.Value, OK: inserted}
 	case DictDelete:
-		return DictResult{OK: d.sl.Delete(op.Key)}
+		return DictResult{OK: d.sl.Delete(IntKey(op.Key))}
 	case DictLookup:
-		v, ok := d.sl.Get(op.Key)
+		v, ok := d.sl.Get(IntKey(op.Key))
 		return DictResult{Value: v, OK: ok}
 	case DictLen:
 		return DictResult{Value: uint64(d.sl.Len()), OK: true}
@@ -234,7 +241,7 @@ func NewFastPathDict(seed uint64) *FastPathDict {
 // TryReadOnly serves updates that are provably no-ops from the local
 // replica. It must not modify the structure.
 func (d *FastPathDict) TryReadOnly(op DictOp) (DictResult, bool) {
-	if op.Kind == DictDelete && !d.sl.Contains(op.Key) {
+	if op.Kind == DictDelete && !d.sl.Contains(IntKey(op.Key)) {
 		return DictResult{OK: false}, true
 	}
 	return DictResult{}, false

@@ -1,26 +1,18 @@
 package ds
 
+import "math"
+
 // SortedSet is a Redis-style sorted set: members (strings) with float64
 // scores, backed by a hash map for O(1) member lookup and a skip list keyed
-// by (score, member) for O(log n) rank and range queries. Every update keeps
-// both structures consistent — these are the "coupled data structures" of §6
-// that lock-free algorithms fundamentally cannot compose, and that NR updates
-// atomically by treating the pair as one black box.
+// by FloatKey(score, member) for O(log n) rank and range queries. Every
+// update keeps both structures consistent — these are the "coupled data
+// structures" of §6 that lock-free algorithms fundamentally cannot compose,
+// and that NR updates atomically by treating the pair as one black box.
 type SortedSet struct {
 	byMember *HashMap[float64]
-	byScore  *SkipList[scoredMember, struct{}]
-}
-
-type scoredMember struct {
-	score  float64
-	member string
-}
-
-func lessScored(a, b scoredMember) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return a.member < b.member
+	// byScore's value is the stored score: the key sorts -0 with +0, the
+	// value keeps the float exactly as it was set.
+	byScore *SkipList[float64]
 }
 
 // NewSortedSet returns an empty sorted set. The seed fixes the skip list's
@@ -28,7 +20,7 @@ func lessScored(a, b scoredMember) bool {
 func NewSortedSet(capacity int, seed uint64) *SortedSet {
 	return &SortedSet{
 		byMember: NewHashMap[float64](capacity),
-		byScore:  NewSkipList[scoredMember, struct{}](lessScored, seed),
+		byScore:  NewSkipList[float64](seed),
 	}
 }
 
@@ -74,7 +66,7 @@ func (z *SortedSet) IncrBy(member string, delta float64) float64 {
 // insert adds a member known to be absent.
 func (z *SortedSet) insert(member string, score float64) {
 	z.byMember.Set(member, score)
-	z.byScore.Insert(scoredMember{score, member}, struct{}{})
+	z.byScore.Insert(FloatKey(score, member), score)
 }
 
 // rescore moves a present member, whose hash-map value p points to, to
@@ -85,7 +77,7 @@ func (z *SortedSet) rescore(p *float64, member string, score float64) {
 	if *p == score {
 		return
 	}
-	z.byScore.Move(scoredMember{*p, member}, scoredMember{score, member})
+	z.byScore.Move(FloatKey(*p, member), FloatKey(score, member), score)
 	*p = score
 }
 
@@ -96,7 +88,7 @@ func (z *SortedSet) Remove(member string) bool {
 		return false
 	}
 	z.byMember.Delete(member)
-	z.byScore.Delete(scoredMember{score, member})
+	z.byScore.Delete(FloatKey(score, member))
 	return true
 }
 
@@ -112,37 +104,33 @@ func (z *SortedSet) Rank(member string) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return z.byScore.Rank(scoredMember{score, member})
+	return z.byScore.Rank(FloatKey(score, member))
 }
 
 // Range calls fn for members with ranks in [lo, hi] inclusive, ascending.
 func (z *SortedSet) Range(lo, hi int, fn func(member string, score float64) bool) {
-	z.byScore.RangeByRank(lo, hi, func(k scoredMember, _ struct{}) bool {
-		return fn(k.member, k.score)
+	z.byScore.RangeByRank(lo, hi, func(k Key, score float64) bool {
+		return fn(k.Tie, score)
 	})
 }
 
 // ByRank returns the member and score at 0-based rank r.
 func (z *SortedSet) ByRank(r int) (member string, score float64, ok bool) {
-	k, _, ok := z.byScore.ByRank(r)
-	if !ok {
-		return "", 0, false
-	}
-	return k.member, k.score, true
+	k, score, ok := z.byScore.ByRank(r)
+	return k.Tie, score, ok
 }
 
-// consistent reports whether the two underlying structures agree; tests only.
+// consistent reports whether the two underlying structures agree, down to
+// the bits of every stored score; tests only.
 func (z *SortedSet) consistent() bool {
 	if z.byMember.Len() != z.byScore.Len() {
 		return false
 	}
 	ok := true
 	z.byMember.Range(func(member string, score float64) bool {
-		if !z.byScore.Contains(scoredMember{score, member}) {
-			ok = false
-			return false
-		}
-		return true
+		got, found := z.byScore.Get(FloatKey(score, member))
+		ok = found && math.Float64bits(got) == math.Float64bits(score)
+		return ok
 	})
 	return ok
 }

@@ -112,9 +112,10 @@ func TestSortedSetTieBreakByMember(t *testing.T) {
 	}
 }
 
-// A NaN compares "equal" to every key under lessScored, so one that got in
-// would overwrite a neighbour on insert and unlink a stranger on the next
-// move. Neither Add nor IncrBy lets one in.
+// A NaN has no place in the (score, member) order: FloatKey would file it
+// past +Inf (or, sign bit set, before -Inf), where Redis shows nothing, and
+// it never equals itself, so every re-add would move the node again. Neither
+// Add nor IncrBy lets one in.
 func TestSortedSetRefusesNaN(t *testing.T) {
 	z := NewSortedSet(0, 4)
 	for i, m := range []string{"a", "b", "c"} {
@@ -199,7 +200,75 @@ func TestSortedSetAgainstSortedSlice(t *testing.T) {
 	}
 }
 
-// checkSortedSetAgainst compares every read of z with the model.
+// scoredMember and lessScored are the (score, member) order SortedSet kept
+// before its skip list took a FloatKey: the oracle of the tests below.
+type scoredMember struct {
+	score  float64
+	member string
+}
+
+func lessScored(a, b scoredMember) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return a.member < b.member
+}
+
+// TestSortedSetMatchesScoredOrder drives Add, IncrBy and Remove with scores
+// and deltas drawn from ±0, ±Inf, subnormals and the extremes, so ties are
+// common and -0 meets +0, against a model that applies the same rules to
+// exact floats; every read must match the model's (score, member) order,
+// each score to the bit.
+func TestSortedSetMatchesScoredOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	scores := []float64{
+		math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, negZero,
+		0, math.SmallestNonzeroFloat64, 0.5, 1, math.MaxFloat64, math.Inf(1),
+	}
+	deltas := []float64{negZero, 0, -1, 1, 0.5, math.Inf(-1), math.Inf(1), math.SmallestNonzeroFloat64}
+	z := NewSortedSet(0, 9)
+	model := map[string]float64{}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20000; i++ {
+		m := fmt.Sprintf("m%02d", rng.Intn(30))
+		old, present := model[m]
+		switch rng.Intn(5) {
+		case 0:
+			sc := scores[rng.Intn(len(scores))]
+			if got := z.Add(m, sc); got == present {
+				t.Fatalf("op %d: Add(%s) = %v with present=%v", i, m, got, present)
+			}
+			if !present || sc != old {
+				model[m] = sc
+			}
+		case 1:
+			if got := z.Remove(m); got != present {
+				t.Fatalf("op %d: Remove(%s) = %v, want %v", i, m, got, present)
+			}
+			delete(model, m)
+		default:
+			delta := deltas[rng.Intn(len(deltas))]
+			want := delta
+			if present {
+				want = old + delta
+			}
+			got := z.IncrBy(m, delta)
+			if math.Float64bits(got) != math.Float64bits(want) && (got == got || want == want) {
+				t.Fatalf("op %d: IncrBy(%s, %v) = %v, want %v", i, m, delta, got, want)
+			}
+			if want == want && (!present || want != old) {
+				model[m] = want
+			}
+		}
+		checkSortedSetAgainst(t, z, model)
+		if t.Failed() {
+			t.Fatalf("diverged at op %d", i)
+		}
+	}
+}
+
+// checkSortedSetAgainst compares every read of z with the model, each score
+// to the bit.
 func checkSortedSetAgainst(t *testing.T, z *SortedSet, model map[string]float64) {
 	t.Helper()
 	want := make([]scoredMember, 0, len(model))
@@ -220,7 +289,7 @@ func checkSortedSetAgainst(t *testing.T, z *SortedSet, model map[string]float64)
 		if got, ok := z.Rank(w.member); !ok || got != r {
 			t.Errorf("Rank(%s) = %d,%v, want %d", w.member, got, ok, r)
 		}
-		if m, sc, ok := z.ByRank(r); !ok || m != w.member || sc != w.score {
+		if m, sc, ok := z.ByRank(r); !ok || m != w.member || math.Float64bits(sc) != math.Float64bits(w.score) {
 			t.Errorf("ByRank(%d) = %s,%v,%v, want %s,%v", r, m, sc, ok, w.member, w.score)
 		}
 	}
@@ -229,7 +298,9 @@ func checkSortedSetAgainst(t *testing.T, z *SortedSet, model map[string]float64)
 		got = append(got, scoredMember{sc, m})
 		return true
 	})
-	if !slices.Equal(got, want) {
+	if !slices.EqualFunc(got, want, func(a, b scoredMember) bool {
+		return a.member == b.member && math.Float64bits(a.score) == math.Float64bits(b.score)
+	}) {
 		t.Errorf("Range = %v, want %v", got, want)
 	}
 }

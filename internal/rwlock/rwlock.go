@@ -211,6 +211,14 @@ func (m *SpinMutex) Unlock() {
 // poll, as non-combiner threads do in NR's Combine loop).
 func (m *SpinMutex) Locked() bool { return m.state.Load() != 0 }
 
+// stampEpoch anchors StampNow; set a nanosecond back so that no stamp is 0.
+var stampEpoch = time.Now().Add(-1)
+
+// StampNow is the StampedMutex clock: monotonic nanoseconds since the
+// package was initialised, always above 0. It is one clock read, where a
+// wall-clock time.Now().UnixNano() is two.
+func StampNow() int64 { return int64(time.Since(stampEpoch)) }
+
 // StampedMutex is a SpinMutex that records when it was acquired, so an
 // external observer (NR's stall watchdog) can tell how long the current
 // holder has been inside the critical section. The stamp is written after
@@ -219,13 +227,13 @@ func (m *SpinMutex) Locked() bool { return m.state.Load() != 0 }
 // only cares about multi-millisecond stalls.
 type StampedMutex struct {
 	SpinMutex
-	since atomic.Int64 // unix nanos of acquisition; 0 while free
+	since atomic.Int64 // StampNow at acquisition; 0 while free
 }
 
 // Lock spins until the lock is acquired, then stamps the acquisition time.
 func (m *StampedMutex) Lock() {
 	m.SpinMutex.Lock()
-	m.since.Store(time.Now().UnixNano())
+	m.since.Store(StampNow())
 }
 
 // TryLock attempts the lock without blocking, stamping on success.
@@ -233,7 +241,7 @@ func (m *StampedMutex) TryLock() bool {
 	if !m.SpinMutex.TryLock() {
 		return false
 	}
-	m.since.Store(time.Now().UnixNano())
+	m.since.Store(StampNow())
 	return true
 }
 
@@ -243,12 +251,12 @@ func (m *StampedMutex) Unlock() {
 	m.SpinMutex.Unlock()
 }
 
-// HeldSince returns the unix-nano acquisition time of the current holder, or
-// 0 if the lock is free (racy snapshot, see type comment).
+// HeldSince returns the current holder's acquisition time on the StampNow
+// clock, or 0 if the lock is free (racy snapshot, see type comment).
 func (m *StampedMutex) HeldSince() int64 { return m.since.Load() }
 
-// HeldFor returns how long the current holder has held the lock as of 'now'
-// (unix nanos), or 0 if the lock is free.
+// HeldFor returns how long the current holder has held the lock as of now
+// (a StampNow reading), or 0 if the lock is free.
 func (m *StampedMutex) HeldFor(now int64) time.Duration {
 	s := m.since.Load()
 	if s == 0 || now < s {
