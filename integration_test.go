@@ -261,39 +261,51 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 // TestIntegration_ReplayedZIncrByAllocatesNothing pins the paper's §8.3
 // update end to end: NR executes it once per replica (§5.1), so whatever the
 // structure allocates is paid `nodes` times under a writer lock. The read on
-// node 1 makes replica 1 replay each update inside the measured call.
+// node 1 makes replica 1 replay each update inside the measured call. It
+// runs with default options and with the metrics observer and a flight
+// recorder attached, the configuration nrredis serves with.
 func TestIntegration_ReplayedZIncrByAllocatesNothing(t *testing.T) {
-	inst, err := nr.New(func() nr.Sequential[miniredis.StoreOp, miniredis.StoreResult] {
-		return miniredis.NewStore(13)
-	}, nr.WithNodes(2, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	h0, err := inst.RegisterOnNode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := inst.RegisterOnNode(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incr := make([]miniredis.StoreOp, 64)
-	for i := range incr {
-		incr[i] = miniredis.StoreOp{Cmd: miniredis.CmdZIncrBy, Key: "z", Member: fmt.Sprintf("m%02d", i), Score: 7}
-		h0.Execute(miniredis.StoreOp{Cmd: miniredis.CmdZAdd, Key: "z", Member: incr[i].Member, Score: float64(i)})
-	}
-	rank := miniredis.StoreOp{Cmd: miniredis.CmdZRank, Key: "z", Member: "m00"}
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		h0.Execute(incr[i%len(incr)])
-		h1.Execute(rank)
-		i++
-	}); n != 0 {
-		t.Errorf("ZINCRBY of an existing member replayed on two replicas: %v allocs/op, want 0", n)
-	}
-	if st := inst.Stats(); st.UpdateOps < 1000 || st.ReadOps < 1000 {
-		t.Fatalf("stats = %+v: the measured ops did not run", st)
+	for _, tc := range []struct {
+		name string
+		opts []nr.Option
+	}{
+		{"default", nil},
+		{"observed", []nr.Option{nr.WithMetrics(), nr.WithFlightRecorderInstance(nr.NewFlightRecorder(nr.TraceConfig{RingSlots: 1024}))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst, err := nr.New(func() nr.Sequential[miniredis.StoreOp, miniredis.StoreResult] {
+				return miniredis.NewStore(13)
+			}, append([]nr.Option{nr.WithNodes(2, 1, 1)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inst.Close()
+			h0, err := inst.RegisterOnNode(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h1, err := inst.RegisterOnNode(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			incr := make([]miniredis.StoreOp, 64)
+			for i := range incr {
+				incr[i] = miniredis.StoreOp{Cmd: miniredis.CmdZIncrBy, Key: "z", Member: fmt.Sprintf("m%02d", i), Score: 7}
+				h0.Execute(miniredis.StoreOp{Cmd: miniredis.CmdZAdd, Key: "z", Member: incr[i].Member, Score: float64(i)})
+			}
+			rank := miniredis.StoreOp{Cmd: miniredis.CmdZRank, Key: "z", Member: "m00"}
+			i := 0
+			if n := testing.AllocsPerRun(1000, func() {
+				h0.Execute(incr[i%len(incr)])
+				h1.Execute(rank)
+				i++
+			}); n != 0 {
+				t.Errorf("ZINCRBY of an existing member replayed on two replicas: %v allocs/op, want 0", n)
+			}
+			if st := inst.Stats(); st.UpdateOps < 1000 || st.ReadOps < 1000 {
+				t.Fatalf("stats = %+v: the measured ops did not run", st)
+			}
+		})
 	}
 }
 

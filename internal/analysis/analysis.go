@@ -7,17 +7,18 @@
 // The container this repo builds in has no module cache and no network, so
 // x/tools is not importable; everything here uses only the standard library
 // (go/ast, go/parser, go/types and the "source" importer). The API mirrors
-// x/tools closely enough that the analyzers (noalloc.go, spinloop.go,
-// obsguard.go, noio.go, lockorder.go, noblock.go) would port to a real
-// multichecker by changing imports.
+// x/tools closely enough that the analyzers (spinloop.go, obsguard.go,
+// noio.go, lockorder.go, noblock.go) would port to a real multichecker by
+// changing imports.
 //
 // The analyzers enforce NR's unchecked invariants — the hot-path and
 // lock discipline the paper's NUMA win depends on (§5.1, §5.2, §5.5 of
 // "Black-box Concurrent Data Structures for NUMA Architectures") — from
 // `//nr:` comment directives placed on the real fields and functions. See
 // directive.go for the grammar and DESIGN.md §10 for the invariant ↔ paper
-// mapping. Cache-line layout is pinned by each package's layout tests, and
-// atomic-word copies by go vet's copylocks check.
+// mapping. Cache-line layout is pinned by each package's layout tests,
+// atomic-word copies by go vet's copylocks check, and allocation-free hot
+// paths by each package's testing.AllocsPerRun pins.
 package analysis
 
 import (
@@ -60,9 +61,9 @@ type Pass struct {
 	// Directives are the package's parsed //nr: annotations.
 	Directives *Directives
 	// Graph is the module-wide call graph over every package the loader has
-	// loaded so far; the interprocedural analyzers (lockorder, noblock, the
-	// deep noalloc/noio passes) consume it. Nil when the package was built
-	// without a Loader.
+	// loaded so far; the interprocedural analyzers (lockorder, noblock,
+	// noio's deep pass) consume it. Nil when the package was built without a
+	// Loader.
 	Graph *Graph
 
 	report func(Diagnostic)
@@ -74,7 +75,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run executes the analyzers against pkg and returns their diagnostics in
-// file/position order. An analyzer returning an error aborts the run.
+// file/position order, together with one "directive" diagnostic per //nr:
+// name the grammar does not define (directive.go). An analyzer returning an
+// error aborts the run.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	dirs := CollectDirectives(pkg.Fset, pkg.Files)
 	var g *Graph
@@ -82,6 +85,9 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		g = pkg.loader.Graph()
 	}
 	var out []Diagnostic
+	for _, d := range dirs.unknown {
+		out = append(out, Diagnostic{Pos: d.Pos, Analyzer: "directive", Message: fmt.Sprintf("unknown directive //nr:%s guards nothing", d.Name)})
+	}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:   a,
@@ -115,5 +121,5 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns every nrlint analyzer in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoAlloc, SpinLoop, ObsGuard, NoIO, LockOrder, NoBlock}
+	return []*Analyzer{SpinLoop, ObsGuard, NoIO, LockOrder, NoBlock}
 }

@@ -7,10 +7,6 @@ import (
 	"github.com/asplos17/nr/internal/analysis/analysistest"
 )
 
-func TestNoAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.NoAlloc, "noalloc")
-}
-
 func TestSpinLoop(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.SpinLoop, "spinloop")
 }
@@ -29,10 +25,6 @@ func TestLockOrder(t *testing.T) {
 
 func TestNoBlock(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.NoBlock, "noblock")
-}
-
-func TestNoAllocDeep(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.NoAlloc, "noallocdeep")
 }
 
 func TestNoIODeep(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 
 // This file builds a module-wide static call graph over every package the
 // Loader has loaded. The interprocedural analyzers (lockorder.go, noblock.go,
-// and the deep passes of noalloc.go/noio.go) all consume it: they need to
-// know what a //nr:noalloc root reaches two calls down, and which functions
+// and noio's deep pass in deepfacts.go) all consume it: they need to know
+// what a //nr:hotpath-noio root reaches two calls down, and which functions
 // run while the combiner lock is held.
 //
 // Resolution strategy (soundness vs. noise, documented per edge kind):
@@ -29,9 +29,8 @@ import (
 //     the call site, so types.Implements cannot decide). Resolved by
 //     method name + parameter/result arity against module types. These
 //     edges cross the black-box boundary into user-supplied code, so each
-//     analyzer chooses whether to follow them (lockorder does; the
-//     allocation analyzers do not — a data structure's Execute is allowed
-//     to allocate).
+//     analyzer chooses whether to follow them (lockorder does; noio's deep
+//     pass does not — NR's contracts stop at the boxed structure).
 //   - Go / Defer: the call is spawned with `go` (new goroutine: lock
 //     contexts do not transfer) or registered with `defer` (same
 //     goroutine, runs at return: contexts do transfer).
@@ -171,8 +170,7 @@ type Graph struct {
 	lockFacts  *lockFacts
 	lockDiags  *[]globalDiag
 	noblockRes *[]globalDiag
-	allocFacts map[*types.Func]*deepFact
-	ioFacts    map[*types.Func]*deepFact
+	ioFacts    map[*types.Func]*ioFact
 }
 
 // Fset returns the graph's file set.
@@ -186,9 +184,6 @@ func (g *Graph) Node(fn *types.Func) *FuncNode {
 	}
 	return g.funcs[fn.Origin()]
 }
-
-// Packages returns the packages the graph was built over, sorted by path.
-func (g *Graph) Packages() []*Package { return g.pkgs }
 
 // LineHas reports whether the named directive appears on pos's line or the
 // line above, anywhere in the module (cross-package suppression for chain

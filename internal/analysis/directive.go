@@ -2,10 +2,6 @@ package analysis
 
 // //nr: directive grammar (see DESIGN.md §10):
 //
-//	//nr:noalloc              on a function: the body must contain no
-//	                          statically-detectable allocation site, and no
-//	                          call chain from it may reach one (interprocedural
-//	                          via the call graph).
 //	//nr:hotpath-noio         on a function: the body and its call chains must
 //	                          never call into os/syscall.
 //	//nr:spin                 on a function: busy-wait loops must yield on
@@ -25,12 +21,8 @@ package analysis
 //	//nr:opaque               on an interface method declaration: the method is
 //	                          a black-box dispatch boundary; the call graph
 //	                          never resolves calls through it (Sequential.Execute).
-//	//nr:allocok              on a line (same line or the line above a
-//	                          statement): suppresses noalloc for that site or
-//	                          chain. On a function: documents the function as
-//	                          allowed to allocate — a barrier for callers'
-//	                          interprocedural checks.
-//	//nr:iook                 on a line: suppresses noio for that site or
+//	//nr:iook                 on a line (same line or the line above a
+//	                          statement): suppresses noio for that site or
 //	                          chain. On a function: documented-I/O barrier.
 //	//nr:blockok              on a line: suppresses noblock for that site. On a
 //	                          function: documented-blocking barrier — no-block
@@ -40,18 +32,27 @@ package analysis
 //	//nr:guarded              on a line: suppresses obsguard for that site.
 //
 // Like //go:build, a directive is only recognized with no space after the
-// slashes, so prose mentioning "nr:noalloc" never annotates anything.
+// slashes, so prose mentioning "nr:spin" never annotates anything. A
+// directive whose name is not in knownDirectives is reported by Run: a typo
+// or a retired name would otherwise guard nothing, silently.
 
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
+
+// knownDirectives are the names the grammar above defines.
+var knownDirectives = []string{
+	"hotpath-noio", "spin", "noblock", "nilguard", "lockorder", "opaque",
+	"iook", "blockok", "lockok", "guarded",
+}
 
 // Directive is one parsed //nr: annotation.
 type Directive struct {
 	Pos  token.Pos
-	Name string // "noalloc", "spin", ...
+	Name string // "spin", "lockorder", ...
 	Args string // remainder after the name, trimmed
 }
 
@@ -63,6 +64,8 @@ type Directives struct {
 	// lines maps filename -> line -> directive names appearing on that line.
 	lines map[string]map[int][]string
 	fset  *token.FileSet
+	// unknown are the directives whose names are not in knownDirectives.
+	unknown []Directive
 }
 
 // validDirectiveName reports whether s is a well-formed directive name
@@ -85,7 +88,7 @@ func validDirectiveName(s string) bool {
 // directives at all; after that, further //nr: segments in the same comment
 // each start a new directive, so one line can suppress several analyzers:
 //
-//	i.dump() //nr:allocok //nr:iook cold black-box dump
+//	i.dump() //nr:iook //nr:blockok cold black-box dump
 func parseDirectives(c *ast.Comment) []Directive {
 	rest, ok := strings.CutPrefix(c.Text, "//nr:")
 	if !ok {
@@ -132,6 +135,9 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 		for _, g := range f.Comments {
 			for _, c := range g.List {
 				for _, d := range parseDirectives(c) {
+					if !slices.Contains(knownDirectives, d.Name) {
+						ds.unknown = append(ds.unknown, d)
+					}
 					pos := fset.Position(c.Pos())
 					byLine := ds.lines[pos.Filename]
 					if byLine == nil {
@@ -209,7 +215,7 @@ func (ds *Directives) FieldHas(field *ast.Field, name string) bool {
 
 // LineHas reports whether the named directive appears on the line of pos or
 // the line immediately above it — the two places a site suppression like
-// //nr:allocok may be written.
+// //nr:iook may be written.
 func (ds *Directives) LineHas(pos token.Pos, name string) bool {
 	p := ds.fset.Position(pos)
 	byLine := ds.lines[p.Filename]

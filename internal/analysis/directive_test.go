@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -20,17 +23,17 @@ type s struct {
 	b int //nr:nilguard
 	// nr:nilguard — spaced, prose, not a directive
 	c int
-	//nr:noalloc
+	//nr:opaque
 	hook func()
 }
 
-//nr:noalloc
+//nr:noblock
 //nr:spin
 func annotated() {}
 
 // Prose mentioning nr:spin should not annotate.
 func plain() {
-	suppressedSameLine() //nr:allocok scratch buffer
+	suppressedSameLine() //nr:iook cold dump
 	//nr:guarded
 	suppressedLineAbove()
 }
@@ -111,15 +114,15 @@ func TestDirectiveFieldAttachment(t *testing.T) {
 		"a":     true,  // trailing prose after the name is tolerated
 		"b":     true,  // same-line trailing comment
 		"c":     false, // "// nr:" with a space is prose, not a directive
-		"hook":  false, // carries noalloc, not nilguard
+		"hook":  false, // carries opaque, not nilguard
 	}
 	for _, field := range fields {
 		name := fieldName(field)
 		if got := ds.FieldHas(field, "nilguard"); got != want[name] {
 			t.Errorf("FieldHas(%s, nilguard) = %v, want %v", name, got, want[name])
 		}
-		if name == "hook" && !ds.FieldHas(field, "noalloc") {
-			t.Errorf("FieldHas(hook, noalloc) = false, want true")
+		if name == "hook" && !ds.FieldHas(field, "opaque") {
+			t.Errorf("FieldHas(hook, opaque) = false, want true")
 		}
 	}
 }
@@ -128,7 +131,7 @@ func TestDirectiveFuncAttachment(t *testing.T) {
 	ds, f, _ := parseDirectiveSrc(t)
 
 	annotated := findFunc(t, f, "annotated")
-	for _, name := range []string{"noalloc", "spin"} {
+	for _, name := range []string{"noblock", "spin"} {
 		if !ds.FuncHas(annotated, name) {
 			t.Errorf("FuncHas(annotated, %s) = false, want true", name)
 		}
@@ -156,13 +159,65 @@ func TestDirectiveLineSuppressions(t *testing.T) {
 	if len(stmts) != 2 {
 		t.Fatalf("plain has %d statements, want 2", len(stmts))
 	}
-	if !ds.LineHas(stmts[0].Pos(), "allocok") {
-		t.Error("same-line //nr:allocok not found")
+	if !ds.LineHas(stmts[0].Pos(), "iook") {
+		t.Error("same-line //nr:iook not found")
 	}
 	if !ds.LineHas(stmts[1].Pos(), "guarded") {
 		t.Error("line-above //nr:guarded not found")
 	}
-	if ds.LineHas(stmts[1].Pos(), "allocok") {
-		t.Error("allocok leaked to an unrelated line")
+	if ds.LineHas(stmts[1].Pos(), "iook") {
+		t.Error("iook leaked to an unrelated line")
+	}
+}
+
+// TestUnknownDirectivesReported pins that Run reports a //nr: name the
+// grammar does not define — a retired directive or a typo would otherwise
+// guard nothing — while prose with a space after the slashes stays silent.
+// The sample writes "@nr:" for "//nr:" so that a repository-wide search for
+// a retired directive finds no use of it here.
+func TestUnknownDirectivesReported(t *testing.T) {
+	src := strings.ReplaceAll(`package p
+
+@nr:noalloc
+func retired() {}
+
+@nr:spinn
+func typo() {}
+
+// nr:noalloc — prose, not a directive
+func prose() {}
+
+@nr:spin
+func known() {}
+
+func suppressed() {
+	prose() @nr:iook @nr:allocok cold path
+}
+`, "@nr:", "//nr:")
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "unknown_src.go", src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := Run(&Package{Fset: fset, Files: []*ast.File{f}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range diags {
+		if d.Analyzer != "directive" {
+			t.Errorf("diagnostic from %q, want directive", d.Analyzer)
+		}
+		got = append(got, fmt.Sprintf("%d: %s", fset.Position(d.Pos).Line, d.Message))
+	}
+	var want []string
+	for _, w := range []struct {
+		line int
+		name string
+	}{{3, "noalloc"}, {6, "spinn"}, {16, "allocok"}} {
+		want = append(want, fmt.Sprintf("%d: unknown directive //nr:%s guards nothing", w.line, w.name))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -16,9 +16,9 @@ import (
 //
 // Flagged sites: calls to functions and methods declared in os, syscall,
 // or io/ioutil (this covers *os.File methods — Write, Sync, ReadAt — since
-// a method's declaring package is os). The check is local: it does not
-// chase callees, and calls through interfaces (io.Writer) are invisible to
-// it, so keep hot-path types concrete. A site that is provably cold (a
+// a method's declaring package is os). Callees are chased by the deep pass
+// (deepfacts.go), but calls through interfaces (io.Writer) are invisible to
+// both, so keep hot-path types concrete. A site that is provably cold (a
 // failure path behind a CAS, a once-per-process fallback) is silenced with
 // //nr:iook on the same line or the line above.
 var NoIO = &Analyzer{
@@ -80,12 +80,8 @@ func scanIO(info *types.Info, pkg *types.Package, dirs *Directives, fn *ast.Func
 	})
 }
 
-// calleeFunc resolves the *types.Func a call statically dispatches to, or
+// staticCallee resolves the *types.Func a call statically dispatches to, or
 // nil for builtins, conversions, and calls through function values.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	return staticCallee(pass.Info, call)
-}
-
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:

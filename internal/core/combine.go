@@ -13,7 +13,6 @@ import (
 // The caller holds class c's combiner lock.
 //
 //nr:hotpath-noio
-//nr:noalloc
 //nr:spin
 func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) {
 	lg := &r.logs[c]
@@ -37,7 +36,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 	for idx := range r.slots {
 		s := &r.slots[idx]
 		if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
-			batch = append(batch, takenSlot[O, R]{s, int32(idx)}) //nr:allocok scratch cap = slot count
+			batch = append(batch, takenSlot[O, R]{s, int32(idx)})
 			ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
 		}
 	}
@@ -135,7 +134,6 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 // what actually blocks a lagging replica. The one tail it cannot help is a
 // log follower's (persistence): it wakes the follower and yields to it.
 //
-//nr:noalloc
 //nr:spin
 func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trace.Ring) uint64 {
 	l := i.logs[c]
@@ -173,8 +171,6 @@ func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trac
 // replica lock held (the cross applier takes every log's lock itself). The
 // entries are charged to the helper's node, or to the helped replica's when
 // no node is helping (self nil: the watchdog).
-//
-//nr:noalloc
 func (i *Instance[O, R]) helpLaggards(self *replica[O, R], c int, to uint64, ring *trace.Ring) {
 	for _, r2 := range i.replicas {
 		if r2 == self || r2.logs[c].localTail.Load() >= to {

@@ -220,8 +220,6 @@ func (f *Follower[O]) Wake() <-chan struct{} { return f.wake }
 // Kick wakes the follower without blocking: barriers call it, and an
 // appender that finds the log full — it cannot help this tail by replaying,
 // only yield to it.
-//
-//nr:noalloc
 func (f *Follower[O]) Kick() {
 	select {
 	case f.wake <- struct{}{}:
@@ -543,8 +541,6 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 // mapper's class otherwise. Out-of-range classes (a mapper contract slip)
 // fold into range rather than corrupt the slot protocol; CrossLog passes
 // through as the sentinel.
-//
-//nr:noalloc
 func (i *Instance[O, R]) opClass(op O) int {
 	if i.mapper == nil {
 		return 0

@@ -188,7 +188,7 @@ func (t *panicTracker) recordOK(replica int32, idx uint64) string {
 	}
 	rec.okBy |= 1 << uint(replica)
 	// Only reached on divergence (rec != nil), which poisons the instance.
-	return fmt.Sprintf( //nr:allocok
+	return fmt.Sprintf(
 		"entry %d applied cleanly on replica %d but panicked with %q elsewhere", idx, replica, rec.msg)
 }
 
@@ -223,8 +223,6 @@ func (i *Instance[O, R]) poisonedErr() error {
 // (noIndex for unlogged ops); the pair keys the divergence tracker, while
 // PanicError carries the raw per-log index — the number users see in log
 // gauges and persistence. The returned error is nil or a *PanicError.
-//
-//nr:noalloc
 func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op O, idx uint64) (resp R, err error) {
 	defer func() {
 		p := recover()
@@ -240,9 +238,8 @@ func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op O, idx uint64
 		if o := i.observer; o != nil {
 			o.PanicContained(int(r.id), idx)
 		}
-		pe := &PanicError{Value: p, Stack: string(debug.Stack()), Index: idx} //nr:allocok contained-panic path
+		pe := &PanicError{Value: p, Stack: string(debug.Stack()), Index: idx}
 		if idx != noIndex {
-			//nr:allocok contained-panic path
 			if reason := i.tracker.recordPanic(r.id, panicKey(cls, idx), fmt.Sprint(p), i.logs[cls].MinLocalTail()); reason != "" {
 				i.poison(reason)
 			}
@@ -259,8 +256,6 @@ func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op O, idx uint64
 // panic containment; the replica lock held by the caller is released
 // normally on the contained path. A panic reports done=true so the caller
 // does not retry the operation on the update path.
-//
-//nr:noalloc
 func (i *Instance[O, R]) safeRead(r *replica[O, R], op O, fake bool) (resp R, done bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -269,7 +264,7 @@ func (i *Instance[O, R]) safeRead(r *replica[O, R], op O, fake bool) (resp R, do
 				o.PanicContained(int(r.id), noIndex)
 			}
 			i.rec.AutoDump("panic")
-			err = &PanicError{Value: p, Stack: string(debug.Stack()), Index: noIndex} //nr:allocok contained-panic path
+			err = &PanicError{Value: p, Stack: string(debug.Stack()), Index: noIndex}
 			done = true
 		}
 	}()

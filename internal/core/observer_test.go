@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/topology"
 )
@@ -259,19 +260,89 @@ func sumDist(t *testing.T, n obs.NodeSnapshot) uint64 {
 }
 
 // TestNoObserverHotPathDoesNotAllocate pins the acceptance criterion: with
-// no observer attached, reads and combined updates complete without heap
-// allocation.
+// no observer attached, every path an op can take completes without heap
+// allocation — the read and the combined update, and, on one goroutine and
+// deterministically, the paths that need a second node or a full log: a
+// combiner replaying another node's entries first, a full log drained by
+// helping the idle node, a FakeUpdater's read fast path, and a multi-log
+// instance routing through its mapper.
 func TestNoObserverHotPathDoesNotAllocate(t *testing.T) {
-	inst := newCounterInstance(t, smallTopo())
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Execute(ctrInc) // warm up slots, log, replicas
-	if avg := testing.AllocsPerRun(200, func() { h.Execute(ctrRead) }); avg != 0 {
-		t.Errorf("read path allocates %.1f objects/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() { h.Execute(ctrInc) }); avg != 0 {
-		t.Errorf("update path allocates %.1f objects/op, want 0", avg)
+	for _, tc := range []struct {
+		name string
+		// setup builds an instance and returns one op and its Stats.
+		setup func(t *testing.T) (op func(), stats func() Stats)
+		// reached checks that the ops took the path the case is about.
+		reached func(before, after Stats) bool
+	}{
+		{name: "read", setup: func(t *testing.T) (func(), func() Stats) {
+			inst := newCounterInstance(t, smallTopo())
+			h := registerOn(t, inst, 0)
+			return func() { h.Execute(ctrRead) }, inst.Stats
+		}},
+		{name: "update", setup: func(t *testing.T) (func(), func() Stats) {
+			inst := newCounterInstance(t, smallTopo())
+			h := registerOn(t, inst, 0)
+			return func() { h.Execute(ctrInc) }, inst.Stats
+		}},
+		{name: "replay-other-node", setup: func(t *testing.T) (func(), func() Stats) {
+			// Each node's combiner first replays the other node's last entry
+			// (waitGet, applyEntry) before appending its own.
+			inst := newCounterInstance(t, smallTopo())
+			h0, h1 := registerOn(t, inst, 0), registerOn(t, inst, 1)
+			return func() { h0.Execute(ctrInc); h1.Execute(ctrInc) }, inst.Stats
+		}},
+		{name: "log-full-helping", setup: func(t *testing.T) (func(), func() Stats) {
+			// Only node 0 is active and the log holds 8 entries: each run
+			// of 16 ops fills the log, and the appender replays node 1's
+			// replica for it (reserveConsuming, helpLaggards, refreshTo).
+			inst := newCounterInstance(t, Options{Topology: topology.New(2, 2, 1), LogEntries: 8})
+			h := registerOn(t, inst, 0)
+			return func() {
+				for range 16 {
+					h.Execute(ctrInc)
+				}
+			}, inst.Stats
+		}, reached: func(before, after Stats) bool { return after.HelpedEntries > before.HelpedEntries }},
+		{name: "fake-update", setup: func(t *testing.T) (func(), func() Stats) {
+			// Deleting an absent key is resolved on the read path (safeRead
+			// through FakeUpdater.TryReadOnly) and never logged.
+			inst, err := New[ds.DictOp, ds.DictResult](
+				func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(5) }, smallTopo())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := inst.Register()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Execute(ds.DictOp{Kind: ds.DictInsert, Key: 1, Value: 1})
+			return func() { h.Execute(ds.DictOp{Kind: ds.DictDelete, Key: 2}) }, inst.Stats
+		}, reached: func(before, after Stats) bool {
+			return after.UpdateOps == before.UpdateOps && after.ReadOps > before.ReadOps
+		}},
+		{name: "multi-log", setup: func(t *testing.T) (func(), func() Stats) {
+			// Two logs and a mapper: opClass routes each op to its class.
+			inst := newMultiLog(t, 2, Options{Topology: topology.New(2, 2, 1), LogEntries: 256})
+			h, err := inst.Register()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Execute(mlOp{kind: 0, class: 1, delta: 1})
+			return func() {
+				h.Execute(mlOp{kind: 0, class: 1, delta: 1})
+				h.Execute(mlOp{kind: 1, class: 0})
+			}, inst.Stats
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op, stats := tc.setup(t)
+			before := stats()
+			if avg := testing.AllocsPerRun(200, op); avg != 0 {
+				t.Errorf("%s allocates %.1f objects/op, want 0", tc.name, avg)
+			}
+			if tc.reached != nil && !tc.reached(before, stats()) {
+				t.Errorf("%s: ops did not take the path under test (stats before %+v, after %+v)", tc.name, before, stats())
+			}
+		})
 	}
 }

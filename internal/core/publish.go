@@ -175,7 +175,6 @@ func (h *Handle[O, R]) PostAndAbandon(op O) {
 // contained panic).
 //
 //nr:hotpath-noio
-//nr:noalloc
 //nr:spin
 func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
 	r := i.replicas[h.node]

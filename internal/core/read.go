@@ -11,7 +11,6 @@ import (
 // electing one reader to refresh the replica (§5.3). It reports whether it
 // had to wait at all.
 //
-//nr:noalloc
 //nr:spin
 func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c int, readTail uint64) (waited bool) {
 	lg := &r.logs[c]
@@ -59,7 +58,6 @@ func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c in
 // allocate.
 //
 //nr:hotpath-noio
-//nr:noalloc
 //nr:spin
 func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O, fake bool) (R, bool, error) {
 	r := i.replicas[h.node]

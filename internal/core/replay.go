@@ -9,7 +9,6 @@ import "github.com/asplos17/nr/internal/trace"
 // cross entries (refreshTo stops at them; cross.go applies them).
 //
 //nr:hotpath-noio
-//nr:noalloc
 func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry[O], ring *trace.Ring) {
 	res, err := i.safeExecute(r, c, e.op, idx)
 	i.deliver(r, c, idx, e, res, err, ring)
@@ -27,7 +26,6 @@ func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry
 // KHelp, KCombineEnd).
 //
 //nr:hotpath-noio
-//nr:noalloc
 func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O], res R, err error, ring *trace.Ring) {
 	if e.slot >= 0 && e.node == r.id {
 		tok := trace.TokenWithLog(c, int(e.node), int(e.slot), e.seq)
@@ -50,8 +48,6 @@ func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O]
 // returns (0 otherwise): the caller must release the replica lock and run
 // the cross applier (advanceCrossTo) before replaying further. Caller
 // holds (r, c)'s write-side lock.
-//
-//nr:noalloc
 func (i *Instance[O, R]) refreshTo(r *replica[O, R], c int, to uint64, ring *trace.Ring) uint64 {
 	lg := &r.logs[c]
 	for idx := lg.localTail.Load(); idx < to; idx++ {
@@ -70,8 +66,6 @@ func (i *Instance[O, R]) refreshTo(r *replica[O, R], c int, to uint64, ring *tra
 
 // waitGet fetches log c's entry at idx, recording a hole-wait event (with
 // the spin count) when the entry was reserved but not yet filled.
-//
-//nr:noalloc
 func (i *Instance[O, R]) waitGet(node, c int, idx uint64, ring *trace.Ring) entry[O] {
 	if ring == nil {
 		return i.logs[c].WaitGet(idx)

@@ -198,9 +198,12 @@ func (r *readBomb) IsReadOnly(op bombOp) bool { return op.Key == 0 }
 
 // TestWatchdogFlagsStall: an Execute that dwells past StallThreshold while
 // the combiner holds its lock must show up in Stats.Stalls and in
-// Health.StalledNodes while held.
+// Health.StalledNodes while held. The op is held inside Execute until both
+// have been seen (or a deadline passes), so a watchdog that is scheduled
+// late still catches the stall.
 func TestWatchdogFlagsStall(t *testing.T) {
-	inst, err := New[bombOp, int64](func() Sequential[bombOp, int64] { return &sleeper{} },
+	release := make(chan struct{})
+	inst, err := New[bombOp, int64](func() Sequential[bombOp, int64] { return &gate{release: release} },
 		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -210,28 +213,28 @@ func TestWatchdogFlagsStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawStalled := make(chan Health, 1)
+	done := make(chan error, 1)
 	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if hl := inst.Health(); len(hl.StalledNodes) > 0 {
-				sawStalled <- hl
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		sawStalled <- Health{}
+		_, err := h.TryExecute(bombOp{Key: 1, Delta: 1}) // held inside combine
+		done <- err
 	}()
-	if _, err := h.TryExecute(bombOp{Key: 1, Delta: 1}); err != nil { // sleeps 20ms inside combine
+	var sawStalled bool
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if hl := inst.Health(); len(hl.StalledNodes) > 0 {
+			sawStalled = true
+		}
+		if sawStalled && inst.Stats().Stalls > 0 {
+			break
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	close(release)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	hl := <-sawStalled
-	if len(hl.StalledNodes) == 0 {
-		t.Error("Health never reported the stalled node while the combiner slept")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for inst.Stats().Stalls == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if !sawStalled {
+		t.Error("Health never reported the stalled node while the combiner was held")
 	}
 	if st := inst.Stats(); st.Stalls == 0 {
 		t.Errorf("watchdog counted no stalls: %+v", st)
@@ -241,17 +244,20 @@ func TestWatchdogFlagsStall(t *testing.T) {
 	}
 }
 
-// sleeper dwells 20ms on every update.
-type sleeper struct{ v int64 }
-
-func (s *sleeper) Execute(op bombOp) int64 {
-	if op.Key != 0 {
-		time.Sleep(20 * time.Millisecond)
-		s.v += op.Delta
-	}
-	return s.v
+// gate holds every update inside Execute until release is closed.
+type gate struct {
+	v       int64
+	release chan struct{}
 }
-func (s *sleeper) IsReadOnly(op bombOp) bool { return op.Key == 0 }
+
+func (g *gate) Execute(op bombOp) int64 {
+	if op.Key != 0 {
+		<-g.release
+		g.v += op.Delta
+	}
+	return g.v
+}
+func (g *gate) IsReadOnly(op bombOp) bool { return op.Key == 0 }
 
 // TestTagDeliversContainedPanic: a replayer that overtakes a combiner
 // between its log append and its own replay (a same-node cross applier or a

@@ -79,8 +79,6 @@ func (m *HashMap[V]) Get(key string) (V, bool) {
 // Ref returns a pointer to the value stored under key, or nil if the key is
 // absent: one lookup for a caller that reads the value and then writes it.
 // The pointer is valid until the key is deleted.
-//
-//nr:noalloc
 func (m *HashMap[V]) Ref(key string) *V {
 	h := fnv1a(key)
 	for e := m.buckets[h&m.mask]; e != nil; e = e.next {

@@ -157,8 +157,6 @@ type preds[V any] struct {
 // each level's walk then starts from whichever of the level above's stop and
 // that old predecessor is further along, so a short move costs a short walk
 // instead of a descent from the head.
-//
-//nr:noalloc
 func (s *SkipList[V]) search(key Key, p *preds[V], finger bool) {
 	x, rank := s.head, 0
 	for i := s.level - 1; i >= 0; i-- {
@@ -190,8 +188,6 @@ func (s *SkipList[V]) find(key Key) (*skipNode[V], int) {
 
 // link splices n, tower and all, in after the predecessors in p, raising
 // the list's level to the tower's height if need be.
-//
-//nr:noalloc
 func (s *SkipList[V]) link(n *skipNode[V], p *preds[V]) {
 	lvl := len(n.next)
 	for i := s.level; i < lvl; i++ {
@@ -234,8 +230,6 @@ func (s *SkipList[V]) Insert(key Key, val V) bool {
 // element's neighbours the key is overwritten in place. Otherwise the node
 // is unlinked and relinked with the tower it has: no new level is drawn, so
 // the list's shape still depends on the operation stream alone.
-//
-//nr:noalloc
 func (s *SkipList[V]) Move(old, key Key, val V) bool {
 	var p preds[V]
 	s.search(old, &p, false)

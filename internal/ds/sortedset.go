@@ -46,13 +46,11 @@ func (z *SortedSet) Add(member string, score float64) bool {
 // member's skip-list node is moved, not deleted and reinserted. If the new
 // score would be NaN (a NaN delta, or inf + -inf) nothing changes and NaN is
 // returned.
-//
-//nr:noalloc
 func (z *SortedSet) IncrBy(member string, delta float64) float64 {
 	p := z.byMember.Ref(member)
 	if p == nil {
 		if delta == delta {
-			z.insert(member, delta) //nr:allocok a new member needs its hash entry and skip-list node
+			z.insert(member, delta)
 		}
 		return delta
 	}
@@ -71,8 +69,6 @@ func (z *SortedSet) insert(member string, score float64) {
 
 // rescore moves a present member, whose hash-map value p points to, to
 // score; an unchanged score leaves the skip list alone.
-//
-//nr:noalloc
 func (z *SortedSet) rescore(p *float64, member string, score float64) {
 	if *p == score {
 		return

@@ -51,8 +51,6 @@ func bucketLow(idx int) uint64 {
 }
 
 // Record adds one value.
-//
-//nr:noalloc
 func (h *Histogram) Record(v uint64) {
 	h.counts[bucketOf(v)].Add(1)
 	h.total.Add(1)
@@ -96,15 +94,11 @@ type Cum struct {
 }
 
 // Reset empties c for reuse.
-//
-//nr:noalloc
 func (c *Cum) Reset() { *c = Cum{} }
 
 // Add accumulates h's current buckets into c. Buckets are read individually
 // while recording may continue, so the capture is only approximately one
 // instant — the same contract as Snapshot everywhere else in this layer.
-//
-//nr:noalloc
 func (c *Cum) Add(h *Histogram) {
 	for i := 0; i < numBuckets; i++ {
 		c.Counts[i] += h.counts[i].Load()
@@ -127,8 +121,6 @@ func DeltaCount(cur, prev *Cum) uint64 {
 // 100) of the observations recorded between the prev and cur captures,
 // walking the bucket-wise difference without materializing it: the lower
 // edge of the bucket holding the rank, within 25% of the true value.
-//
-//nr:noalloc
 func DeltaPercentile(cur, prev *Cum, p float64) uint64 {
 	n := DeltaCount(cur, prev)
 	if n == 0 {

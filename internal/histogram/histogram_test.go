@@ -152,3 +152,28 @@ func TestDeltaPercentileIsTheWindow(t *testing.T) {
 		t.Error("misordered captures not clamped to an empty window")
 	}
 }
+
+// TestRecordAndCaptureDoNotAllocate pins the metrics observer's recording
+// and the collector's capture-and-subtract at zero allocations: Record runs
+// on every observed op, and Reset, Add and DeltaPercentile on every
+// collector tick.
+func TestRecordAndCaptureDoNotAllocate(t *testing.T) {
+	var h Histogram
+	var prev, cur Cum
+	v := uint64(1)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Record(v)
+		v = v*7 + 3
+	}); n != 0 {
+		t.Errorf("Record allocates %v per call, want 0", n)
+	}
+	prev.Add(&h)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Record(v)
+		cur.Reset()
+		cur.Add(&h)
+		_ = DeltaPercentile(&cur, &prev, 99)
+	}); n != 0 {
+		t.Errorf("capture and delta allocate %v per tick, want 0", n)
+	}
+}

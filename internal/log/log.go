@@ -131,7 +131,6 @@ func (l *Log[O]) refreshMin() {
 // use TryReserve and consume entries into their own replica between
 // attempts.
 //
-//nr:noalloc
 //nr:spin
 func (l *Log[O]) Reserve(n int) uint64 {
 	for {
@@ -169,11 +168,9 @@ func (l *Log[O]) TryReserve(n int) (uint64, bool) {
 // `e.op` store is therefore ordered after every read of the old value.
 // Readers that arrive late see the marker mismatch and treat the entry as
 // empty rather than reading a torn op.
-//
-//nr:noalloc
 func (l *Log[O]) TryReserveObserved(n int) (start uint64, casRetries int, ok bool) {
 	if n < 1 || uint64(n) > l.maxBatch {
-		panic(fmt.Sprintf("log: reservation of %d outside [1, %d]", n, l.maxBatch)) //nr:allocok misuse panic
+		panic(fmt.Sprintf("log: reservation of %d outside [1, %d]", n, l.maxBatch))
 	}
 	for {
 		start := l.tail.Load()
@@ -209,8 +206,6 @@ func (l *Log[O]) MinLocalTail() uint64 {
 // Fill publishes op at absolute index idx. The entry must have been reserved
 // by the caller. The marker store is the linearization of the append: readers
 // treat an unmarked entry as empty.
-//
-//nr:noalloc
 func (l *Log[O]) Fill(idx uint64, op O) {
 	e := &l.entries[idx%l.size]
 	e.op = op
@@ -220,8 +215,6 @@ func (l *Log[O]) Fill(idx uint64, op O) {
 // Get returns the operation at absolute index idx if it has been filled.
 // A false return means the entry is reserved but not yet written (a "hole"),
 // or recycled for a later lap.
-//
-//nr:noalloc
 func (l *Log[O]) Get(idx uint64) (O, bool) {
 	e := &l.entries[idx%l.size]
 	if e.marker.Load() != idx+1 {
@@ -252,7 +245,6 @@ const holeSpinLoads = 256
 // blocks every replayer behind it), so the flight recorder tags them with
 // the yield count.
 //
-//nr:noalloc
 //nr:spin
 func (l *Log[O]) WaitGetObserved(idx uint64) (O, int) {
 	e := &l.entries[idx%l.size]

@@ -366,3 +366,70 @@ func TestMultiEntryReservationPartitions(t *testing.T) {
 	}
 	t.Logf("multi-entry reservations: %d grants, %d entries, %d tail-CAS retries", len(grants), next, casRetries.Load())
 }
+
+// spinYields is how many times a spin test's holder yields while a second
+// goroutine waits on what it holds. With GOMAXPROCS at 1 each yield hands
+// the waiter one turn of its wait loop, so the waiter spins about this many
+// times.
+const spinYields = 10000
+
+// spinMallocs runs wait on a second goroutine while the caller holds what it
+// waits for, yields spinYields times, calls release, and returns the mallocs
+// of the whole window once wait has returned.
+func spinMallocs(wait, release func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	done := make(chan struct{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		wait()
+		close(done)
+	}()
+	for range spinYields {
+		runtime.Gosched()
+	}
+	release()
+	<-done
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestLogDoesNotAllocate pins the append and replay primitives at zero
+// allocations per entry, and their two wait loops — Reserve on a full log,
+// WaitGetObserved on a hole — at fewer than one allocation per 100 spins.
+func TestLogDoesNotAllocate(t *testing.T) {
+	l, _ := New[int](8, 2)
+	lt := l.RegisterReplica()
+	if n := testing.AllocsPerRun(1000, func() {
+		start := l.Reserve(2)
+		l.Fill(start, 1)
+		l.Fill(start+1, 2)
+		if _, ok := l.Get(start); !ok {
+			t.Fatal("filled entry reads as a hole")
+		}
+		l.WaitGetObserved(start + 1)
+		lt.Store(start + 2)
+	}); n != 0 {
+		t.Errorf("reserve, fill and get allocate %v per entry pair, want 0", n)
+	}
+
+	check := func(name string, mallocs uint64) {
+		t.Helper()
+		if mallocs >= spinYields/100 {
+			t.Errorf("%s: %d mallocs over about %d spins, want fewer than one per 100 spins", name, mallocs, spinYields)
+		}
+	}
+	// A full log: the reservation waits until the replica consumes.
+	for l.Tail() < lt.Load()+8 {
+		l.Fill(l.Reserve(2), 0)
+	}
+	check("Reserve", spinMallocs(func() { l.Reserve(2) }, func() { lt.Store(l.Tail()) }))
+
+	// A hole: the reader waits until the entry is filled.
+	idx := l.Reserve(1)
+	var spins int
+	check("WaitGetObserved", spinMallocs(func() { _, spins = l.WaitGetObserved(idx) }, func() { l.Fill(idx, 3) }))
+	if spins < spinYields/2 {
+		t.Errorf("WaitGetObserved spun %d times, want about %d", spins, spinYields)
+	}
+}

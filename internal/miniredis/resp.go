@@ -71,8 +71,6 @@ const needLine = -1
 
 // next returns the next command's arguments. It blocks (through r) only
 // when no complete command is buffered.
-//
-//nr:noalloc
 func (c *cmdReader) next() ([][]byte, error) {
 	if cap(c.spill) > maxKeptSpill {
 		c.spill = nil
@@ -94,7 +92,7 @@ func (c *cmdReader) next() ([][]byte, error) {
 	// Everything buffered belongs to one unfinished command. Move it to
 	// spill and feed the scan exactly the bytes it asks for, so spill grows
 	// only with bytes received and never swallows the next command.
-	c.spill = append(c.spill[:0], b...) //nr:allocok grows with bytes received, kept across commands
+	c.spill = append(c.spill[:0], b...)
 	_, _ = c.r.Discard(len(b))
 	c.reset()
 	for {
@@ -118,8 +116,6 @@ func (c *cmdReader) reset() {
 
 // buffered returns what r holds, at least one byte: it blocks for input
 // when, and only when, r holds nothing.
-//
-//nr:noalloc
 func (c *cmdReader) buffered() ([]byte, error) {
 	if c.r.Buffered() == 0 {
 		if _, err := c.r.Peek(1); err != nil {
@@ -132,8 +128,6 @@ func (c *cmdReader) buffered() ([]byte, error) {
 // pull moves input from r to spill: exactly need bytes, or for needLine
 // whatever has arrived, up to and including the first '\n' (scan decides
 // whether that completes the line or the line has grown too long).
-//
-//nr:noalloc
 func (c *cmdReader) pull(need int) error {
 	for {
 		p, err := c.buffered()
@@ -149,7 +143,7 @@ func (c *cmdReader) pull(need int) error {
 			p = p[:min(len(p), need)]
 			need -= len(p)
 		}
-		c.spill = append(c.spill, p...) //nr:allocok grows with bytes received, kept across commands
+		c.spill = append(c.spill, p...)
 		_, _ = c.r.Discard(len(p))
 		if need == 0 {
 			return nil
@@ -161,8 +155,6 @@ func (c *cmdReader) pull(need int) error {
 // where the last call on a shorter prefix of the same bytes stopped. It returns 0 when the
 // command is complete (it occupies b[:c.pos]); otherwise how many more
 // bytes it needs, or needLine.
-//
-//nr:noalloc
 func (c *cmdReader) scan(b []byte) (need int, err error) {
 	if c.want < 0 {
 		if b[0] != respArray {
@@ -205,7 +197,7 @@ func (c *cmdReader) scan(b []byte) (need int, err error) {
 		if b[end-2] != '\r' || b[end-1] != '\n' {
 			return 0, protocolError("bulk string not followed by CRLF but", b[end-2:end])
 		}
-		c.args = append(c.args, b[c.pos:end-2]) //nr:allocok grows to the widest command seen, then reused
+		c.args = append(c.args, b[c.pos:end-2])
 		c.pos, c.bulk = end, -1
 		c.want--
 	}
@@ -215,8 +207,6 @@ func (c *cmdReader) scan(b []byte) (need int, err error) {
 // line returns the line starting at c.pos without its terminator (one '\n'
 // and any '\r' before it) and advances past it. ok is false when the line is
 // not complete yet; err is set once it cannot fit limit, complete or not.
-//
-//nr:noalloc
 func (c *cmdReader) line(b []byte, limit int) (line []byte, ok bool, err error) {
 	from := max(c.pos, c.nlFrom)
 	i := bytes.IndexByte(b[from:], '\n')
@@ -240,8 +230,6 @@ func (c *cmdReader) line(b []byte, limit int) (line []byte, ok bool, err error) 
 }
 
 // splitInline appends the space-separated fields of line to c.args.
-//
-//nr:noalloc
 func (c *cmdReader) splitInline(line []byte) {
 	for len(line) > 0 {
 		if line[0] == ' ' {
@@ -252,15 +240,13 @@ func (c *cmdReader) splitInline(line []byte) {
 		if end < 0 {
 			end = len(line)
 		}
-		c.args = append(c.args, line[:end]) //nr:allocok grows to the widest command seen, then reused
+		c.args = append(c.args, line[:end])
 		line = line[end:]
 	}
 }
 
 // parseLength reads the decimal of a length header: an optional sign and at
 // least one digit, nothing else. The caller's line limit keeps it in range.
-//
-//nr:noalloc
 func parseLength(s []byte) (n int, ok bool) {
 	neg := false
 	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
@@ -284,8 +270,6 @@ func parseLength(s []byte) (n int, ok bool) {
 
 // protocolError wraps ErrProtocol with what was wrong and (a bounded part
 // of) the offending bytes.
-//
-//nr:allocok the connection is about to be closed
 func protocolError(what string, at []byte) error {
 	if len(at) > maxHeaderLine {
 		at = at[:maxHeaderLine]
@@ -336,8 +320,6 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // its own — it may quote client bytes, and a CR or LF in it would end this
 // reply early and start an attacker-shaped next one — so both are written
 // as spaces, and the message is cut at maxStatusLen.
-//
-//nr:noalloc
 func (w *Writer) status(prefix, msg string) error {
 	if len(msg) > maxStatusLen {
 		msg = msg[:maxStatusLen]
@@ -357,33 +339,23 @@ func (w *Writer) status(prefix, msg string) error {
 }
 
 // Simple writes a simple-string reply (+OK).
-//
-//nr:noalloc
 func (w *Writer) Simple(s string) error { return w.status("+", s) }
 
 // Error writes an error reply.
-//
-//nr:noalloc
 func (w *Writer) Error(msg string) error { return w.status("-ERR ", msg) }
 
 // header writes marker, n and CRLF: an integer reply or a length prefix.
-//
-//nr:noalloc
 func (w *Writer) header(marker byte, n int64) error {
 	_ = w.w.WriteByte(marker)
-	_, _ = w.w.Write(strconv.AppendInt(w.num[:0], n, 10)) //nr:allocok appends into the writer's own scratch
+	_, _ = w.w.Write(strconv.AppendInt(w.num[:0], n, 10))
 	_, err := w.w.WriteString("\r\n")
 	return err
 }
 
 // Int writes an integer reply.
-//
-//nr:noalloc
 func (w *Writer) Int(v int64) error { return w.header(respInt, v) }
 
 // Bulk writes a bulk-string reply.
-//
-//nr:noalloc
 func (w *Writer) Bulk(s string) error {
 	_ = w.header(respBulk, int64(len(s)))
 	_, _ = w.w.WriteString(s)
@@ -392,10 +364,8 @@ func (w *Writer) Bulk(s string) error {
 }
 
 // score writes a float as a bulk string, formatted as FormatScore does.
-//
-//nr:noalloc
 func (w *Writer) score(f float64) error {
-	b := strconv.AppendFloat(w.flt[:0], f, 'g', -1, 64) //nr:allocok appends into the writer's own scratch
+	b := strconv.AppendFloat(w.flt[:0], f, 'g', -1, 64)
 	_ = w.header(respBulk, int64(len(b)))
 	_, _ = w.w.Write(b)
 	_, err := w.w.WriteString("\r\n")
@@ -403,16 +373,12 @@ func (w *Writer) score(f float64) error {
 }
 
 // Nil writes a null bulk reply.
-//
-//nr:noalloc
 func (w *Writer) Nil() error {
 	_, err := w.w.WriteString("$-1\r\n")
 	return err
 }
 
 // Array writes an array of bulk strings.
-//
-//nr:noalloc
 func (w *Writer) Array(items []string) error {
 	err := w.header(respArray, int64(len(items)))
 	for _, it := range items {

@@ -383,22 +383,56 @@ func TestCmdReaderLeavesThePipelineBuffered(t *testing.T) {
 }
 
 // TestServingPathAllocations pins the server's own path — bytes in the read
-// buffer to StoreOp to reply bytes in the write buffer — at the two strings
-// the op must own, because it outlives the buffer in the log.
+// buffer to StoreOp to reply bytes in the write buffer — at the strings the
+// op must own, because it outlives the buffer in the log: at most two (key
+// and member), exactly as many as the command carries. It runs every
+// command parseOp knows, every reply shape WriteResult writes, an inline
+// command, and a command that does not fit the read buffer (the spill path).
 func TestServingPathAllocations(t *testing.T) {
+	bulk := func(args ...string) string {
+		s := "*" + strconv.Itoa(len(args)) + "\r\n"
+		for _, a := range args {
+			s += "$" + strconv.Itoa(len(a)) + "\r\n" + a + "\r\n"
+		}
+		return s
+	}
+	members := []string{"item:001234", "1235.5"}
 	cases := []struct {
 		name string
 		wire string
 		res  StoreResult
+		owns float64 // strings the op copies out of the buffer (a one-byte string would not allocate)
+		buf  int     // read buffer size; 0 for the server's
 	}{
-		{"ZRANK", "*3\r\n$5\r\nZRANK\r\n$10\r\nbench:zset\r\n$11\r\nitem:001234\r\n", StoreResult{OK: true, Int: 1234}},
-		{"ZINCRBY", "*4\r\n$7\r\nZINCRBY\r\n$10\r\nbench:zset\r\n$1\r\n1\r\n$11\r\nitem:001234\r\n", StoreResult{OK: true, Score: 1235.5}},
+		{"ZRANK", bulk("ZRANK", "bench:zset", "item:001234"), StoreResult{OK: true, Int: 1234}, 2, 0},
+		{"ZINCRBY", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{OK: true, Score: 1235.5}, 2, 0},
+		{"ZRANK-nil", bulk("ZRANK", "bench:zset", "nobody"), StoreResult{}, 2, 0},
+		{"ZINCRBY-error", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{Err: resultNaN}, 2, 0},
+		{"PING", bulk("PING"), StoreResult{}, 0, 0},
+		{"SET", bulk("SET", "key:1", "value:1"), StoreResult{OK: true}, 2, 0},
+		{"GET", bulk("GET", "key:1"), StoreResult{OK: true, Str: "value:1"}, 1, 0},
+		{"GET-nil", bulk("GET", "key:2"), StoreResult{}, 1, 0},
+		{"DEL", bulk("DEL", "key:1"), StoreResult{Int: 1}, 1, 0},
+		{"ZADD", bulk("ZADD", "bench:zset", "2.5", "item:001234"), StoreResult{Int: 1}, 2, 0},
+		{"ZREM", bulk("ZREM", "bench:zset", "item:001234"), StoreResult{Int: 1}, 2, 0},
+		{"ZSCORE", bulk("ZSCORE", "bench:zset", "item:001234"), StoreResult{OK: true, Score: 2.5}, 2, 0},
+		{"ZSCORE-nil", bulk("ZSCORE", "bench:zset", "nobody"), StoreResult{}, 2, 0},
+		{"ZCARD", bulk("ZCARD", "bench:zset"), StoreResult{Int: 1}, 1, 0},
+		{"ZRANGE", bulk("ZRANGE", "bench:zset", "0", "-1", "WITHSCORES"), StoreResult{Members: members}, 1, 0},
+		{"DBSIZE", bulk("DBSIZE"), StoreResult{Int: 3}, 0, 0},
+		{"FLUSHALL", bulk("FLUSHALL"), StoreResult{}, 0, 0},
+		{"inline", "GET key:1\r\n", StoreResult{OK: true, Str: "value:1"}, 1, 0},
+		{"spilled", bulk("ZRANK", "bench:zset", "item:001234"), StoreResult{OK: true, Int: 1234}, 2, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			wire := []byte(strings.Repeat(tc.wire, 16)) // a pipeline, as it sits in the buffer
 			src := bytes.NewReader(wire)
-			c := cmdReader{r: bufio.NewReaderSize(src, connReadBuffer)}
+			size := connReadBuffer
+			if tc.buf > 0 {
+				size = tc.buf
+			}
+			c := cmdReader{r: bufio.NewReaderSize(src, size)}
 			w := NewWriter(bufio.NewWriter(io.Discard))
 			allocs := testing.AllocsPerRun(200, func() {
 				args, err := c.next()
@@ -417,8 +451,8 @@ func TestServingPathAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 2 {
-				t.Errorf("%.1f allocations per command, want <= 2 (key and member)", allocs)
+			if allocs > tc.owns {
+				t.Errorf("%.1f allocations per command, want <= %.0f (the strings the op owns)", allocs, tc.owns)
 			}
 		})
 	}

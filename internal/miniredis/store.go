@@ -242,13 +242,11 @@ func (st *Store) Execute(op StoreOp) StoreResult {
 
 // zincrby is the paper's update (§8.3), executed once per replica under that
 // replica's writer lock: on a member that exists it allocates nothing.
-//
-//nr:noalloc
 func (st *Store) zincrby(op StoreOp) StoreResult {
 	if op.Score != op.Score {
 		return StoreResult{Err: notFloat}
 	}
-	z, ok := st.zsetFor(op.Key, true) //nr:allocok creates the sorted set on a key's first use
+	z, ok := st.zsetFor(op.Key, true)
 	if !ok {
 		return StoreResult{Err: wrongType}
 	}
@@ -282,8 +280,6 @@ func ParseCommand(args []string) (StoreOp, string) { return parseOp(args) }
 
 // cmdIs reports whether name is the command upper (given in upper case),
 // ignoring ASCII case as Redis does.
-//
-//nr:noalloc
 func cmdIs[S byteSeq](name S, upper string) bool {
 	if len(name) != len(upper) {
 		return false
@@ -304,8 +300,6 @@ func cmdIs[S byteSeq](name S, upper string) bool {
 // syntax and builds its StoreOp, or returns the error reply's message. Key
 // and member are copied out of args, which on the serving path is a buffer
 // about to be reused, while the op lives on in the log.
-//
-//nr:noalloc
 func parseOp[S byteSeq](args []S) (StoreOp, string) {
 	if len(args) == 0 {
 		return StoreOp{}, "empty command"
@@ -316,7 +310,7 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'zrank' command"
 		}
-		return StoreOp{Cmd: CmdZRank, Key: string(args[1]), Member: string(args[2])}, "" //nr:allocok the op owns its key and member
+		return StoreOp{Cmd: CmdZRank, Key: string(args[1]), Member: string(args[2])}, ""
 	case cmdIs(cmd, "ZINCRBY"):
 		if !want(4) {
 			return StoreOp{}, "wrong number of arguments for 'zincrby' command"
@@ -325,24 +319,24 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if err != "" {
 			return StoreOp{}, err
 		}
-		return StoreOp{Cmd: CmdZIncrBy, Key: string(args[1]), Member: string(args[3]), Score: sc}, "" //nr:allocok the op owns its key and member
+		return StoreOp{Cmd: CmdZIncrBy, Key: string(args[1]), Member: string(args[3]), Score: sc}, ""
 	case cmdIs(cmd, "PING"):
 		return StoreOp{Cmd: CmdPing}, ""
 	case cmdIs(cmd, "SET"):
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'set' command"
 		}
-		return StoreOp{Cmd: CmdSet, Key: string(args[1]), Member: string(args[2])}, "" //nr:allocok the op owns its key and value
+		return StoreOp{Cmd: CmdSet, Key: string(args[1]), Member: string(args[2])}, ""
 	case cmdIs(cmd, "GET"):
 		if !want(2) {
 			return StoreOp{}, "wrong number of arguments for 'get' command"
 		}
-		return StoreOp{Cmd: CmdGet, Key: string(args[1])}, "" //nr:allocok the op owns its key
+		return StoreOp{Cmd: CmdGet, Key: string(args[1])}, ""
 	case cmdIs(cmd, "DEL"):
 		if !want(2) {
 			return StoreOp{}, "wrong number of arguments for 'del' command"
 		}
-		return StoreOp{Cmd: CmdDel, Key: string(args[1])}, "" //nr:allocok the op owns its key
+		return StoreOp{Cmd: CmdDel, Key: string(args[1])}, ""
 	case cmdIs(cmd, "ZADD"):
 		if !want(4) {
 			return StoreOp{}, "wrong number of arguments for 'zadd' command"
@@ -351,22 +345,22 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if err != "" {
 			return StoreOp{}, err
 		}
-		return StoreOp{Cmd: CmdZAdd, Key: string(args[1]), Member: string(args[3]), Score: sc}, "" //nr:allocok the op owns its key and member
+		return StoreOp{Cmd: CmdZAdd, Key: string(args[1]), Member: string(args[3]), Score: sc}, ""
 	case cmdIs(cmd, "ZREM"):
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'zrem' command"
 		}
-		return StoreOp{Cmd: CmdZRem, Key: string(args[1]), Member: string(args[2])}, "" //nr:allocok the op owns its key and member
+		return StoreOp{Cmd: CmdZRem, Key: string(args[1]), Member: string(args[2])}, ""
 	case cmdIs(cmd, "ZSCORE"):
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'zscore' command"
 		}
-		return StoreOp{Cmd: CmdZScore, Key: string(args[1]), Member: string(args[2])}, "" //nr:allocok the op owns its key and member
+		return StoreOp{Cmd: CmdZScore, Key: string(args[1]), Member: string(args[2])}, ""
 	case cmdIs(cmd, "ZCARD"):
 		if !want(2) {
 			return StoreOp{}, "wrong number of arguments for 'zcard' command"
 		}
-		return StoreOp{Cmd: CmdZCard, Key: string(args[1])}, "" //nr:allocok the op owns its key
+		return StoreOp{Cmd: CmdZCard, Key: string(args[1])}, ""
 	case cmdIs(cmd, "ZRANGE"):
 		if len(args) != 4 && len(args) != 5 {
 			return StoreOp{}, "wrong number of arguments for 'zrange' command"
@@ -380,28 +374,25 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if withScores && !cmdIs(args[4], "WITHSCORES") {
 			return StoreOp{}, "syntax error"
 		}
-		return StoreOp{Cmd: CmdZRange, Key: string(args[1]), Start: start, Stop: stop, WithScores: withScores}, "" //nr:allocok the op owns its key
+		return StoreOp{Cmd: CmdZRange, Key: string(args[1]), Start: start, Stop: stop, WithScores: withScores}, ""
 	case cmdIs(cmd, "DBSIZE"):
 		return StoreOp{Cmd: CmdDBSize}, ""
 	case cmdIs(cmd, "FLUSHALL"):
 		return StoreOp{Cmd: CmdFlushAll}, ""
 	}
-	return StoreOp{}, "unknown command '" + string(args[0]) + "'" //nr:allocok error reply; Writer.Error bounds and sanitizes it
+	return StoreOp{}, "unknown command '" + string(args[0]) + "'"
 }
 
 // parseFloat reads a score. The string made for strconv does not outlive
 // the call.
-//
-//nr:noalloc
 func parseFloat[S byteSeq](s S) (float64, string) {
-	f, err := strconv.ParseFloat(string(s), 64) //nr:allocok allocates only the error of a malformed score
+	f, err := strconv.ParseFloat(string(s), 64)
 	if err != nil || f != f {
 		return 0, notFloat
 	}
 	return f, ""
 }
 
-//nr:noalloc
 func parseInt[S byteSeq](s S) (v int, ok bool) {
 	neg := false
 	i := 0
@@ -425,8 +416,6 @@ func parseInt[S byteSeq](s S) (v int, ok bool) {
 }
 
 // WriteResult renders a command result as RESP.
-//
-//nr:noalloc
 func WriteResult(w *Writer, op StoreOp, res StoreResult) error {
 	if res.Err != "" {
 		return w.Error(res.Err)

@@ -6,7 +6,7 @@
 //
 // Everything here is allocation-free after the first capture sized the
 // per-node slice: a Cum is reused tick after tick, which is what lets the
-// collector's hot path stay //nr:noalloc.
+// collector's hot path stay allocation-free.
 package obs
 
 import "github.com/asplos17/nr/internal/histogram"
@@ -44,15 +44,13 @@ type Cum struct {
 // ReadCum captures the observer's cumulative state into dst, resetting it
 // first. The capture allocates only if dst.Nodes is too small for the
 // observer's node count.
-//
-//nr:noalloc
 func (m *Metrics) ReadCum(dst *Cum) {
 	for c := range dst.Latency {
 		dst.Latency[c].Reset()
 	}
 	dst.Batch.Reset()
 	if cap(dst.Nodes) < len(m.nodes) {
-		dst.Nodes = make([]NodeCum, len(m.nodes)) //nr:allocok sizes once, reused forever after
+		dst.Nodes = make([]NodeCum, len(m.nodes))
 	}
 	dst.Nodes = dst.Nodes[:len(m.nodes)]
 	for i := range m.nodes {

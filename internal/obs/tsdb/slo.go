@@ -73,8 +73,6 @@ type sloState struct {
 // checkSLOLocked judges the window (prev, cur) against every objective,
 // returning the breach event to fire (rate-limited) if any objective
 // breached. Caller holds c.mu.
-//
-//nr:noalloc
 func (c *Collector) checkSLOLocked(prev, cur *sample, now time.Time) (BreachEvent, bool) {
 	var (
 		ev   BreachEvent

@@ -211,8 +211,6 @@ func (c *Collector) Close() {
 // Exported so tests (and callers that own their own cadence) can drive the
 // ring deterministically. Allocation-free in steady state — ring slots are
 // reused.
-//
-//nr:noalloc
 func (c *Collector) Advance() {
 	now := c.cfg.now()
 	var (

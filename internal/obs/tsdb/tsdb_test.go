@@ -384,3 +384,32 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal("stress test wedged")
 	}
 }
+
+// TestAdvanceDoesNotAllocate pins the collector's tick at zero allocations
+// once the ring is full: the capture (Source, obs.ReadCum into a reused
+// slot) and the SLO judgment of a window with traffic and no breach.
+func TestAdvanceDoesNotAllocate(t *testing.T) {
+	clk := newClock()
+	m := obs.NewMetrics(2)
+	c := New(testConfig(clk, Config{
+		Windows:  4,
+		Source:   func(g *Gauges) { g.LogTail += 10 },
+		Observed: m,
+		SLOs:     []SLO{{Class: obs.OpRead, P99: time.Second, P999: time.Second}},
+	}))
+	tick := func() {
+		m.OpDone(0, obs.OpRead, time.Microsecond)
+		m.OpDone(1, obs.OpUpdate, 2*time.Microsecond)
+		clk.step(time.Second)
+		c.Advance()
+	}
+	for i := 0; i < 8; i++ { // fill the ring and size every capture
+		tick()
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("Advance allocates %v per tick, want 0", n)
+	}
+	if st := c.SLOStatuses()[0]; st.Breached || st.TotalWindows < 100 {
+		t.Errorf("SLO status %+v, want judged windows and no breach", st)
+	}
+}

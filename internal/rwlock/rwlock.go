@@ -61,8 +61,6 @@ func NewDistributed(slots int) *Distributed {
 func (l *Distributed) Slots() int { return len(l.readers) }
 
 // RLock acquires read mode for reader slot.
-//
-//nr:noalloc
 func (l *Distributed) RLock(slot int) {
 	l.RLockObserved(slot)
 }
@@ -71,7 +69,6 @@ func (l *Distributed) RLock(slot int) {
 // scheduler yields it spent blocked behind a writer (0 on the uncontended
 // path).
 //
-//nr:noalloc
 //nr:spin
 func (l *Distributed) RLockObserved(slot int) (spins int) {
 	r := &l.readers[slot]
@@ -95,8 +92,6 @@ func (l *Distributed) RLockObserved(slot int) (spins int) {
 }
 
 // RUnlock releases read mode for reader slot.
-//
-//nr:noalloc
 func (l *Distributed) RUnlock(slot int) {
 	l.readers[slot].v.Store(0)
 }
@@ -126,7 +121,6 @@ func (l *Distributed) ReaderAcquires() uint64 {
 // waitReaders waits for every reader flag to drain, reporting spins to the
 // writer-wait hook. Caller holds the writer flag.
 //
-//nr:noalloc
 //nr:spin
 func (l *Distributed) waitReaders() {
 	spins := 0
@@ -143,7 +137,6 @@ func (l *Distributed) waitReaders() {
 
 // Lock acquires write mode. Concurrent writers serialize on the writer flag.
 //
-//nr:noalloc
 //nr:spin
 func (l *Distributed) Lock() {
 	for !l.writer.CompareAndSwap(0, 1) {
@@ -191,7 +184,6 @@ func (m *SpinMutex) TryLock() bool {
 
 // Lock spins until the lock is acquired.
 //
-//nr:noalloc
 //nr:spin
 func (m *SpinMutex) Lock() {
 	for {

@@ -230,8 +230,6 @@ func (g *Ring) ID() int {
 
 // Record appends one event. It is safe on a nil Ring (no-op), never
 // blocks, and never allocates.
-//
-//nr:noalloc
 func (g *Ring) Record(k Kind, node int, a, b uint64) {
 	if g == nil {
 		return
@@ -242,8 +240,6 @@ func (g *Ring) Record(k Kind, node int, a, b uint64) {
 // Now reads the recorder clock (0 on a nil Ring). Hot paths that record
 // several adjacent events read it once and stamp them via RecordAt, since
 // the clock read is a large share of an event's cost.
-//
-//nr:noalloc
 func (g *Ring) Now() int64 {
 	if g == nil {
 		return 0
@@ -254,8 +250,6 @@ func (g *Ring) Now() int64 {
 // At converts a wall/monotonic instant already in hand (e.g. one the
 // metrics observer paid for) to the recorder clock — pure arithmetic, no
 // clock read. 0 on a nil Ring.
-//
-//nr:noalloc
 func (g *Ring) At(t time.Time) int64 {
 	if g == nil {
 		return 0
@@ -270,8 +264,6 @@ func (g *Ring) At(t time.Time) int64 {
 // the seal first therefore sees the matching payload; mid-overwrite slots
 // are caught by snapshot's lap floor, not by a per-write invalidation
 // store — keeping the hot path at four atomic stores.
-//
-//nr:noalloc
 func (g *Ring) RecordAt(ts int64, k Kind, node int, a, b uint64) {
 	if g == nil {
 		return
@@ -530,7 +522,6 @@ func (r *Recorder) Reset() {
 // and file I/O are all deliberate here, hence the blanket suppressions.
 //
 //nr:blockok
-//nr:allocok
 //nr:iook
 func (r *Recorder) AutoDump(reason string) {
 	if r == nil || (r.cfg.DumpDir == "" && r.cfg.OnDump == nil) {

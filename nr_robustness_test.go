@@ -59,12 +59,15 @@ func TestPublicTryExecuteContainsPanics(t *testing.T) {
 }
 
 // TestPublicWatchdog wires Config.StallThreshold through to the core
-// watchdog and Health.
+// watchdog and Health. The slow update is held inside Execute until the
+// watchdog has counted the stall, so a watchdog that is scheduled late
+// still sees it.
 func TestPublicWatchdog(t *testing.T) {
-	slow := func() nr.Sequential[mapOp, mapResp] {
-		return &slowMap{seqMap{m: make(map[string]int)}}
+	release := make(chan struct{})
+	gated := func() nr.Sequential[mapOp, mapResp] {
+		return &gatedMap{seqMap{m: make(map[string]int)}, release}
 	}
-	inst, err := nr.New(slow, nr.WithNodes(2, 2, 1), nr.WithStallThreshold(time.Millisecond))
+	inst, err := nr.New(gated, nr.WithNodes(2, 2, 1), nr.WithStallThreshold(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +79,28 @@ func TestPublicWatchdog(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); h.Execute(mapOp{key: "slow", val: 1}) }()
-	wg.Wait()
 	deadline := time.Now().Add(5 * time.Second)
 	for inst.Stats().Stalls == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	close(release)
+	wg.Wait()
 	if st := inst.Stats(); st.Stalls == 0 {
 		t.Errorf("watchdog saw no stall: %+v", st)
 	}
 }
 
-// slowMap dwells 10ms per update.
-type slowMap struct{ seqMap }
+// gatedMap holds every update inside Execute until release is closed.
+type gatedMap struct {
+	seqMap
+	release chan struct{}
+}
 
-func (s *slowMap) Execute(op mapOp) mapResp {
+func (g *gatedMap) Execute(op mapOp) mapResp {
 	if !op.get {
-		time.Sleep(10 * time.Millisecond)
+		<-g.release
 	}
-	return s.seqMap.Execute(op)
+	return g.seqMap.Execute(op)
 }
 
 // TestPublicExecutePanicPropagates keeps the classic API honest: Execute

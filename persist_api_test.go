@@ -3,7 +3,9 @@ package nr_test
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -408,5 +410,78 @@ func TestDurableUpdateAllocatesNothing(t *testing.T) {
 	}
 	if ws, _ := inst.WALStats(); ws.Appends < 4000 {
 		t.Fatalf("WAL appends = %d: the measured updates were not persisted", ws.Appends)
+	}
+}
+
+// TestDurableLogFullDoesNotAllocate pins the durable path's backpressure
+// loop: with the follower held inside its sync hook, a 16-entry log fills,
+// and the appender waits in reserveConsuming, kicking the follower on every
+// spin. Over about 10 000 spins (GOMAXPROCS 1, one spin per yield of this
+// goroutine) fewer than one allocation per 100 spins is allowed.
+func TestDurableLogFullDoesNotAllocate(t *testing.T) {
+	const spinYields = 10000
+	var stall atomic.Bool
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
+	hook := func(nr.SyncInfo) {
+		if stall.Load() {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-gate
+		}
+	}
+	inst, err := nr.New(newKV, nr.WithNodes(2, 2, 1), nr.WithLogEntries(16),
+		nr.WithPersistence(t.TempDir(), kvCodec{}, nr.WithGroupInterval(time.Millisecond), nr.WithSyncHook(hook)))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer inst.Close()
+	defer close(gate)
+	h, err := inst.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 2000; i++ { // fill the map's buckets and the WAL's page pool
+		h.Execute(kvOp{Key: i % 7, Delta: 1})
+	}
+	// Park the follower in its next sync, caught up first so that the log
+	// is not already full when it parks.
+	if err := inst.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	stall.Store(true)
+	deadline := time.Now().Add(5 * time.Second)
+	for parked := false; !parked; {
+		h.Execute(kvOp{Key: 1, Delta: 1})
+		select {
+		case <-entered:
+			parked = true
+		case <-time.After(time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the follower never synced")
+			}
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	done := make(chan struct{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		for i := uint64(0); i < 32; i++ { // more than the log holds
+			h.Execute(kvOp{Key: i % 7, Delta: 1})
+		}
+		close(done)
+	}()
+	for range spinYields {
+		runtime.Gosched()
+	}
+	stall.Store(false)
+	gate <- struct{}{}
+	<-done
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n >= spinYields/100 {
+		t.Errorf("%d mallocs over about %d spins on a full log, want fewer than one per 100 spins", n, spinYields)
 	}
 }
