@@ -22,6 +22,7 @@ tier1: ## gofmt + one-benchmark rule + build + vet + lint + unit tests (the acce
 	test -z "$$(gofmt -l .)"
 	! grep -rn '^func Benchmark' --include='*_test.go' . | grep -v '^./benchmark/'
 	! grep -rnE 'atomic\.(Add|And|Or|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' --include='*.go' --exclude='*_test.go' .
+	! grep -nE 'time\.(Now|Since)\(' --exclude='*_test.go' internal/core/*.go
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/nrlint ./...

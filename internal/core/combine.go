@@ -10,22 +10,20 @@ import (
 // runCombiner executes one combining round on conflict class c, recording
 // its trace events into ring (the combining thread's own ring — combiner
 // events land on the combiner's timeline, joined to each op by token).
-// The caller holds class c's combiner lock.
+// Round events are recorded every round; per-op milestones only for the
+// sampled ops of the batch. The caller holds class c's combiner lock.
 //
 //nr:hotpath-noio
 //nr:spin
 func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) {
 	lg := &r.logs[c]
-	o := i.observer
-	var began time.Time
-	if o != nil {
-		began = time.Now()
-	}
-	// One clock read covers the round start and the pickups: collection is a
-	// single pass over the node's slots, far shorter than the clock
-	// resolution that matters here, and the round runs under the combiner
-	// lock — every clock read it saves shortens the serialized section.
-	t0 := ring.Now()
+	// The combiner lock's acquisition stamp is the round's start: it covers
+	// the round start and the pickups, and the observer's round duration
+	// runs from it. Collection is a single pass over the node's slots, far
+	// shorter than the clock resolution that matters here, and the round
+	// runs under the combiner lock — every clock read it saves shortens the
+	// serialized section.
+	t0 := lg.combinerLock.HeldSince()
 	ring.RecordAt(t0, trace.KCombineStart, int(r.id), 0, uint64(c))
 	// Collect the batch: every posted class-c slot on this node (§5.2),
 	// into this log's preallocated scratch buffer (cap = slot count, so
@@ -37,14 +35,13 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		s := &r.slots[idx]
 		if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
 			batch = append(batch, takenSlot[O, R]{s, int32(idx)})
-			ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
+			if ring != nil && i.sampled(s.seq) {
+				ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
+			}
 		}
 	}
 	if len(batch) == 0 {
-		if o != nil {
-			o.CombineEnd(int(r.id), 0, 0, time.Since(began))
-		}
-		ring.Record(trace.KCombineEnd, int(r.id), 0, 0)
+		i.endRound(r, t0, 0, ring)
 		return
 	}
 	r.counters.combines.Add(1)
@@ -57,15 +54,20 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 	// One clock read stamps the reservation and the fills: it is taken
 	// AFTER reserveConsuming returns, so a slow reservation (log full,
 	// helping) still shows as a long pickup→reserve phase.
-	t1 := ring.Now()
-	ring.RecordAt(t1, trace.KLogReserve, int(r.id), start, uint64(len(batch)))
+	var t1 int64
+	if ring != nil {
+		t1 = trace.Now()
+		ring.RecordAt(t1, trace.KLogReserve, int(r.id), start, uint64(len(batch)))
+	}
 	for k, t := range batch {
 		// The slot is read before Fill publishes the entry: from then on a
 		// replayer that overtakes this round may answer the slot by tag, and
 		// its owner may already be writing its next op into it.
-		tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
-		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, node: r.id, slot: t.slot, seq: t.s.seq})
-		ring.RecordAt(t1, trace.KLogFill, int(r.id), tok, start+uint64(k))
+		seq := t.s.seq
+		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, node: r.id, slot: t.slot, seq: seq})
+		if ring != nil && i.sampled(seq) {
+			ring.RecordAt(t1, trace.KLogFill, int(r.id), trace.TokenWithLog(c, int(r.id), int(t.slot), seq), start+uint64(k))
+		}
 	}
 	end := start + uint64(len(batch))
 
@@ -97,15 +99,20 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		i.logs[c].AdvanceCompleted(end)
 		for k, t := range batch {
 			tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
+			sampled := ring != nil && i.sampled(t.s.seq)
 			// KExecute is stamped before the op runs and KRespond after
 			// delivery, so the execute→respond gap is the op's real duration.
-			ring.Record(trace.KExecute, int(r.id), tok, start+uint64(k))
+			if sampled {
+				ring.Record(trace.KExecute, int(r.id), tok, start+uint64(k))
+			}
 			t.s.resp, t.s.err = i.safeExecute(r, c, t.s.op, start+uint64(k))
 			if t.s.err != nil {
 				ring.Record(trace.KPanic, int(r.id), start+uint64(k), tok)
 			}
 			t.s.state.Store(slotDone)
-			ring.Record(trace.KRespond, int(r.id), tok, start+uint64(k))
+			if sampled {
+				ring.Record(trace.KRespond, int(r.id), tok, start+uint64(k))
+			}
 		}
 	} else {
 		// A helper replayed past our batch start while we were appending;
@@ -119,10 +126,22 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		i.logs[c].AdvanceCompleted(end)
 	}
 	lg.rw.Unlock()
-	if o != nil {
-		o.CombineEnd(int(r.id), len(batch), len(batch), time.Since(began))
+	i.endRound(r, t0, len(batch), ring)
+}
+
+// endRound closes a combining round that began at t0 and served n ops: one
+// clock read stamps the recorder's combine-end and ends the observer's round
+// duration, and none is taken when neither is attached.
+func (i *Instance[O, R]) endRound(r *replica[O, R], t0 int64, n int, ring *trace.Ring) {
+	o := i.observer
+	if o == nil && ring == nil {
+		return
 	}
-	ring.Record(trace.KCombineEnd, int(r.id), uint64(len(batch)), uint64(len(batch)))
+	now := trace.Now()
+	if o != nil {
+		o.CombineEnd(int(r.id), n, n, time.Duration(now-t0))
+	}
+	ring.RecordAt(now, trace.KCombineEnd, int(r.id), uint64(n), uint64(n))
 }
 
 // reserveConsuming reserves n entries of log c on behalf of r. When the

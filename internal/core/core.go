@@ -126,7 +126,10 @@ type Options struct {
 
 	// Observer, when non-nil, receives protocol events (combine rounds,
 	// reader refreshes, helping, log-tail contention, writer waits, stalls,
-	// contained panics, per-op latency). Hooks fire from hot paths: the
+	// contained panics, per-op latency). Round and rare events fire for
+	// every occurrence; OpDone fires for sampled ops only (trace.Sampled,
+	// plus pprof-labelled and cross-class ops), so its counts are a sample
+	// and Stats carries the exact ones. Hooks fire from hot paths: the
 	// observer must be concurrency-safe and non-blocking. A nil Observer
 	// costs one branch per event site.
 	Observer obs.Observer
@@ -135,7 +138,8 @@ type Options struct {
 	// background goroutine gets a per-thread ring and records causal
 	// protocol milestones (slot publish, combiner pickup, log fill, replay,
 	// respond, ...) tagged with an operation token, so individual op
-	// lifecycles can be reconstructed after the fact. This is a separate
+	// lifecycles can be reconstructed after the fact — for the sampled ops
+	// (the same ones OpDone reports); round and rare events for all. This is a separate
 	// seam from Observer on purpose: observer hooks carry aggregates with
 	// no op identity, while trace events carry the (log, node, slot, seq)
 	// token the reconstruction joins on. A nil Trace costs one nil check
@@ -621,10 +625,10 @@ type Handle[O, R any] struct {
 	// read waits out, preallocated so the cross read path does not allocate
 	// (nil on single-log instances).
 	crossTails []uint64
-	// tsHint is the recorder-clock timestamp of the current op's start when
-	// TryExecute already read the clock for the metrics observer, else 0.
-	// Trace sites at the top of the op (tail-read, slot-publish) reuse it
-	// instead of paying a second clock read. Single-goroutine, like seq.
+	// tsHint is the trace.Now reading of the current op's start when the op
+	// is sampled and instrumented, else 0. The submitter's trace sites at
+	// the top of the op (tail-read, rlock, slot-publish) stamp with it and
+	// record nothing when it is 0. Single-goroutine, like seq.
 	tsHint int64
 	// broken is set when this handle's combining slot can no longer be
 	// trusted (PostAndAbandon left an op in it that nobody will collect);

@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/asplos17/nr/internal/rwlock"
 	"github.com/asplos17/nr/internal/trace"
 )
 
@@ -292,7 +291,7 @@ func (i *Instance[O, R]) health() Health {
 		i.poisonMu.Unlock()
 	}
 	if th := i.opts.StallThreshold; th > 0 {
-		now := rwlock.StampNow()
+		now := trace.Now()
 		for n, r := range i.replicas {
 			if r.crossApply.HeldFor(now) > th {
 				h.StalledNodes = append(h.StalledNodes, n)
@@ -336,7 +335,7 @@ func (i *Instance[O, R]) watchdog() {
 			return
 		case <-tick.C:
 		}
-		now := rwlock.StampNow()
+		now := trace.Now()
 		stalled := false
 		for n, r := range i.replicas {
 			for c := 0; c <= m; c++ {

@@ -20,7 +20,7 @@ package core
 
 import (
 	"github.com/asplos17/nr/internal/obs"
-	"github.com/asplos17/nr/internal/rwlock"
+	"github.com/asplos17/nr/internal/trace"
 )
 
 // LogGauges is a live snapshot of one shared log's position counters.
@@ -81,6 +81,13 @@ type ReplicaGauges struct {
 	// counter measures how often the replica's serialization point was
 	// taken (the batch-aware replay regression test pins it).
 	WriterAcquires uint64 `json:"writer_acquires"`
+	// ReadOps and UpdateOps count the operations this node's handles
+	// executed, by class: the node's share of Stats.ReadOps and
+	// Stats.UpdateOps. They are exact, where the observer's per-node latency
+	// histograms hold one op in trace.SampleEvery, so per-node rates come
+	// from them.
+	ReadOps   uint64 `json:"read_ops"`
+	UpdateOps uint64 `json:"update_ops"`
 	// Logs is the per-conflict-class breakdown (len = number of logs).
 	Logs []ReplicaLogGauges `json:"logs,omitempty"`
 }
@@ -185,7 +192,7 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 	}
 	m.Log = agg
 
-	now := rwlock.StampNow()
+	now := trace.Now()
 	if cap(m.Replicas) < len(i.replicas) {
 		grown := make([]ReplicaGauges, len(i.replicas))
 		copy(grown, m.Replicas)
@@ -234,6 +241,8 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 		g.CombinerHeldNs = heldMax
 		g.ReaderAcquires = racq
 		g.WriterAcquires = wacq
+		g.ReadOps = r.counters.readOps.Load()
+		g.UpdateOps = r.counters.updateOps.Load()
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/topology"
+	"github.com/asplos17/nr/internal/trace"
 )
 
 // recordingObserver tallies every hook event so tests can reconcile the
@@ -61,11 +62,29 @@ func (r *recordingObserver) OpDone(node int, class obs.OpClass, elapsed time.Dur
 	}
 }
 
+// sampledOps counts the sampled ops among a handle's first n, by class:
+// op k (0-based) has seq k+1 and is a read when read(k). The total is
+// ⌈n/trace.SampleEvery⌉.
+func sampledOps(n int, read func(k int) bool) (reads, updates uint64) {
+	for k := 0; k < n; k++ {
+		if !trace.Sampled(uint32(k + 1)) {
+			continue
+		}
+		if read(k) {
+			reads++
+		} else {
+			updates++
+		}
+	}
+	return reads, updates
+}
+
 // TestObserverReconcilesWithStats runs a concurrent mixed workload with a
 // recording observer attached and checks that the event stream and the
-// instance's Stats counters tell the same story. The counter structure has
-// no FakeUpdater, so OpRead events must equal ReadOps exactly and OpUpdate
-// events UpdateOps.
+// instance's Stats counters tell the same story: round and rare events
+// match their counters exactly, and OpDone fires for exactly the sampled
+// ops of each class (the counter structure has no FakeUpdater, so every op
+// keeps its class).
 func TestObserverReconcilesWithStats(t *testing.T) {
 	rec := &recordingObserver{}
 	inst := newCounterInstance(t, Options{
@@ -74,6 +93,7 @@ func TestObserverReconcilesWithStats(t *testing.T) {
 		Observer:   rec,
 	})
 	const goroutines, per = 8, 400
+	isRead := func(k int) bool { return k%3 == 0 }
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		h, err := inst.Register()
@@ -84,7 +104,7 @@ func TestObserverReconcilesWithStats(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for k := 0; k < per; k++ {
-				if k%4 == 0 {
+				if isRead(k) {
 					h.Execute(ctrRead)
 				} else {
 					h.Execute(ctrInc)
@@ -95,14 +115,18 @@ func TestObserverReconcilesWithStats(t *testing.T) {
 	wg.Wait()
 	s := inst.Stats()
 
-	if got := rec.opDone[obs.OpRead].Load(); got != s.ReadOps {
-		t.Errorf("OpDone(read) events = %d, Stats.ReadOps = %d", got, s.ReadOps)
+	reads, updates := sampledOps(per, isRead)
+	if got, want := rec.opDone[obs.OpRead].Load(), goroutines*reads; got != want {
+		t.Errorf("OpDone(read) events = %d, want %d sampled reads", got, want)
 	}
-	if got := rec.opDone[obs.OpUpdate].Load(); got != s.UpdateOps {
-		t.Errorf("OpDone(update) events = %d, Stats.UpdateOps = %d", got, s.UpdateOps)
+	if got, want := rec.opDone[obs.OpUpdate].Load(), goroutines*updates; got != want {
+		t.Errorf("OpDone(update) events = %d, want %d sampled updates", got, want)
 	}
-	if want := uint64(goroutines * per); rec.opDone[obs.OpRead].Load()+rec.opDone[obs.OpUpdate].Load() != want {
-		t.Errorf("total OpDone events != %d ops executed", want)
+	if perHandle := uint64((per + trace.SampleEvery - 1) / trace.SampleEvery); reads+updates != perHandle {
+		t.Errorf("sampled ops per handle = %d, want ⌈%d/%d⌉ = %d", reads+updates, per, trace.SampleEvery, perHandle)
+	}
+	if s.ReadOps+s.UpdateOps != goroutines*per {
+		t.Errorf("Stats.ReadOps+UpdateOps = %d, want %d ops executed", s.ReadOps+s.UpdateOps, goroutines*per)
 	}
 	if got := rec.combineRounds.Load(); got != s.Combines {
 		t.Errorf("non-empty CombineEnd events = %d, Stats.Combines = %d", got, s.Combines)
@@ -163,7 +187,8 @@ func (p *panicky) IsReadOnly(op ctrOp) bool { return op == ctrRead }
 
 // TestMetricsSnapshotReconciles attaches the built-in obs.Metrics observer
 // and checks its snapshot and the unified Metrics() snapshot against the
-// Stats counters and the log's position invariants.
+// Stats counters and the log's position invariants: the batch distribution
+// counts every round, the latency histograms exactly the sampled ops.
 func TestMetricsSnapshotReconciles(t *testing.T) {
 	mo := obs.NewMetrics(2)
 	inst := newCounterInstance(t, Options{
@@ -172,6 +197,7 @@ func TestMetricsSnapshotReconciles(t *testing.T) {
 		Observer:   mo,
 	})
 	const goroutines, per = 4, 300
+	isRead := func(k int) bool { return k%3 == 0 }
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		h, err := inst.Register()
@@ -182,7 +208,7 @@ func TestMetricsSnapshotReconciles(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < per; k++ {
-				if k%3 == 0 {
+				if isRead(k) {
 					h.Execute(ctrRead)
 				} else {
 					h.Execute(ctrInc)
@@ -197,11 +223,15 @@ func TestMetricsSnapshotReconciles(t *testing.T) {
 		t.Error("core filled Metrics().Observed; the nr layer owns the observer and fills it")
 	}
 	o := mo.Snapshot()
-	if o.Read.Count != m.Stats.ReadOps {
-		t.Errorf("observed read latency count = %d, Stats.ReadOps = %d", o.Read.Count, m.Stats.ReadOps)
+	reads, updates := sampledOps(per, isRead)
+	if o.Read.Count != goroutines*reads {
+		t.Errorf("observed read latency count = %d, want %d sampled reads", o.Read.Count, goroutines*reads)
 	}
-	if o.Update.Count != m.Stats.UpdateOps {
-		t.Errorf("observed update latency count = %d, Stats.UpdateOps = %d", o.Update.Count, m.Stats.UpdateOps)
+	if o.Update.Count != goroutines*updates {
+		t.Errorf("observed update latency count = %d, want %d sampled updates", o.Update.Count, goroutines*updates)
+	}
+	if m.Stats.ReadOps != goroutines*per/3 || m.Stats.UpdateOps != goroutines*per*2/3 {
+		t.Errorf("Stats = %d reads / %d updates, want %d / %d", m.Stats.ReadOps, m.Stats.UpdateOps, goroutines*per/3, goroutines*per*2/3)
 	}
 	if o.Batch.Count != m.Stats.Combines {
 		t.Errorf("batch dist count = %d, Stats.Combines = %d", o.Batch.Count, m.Stats.Combines)

@@ -40,67 +40,74 @@ func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 		return zero, err
 	}
 	h.seq++
-	// Every ProfileSampleRate-th op per handle dispatches under pprof labels.
-	rate := i.profRate
-	labeled := rate > 0 && h.seq%rate == 0
+	c := i.opClass(op)
 	o := i.observer
-	if o == nil && h.ring == nil && !labeled {
-		resp, _, err := i.dispatch(h, op)
+	if o == nil && h.ring == nil {
+		resp, _, err := i.dispatch(h, c, op)
 		return resp, err
 	}
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-		h.tsHint = h.ring.At(start)
-	} else {
+	if c != CrossLog && !i.sampled(h.seq) {
+		// Unsampled: no clock read, no per-op trace event, no OpDone.
 		h.tsHint = 0
+		resp, _, err := i.dispatch(h, c, op)
+		return resp, err
 	}
+	// Sampled: one clock read stamps the op's start for the observer and
+	// for the trace sites at the top of the op (tail-read, slot-publish),
+	// one its end for both.
+	start := trace.Now()
+	h.tsHint = start
 	var (
 		resp  R
 		class obs.OpClass
 		err   error
 	)
-	if labeled {
-		resp, class, err = i.dispatchLabeled(h, op)
+	// Every ProfileSampleRate-th op per handle dispatches under pprof labels.
+	if rate := i.profRate; rate > 0 && h.seq%rate == 0 {
+		resp, class, err = i.dispatchLabeled(h, c, op)
 	} else {
-		resp, class, err = i.dispatch(h, op)
+		resp, class, err = i.dispatch(h, c, op)
 	}
+	end := trace.Now()
 	if o != nil {
-		elapsed := time.Since(start)
-		o.OpDone(h.node, class, elapsed)
-		// The op-end timestamp is derived from the observer's clock reads —
-		// the recorder adds no clock read of its own on this path.
-		h.ring.RecordAt(h.tsHint+int64(elapsed), trace.KOpEnd, h.node, h.token(), uint64(class))
-	} else {
-		h.ring.Record(trace.KOpEnd, h.node, h.token(), uint64(class))
+		o.OpDone(h.node, class, time.Duration(end-start))
 	}
+	h.ring.RecordAt(end, trace.KOpEnd, h.node, h.token(), uint64(class))
 	return resp, err
+}
+
+// sampled is the predicate every per-op instrumentation site applies to an
+// op's per-handle sequence number: trace.Sampled, or a pprof-labelled op
+// (every ProfileSampleRate-th), whose profile samples then have a span to
+// join. Cross-class ops are sampled too; their sites know them by class or
+// entry kind.
+func (i *Instance[O, R]) sampled(seq uint32) bool {
+	return trace.Sampled(seq) || i.profRate > 0 && seq%i.profRate == 0
 }
 
 // dispatchLabeled is dispatch under runtime/pprof labels (nr_node, nr_op), so
 // CPU profiles attribute time to op class and node. Label attachment
 // allocates, which is why TryExecute samples it.
-func (i *Instance[O, R]) dispatchLabeled(h *Handle[O, R], op O) (resp R, class obs.OpClass, err error) {
+func (i *Instance[O, R]) dispatchLabeled(h *Handle[O, R], c int, op O) (resp R, class obs.OpClass, err error) {
 	cls := 1
 	if i.replicas[h.node].ds.IsReadOnly(op) {
 		cls = 0
 	}
 	pprof.Do(context.Background(), i.profLabels[h.node][cls], func(context.Context) {
-		resp, class, err = i.dispatch(h, op)
+		resp, class, err = i.dispatch(h, c, op)
 	})
 	return resp, class, err
 }
 
-// dispatch routes op to the read or update path of its conflict class and
+// dispatch routes op to the read or update path of its conflict class c and
 // reports which class served it: ops a FakeUpdater resolved without logging
 // count as reads, matching the Stats.ReadOps accounting. Each op is counted
 // exactly once, in the class that actually served it — a fake update that
 // fails its read-path attempt counts only as an update, so
-// ReadOps+UpdateOps always equals the number of ops executed and agrees
-// with the per-class latency histograms the metrics observer keeps.
-func (i *Instance[O, R]) dispatch(h *Handle[O, R], op O) (R, obs.OpClass, error) {
+// ReadOps+UpdateOps always equals the number of ops executed, and a sampled
+// op's OpDone carries the same class.
+func (i *Instance[O, R]) dispatch(h *Handle[O, R], c int, op O) (R, obs.OpClass, error) {
 	r := i.replicas[h.node]
-	c := i.opClass(op)
 	if c == CrossLog {
 		h.cls = 0 // cross ops tokenize on log 0, where their entry lives
 	} else {
@@ -166,7 +173,9 @@ func (h *Handle[O, R]) PostAndAbandon(op O) {
 	s.op = op
 	s.seq = h.seq
 	s.class.Store(int32(c))
-	h.ring.Record(trace.KSlotPublish, h.node, h.token(), 0)
+	if i.sampled(h.seq) {
+		h.ring.Record(trace.KSlotPublish, h.node, h.token(), 0)
+	}
 	s.state.Store(slotPosted)
 }
 
@@ -183,11 +192,9 @@ func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
 	s.op = op
 	s.seq = h.seq
 	s.class.Store(int32(c))
-	tp := h.tsHint
-	if tp == 0 {
-		tp = h.ring.Now()
+	if h.tsHint != 0 { // sampled (TryExecute)
+		h.ring.RecordAt(h.tsHint, trace.KSlotPublish, h.node, h.token(), 0)
 	}
-	h.ring.RecordAt(tp, trace.KSlotPublish, h.node, h.token(), 0)
 	s.state.Store(slotPosted)
 	for {
 		if s.state.Load() == slotDone {

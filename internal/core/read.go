@@ -62,24 +62,24 @@ func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c in
 func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O, fake bool) (R, bool, error) {
 	r := i.replicas[h.node]
 	lg := &r.logs[c]
-	tok := h.token()
 	readTail := i.logs[c].Completed()
+	// t0 is the op's start when it is sampled (TryExecute), else 0: an
+	// unsampled read records nothing and takes the plain RLock.
 	t0 := h.tsHint
-	if t0 == 0 {
-		t0 = h.ring.Now()
+	if t0 != 0 {
+		h.ring.RecordAt(t0, trace.KTailRead, h.node, h.token(), readTail)
 	}
-	h.ring.RecordAt(t0, trace.KTailRead, h.node, tok, readTail)
 	waited := i.waitReplicaTail(h, r, c, readTail)
-	if h.ring != nil {
+	if t0 != 0 && h.ring != nil {
 		spins := lg.rw.RLockObserved(h.slot)
 		// Uncontended reads acquired the lock nanoseconds after t0: reuse
 		// the clock read. Only a read that actually waited (for the tail or
 		// for the lock) pays a second one for a faithful rlock timestamp.
 		t1 := t0
 		if waited || spins > 0 {
-			t1 = h.ring.Now()
+			t1 = trace.Now()
 		}
-		h.ring.RecordAt(t1, trace.KRLock, h.node, tok, uint64(spins))
+		h.ring.RecordAt(t1, trace.KRLock, h.node, h.token(), uint64(spins))
 	} else {
 		lg.rw.RLock(h.slot)
 	}

@@ -19,24 +19,30 @@ func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry
 // response slot, and records a contained panic either way.
 //
 // Per-entry trace events are recorded only for the replay that DELIVERS a
-// response (plus any contained panic): replays happen (replicas-1) extra
-// times per op, always under a replica's write-side lock, so recording each
-// would multiply the serialized cost of every update by the node count. Bulk
-// replay remains visible through the aggregate events (KReaderRefresh,
-// KHelp, KCombineEnd).
+// response, and only for a sampled op (a cross-class op always is), plus any
+// contained panic: replays happen (replicas-1) extra times per op, always
+// under a replica's write-side lock, so recording each would multiply the
+// serialized cost of every update by the node count. Bulk replay remains
+// visible through the aggregate events (KReaderRefresh, KHelp,
+// KCombineEnd).
 //
 //nr:hotpath-noio
 func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O], res R, err error, ring *trace.Ring) {
 	if e.slot >= 0 && e.node == r.id {
 		tok := trace.TokenWithLog(c, int(e.node), int(e.slot), e.seq)
-		ring.Record(trace.KReplay, int(r.id), idx, tok)
+		sampled := ring != nil && (e.kind == entryCross || i.sampled(e.seq))
+		if sampled {
+			ring.Record(trace.KReplay, int(r.id), idx, tok)
+		}
 		if err != nil {
 			ring.Record(trace.KPanic, int(r.id), idx, tok)
 		}
 		s := &r.slots[e.slot]
 		s.resp, s.err = res, err
 		s.state.Store(slotDone)
-		ring.Record(trace.KRespond, int(r.id), tok, idx)
+		if sampled {
+			ring.Record(trace.KRespond, int(r.id), tok, idx)
+		}
 	} else if err != nil {
 		ring.Record(trace.KPanic, int(r.id), idx, 0)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +34,8 @@ func indexOf(names []string, name string) int {
 // TestTraceEndToEndSpans is the acceptance e2e: run real update and read
 // ops through an instance with the flight recorder attached, then
 // reconstruct complete span chains from the snapshot and check milestone
-// ordering and node attribution.
+// ordering and node attribution. Of 32 ops — 16 updates, then 16 reads —
+// exactly the sampled two (seq 1, an update; seq 17, a read) have spans.
 func TestTraceEndToEndSpans(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 1024})
 	opts := smallTopo()
@@ -43,27 +45,33 @@ func TestTraceEndToEndSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		h.Execute(ctrInc)
-		h.Execute(ctrRead)
+	for i := 0; i < 2*trace.SampleEvery; i++ {
+		if i < trace.SampleEvery {
+			h.Execute(ctrInc)
+		} else {
+			h.Execute(ctrRead)
+		}
 	}
 
 	spans := trace.Reconstruct(inst.TraceSnapshot())
+	if len(spans) != 2 {
+		t.Fatalf("spans = %d, want the 2 sampled ops of 32", len(spans))
+	}
 	var update, read *trace.OpSpan
 	for i := range spans {
 		sp := &spans[i]
 		if !sp.Complete {
-			continue
+			t.Fatalf("sampled span incomplete: %+v", *sp)
 		}
-		if sp.Class == "update" && update == nil {
+		if sp.Class == "update" && sp.Seq == 1 {
 			update = sp
 		}
-		if sp.Class == "read" && read == nil {
+		if sp.Class == "read" && sp.Seq == trace.SampleEvery+1 {
 			read = sp
 		}
 	}
 	if update == nil || read == nil {
-		t.Fatalf("missing complete spans (update=%v read=%v) in %d spans", update != nil, read != nil, len(spans))
+		t.Fatalf("missing complete spans (update seq 1 = %v, read seq 17 = %v) in %+v", update != nil, read != nil, spans)
 	}
 
 	// Node attribution: both spans must carry the registering handle's node.
@@ -89,8 +97,8 @@ func TestTraceEndToEndSpans(t *testing.T) {
 	if update.StartNs > update.EndNs {
 		t.Errorf("update span window inverted: [%d, %d]", update.StartNs, update.EndNs)
 	}
-	if update.LogIndex == 0 && update.Seq > 1 {
-		t.Errorf("update span has no log index: %+v", update)
+	if update.LogIndex != 0 {
+		t.Errorf("first update's span log index = %d, want 0: %+v", update.LogIndex, update)
 	}
 
 	// Read chain: tail-read → rlock → op-end.
@@ -110,7 +118,8 @@ func TestTraceEndToEndSpans(t *testing.T) {
 
 // TestTraceSpansAcrossNodes checks attribution when two nodes submit: each
 // node's spans carry that node's id, and log indexes over all update spans
-// are distinct (each op has exactly one log position).
+// are distinct (each op has exactly one log position). Each handle runs 40
+// ops, of which ⌈40/16⌉ = 3 are sampled.
 func TestTraceSpansAcrossNodes(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 1024})
 	opts := Options{Topology: topology.New(2, 2, 1), LogEntries: 256, Trace: rec}
@@ -123,13 +132,15 @@ func TestTraceSpansAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	const per = 40
+	for i := 0; i < per; i++ {
 		h0.Execute(ctrInc)
 		h1.Execute(ctrInc)
 	}
 	seenIdx := map[uint64]uint64{} // log index -> token
 	for _, sp := range trace.Reconstruct(inst.TraceSnapshot()) {
 		if sp.Class != "update" || !sp.Complete {
+			t.Errorf("span is not a complete update: %+v", sp)
 			continue
 		}
 		if sp.Node != 0 && sp.Node != 1 {
@@ -140,8 +151,8 @@ func TestTraceSpansAcrossNodes(t *testing.T) {
 		}
 		seenIdx[sp.LogIndex] = sp.Token
 	}
-	if len(seenIdx) != 6 {
-		t.Errorf("distinct update log indexes = %d, want 6", len(seenIdx))
+	if want := 2 * (per + trace.SampleEvery - 1) / trace.SampleEvery; len(seenIdx) != want {
+		t.Errorf("distinct update log indexes = %d, want %d (the sampled ops of both handles)", len(seenIdx), want)
 	}
 }
 
@@ -192,7 +203,9 @@ func TestTwoPostedOpsShareOneReservation(t *testing.T) {
 }
 
 // TestTraceHotPathDoesNotAllocate pins the recorder-attached hot path at
-// zero allocations per op, for both classes.
+// zero allocations per op, for both classes. Each measured call runs 32 ops
+// (two sampling periods), so sampled and unsampled ops both run in every
+// call and an allocation on either branch shows.
 func TestTraceHotPathDoesNotAllocate(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 1024})
 	opts := smallTopo()
@@ -203,17 +216,25 @@ func TestTraceHotPathDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Execute(ctrInc) // warm up (first combine primes scratch reuse)
-	if n := testing.AllocsPerRun(200, func() { h.Execute(ctrRead) }); n != 0 {
-		t.Errorf("traced read allocates %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { h.Execute(ctrInc) }); n != 0 {
-		t.Errorf("traced update allocates %v per op, want 0", n)
+	const perCall = 2 * trace.SampleEvery
+	for _, tc := range []struct {
+		class string
+		op    ctrOp
+	}{{"read", ctrRead}, {"update", ctrInc}} {
+		if n := testing.AllocsPerRun(50, func() {
+			for range perCall {
+				h.Execute(tc.op)
+			}
+		}); n != 0 {
+			t.Errorf("traced %s allocates %v per %d ops, want 0", tc.class, n, perCall)
+		}
 	}
 }
 
 // TestTraceProfileLabelsSampled exercises the pprof-labeled sampling path:
 // every rate-th op dispatches through dispatchLabeled and must still return
-// correct results and record its span end.
+// correct results and record its span end. Labelled ops are always traced,
+// beside the trace.Sampled ones, so exactly those have (complete) spans.
 func TestTraceProfileLabelsSampled(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 256, ProfileSampleRate: 2})
 	opts := smallTopo()
@@ -228,14 +249,21 @@ func TestTraceProfileLabelsSampled(t *testing.T) {
 			t.Fatalf("inc #%d through sampled path = %d", i, got)
 		}
 	}
-	var completes int
-	for _, sp := range trace.Reconstruct(inst.TraceSnapshot()) {
-		if sp.Complete {
-			completes++
+	var want []uint32 // seqs 1 (trace.Sampled) and 2, 4, ..., 10 (labelled)
+	for seq := uint32(1); seq <= 10; seq++ {
+		if trace.Sampled(seq) || seq%2 == 0 {
+			want = append(want, seq)
 		}
 	}
-	if completes != 10 {
-		t.Errorf("complete spans = %d, want 10 (sampled ops must still close)", completes)
+	var got []uint32
+	for _, sp := range trace.Reconstruct(inst.TraceSnapshot()) {
+		if !sp.Complete {
+			t.Errorf("incomplete span %+v (labelled ops must still close)", sp)
+		}
+		got = append(got, sp.Seq)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("span seqs = %v, want %v (the trace.Sampled and the labelled ops)", got, want)
 	}
 }
 

@@ -50,17 +50,20 @@ func bucketLow(idx int) uint64 {
 	return (1 << exp) + frac<<(exp-2)
 }
 
-// Record adds one value.
+// Record adds one value. The max is raised before the value is counted,
+// and Cum.Add reads the counts before the max, so a capture that counts
+// the value also sees a max at least as large: no percentile of a capture
+// exceeds its Max, however few values it holds.
 func (h *Histogram) Record(v uint64) {
-	h.counts[bucketOf(v)].Add(1)
-	h.total.Add(1)
-	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
+			break
 		}
 	}
+	h.counts[bucketOf(v)].Add(1)
+	h.total.Add(1)
+	h.sum.Add(v)
 }
 
 // NumBuckets is the number of buckets a Histogram (and a Cum) carries,

@@ -91,9 +91,12 @@ func TestConcurrentRecord(t *testing.T) {
 			}
 		}(g)
 	}
-	// Captures race with recording, as the telemetry collector's do.
+	// Captures race with recording, as the telemetry collector's do; none
+	// may put a percentile above its own max.
 	for i := 0; i < 100; i++ {
-		capture(&h)
+		if c := capture(&h); percentile(c, 100) > c.Max {
+			t.Fatalf("capture %d: p100 %d above max %d", i, percentile(c, 100), c.Max)
+		}
 	}
 	wg.Wait()
 	if c := capture(&h); c.Total != 80000 {

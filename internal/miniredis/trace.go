@@ -6,7 +6,9 @@
 // as a separate log: GET returns the top-K slowest operations currently
 // reconstructable from the rings (one formatted line per op, with the
 // phase breakdown), RESET hides everything recorded so far, LEN counts the
-// reconstructable ops. The shape mirrors redis's SLOWLOG subcommands; the
+// reconstructable ops. The recorder traces one op in 16 per handle, so
+// SLOWLOG and /debug/trace rank sampled ops; an unsampled slow op shows
+// only through the round and rare events it caused. The shape mirrors redis's SLOWLOG subcommands; the
 // payload is NR's span lines instead of redis's nested entry arrays.
 package miniredis
 

@@ -8,8 +8,8 @@ import (
 )
 
 // Metrics is the built-in Observer: per-node histograms of operation
-// latency (one per op class) and combiner batch size, and counters for every
-// hook event. All recording is lock-free; ReadCum and Snapshot may be called
+// latency (one per op class, over the sampled ops OpDone reports) and
+// combiner batch size (every round), and counters for every hook event. All recording is lock-free; ReadCum and Snapshot may be called
 // concurrently with recording.
 type Metrics struct {
 	nodes []nodeMetrics

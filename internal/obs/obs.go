@@ -22,8 +22,15 @@
 //   - Stall: the watchdog flagged a combiner holding its lock past the
 //     configured threshold (§6's stalled-thread hazard).
 //   - PanicContained: a user Execute panic was contained (failure model).
-//   - OpDone: one operation completed, classified read/update, with its
-//     end-to-end latency as seen by the submitting thread.
+//   - OpDone: one sampled operation completed, classified read/update, with
+//     its end-to-end latency as seen by the submitting thread.
+//
+// Every event but OpDone fires for every occurrence. OpDone fires for one
+// op in trace.SampleEvery per handle (trace.Sampled, plus pprof-labelled
+// and cross-class ops), so the latency histograms and their counts are a
+// sample; core.Stats (ReadOps, UpdateOps) carries the exact op counts.
+// Timing every op would cost two clock reads per op, about a tenth of a
+// node-local read.
 //
 // Every method takes only scalar arguments so that firing an event never
 // allocates; a disabled observer costs the caller a single nil check.
@@ -84,8 +91,10 @@ type Observer interface {
 	// PanicContained fires when a user Execute panic was contained while
 	// applying log index idx on node (idx == ^uint64(0) for the read path).
 	PanicContained(node int, idx uint64)
-	// OpDone fires once per completed operation on the submitting thread's
-	// node, with the end-to-end latency the submitter observed.
+	// OpDone fires once per completed sampled operation (see the package
+	// doc: one op in trace.SampleEvery per handle, not every op) on the
+	// submitting thread's node, with the end-to-end latency the submitter
+	// observed.
 	OpDone(node int, class OpClass, elapsed time.Duration)
 }
 

@@ -135,13 +135,17 @@ func histData(c *histogram.Cum, bounds []float64, unit float64) HistogramData {
 	return d
 }
 
+// opLatencyHelp says what the op-latency histograms hold: the sampled ops
+// only (trace.Sampled), so their _count is no op count.
+const opLatencyHelp = "End-to-end operation latency by class, sampled one op in 16 per handle; counts are nr_read_ops_total / nr_update_ops_total."
+
 // AppendCum folds the telemetry collector's cumulative distribution capture
-// into e: per-class op-latency histograms and the combiner batch-size
-// histogram.
+// into e: per-class op-latency histograms (a sample of the ops) and the
+// combiner batch-size histogram (every round).
 func AppendCum(e *Exposition, c *obs.Cum) {
-	e.Histogram("nr_op_latency_seconds", "End-to-end operation latency by class.",
+	e.Histogram("nr_op_latency_seconds", opLatencyHelp,
 		histData(&c.Latency[obs.OpRead], latencyBounds, 1e9), Label{"class", "read"})
-	e.Histogram("nr_op_latency_seconds", "End-to-end operation latency by class.",
+	e.Histogram("nr_op_latency_seconds", opLatencyHelp,
 		histData(&c.Latency[obs.OpUpdate], latencyBounds, 1e9), Label{"class", "update"})
 	e.Histogram("nr_combiner_batch_size", "Operations per non-empty combining round.",
 		histData(&c.Batch, batchBounds, 1))

@@ -1,5 +1,6 @@
 // SLO tracking on top of the windowed captures: each cadence tick closes a
-// window, and each closed window with traffic is judged against every
+// window, and each closed window with sampled traffic in the class (the
+// latency histograms hold one op in 16 per handle) is judged against every
 // configured objective. Judgments use the window's own bucket deltas — the
 // p99 of the last second, not of the process lifetime — so a breach means
 // "users are hurting now", and recovery shows the moment it happens rather
@@ -41,7 +42,7 @@ type SLOStatus struct {
 	// Breached reports whether the most recent judged window breached.
 	Breached bool `json:"breached"`
 	// BreachedWindows / TotalWindows count judged windows (windows with no
-	// traffic in the class are not judged).
+	// sampled op in the class are not judged).
 	BreachedWindows uint64 `json:"breached_windows"`
 	TotalWindows    uint64 `json:"total_windows"`
 	// BudgetBurn is breach-fraction over budget: 1.0 means the budget is
@@ -86,7 +87,7 @@ func (c *Collector) checkSLOLocked(prev, cur *sample, now time.Time) (BreachEven
 		}
 		ch, ph := &cur.cum.Latency[class], &prev.cum.Latency[class]
 		if histogram.DeltaCount(ch, ph) == 0 {
-			continue // no traffic: nothing to judge
+			continue // no sampled op: nothing to judge
 		}
 		st.total++
 		st.lastP99 = time.Duration(histogram.DeltaPercentile(ch, ph, 99))

@@ -36,6 +36,11 @@ type ReplicaGauge struct {
 	CompletedLag uint64 `json:"completed_lag"`
 	// ReaderAcquires is the replica lock's cumulative read acquisitions.
 	ReaderAcquires uint64 `json:"reader_acquires"`
+	// ReadOps and UpdateOps are the node's cumulative op counts by class
+	// (core.ReplicaGauges.ReadOps / UpdateOps): exact, where the observer's
+	// per-node latency histograms hold a sample of the ops.
+	ReadOps   uint64 `json:"read_ops"`
+	UpdateOps uint64 `json:"update_ops"`
 }
 
 // Gauges is the flat cumulative capture the Source closure fills on every

@@ -175,27 +175,39 @@ func TestWindowBatchDistribution(t *testing.T) {
 	}
 }
 
-// TestNodeWindowFromReplicaGauges: a node's lag and read-lock acquisition
-// rate come from the replica gauges the Source samples, matched by node.
+// TestNodeWindowFromReplicaGauges: a node's op rates, lag and read-lock
+// acquisition rate come from the replica gauges the Source samples, matched
+// by node — not from the latency histograms, which hold only the sampled
+// ops.
 func TestNodeWindowFromReplicaGauges(t *testing.T) {
 	clk := newClock()
 	var g Gauges
+	m := obs.NewMetrics(2)
 	c := New(testConfig(clk, Config{
 		Windows:  4,
-		Observed: obs.NewMetrics(2),
+		Observed: m,
 		Source:   func(dst *Gauges) { *dst = g },
 	}))
 	for i := uint64(1); i <= 2; i++ {
 		g.Replicas = []ReplicaGauge{
-			{Node: 0, ReaderAcquires: 500 * i},
+			{Node: 0, ReaderAcquires: 500 * i, ReadOps: 480 * i, UpdateOps: 32 * i},
 			{Node: 1, ReaderAcquires: 30 * i, CompletedLag: 7},
 		}
+		// One op in 16 of node 0's reaches the latency histograms.
+		for range 30 {
+			m.OpDone(0, obs.OpRead, time.Microsecond)
+		}
+		m.OpDone(0, obs.OpUpdate, time.Microsecond)
+		m.OpDone(0, obs.OpUpdate, time.Microsecond)
 		clk.step(time.Second)
 		c.Advance()
 	}
 	w, _ := c.Last()
 	if len(w.Nodes) != 2 {
 		t.Fatalf("node windows = %+v, want 2", w.Nodes)
+	}
+	if got := w.Nodes[0]; got.ReadOpsPerSec != 480 || got.UpdateOpsPerSec != 32 {
+		t.Errorf("node 0 op rates = %v read/s %v update/s, want the counters' 480 / 32", got.ReadOpsPerSec, got.UpdateOpsPerSec)
 	}
 	if got := w.Nodes[0].ReaderAcquiresPerSec; got != 500 {
 		t.Errorf("node 0 reader acquires/s = %v, want 500", got)

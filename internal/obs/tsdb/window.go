@@ -132,15 +132,15 @@ func deriveWindow(prev, cur *sample) Window {
 		w.DurableLag = cur.g.DurableLag
 	}
 
-	// Per-node: counter deltas from the observer capture; lag (from the
-	// closing capture) and read-lock acquisitions from the gauges.
+	// Per-node: round and refresh counters from the observer capture; op
+	// rates, read-lock acquisitions and lag (from the closing capture) from
+	// the replica gauges — the latency histograms hold only sampled ops, so
+	// their counts are no op rate.
 	for i := range cur.cum.Nodes {
 		cn := &cur.cum.Nodes[i]
 		nw := NodeWindow{Node: i}
 		if i < len(prev.cum.Nodes) {
 			pn := &prev.cum.Nodes[i]
-			nw.ReadOpsPerSec = rate(cn.Latency[obs.OpRead].Total, pn.Latency[obs.OpRead].Total, secs)
-			nw.UpdateOpsPerSec = rate(cn.Latency[obs.OpUpdate].Total, pn.Latency[obs.OpUpdate].Total, secs)
 			nw.CombinesPerSec = rate(cn.CombineRounds, pn.CombineRounds, secs)
 			nw.ReaderRefreshPerSec = rate(cn.ReaderRefreshes, pn.ReaderRefreshes, secs)
 			if wall := secs * 1e9; wall > 0 && cn.CombineNanos >= pn.CombineNanos {
@@ -150,6 +150,8 @@ func deriveWindow(prev, cur *sample) Window {
 		if rg := cur.g.replica(i); rg != nil {
 			nw.CompletedLag = rg.CompletedLag
 			if pg := prev.g.replica(i); pg != nil {
+				nw.ReadOpsPerSec = rate(rg.ReadOps, pg.ReadOps, secs)
+				nw.UpdateOpsPerSec = rate(rg.UpdateOps, pg.UpdateOps, secs)
 				nw.ReaderAcquiresPerSec = rate(rg.ReaderAcquires, pg.ReaderAcquires, secs)
 			}
 		}

@@ -37,7 +37,9 @@
 // Events carry an operation token — Token(node, slot, seq) — that ties
 // together the submitting thread's events (publish, op-end) with the
 // combiner's (pickup, fill, execute, respond) and any replayer's (replay),
-// no matter which goroutine emitted them. Reconstruct groups a snapshot
+// no matter which goroutine emitted them. Per-op milestones are recorded
+// for sampled ops only (Sampled: one in SampleEvery per handle); round and
+// rare events for all. Reconstruct groups a snapshot
 // back into per-operation spans; WriteChromeTrace renders them as Chrome
 // trace-event JSON loadable in Perfetto (chrome.go), and WriteSlowReport
 // renders a compact top-K-slowest-ops text report (report.go).
@@ -176,9 +178,33 @@ func TokenParts(tok uint64) (node, slot int, seq uint32) {
 // plain Token values).
 func TokenLog(tok uint64) int { return int(tok >> 58) }
 
+// SampleEvery is the per-handle sampling period of per-op instrumentation:
+// one op in SampleEvery is timed and traced (see Sampled).
+const SampleEvery = 16
+
+// Sampled reports whether the op with per-handle sequence number seq (the
+// token's seq) is a sampled one: seq ≡ 1 (mod SampleEvery), so a handle's
+// first op always is. Every site that records a per-op milestone — the
+// submitter, the combiner and the delivering replayer — applies it to the
+// same seq, so a sampled op's span is complete and an unsampled op leaves
+// no per-op event. Round events (combine-start, log-reserve, combine-end)
+// and rare events (refresh, help, log-full, hole-wait, stall, panic) are
+// recorded for every occurrence.
+func Sampled(seq uint32) bool { return seq%SampleEvery == 1 }
+
+// epoch anchors Now; set a nanosecond back so that no reading is 0.
+var epoch = time.Now().Add(-1)
+
+// Now is the one clock of NR's instrumentation: monotonic nanoseconds since
+// the package was initialised, always above 0, one monotonic clock read.
+// Trace timestamps, the metrics observer's op and round durations and the
+// combiner locks' acquisition stamps all read it, so one reading can serve
+// all three.
+func Now() int64 { return int64(time.Since(epoch)) }
+
 // Event is one decoded recorder entry.
 type Event struct {
-	// Ts is nanoseconds since the recorder was created.
+	// Ts is the event's Now reading.
 	Ts int64 `json:"ts"`
 	// Kind classifies the event; A and B are interpreted per kind.
 	Kind Kind `json:"kind"`
@@ -228,36 +254,19 @@ func (g *Ring) ID() int {
 	return int(g.id)
 }
 
-// Record appends one event. It is safe on a nil Ring (no-op), never
-// blocks, and never allocates.
+// Record appends one event stamped with Now. It is safe on a nil Ring
+// (no-op), never blocks, and never allocates.
 func (g *Ring) Record(k Kind, node int, a, b uint64) {
 	if g == nil {
 		return
 	}
-	g.RecordAt(g.rec.Now(), k, node, a, b)
+	g.RecordAt(Now(), k, node, a, b)
 }
 
-// Now reads the recorder clock (0 on a nil Ring). Hot paths that record
-// several adjacent events read it once and stamp them via RecordAt, since
-// the clock read is a large share of an event's cost.
-func (g *Ring) Now() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.rec.Now()
-}
-
-// At converts a wall/monotonic instant already in hand (e.g. one the
-// metrics observer paid for) to the recorder clock — pure arithmetic, no
-// clock read. 0 on a nil Ring.
-func (g *Ring) At(t time.Time) int64 {
-	if g == nil {
-		return 0
-	}
-	return int64(t.Sub(g.rec.start))
-}
-
-// RecordAt is Record with a caller-supplied timestamp from (*Ring).Now.
+// RecordAt is Record with a caller-supplied timestamp, a Now reading the
+// caller already holds: hot paths that record several adjacent events, or
+// that read the clock for the metrics observer anyway, read it once and
+// stamp them all, since the clock read is a large share of an event's cost.
 //
 // Write order: payload words, then the sealing meta word (which embeds the
 // absolute position, so every lap seals differently). A reader that loads
@@ -334,8 +343,7 @@ func (c Config) minInterval() time.Duration {
 // rings are handed to each registered handle and to background goroutines
 // (dedicated combiners, the watchdog).
 type Recorder struct {
-	cfg   Config
-	start time.Time
+	cfg Config
 
 	mu    sync.Mutex
 	rings []*Ring
@@ -350,11 +358,8 @@ type Recorder struct {
 
 // New builds a Recorder.
 func New(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg, start: time.Now()}
+	return &Recorder{cfg: cfg}
 }
-
-// Now returns the recorder clock: monotonic nanoseconds since New.
-func (r *Recorder) Now() int64 { return int64(time.Since(r.start)) }
 
 // Config returns the recorder's configuration.
 func (r *Recorder) Config() Config {
@@ -410,10 +415,10 @@ type RingSnapshot struct {
 
 // Snapshot is a point-in-time copy of the recorder's contents.
 type Snapshot struct {
-	// TakenNs is the recorder-clock time the snapshot was taken.
+	// TakenNs is the Now reading at which the snapshot was taken.
 	TakenNs int64 `json:"taken_ns"`
-	// WallStart is the wall-clock instant of recorder clock zero; exporters
-	// use it to stamp dumps. Zero in hand-built fixtures.
+	// WallStart is the wall-clock instant of Now's zero; exporters use it to
+	// stamp dumps. Zero in hand-built fixtures.
 	WallStart time.Time      `json:"wall_start,omitzero"`
 	Rings     []RingSnapshot `json:"rings"`
 }
@@ -444,7 +449,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	copy(rings, r.rings)
 	r.mu.Unlock()
 	cut := r.resetNs.Load()
-	snap := Snapshot{TakenNs: r.Now(), WallStart: r.start}
+	snap := Snapshot{TakenNs: Now(), WallStart: epoch}
 	for _, g := range rings {
 		snap.Rings = append(snap.Rings, g.snapshot(cut))
 	}
@@ -507,7 +512,7 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.resetNs.Store(r.Now())
+	r.resetNs.Store(Now())
 }
 
 // AutoDump persists a snapshot because the protocol detected a failure

@@ -175,8 +175,8 @@ func TestNilRecorderAndRingAreNoOps(t *testing.T) {
 	var g *Ring
 	g.Record(KOpEnd, 0, 1, 2) // must not panic
 	g.RecordAt(5, KOpEnd, 0, 1, 2)
-	if g.Now() != 0 || g.At(time.Now()) != 0 || g.ID() != -1 {
-		t.Fatal("nil ring accessors not zero")
+	if g.ID() != -1 {
+		t.Fatal("nil ring ID not -1")
 	}
 	if rec.ProfileSampleRate() != 0 || rec.Rings() != 0 {
 		t.Fatal("nil recorder accessors not zero")
@@ -186,6 +186,39 @@ func TestNilRecorderAndRingAreNoOps(t *testing.T) {
 	}
 	rec.Reset()           // must not panic
 	rec.AutoDump("stall") // must not panic
+}
+
+// TestSampledPicksOneInSixteen pins the sampling predicate: exactly one
+// seq in every SampleEvery consecutive ones, the first op's (seq 1) among
+// them.
+func TestSampledPicksOneInSixteen(t *testing.T) {
+	if !Sampled(1) {
+		t.Error("a handle's first op (seq 1) is not sampled")
+	}
+	for base := uint32(0); base < 4*SampleEvery; base += SampleEvery {
+		var picked []uint32
+		for seq := base + 1; seq <= base+SampleEvery; seq++ {
+			if Sampled(seq) {
+				picked = append(picked, seq)
+			}
+		}
+		if len(picked) != 1 || picked[0] != base+1 {
+			t.Errorf("Sampled over seqs %d..%d picks %v, want [%d]", base+1, base+SampleEvery, picked, base+1)
+		}
+	}
+}
+
+// TestNowIsMonotoneAndPositive: the one clock never reads 0 (the combiner
+// locks use 0 for "free") and never runs backwards.
+func TestNowIsMonotoneAndPositive(t *testing.T) {
+	prev := Now()
+	for range 1000 {
+		now := Now()
+		if now <= 0 || now < prev {
+			t.Fatalf("Now() = %d after %d", now, prev)
+		}
+		prev = now
+	}
 }
 
 // TestRecordDoesNotAllocate pins the hot path at zero allocations.

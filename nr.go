@@ -169,10 +169,13 @@ func WithStallThreshold(d time.Duration) Option {
 
 // WithObserver attaches an event observer to the instance: it receives
 // combine-round, reader-refresh, helping, log-contention, stall, panic, and
-// per-operation-latency events from inside the protocol. The observer must
-// be concurrency-safe and non-blocking; events carry only scalars, so a
-// hook never allocates. Repeated WithObserver (and WithMetrics) compose:
-// every observer receives every event.
+// per-operation-latency events from inside the protocol. Every event fires
+// for every occurrence except OpDone, which fires for the sampled ops only:
+// one op in 16 per handle (plus pprof-labelled and cross-class ops), custom
+// observers included — Stats.ReadOps and Stats.UpdateOps are the exact op
+// counts. The observer must be concurrency-safe and non-blocking; events
+// carry only scalars, so a hook never allocates. Repeated WithObserver (and
+// WithMetrics) compose: every observer receives every event.
 func WithObserver(o Observer) Option {
 	return func(s *settings) {
 		if o != nil {
@@ -182,8 +185,9 @@ func WithObserver(o Observer) Option {
 }
 
 // WithMetrics attaches the built-in metrics observer: per-node histograms
-// of operation latency split by class and of combiner batch size, and
-// counters for every protocol event, all folded into the snapshot
+// of operation latency split by class (a one-in-16 sample of the ops; see
+// WithObserver) and of combiner batch size (every round), and counters for
+// every protocol event, all folded into the snapshot
 // Instance.Metrics returns (its Observed field is non-nil exactly when the
 // instance was built with WithMetrics). A sharded instance has one such
 // observer, shared by every shard, so Observed covers all of its traffic.

@@ -12,6 +12,7 @@ import (
 
 	nr "github.com/asplos17/nr"
 	"github.com/asplos17/nr/internal/ds"
+	"github.com/asplos17/nr/internal/trace"
 )
 
 // byKey is the tests' key function for nr.KeyMapper: every mapOp has a key.
@@ -111,7 +112,8 @@ func TestShardedExecuteAll(t *testing.T) {
 // that a shared flight recorder yields a single snapshot covering ops routed
 // to different shards.
 func TestShardedMetricsAndTrace(t *testing.T) {
-	inst, err := nr.NewSharded(newSeqMap, 2, nr.KeyMapper(2, byKey),
+	mapper := nr.KeyMapper(2, byKey)
+	inst, err := nr.NewSharded(newSeqMap, 2, mapper,
 		nr.WithNodes(1, 2, 1), nr.WithLogEntries(128),
 		nr.WithMetrics(), nr.WithFlightRecorderInstance(nr.NewFlightRecorder(nr.TraceConfig{RingSlots: 256})))
 	if err != nil {
@@ -123,16 +125,21 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ops = 64
-	var reads int
+	var (
+		reads  int
+		stream []mapOp
+	)
 	for i := 0; i < ops; i++ {
 		key := "k" + strconv.Itoa(i%16)
-		if i%2 == 0 {
-			h.Execute(mapOp{key: key, val: i})
-		} else {
-			h.Execute(mapOp{get: true, key: key})
+		op := mapOp{key: key, val: i}
+		if i%2 != 0 {
+			op = mapOp{get: true, key: key}
 			reads++
 		}
+		h.Execute(op)
+		stream = append(stream, op)
 	}
+	sampledReads, sampledUpdates, tokens := shardSampled(stream, mapper.LogIndex)
 
 	agg := inst.Metrics()
 	s := agg.Stats
@@ -142,8 +149,8 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 	if s.ReadOps != uint64(reads) {
 		t.Errorf("aggregate ReadOps = %d, want %d", s.ReadOps, reads)
 	}
-	if o := agg.Observed; o == nil || o.Read.Count != uint64(reads) || o.Update.Count != ops-uint64(reads) {
-		t.Errorf("Observed = %+v, want %d reads and %d updates", o, reads, ops-reads)
+	if o := agg.Observed; o == nil || o.Read.Count != sampledReads || o.Update.Count != sampledUpdates {
+		t.Errorf("Observed = %+v, want the sampled %d reads and %d updates", o, sampledReads, sampledUpdates)
 	}
 	if h := inst.Health(); h.Poisoned {
 		t.Errorf("aggregate Health poisoned: %+v", h)
@@ -153,44 +160,85 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 	if len(snap.Rings) == 0 {
 		t.Fatal("TraceSnapshot has no rings; recorder not shared across shards?")
 	}
+	// Same-seq ops of the two shards share a token (it carries no shard), so
+	// they reconstruct as one span.
 	spans := nr.ReconstructSpans(snap)
-	if len(spans) == 0 {
-		t.Fatal("no spans reconstructed from sharded trace")
+	if len(spans) != tokens {
+		t.Fatalf("spans reconstructed from sharded trace = %d, want one per distinct sampled token (%d)", len(spans), tokens)
+	}
+	for _, sp := range spans {
+		if !sp.Complete || !trace.Sampled(sp.Seq) {
+			t.Errorf("span %+v: want complete spans of sampled ops only", sp)
+		}
 	}
 	if inst.FlightRecorder() == nil {
 		t.Error("FlightRecorder() = nil with WithFlightRecorderInstance set")
 	}
 }
 
+// shardSampled counts the sampled ops of one sharded handle's op stream, by
+// class: the handle holds one core handle per shard, each numbering its own
+// ops, so an op is sampled by its position in its shard's substream. seqs
+// is the number of distinct sampled seqs: the per-shard handles share node
+// and slot, so that is the number of distinct op tokens they trace under.
+func shardSampled(stream []mapOp, shard func(mapOp) int) (reads, updates uint64, seqs int) {
+	seq := map[int]uint32{}
+	distinct := map[uint32]bool{}
+	for _, op := range stream {
+		s := shard(op)
+		seq[s]++
+		if !trace.Sampled(seq[s]) {
+			continue
+		}
+		distinct[seq[s]] = true
+		if op.get {
+			reads++
+		} else {
+			updates++
+		}
+	}
+	return reads, updates, len(distinct)
+}
+
 // TestShardedInstanceHasOneObserver: WithMetrics gives a sharded instance
 // one metrics observer that every shard records into, so the folded
-// snapshot's Observed covers all traffic, no shard carries its own, and one
-// telemetry capture sees every shard.
+// snapshot's Observed covers all traffic's sampled ops, no shard carries its
+// own, and one telemetry capture sees every shard's ops, counted exactly.
 func TestShardedInstanceHasOneObserver(t *testing.T) {
 	const shards, threads, perThread = 4, 4, 250
-	inst, err := nr.NewSharded(newSeqMap, shards, nr.KeyMapper(shards, byKey),
+	mapper := nr.KeyMapper(shards, byKey)
+	inst, err := nr.NewSharded(newSeqMap, shards, mapper,
 		nr.WithNodes(2, 2, 1), nr.WithLogEntries(256),
 		nr.WithMetrics(), nr.WithTelemetry(time.Hour, 4)) // the test drives the captures
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	var wg sync.WaitGroup
+	var (
+		wg                           sync.WaitGroup
+		sampledReads, sampledUpdates uint64
+	)
 	for tid := 0; tid < threads; tid++ {
 		h, err := inst.Register()
 		if err != nil {
 			t.Fatal(err)
 		}
+		stream := make([]mapOp, perThread)
+		for i := range stream {
+			key := "k" + strconv.Itoa(tid*perThread+i)
+			if i%3 == 0 {
+				stream[i] = mapOp{get: true, key: key}
+			} else {
+				stream[i] = mapOp{key: key, val: i}
+			}
+		}
+		r, u, _ := shardSampled(stream, mapper.LogIndex)
+		sampledReads, sampledUpdates = sampledReads+r, sampledUpdates+u
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perThread; i++ {
-				key := "k" + strconv.Itoa(tid*perThread+i)
-				if i%3 == 0 {
-					h.Execute(mapOp{get: true, key: key})
-				} else {
-					h.Execute(mapOp{key: key, val: i})
-				}
+			for _, op := range stream {
+				h.Execute(op)
 			}
 		}()
 	}
@@ -201,12 +249,13 @@ func TestShardedInstanceHasOneObserver(t *testing.T) {
 	if m.Observed == nil {
 		t.Fatal("folded Metrics().Observed is nil on a sharded instance built WithMetrics")
 	}
-	if got := m.Observed.Read.Count + m.Observed.Update.Count; got != n {
-		t.Errorf("Observed read+update count = %d, want %d (every shard's ops)", got, n)
+	if m.Observed.Read.Count != sampledReads || m.Observed.Update.Count != sampledUpdates {
+		t.Errorf("Observed read/update count = %d/%d, want every shard's sampled ops %d/%d",
+			m.Observed.Read.Count, m.Observed.Update.Count, sampledReads, sampledUpdates)
 	}
-	if m.Observed.Update.Count != m.Stats.UpdateOps || m.Observed.Batch.Count != m.Stats.Combines {
-		t.Errorf("Observed updates/rounds = %d/%d, folded Stats say %d/%d",
-			m.Observed.Update.Count, m.Observed.Batch.Count, m.Stats.UpdateOps, m.Stats.Combines)
+	if m.Stats.ReadOps+m.Stats.UpdateOps != n || m.Observed.Batch.Count != m.Stats.Combines {
+		t.Errorf("folded Stats ops = %d, Observed/Stats rounds = %d/%d, want %d ops and equal rounds",
+			m.Stats.ReadOps+m.Stats.UpdateOps, m.Observed.Batch.Count, m.Stats.Combines, n)
 	}
 	var used int
 	for s, ms := range inst.ShardMetrics() {

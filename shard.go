@@ -155,6 +155,8 @@ func (i *Instance[O, R]) foldInto(m *Metrics) {
 			a.Registered += r.Registered
 			a.ReaderAcquires += r.ReaderAcquires
 			a.WriterAcquires += r.WriterAcquires
+			a.ReadOps += r.ReadOps
+			a.UpdateOps += r.UpdateOps
 			a.CombinerHeldNs = max(a.CombinerHeldNs, r.CombinerHeldNs) // the longest-held combiner
 		}
 	}

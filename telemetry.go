@@ -69,8 +69,9 @@ func WithTelemetry(interval time.Duration, windows int) Option {
 }
 
 // WithSLO tracks a per-window latency objective for one operation class:
-// every telemetry window with traffic in the class is judged against the
-// p99 and p999 bounds (zero bounds are not checked), feeding SLOStatus'
+// every telemetry window with a sampled op in the class (the latency
+// histograms hold one op in 16 per handle) is judged against the p99 and
+// p999 bounds (zero bounds are not checked), feeding SLOStatus'
 // breach counts and error-budget burn. Implies WithTelemetry at the default
 // cadence unless one is configured explicitly. On a breach, the flight
 // recorder's AutoDump fires (when the instance has one), preserving the
@@ -134,6 +135,7 @@ func setGauges(g *tsdb.Gauges, m *core.Metrics) {
 	for _, r := range m.Replicas {
 		g.Replicas = append(g.Replicas, tsdb.ReplicaGauge{
 			Node: r.Node, CompletedLag: r.CompletedLag, ReaderAcquires: r.ReaderAcquires,
+			ReadOps: r.ReadOps, UpdateOps: r.UpdateOps,
 		})
 		g.MaxReplicaLag = max(g.MaxReplicaLag, r.CompletedLag)
 	}
