@@ -7,9 +7,9 @@
 // The container this repo builds in has no module cache and no network, so
 // x/tools is not importable; everything here uses only the standard library
 // (go/ast, go/parser, go/types and the "source" importer). The API mirrors
-// x/tools closely enough that the analyzers (spinloop.go, obsguard.go,
-// noio.go, lockorder.go, noblock.go) would port to a real multichecker by
-// changing imports.
+// x/tools closely enough that the analyzers (spinloop.go, noio.go,
+// lockorder.go, noblock.go) would port to a real multichecker by changing
+// imports.
 //
 // The analyzers enforce NR's unchecked invariants — the hot-path and
 // lock discipline the paper's NUMA win depends on (§5.1, §5.2, §5.5 of
@@ -121,5 +121,5 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns every nrlint analyzer in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{SpinLoop, ObsGuard, NoIO, LockOrder, NoBlock}
+	return []*Analyzer{SpinLoop, NoIO, LockOrder, NoBlock}
 }

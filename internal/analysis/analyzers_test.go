@@ -11,10 +11,6 @@ func TestSpinLoop(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.SpinLoop, "spinloop")
 }
 
-func TestObsGuard(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.ObsGuard, "obsguard")
-}
-
 func TestNoIO(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.NoIO, "noio")
 }

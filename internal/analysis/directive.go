@@ -12,8 +12,6 @@ package analysis
 //	                          may park the goroutine.
 //	//nr:noblock              on a function: noblock root without the spinloop
 //	                          shape requirements.
-//	//nr:nilguard             on a func-typed struct field: calls through the
-//	                          field must be dominated by a nil check.
 //	//nr:lockorder <class>    on a lock-typed struct field or package var:
 //	                          names the lock's order class.
 //	//nr:lockorder a < b < c  anywhere: declares the acquisition partial order
@@ -29,7 +27,6 @@ package analysis
 //	                          contexts do not propagate inside.
 //	//nr:lockok               on a line: suppresses lockorder at that
 //	                          acquisition (documented exception).
-//	//nr:guarded              on a line: suppresses obsguard for that site.
 //
 // Like //go:build, a directive is only recognized with no space after the
 // slashes, so prose mentioning "nr:spin" never annotates anything. A
@@ -45,8 +42,8 @@ import (
 
 // knownDirectives are the names the grammar above defines.
 var knownDirectives = []string{
-	"hotpath-noio", "spin", "noblock", "nilguard", "lockorder", "opaque",
-	"iook", "blockok", "lockok", "guarded",
+	"hotpath-noio", "spin", "noblock", "lockorder", "opaque",
+	"iook", "blockok", "lockok",
 }
 
 // Directive is one parsed //nr: annotation.
@@ -206,11 +203,6 @@ func has(dirs []Directive, name string) bool {
 // FuncHas reports whether fn carries the named directive.
 func (ds *Directives) FuncHas(fn *ast.FuncDecl, name string) bool {
 	return has(ds.funcs[fn], name)
-}
-
-// FieldHas reports whether field carries the named directive.
-func (ds *Directives) FieldHas(field *ast.Field, name string) bool {
-	return has(ds.fields[field], name)
 }
 
 // LineHas reports whether the named directive appears on the line of pos or

@@ -15,13 +15,13 @@ const directiveSrc = `package p
 type base struct{ x int }
 
 type s struct {
-	//nr:nilguard
+	//nr:lockorder base
 	base
 	plain int
-	//nr:nilguard with trailing words
+	//nr:lockorder a with trailing words
 	a int
-	b int //nr:nilguard
-	// nr:nilguard — spaced, prose, not a directive
+	b int //nr:lockorder b
+	// nr:lockorder c — spaced, prose, not a directive
 	c int
 	//nr:opaque
 	hook func()
@@ -34,7 +34,7 @@ func annotated() {}
 // Prose mentioning nr:spin should not annotate.
 func plain() {
 	suppressedSameLine() //nr:iook cold dump
-	//nr:guarded
+	//nr:blockok
 	suppressedLineAbove()
 }
 
@@ -42,7 +42,7 @@ func suppressedSameLine() {}
 func suppressedLineAbove() {}
 
 type padded[T any] struct {
-	//nr:nilguard
+	//nr:lockorder v
 	v T
 	_ [56]byte
 }
@@ -114,15 +114,15 @@ func TestDirectiveFieldAttachment(t *testing.T) {
 		"a":     true,  // trailing prose after the name is tolerated
 		"b":     true,  // same-line trailing comment
 		"c":     false, // "// nr:" with a space is prose, not a directive
-		"hook":  false, // carries opaque, not nilguard
+		"hook":  false, // carries opaque, not lockorder
 	}
 	for _, field := range fields {
 		name := fieldName(field)
-		if got := ds.FieldHas(field, "nilguard"); got != want[name] {
-			t.Errorf("FieldHas(%s, nilguard) = %v, want %v", name, got, want[name])
+		if got := has(ds.fields[field], "lockorder"); got != want[name] {
+			t.Errorf("field %s has lockorder = %v, want %v", name, got, want[name])
 		}
-		if name == "hook" && !ds.FieldHas(field, "opaque") {
-			t.Errorf("FieldHas(hook, opaque) = false, want true")
+		if name == "hook" && !has(ds.fields[field], "opaque") {
+			t.Errorf("field hook has opaque = false, want true")
 		}
 	}
 }
@@ -146,8 +146,8 @@ func TestDirectiveGenericType(t *testing.T) {
 	ds, f, _ := parseDirectiveSrc(t)
 	fields := findStruct(t, f, "padded")
 	for _, field := range fields {
-		if fieldName(field) == "v" && !ds.FieldHas(field, "nilguard") {
-			t.Error("FieldHas(padded.v, nilguard) = false, want true")
+		if fieldName(field) == "v" && !has(ds.fields[field], "lockorder") {
+			t.Error("field padded.v has lockorder = false, want true")
 		}
 	}
 }
@@ -162,8 +162,8 @@ func TestDirectiveLineSuppressions(t *testing.T) {
 	if !ds.LineHas(stmts[0].Pos(), "iook") {
 		t.Error("same-line //nr:iook not found")
 	}
-	if !ds.LineHas(stmts[1].Pos(), "guarded") {
-		t.Error("line-above //nr:guarded not found")
+	if !ds.LineHas(stmts[1].Pos(), "blockok") {
+		t.Error("line-above //nr:blockok not found")
 	}
 	if ds.LineHas(stmts[1].Pos(), "iook") {
 		t.Error("iook leaked to an unrelated line")

@@ -8,7 +8,7 @@ import "testing"
 // heavily generic (the call graph must resolve methods on instantiated types
 // such as replica[O, R]), internal/trace carries build-tagged variants
 // (word_race.go vs word_norace.go — the loader must pick exactly one), and
-// internal/rwlock mixes //nr:spin locks with //nr:nilguard hooks.
+// internal/rwlock mixes //nr:spin locks with a writer-wait hook.
 // A regression that makes any analyzer panic or false-positive on real NR
 // code fails here before it fails in `make lint`.
 func TestRepoPackagesClean(t *testing.T) {

@@ -762,3 +762,24 @@ func joinSorted(names []string) string {
 	}
 	return out
 }
+
+// terminates reports whether a statement list cannot fall off its end —
+// enough for the early-return idiom (return/break/continue/panic last).
+func terminates(stmts []ast.Stmt) bool {
+	if len(stmts) == 0 {
+		return false
+	}
+	switch last := stmts[len(stmts)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := ast.Unparen(last.X).(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	case *ast.BlockStmt:
+		return terminates(last.List)
+	}
+	return false
+}

@@ -36,7 +36,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
 			batch = append(batch, takenSlot[O, R]{s, int32(idx)})
 			if ring != nil && i.sampled(s.seq) {
-				ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
+				ring.RecordAt(t0, trace.KPickup, int(r.id), i.token(c, int(r.id), idx, s.seq), 0)
 			}
 		}
 	}
@@ -66,7 +66,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		seq := t.s.seq
 		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, node: r.id, slot: t.slot, seq: seq})
 		if ring != nil && i.sampled(seq) {
-			ring.RecordAt(t1, trace.KLogFill, int(r.id), trace.TokenWithLog(c, int(r.id), int(t.slot), seq), start+uint64(k))
+			ring.RecordAt(t1, trace.KLogFill, int(r.id), i.token(c, int(r.id), int(t.slot), seq), start+uint64(k))
 		}
 	}
 	end := start + uint64(len(batch))
@@ -98,7 +98,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		lg.localTail.Store(end)
 		i.logs[c].AdvanceCompleted(end)
 		for k, t := range batch {
-			tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
+			tok := i.token(c, int(r.id), int(t.slot), t.s.seq)
 			sampled := ring != nil && i.sampled(t.s.seq)
 			// KExecute is stamped before the op runs and KRespond after
 			// delivery, so the execute→respond gap is the op's real duration.
@@ -133,14 +133,11 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 // clock read stamps the recorder's combine-end and ends the observer's round
 // duration, and none is taken when neither is attached.
 func (i *Instance[O, R]) endRound(r *replica[O, R], t0 int64, n int, ring *trace.Ring) {
-	o := i.observer
-	if o == nil && ring == nil {
+	if !i.observed && ring == nil {
 		return
 	}
 	now := trace.Now()
-	if o != nil {
-		o.CombineEnd(int(r.id), n, n, time.Duration(now-t0))
-	}
+	i.observer.CombineEnd(int(r.id), n, n, time.Duration(now-t0))
 	ring.RecordAt(now, trace.KCombineEnd, int(r.id), uint64(n), uint64(n))
 }
 
@@ -156,12 +153,12 @@ func (i *Instance[O, R]) endRound(r *replica[O, R], t0 int64, n int, ring *trace
 //nr:spin
 func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trace.Ring) uint64 {
 	l := i.logs[c]
-	o := i.observer
 	reported := false
 	for {
 		start, casRetries, ok := l.TryReserveObserved(n)
-		if o != nil && casRetries > 0 {
-			o.LogTailRetry(int(r.id), casRetries)
+		if casRetries > 0 {
+			r.counters.tailRetries.Add(uint64(casRetries))
+			i.observer.LogTailRetry(int(r.id), casRetries)
 		}
 		if ok {
 			return start
@@ -207,9 +204,7 @@ func (i *Instance[O, R]) helpLaggards(self *replica[O, R], c int, to uint64, rin
 			charged.counters.helpedEntries.Add(helped)
 			r2.logs[c].rw.Unlock()
 			if helped > 0 {
-				if o := i.observer; o != nil {
-					o.Help(int(r2.id), int(helped))
-				}
+				i.observer.Help(int(r2.id), int(helped))
 				ring.Record(trace.KHelp, int(r2.id), helped, 0)
 			}
 		}

@@ -124,15 +124,22 @@ type Options struct {
 	// log. Instances with a watchdog must be Closed.
 	StallThreshold time.Duration
 
-	// Observer, when non-nil, receives protocol events (combine rounds,
-	// reader refreshes, helping, log-tail contention, writer waits, stalls,
-	// contained panics, per-op latency). Round and rare events fire for
-	// every occurrence; OpDone fires for sampled ops only (trace.Sampled,
-	// plus pprof-labelled and cross-class ops), so its counts are a sample
-	// and Stats carries the exact ones. Hooks fire from hot paths: the
-	// observer must be concurrency-safe and non-blocking. A nil Observer
-	// costs one branch per event site.
+	// Observer receives protocol events (combine rounds, reader refreshes,
+	// helping, log-tail contention, writer waits, stalls, contained panics,
+	// per-op latency). Round and rare events fire for every occurrence;
+	// OpDone fires for sampled ops only (trace.Sampled, plus pprof-labelled
+	// and cross-class ops). Every event is also counted exactly once in
+	// Stats, whatever is attached. Hooks fire from hot paths: the observer
+	// must be concurrency-safe and non-blocking. nil means obs.Nop; with
+	// nothing but Nop attached, no clock is read for the observer.
 	Observer obs.Observer
+
+	// Shard is this instance's index among the shards of one sharded
+	// instance (0 otherwise). Its op tokens carry combining slot
+	// Shard*ThreadsPerNode + slot, so the shards' ops traced into a shared
+	// recorder keep distinct tokens although their handles share node,
+	// slot and sequence numbers.
+	Shard int
 
 	// Trace, when non-nil, attaches the flight recorder: every handle and
 	// background goroutine gets a per-thread ring and records causal
@@ -171,9 +178,10 @@ func (o *Options) fillDefaults() {
 // facility (per-log WALs would need per-log recovery generations, ROADMAP
 // item 5).
 type Follower[O any] struct {
-	log  *log.Log[entry[O]]
-	tail *atomic.Uint64
-	wake chan struct{}
+	log     *log.Log[entry[O]]
+	tail    *atomic.Uint64
+	wake    chan struct{}
+	tokSlot int // the instance's token slot offset (Instance.token)
 }
 
 // Follow registers the instance's follower. It must be called before any
@@ -188,7 +196,7 @@ func (i *Instance[O, R]) Follow() (*Follower[O], error) {
 	if i.logs[0].Tail() != 0 || i.follower != nil {
 		return nil, errors.New("core: Follow after operations have executed or a second time")
 	}
-	i.follower = &Follower[O]{log: i.logs[0], tail: i.logs[0].RegisterReplica(), wake: make(chan struct{}, 1)}
+	i.follower = &Follower[O]{log: i.logs[0], tail: i.logs[0].RegisterReplica(), wake: make(chan struct{}, 1), tokSlot: i.tokSlot}
 	return i.follower, nil
 }
 
@@ -204,7 +212,7 @@ func (f *Follower[O]) Drain(fn func(idx, token uint64, op O)) {
 		if !ok {
 			return
 		}
-		fn(idx, trace.TokenWithLog(0, int(e.node), int(e.slot), e.seq), e.op)
+		fn(idx, trace.TokenWithLog(0, int(e.node), f.tokSlot+int(e.slot), e.seq), e.op)
 		f.tail.Store(idx + 1)
 	}
 }
@@ -247,6 +255,8 @@ type Stats struct {
 	CrossOps        uint64 `json:"cross_ops"`        // multi-class ops serialized through the cross-log barrier
 	ReaderAcquires  uint64 `json:"reader_acquires"`  // read-lock acquisitions across all replicas (rwlock per-slot counters)
 	WriterAcquires  uint64 `json:"writer_acquires"`  // write-lock acquisitions across all replica locks
+	TailRetries     uint64 `json:"tail_retries"`     // log-tail reservation CAS attempts lost to another reserver
+	WriterWaits     uint64 `json:"writer_waits"`     // replica write-lock acquisitions that spun on reader flags
 	Panics          uint64 `json:"panics"`           // user Execute panics contained (see failure.go)
 	Stalls          uint64 `json:"stalls"`           // combiner stalls flagged by the watchdog
 }
@@ -360,11 +370,11 @@ type replicaLog[O, R any] struct {
 }
 
 // opCounters is one node's share of the Stats counters, bumped only by
-// threads running on that node (and by the watchdog's rare helping pass), so
-// counting an op costs no cross-node cache-line transfer: the log-tail CAS
-// stays the update path's only one (§5.1) and a read touches node-local
-// memory only (§5.3). Stats sums the nodes. It fills one cache line
-// (TestReplicaCountersLayout).
+// threads running on that node (and, on the slow paths, by a helper or the
+// watchdog writing the node's replica), so counting an op costs no
+// cross-node cache-line transfer: the log-tail CAS stays the update path's
+// only one (§5.1) and a read touches node-local memory only (§5.3). Stats
+// sums the nodes. It fills one cache line (TestReplicaCountersLayout).
 type opCounters struct {
 	readOps         atomic.Uint64
 	updateOps       atomic.Uint64
@@ -372,7 +382,8 @@ type opCounters struct {
 	combinedOps     atomic.Uint64
 	readerRefreshes atomic.Uint64
 	helpedEntries   atomic.Uint64
-	_               [16]byte
+	tailRetries     atomic.Uint64
+	writerWaits     atomic.Uint64
 }
 
 // replica is one node's copy of the structure plus its synchronization:
@@ -409,8 +420,14 @@ type Instance[O, R any] struct {
 	// (class 0 for everything).
 	mapper   func(O) int
 	replicas []*replica[O, R]
-	// observer mirrors opts.Observer for the hot paths' nil check.
+	// observer is opts.Observer, obs.Nop when none was given: never nil.
+	// observed is set when it is anything but Nop, and is what the two
+	// clock-reading sites (TryExecute, endRound) test.
 	observer obs.Observer
+	observed bool
+	// tokSlot is added to a combining slot in this instance's op tokens:
+	// Shard*ThreadsPerNode.
+	tokSlot int
 	// rec mirrors opts.Trace (nil = flight recorder off).
 	rec *trace.Recorder
 	// follower, when non-nil, is the log tail persistence reads through
@@ -480,6 +497,9 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 		mapper = fn
 	}
 	maxBatch := opts.Topology.ThreadsPerNode()
+	if opts.Shard < 0 || (opts.Shard+1)*maxBatch > 1<<16 {
+		return nil, fmt.Errorf("core: Shard %d outside the token's 16-bit slot field at %d slots per node", opts.Shard, maxBatch)
+	}
 	logs := make([]*log.Log[entry[O]], m)
 	for j := range logs {
 		l, err := log.New[entry[O]](opts.LogEntries, maxBatch)
@@ -492,10 +512,16 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 		opts:     opts,
 		logs:     logs,
 		mapper:   mapper,
-		observer: opts.Observer,
+		tokSlot:  opts.Shard * maxBatch,
 		rec:      opts.Trace,
 		place:    topology.NewFillPlacement(opts.Topology),
 		crossIdx: make([]uint64, m),
+	}
+	switch opts.Observer.(type) {
+	case nil, obs.Nop:
+		inst.observer = obs.Nop{}
+	default:
+		inst.observer, inst.observed = opts.Observer, true
 	}
 	if rate := opts.Trace.ProfileSampleRate(); rate > 0 {
 		inst.profRate = uint32(rate)
@@ -518,10 +544,10 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 			lg.localTail = logs[j].RegisterReplica()
 			lg.scratch = make([]takenSlot[O, R], 0, maxBatch)
 			lg.rw = rwlock.NewDistributed(maxBatch)
-			if o := opts.Observer; o != nil {
-				node := n
-				lg.rw.SetWriterWaitHook(func(spins int) { o.WriterWait(node, spins) })
-			}
+			lg.rw.SetWriterWaitHook(func(spins int) {
+				r.counters.writerWaits.Add(1)
+				inst.observer.WriterWait(int(r.id), spins)
+			})
 		}
 		inst.replicas = append(inst.replicas, r)
 	}
@@ -614,7 +640,7 @@ type Handle[O, R any] struct {
 	thread int
 	// ring is this handle's flight-recorder ring (nil when tracing is off);
 	// seq counts this handle's operations and completes the op token
-	// TokenWithLog(cls, node, slot, seq). Both are single-goroutine state,
+	// Instance.token(cls, node, slot, seq). Both are single-goroutine state,
 	// like the handle itself.
 	ring *trace.Ring
 	seq  uint32
@@ -638,7 +664,13 @@ type Handle[O, R any] struct {
 
 // token returns the handle's current op token.
 func (h *Handle[O, R]) token() uint64 {
-	return trace.TokenWithLog(h.cls, h.node, h.slot, h.seq)
+	return h.inst.token(h.cls, h.node, h.slot, h.seq)
+}
+
+// token packs the op token of log c's op from (node, slot) with sequence
+// number seq, the slot offset by this instance's shard.
+func (i *Instance[O, R]) token(c, node, slot int, seq uint32) uint64 {
+	return trace.TokenWithLog(c, node, i.tokSlot+slot, seq)
 }
 
 // LastToken returns the op token (log|node|slot|seq) of the most recent
@@ -756,6 +788,8 @@ func (i *Instance[O, R]) stats() Stats {
 		st.CombinedOps += r.counters.combinedOps.Load()
 		st.ReaderRefreshes += r.counters.readerRefreshes.Load()
 		st.HelpedEntries += r.counters.helpedEntries.Load()
+		st.TailRetries += r.counters.tailRetries.Load()
+		st.WriterWaits += r.counters.writerWaits.Load()
 		st.ReadOps += r.counters.readOps.Load()
 		st.UpdateOps += r.counters.updateOps.Load()
 		for c := range r.logs {

@@ -234,9 +234,7 @@ func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op O, idx uint64
 			return
 		}
 		i.panics.Add(1)
-		if o := i.observer; o != nil {
-			o.PanicContained(int(r.id), idx)
-		}
+		i.observer.PanicContained(int(r.id), idx)
 		pe := &PanicError{Value: p, Stack: string(debug.Stack()), Index: idx}
 		if idx != noIndex {
 			if reason := i.tracker.recordPanic(r.id, panicKey(cls, idx), fmt.Sprint(p), i.logs[cls].MinLocalTail()); reason != "" {
@@ -259,9 +257,7 @@ func (i *Instance[O, R]) safeRead(r *replica[O, R], op O, fake bool) (resp R, do
 	defer func() {
 		if p := recover(); p != nil {
 			i.panics.Add(1)
-			if o := i.observer; o != nil {
-				o.PanicContained(int(r.id), noIndex)
-			}
+			i.observer.PanicContained(int(r.id), noIndex)
 			i.rec.AutoDump("panic")
 			err = &PanicError{Value: p, Stack: string(debug.Stack()), Index: noIndex}
 			done = true
@@ -355,9 +351,7 @@ func (i *Instance[O, R]) watchdog() {
 				if counted[n*(m+1)+c] != since {
 					counted[n*(m+1)+c] = since
 					i.stalls.Add(1)
-					if o := i.observer; o != nil {
-						o.Stall(n, time.Duration(now-since))
-					}
+					i.observer.Stall(n, time.Duration(now-since))
 					ring.Record(trace.KStall, n, uint64(now-since), uint64(c))
 					i.rec.AutoDump("stall")
 				}

@@ -88,6 +88,15 @@ type ReplicaGauges struct {
 	// from them.
 	ReadOps   uint64 `json:"read_ops"`
 	UpdateOps uint64 `json:"update_ops"`
+	// Combines, ReaderRefreshes, TailRetries and WriterWaits are this
+	// node's shares of the Stats counters of the same names: non-empty
+	// combining rounds its combiners ran, reads on it that replayed the log
+	// themselves, tail CAS attempts its reservations lost, and write
+	// acquisitions of its replica lock that spun on reader flags.
+	Combines        uint64 `json:"combines"`
+	ReaderRefreshes uint64 `json:"reader_refreshes"`
+	TailRetries     uint64 `json:"tail_retries"`
+	WriterWaits     uint64 `json:"writer_waits"`
 	// Logs is the per-conflict-class breakdown (len = number of logs).
 	Logs []ReplicaLogGauges `json:"logs,omitempty"`
 }
@@ -243,6 +252,10 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 		g.WriterAcquires = wacq
 		g.ReadOps = r.counters.readOps.Load()
 		g.UpdateOps = r.counters.updateOps.Load()
+		g.Combines = r.counters.combines.Load()
+		g.ReaderRefreshes = r.counters.readerRefreshes.Load()
+		g.TailRetries = r.counters.tailRetries.Load()
+		g.WriterWaits = r.counters.writerWaits.Load()
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,9 +145,211 @@ func TestObserverReconcilesWithStats(t *testing.T) {
 	if got := rec.helpEntries.Load(); got != s.HelpedEntries {
 		t.Errorf("Help entry sum = %d, Stats.HelpedEntries = %d", got, s.HelpedEntries)
 	}
-	if got := rec.panics.Load(); got != s.Panics {
-		t.Errorf("PanicContained events = %d, Stats.Panics = %d", got, s.Panics)
+	reconcile(t, rec, inst.Metrics())
+}
+
+// reconcile checks that the observer's tally and the instance's counters
+// agree on every event: each is counted once, in core, and the hook fires
+// once per count (per entry for help).
+func reconcile(t *testing.T, rec *recordingObserver, m Metrics) {
+	t.Helper()
+	var g ReplicaGauges
+	for _, r := range m.Replicas {
+		g.Combines += r.Combines
+		g.ReaderRefreshes += r.ReaderRefreshes
+		g.TailRetries += r.TailRetries
+		g.WriterWaits += r.WriterWaits
 	}
+	s := m.Stats
+	for _, c := range []struct {
+		name             string
+		event, stat, gau uint64
+	}{
+		{"non-empty CombineEnd / Combines", rec.combineRounds.Load(), s.Combines, g.Combines},
+		{"ReaderRefresh / ReaderRefreshes", rec.readerRefreshes.Load(), s.ReaderRefreshes, g.ReaderRefreshes},
+		{"LogTailRetry retries / TailRetries", rec.tailRetries.Load(), s.TailRetries, g.TailRetries},
+		{"WriterWait / WriterWaits", rec.writerWaits.Load(), s.WriterWaits, g.WriterWaits},
+		{"Help entries / HelpedEntries", rec.helpEntries.Load(), s.HelpedEntries, s.HelpedEntries},
+		{"Stall / Stalls", rec.stalls.Load(), s.Stalls, s.Stalls},
+		{"PanicContained / Panics", rec.panics.Load(), s.Panics, s.Panics},
+	} {
+		if c.event != c.stat || c.stat != c.gau {
+			t.Errorf("%s: observer %d, Stats %d, replica gauges %d", c.name, c.event, c.stat, c.gau)
+		}
+	}
+}
+
+// holdKey is the key whose update waits inside Execute until the
+// schedule's hold channel closes (a stalled combiner).
+const holdKey = 99
+
+// holding is bomb (a negative key panics) with a gate on holdKey.
+type holding struct {
+	*bomb
+	hold chan struct{}
+}
+
+func (h holding) Execute(op bombOp) int64 {
+	if op.Key == holdKey {
+		<-h.hold
+	}
+	return h.bomb.Execute(op)
+}
+
+// handleOn registers a handle on node without running an op through it.
+func handleOn(t *testing.T, i *Instance[bombOp, int64], node int) *Handle[bombOp, int64] {
+	t.Helper()
+	h, err := i.RegisterOnNode(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestObserverReconcilesOnFixedSchedules drives each rare protocol event on
+// a fixed schedule — a reader refresh, helping out of a full 8-entry log, a
+// writer waiting out a held read lock, a stalled combiner, a contained
+// panic — and checks that it happened exactly as often as the schedule
+// makes it and that a counting observer and Stats / ReplicaGauges agree.
+// Each schedule runs again with no observer attached: core.New puts
+// obs.Nop in its place, so every hook site runs without a nil check.
+func TestObserverReconcilesOnFixedSchedules(t *testing.T) {
+	type inst = Instance[bombOp, int64]
+	for _, tc := range []struct {
+		name string
+		opts Options
+		run  func(t *testing.T, i *inst, hold chan struct{})
+		// event reads the schedule's event count; want is its exact value
+		// (0: any positive count).
+		event func(m Metrics) uint64
+		want  uint64
+	}{
+		{name: "reader-refresh", opts: Options{Topology: topology.New(2, 2, 1), LogEntries: 64},
+			run: func(t *testing.T, i *inst, _ chan struct{}) {
+				// Node 1's replica is one entry behind and no combiner runs
+				// there: its reader replays the entry itself.
+				handleOn(t, i, 0).Execute(bombOp{Key: 1, Delta: 1})
+				if got := handleOn(t, i, 1).Execute(bombOp{}); got != 1 {
+					t.Errorf("read on node 1 = %d, want 1", got)
+				}
+			},
+			event: func(m Metrics) uint64 { return m.Replicas[1].ReaderRefreshes }, want: 1},
+		{name: "help", opts: Options{Topology: topology.New(2, 2, 1), LogEntries: 8},
+			run: func(t *testing.T, i *inst, _ chan struct{}) {
+				// Only node 0 runs ops: the log fills, and its blocked
+				// appender replays node 1's replica to recycle entries.
+				h := handleOn(t, i, 0)
+				for range 16 {
+					h.Execute(bombOp{Key: 1, Delta: 1})
+				}
+			},
+			event: func(m Metrics) uint64 { return m.Stats.HelpedEntries }},
+		{name: "writer-wait", opts: Options{Topology: topology.New(1, 2, 1), LogEntries: 64},
+			run: func(t *testing.T, i *inst, _ chan struct{}) {
+				// Reader slot 1 holds the replica's read lock while slot 0's
+				// combiner appends: its write acquisition has to spin.
+				h := handleOn(t, i, 0)
+				rw := i.replicas[0].logs[0].rw
+				rw.RLock(1)
+				done := make(chan struct{})
+				go func() {
+					h.Execute(bombOp{Key: 1, Delta: 1})
+					close(done)
+				}()
+				// The combiner takes the writer lock right after filling its
+				// entry; no test-visible state says it has, so give it time.
+				for _, ok := i.logs[0].Get(0); !ok; _, ok = i.logs[0].Get(0) {
+					time.Sleep(100 * time.Microsecond)
+				}
+				time.Sleep(50 * time.Millisecond)
+				rw.RUnlock(1)
+				<-done
+			},
+			event: func(m Metrics) uint64 { return m.Replicas[0].WriterWaits }, want: 1},
+		{name: "stall", opts: Options{Topology: topology.New(1, 2, 1), LogEntries: 64, StallThreshold: time.Millisecond},
+			run: func(t *testing.T, i *inst, hold chan struct{}) {
+				// One combiner round held inside Execute past the threshold.
+				h := handleOn(t, i, 0)
+				done := make(chan struct{})
+				go func() {
+					h.Execute(bombOp{Key: holdKey, Delta: 1})
+					close(done)
+				}()
+				for deadline := time.Now().Add(5 * time.Second); i.Stats().Stalls == 0 && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				close(hold)
+				<-done
+			},
+			event: func(m Metrics) uint64 { return m.Stats.Stalls }, want: 1},
+		{name: "panic", opts: Options{Topology: topology.New(1, 2, 1), LogEntries: 64},
+			run: func(t *testing.T, i *inst, _ chan struct{}) {
+				var pe *PanicError
+				if _, err := handleOn(t, i, 0).TryExecute(bombOp{Key: -1, Delta: 1}); !errors.As(err, &pe) {
+					t.Errorf("TryExecute of a panicking op: err = %v, want a *PanicError", err)
+				}
+			},
+			event: func(m Metrics) uint64 { return m.Stats.Panics }, want: 1},
+	} {
+		for _, observed := range []bool{true, false} {
+			name := tc.name + "/no-observer"
+			rec := &recordingObserver{}
+			opts := tc.opts
+			if observed {
+				name = tc.name + "/observer"
+				opts.Observer = rec
+			}
+			t.Run(name, func(t *testing.T) {
+				hold := make(chan struct{})
+				i, err := New[bombOp, int64](func() Sequential[bombOp, int64] { return holding{newBomb(), hold} }, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer i.Close()
+				tc.run(t, i, hold)
+				m := i.Metrics()
+				if got := tc.event(m); tc.want != 0 && got != tc.want || got == 0 {
+					t.Errorf("%s events = %d, want %d (0: any positive count)", tc.name, got, tc.want)
+				}
+				if observed {
+					reconcile(t, rec, m)
+				}
+			})
+		}
+	}
+}
+
+// TestTailRetriesCountedOnce: a log-tail CAS lost to the other node's
+// combiner is counted in Stats.TailRetries and the loser's ReplicaGauges
+// exactly as the LogTailRetry hook reports it. A lost CAS needs two
+// combiners on two CPUs, so the test runs bursts of updates from both
+// nodes until the observer has seen one.
+func TestTailRetriesCountedOnce(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a tail CAS is lost only to a combiner running on another CPU")
+	}
+	rec := &recordingObserver{}
+	inst := newCounterInstance(t, Options{Topology: topology.New(2, 1, 1), LogEntries: 1 << 10, Observer: rec})
+	hs := [2]*Handle[ctrOp, uint64]{registerOn(t, inst, 0), registerOn(t, inst, 1)}
+	bursts := 0
+	for deadline := time.Now().Add(10 * time.Second); rec.tailRetries.Load() == 0 && time.Now().Before(deadline); bursts++ {
+		var wg sync.WaitGroup
+		for _, h := range hs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 2000 {
+					h.Execute(ctrInc)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if rec.tailRetries.Load() == 0 {
+		t.Fatalf("no tail CAS was lost in %d bursts of 2 × 2000 updates on two nodes", bursts)
+	}
+	t.Logf("%d tail retries after %d bursts", rec.tailRetries.Load(), bursts)
+	reconcile(t, rec, inst.Metrics())
 }
 
 // TestObserverSeesContainedPanic: a panicking Execute must fire

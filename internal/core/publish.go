@@ -41,8 +41,7 @@ func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 	}
 	h.seq++
 	c := i.opClass(op)
-	o := i.observer
-	if o == nil && h.ring == nil {
+	if !i.observed && h.ring == nil {
 		resp, _, err := i.dispatch(h, c, op)
 		return resp, err
 	}
@@ -69,9 +68,7 @@ func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 		resp, class, err = i.dispatch(h, c, op)
 	}
 	end := trace.Now()
-	if o != nil {
-		o.OpDone(h.node, class, time.Duration(end-start))
-	}
+	i.observer.OpDone(h.node, class, time.Duration(end-start))
 	h.ring.RecordAt(end, trace.KOpEnd, h.node, h.token(), uint64(class))
 	return resp, err
 }

@@ -32,9 +32,7 @@ func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c in
 		if before := lg.localTail.Load(); before < readTail {
 			r.counters.readerRefreshes.Add(1)
 			blocked = i.refreshTo(r, c, readTail, h.ring)
-			if o := i.observer; o != nil {
-				o.ReaderRefresh(h.node, int(lg.localTail.Load()-before))
-			}
+			i.observer.ReaderRefresh(h.node, int(lg.localTail.Load()-before))
 			h.ring.Record(trace.KReaderRefresh, h.node, uint64(lg.localTail.Load()-before), 0)
 		}
 		lg.rw.Unlock()

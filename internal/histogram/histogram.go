@@ -21,7 +21,6 @@ const numBuckets = 64 * subBuckets / 2
 // read it through a Cum capture.
 type Histogram struct {
 	counts [numBuckets]atomic.Uint64
-	total  atomic.Uint64
 	sum    atomic.Uint64
 	max    atomic.Uint64
 }
@@ -62,7 +61,6 @@ func (h *Histogram) Record(v uint64) {
 		}
 	}
 	h.counts[bucketOf(v)].Add(1)
-	h.total.Add(1)
 	h.sum.Add(v)
 }
 
@@ -102,11 +100,14 @@ func (c *Cum) Reset() { *c = Cum{} }
 // Add accumulates h's current buckets into c. Buckets are read individually
 // while recording may continue, so the capture is only approximately one
 // instant — the same contract as Snapshot everywhere else in this layer.
+// Total is the sum of the counts read, not a separate counter read at
+// another instant, so every rank a percentile asks for lies in a bucket.
 func (c *Cum) Add(h *Histogram) {
 	for i := 0; i < numBuckets; i++ {
-		c.Counts[i] += h.counts[i].Load()
+		n := h.counts[i].Load()
+		c.Counts[i] += n
+		c.Total += n
 	}
-	c.Total += h.total.Load()
 	c.Sum += h.sum.Load()
 	c.Max = max(c.Max, h.max.Load())
 }

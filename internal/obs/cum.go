@@ -12,23 +12,11 @@ package obs
 import "github.com/asplos17/nr/internal/histogram"
 
 // NodeCum is one node's slice of a Cum capture: its two latency histograms,
-// its batch-size histogram and its event counters.
+// its batch-size histogram and its combine time.
 type NodeCum struct {
-	Latency [NumOpClasses]histogram.Cum
-	Batch   histogram.Cum
-
-	CombineRounds    uint64
-	CombineNanos     uint64
-	ReaderRefreshes  uint64
-	RefreshedEntries uint64
-	Helps            uint64
-	HelpedEntries    uint64
-	TailRetryEvents  uint64
-	TailRetries      uint64
-	WriterWaits      uint64
-	WriterWaitSpins  uint64
-	Stalls           uint64
-	Panics           uint64
+	Latency      [NumOpClasses]histogram.Cum
+	Batch        histogram.Cum
+	CombineNanos uint64
 }
 
 // Cum is a cumulative bucket-level capture of a whole Metrics observer:
@@ -55,20 +43,7 @@ func (m *Metrics) ReadCum(dst *Cum) {
 	dst.Nodes = dst.Nodes[:len(m.nodes)]
 	for i := range m.nodes {
 		n, d := &m.nodes[i], &dst.Nodes[i]
-		*d = NodeCum{
-			CombineRounds:    n.combineRounds.Load(),
-			CombineNanos:     n.combineNanos.Load(),
-			ReaderRefreshes:  n.readerRefreshes.Load(),
-			RefreshedEntries: n.refreshedEntries.Load(),
-			Helps:            n.helps.Load(),
-			HelpedEntries:    n.helpedEntries.Load(),
-			TailRetryEvents:  n.tailRetryEvents.Load(),
-			TailRetries:      n.tailRetries.Load(),
-			WriterWaits:      n.writerWaits.Load(),
-			WriterWaitSpins:  n.writerWaitSpins.Load(),
-			Stalls:           n.stalls.Load(),
-			Panics:           n.panics.Load(),
-		}
+		*d = NodeCum{CombineNanos: n.combineNanos.Load()}
 		for c := range n.latency {
 			d.Latency[c].Add(&n.latency[c])
 			dst.Latency[c].Add(&n.latency[c])

@@ -9,30 +9,22 @@ import (
 
 // Metrics is the built-in Observer: per-node histograms of operation
 // latency (one per op class, over the sampled ops OpDone reports) and
-// combiner batch size (every round), and counters for every hook event. All recording is lock-free; ReadCum and Snapshot may be called
-// concurrently with recording.
+// combiner batch size (every non-empty round), and per-node combine time.
+// It keeps only what needs an event's clock or size; the event counts are
+// core's (Stats, ReplicaGauges), so the six rare-event hooks fall through
+// to the embedded Nop. All recording is lock-free; ReadCum and Snapshot may
+// be called concurrently with recording.
 type Metrics struct {
+	Nop
 	nodes []nodeMetrics
 }
 
 // nodeMetrics aggregates one node's events. Histograms are embedded values
 // so a Metrics is a single allocation per node.
 type nodeMetrics struct {
-	latency [NumOpClasses]histogram.Histogram
-	batch   histogram.Histogram
-
-	combineRounds    atomic.Uint64
-	combineNanos     atomic.Uint64
-	readerRefreshes  atomic.Uint64
-	refreshedEntries atomic.Uint64
-	helps            atomic.Uint64
-	helpedEntries    atomic.Uint64
-	tailRetryEvents  atomic.Uint64
-	tailRetries      atomic.Uint64
-	writerWaits      atomic.Uint64
-	writerWaitSpins  atomic.Uint64
-	stalls           atomic.Uint64
-	panics           atomic.Uint64
+	latency      [NumOpClasses]histogram.Histogram
+	batch        histogram.Histogram
+	combineNanos atomic.Uint64
 }
 
 // NewMetrics returns a Metrics observer for a topology with the given
@@ -53,56 +45,17 @@ func (m *Metrics) at(node int) *nodeMetrics {
 	return &m.nodes[node]
 }
 
-// CombineEnd implements Observer. Rounds that collected nothing count
-// toward combineRounds but not the batch distribution, so the distribution
-// describes batch sizes of rounds that did work (its Count matches
-// core.Stats.Combines, its Sum matches CombinedOps). appended always equals
-// batch, so it gets no distribution of its own.
+// CombineEnd implements Observer. Every round's duration counts toward the
+// node's combine time; only rounds that collected something enter the
+// batch distribution, so its Count matches core.Stats.Combines and its Sum
+// CombinedOps. appended always equals batch, so it gets no distribution of
+// its own.
 func (m *Metrics) CombineEnd(node, batch, _ int, elapsed time.Duration) {
 	n := m.at(node)
-	n.combineRounds.Add(1)
 	n.combineNanos.Add(uint64(elapsed.Nanoseconds()))
 	if batch > 0 {
 		n.batch.Record(uint64(batch))
 	}
-}
-
-// ReaderRefresh implements Observer.
-func (m *Metrics) ReaderRefresh(node, entries int) {
-	n := m.at(node)
-	n.readerRefreshes.Add(1)
-	n.refreshedEntries.Add(uint64(entries))
-}
-
-// Help implements Observer.
-func (m *Metrics) Help(node, entries int) {
-	n := m.at(node)
-	n.helps.Add(1)
-	n.helpedEntries.Add(uint64(entries))
-}
-
-// LogTailRetry implements Observer.
-func (m *Metrics) LogTailRetry(node, retries int) {
-	n := m.at(node)
-	n.tailRetryEvents.Add(1)
-	n.tailRetries.Add(uint64(retries))
-}
-
-// WriterWait implements Observer.
-func (m *Metrics) WriterWait(node, spins int) {
-	n := m.at(node)
-	n.writerWaits.Add(1)
-	n.writerWaitSpins.Add(uint64(spins))
-}
-
-// Stall implements Observer.
-func (m *Metrics) Stall(node int, held time.Duration) {
-	m.at(node).stalls.Add(1)
-}
-
-// PanicContained implements Observer.
-func (m *Metrics) PanicContained(node int, idx uint64) {
-	m.at(node).panics.Add(1)
 }
 
 // OpDone implements Observer.
@@ -171,19 +124,8 @@ type NodeSnapshot struct {
 	Update LatencySnapshot `json:"update"`
 	// Batch is the distribution of combiner batch sizes on this node.
 	Batch DistSnapshot `json:"batch"`
-
-	CombineRounds    uint64 `json:"combine_rounds"`
-	CombineNanos     uint64 `json:"combine_ns"`
-	ReaderRefreshes  uint64 `json:"reader_refreshes"`
-	RefreshedEntries uint64 `json:"refreshed_entries"`
-	Helps            uint64 `json:"helps"`
-	HelpedEntries    uint64 `json:"helped_entries"`
-	TailRetryEvents  uint64 `json:"tail_retry_events"`
-	TailRetries      uint64 `json:"tail_retries"`
-	WriterWaits      uint64 `json:"writer_waits"`
-	WriterWaitSpins  uint64 `json:"writer_wait_spins"`
-	Stalls           uint64 `json:"stalls"`
-	Panics           uint64 `json:"panics"`
+	// CombineNanos is the time the node's combiners spent inside rounds.
+	CombineNanos uint64 `json:"combine_ns"`
 }
 
 // Snapshot is a point-in-time read-out of a Metrics observer: per-node
@@ -196,8 +138,8 @@ type Snapshot struct {
 }
 
 // Snapshot summarizes one ReadCum capture. It is safe to call while events
-// are still being recorded; counters are read individually, so the snapshot
-// is only approximately a single instant (like core.Stats).
+// are still being recorded; nodes are read one after another, so the
+// snapshot is only approximately a single instant (like core.Stats).
 func (m *Metrics) Snapshot() Snapshot {
 	var c Cum
 	m.ReadCum(&c)
@@ -210,22 +152,11 @@ func (m *Metrics) Snapshot() Snapshot {
 	for i := range c.Nodes {
 		n := &c.Nodes[i]
 		s.Nodes[i] = NodeSnapshot{
-			Node:             i,
-			Read:             latencySnapshot(&n.Latency[OpRead]),
-			Update:           latencySnapshot(&n.Latency[OpUpdate]),
-			Batch:            distSnapshot(&n.Batch),
-			CombineRounds:    n.CombineRounds,
-			CombineNanos:     n.CombineNanos,
-			ReaderRefreshes:  n.ReaderRefreshes,
-			RefreshedEntries: n.RefreshedEntries,
-			Helps:            n.Helps,
-			HelpedEntries:    n.HelpedEntries,
-			TailRetryEvents:  n.TailRetryEvents,
-			TailRetries:      n.TailRetries,
-			WriterWaits:      n.WriterWaits,
-			WriterWaitSpins:  n.WriterWaitSpins,
-			Stalls:           n.Stalls,
-			Panics:           n.Panics,
+			Node:         i,
+			Read:         latencySnapshot(&n.Latency[OpRead]),
+			Update:       latencySnapshot(&n.Latency[OpUpdate]),
+			Batch:        distSnapshot(&n.Batch),
+			CombineNanos: n.CombineNanos,
 		}
 	}
 	return s

@@ -2,8 +2,8 @@
 // interface (Observer) that internal/core fires protocol events into (all
 // eight hooks, the log's and the lock's included: neither internal/log nor
 // internal/rwlock imports this package), plus a built-in Metrics observer
-// that turns those events into per-node histograms of operation latency and
-// combiner batch size, and event counters.
+// that turns the clocked events into per-node histograms of operation
+// latency and combiner batch size, and per-node combine time.
 //
 // The paper's argument for NR is quantitative — batch sizes, log occupancy,
 // and the read/update latency split explain why NR wins (§6, §8) — so the
@@ -28,12 +28,16 @@
 // Every event but OpDone fires for every occurrence. OpDone fires for one
 // op in trace.SampleEvery per handle (trace.Sampled, plus pprof-labelled
 // and cross-class ops), so the latency histograms and their counts are a
-// sample; core.Stats (ReadOps, UpdateOps) carries the exact op counts.
+// sample. Counting is not this package's job: core.Stats and
+// core.ReplicaGauges carry one exact counter per event (ReadOps, UpdateOps,
+// Combines, ReaderRefreshes, HelpedEntries, TailRetries, WriterWaits,
+// Stalls, Panics), and Metrics keeps only what needs the event's clock.
 // Timing every op would cost two clock reads per op, about a tenth of a
 // node-local read.
 //
 // Every method takes only scalar arguments so that firing an event never
-// allocates; a disabled observer costs the caller a single nil check.
+// allocates. The observer core holds is never nil: with none attached it
+// is Nop, and core reads the clock for it only when a real one is.
 package obs
 
 import "time"
@@ -130,8 +134,8 @@ func (Nop) OpDone(int, OpClass, time.Duration) {}
 type Multi []Observer
 
 // Combine returns an Observer that forwards to every non-nil observer in
-// os: nil when none remain, the observer itself when one does, a Multi
-// otherwise.
+// os: Nop when none remain, the observer itself when one does, a Multi
+// otherwise. It never returns nil.
 func Combine(os ...Observer) Observer {
 	var live Multi
 	for _, o := range os {
@@ -141,7 +145,7 @@ func Combine(os ...Observer) Observer {
 	}
 	switch len(live) {
 	case 0:
-		return nil
+		return Nop{}
 	case 1:
 		return live[0]
 	}

@@ -12,12 +12,7 @@ func TestMetricsSnapshotAggregatesAcrossNodes(t *testing.T) {
 	m.OpDone(0, OpUpdate, time.Microsecond)
 	m.CombineEnd(0, 3, 3, time.Microsecond)
 	m.CombineEnd(1, 5, 5, time.Microsecond)
-	m.ReaderRefresh(1, 7)
-	m.Help(0, 4)
-	m.LogTailRetry(0, 2)
-	m.WriterWait(1, 9)
-	m.Stall(0, time.Millisecond)
-	m.PanicContained(1, 42)
+	m.CombineEnd(1, 0, 0, time.Nanosecond) // an empty round: time, no batch
 
 	s := m.Snapshot()
 	if s.Read.Count != 2 {
@@ -39,23 +34,8 @@ func TestMetricsSnapshotAggregatesAcrossNodes(t *testing.T) {
 	if n0.Batch.P50 != 3 || n1.Batch.P50 != 5 {
 		t.Errorf("per-node batch p50 = %d/%d, want 3/5 (small sizes are exact)", n0.Batch.P50, n1.Batch.P50)
 	}
-	if n0.CombineRounds != 1 || n1.CombineRounds != 1 {
-		t.Errorf("combine rounds = %d/%d, want 1/1", n0.CombineRounds, n1.CombineRounds)
-	}
-	if n1.ReaderRefreshes != 1 || n1.RefreshedEntries != 7 {
-		t.Errorf("node1 refresh = %d/%d, want 1/7", n1.ReaderRefreshes, n1.RefreshedEntries)
-	}
-	if n0.Helps != 1 || n0.HelpedEntries != 4 {
-		t.Errorf("node0 helps = %d/%d, want 1/4", n0.Helps, n0.HelpedEntries)
-	}
-	if n0.TailRetryEvents != 1 || n0.TailRetries != 2 {
-		t.Errorf("node0 tail retries = %d/%d, want 1/2", n0.TailRetryEvents, n0.TailRetries)
-	}
-	if n1.WriterWaits != 1 || n1.WriterWaitSpins != 9 {
-		t.Errorf("node1 writer waits = %d/%d, want 1/9", n1.WriterWaits, n1.WriterWaitSpins)
-	}
-	if n0.Stalls != 1 || n1.Panics != 1 {
-		t.Errorf("stalls/panics = %d/%d, want 1/1", n0.Stalls, n1.Panics)
+	if n0.CombineNanos != 1000 || n1.CombineNanos != 1001 {
+		t.Errorf("combine ns = %d/%d, want 1000/1001", n0.CombineNanos, n1.CombineNanos)
 	}
 }
 
@@ -79,11 +59,11 @@ func (r *recorder) CombineEnd(int, int, int, time.Duration) { r.combines++ }
 func (r *recorder) OpDone(int, OpClass, time.Duration)      { r.ops++ }
 
 func TestCombine(t *testing.T) {
-	if Combine() != nil {
-		t.Error("Combine() != nil")
+	if Combine() != Observer(Nop{}) {
+		t.Error("Combine() != Nop{}")
 	}
-	if Combine(nil, nil) != nil {
-		t.Error("Combine(nil, nil) != nil")
+	if Combine(nil, nil) != Observer(Nop{}) {
+		t.Error("Combine(nil, nil) != Nop{}")
 	}
 	r := &recorder{}
 	if got := Combine(nil, r); got != Observer(r) {

@@ -41,6 +41,11 @@ type ReplicaGauge struct {
 	// per-node latency histograms hold a sample of the ops.
 	ReadOps   uint64 `json:"read_ops"`
 	UpdateOps uint64 `json:"update_ops"`
+	// Combines and ReaderRefreshes are the node's cumulative non-empty
+	// combining rounds and self-refreshing reads
+	// (core.ReplicaGauges.Combines / ReaderRefreshes).
+	Combines        uint64 `json:"combines"`
+	ReaderRefreshes uint64 `json:"reader_refreshes"`
 }
 
 // Gauges is the flat cumulative capture the Source closure fills on every

@@ -170,15 +170,16 @@ func TestWindowBatchDistribution(t *testing.T) {
 	if w.BatchP50 < 8 {
 		t.Errorf("BatchP50 = %d, want >= 8", w.BatchP50)
 	}
-	if len(w.Nodes) != 1 || w.Nodes[0].CombinesPerSec != 100 {
-		t.Errorf("node window = %+v, want 100 combines/s on node 0", w.Nodes)
+	// 100 rounds of 1 µs in a 1 s window: combine time is the observer's.
+	if len(w.Nodes) != 1 || w.Nodes[0].CombineBusyFrac != 1e-4 {
+		t.Errorf("node window = %+v, want combine busy fraction 1e-4 on node 0", w.Nodes)
 	}
 }
 
-// TestNodeWindowFromReplicaGauges: a node's op rates, lag and read-lock
-// acquisition rate come from the replica gauges the Source samples, matched
-// by node — not from the latency histograms, which hold only the sampled
-// ops.
+// TestNodeWindowFromReplicaGauges: a node's op, round, refresh and
+// read-lock acquisition rates and its lag come from the replica gauges the
+// Source samples, matched by node — not from the observer, whose latency
+// histograms hold only the sampled ops and which counts no events.
 func TestNodeWindowFromReplicaGauges(t *testing.T) {
 	clk := newClock()
 	var g Gauges
@@ -190,7 +191,7 @@ func TestNodeWindowFromReplicaGauges(t *testing.T) {
 	}))
 	for i := uint64(1); i <= 2; i++ {
 		g.Replicas = []ReplicaGauge{
-			{Node: 0, ReaderAcquires: 500 * i, ReadOps: 480 * i, UpdateOps: 32 * i},
+			{Node: 0, ReaderAcquires: 500 * i, ReadOps: 480 * i, UpdateOps: 32 * i, Combines: 8 * i, ReaderRefreshes: 3 * i},
 			{Node: 1, ReaderAcquires: 30 * i, CompletedLag: 7},
 		}
 		// One op in 16 of node 0's reaches the latency histograms.
@@ -209,8 +210,8 @@ func TestNodeWindowFromReplicaGauges(t *testing.T) {
 	if got := w.Nodes[0]; got.ReadOpsPerSec != 480 || got.UpdateOpsPerSec != 32 {
 		t.Errorf("node 0 op rates = %v read/s %v update/s, want the counters' 480 / 32", got.ReadOpsPerSec, got.UpdateOpsPerSec)
 	}
-	if got := w.Nodes[0].ReaderAcquiresPerSec; got != 500 {
-		t.Errorf("node 0 reader acquires/s = %v, want 500", got)
+	if got := w.Nodes[0]; got.ReaderAcquiresPerSec != 500 || got.CombinesPerSec != 8 || got.ReaderRefreshPerSec != 3 {
+		t.Errorf("node 0 window = %+v, want 500 reader acquires/s, 8 combines/s and 3 refreshes/s", got)
 	}
 	if got := w.Nodes[1]; got.ReaderAcquiresPerSec != 30 || got.CompletedLag != 7 {
 		t.Errorf("node 1 window = %+v, want 30 acquires/s and lag 7", got)

@@ -132,17 +132,15 @@ func deriveWindow(prev, cur *sample) Window {
 		w.DurableLag = cur.g.DurableLag
 	}
 
-	// Per-node: round and refresh counters from the observer capture; op
-	// rates, read-lock acquisitions and lag (from the closing capture) from
-	// the replica gauges — the latency histograms hold only sampled ops, so
-	// their counts are no op rate.
+	// Per-node: combine time from the observer capture; counter rates and
+	// lag (from the closing capture) from the replica gauges, which count
+	// every event exactly — the latency histograms hold only sampled ops,
+	// so their counts are no op rate.
 	for i := range cur.cum.Nodes {
 		cn := &cur.cum.Nodes[i]
 		nw := NodeWindow{Node: i}
 		if i < len(prev.cum.Nodes) {
 			pn := &prev.cum.Nodes[i]
-			nw.CombinesPerSec = rate(cn.CombineRounds, pn.CombineRounds, secs)
-			nw.ReaderRefreshPerSec = rate(cn.ReaderRefreshes, pn.ReaderRefreshes, secs)
 			if wall := secs * 1e9; wall > 0 && cn.CombineNanos >= pn.CombineNanos {
 				nw.CombineBusyFrac = float64(cn.CombineNanos-pn.CombineNanos) / wall
 			}
@@ -152,6 +150,8 @@ func deriveWindow(prev, cur *sample) Window {
 			if pg := prev.g.replica(i); pg != nil {
 				nw.ReadOpsPerSec = rate(rg.ReadOps, pg.ReadOps, secs)
 				nw.UpdateOpsPerSec = rate(rg.UpdateOps, pg.UpdateOps, secs)
+				nw.CombinesPerSec = rate(rg.Combines, pg.Combines, secs)
+				nw.ReaderRefreshPerSec = rate(rg.ReaderRefreshes, pg.ReaderRefreshes, secs)
 				nw.ReaderAcquiresPerSec = rate(rg.ReaderAcquires, pg.ReaderAcquires, secs)
 			}
 		}

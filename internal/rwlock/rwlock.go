@@ -44,19 +44,21 @@ type Distributed struct {
 	writer  atomic.Int32
 	_       [52]byte
 	readers []padded
-	// onWriterWait, when set, observes write acquisitions that spun on
-	// reader flags (NR's observability layer). Written before sharing.
-	//
-	//nr:nilguard
+	// onWriterWait observes write acquisitions that spun on reader flags
+	// (NR counts them). Never nil: a no-op until SetWriterWaitHook installs
+	// one. Written before sharing.
 	onWriterWait func(spins int)
 }
+
+// noWriterWait is the writer-wait hook of a lock nobody observes.
+func noWriterWait(int) {}
 
 // NewDistributed returns a lock supporting reader slots 0..slots-1.
 func NewDistributed(slots int) *Distributed {
 	if slots < 1 {
 		slots = 1
 	}
-	return &Distributed{readers: make([]padded, slots)}
+	return &Distributed{readers: make([]padded, slots), onWriterWait: noWriterWait}
 }
 
 // Slots returns the number of reader slots.
@@ -101,8 +103,13 @@ func (l *Distributed) RUnlock(slot int) {
 // SetWriterWaitHook installs fn to be called whenever a write-mode
 // acquisition had to spin waiting for readers to drain, with the number of
 // scheduler yields it spent. Must be called before the lock is shared; a nil
-// fn (the default) disables the hook.
-func (l *Distributed) SetWriterWaitHook(fn func(spins int)) { l.onWriterWait = fn }
+// fn restores the default, which does nothing.
+func (l *Distributed) SetWriterWaitHook(fn func(spins int)) {
+	if fn == nil {
+		fn = noWriterWait
+	}
+	l.onWriterWait = fn
+}
 
 // ReaderAcquires sums the per-slot acquisition counters: the cumulative
 // number of read-mode acquisitions this lock has served — the reader-arrival
@@ -132,7 +139,7 @@ func (l *Distributed) waitReaders() {
 			runtime.Gosched()
 		}
 	}
-	if spins > 0 && l.onWriterWait != nil {
+	if spins > 0 {
 		l.onWriterWait(spins)
 	}
 }

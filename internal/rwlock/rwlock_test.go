@@ -143,6 +143,41 @@ func TestWriterWaitsForReader(t *testing.T) {
 	}
 }
 
+// TestWriterWaitHook: a write acquisition that spun on a held read lock
+// reports once to the installed hook, and a lock with no hook — fresh, or
+// after SetWriterWaitHook(nil) — waits the same way without one.
+func TestWriterWaitHook(t *testing.T) {
+	// writeBehindReader takes l's write lock while reader slot 0 holds it
+	// until the writer has raised its flag, so the writer has to spin.
+	writeBehindReader := func(l *Distributed) {
+		l.RLock(0)
+		acquired := make(chan struct{})
+		go func() {
+			l.Lock()
+			l.Unlock()
+			close(acquired)
+		}()
+		for l.writer.Load() == 0 {
+			runtime.Gosched()
+		}
+		l.RUnlock(0)
+		<-acquired
+	}
+	l := NewDistributed(1)
+	writeBehindReader(l) // the default hook
+	var waits, spins int
+	l.SetWriterWaitHook(func(s int) { waits++; spins += s })
+	writeBehindReader(l)
+	if waits != 1 || spins == 0 {
+		t.Errorf("hook saw %d waits with %d spins, want 1 wait with spins > 0", waits, spins)
+	}
+	l.SetWriterWaitHook(nil)
+	writeBehindReader(l)
+	if waits != 1 {
+		t.Errorf("hook still called after SetWriterWaitHook(nil): %d waits", waits)
+	}
+}
+
 func TestReaderWaitsForWriter(t *testing.T) {
 	l := NewDistributed(1)
 	l.Lock()

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -111,44 +112,56 @@ func TestRingWrapAround(t *testing.T) {
 // TestConcurrentWritersSameRing exercises the tolerated sharing mode: many
 // goroutines recording into one ring. Every surviving event must be
 // internally consistent (the A==B invariant below), and the fetch-add must
-// have handed out distinct slots (no event observed twice).
+// have handed out distinct slots (no event observed twice). At rest a lone
+// writer leaves a full ring. Several may leave fewer: a writer preempted
+// between its position fetch-add and its seal can re-seal its slot after a
+// later lap's writer did, and the snapshot drops that slot (the tolerated
+// cross-lap tear) — at most one slot per writer.
 func TestConcurrentWritersSameRing(t *testing.T) {
-	const writers, perWriter, slots = 8, 2000, 1024
-	rec, g := ring(t, slots)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				v := uint64(w)<<32 | uint64(i)
-				g.Record(KOpEnd, w, v, v)
+	const total, slots = 16000, 1024
+	for _, writers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
+			perWriter := total / writers
+			rec, g := ring(t, slots)
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						v := uint64(w)<<32 | uint64(i)
+						g.Record(KOpEnd, w, v, v)
+					}
+				}(w)
 			}
-		}(w)
-	}
-	// Snapshot concurrently with the writers: every event that survives the
-	// seqlock + lap floor must still satisfy A == B.
-	for i := 0; i < 50; i++ {
-		for _, e := range rec.Snapshot().Rings[0].Events {
-			if e.A != e.B {
-				t.Fatalf("torn event escaped snapshot: %+v", e)
+			// Snapshot concurrently with the writers: every event that
+			// survives the seqlock + lap floor must still satisfy A == B.
+			for i := 0; i < 50; i++ {
+				for _, e := range rec.Snapshot().Rings[0].Events {
+					if e.A != e.B {
+						t.Fatalf("torn event escaped snapshot: %+v", e)
+					}
+				}
 			}
-		}
-	}
-	wg.Wait()
-	evs := rec.Snapshot().Rings[0].Events
-	if len(evs) != slots {
-		t.Fatalf("quiescent snapshot = %d events, want full ring %d", len(evs), slots)
-	}
-	seen := make(map[uint64]bool, len(evs))
-	for _, e := range evs {
-		if e.A != e.B {
-			t.Fatalf("torn event at rest: %+v", e)
-		}
-		if seen[e.A] {
-			t.Fatalf("event %x recorded into two live slots", e.A)
-		}
-		seen[e.A] = true
+			wg.Wait()
+			evs := rec.Snapshot().Rings[0].Events
+			if writers == 1 && len(evs) != slots {
+				t.Fatalf("quiescent snapshot = %d events, want the full ring %d", len(evs), slots)
+			}
+			if len(evs) < slots-writers || len(evs) > slots {
+				t.Fatalf("quiescent snapshot = %d events, want %d..%d (a full ring less at most one slot per writer)", len(evs), slots-writers, slots)
+			}
+			seen := make(map[uint64]bool, len(evs))
+			for _, e := range evs {
+				if e.A != e.B {
+					t.Fatalf("torn event at rest: %+v", e)
+				}
+				if seen[e.A] {
+					t.Fatalf("event %x recorded into two live slots", e.A)
+				}
+				seen[e.A] = true
+			}
+		})
 	}
 }
 

@@ -186,11 +186,12 @@ func WithObserver(o Observer) Option {
 
 // WithMetrics attaches the built-in metrics observer: per-node histograms
 // of operation latency split by class (a one-in-16 sample of the ops; see
-// WithObserver) and of combiner batch size (every round), and counters for
-// every protocol event, all folded into the snapshot
-// Instance.Metrics returns (its Observed field is non-nil exactly when the
-// instance was built with WithMetrics). A sharded instance has one such
-// observer, shared by every shard, so Observed covers all of its traffic.
+// WithObserver) and of combiner batch size (every round), and per-node
+// combine time, all folded into the snapshot Instance.Metrics returns (its
+// Observed field is non-nil exactly when the instance was built with
+// WithMetrics). Event counts are in Stats, with or without it. A sharded
+// instance has one such observer, shared by every shard, so Observed
+// covers all of its traffic.
 func WithMetrics() Option {
 	return func(s *settings) { s.metrics = true }
 }
@@ -335,6 +336,7 @@ func build[O, R any](create func() Sequential[O, R], shards int, mapper LogMappe
 	opts, mo := s.lower()
 	inst := &Instance[O, R]{shards: make([]*core.Instance[O, R], shards), mapper: mapper, metrics: mo}
 	for i := range inst.shards {
+		opts.Shard = i // distinct op tokens in a shared flight recorder
 		sh, err := core.New[O, R](func() core.Sequential[O, R] { return create() }, opts)
 		if err != nil {
 			return nil, err

@@ -139,7 +139,7 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 		h.Execute(op)
 		stream = append(stream, op)
 	}
-	sampledReads, sampledUpdates, tokens := shardSampled(stream, mapper.LogIndex)
+	sampledReads, sampledUpdates := shardSampled(stream, mapper.LogIndex)
 
 	agg := inst.Metrics()
 	s := agg.Stats
@@ -160,16 +160,21 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 	if len(snap.Rings) == 0 {
 		t.Fatal("TraceSnapshot has no rings; recorder not shared across shards?")
 	}
-	// Same-seq ops of the two shards share a token (it carries no shard), so
-	// they reconstruct as one span.
+	// The shards' handles share node, slot and seq numbering; the shard in
+	// the token's slot keeps their same-seq ops apart: one span per op.
 	spans := nr.ReconstructSpans(snap)
-	if len(spans) != tokens {
-		t.Fatalf("spans reconstructed from sharded trace = %d, want one per distinct sampled token (%d)", len(spans), tokens)
+	if want := int(sampledReads + sampledUpdates); len(spans) != want {
+		t.Fatalf("spans reconstructed from sharded trace = %d, want one per sampled op (%d)", len(spans), want)
 	}
+	slots := map[int]bool{}
 	for _, sp := range spans {
 		if !sp.Complete || !trace.Sampled(sp.Seq) {
 			t.Errorf("span %+v: want complete spans of sampled ops only", sp)
 		}
+		slots[sp.Slot] = true
+	}
+	if len(slots) != 2 {
+		t.Errorf("spans carry token slots %v, want one per shard", slots)
 	}
 	if inst.FlightRecorder() == nil {
 		t.Error("FlightRecorder() = nil with WithFlightRecorderInstance set")
@@ -178,26 +183,22 @@ func TestShardedMetricsAndTrace(t *testing.T) {
 
 // shardSampled counts the sampled ops of one sharded handle's op stream, by
 // class: the handle holds one core handle per shard, each numbering its own
-// ops, so an op is sampled by its position in its shard's substream. seqs
-// is the number of distinct sampled seqs: the per-shard handles share node
-// and slot, so that is the number of distinct op tokens they trace under.
-func shardSampled(stream []mapOp, shard func(mapOp) int) (reads, updates uint64, seqs int) {
+// ops, so an op is sampled by its position in its shard's substream.
+func shardSampled(stream []mapOp, shard func(mapOp) int) (reads, updates uint64) {
 	seq := map[int]uint32{}
-	distinct := map[uint32]bool{}
 	for _, op := range stream {
 		s := shard(op)
 		seq[s]++
 		if !trace.Sampled(seq[s]) {
 			continue
 		}
-		distinct[seq[s]] = true
 		if op.get {
 			reads++
 		} else {
 			updates++
 		}
 	}
-	return reads, updates, len(distinct)
+	return reads, updates
 }
 
 // TestShardedInstanceHasOneObserver: WithMetrics gives a sharded instance
@@ -232,7 +233,7 @@ func TestShardedInstanceHasOneObserver(t *testing.T) {
 				stream[i] = mapOp{key: key, val: i}
 			}
 		}
-		r, u, _ := shardSampled(stream, mapper.LogIndex)
+		r, u := shardSampled(stream, mapper.LogIndex)
 		sampledReads, sampledUpdates = sampledReads+r, sampledUpdates+u
 		wg.Add(1)
 		go func() {

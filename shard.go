@@ -157,6 +157,10 @@ func (i *Instance[O, R]) foldInto(m *Metrics) {
 			a.WriterAcquires += r.WriterAcquires
 			a.ReadOps += r.ReadOps
 			a.UpdateOps += r.UpdateOps
+			a.Combines += r.Combines
+			a.ReaderRefreshes += r.ReaderRefreshes
+			a.TailRetries += r.TailRetries
+			a.WriterWaits += r.WriterWaits
 			a.CombinerHeldNs = max(a.CombinerHeldNs, r.CombinerHeldNs) // the longest-held combiner
 		}
 	}
@@ -172,6 +176,8 @@ func addStats(a, b *Stats) {
 	a.CrossOps += b.CrossOps
 	a.ReaderAcquires += b.ReaderAcquires
 	a.WriterAcquires += b.WriterAcquires
+	a.TailRetries += b.TailRetries
+	a.WriterWaits += b.WriterWaits
 	a.Panics += b.Panics
 	a.Stalls += b.Stalls
 }

@@ -136,6 +136,7 @@ func setGauges(g *tsdb.Gauges, m *core.Metrics) {
 		g.Replicas = append(g.Replicas, tsdb.ReplicaGauge{
 			Node: r.Node, CompletedLag: r.CompletedLag, ReaderAcquires: r.ReaderAcquires,
 			ReadOps: r.ReadOps, UpdateOps: r.UpdateOps,
+			Combines: r.Combines, ReaderRefreshes: r.ReaderRefreshes,
 		})
 		g.MaxReplicaLag = max(g.MaxReplicaLag, r.CompletedLag)
 	}
