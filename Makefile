@@ -4,7 +4,7 @@
 # (internal/chaos, seeds 1 / 42 / 0xc0ffee / 0xdeadbeef) under -race.
 # lint runs nrlint, the NR-specific static analyzers (DESIGN.md §10). fuzz
 # runs every Fuzz* target with random inputs (their seed corpora already run
-# in tier1).
+# in tier1). figures regenerates results/nrbench_all.txt.
 
 GO ?= go
 
@@ -16,7 +16,7 @@ BENCH_OUT ?= bench-local.json
 # The packages where a data race is a protocol bug, not just a test bug.
 RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/histogram ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
 
-.PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench lint lint-sarif
+.PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench figures lint lint-sarif
 
 tier1: ## gofmt + one-benchmark rule + build + vet + lint + unit tests (the acceptance gate)
 	test -z "$$(gofmt -l .)"
@@ -60,6 +60,10 @@ fuzz: ## every Fuzz* target that go test -list finds, 30 s each with random inpu
 
 bench: ## the repository's benchmark (BENCHMARK.json, benchmark/README.md): all five workloads, end-to-end and per-layer metrics
 	$(GO) run ./benchmark -workload all -out $(BENCH_OUT)
+
+figures: ## regenerate results/nrbench_all.txt, every §8 figure (results/README.md); about 15 minutes, so not a CI step
+	$(GO) run ./cmd/nrbench -all -ops 600 > results/nrbench_all.txt.tmp
+	mv results/nrbench_all.txt.tmp results/nrbench_all.txt
 
 build:
 	$(GO) build ./...

@@ -166,7 +166,7 @@ func TestPriorityQueueConcurrentConservation(t *testing.T) {
 }
 
 func TestSortedSetBasic(t *testing.T) {
-	z, err := NewSortedSet(0, smallCfg()...)
+	z, err := NewSortedSet(smallCfg()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSortedSetBasic(t *testing.T) {
 }
 
 func TestSortedSetConcurrentLeaderboard(t *testing.T) {
-	z, err := NewSortedSet(7, smallCfg()...)
+	z, err := NewSortedSet(smallCfg()...)
 	if err != nil {
 		t.Fatal(err)
 	}

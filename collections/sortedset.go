@@ -7,21 +7,16 @@ import (
 
 // SortedSet is a linearizable, NUMA-aware sorted set in the Redis style:
 // string members ranked by float64 score (ties break lexicographically).
-// It wraps the repository's coupled hash-map + skip-list structure — the
-// §6 "coupled data structures" case — through NR.
+// It wraps the repository's coupled hash-map + B+tree structure — the §6
+// "coupled data structures" case — through NR.
 type SortedSet struct {
 	inst *nr.Instance[ds.ZOp, ds.ZResult]
 }
 
 // NewSortedSet builds a sorted set replicated per the given nr options.
-// Seed fixes skip-list level choices so replicas stay identical; any
-// constant works (0 picks a default).
-func NewSortedSet(seed uint64, opts ...nr.Option) (*SortedSet, error) {
-	if seed == 0 {
-		seed = 0xabcdef
-	}
+func NewSortedSet(opts ...nr.Option) (*SortedSet, error) {
 	inst, err := nr.New(func() nr.Sequential[ds.ZOp, ds.ZResult] {
-		return ds.NewSeqSortedSet(64, seed)
+		return ds.NewSeqSortedSet(64)
 	}, opts...)
 	if err != nil {
 		return nil, err

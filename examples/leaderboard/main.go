@@ -1,6 +1,6 @@
 // Leaderboard: the paper's Redis scenario (§8.3) as a library user would
 // write it — a game leaderboard backed by the repository's sorted set
-// (hash table + skip list, updated atomically as one black box), made
+// (hash table + B+tree, updated atomically as one black box), made
 // concurrent with NR. Score updates are ZINCRBY; rank queries are ZRANK.
 package main
 
@@ -14,9 +14,9 @@ import (
 )
 
 func main() {
-	// One replica per node; the sorted set seed must match across replicas.
+	// One replica per node, each built by the same constructor.
 	inst, err := nr.New(
-		func() nr.Sequential[ds.ZOp, ds.ZResult] { return ds.NewSeqSortedSet(1024, 42) },
+		func() nr.Sequential[ds.ZOp, ds.ZResult] { return ds.NewSeqSortedSet(1024) },
 		nr.WithNodes(4, 4, 1),
 	)
 	if err != nil {

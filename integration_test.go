@@ -120,7 +120,7 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 
 	t.Run("sorted-set", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[ds.ZOp, ds.ZResult] {
-			return ds.NewSeqSortedSet(16, 11)
+			return ds.NewSeqSortedSet(16)
 		}, cfg...)
 		if err != nil {
 			t.Fatal(err)

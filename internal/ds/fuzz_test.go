@@ -48,12 +48,12 @@ func FuzzDictImplementationsAgree(f *testing.F) {
 	})
 }
 
-// FuzzSortedSetConsistency drives the coupled hash+skiplist sorted set with
+// FuzzSortedSetConsistency drives the coupled hash+tree sorted set with
 // arbitrary ops and asserts the two structures never diverge.
 func FuzzSortedSetConsistency(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		z := NewSortedSet(4, 3)
+		z := NewSortedSet(4)
 		for len(data) >= 4 {
 			kind := data[0] % 4
 			member := string(rune('a' + data[1]%16))
@@ -74,44 +74,35 @@ func FuzzSortedSetConsistency(f *testing.F) {
 				}
 			}
 			if !z.consistent() {
-				t.Fatal("hash and skip list diverged")
+				t.Fatal("hash and tree diverged")
 			}
-			if !z.byScore.checkSpans() {
-				t.Fatal("span invariant violated")
+			if err := z.byScore.check(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})
 }
 
-// FuzzSkipListRankInvariant checks rank bookkeeping under arbitrary
-// insert/delete/move streams.
-func FuzzSkipListRankInvariant(f *testing.F) {
+// FuzzBTreeRankInvariant checks the tree's bookkeeping, ranks included,
+// after every op of arbitrary insert/delete/move streams over 64 keys.
+func FuzzBTreeRankInvariant(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 9, 0, 0, 3, 0, 0, 5, 0, 2, 9, 4, 2, 3, 5, 2, 4, 3, 2, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewSkipList[struct{}](5)
+		bt := NewBTree[struct{}]()
 		for len(data) >= 3 {
 			key, to := IntKey(int64(data[1]%64)), IntKey(int64(data[2]%64))
 			switch data[0] % 3 {
 			case 0:
-				s.Insert(key, struct{}{})
+				bt.Insert(key, struct{}{})
 			case 1:
-				s.Delete(key)
+				bt.Delete(key)
 			case 2:
-				s.Move(key, to, struct{}{})
+				bt.Move(key, to, struct{}{})
 			}
 			data = data[3:]
-			if !s.checkSpans() {
-				t.Fatal("span invariant violated")
-			}
-		}
-		for i := 0; i < s.Len(); i++ {
-			k, _, ok := s.ByRank(i)
-			if !ok {
-				t.Fatalf("ByRank(%d) missing with Len=%d", i, s.Len())
-			}
-			if r, ok := s.Rank(k); !ok || r != i {
-				t.Fatalf("Rank(ByRank(%d)) = %d,%v", i, r, ok)
+			if err := bt.check(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -390,8 +390,8 @@ type SeqSortedSet struct {
 }
 
 // NewSeqSortedSet returns an empty sorted set.
-func NewSeqSortedSet(capacity int, seed uint64) *SeqSortedSet {
-	return &SeqSortedSet{z: NewSortedSet(capacity, seed)}
+func NewSeqSortedSet(capacity int) *SeqSortedSet {
+	return &SeqSortedSet{z: NewSortedSet(capacity)}
 }
 
 // Inner exposes the underlying sorted set for read-only inspection in tests.

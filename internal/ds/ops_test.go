@@ -110,7 +110,7 @@ func TestStackOps(t *testing.T) {
 }
 
 func TestSortedSetOps(t *testing.T) {
-	z := NewSeqSortedSet(0, 11)
+	z := NewSeqSortedSet(0)
 	if r := z.Execute(ZOp{Kind: ZAdd, Member: "a", Score: 1}); !r.OK {
 		t.Error("fresh ZAdd = !OK")
 	}

@@ -3,12 +3,22 @@ package ds
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func newIntList(seed uint64) *SkipList[uint64] { return NewSkipList[uint64](seed) }
+
+// ascending returns the list's keys, in order, as ints.
+func ascending[V any](s *SkipList[V]) []int64 {
+	var keys []int64
+	for x := s.head.next[0]; x != nil; x = x.next[0] {
+		keys = append(keys, x.key.Int())
+	}
+	return keys
+}
 
 // TestKeyOrderMatchesNumericOrder: IntKey and FloatKey order Ord exactly as
 // int64 and float64 order their arguments, -0 with +0, and Tie breaks an
@@ -87,11 +97,8 @@ func TestSkipListEmpty(t *testing.T) {
 	if s.Delete(IntKey(5)) {
 		t.Error("Delete on empty returned true")
 	}
-	if _, ok := s.Rank(IntKey(5)); ok {
-		t.Error("Rank on empty returned ok")
-	}
-	if _, _, ok := s.ByRank(0); ok {
-		t.Error("ByRank(0) on empty returned ok")
+	if !s.checkOrder() {
+		t.Error("empty list invalid")
 	}
 }
 
@@ -123,14 +130,12 @@ func TestSkipListOrderAndMin(t *testing.T) {
 	for _, k := range keys {
 		s.Insert(IntKey(k), uint64(k*10))
 	}
-	var got []int64
-	s.RangeByRank(0, s.Len()-1, func(k Key, v uint64) bool {
-		got = append(got, k.Int())
-		if v != uint64(k.Int()*10) {
-			t.Errorf("value for %d = %d", k.Int(), v)
+	got := ascending(s)
+	for _, k := range got {
+		if v, _ := s.Get(IntKey(k)); v != uint64(k*10) {
+			t.Errorf("value for %d = %d", k, v)
 		}
-		return true
-	})
+	}
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
 			t.Fatalf("not sorted: %v", got)
@@ -148,95 +153,13 @@ func TestSkipListOrderAndMin(t *testing.T) {
 	}
 }
 
-func TestSkipListRank(t *testing.T) {
-	s := newIntList(4)
-	for i := int64(0); i < 100; i++ {
-		s.Insert(IntKey(i*2), 0) // even keys 0..198
-	}
-	for i := int64(0); i < 100; i++ {
-		r, ok := s.Rank(IntKey(i * 2))
-		if !ok || r != int(i) {
-			t.Fatalf("Rank(%d) = %d,%v, want %d,true", i*2, r, ok, i)
-		}
-	}
-	if _, ok := s.Rank(IntKey(3)); ok {
-		t.Error("Rank(3) = ok for absent key")
-	}
-	for i := 0; i < 100; i++ {
-		k, _, ok := s.ByRank(i)
-		if !ok || k.Int() != int64(i*2) {
-			t.Fatalf("ByRank(%d) = %d,%v, want %d,true", i, k.Int(), ok, i*2)
-		}
-	}
-	if _, _, ok := s.ByRank(100); ok {
-		t.Error("ByRank(100) out of range = ok")
-	}
-	if _, _, ok := s.ByRank(-1); ok {
-		t.Error("ByRank(-1) = ok")
-	}
-}
-
-func TestSkipListRankAfterDeletes(t *testing.T) {
-	s := newIntList(5)
-	for i := int64(0); i < 50; i++ {
-		s.Insert(IntKey(i), 0)
-	}
-	for i := int64(0); i < 50; i += 2 {
-		s.Delete(IntKey(i)) // remove evens, odds remain
-	}
-	for i := 0; i < 25; i++ {
-		k, _, ok := s.ByRank(i)
-		if !ok || k.Int() != int64(2*i+1) {
-			t.Fatalf("ByRank(%d) = %d, want %d", i, k.Int(), 2*i+1)
-		}
-	}
-	if !s.checkSpans() {
-		t.Error("span invariant violated after deletes")
-	}
-}
-
-func TestSkipListRangeByRank(t *testing.T) {
-	s := newIntList(6)
-	for i := int64(0); i < 10; i++ {
-		s.Insert(IntKey(i), uint64(i))
-	}
-	var got []int64
-	s.RangeByRank(3, 6, func(k Key, _ uint64) bool {
-		got = append(got, k.Int())
-		return true
-	})
-	want := []int64{3, 4, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("RangeByRank(3,6) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RangeByRank(3,6) = %v, want %v", got, want)
-		}
-	}
-	// Clamping and early stop.
-	got = got[:0]
-	s.RangeByRank(-5, 100, func(k Key, _ uint64) bool {
-		got = append(got, k.Int())
-		return len(got) < 3
-	})
-	if len(got) != 3 {
-		t.Errorf("early-stop range returned %d items, want 3", len(got))
-	}
-	got = got[:0]
-	s.RangeByRank(7, 3, func(k Key, _ uint64) bool { got = append(got, k.Int()); return true })
-	if len(got) != 0 {
-		t.Errorf("inverted range returned %v", got)
-	}
-}
-
 func TestSkipListAgainstMapOracle(t *testing.T) {
 	s := newIntList(7)
 	oracle := map[int64]uint64{}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
 		k := int64(rng.Intn(500))
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			v := rng.Uint64()
 			wantNew := func() bool { _, ok := oracle[k]; return !ok }()
@@ -256,45 +179,21 @@ func TestSkipListAgainstMapOracle(t *testing.T) {
 			if gok != wok || (gok && gv != wv) {
 				t.Fatalf("op %d: Get(%d) = %d,%v, want %d,%v", i, k, gv, gok, wv, wok)
 			}
-		case 3:
-			// Mostly short hops (the fast path and the finger walk), some
-			// anywhere, some onto a key that is taken or onto itself.
-			to := k + int64(rng.Intn(7)) - 3
-			if rng.Intn(4) == 0 {
-				to = int64(rng.Intn(500))
-			}
-			v, present := oracle[k]
-			nv := rng.Uint64()
-			if got := s.Move(IntKey(k), IntKey(to), nv); got != present {
-				t.Fatalf("op %d: Move(%d, %d) = %v, want %v", i, k, to, got, present)
-			}
-			if present {
-				delete(oracle, k)
-				oracle[to] = nv
-			}
-			if gv, ok := s.Get(IntKey(to)); present && (!ok || gv != nv) {
-				t.Fatalf("op %d: after Move(%d, %d) Get = %d,%v, want %d (was %d)", i, k, to, gv, ok, nv, v)
-			}
-			if !s.checkSpans() {
-				t.Fatalf("op %d: span invariant violated by Move(%d, %d)", i, k, to)
-			}
 		}
 		if s.Len() != len(oracle) {
 			t.Fatalf("op %d: Len = %d, want %d", i, s.Len(), len(oracle))
 		}
 	}
-	if !s.checkSpans() {
-		t.Error("span invariant violated after random workload")
+	if !s.checkOrder() {
+		t.Error("order invariant violated after random workload")
 	}
 	var keys []int64
 	for k := range oracle {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for r, k := range keys {
-		if got, _, ok := s.ByRank(r); !ok || got.Int() != k {
-			t.Fatalf("ByRank(%d) = %d,%v, want %d", r, got.Int(), ok, k)
-		}
+	if got := ascending(s); !slices.Equal(got, keys) {
+		t.Fatalf("keys = %v, want %v", got, keys)
 	}
 }
 
@@ -326,34 +225,6 @@ func TestSkipListDeterministicAcrossReplicas(t *testing.T) {
 	}
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths diverged: %d vs %d", a.Len(), b.Len())
-	}
-}
-
-// Property: for any key set, ranks are a permutation of 0..n-1 consistent
-// with sorted order.
-func TestSkipListRankProperty(t *testing.T) {
-	f := func(keys []int64) bool {
-		s := newIntList(11)
-		uniq := map[int64]bool{}
-		for _, k := range keys {
-			s.Insert(IntKey(k), 0)
-			uniq[k] = true
-		}
-		var sorted []int64
-		for k := range uniq {
-			sorted = append(sorted, k)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for i, k := range sorted {
-			r, ok := s.Rank(IntKey(k))
-			if !ok || r != i {
-				return false
-			}
-		}
-		return s.checkSpans()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

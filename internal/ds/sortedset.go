@@ -3,24 +3,24 @@ package ds
 import "math"
 
 // SortedSet is a Redis-style sorted set: members (strings) with float64
-// scores, backed by a hash map for O(1) member lookup and a skip list keyed
-// by FloatKey(score, member) for O(log n) rank and range queries. Every
-// update keeps both structures consistent — these are the "coupled data
-// structures" of §6 that lock-free algorithms fundamentally cannot compose,
-// and that NR updates atomically by treating the pair as one black box.
+// scores, backed by a hash map for O(1) member lookup and an order-statistic
+// B+tree keyed by FloatKey(score, member) for O(log n) rank and range
+// queries. Every update keeps both structures consistent — these are the
+// "coupled data structures" of §6 that lock-free algorithms fundamentally
+// cannot compose, and that NR updates atomically by treating the pair as one
+// black box.
 type SortedSet struct {
 	byMember *HashMap[float64]
 	// byScore's value is the stored score: the key sorts -0 with +0, the
 	// value keeps the float exactly as it was set.
-	byScore *SkipList[float64]
+	byScore *BTree[float64]
 }
 
-// NewSortedSet returns an empty sorted set. The seed fixes the skip list's
-// level PRNG so replicas stay identical.
-func NewSortedSet(capacity int, seed uint64) *SortedSet {
+// NewSortedSet returns an empty sorted set.
+func NewSortedSet(capacity int) *SortedSet {
 	return &SortedSet{
 		byMember: NewHashMap[float64](capacity),
-		byScore:  NewSkipList[float64](seed),
+		byScore:  NewBTree[float64](),
 	}
 }
 
@@ -43,7 +43,7 @@ func (z *SortedSet) Add(member string, score float64) bool {
 
 // IncrBy adds delta to member's score (creating it at delta if absent) and
 // returns the new score. Matches Redis ZINCRBY, down to zslUpdateScore: the
-// member's skip-list node is moved, not deleted and reinserted. If the new
+// member's entry is moved, not deleted and reinserted. If the new
 // score would be NaN (a NaN delta, or inf + -inf) nothing changes and NaN is
 // returned.
 func (z *SortedSet) IncrBy(member string, delta float64) float64 {
@@ -68,7 +68,7 @@ func (z *SortedSet) insert(member string, score float64) {
 }
 
 // rescore moves a present member, whose hash-map value p points to, to
-// score; an unchanged score leaves the skip list alone.
+// score; an unchanged score leaves the tree alone.
 func (z *SortedSet) rescore(p *float64, member string, score float64) {
 	if *p == score {
 		return
@@ -94,7 +94,7 @@ func (z *SortedSet) Score(member string) (float64, bool) {
 }
 
 // Rank returns member's 0-based rank in ascending (score, member) order.
-// Matches Redis ZRANK: hash lookup first, then skip-list rank (§8.3).
+// Matches Redis ZRANK: hash lookup first, then the tree's rank (§8.3).
 func (z *SortedSet) Rank(member string) (int, bool) {
 	score, ok := z.byMember.Get(member)
 	if !ok {
@@ -105,7 +105,7 @@ func (z *SortedSet) Rank(member string) (int, bool) {
 
 // Range calls fn for members with ranks in [lo, hi] inclusive, ascending.
 func (z *SortedSet) Range(lo, hi int, fn func(member string, score float64) bool) {
-	z.byScore.RangeByRank(lo, hi, func(k Key, score float64) bool {
+	z.byScore.Range(lo, hi, func(k Key, score float64) bool {
 		return fn(k.Tie, score)
 	})
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestSortedSetAddScoreRank(t *testing.T) {
-	z := NewSortedSet(0, 1)
+	z := NewSortedSet(0)
 	if !z.Add("alice", 10) {
 		t.Error("Add(alice) = false, want true")
 	}
@@ -37,12 +37,12 @@ func TestSortedSetAddScoreRank(t *testing.T) {
 		t.Error("Rank(dave) = ok for absent member")
 	}
 	if !z.consistent() {
-		t.Error("hash/skiplist inconsistent")
+		t.Error("hash/tree inconsistent")
 	}
 }
 
 func TestSortedSetIncrBy(t *testing.T) {
-	z := NewSortedSet(0, 2)
+	z := NewSortedSet(0)
 	if s := z.IncrBy("x", 3); s != 3 {
 		t.Errorf("IncrBy new member = %v, want 3", s)
 	}
@@ -63,7 +63,7 @@ func TestSortedSetIncrBy(t *testing.T) {
 }
 
 func TestSortedSetRemoveAndRange(t *testing.T) {
-	z := NewSortedSet(0, 3)
+	z := NewSortedSet(0)
 	for i := 0; i < 10; i++ {
 		z.Add(fmt.Sprintf("m%d", i), float64(i))
 	}
@@ -99,7 +99,7 @@ func TestSortedSetRemoveAndRange(t *testing.T) {
 }
 
 func TestSortedSetTieBreakByMember(t *testing.T) {
-	z := NewSortedSet(0, 4)
+	z := NewSortedSet(0)
 	z.Add("b", 1)
 	z.Add("a", 1)
 	z.Add("c", 1)
@@ -117,7 +117,7 @@ func TestSortedSetTieBreakByMember(t *testing.T) {
 // it never equals itself, so every re-add would move the node again. Neither
 // Add nor IncrBy lets one in.
 func TestSortedSetRefusesNaN(t *testing.T) {
-	z := NewSortedSet(0, 4)
+	z := NewSortedSet(0)
 	for i, m := range []string{"a", "b", "c"} {
 		z.Add(m, float64(i))
 	}
@@ -137,7 +137,7 @@ func TestSortedSetRefusesNaN(t *testing.T) {
 }
 
 func TestSortedSetRandomConsistency(t *testing.T) {
-	z := NewSortedSet(0, 5)
+	z := NewSortedSet(0)
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 20000; i++ {
 		m := fmt.Sprintf("m%d", rng.Intn(200))
@@ -159,12 +159,12 @@ func TestSortedSetRandomConsistency(t *testing.T) {
 
 // TestSortedSetAgainstSortedSlice drives Add, IncrBy (positive, negative and
 // zero deltas) and Remove against a model kept as a sorted slice. Scores are
-// small integers, so ties are common and the member decides; sets of a dozen
-// members keep the list's level at the height of its tallest tower, so
-// moving that tower shrinks the list and raises it again.
+// small integers, so ties are common and the member decides; sets of three
+// and a dozen members stay in one leaf, while 150 members span several, so
+// a move both slides inside a leaf and crosses leaves.
 func TestSortedSetAgainstSortedSlice(t *testing.T) {
 	for _, members := range []int{3, 12, 150} {
-		z := NewSortedSet(0, uint64(members))
+		z := NewSortedSet(0)
 		model := map[string]float64{}
 		rng := rand.New(rand.NewSource(int64(members)))
 		for i := 0; i < 6000; i++ {
@@ -200,8 +200,8 @@ func TestSortedSetAgainstSortedSlice(t *testing.T) {
 	}
 }
 
-// scoredMember and lessScored are the (score, member) order SortedSet kept
-// before its skip list took a FloatKey: the oracle of the tests below.
+// scoredMember and lessScored are the (score, member) order, compared as
+// floats and strings: the oracle FloatKey's order is pinned against.
 type scoredMember struct {
 	score  float64
 	member string
@@ -226,7 +226,7 @@ func TestSortedSetMatchesScoredOrder(t *testing.T) {
 		0, math.SmallestNonzeroFloat64, 0.5, 1, math.MaxFloat64, math.Inf(1),
 	}
 	deltas := []float64{negZero, 0, -1, 1, 0.5, math.Inf(-1), math.Inf(1), math.SmallestNonzeroFloat64}
-	z := NewSortedSet(0, 9)
+	z := NewSortedSet(0)
 	model := map[string]float64{}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20000; i++ {
@@ -280,10 +280,10 @@ func checkSortedSetAgainst(t *testing.T, z *SortedSet, model map[string]float64)
 		t.Errorf("Len = %d, want %d", z.Len(), len(want))
 	}
 	if !z.consistent() {
-		t.Error("hash map and skip list disagree")
+		t.Error("hash map and tree disagree")
 	}
-	if !z.byScore.checkSpans() {
-		t.Error("span invariant violated")
+	if err := z.byScore.check(); err != nil {
+		t.Error(err)
 	}
 	for r, w := range want {
 		if got, ok := z.Rank(w.member); !ok || got != r {
@@ -308,7 +308,7 @@ func checkSortedSetAgainst(t *testing.T, z *SortedSet, model map[string]float64)
 // Property: ranks form a dense prefix 0..Len-1 and agree with ByRank.
 func TestSortedSetRankDenseProperty(t *testing.T) {
 	f := func(scores []float64) bool {
-		z := NewSortedSet(0, 7)
+		z := NewSortedSet(0)
 		for i, s := range scores {
 			z.Add(fmt.Sprintf("m%d", i), s)
 		}

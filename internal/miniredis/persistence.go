@@ -83,8 +83,7 @@ func (StoreCodec) Decode(data []byte) (StoreOp, error) {
 // produce equal bytes.
 
 // SnapshotBytes implements nr.Snapshotter, serializing the whole keyspace
-// including the determinism seed (restored replicas must keep making the
-// same skip-list level choices).
+// including the store's seed.
 func (st *Store) SnapshotBytes() ([]byte, error) {
 	keys := make([]string, 0, st.keys.Len())
 	st.keys.Range(func(k string, _ *value) bool {
@@ -170,6 +169,9 @@ func RestoreStore(data []byte, seedIfEmpty uint64) (*Store, error) {
 				}
 				z.Add(m, math.Float64frombits(binary.LittleEndian.Uint64(data)))
 				data = data[8:]
+			}
+			if n == 0 { // written before ZREM deleted a set's key with its last member
+				st.keys.Delete(key)
 			}
 		default:
 			return nil, fmt.Errorf("miniredis: snapshot has unknown value type %d for key %q", typ, key)

@@ -1,6 +1,7 @@
 package miniredis
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -90,6 +91,26 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	}
 	if fresh.seed != 123 || fresh.Len() != 0 {
 		t.Errorf("fresh store seed %d len %d, want 123/0", fresh.seed, fresh.Len())
+	}
+}
+
+// A snapshot written before ZREM deleted a set's key with its last member
+// can hold an empty set; restoring drops it.
+func TestRestoreStoreDropsEmptySet(t *testing.T) {
+	data := binary.LittleEndian.AppendUint64(nil, 7) // seed
+	data = binary.LittleEndian.AppendUint64(data, 1) // one key
+	data = binary.LittleEndian.AppendUint32(data, 1)
+	data = append(data, 'z', 1)                      // "z", a sorted set
+	data = binary.LittleEndian.AppendUint64(data, 0) // of no members
+	st, err := RestoreStore(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdDBSize}); r.Int != 0 {
+		t.Errorf("DBSIZE = %+v, want 0", r)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdGet, Key: "z"}); r.OK || r.Err != "" {
+		t.Errorf("GET z = %+v, want nil", r)
 	}
 }
 

@@ -69,11 +69,14 @@ type value struct {
 // replicated by NR (or wrapped by a baseline method).
 type Store struct {
 	keys *ds.HashMap[*value]
+	// seed decides nothing: no structure in the keyspace draws random
+	// numbers. It is kept because the snapshot format and NewStore /
+	// RestoreStore, which the benchmark calls, carry it.
 	seed uint64
 }
 
-// NewStore returns an empty keyspace. The seed fixes skip-list level choices
-// so replicas built from the same op stream are identical.
+// NewStore returns an empty keyspace. The seed is carried into snapshots
+// and changes nothing else.
 func NewStore(seed uint64) *Store {
 	if seed == 0 {
 		seed = 0xfeedface
@@ -97,8 +100,7 @@ func (st *Store) zsetFor(key string, create bool) (*ds.SortedSet, bool) {
 	if !create {
 		return nil, true
 	}
-	// Per-key deterministic seed keeps replicas identical.
-	z := ds.NewSortedSet(8, st.seed^hashKey(key))
+	z := ds.NewSortedSet(8)
 	st.keys.Set(key, &value{zset: z})
 	return z, true
 }
@@ -172,6 +174,9 @@ func (st *Store) Execute(op StoreOp) StoreResult {
 		}
 		if z == nil || !z.Remove(op.Member) {
 			return StoreResult{Int: 0, OK: true}
+		}
+		if z.Len() == 0 { // as in Redis, a set's last member takes its key along
+			st.keys.Delete(op.Key)
 		}
 		return StoreResult{Int: 1, OK: true}
 

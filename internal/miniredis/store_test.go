@@ -154,6 +154,31 @@ func TestStoreFlushAll(t *testing.T) {
 	}
 }
 
+// As in Redis, removing a set's last member removes its key: DBSIZE no
+// longer counts it, GET answers nil instead of WRONGTYPE, ZCARD 0.
+func TestStoreZRemOfLastMemberDeletesKey(t *testing.T) {
+	st := NewStore(5)
+	st.Execute(StoreOp{Cmd: CmdZAdd, Key: "z", Member: "a", Score: 1})
+	st.Execute(StoreOp{Cmd: CmdZAdd, Key: "z", Member: "b", Score: 2})
+	for _, m := range []string{"a", "b"} {
+		if r := st.Execute(StoreOp{Cmd: CmdZRem, Key: "z", Member: m}); r.Int != 1 {
+			t.Fatalf("ZREM z %s = %+v", m, r)
+		}
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdDBSize}); r.Int != 0 {
+		t.Errorf("DBSIZE after the last ZREM = %+v, want 0", r)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdGet, Key: "z"}); r.OK || r.Err != "" {
+		t.Errorf("GET after the last ZREM = %+v, want nil", r)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdZCard, Key: "z"}); !r.OK || r.Int != 0 {
+		t.Errorf("ZCARD after the last ZREM = %+v, want 0", r)
+	}
+	if r := st.Execute(StoreOp{Cmd: CmdZRem, Key: "z", Member: "a"}); !r.OK || r.Int != 0 {
+		t.Errorf("ZREM of the deleted key = %+v, want 0", r)
+	}
+}
+
 func TestStoreReadOnlyClassification(t *testing.T) {
 	st := NewStore(5)
 	readOnly := []Cmd{CmdPing, CmdGet, CmdZScore, CmdZRank, CmdZCard, CmdZRange, CmdDBSize}
