@@ -2,6 +2,7 @@ package nr_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,7 +67,13 @@ func (c *apiCounter) IsReadOnly(op cOp) bool { return !op.inc }
 
 // TestIntegration_EveryShippedStructureUnderNR runs each sequential
 // structure the repository ships through the public API concurrently and
-// checks replica agreement.
+// checks that every replica ends in the same state (driveAndCompare).
+//
+// It also guards the rule that reads must not write: four handles on two
+// nodes put two readers on each replica at once, so under -race (the root
+// package is in make tier1-race) a read that writes the structure, such as a
+// rank cache in SortedSet.Rank, fails the sorted-set and miniredis-store
+// subtests.
 func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 	cfg := []nr.Option{nr.WithNodes(2, 2, 1), nr.WithLogEntries(512)}
 
@@ -85,9 +92,17 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 				return ds.PQOp{Kind: ds.PQDeleteMin}
 			}
 			return ds.PQOp{Kind: ds.PQFindMin}
-		}, func(s nr.Sequential[ds.PQOp, ds.PQResult]) int { return s.(*ds.SkipListPQ).Len() })
+		}, func(s nr.Sequential[ds.PQOp, ds.PQResult]) string {
+			var b strings.Builder
+			s.(*ds.SkipListPQ).Range(func(k int64) bool {
+				fmt.Fprintf(&b, "%d ", k)
+				return true
+			})
+			return b.String()
+		})
 	})
 
+	// The pairing heap has no read-only walk: its size stands for its state.
 	t.Run("pairing-heap", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[ds.PQOp, ds.PQResult] {
 			return ds.NewHeapPQ()
@@ -100,24 +115,12 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 				return ds.PQOp{Kind: ds.PQInsert, Key: int64(rng.Intn(5000))}
 			}
 			return ds.PQOp{Kind: ds.PQDeleteMin}
-		}, func(s nr.Sequential[ds.PQOp, ds.PQResult]) int { return s.(*ds.HeapPQ).Len() })
+		}, func(s nr.Sequential[ds.PQOp, ds.PQResult]) string { return fmt.Sprint(s.(*ds.HeapPQ).Len()) })
 	})
 
-	t.Run("stack", func(t *testing.T) {
-		inst, err := nr.New(func() nr.Sequential[ds.StackOp, ds.StackResult] {
-			return ds.NewSeqStack(64)
-		}, cfg...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveAndCompare(t, inst, func(rng *workload.RNG) ds.StackOp {
-			if rng.Intn(2) == 0 {
-				return ds.StackOp{Kind: ds.StackPush, Value: int64(rng.Next())}
-			}
-			return ds.StackOp{Kind: ds.StackPop}
-		}, func(s nr.Sequential[ds.StackOp, ds.StackResult]) int { return s.(*ds.SeqStack).Len() })
-	})
-
+	// This subtest and miniredis-store are mostly ZRANKs: -race sees a read
+	// that writes only between two reads of one replica with no update
+	// between them.
 	t.Run("sorted-set", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[ds.ZOp, ds.ZResult] {
 			return ds.NewSeqSortedSet(16)
@@ -127,7 +130,7 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 		}
 		driveAndCompare(t, inst, func(rng *workload.RNG) ds.ZOp {
 			m := fmt.Sprintf("m%d", rng.Intn(40))
-			switch rng.Intn(4) {
+			switch rng.Intn(16) {
 			case 0:
 				return ds.ZOp{Kind: ds.ZAdd, Member: m, Score: float64(rng.Intn(100))}
 			case 1:
@@ -136,60 +139,18 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 				return ds.ZOp{Kind: ds.ZRem, Member: m}
 			}
 			return ds.ZOp{Kind: ds.ZRank, Member: m}
-		}, func(s nr.Sequential[ds.ZOp, ds.ZResult]) int { return s.(*ds.SeqSortedSet).Inner().Len() })
-	})
-
-	t.Run("queue", func(t *testing.T) {
-		inst, err := nr.New(func() nr.Sequential[ds.QueueOp, ds.QueueResult] {
-			return ds.NewSeqQueue(64)
-		}, cfg...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveAndCompare(t, inst, func(rng *workload.RNG) ds.QueueOp {
-			switch rng.Intn(5) {
-			case 0, 1:
-				return ds.QueueOp{Kind: ds.QueueEnqueue, Value: int64(rng.Next())}
-			case 2, 3:
-				return ds.QueueOp{Kind: ds.QueueDequeue}
-			}
-			return ds.QueueOp{Kind: ds.QueuePeek}
-		}, func(s nr.Sequential[ds.QueueOp, ds.QueueResult]) int { return s.(*ds.SeqQueue).Len() })
-	})
-
-	// Get reorders recency, so which keys survive eviction depends on the
-	// order of reads too: the fingerprint is over the surviving key set.
-	t.Run("lru", func(t *testing.T) {
-		const keys = 200
-		inst, err := nr.New(func() nr.Sequential[ds.LRUOp, ds.LRUResult] {
-			return ds.NewSeqLRU(64)
-		}, cfg...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveAndCompare(t, inst, func(rng *workload.RNG) ds.LRUOp {
-			k := int64(rng.Intn(keys))
-			switch rng.Intn(4) {
-			case 0:
-				return ds.LRUOp{Kind: ds.LRUPut, Key: k, Value: rng.Next()}
-			case 1:
-				return ds.LRUOp{Kind: ds.LRUGet, Key: k}
-			case 2:
-				return ds.LRUOp{Kind: ds.LRURemove, Key: k}
-			}
-			return ds.LRUOp{Kind: ds.LRUPeek, Key: k}
-		}, func(s nr.Sequential[ds.LRUOp, ds.LRUResult]) int {
-			sum := 0
-			for k := int64(0); k < keys; k++ {
-				if s.Execute(ds.LRUOp{Kind: ds.LRUPeek, Key: k}).OK {
-					sum += int(k*k) + 1
-				}
-			}
-			return sum
+		}, func(s nr.Sequential[ds.ZOp, ds.ZResult]) string {
+			var b strings.Builder
+			z := s.(*ds.SeqSortedSet).Inner()
+			z.Range(0, z.Len()-1, func(m string, sc float64) bool {
+				fmt.Fprintf(&b, "%s=%v ", m, sc)
+				return true
+			})
+			return b.String()
 		})
 	})
 
-	// Three dictionaries behind one op type: swapping the constructor is the
+	// Two dictionaries behind one op type: swapping the constructor is the
 	// whole port (the black-box claim). Keys are few enough that deletes hit
 	// absent keys, which FastPathDict serves through TryReadOnly (§6).
 	dictOp := func(rng *workload.RNG) ds.DictOp {
@@ -207,7 +168,6 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 		create func() nr.Sequential[ds.DictOp, ds.DictResult]
 	}{
 		{"skiplist-dict", func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewSkipListDict(5) }},
-		{"btree-dict", func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewBTreeDict() }},
 		{"fastpath-dict", func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(5) }},
 	} {
 		t.Run(d.name, func(t *testing.T) {
@@ -215,27 +175,18 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			driveAndCompare(t, inst, dictOp, func(s nr.Sequential[ds.DictOp, ds.DictResult]) int {
-				return s.(interface{ Len() int }).Len()
+			driveAndCompare(t, inst, dictOp, func(s nr.Sequential[ds.DictOp, ds.DictResult]) string {
+				var b strings.Builder
+				s.(interface {
+					Range(func(int64, uint64) bool)
+				}).Range(func(k int64, v uint64) bool {
+					fmt.Fprintf(&b, "%d=%d ", k, v)
+					return true
+				})
+				return b.String()
 			})
 		})
 	}
-
-	// The buffer's length never changes; a read of entry 0 and seven derived
-	// entries is its replica fingerprint.
-	t.Run("buffer", func(t *testing.T) {
-		inst, err := nr.New(func() nr.Sequential[ds.BufferOp, ds.BufferResult] {
-			return ds.NewSeqBuffer(256)
-		}, cfg...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveAndCompare(t, inst, func(rng *workload.RNG) ds.BufferOp {
-			return ds.BufferOp{Update: rng.Intn(2) == 0, Seed: rng.Next(), C: 4}
-		}, func(s nr.Sequential[ds.BufferOp, ds.BufferResult]) int {
-			return int(s.Execute(ds.BufferOp{Seed: 1, C: 8}).Sum)
-		})
-	})
 
 	t.Run("miniredis-store", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[miniredis.StoreOp, miniredis.StoreResult] {
@@ -246,18 +197,62 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 		}
 		driveAndCompare(t, inst, func(rng *workload.RNG) miniredis.StoreOp {
 			m := fmt.Sprintf("m%d", rng.Intn(40))
-			switch rng.Intn(3) {
+			switch rng.Intn(8) {
 			case 0:
 				return miniredis.StoreOp{Cmd: miniredis.CmdZIncrBy, Key: "z", Member: m, Score: 1}
-			case 1:
+			case 1, 2, 3, 4, 5, 6:
 				return miniredis.StoreOp{Cmd: miniredis.CmdZRank, Key: "z", Member: m}
 			}
 			return miniredis.StoreOp{Cmd: miniredis.CmdZCard, Key: "z"}
-		}, func(s nr.Sequential[miniredis.StoreOp, miniredis.StoreResult]) int {
-			return s.(*miniredis.Store).Len()
+		}, func(s nr.Sequential[miniredis.StoreOp, miniredis.StoreResult]) string {
+			b, err := s.(*miniredis.Store).SnapshotBytes()
+			if err != nil {
+				t.Error(err)
+			}
+			return string(b)
 		})
 	})
 }
+
+// TestIntegration_ReplicaOracleCatchesNondeterminism runs a black box that
+// breaks §4's determinism rule through the same oracle: each replica's
+// replay of an update bumps whichever key a range over a Go map yields
+// first, and Go randomizes that order. Every replica keeps the same number
+// of keys, so only a comparison of whole states sees the divergence.
+func TestIntegration_ReplicaOracleCatchesNondeterminism(t *testing.T) {
+	inst, err := nr.New(func() nr.Sequential[int, int] {
+		p := mapPicker{}
+		for k := range 8 {
+			p[k] = 0
+		}
+		return p
+	}, nr.WithNodes(2, 2, 1), nr.WithLogEntries(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fmt prints a map's entries in key order.
+	err = driveReplicas(inst, func(rng *workload.RNG) int { return rng.Intn(2) },
+		func(s nr.Sequential[int, int]) string { return fmt.Sprint(s) })
+	if err == nil {
+		t.Fatal("replicas of a black box that iterates a Go map in Execute compared equal")
+	}
+}
+
+// mapPicker counts bumps per key: op 1 bumps a key, op 0 reads the number
+// of keys.
+type mapPicker map[int]int
+
+func (p mapPicker) Execute(op int) int {
+	if op == 1 {
+		for k := range p {
+			p[k]++
+			return k
+		}
+	}
+	return len(p)
+}
+
+func (p mapPicker) IsReadOnly(op int) bool { return op == 0 }
 
 // TestIntegration_ReplayedZIncrByAllocatesNothing pins the paper's §8.3
 // update end to end: NR executes it once per replica (§5.1), so whatever the
@@ -315,35 +310,49 @@ func TestIntegration_ReplayedZIncrByAllocatesNothing(t *testing.T) {
 	}
 }
 
-// driveAndCompare runs 4 goroutines of ops, then asserts every replica
-// reaches the same size.
+// driveAndCompare runs driveReplicas and fails t on its error.
 func driveAndCompare[O, R any](t *testing.T, inst *nr.Instance[O, R],
-	gen func(*workload.RNG) O, size func(nr.Sequential[O, R]) int) {
+	gen func(*workload.RNG) O, state func(nr.Sequential[O, R]) string) {
 	t.Helper()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	if err := driveReplicas(inst, gen, state); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// driveReplicas runs 4 goroutines of 1,200 ops each, brings every replica up
+// to date, and reports an error unless state, a canonical encoding of a
+// replica's contents, is the same on every replica.
+func driveReplicas[O, R any](inst *nr.Instance[O, R],
+	gen func(*workload.RNG) O, state func(nr.Sequential[O, R]) string) error {
+	hs := make([]*nr.Handle[O, R], 4)
+	for g := range hs {
 		h, err := inst.Register()
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
+		hs[g] = h
+	}
+	var wg sync.WaitGroup
+	for g, h := range hs {
 		wg.Add(1)
-		go func(g int, h *nr.Handle[O, R]) {
+		go func() {
 			defer wg.Done()
 			rng := workload.NewRNG(uint64(g + 1))
 			for i := 0; i < 1200; i++ {
 				h.Execute(gen(rng))
 			}
-		}(g, h)
+		}()
 	}
 	wg.Wait()
 	inst.Quiesce()
-	sizes := make([]int, inst.Replicas())
-	for n := 0; n < inst.Replicas(); n++ {
-		inst.Inspect(n, func(s nr.Sequential[O, R]) { sizes[n] = size(s) })
+	states := make([]string, inst.Replicas())
+	for n := range states {
+		inst.Inspect(n, func(s nr.Sequential[O, R]) { states[n] = state(s) })
 	}
-	for n := 1; n < len(sizes); n++ {
-		if sizes[n] != sizes[0] {
-			t.Fatalf("replica sizes diverged: %v", sizes)
+	for n := 1; n < len(states); n++ {
+		if states[n] != states[0] {
+			return fmt.Errorf("replica %d's state differs from replica 0's:\n%q\n%q", n, states[n], states[0])
 		}
 	}
+	return nil
 }

@@ -1,9 +1,7 @@
 package ds
 
 // BTree is a sequential order-statistic B+tree mapping Keys to values, the
-// package's one B-tree: under SortedSet (rank and range by rank) and
-// BTreeDict (the B-tree dictionary, drop-in for SkipListDict: NR turns
-// either into the same concurrent dictionary, §4).
+// tree under SortedSet (rank and range by rank).
 //
 // Entries sit in the leaves, values inline. An inner node keeps, per child,
 // a separator and the number of entries below it, so a rank is one descent:
@@ -464,32 +462,3 @@ func (n *btreeNode[V]) walk(h, lo, hi int, fn func(Key, V) bool) bool {
 	}
 	return true
 }
-
-// BTreeDict adapts BTree to the black-box dictionary contract, drop-in
-// compatible with SkipListDict.
-type BTreeDict struct {
-	t *BTree[uint64]
-}
-
-// NewBTreeDict returns an empty B-tree dictionary.
-func NewBTreeDict() *BTreeDict { return &BTreeDict{t: NewBTree[uint64]()} }
-
-// Len returns the number of keys.
-func (d *BTreeDict) Len() int { return d.t.Len() }
-
-// Execute applies op sequentially.
-func (d *BTreeDict) Execute(op DictOp) DictResult {
-	switch op.Kind {
-	case DictInsert:
-		return DictResult{Value: op.Value, OK: d.t.Insert(IntKey(op.Key), op.Value)}
-	case DictDelete:
-		return DictResult{OK: d.t.Delete(IntKey(op.Key))}
-	case DictLookup:
-		v, ok := d.t.Get(IntKey(op.Key))
-		return DictResult{Value: v, OK: ok}
-	}
-	return DictResult{}
-}
-
-// IsReadOnly reports whether op is read-only.
-func (d *BTreeDict) IsReadOnly(op DictOp) bool { return IsReadOnlyDict(op) }

@@ -434,27 +434,3 @@ func TestBTreeMoveAcrossLeavesAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestBTreeDictMatchesSkipListDict: the two dictionary implementations must
-// be observationally identical — the black-box property in action.
-func TestBTreeDictMatchesSkipListDict(t *testing.T) {
-	bd, sd := NewBTreeDict(), NewSkipListDict(21)
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 30000; i++ {
-		op := DictOp{
-			Kind:  DictOpKind(rng.Intn(3)),
-			Key:   int64(rng.Intn(500)),
-			Value: rng.Uint64(),
-		}
-		rb, rs := bd.Execute(op), sd.Execute(op)
-		if rb != rs {
-			t.Fatalf("op %d %+v: btree=%+v skiplist=%+v", i, op, rb, rs)
-		}
-	}
-	if bd.Len() != sd.Len() {
-		t.Fatalf("lengths diverged: %d vs %d", bd.Len(), sd.Len())
-	}
-	if !bd.IsReadOnly(DictOp{Kind: DictLookup}) || bd.IsReadOnly(DictOp{Kind: DictInsert}) {
-		t.Error("BTreeDict read-only classification wrong")
-	}
-}

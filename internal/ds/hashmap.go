@@ -1,13 +1,16 @@
 package ds
 
-// HashMap is a sequential chained hash table with incremental-free semantics:
-// it rehashes in one shot when the load factor exceeds 3/4, doubling the
-// bucket array, mirroring the dict used by Redis (§7 of the paper notes the
-// resize path must be treated as an update under black-box methods).
+// HashMap is a sequential chained hash table. It rehashes in one shot when
+// the load factor exceeds 3/4, doubling the bucket array, as the dict used by
+// Redis does (§7 of the paper notes the resize path must be treated as an
+// update under black-box methods).
 //
-// It exists (rather than using Go's built-in map) so that replicas built from
-// the same operation stream are bit-for-bit deterministic, so memory
-// accounting is possible, and so iteration order is stable.
+// It is kept instead of a Go map for Ref: ZINCRBY reads a member's score and
+// writes it back with one hash, where a map needs two, a lookup and then an
+// assignment. With Go maps under SortedSet and the miniredis Store, the
+// lib-durable benchmark (100% ZINCRBY, 2-CPU x86-64, medians of 6 paired
+// 10 s runs) fell from 1.135 M to 1.017 M ops/s; pointer-valued maps took it
+// to 0.883 M.
 type HashMap[V any] struct {
 	buckets []*hashEntry[V]
 	length  int

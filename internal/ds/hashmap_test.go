@@ -7,63 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestStackLIFO(t *testing.T) {
-	s := NewStack[int64](4)
-	if _, ok := s.Pop(); ok {
-		t.Error("Pop on empty = ok")
-	}
-	if _, ok := s.Peek(); ok {
-		t.Error("Peek on empty = ok")
-	}
-	for i := int64(0); i < 100; i++ {
-		s.Push(i)
-	}
-	if s.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", s.Len())
-	}
-	if v, ok := s.Peek(); !ok || v != 99 {
-		t.Errorf("Peek = %d,%v, want 99,true", v, ok)
-	}
-	for i := int64(99); i >= 0; i-- {
-		v, ok := s.Pop()
-		if !ok || v != i {
-			t.Fatalf("Pop = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len after drain = %d, want 0", s.Len())
-	}
-}
-
-func TestStackNegativeCapacity(t *testing.T) {
-	s := NewStack[int64](-5)
-	s.Push(1)
-	if v, ok := s.Pop(); !ok || v != 1 {
-		t.Errorf("Pop = %d,%v, want 1,true", v, ok)
-	}
-}
-
-// Property: pushing a sequence then popping yields the reverse.
-func TestStackReverseProperty(t *testing.T) {
-	f := func(vals []int64) bool {
-		s := NewStack[int64](0)
-		for _, v := range vals {
-			s.Push(v)
-		}
-		for i := len(vals) - 1; i >= 0; i-- {
-			got, ok := s.Pop()
-			if !ok || got != vals[i] {
-				return false
-			}
-		}
-		_, ok := s.Pop()
-		return !ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHashMapBasic(t *testing.T) {
 	m := NewHashMap[int](0)
 	if m.Len() != 0 {

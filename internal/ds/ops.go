@@ -75,6 +75,11 @@ func pqResult(k Key, _ struct{}, ok bool) PQResult {
 // IsReadOnly reports whether op is read-only.
 func (p *SkipListPQ) IsReadOnly(op PQOp) bool { return IsReadOnlyPQ(op) }
 
+// Range calls fn for each key in ascending order until fn returns false.
+func (p *SkipListPQ) Range(fn func(key int64) bool) {
+	p.sl.Range(func(k Key, _ struct{}) bool { return fn(k.Int()) })
+}
+
 // HeapPQ adapts PairingHeap to the black-box priority-queue contract.
 type HeapPQ struct {
 	h *PairingHeap[int64]
@@ -169,6 +174,11 @@ func (d *SkipListDict) Execute(op DictOp) DictResult {
 // IsReadOnly reports whether op is read-only.
 func (d *SkipListDict) IsReadOnly(op DictOp) bool { return IsReadOnlyDict(op) }
 
+// Range calls fn for each entry in key order until fn returns false.
+func (d *SkipListDict) Range(fn func(key int64, val uint64) bool) {
+	d.sl.Range(func(k Key, v uint64) bool { return fn(k.Int(), v) })
+}
+
 // PartitionedDict is a dictionary split into independent skip-list
 // partitions by key, the canonical multi-log (CNR-style) structure: with
 // the matching DictClass mapper, operations in different conflict classes
@@ -246,106 +256,6 @@ func (d *FastPathDict) TryReadOnly(op DictOp) (DictResult, bool) {
 	}
 	return DictResult{}, false
 }
-
-// StackOpKind enumerates stack operations.
-type StackOpKind uint8
-
-// Stack operations (§8.1.4): push(v), pop(). There is no read operation.
-const (
-	StackPush StackOpKind = iota
-	StackPop
-)
-
-// StackOp is one stack operation.
-type StackOp struct {
-	Kind  StackOpKind
-	Value int64
-}
-
-// StackResult is the result of a stack operation.
-type StackResult struct {
-	Value int64
-	OK    bool
-}
-
-// SeqStack adapts Stack to the black-box contract.
-type SeqStack struct {
-	st *Stack[int64]
-}
-
-// NewSeqStack returns an empty stack.
-func NewSeqStack(capacity int) *SeqStack { return &SeqStack{st: NewStack[int64](capacity)} }
-
-// Len returns the number of elements.
-func (s *SeqStack) Len() int { return s.st.Len() }
-
-// Execute applies op sequentially.
-func (s *SeqStack) Execute(op StackOp) StackResult {
-	switch op.Kind {
-	case StackPush:
-		s.st.Push(op.Value)
-		return StackResult{Value: op.Value, OK: true}
-	case StackPop:
-		v, ok := s.st.Pop()
-		return StackResult{Value: v, OK: ok}
-	}
-	return StackResult{}
-}
-
-// IsReadOnly reports whether op is read-only; stacks have no read ops.
-func (s *SeqStack) IsReadOnly(StackOp) bool { return false }
-
-// BufferOp is one synthetic-buffer operation (§8.2). The c-1 random entries
-// are derived deterministically from Seed so that replicas replaying the
-// same op touch the same entries.
-type BufferOp struct {
-	Update bool
-	Seed   uint64
-	C      int // cache lines accessed, including the contended entry 0
-}
-
-// BufferResult is the checksum returned by a buffer operation.
-type BufferResult struct {
-	Sum uint64
-}
-
-// SeqBuffer adapts Buffer to the black-box contract.
-type SeqBuffer struct {
-	b *Buffer
-}
-
-// NewSeqBuffer returns a buffer with n entries.
-func NewSeqBuffer(n int) *SeqBuffer { return &SeqBuffer{b: NewBuffer(n)} }
-
-// Len returns the number of entries.
-func (s *SeqBuffer) Len() int { return s.b.Len() }
-
-// Execute applies op sequentially.
-func (s *SeqBuffer) Execute(op BufferOp) BufferResult {
-	c := op.C
-	if c < 1 {
-		c = 1
-	}
-	// The entries live on the caller's stack (c <= 64 in every sweep of
-	// §8.2; a larger c allocates), never in the structure: NR runs the reads
-	// of one replica concurrently.
-	var local [63]int
-	entries := local[:0]
-	x := op.Seed | 1
-	for i := 0; i < c-1; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		entries = append(entries, int(x%uint64(s.b.Len())))
-	}
-	if op.Update {
-		return BufferResult{Sum: s.b.Update(entries)}
-	}
-	return BufferResult{Sum: s.b.Read(entries)}
-}
-
-// IsReadOnly reports whether op is read-only.
-func (s *SeqBuffer) IsReadOnly(op BufferOp) bool { return !op.Update }
 
 // ZOpKind enumerates sorted-set operations.
 type ZOpKind uint8

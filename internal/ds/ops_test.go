@@ -91,24 +91,6 @@ func TestDictOps(t *testing.T) {
 	}
 }
 
-func TestStackOps(t *testing.T) {
-	s := NewSeqStack(0)
-	if r := s.Execute(StackOp{Kind: StackPop}); r.OK {
-		t.Error("Pop on empty = OK")
-	}
-	s.Execute(StackOp{Kind: StackPush, Value: 7})
-	s.Execute(StackOp{Kind: StackPush, Value: 9})
-	if r := s.Execute(StackOp{Kind: StackPop}); !r.OK || r.Value != 9 {
-		t.Errorf("Pop = %+v, want 9", r)
-	}
-	if s.IsReadOnly(StackOp{Kind: StackPop}) {
-		t.Error("stack op classified read-only")
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-}
-
 func TestSortedSetOps(t *testing.T) {
 	z := NewSeqSortedSet(0)
 	if r := z.Execute(ZOp{Kind: ZAdd, Member: "a", Score: 1}); !r.OK {

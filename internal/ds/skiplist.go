@@ -1,9 +1,7 @@
-// Package ds provides the sequential data structures the paper evaluates:
-// a skip list (used as a dictionary and as a priority queue), a pairing-heap
-// priority queue, a stack, a hash map, a Redis-style sorted set (hash map +
-// order-statistic B+tree, updated atomically), and the synthetic padded
-// buffer of §8.2 — plus extension structures that exercise the same
-// black-box contract: a B-tree dictionary, a FIFO queue, and an LRU cache.
+// Package ds provides the sequential data structures that NR replicates in
+// this repository: a skip list (as a priority queue and as a dictionary), a
+// pairing-heap priority queue, an order-statistic B+tree, a hash map, and a
+// Redis-style sorted set built from the last two.
 //
 // Everything in this package is strictly sequential — no locks, no atomics.
 // Node Replication (internal/core) turns these into linearizable concurrent
@@ -254,15 +252,8 @@ func (s *SkipList[V]) DeleteMin() (Key, V, bool) {
 	return target.key, target.val, true
 }
 
-// checkOrder reports whether the keys strictly ascend and number Len; it is
-// used by tests only.
-func (s *SkipList[V]) checkOrder() bool {
-	n := 0
-	for prev, x := s.head, s.head.next[0]; x != nil; prev, x = x, x.next[0] {
-		if prev != s.head && !prev.key.less(x.key) {
-			return false
-		}
-		n++
+// Range calls fn for each entry in key order until fn returns false.
+func (s *SkipList[V]) Range(fn func(Key, V) bool) {
+	for n := s.head.next[0]; n != nil && fn(n.key, n.val); n = n.next[0] {
 	}
-	return n == s.length
 }

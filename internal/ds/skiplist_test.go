@@ -258,3 +258,15 @@ func TestSkipListInsertDeleteRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// checkOrder reports whether the keys strictly ascend and number Len.
+func (s *SkipList[V]) checkOrder() bool {
+	n := 0
+	for prev, x := s.head, s.head.next[0]; x != nil; prev, x = x, x.next[0] {
+		if prev != s.head && !prev.key.less(x.key) {
+			return false
+		}
+		n++
+	}
+	return n == s.length
+}

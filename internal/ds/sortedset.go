@@ -1,7 +1,5 @@
 package ds
 
-import "math"
-
 // SortedSet is a Redis-style sorted set: members (strings) with float64
 // scores, backed by a hash map for O(1) member lookup and an order-statistic
 // B+tree keyed by FloatKey(score, member) for O(log n) rank and range
@@ -114,19 +112,4 @@ func (z *SortedSet) Range(lo, hi int, fn func(member string, score float64) bool
 func (z *SortedSet) ByRank(r int) (member string, score float64, ok bool) {
 	k, score, ok := z.byScore.ByRank(r)
 	return k.Tie, score, ok
-}
-
-// consistent reports whether the two underlying structures agree, down to
-// the bits of every stored score; tests only.
-func (z *SortedSet) consistent() bool {
-	if z.byMember.Len() != z.byScore.Len() {
-		return false
-	}
-	ok := true
-	z.byMember.Range(func(member string, score float64) bool {
-		got, found := z.byScore.Get(FloatKey(score, member))
-		ok = found && math.Float64bits(got) == math.Float64bits(score)
-		return ok
-	})
-	return ok
 }

@@ -329,59 +329,17 @@ func TestSortedSetRankDenseProperty(t *testing.T) {
 	}
 }
 
-func TestBufferReadUpdate(t *testing.T) {
-	b := NewBuffer(16)
-	if b.Len() != 16 {
-		t.Fatalf("Len = %d, want 16", b.Len())
+// consistent reports whether the two underlying structures agree, down to
+// the bits of every stored score.
+func (z *SortedSet) consistent() bool {
+	if z.byMember.Len() != z.byScore.Len() {
+		return false
 	}
-	if sum := b.Read([]int{1, 2, 3}); sum != 0 {
-		t.Errorf("Read on zeroed buffer = %d, want 0", sum)
-	}
-	b.Update([]int{1})
-	if b.Checksum() != 1 {
-		t.Errorf("entry 0 after update = %d, want 1", b.Checksum())
-	}
-	// Entry indices wrap modulo Len.
-	b.Update([]int{17}) // same as entry 1
-	if sum := b.Read([]int{1}); sum == 0 {
-		t.Error("entry 1 untouched after wrapped update")
-	}
-}
-
-func TestBufferMinSize(t *testing.T) {
-	b := NewBuffer(0)
-	if b.Len() != 1 {
-		t.Errorf("Len = %d, want clamp to 1", b.Len())
-	}
-	b.Update(nil) // must not panic
-}
-
-func TestSeqBufferDeterminism(t *testing.T) {
-	// Two replicas applying the same op stream must end identical — this is
-	// what lets NR replay buffer ops from the log.
-	a, b := NewSeqBuffer(64), NewSeqBuffer(64)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 5000; i++ {
-		op := BufferOp{Update: rng.Intn(2) == 0, Seed: rng.Uint64(), C: 1 + rng.Intn(8)}
-		ra, rb := a.Execute(op), b.Execute(op)
-		if ra != rb {
-			t.Fatalf("op %d: results diverged: %v vs %v", i, ra, rb)
-		}
-	}
-	if a.b.Checksum() != b.b.Checksum() {
-		t.Fatal("replica states diverged")
-	}
-}
-
-func TestSeqBufferReadOnlyClassification(t *testing.T) {
-	s := NewSeqBuffer(8)
-	if s.IsReadOnly(BufferOp{Update: true}) {
-		t.Error("update op classified read-only")
-	}
-	if !s.IsReadOnly(BufferOp{Update: false}) {
-		t.Error("read op classified as update")
-	}
-	if got := s.Execute(BufferOp{C: 0}); got.Sum != 0 {
-		t.Errorf("C=0 clamped execute = %v", got)
-	}
+	ok := true
+	z.byMember.Range(func(member string, score float64) bool {
+		got, found := z.byScore.Get(FloatKey(score, member))
+		ok = found && math.Float64bits(got) == math.Float64bits(score)
+		return ok
+	})
+	return ok
 }

@@ -109,28 +109,6 @@ func TestDictModelSemantics(t *testing.T) {
 	}
 }
 
-func TestStackModelSemantics(t *testing.T) {
-	m := StackModel()
-	good := []Op{
-		{Input: StackIn{Push: true, Val: 1}, Output: StackOut{Val: 1, OK: true}, Call: 1, Return: 2},
-		{Input: StackIn{Push: true, Val: 2}, Output: StackOut{Val: 2, OK: true}, Call: 3, Return: 4},
-		{Input: StackIn{}, Output: StackOut{Val: 2, OK: true}, Call: 5, Return: 6},
-		{Input: StackIn{}, Output: StackOut{Val: 1, OK: true}, Call: 7, Return: 8},
-		{Input: StackIn{}, Output: StackOut{OK: false}, Call: 9, Return: 10},
-	}
-	if !Check(m, good) {
-		t.Error("legal stack history rejected")
-	}
-	fifo := []Op{
-		{Input: StackIn{Push: true, Val: 1}, Output: StackOut{Val: 1, OK: true}, Call: 1, Return: 2},
-		{Input: StackIn{Push: true, Val: 2}, Output: StackOut{Val: 2, OK: true}, Call: 3, Return: 4},
-		{Input: StackIn{}, Output: StackOut{Val: 1, OK: true}, Call: 5, Return: 6},
-	}
-	if Check(m, fifo) {
-		t.Error("FIFO pop order accepted by stack model")
-	}
-}
-
 func TestRecorderProducesWellFormedHistories(t *testing.T) {
 	r := NewRecorder(3)
 	var wg sync.WaitGroup

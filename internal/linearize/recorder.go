@@ -171,46 +171,3 @@ func DictModel() Model[dictState] {
 		},
 	}
 }
-
-// StackIn is the input type for the stack model.
-type StackIn struct {
-	Push bool
-	Val  int64
-}
-
-// StackOut is the output type for the stack model.
-type StackOut struct {
-	Val int64
-	OK  bool
-}
-
-// stackState is an immutable stack encoded as a slice (top at the end).
-type stackState struct {
-	items string // 8 bytes per element, avoids slice aliasing in memo keys
-}
-
-func encodeInt64(v int64) string {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	return string(b[:])
-}
-
-// StackModel specifies a LIFO stack with push and pop.
-func StackModel() Model[stackState] {
-	return Model[stackState]{
-		Init: func() stackState { return stackState{} },
-		Step: func(s stackState, input, output any) (bool, stackState) {
-			in := input.(StackIn)
-			out := output.(StackOut)
-			if in.Push {
-				return out.OK, stackState{s.items + encodeInt64(in.Val)}
-			}
-			if len(s.items) == 0 {
-				return !out.OK, s
-			}
-			top := int64(binary.LittleEndian.Uint64([]byte(s.items[len(s.items)-8:])))
-			return out.OK && out.Val == top, stackState{s.items[:len(s.items)-8]}
-		},
-		Hash: func(s stackState) uint64 { return HashBytes(0, []byte(s.items)) },
-	}
-}

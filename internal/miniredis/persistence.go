@@ -117,7 +117,8 @@ func (st *Store) SnapshotBytes() ([]byte, error) {
 
 // RestoreStore inverts SnapshotBytes. nil data yields a fresh keyspace
 // with seedIfEmpty, so it plugs straight into nr.Recover's open-or-create
-// contract.
+// contract. A snapshot that is truncated, holds a key twice, or holds a
+// member twice or with a NaN score in one set is an error.
 func RestoreStore(data []byte, seedIfEmpty uint64) (*Store, error) {
 	if data == nil {
 		return NewStore(seedIfEmpty), nil
@@ -146,6 +147,9 @@ func RestoreStore(data []byte, seedIfEmpty uint64) (*Store, error) {
 		if !ok || len(data) < 1 {
 			return nil, fmt.Errorf("miniredis: snapshot truncated at key %d", i)
 		}
+		if _, dup := st.keys.Get(key); dup {
+			return nil, fmt.Errorf("miniredis: snapshot holds key %q twice", key)
+		}
 		typ := data[0]
 		data = data[1:]
 		switch typ {
@@ -167,7 +171,9 @@ func RestoreStore(data []byte, seedIfEmpty uint64) (*Store, error) {
 				if !ok || len(data) < 8 {
 					return nil, fmt.Errorf("miniredis: snapshot truncated in zset %q member %d", key, j)
 				}
-				z.Add(m, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+				if !z.Add(m, math.Float64frombits(binary.LittleEndian.Uint64(data))) {
+					return nil, fmt.Errorf("miniredis: snapshot zset %q repeats member %q or gives it a NaN score", key, m)
+				}
 				data = data[8:]
 			}
 			if n == 0 { // written before ZREM deleted a set's key with its last member

@@ -1,6 +1,7 @@
 package miniredis
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -112,6 +113,82 @@ func TestRestoreStoreDropsEmptySet(t *testing.T) {
 	if r := st.Execute(StoreOp{Cmd: CmdGet, Key: "z"}); r.OK || r.Err != "" {
 		t.Errorf("GET z = %+v, want nil", r)
 	}
+}
+
+// snapshotOf builds a snapshot by hand: seed 7, then each record, which is
+// a key, a type byte and its payload (appendString / appendMember).
+func snapshotOf(records ...[]byte) []byte {
+	data := binary.LittleEndian.AppendUint64(nil, 7)
+	data = binary.LittleEndian.AppendUint64(data, uint64(len(records)))
+	for _, r := range records {
+		data = append(data, r...)
+	}
+	return data
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+func stringRecord(key, val string) []byte {
+	return appendString(append(appendString(nil, key), 0), val)
+}
+
+func zsetRecord(key string, members ...string) []byte {
+	b := binary.LittleEndian.AppendUint64(append(appendString(nil, key), 1), uint64(len(members)))
+	for i, m := range members {
+		b = binary.LittleEndian.AppendUint64(appendString(b, m), math.Float64bits(float64(i)))
+	}
+	return b
+}
+
+// A snapshot SnapshotBytes cannot have written is refused, not half
+// restored: a string record "k" followed by a sorted-set record "k" used to
+// dereference the nil set zsetFor answers for a string key.
+func TestRestoreStoreRefusesRepeatedKeysAndMembers(t *testing.T) {
+	nan := binary.LittleEndian.AppendUint64(append(appendString(nil, "z"), 1), 1)
+	nan = binary.LittleEndian.AppendUint64(appendString(nan, "m"), math.Float64bits(math.NaN()))
+	for name, data := range map[string][]byte{
+		"string-then-zset": snapshotOf(stringRecord("k", "v"), zsetRecord("k", "m")),
+		"zset-then-zset":   snapshotOf(zsetRecord("k", "a"), zsetRecord("k", "b")),
+		"string-twice":     snapshotOf(stringRecord("k", "v"), stringRecord("k", "w")),
+		"member-twice":     snapshotOf(zsetRecord("k", "m", "m")),
+		"nan-score":        snapshotOf(nan),
+	} {
+		if st, err := RestoreStore(data, 0); err == nil {
+			t.Errorf("%s: restored %d keys, want an error", name, st.Len())
+		}
+	}
+}
+
+// FuzzRestoreStore: RestoreStore never panics, and a snapshot it accepts
+// restores to a keyspace whose own snapshot is a fixed point of restoring
+// and snapshotting again.
+func FuzzRestoreStore(f *testing.F) {
+	f.Add(snapshotOf(stringRecord("k", "v"), zsetRecord("k", "m")))
+	f.Add(snapshotOf(stringRecord("a", "v"), zsetRecord("b", "x", "y"), zsetRecord("c")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := RestoreStore(data, 1)
+		if err != nil {
+			return
+		}
+		once, err := st.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := RestoreStore(once, 1)
+		if err != nil {
+			t.Fatalf("restoring a snapshot of a restored store: %v", err)
+		}
+		twice, err := again.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("snapshot is not a fixed point:\n%x\n%x", once, twice)
+		}
+	})
 }
 
 func TestPersistentServerSurvivesRestart(t *testing.T) {
