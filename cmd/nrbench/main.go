@@ -1,7 +1,6 @@
 // Command nrbench holds the two measurements benchmark/ (the repository's
 // benchmark, BENCHMARK.json) leaves out because a 2-CPU box cannot make
-// them: the paper's §8 thread sweeps, and how the sharded and multi-log
-// deployments scale.
+// them: the paper's §8 thread sweeps, and how multi-log NR scales.
 //
 // Usage:
 //
@@ -10,16 +9,15 @@
 //	nrbench -all                  # everything (slow)
 //	nrbench -fig 7c -ops 4000     # more ops per thread = smoother series
 //
-//	nrbench -shards 1,2,4,8 -logs 1,2,4 [-threads 8] [-dur 2s] [-json out.json]
+//	nrbench -logs 1,2,4 [-threads 8] [-dur 2s] [-json out.json]
 //
 // The first form regenerates every figure and table of §8 as throughput
 // series in the paper's units (operations per microsecond). Thread-sweep
 // experiments run on the deterministic NUMA simulator (internal/sim); the
 // memory tables measure the real implementation.
 //
-// The second form measures the real implementation (sweep.go): nr.NewSharded
-// at each -shards count and nr.WithLogs at each -logs count, update-heavy,
-// each point the median of 3 rounds. Every other number about the real
+// The second form measures the real implementation (sweep.go): nr.WithLogs
+// at each -logs count, update-heavy, each point the median of 3 rounds. Every other number about the real
 // implementation (throughput, latency, the cost of observability, tracing
 // and durability) comes from `go run ./benchmark`.
 package main
@@ -48,11 +46,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		all      = fs.Bool("all", false, "run every experiment")
 		list     = fs.Bool("list", false, "list experiment ids")
 		ops      = fs.Int("ops", 0, "operations per simulated thread (default 1500)")
-		shards   = fs.String("shards", "", "sweep nr.NewSharded at these shard counts (e.g. 1,2,4,8)")
 		logs     = fs.String("logs", "", "sweep nr.WithLogs at these log counts (e.g. 1,2,4)")
-		threads  = fs.Int("threads", 0, "with -shards/-logs: worker goroutines (default GOMAXPROCS)")
-		duration = fs.Duration("dur", 2*time.Second, "with -shards/-logs: duration of one round")
-		jsonPath = fs.String("json", "", "with -shards/-logs: write the sweeps as JSON to this path")
+		threads  = fs.Int("threads", 0, "with -logs: worker goroutines (default GOMAXPROCS)")
+		duration = fs.Duration("dur", 2*time.Second, "with -logs: duration of one round")
+		jsonPath = fs.String("json", "", "with -logs: write the sweep as JSON to this path")
 		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -75,19 +72,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	shardCounts, err := parseCounts("shards", *shards)
+	logCounts, err := parseCounts(*logs)
 	if err != nil {
 		return fail(2, err)
 	}
-	logCounts, err := parseCounts("logs", *logs)
-	if err != nil {
-		return fail(2, err)
-	}
-	if len(shardCounts)+len(logCounts) > 0 {
+	if len(logCounts) > 0 {
 		if *duration <= 0 {
 			return fail(2, fmt.Errorf("-dur must be positive (got %s)", *duration))
 		}
-		if err := runSweeps(stdout, shardCounts, logCounts, *threads, *duration, *jsonPath); err != nil {
+		if err := runSweep(stdout, logCounts, *threads, *duration, *jsonPath); err != nil {
 			return fail(1, err)
 		}
 		return 0

@@ -1,12 +1,6 @@
-// The measured mode: the two ways this repository scales updates past the
-// paper's §5.1 bottleneck (every update through one tail CAS, replayed into
-// every replica), swept on the real implementation over the same machine
-// and the same workload.
-//
-// -shards sweeps nr.NewSharded: S independent instances, the modeled nodes
-// partitioned across them (S shards over N nodes → N/S replicas per shard),
-// so an update replays into N/S replicas instead of N. Cross-shard
-// linearizability is given up.
+// The measured mode: how multi-log NR, the way this repository scales
+// updates past the paper's §5.1 bottleneck (every update through one tail
+// CAS), scales on the real implementation.
 //
 // -logs sweeps nr.WithLogs: ONE linearizable instance whose log is split
 // into m conflict classes with independent tails and combiner sets. The
@@ -16,7 +10,7 @@
 // serialize every class through the ticket barrier, and the sweep's
 // question is how far the commuting common case scales.
 //
-// Both run the paper's dictionary workload (§8.1.3: skip-list
+// It runs the paper's dictionary workload (§8.1.3: skip-list
 // insert/lookup, whose O(log n) pointer-chasing updates make the
 // per-replica replay tax visible) at 10 % reads: the log is an update-side
 // bottleneck (reads never append), and 10 % keeps a live read path.
@@ -58,15 +52,14 @@ type dictInstance = *nr.Instance[ds.DictOp, ds.DictResult]
 
 // sweepPoint is one count's measurement: its median round.
 type sweepPoint struct {
-	Shards         int     `json:"shards,omitempty"`
-	Logs           int     `json:"logs,omitempty"`
+	Logs           int     `json:"logs"`
 	Nodes          int     `json:"nodes"` // replicas per instance
 	ThreadsPerNode int     `json:"threads_per_node"`
 	TotalOps       uint64  `json:"total_ops"`
 	ThroughputOpsS float64 `json:"throughput_ops_per_sec"`
 }
 
-// sweepReport is one sweep in the -json document.
+// sweepReport is the sweep in the -json document.
 type sweepReport struct {
 	Benchmark string       `json:"benchmark"`
 	ReadPct   int          `json:"read_pct"`
@@ -81,61 +74,27 @@ type sweepReport struct {
 type sweepDoc struct {
 	Threads      int          `json:"threads"`
 	DurationSecs float64      `json:"duration_secs"`
-	ShardSweep   *sweepReport `json:"shard_sweep,omitempty"`
-	LogSweep     *sweepReport `json:"log_sweep,omitempty"`
+	LogSweep     *sweepReport `json:"log_sweep"`
 }
 
-// sweep is what differs between the two: how to build the instance under
-// test at count n over a machine of the given nodes, for the given threads.
-type sweep struct {
-	unit      string // "shard" or "log"
-	benchmark string
-	build     func(n, nodes, threads int) (dictInstance, sweepPoint, error)
+// sweepBenchmark names the sweep's workload in the -json document.
+const sweepBenchmark = "nr-partitioned-dict-mixed"
+
+// build makes the instance under test at m logs over a machine of the
+// given nodes, spreading threads over them with room so registration
+// cannot fail.
+func build(m, nodes, threads int) (dictInstance, sweepPoint, error) {
+	perNode := (threads + nodes - 1) / nodes
+	inst, err := nr.New(
+		func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewPartitionedDict(m, 1) },
+		nr.WithNodes(nodes, perNode, 1),
+		nr.WithLogs[ds.DictOp](m, nr.LogMapperFunc[ds.DictOp](ds.DictClass(m))),
+	)
+	return inst, sweepPoint{Logs: m, Nodes: nodes, ThreadsPerNode: perNode}, err
 }
 
-// topo spreads threads over nodes with room so registration cannot fail.
-func topo(nodes, threads int) (perNode int, opt nr.Option) {
-	perNode = (threads + nodes - 1) / nodes
-	return perNode, nr.WithNodes(nodes, perNode, 1)
-}
-
-var shardSweep = sweep{
-	unit:      "shard",
-	benchmark: "nr-skiplist-dict-mixed",
-	build: func(shards, nodes, threads int) (dictInstance, sweepPoint, error) {
-		nodes /= shards
-		if nodes < 1 {
-			nodes = 1
-		}
-		perNode, opt := topo(nodes, threads)
-		// Key-mod classes, the log sweep's mapper: the keys are uniform
-		// already, so the cheaper modulus spreads as evenly as a hash would.
-		inst, err := nr.NewSharded(
-			func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewSkipListDict(1) },
-			shards,
-			nr.LogMapperFunc[ds.DictOp](ds.DictClass(shards)),
-			opt,
-		)
-		return inst, sweepPoint{Shards: shards, Nodes: nodes, ThreadsPerNode: perNode}, err
-	},
-}
-
-var logSweep = sweep{
-	unit:      "log",
-	benchmark: "nr-partitioned-dict-mixed",
-	build: func(m, nodes, threads int) (dictInstance, sweepPoint, error) {
-		perNode, opt := topo(nodes, threads)
-		inst, err := nr.New(
-			func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewPartitionedDict(m, 1) },
-			opt,
-			nr.WithLogs[ds.DictOp](m, nr.LogMapperFunc[ds.DictOp](ds.DictClass(m))),
-		)
-		return inst, sweepPoint{Logs: m, Nodes: nodes, ThreadsPerNode: perNode}, err
-	},
-}
-
-// parseCounts parses a -shards / -logs list ("1,2,4,8") into counts ≥ 1.
-func parseCounts(flagName, s string) ([]int, error) {
+// parseCounts parses a -logs list ("1,2,4,8") into counts ≥ 1.
+func parseCounts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -143,7 +102,7 @@ func parseCounts(flagName, s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad count %q in -%s", part, flagName)
+			return nil, fmt.Errorf("bad count %q in -logs", part)
 		}
 		out = append(out, n)
 	}
@@ -194,13 +153,9 @@ func runWorkers(inst dictInstance, threads int, dur time.Duration) (uint64, time
 	return total.Load(), time.Since(start), nil
 }
 
-// measure runs one round of sw at count n.
-func (sw sweep) measure(n, threads int, dur time.Duration) (sweepPoint, error) {
-	nodes := sweepMaxNodes
-	if threads < nodes {
-		nodes = threads
-	}
-	inst, pt, err := sw.build(n, nodes, threads)
+// measure runs one round at m logs.
+func measure(m, threads int, dur time.Duration) (sweepPoint, error) {
+	inst, pt, err := build(m, min(sweepMaxNodes, threads), threads)
 	if err != nil {
 		return sweepPoint{}, err
 	}
@@ -214,19 +169,19 @@ func (sw sweep) measure(n, threads int, dur time.Duration) (sweepPoint, error) {
 	return pt, nil
 }
 
-// run measures every count in the list, sweepRounds rounds each, and
+// sweep measures every count in the list, sweepRounds rounds each, and
 // reports the 4-vs-1 speedup when both are present.
-func (sw sweep) run(out io.Writer, counts []int, threads int, dur time.Duration) (*sweepReport, error) {
-	rep := &sweepReport{Benchmark: sw.benchmark, ReadPct: sweepReadPct, Rounds: sweepRounds}
+func sweep(out io.Writer, counts []int, threads int, dur time.Duration) (*sweepReport, error) {
+	rep := &sweepReport{Benchmark: sweepBenchmark, ReadPct: sweepReadPct, Rounds: sweepRounds}
 	byCount := map[int]float64{}
-	fmt.Fprintf(out, "=== %s sweep (threads=%d, read%%=%d, median of %d rounds of %s) ===\n",
-		sw.unit, threads, sweepReadPct, sweepRounds, dur)
+	fmt.Fprintf(out, "=== log sweep (threads=%d, read%%=%d, median of %d rounds of %s) ===\n",
+		threads, sweepReadPct, sweepRounds, dur)
 	for _, n := range counts {
 		rounds := make([]sweepPoint, sweepRounds)
 		for i := range rounds {
-			pt, err := sw.measure(n, threads, dur)
+			pt, err := measure(n, threads, dur)
 			if err != nil {
-				return nil, fmt.Errorf("%ss=%d: %w", sw.unit, n, err)
+				return nil, fmt.Errorf("logs=%d: %w", n, err)
 			}
 			rounds[i] = pt
 		}
@@ -236,33 +191,25 @@ func (sw sweep) run(out io.Writer, counts []int, threads int, dur time.Duration)
 		pt := rounds[sweepRounds/2]
 		rep.Points = append(rep.Points, pt)
 		byCount[n] = pt.ThroughputOpsS
-		fmt.Fprintf(out, "%ss=%d  nodes=%d  %.2f Mops/s (%d ops)\n",
-			sw.unit, n, pt.Nodes, pt.ThroughputOpsS/1e6, pt.TotalOps)
+		fmt.Fprintf(out, "logs=%d  nodes=%d  %.2f Mops/s (%d ops)\n",
+			n, pt.Nodes, pt.ThroughputOpsS/1e6, pt.TotalOps)
 	}
 	if one := byCount[1]; one > 0 && byCount[4] > 0 {
 		rep.Speedup4x = byCount[4] / one
-		fmt.Fprintf(out, "4-%s speedup over 1-%s: %.2fx\n", sw.unit, sw.unit, rep.Speedup4x)
+		fmt.Fprintf(out, "4-log speedup over 1-log: %.2fx\n", rep.Speedup4x)
 	}
 	return rep, nil
 }
 
-// runSweeps is the measured mode: the requested sweeps, then the -json
-// document.
-func runSweeps(out io.Writer, shards, logs []int, threads int, dur time.Duration, jsonPath string) error {
+// runSweep is the measured mode: the sweep, then the -json document.
+func runSweep(out io.Writer, logs []int, threads int, dur time.Duration, jsonPath string) error {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	doc := sweepDoc{Threads: threads, DurationSecs: dur.Seconds()}
 	var err error
-	if len(shards) > 0 {
-		if doc.ShardSweep, err = shardSweep.run(out, shards, threads, dur); err != nil {
-			return err
-		}
-	}
-	if len(logs) > 0 {
-		if doc.LogSweep, err = logSweep.run(out, logs, threads, dur); err != nil {
-			return err
-		}
+	if doc.LogSweep, err = sweep(out, logs, threads, dur); err != nil {
+		return err
 	}
 	if jsonPath == "" {
 		return nil

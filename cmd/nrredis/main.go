@@ -60,9 +60,7 @@ func parseSLOSpec(spec string) (p99, p999 time.Duration, err error) {
 }
 
 // validateDurability gates -appendonly on the method: only NR has an op log
-// to persist. Which NR shapes can be durable is nr's own ruling (it refuses
-// persistence × shards, as it does persistence × logs), surfaced as the
-// constructor's error.
+// to persist.
 func validateDurability(method string) error {
 	if method != miniredis.MethodNR {
 		return fmt.Errorf("nrredis: -appendonly requires -method nr (got %q)", method)
@@ -93,14 +91,13 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 		addr    = fs.String("addr", "127.0.0.1:6380", "listen address")
 		metrics = fs.String("metrics", "", "HTTP metrics address (e.g. 127.0.0.1:6390); empty disables")
 		method  = fs.String("method", "nr", "concurrency method: nr, sl, rwl, fc, fc+")
-		shards  = fs.Int("shards", 1, "hash-partition the keyspace over this many NR instances (nr method only)")
 		workers = fs.Int("workers", 8, "commands executing at once: executors registered with the keyspace and shared by all connections")
 		nodes   = fs.Int("nodes", 4, "NUMA nodes in the software topology")
 		cores   = fs.Int("cores", 14, "cores per node")
 		smt     = fs.Int("smt", 2, "hardware threads per core")
 		seed    = fs.Uint64("seed", 1, "replica determinism seed")
 
-		appendOnly = fs.Bool("appendonly", false, "durable mode (nr method, 1 shard): append-only log + snapshots in -dir, recovered on start")
+		appendOnly = fs.Bool("appendonly", false, "durable mode (nr method): append-only log + snapshots in -dir, recovered on start")
 		dataDir    = fs.String("dir", "nrredis-data", "data directory for -appendonly state")
 
 		telemetry  = fs.Duration("telemetry", time.Second, "windowed telemetry capture cadence (nr method only); 0 disables")
@@ -165,12 +162,9 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 		}
 		dir = *dataDir
 	}
-	switch {
-	case *method == miniredis.MethodNR:
-		shared, persist, err = miniredis.NewNRShared(topo, *seed, *shards, dir, rec, nrOpts...)
-	case *shards > 1:
-		return fmt.Errorf("nrredis: -shards applies only to -method nr (got %q)", *method)
-	default:
+	if *method == miniredis.MethodNR {
+		shared, persist, err = miniredis.NewNRShared(topo, *seed, dir, rec, nrOpts...)
+	} else {
 		shared, err = miniredis.NewSharedTraced(*method, topo, *seed, rec, nrOpts...)
 	}
 	if err != nil {
@@ -214,7 +208,7 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 		}()
 	}
 
-	log.Printf("nrredis: method=%s shards=%d workers=%d topology=%s", *method, *shards, *workers, topo)
+	log.Printf("nrredis: method=%s workers=%d topology=%s", *method, *workers, topo)
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- srv.Serve(*addr, func(a net.Addr) {

@@ -16,23 +16,17 @@ import (
 )
 
 // TestValidateDurability pins the -appendonly startup guard through run:
-// durable mode is NR-only (validateDurability) and single-shard until the
-// recovery format grows a cross-shard barrier (ROADMAP item 5), which is
-// nr's own refusal surfaced unchanged. The error text is part of the
-// operator surface — it names the missing mechanism, not just the flag —
-// and a refused start leaves nothing in the data directory.
+// durable mode is NR-only (validateDurability). The error text is part of
+// the operator surface, and a refused start leaves nothing in the data
+// directory.
 func TestValidateDurability(t *testing.T) {
 	cases := []struct {
 		name    string
 		method  string
-		shards  string
 		wantErr string // empty = accept
 	}{
-		{"nr single shard", miniredis.MethodNR, "1", ""},
-		{"wrong method", "lock", "1", "-appendonly requires -method nr"},
-		{"sharded", miniredis.MethodNR, "4", "cross-shard recovery barrier (ROADMAP item 5)"},
-		{"sharded names count", miniredis.MethodNR, "8", "shards = 8"},
-		{"wrong method beats shards", "lock", "4", "-appendonly requires -method nr"},
+		{"nr", miniredis.MethodNR, ""},
+		{"wrong method", "lock", "-appendonly requires -method nr"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,7 +34,7 @@ func TestValidateDurability(t *testing.T) {
 			sig := make(chan os.Signal, 1)
 			sig <- os.Interrupt // an accepted start serves, then shuts down at once
 			err := run([]string{"-addr", "127.0.0.1:0", "-appendonly", "-dir", dir,
-				"-method", tc.method, "-shards", tc.shards,
+				"-method", tc.method,
 				"-workers", "2", "-nodes", "2", "-cores", "2", "-smt", "1"}, sig, nil)
 			if tc.wantErr == "" {
 				if err != nil {
@@ -111,7 +105,7 @@ func TestCleanShutdownKeepsAcknowledgedWrites(t *testing.T) {
 				t.Fatalf("server still running 10s after %v", s)
 			}
 
-			_, p, err := miniredis.NewNRShared(topology.New(2, 2, 1), 1, 1, dir, nil)
+			_, p, err := miniredis.NewNRShared(topology.New(2, 2, 1), 1, dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,8 @@
 // Command nrtop is a live terminal dashboard for a running nrredis: it
 // polls the /metrics JSON endpoint and renders per-window throughput,
 // latency tails, combiner batch distribution, replica and WAL durability
-// lag, per-shard throughput, and SLO status — top(1) for the NR plane, no
-// dependencies beyond the standard library and an ANSI terminal.
+// lag, and SLO status — top(1) for the NR plane, no dependencies beyond the
+// standard library and an ANSI terminal.
 //
 // Usage:
 //
@@ -12,9 +12,7 @@
 // The windowed sections (latency, batch, ops/s sparkline, SLOs) come from
 // the server-side telemetry collector (nrredis -telemetry, on by default);
 // without it nrtop falls back to client-side rates derived from the
-// cumulative counters between polls. Per-shard throughput is always
-// client-side: /metrics exports per-shard cumulative counters and nrtop
-// differentiates across polls.
+// cumulative counters between polls.
 package main
 
 import (

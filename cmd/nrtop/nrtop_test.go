@@ -13,7 +13,7 @@ import (
 	"github.com/asplos17/nr/internal/obs/tsdb"
 )
 
-// samplePayload is a representative /metrics body: sharded NR keyspace with
+// samplePayload is a representative /metrics body: NR keyspace with
 // telemetry, one SLO in breach, and a WAL.
 func samplePayload() *payload {
 	return &payload{
@@ -31,10 +31,6 @@ func samplePayload() *payload {
 				{Node: 1, CompletedLag: 7, ReaderAcquires: 80000, Registered: 4},
 			},
 			Persist: &core.PersistGauges{Fsyncs: 321, DurableLag: 12},
-		},
-		ShardStats: []core.Stats{
-			{ReadOps: 600000, UpdateOps: 70000, Combines: 1000, CombinedOps: 9000},
-			{ReadOps: 500000, UpdateOps: 70000, Combines: 1100, CombinedOps: 8800},
 		},
 		Telemetry: &telemetryPayload{
 			IntervalSeconds: 1,
@@ -66,10 +62,6 @@ func TestRenderFrame(t *testing.T) {
 	cur := samplePayload()
 	prev := samplePayload()
 	prev.Server.TotalCommands -= 100000
-	for i := range prev.ShardStats {
-		prev.ShardStats[i].ReadOps -= 50000
-		prev.ShardStats[i].UpdateOps -= 5000
-	}
 
 	frame := render(cur, prev, time.Second)
 	for _, want := range []string{
@@ -82,8 +74,6 @@ func TestRenderFrame(t *testing.T) {
 		"occupancy 12.0%",            // log gauge
 		"NODE",                       // replica table header
 		"WAL         durable lag 12", // durability
-		"SHARD",                      // per-shard table
-		"50.0k",                      // shard read/s from the poll delta
 		"BREACH (3/60 windows)",      // SLO state
 	} {
 		if !strings.Contains(frame, want) {

@@ -16,10 +16,9 @@ import (
 
 // payload mirrors the /metrics JSON body.
 type payload struct {
-	Server     miniredis.ServerStats `json:"server"`
-	NR         *core.Metrics         `json:"nr"`
-	ShardStats []core.Stats          `json:"shard_stats"`
-	Telemetry  *telemetryPayload     `json:"telemetry"`
+	Server    miniredis.ServerStats `json:"server"`
+	NR        *core.Metrics         `json:"nr"`
+	Telemetry *telemetryPayload     `json:"telemetry"`
 }
 
 // telemetryPayload mirrors the windowed-telemetry slice of the body.
@@ -31,8 +30,7 @@ type telemetryPayload struct {
 
 // render builds one frame. prev is the previous poll (nil on the first
 // frame); sincePrev the wall time between the polls, used for client-side
-// rates (per-shard throughput, and everything else when the server has no
-// telemetry collector).
+// rates when the server has no telemetry collector.
 func render(cur, prev *payload, sincePrev time.Duration) string {
 	var b strings.Builder
 
@@ -114,23 +112,6 @@ func render(cur, prev *payload, sincePrev time.Duration) string {
 				fmtNs(last.FsyncMeanNs))
 		}
 		b.WriteByte('\n')
-	}
-
-	if len(cur.ShardStats) > 1 {
-		b.WriteString("\nSHARD  READ/S     UPD/S      COMBINED/BATCH\n")
-		for i, s := range cur.ShardStats {
-			var rps, ups float64
-			if prev != nil && i < len(prev.ShardStats) && sincePrev > 0 {
-				secs := sincePrev.Seconds()
-				rps = crate(s.ReadOps, prev.ShardStats[i].ReadOps, secs)
-				ups = crate(s.UpdateOps, prev.ShardStats[i].UpdateOps, secs)
-			}
-			batch := 0.0
-			if s.Combines > 0 {
-				batch = float64(s.CombinedOps) / float64(s.Combines)
-			}
-			fmt.Fprintf(&b, "%5d  %-10s %-10s %.1f\n", i, fmtCount(rps), fmtCount(ups), batch)
-		}
 	}
 
 	if t := cur.Telemetry; t != nil && len(t.SLOs) > 0 {

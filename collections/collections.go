@@ -75,9 +75,8 @@ func mapKey[K comparable, V any](op mapOp[K, V]) (K, bool) {
 }
 
 // Map is a linearizable, NUMA-aware hash map: one set of replicas over one
-// log under NewMap, partitioned by key hash over private replica sets under
-// NewShardedMap or over logs under NewMapWithLogs, all behind the same
-// typed API.
+// log under NewMap, or over logs partitioned by key hash under
+// NewMapWithLogs, behind the same typed API.
 type Map[K comparable, V any] struct {
 	inst *nr.Instance[mapOp[K, V], mapResp[V]]
 }
@@ -85,20 +84,9 @@ type Map[K comparable, V any] struct {
 // NewMap builds a map replicated per the given nr options (default topology
 // with none).
 func NewMap[K comparable, V any](opts ...nr.Option) (*Map[K, V], error) {
-	return NewShardedMap[K, V](1, opts...)
-}
-
-// NewShardedMap builds a map hash-partitioned over the given number of
-// shards (nr.NewSharded), each replicated per the nr options, so updates to
-// different shards never contend on a shared log. Per-key operations keep
-// Map's full linearizability — every operation on a key lands on the shard
-// that owns it. Len sums counts taken at each shard's own linearization
-// point (per-shard linearizable): concurrent updates may or may not be
-// included, though the result is always a size the map could have had.
-func NewShardedMap[K comparable, V any](shards int, opts ...nr.Option) (*Map[K, V], error) {
-	inst, err := nr.NewSharded(func() nr.Sequential[mapOp[K, V], mapResp[V]] {
+	inst, err := nr.New(func() nr.Sequential[mapOp[K, V], mapResp[V]] {
 		return &seqMap[K, V]{m: make(map[K]V)}
-	}, shards, nr.KeyMapper(shards, mapKey[K, V]), opts...)
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -122,8 +110,7 @@ func (m *Map[K, V]) Register() (*MapHandle[K, V], error) {
 // Stats exposes the underlying NR counters.
 func (m *Map[K, V]) Stats() nr.Stats { return m.inst.Stats() }
 
-// Metrics exposes the unified observability snapshot (aggregate when
-// sharded).
+// Metrics exposes the unified observability snapshot.
 func (m *Map[K, V]) Metrics() nr.Metrics { return m.inst.Metrics() }
 
 // Close stops the underlying instance's background goroutines.
@@ -145,12 +132,8 @@ func (h *MapHandle[K, V]) Delete(key K) bool {
 	return h.h.Execute(mapOp[K, V]{kind: mapDelete, key: key}).ok
 }
 
-// Len returns the number of entries: the cross-class call, one count per
-// private replica set, summed.
+// Len returns the number of entries, linearizably: under NewMapWithLogs it
+// spans every class and goes through the cross-log barrier.
 func (h *MapHandle[K, V]) Len() int {
-	total := 0
-	for _, r := range h.h.ExecuteAll(mapOp[K, V]{kind: mapLen}) {
-		total += r.n
-	}
-	return total
+	return h.h.Execute(mapOp[K, V]{kind: mapLen}).n
 }

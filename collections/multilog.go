@@ -53,12 +53,10 @@ func (s *seqPartMap[K, V]) IsReadOnly(op mapOp[K, V]) bool {
 // NewMapWithLogs builds a Map whose single NR instance runs `logs`
 // commutativity-partitioned logs (nr.WithLogs): per-key operations are
 // hashed to a conflict class and only contend with that class, while Len
-// spans every class and serializes through the cross-log barrier — unlike
-// NewShardedMap's Len, it stays fully linearizable. Compared with
-// NewShardedMap this keeps ONE set of replicas (one structure per node,
-// single memory footprint) and one registration per goroutine; sharding
-// multiplies whole instances. The extra opts are passed through to nr.New
-// and must not include another WithLogs.
+// spans every class and serializes through the cross-log barrier, so it
+// stays fully linearizable. The instance keeps one set of replicas (one
+// structure per node) and one registration per goroutine. The extra opts
+// are passed through to nr.New and must not include another WithLogs.
 func NewMapWithLogs[K comparable, V any](logs int, opts ...nr.Option) (*Map[K, V], error) {
 	logs = max(logs, 1) // match core's Logs <= 0 → single-log default
 	mapper := nr.KeyMapper(logs, mapKey[K, V])

@@ -65,9 +65,9 @@ func TestMapWithLogsLinearizable(t *testing.T) {
 	}
 }
 
-// TestMapWithLogsLenBounds pins the linearizable-Len claim that sets the
-// multi-log map apart from NewShardedMap: every Len lands between the inserts
-// completed before it started and those started before it returned.
+// TestMapWithLogsLenBounds pins the multi-log map's linearizable Len: every
+// Len lands between the inserts completed before it started and those
+// started before it returned.
 func TestMapWithLogsLenBounds(t *testing.T) {
 	m, err := NewMapWithLogs[int64, uint64](4, nr.WithNodes(2, 4, 1))
 	if err != nil {

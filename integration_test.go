@@ -16,7 +16,8 @@ import (
 
 // TestIntegration_LinearizabilityThroughPublicAPI records real concurrent
 // histories through the public nr API and verifies them with the checker —
-// the repository's end-to-end validation of the paper's central claim.
+// the repository's end-to-end validation of the paper's central claim. After
+// each round every node's replica must hold the same count.
 func TestIntegration_LinearizabilityThroughPublicAPI(t *testing.T) {
 	newCtr := func() nr.Sequential[cOp, uint64] { return &apiCounter{} }
 	const rounds = 60
@@ -49,6 +50,11 @@ func TestIntegration_LinearizabilityThroughPublicAPI(t *testing.T) {
 		wg.Wait()
 		if !linearize.Check(linearize.CounterModel(), rec.History()) {
 			t.Fatalf("round %d: history not linearizable", round)
+		}
+		if err := replicasAgree(inst, func(s nr.Sequential[cOp, uint64]) string {
+			return fmt.Sprint(s.(*apiCounter).v)
+		}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }
@@ -319,9 +325,8 @@ func driveAndCompare[O, R any](t *testing.T, inst *nr.Instance[O, R],
 	}
 }
 
-// driveReplicas runs 4 goroutines of 1,200 ops each, brings every replica up
-// to date, and reports an error unless state, a canonical encoding of a
-// replica's contents, is the same on every replica.
+// driveReplicas runs 4 goroutines of 1,200 ops each, then checks
+// replicasAgree.
 func driveReplicas[O, R any](inst *nr.Instance[O, R],
 	gen func(*workload.RNG) O, state func(nr.Sequential[O, R]) string) error {
 	hs := make([]*nr.Handle[O, R], 4)
@@ -344,6 +349,13 @@ func driveReplicas[O, R any](inst *nr.Instance[O, R],
 		}()
 	}
 	wg.Wait()
+	return replicasAgree(inst, state)
+}
+
+// replicasAgree brings every replica up to date and reports an error unless
+// state, a canonical encoding of a replica's contents, is the same on every
+// replica.
+func replicasAgree[O, R any](inst *nr.Instance[O, R], state func(nr.Sequential[O, R]) string) error {
 	inst.Quiesce()
 	states := make([]string, inst.Replicas())
 	for n := range states {

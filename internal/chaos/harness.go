@@ -219,35 +219,14 @@ func (s *Schedule) logMapper() any {
 // accumulator variant it replicated.
 type fingerprinter interface{ Fingerprint() uint64 }
 
-// chaosWorker is the per-worker execution front the shared driver drives:
-// what *core.Handle (Run) and *nr.Handle (RunSharded) have in common. The
-// chaos extras are optional capabilities probed per handle.
-type chaosWorker interface {
-	TryExecute(op Op) (Result, error)
-	Node() int
-}
-
-// fanWorker is the cross-shard capability (nr handles): Sum fans out and
-// returns the per-shard totals.
-type fanWorker interface {
-	TryExecuteAll(op Op) ([]Result, error)
-}
-
-// abandonWorker is the death-injection capability: post an op and walk
-// away mid-protocol.
-type abandonWorker interface {
-	PostAndAbandon(op Op)
-}
-
-// runWorkers drives s's seeded op streams through workers minted by
-// register, re-registering via registerOnNode after an abandonment. diag
-// renders instance state for the deadlock error. Returns the flattened
-// outcomes in thread order.
-func runWorkers(s Schedule, register func() (chaosWorker, error), registerOnNode func(int) (chaosWorker, error), diag func() string) ([]Outcome, error) {
+// runWorkers drives s's seeded op streams through handles registered on
+// inst, re-registering on the same node after an abandonment. Returns the
+// flattened outcomes in thread order.
+func runWorkers(inst *core.Instance[Op, Result], s Schedule) ([]Outcome, error) {
 	outcomes := make([][]Outcome, s.Threads)
-	workers := make([]chaosWorker, s.Threads)
+	workers := make([]*core.Handle[Op, Result], s.Threads)
 	for t := range workers {
-		w, err := register()
+		w, err := inst.Register()
 		if err != nil {
 			return nil, fmt.Errorf("chaos: registering worker %d: %w", t, err)
 		}
@@ -263,13 +242,12 @@ func runWorkers(s Schedule, register func() (chaosWorker, error), registerOnNode
 			outs := make([]Outcome, 0, s.OpsPerThread)
 			for seq := 0; seq < s.OpsPerThread; seq++ {
 				op := s.opFor(rng, t, seq)
-				if aw, ok := h.(abandonWorker); ok &&
-					s.AbandonEveryN > 0 && seq%s.AbandonEveryN == s.AbandonEveryN-1 {
-					aw.PostAndAbandon(op)
+				if s.AbandonEveryN > 0 && seq%s.AbandonEveryN == s.AbandonEveryN-1 {
+					h.PostAndAbandon(op)
 					outs = append(outs, Outcome{Thread: t, Seq: seq, Op: op, Abandoned: true})
 					// The abandoned handle is dead; take a fresh slot on the
 					// same node, as a restarted worker would.
-					nh, err := registerOnNode(h.Node())
+					nh, err := inst.RegisterOnNode(h.Node())
 					if err != nil {
 						// Node out of slots: stop this worker. Recorded ops
 						// up to here still count.
@@ -278,19 +256,7 @@ func runWorkers(s Schedule, register func() (chaosWorker, error), registerOnNode
 					h = nh
 					continue
 				}
-				var (
-					resp Result
-					err  error
-				)
-				if fw, ok := h.(fanWorker); ok && op.Kind == KindSum {
-					resps, allErr := fw.TryExecuteAll(op)
-					for _, r := range resps {
-						resp.Value += r.Value
-					}
-					err = allErr
-				} else {
-					resp, err = h.TryExecute(op)
-				}
+				resp, err := h.TryExecute(op)
 				outs = append(outs, Outcome{Thread: t, Seq: seq, Op: op, Resp: resp, Err: err})
 			}
 			outcomes[t] = outs
@@ -301,7 +267,7 @@ func runWorkers(s Schedule, register func() (chaosWorker, error), registerOnNode
 	select {
 	case <-done:
 	case <-time.After(s.Timeout):
-		return nil, fmt.Errorf("%w after %v; %s", ErrDeadlock, s.Timeout, diag())
+		return nil, fmt.Errorf("%w after %v; stats %+v health %+v", ErrDeadlock, s.Timeout, inst.Stats(), inst.Health())
 	}
 	var all []Outcome
 	for _, outs := range outcomes {
@@ -314,22 +280,7 @@ func runWorkers(s Schedule, register func() (chaosWorker, error), registerOnNode
 // divergence tests can supply their own instance.
 func run(inst *core.Instance[Op, Result], s Schedule) (*Report, error) {
 	start := time.Now()
-	all, err := runWorkers(s,
-		func() (chaosWorker, error) {
-			h, err := inst.Register()
-			if err != nil {
-				return nil, err
-			}
-			return h, nil
-		},
-		func(node int) (chaosWorker, error) {
-			h, err := inst.RegisterOnNode(node)
-			if err != nil {
-				return nil, err
-			}
-			return h, nil
-		},
-		func() string { return fmt.Sprintf("stats %+v health %+v", inst.Stats(), inst.Health()) })
+	all, err := runWorkers(inst, s)
 	if err != nil {
 		return nil, err
 	}

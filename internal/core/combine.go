@@ -36,7 +36,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
 			batch = append(batch, takenSlot[O, R]{s, int32(idx)})
 			if ring != nil && i.sampled(s.seq) {
-				ring.RecordAt(t0, trace.KPickup, int(r.id), i.token(c, int(r.id), idx, s.seq), 0)
+				ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
 			}
 		}
 	}
@@ -66,7 +66,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		seq := t.s.seq
 		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, node: r.id, slot: t.slot, seq: seq})
 		if ring != nil && i.sampled(seq) {
-			ring.RecordAt(t1, trace.KLogFill, int(r.id), i.token(c, int(r.id), int(t.slot), seq), start+uint64(k))
+			ring.RecordAt(t1, trace.KLogFill, int(r.id), trace.TokenWithLog(c, int(r.id), int(t.slot), seq), start+uint64(k))
 		}
 	}
 	end := start + uint64(len(batch))
@@ -98,7 +98,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		lg.localTail.Store(end)
 		i.logs[c].AdvanceCompleted(end)
 		for k, t := range batch {
-			tok := i.token(c, int(r.id), int(t.slot), t.s.seq)
+			tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
 			sampled := ring != nil && i.sampled(t.s.seq)
 			// KExecute is stamped before the op runs and KRespond after
 			// delivery, so the execute→respond gap is the op's real duration.

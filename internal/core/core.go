@@ -134,13 +134,6 @@ type Options struct {
 	// nothing but Nop attached, no clock is read for the observer.
 	Observer obs.Observer
 
-	// Shard is this instance's index among the shards of one sharded
-	// instance (0 otherwise). Its op tokens carry combining slot
-	// Shard*ThreadsPerNode + slot, so the shards' ops traced into a shared
-	// recorder keep distinct tokens although their handles share node,
-	// slot and sequence numbers.
-	Shard int
-
 	// Trace, when non-nil, attaches the flight recorder: every handle and
 	// background goroutine gets a per-thread ring and records causal
 	// protocol milestones (slot publish, combiner pickup, log fill, replay,
@@ -178,10 +171,9 @@ func (o *Options) fillDefaults() {
 // facility (per-log WALs would need per-log recovery generations, ROADMAP
 // item 5).
 type Follower[O any] struct {
-	log     *log.Log[entry[O]]
-	tail    *atomic.Uint64
-	wake    chan struct{}
-	tokSlot int // the instance's token slot offset (Instance.token)
+	log  *log.Log[entry[O]]
+	tail *atomic.Uint64
+	wake chan struct{}
 }
 
 // Follow registers the instance's follower. It must be called before any
@@ -196,7 +188,7 @@ func (i *Instance[O, R]) Follow() (*Follower[O], error) {
 	if i.logs[0].Tail() != 0 || i.follower != nil {
 		return nil, errors.New("core: Follow after operations have executed or a second time")
 	}
-	i.follower = &Follower[O]{log: i.logs[0], tail: i.logs[0].RegisterReplica(), wake: make(chan struct{}, 1), tokSlot: i.tokSlot}
+	i.follower = &Follower[O]{log: i.logs[0], tail: i.logs[0].RegisterReplica(), wake: make(chan struct{}, 1)}
 	return i.follower, nil
 }
 
@@ -212,7 +204,7 @@ func (f *Follower[O]) Drain(fn func(idx, token uint64, op O)) {
 		if !ok {
 			return
 		}
-		fn(idx, trace.TokenWithLog(0, int(e.node), f.tokSlot+int(e.slot), e.seq), e.op)
+		fn(idx, trace.TokenWithLog(0, int(e.node), int(e.slot), e.seq), e.op)
 		f.tail.Store(idx + 1)
 	}
 }
@@ -425,9 +417,6 @@ type Instance[O, R any] struct {
 	// clock-reading sites (TryExecute, endRound) test.
 	observer obs.Observer
 	observed bool
-	// tokSlot is added to a combining slot in this instance's op tokens:
-	// Shard*ThreadsPerNode.
-	tokSlot int
 	// rec mirrors opts.Trace (nil = flight recorder off).
 	rec *trace.Recorder
 	// follower, when non-nil, is the log tail persistence reads through
@@ -497,8 +486,8 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 		mapper = fn
 	}
 	maxBatch := opts.Topology.ThreadsPerNode()
-	if opts.Shard < 0 || (opts.Shard+1)*maxBatch > 1<<16 {
-		return nil, fmt.Errorf("core: Shard %d outside the token's 16-bit slot field at %d slots per node", opts.Shard, maxBatch)
+	if maxBatch > 1<<16 {
+		return nil, fmt.Errorf("core: %d slots per node overflow the token's 16-bit slot field", maxBatch)
 	}
 	logs := make([]*log.Log[entry[O]], m)
 	for j := range logs {
@@ -512,7 +501,6 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 		opts:     opts,
 		logs:     logs,
 		mapper:   mapper,
-		tokSlot:  opts.Shard * maxBatch,
 		rec:      opts.Trace,
 		place:    topology.NewFillPlacement(opts.Topology),
 		crossIdx: make([]uint64, m),
@@ -640,7 +628,7 @@ type Handle[O, R any] struct {
 	thread int
 	// ring is this handle's flight-recorder ring (nil when tracing is off);
 	// seq counts this handle's operations and completes the op token
-	// Instance.token(cls, node, slot, seq). Both are single-goroutine state,
+	// trace.TokenWithLog(cls, node, slot, seq). Both are single-goroutine state,
 	// like the handle itself.
 	ring *trace.Ring
 	seq  uint32
@@ -664,13 +652,7 @@ type Handle[O, R any] struct {
 
 // token returns the handle's current op token.
 func (h *Handle[O, R]) token() uint64 {
-	return h.inst.token(h.cls, h.node, h.slot, h.seq)
-}
-
-// token packs the op token of log c's op from (node, slot) with sequence
-// number seq, the slot offset by this instance's shard.
-func (i *Instance[O, R]) token(c, node, slot int, seq uint32) uint64 {
-	return trace.TokenWithLog(c, node, i.tokSlot+slot, seq)
+	return trace.TokenWithLog(h.cls, h.node, h.slot, h.seq)
 }
 
 // LastToken returns the op token (log|node|slot|seq) of the most recent

@@ -145,7 +145,7 @@ type Metrics struct {
 	Persist *PersistGauges `json:"persist,omitempty"`
 	// Observed carries the obs.Metrics snapshot, nil when the instance was
 	// built without one (filled by the public nr layer, which owns the
-	// observer: one per instance, however many shards).
+	// observer).
 	Observed *obs.Snapshot `json:"observed,omitempty"`
 }
 

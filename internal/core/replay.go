@@ -29,7 +29,7 @@ func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry
 //nr:hotpath-noio
 func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O], res R, err error, ring *trace.Ring) {
 	if e.slot >= 0 && e.node == r.id {
-		tok := i.token(c, int(e.node), int(e.slot), e.seq)
+		tok := trace.TokenWithLog(c, int(e.node), int(e.slot), e.seq)
 		sampled := ring != nil && (e.kind == entryCross || i.sampled(e.seq))
 		if sampled {
 			ring.Record(trace.KReplay, int(r.id), idx, tok)

@@ -50,17 +50,6 @@ func (h *PairingHeap[K]) DeleteMin() (K, bool) {
 	return min, true
 }
 
-// Merge absorbs other into h; other becomes empty.
-func (h *PairingHeap[K]) Merge(other *PairingHeap[K]) {
-	if other == nil || other.root == nil {
-		return
-	}
-	h.root = h.meld(h.root, other.root)
-	h.length += other.length
-	other.root = nil
-	other.length = 0
-}
-
 func (h *PairingHeap[K]) meld(a, b *pairNode[K]) *pairNode[K] {
 	if a == nil {
 		return b

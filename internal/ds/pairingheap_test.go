@@ -50,31 +50,6 @@ func TestPairingHeapSortedExtraction(t *testing.T) {
 	}
 }
 
-func TestPairingHeapMerge(t *testing.T) {
-	a, b := newIntHeap(), newIntHeap()
-	for i := int64(0); i < 10; i += 2 {
-		a.Insert(i)
-	}
-	for i := int64(1); i < 10; i += 2 {
-		b.Insert(i)
-	}
-	a.Merge(b)
-	if b.Len() != 0 {
-		t.Errorf("merged-from heap Len = %d, want 0", b.Len())
-	}
-	if a.Len() != 10 {
-		t.Fatalf("merged heap Len = %d, want 10", a.Len())
-	}
-	for want := int64(0); want < 10; want++ {
-		if d, _ := a.DeleteMin(); d != want {
-			t.Fatalf("DeleteMin = %d, want %d", d, want)
-		}
-	}
-	a.Merge(nil) // must not panic
-	var empty = newIntHeap()
-	a.Merge(empty) // merging empty is a no-op
-}
-
 func TestPairingHeapRandomOracle(t *testing.T) {
 	h := newIntHeap()
 	var oracle []int64

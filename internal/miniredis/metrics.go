@@ -112,9 +112,6 @@ type telemetryPayload struct {
 type metricsPayload struct {
 	Server ServerStats   `json:"server"`
 	NR     *core.Metrics `json:"nr,omitempty"`
-	// ShardStats carries per-shard counters for sharded keyspaces; nrtop
-	// derives per-shard throughput from their deltas across polls.
-	ShardStats []core.Stats `json:"shard_stats,omitempty"`
 	// Telemetry carries the windowed views when the keyspace was built
 	// with nr.WithTelemetry.
 	Telemetry *telemetryPayload `json:"telemetry,omitempty"`
@@ -134,7 +131,7 @@ func wantsPrometheus(r *http.Request) bool {
 
 // MetricsHandler serves the full observability snapshot: by default as
 // JSON — the serving-layer counters plus, for NR-backed keyspaces, the
-// unified NR metrics, per-shard counters, and windowed telemetry — and as
+// unified NR metrics and windowed telemetry — and as
 // Prometheus text exposition (v0.0.4) under content negotiation (see
 // wantsPrometheus).
 func (s *Server) MetricsHandler() http.Handler {
@@ -146,9 +143,6 @@ func (s *Server) MetricsHandler() http.Handler {
 		p := metricsPayload{Server: s.ServerStats()}
 		if m, ok := s.Metrics(); ok {
 			p.NR = &m
-		}
-		if src, ok := s.shared.(ShardStatsSource); ok {
-			p.ShardStats = src.ShardStats()
 		}
 		if t := s.Telemetry(); t != nil {
 			p.Telemetry = &telemetryPayload{

@@ -196,7 +196,7 @@ func TestPersistentServerSurvivesRestart(t *testing.T) {
 	topo := topology.New(2, 4, 1)
 
 	boot := func() (*Server, *Persistence, net.Addr) {
-		shared, p, err := NewNRShared(topo, 7, 1, dir, nil)
+		shared, p, err := NewNRShared(topo, 7, dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

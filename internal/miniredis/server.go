@@ -44,7 +44,7 @@ func NewSharedTraced(method string, topo topology.Topology, seed uint64, rec *tr
 	maxThreads := topo.TotalThreads()
 	switch method {
 	case MethodNR:
-		shared, _, err := NewNRShared(topo, seed, 1, "", rec, extra...)
+		shared, _, err := NewNRShared(topo, seed, "", rec, extra...)
 		return shared, err
 	case MethodSL:
 		return baseline.NewSpinLocked[StoreOp, StoreResult](NewStore(seed)), nil
@@ -142,12 +142,6 @@ type MetricsSource interface {
 // collector (NR built with nr.WithTelemetry). Telemetry may return nil.
 type TelemetrySource interface {
 	Telemetry() *tsdb.Collector
-}
-
-// ShardStatsSource is implemented by sharded keyspaces that can report
-// per-shard counters for the /metrics export.
-type ShardStatsSource interface {
-	ShardStats() []core.Stats
 }
 
 // errServerClosed refuses a listener, or a connection's next read, after

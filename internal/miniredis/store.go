@@ -105,15 +105,6 @@ func (st *Store) zsetFor(key string, create bool) (*ds.SortedSet, bool) {
 	return z, true
 }
 
-func hashKey(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h | 1
-}
-
 const (
 	wrongType = "WRONGTYPE Operation against a key holding the wrong kind of value"
 	// Redis's replies to a NaN score. A NaN has no place in the (score,

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	nr "github.com/asplos17/nr"
-	"github.com/asplos17/nr/internal/core"
 	"github.com/asplos17/nr/internal/obs/prom"
 	"github.com/asplos17/nr/internal/obs/tsdb"
 	"github.com/asplos17/nr/internal/topology"
@@ -166,50 +165,5 @@ func TestMetricsPrometheusBaseline(t *testing.T) {
 	}
 	if strings.Contains(text, "nr_read_ops_total") {
 		t.Error("baseline exposition claims NR families")
-	}
-}
-
-func TestShardedMetricsCarryShardStats(t *testing.T) {
-	shared, _, err := NewNRShared(topology.New(2, 4, 1), 7, 4, "", nil,
-		nr.WithTelemetry(5*time.Millisecond, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(shared, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	traffic(t, srv)
-	waitWindows(t, srv)
-
-	rec := httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var p struct {
-		ShardStats []core.Stats    `json:"shard_stats"`
-		Telemetry  json.RawMessage `json:"telemetry"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.ShardStats) != 4 {
-		t.Fatalf("shard_stats len = %d, want 4", len(p.ShardStats))
-	}
-	var total uint64
-	for _, s := range p.ShardStats {
-		total += s.ReadOps + s.UpdateOps
-	}
-	if total == 0 {
-		t.Error("per-shard counters all zero after traffic")
-	}
-	if p.Telemetry == nil {
-		t.Error("sharded /metrics missing telemetry section")
-	}
-
-	// The sharded exposition lints clean too.
-	rec = httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
-	if err := prom.Lint(rec.Body.String()); err != nil {
-		t.Fatalf("sharded exposition fails lint: %v", err)
 	}
 }

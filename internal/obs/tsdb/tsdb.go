@@ -11,8 +11,8 @@
 // rates; raw histogram buckets subtract bucket-wise into the interval's
 // distribution — summary percentiles do not subtract, which is why the
 // collector captures buckets via obs.ReadCum, not obs.Snapshot). An instance
-// has one obs.Metrics observer however many shards it has, so one ReadCum
-// per tick is the whole capture.
+// has one obs.Metrics observer, so one ReadCum per tick is the whole
+// capture.
 //
 // The capture path is allocation-free in steady state: ring slots are
 // reused, the Gauges struct is filled in place by a caller-supplied Source

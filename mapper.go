@@ -2,8 +2,28 @@ package nr
 
 import (
 	"fmt"
+	"hash/maphash"
 	"reflect"
 )
+
+// KeyMapper builds the ready-made key-hash LogMapper for WithLogs: key
+// extracts the comparable key an operation touches, or reports false for an
+// operation that spans keys (classified CrossLog), and keys spread uniformly
+// over classes under a randomly seeded hash (stable within one process,
+// deliberately not across processes: classes are not a persistence
+// boundary). A structure partitioned per class can hold the mapper and ask
+// it where a key lives.
+func KeyMapper[O any, K comparable](classes int, key func(O) (K, bool)) LogMapper[O] {
+	seed := maphash.MakeSeed()
+	n := uint64(max(classes, 1))
+	return LogMapperFunc[O](func(op O) int {
+		k, ok := key(op)
+		if !ok {
+			return CrossLog
+		}
+		return int(maphash.Comparable(seed, k) % n)
+	})
+}
 
 // CheckMapperCommutes probes the LogMapper contract for one pair of
 // operations: if mapper assigns a and b different conflict classes (neither

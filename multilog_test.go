@@ -1,6 +1,9 @@
 package nr_test
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,7 +33,8 @@ func newPartitionedDict(t testing.TB, m int, opts ...nr.Option) *nr.Instance[ds.
 // independently, so this is the linearizability guarantee multi-log NR
 // actually makes for single-class operations; because the classes touch
 // disjoint partitions, per-class linearizability composes into whole-object
-// linearizability (locality).
+// linearizability (locality). After each round every node's replica must
+// hold the same keys.
 func TestMultiLogPerClassLinearizable(t *testing.T) {
 	const logs = 4
 	for round := 0; round < 25; round++ {
@@ -87,6 +91,15 @@ func TestMultiLogPerClassLinearizable(t *testing.T) {
 			if !linearize.Check(linearize.DictModel(), recs[c].History()) {
 				t.Fatalf("round %d: class %d history not linearizable", round, c)
 			}
+		}
+		if err := replicasAgree(inst, func(s nr.Sequential[ds.DictOp, ds.DictResult]) string {
+			var b strings.Builder
+			for k := int64(0); k < 2*logs; k++ {
+				fmt.Fprintf(&b, "%+v ", s.Execute(ds.DictOp{Kind: ds.DictLookup, Key: k}))
+			}
+			return b.String()
+		}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 		inst.Close()
 	}
@@ -213,4 +226,133 @@ func FuzzMapperCommutes(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// newDict builds a partitioned skip-list dictionary over logs logs, 2 nodes
+// × 3 threads. Key k belongs to class k mod logs; DictLen is CrossLog. skew,
+// when non-nil, distorts every class the mapper returns (given the class and
+// the class count) to play a mapper that breaks the range contract.
+func newDict(t *testing.T, logs int, skew func(c, m int) int) *nr.Instance[ds.DictOp, ds.DictResult] {
+	t.Helper()
+	classOf := nr.LogMapperFunc[ds.DictOp](func(op ds.DictOp) int {
+		if op.Kind == ds.DictLen {
+			return nr.CrossLog
+		}
+		c := int(uint64(op.Key) % uint64(logs))
+		if skew != nil {
+			c = skew(c, logs)
+		}
+		return c
+	})
+	inst, err := nr.New(
+		func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewPartitionedDict(logs, 42) },
+		nr.WithNodes(2, 3, 1), nr.WithLogEntries(256), nr.WithLogs[ds.DictOp](logs, classOf))
+	if err != nil {
+		t.Fatalf("New(logs=%d): %v", logs, err)
+	}
+	t.Cleanup(inst.Close)
+	return inst
+}
+
+// checkDictAgainstModel is the differential check: four goroutines drive
+// inserts, deletes and lookups over disjoint key ranges, so every response
+// is determined and is compared with a sequential dictionary's; afterwards a
+// fresh handle on the other node must read the models' union, every node's
+// replica must hold exactly the surviving keys, and DictLen, a CrossLog op
+// ordered by the cross-log barrier, must count them.
+func checkDictAgainstModel(t *testing.T, inst *nr.Instance[ds.DictOp, ds.DictResult]) {
+	t.Helper()
+	const threads, perThread, keysPerThread = 4, 400, 16
+	models := make([]*ds.SkipListDict, threads)
+	var wg sync.WaitGroup
+	for tid := range models {
+		h, err := inst.Register()
+		if err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		models[tid] = ds.NewSkipListDict(1)
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			rng := uint64(tid)*2654435761 + 1
+			for i := 0; i < perThread; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				op := ds.DictOp{
+					Kind:  ds.DictOpKind(rng >> 8 % 3), // insert, delete, lookup
+					Key:   int64(tid*keysPerThread) + int64(rng%keysPerThread),
+					Value: rng,
+				}
+				if got, want := h.Execute(op), models[tid].Execute(op); got != want {
+					t.Errorf("thread %d op %d %+v = %+v, sequential model says %+v", tid, i, op, got, want)
+					return
+				}
+			}
+		}(tid)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	h, err := inst.RegisterOnNode(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size uint64
+	for tid, model := range models {
+		size += uint64(model.Len())
+		for k := int64(tid * keysPerThread); k < int64((tid+1)*keysPerThread); k++ {
+			lookup := ds.DictOp{Kind: ds.DictLookup, Key: k}
+			want := model.Execute(lookup)
+			if got := h.Execute(lookup); got != want {
+				t.Errorf("final lookup(%d) = %+v, model says %+v", k, got, want)
+			}
+			for node := 0; node < inst.Replicas(); node++ {
+				inst.Inspect(node, func(d nr.Sequential[ds.DictOp, ds.DictResult]) {
+					if got := d.Execute(lookup); got != want {
+						t.Errorf("key %d on node %d's replica = %+v, model says %+v", k, node, got, want)
+					}
+				})
+			}
+		}
+	}
+	if got := h.Execute(ds.DictOp{Kind: ds.DictLen}); got.Value != size {
+		t.Errorf("DictLen = %d, models hold %d", got.Value, size)
+	}
+}
+
+// logCounts is what the differential check runs over: one log is the
+// classic instance.
+var logCounts = []int{1, 4}
+
+// TestRoutedOpsMatchSequentialModel runs the differential check with an
+// honest mapper.
+func TestRoutedOpsMatchSequentialModel(t *testing.T) {
+	for _, logs := range logCounts {
+		t.Run("logs="+strconv.Itoa(logs), func(t *testing.T) {
+			checkDictAgainstModel(t, newDict(t, logs, nil))
+		})
+	}
+}
+
+// TestOutOfRangeClassFolds pins the policy for a mapper that returns a
+// class outside [0, m): the engine folds it as ((c % m) + m) % m. The
+// mappers here return the right class displaced by a multiple of m, above
+// the range for even classes and below it (past CrossLog) for odd ones; the
+// fold lands every op where the honest mapper would have, so the
+// differential check must pass unchanged.
+func TestOutOfRangeClassFolds(t *testing.T) {
+	skew := func(c, m int) int {
+		if c%2 == 0 {
+			return c + 3*m
+		}
+		return c - 2*m
+	}
+	for _, logs := range logCounts {
+		t.Run("logs="+strconv.Itoa(logs), func(t *testing.T) {
+			checkDictAgainstModel(t, newDict(t, logs, skew))
+		})
+	}
 }

@@ -30,7 +30,6 @@ package nr
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/asplos17/nr/internal/core"
@@ -74,28 +73,26 @@ type settings struct {
 // conflict class. Inside one instance such operations serialize through log
 // 0 behind a ticket barrier appended to every other log, so all replicas
 // apply them at the same point relative to every class's history (DESIGN.md
-// §16). Across the shards of NewSharded there is no such barrier: Execute
-// refuses them and Handle.ExecuteAll is the cross-class call.
+// §16).
 const CrossLog = core.CrossLog
 
 // LogMapper is the one commutativity contract: it assigns every operation a
 // conflict class in [0, m), or CrossLog for operations spanning classes.
-// WithLogs gives each class its own log inside one instance; NewSharded
-// gives each class its own private replicas. The contract, on which
-// linearizability rests:
+// WithLogs gives each class its own log inside one instance. The contract,
+// on which linearizability rests:
 //
 //   - LogIndex must be a pure function of the operation and stable for the
 //     instance's lifetime (every replica must agree on each op's class; the
 //     class is where the operation's state lives).
 //   - Operations mapped to different classes must commute: executing them in
 //     either order yields the same structure state and the same responses.
-//   - Under WithLogs the sequential structure must tolerate operations of
-//     different classes being applied to one replica concurrently and in
+//   - The sequential structure must tolerate operations of different
+//     classes being applied to one replica concurrently and in
 //     different interleavings than another replica saw (which commutativity
 //     makes semantically invisible).
 //   - LogIndex must be safe for concurrent use.
 //
-// A class outside [0, m) is not trusted: both engines fold it into range as
+// A class outside [0, m) is not trusted: the engine folds it into range as
 // ((c % m) + m) % m, which keeps a pure mapper pure.
 //
 // CheckMapperCommutes probes a mapper against its structure; the multi-log
@@ -189,9 +186,7 @@ func WithObserver(o Observer) Option {
 // WithObserver) and of combiner batch size (every round), and per-node
 // combine time, all folded into the snapshot Instance.Metrics returns (its
 // Observed field is non-nil exactly when the instance was built with
-// WithMetrics). Event counts are in Stats, with or without it. A sharded
-// instance has one such observer, shared by every shard, so Observed
-// covers all of its traffic.
+// WithMetrics). Event counts are in Stats, with or without it.
 func WithMetrics() Option {
 	return func(s *settings) { s.metrics = true }
 }
@@ -247,32 +242,23 @@ var ErrPoisoned = core.ErrPoisoned
 var ErrClosed = core.ErrClosed
 
 // Instance is a replicated, linearizable version of a sequential structure:
-// one shard (one set of per-node replicas over one set of logs) from New,
-// several from NewSharded.
+// one set of per-node replicas over one set of logs.
 type Instance[O, R any] struct {
-	inner   *core.Instance[O, R]   // shards[0]: the whole instance unless built by NewSharded
-	shards  []*core.Instance[O, R] // every shard's private replica set, in class order
-	mapper  LogMapper[O]           // op → shard; nil with one shard
-	metrics *obs.Metrics           // the one metrics observer all shards share; nil unless WithMetrics/WithTelemetry
-	pst     *persistence[O]        // nil unless built with WithPersistence/Recover
-	tel     *Telemetry             // nil unless built with WithTelemetry/WithSLO
+	inner   *core.Instance[O, R]
+	metrics *obs.Metrics    // nil unless WithMetrics/WithTelemetry
+	pst     *persistence[O] // nil unless built with WithPersistence/Recover
+	tel     *Telemetry      // nil unless built with WithTelemetry/WithSLO
 }
 
 // Handle executes operations on behalf of one registered goroutine. It is
 // not safe for concurrent use; register one handle per goroutine.
 type Handle[O, R any] struct {
-	// inner is the core handle operations run on: the only one there is on a
-	// one-shard instance, otherwise the handle of the shard the most recent
-	// operation went to (so Node and LastToken need no sharded variant).
-	inner  *core.Handle[O, R]
-	hs     []*core.Handle[O, R] // one per shard, all on the same node
-	mapper LogMapper[O]
+	inner *core.Handle[O, R]
 }
 
-// lower converts the accumulated settings into the one core.Options value
-// every shard is built from. The WithMetrics observer it creates is shared
-// by every shard, as WithObserver's observers and the flight recorder are,
-// and returned so the instance can read it (nil without WithMetrics).
+// lower converts the accumulated settings into core.Options. The
+// WithMetrics observer it creates is returned too, so the instance can read
+// it (nil without WithMetrics).
 func (s *settings) lower() (core.Options, *obs.Metrics) {
 	opts := core.Options{
 		LogEntries:         s.logEntries,
@@ -309,13 +295,6 @@ func (s *settings) lower() (core.Options, *obs.Metrics) {
 // produce identical replicas (same seeds, same initial contents). With no
 // options it simulates the paper's testbed (4×14×2, 64K-entry log).
 func New[O, R any](create func() Sequential[O, R], options ...Option) (*Instance[O, R], error) {
-	return build(create, 1, nil, options)
-}
-
-// build is New and NewSharded: shards core instances from one settings
-// value, lowered once. Every shard gets the same options, so a construction
-// error is always the first shard's, before anything has been started.
-func build[O, R any](create func() Sequential[O, R], shards int, mapper LogMapper[O], options []Option) (*Instance[O, R], error) {
 	if create == nil {
 		return nil, errors.New("nr: create function is nil")
 	}
@@ -323,27 +302,19 @@ func build[O, R any](create func() Sequential[O, R], shards int, mapper LogMappe
 	for _, o := range options {
 		o(&s)
 	}
-	// Fail before building anything: one WAL covers one log of one shard,
-	// and recovery has no generation record tying several together, so a
-	// crash between two WALs' fsyncs could resurrect a state no
-	// linearization ever produced (ROADMAP item 5).
+	// Fail before building anything: one WAL covers one log, and recovery
+	// has no generation record tying several together, so a crash between
+	// two WALs' fsyncs could resurrect a state no linearization ever
+	// produced (ROADMAP item 5).
 	if s.persist != nil && s.logs > 1 {
 		return nil, errors.New("nr: WithLogs(m > 1) cannot be combined with persistence; per-log WALs lack a cross-log recovery barrier (ROADMAP item 5)")
 	}
-	if s.persist != nil && shards > 1 {
-		return nil, fmt.Errorf("nr: NewSharded(shards = %d) cannot be combined with persistence; per-shard WALs lack a cross-shard recovery barrier (ROADMAP item 5)", shards)
-	}
 	opts, mo := s.lower()
-	inst := &Instance[O, R]{shards: make([]*core.Instance[O, R], shards), mapper: mapper, metrics: mo}
-	for i := range inst.shards {
-		opts.Shard = i // distinct op tokens in a shared flight recorder
-		sh, err := core.New[O, R](func() core.Sequential[O, R] { return create() }, opts)
-		if err != nil {
-			return nil, err
-		}
-		inst.shards[i] = sh
+	inner, err := core.New[O, R](func() core.Sequential[O, R] { return create() }, opts)
+	if err != nil {
+		return nil, err
 	}
-	inst.inner = inst.shards[0]
+	inst := &Instance[O, R]{inner: inner, metrics: mo}
 	if s.persist != nil {
 		pst, perr := attachPersistence(inst, s.persist)
 		if perr != nil {
@@ -367,7 +338,7 @@ func (i *Instance[O, R]) Register() (*Handle[O, R], error) {
 	if err != nil {
 		return nil, err
 	}
-	return i.mirror(h)
+	return &Handle[O, R]{inner: h}, nil
 }
 
 // RegisterOnNode binds the calling goroutine to an explicit NUMA node.
@@ -376,31 +347,14 @@ func (i *Instance[O, R]) RegisterOnNode(node int) (*Handle[O, R], error) {
 	if err != nil {
 		return nil, err
 	}
-	return i.mirror(h)
+	return &Handle[O, R]{inner: h}, nil
 }
 
-// mirror completes a registration begun on the first shard by taking a slot
-// on the same node of every other shard. Shards are registered only here,
-// so per-node occupancy is identical across them and the mirrored
-// registrations cannot run out of slots before the first shard does.
-func (i *Instance[O, R]) mirror(h0 *core.Handle[O, R]) (*Handle[O, R], error) {
-	hs := make([]*core.Handle[O, R], len(i.shards))
-	hs[0] = h0
-	for s := 1; s < len(hs); s++ {
-		h, err := i.shards[s].RegisterOnNode(h0.Node())
-		if err != nil {
-			return nil, fmt.Errorf("nr: mirroring registration onto shard %d: %w", s, err)
-		}
-		hs[s] = h
-	}
-	return &Handle[O, R]{inner: h0, hs: hs, mapper: i.mapper}, nil
-}
-
-// Replicas returns the number of per-node replicas (of each shard).
+// Replicas returns the number of per-node replicas.
 func (i *Instance[O, R]) Replicas() int { return i.inner.Replicas() }
 
-// Logs returns the number of shared logs (conflict classes) per shard: 1
-// for a classic instance, WithLogs' m otherwise.
+// Logs returns the number of shared logs (conflict classes): 1 for a
+// classic instance, WithLogs' m otherwise.
 func (i *Instance[O, R]) Logs() int { return i.inner.Logs() }
 
 // Metrics returns the unified observability snapshot: Stats counters,
@@ -409,8 +363,7 @@ func (i *Instance[O, R]) Logs() int { return i.inner.Logs() }
 // operation class and combiner batch-size distributions (Observed field).
 // Instances built with persistence additionally carry the WAL's durability
 // gauges (Persist field), including the durable-index lag: how many
-// completed operations a crash right now would lose. A sharded instance
-// reports the fold of its shards (see ShardMetrics).
+// completed operations a crash right now would lose.
 func (i *Instance[O, R]) Metrics() Metrics {
 	var m Metrics
 	i.MetricsInto(&m, true)
@@ -421,11 +374,7 @@ func (i *Instance[O, R]) Metrics() Metrics {
 // skips or includes the Observed summary. The telemetry collector's cadence
 // tick uses it to avoid allocating a snapshot per tick.
 func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
-	if len(i.shards) > 1 {
-		i.foldInto(m)
-	} else {
-		i.inner.MetricsInto(m)
-	}
+	i.inner.MetricsInto(m)
 	i.fillPersist(m)
 	if observed && i.metrics != nil {
 		s := i.metrics.Snapshot()
@@ -470,21 +419,11 @@ func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
 // MemoryBytes reports the shared logs' footprint plus, for replicas whose
 // sequential structure implements interface{ MemoryBytes() uint64 }, the
 // replicas' footprints — the space cost the paper tabulates.
-func (i *Instance[O, R]) MemoryBytes() uint64 {
-	var total uint64
-	for _, sh := range i.shards {
-		total += sh.MemoryBytes()
-	}
-	return total
-}
+func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
 
 // Quiesce brings every replica up to date with all completed operations —
 // useful before inspecting replicas, never required for correctness.
-func (i *Instance[O, R]) Quiesce() {
-	for _, sh := range i.shards {
-		sh.Quiesce()
-	}
-}
+func (i *Instance[O, R]) Quiesce() { i.inner.Quiesce() }
 
 // Close stops the dedicated combiners, if configured, and — on a
 // persistent instance — flushes and closes the write-ahead log (call
@@ -496,9 +435,7 @@ func (i *Instance[O, R]) Close() {
 	if i.tel != nil {
 		i.tel.Close()
 	}
-	for _, sh := range i.shards {
-		sh.Close()
-	}
+	i.inner.Close()
 	if i.pst != nil {
 		i.pst.close()
 	}
@@ -514,46 +451,24 @@ type FakeUpdater[O, R any] interface {
 }
 
 // Inspect quiesces node's replica and runs fn on its sequential structure
-// with the write lock held; on a sharded instance once per shard, in shard
-// order. fn must not retain the structure.
+// with the write lock held. fn must not retain the structure.
 func (i *Instance[O, R]) Inspect(node int, fn func(s Sequential[O, R])) {
-	for _, sh := range i.shards {
-		sh.InspectReplica(node, func(ds core.Sequential[O, R]) { fn(ds) })
-	}
+	i.inner.InspectReplica(node, func(ds core.Sequential[O, R]) { fn(ds) })
 }
 
-// Execute runs op with linearizable semantics (on a sharded instance: on
-// the shard that owns op's class, so per-class histories are exactly as
-// linearizable as under one shard). If the operation's Sequential.Execute
-// panics — on whichever goroutine ran it — the panic is re-raised here
+// Execute runs op with linearizable semantics. If the operation's
+// Sequential.Execute panics — on whichever goroutine ran it — the panic is re-raised here
 // wrapped in a *PanicError; the NR machinery itself survives. Use
 // TryExecute to receive contained failures as errors instead.
-func (h *Handle[O, R]) Execute(op O) R {
-	if len(h.hs) > 1 {
-		if err := h.route(op); err != nil {
-			panic(err)
-		}
-	}
-	return h.inner.Execute(op)
-}
+func (h *Handle[O, R]) Execute(op O) R { return h.inner.Execute(op) }
 
 // TryExecute runs op with linearizable semantics, reporting contained
 // failures as errors: a *PanicError when user Execute panicked, ErrPoisoned
-// once replicas have diverged (failures are shard-scoped: a poisoned shard
-// fails only the operations routed to it), and on a sharded instance an
-// error naming ExecuteAll when the mapper classifies op CrossLog. A nil
-// error means resp is the operation's result.
-func (h *Handle[O, R]) TryExecute(op O) (R, error) {
-	if len(h.hs) > 1 {
-		if err := h.route(op); err != nil {
-			var zero R
-			return zero, err
-		}
-	}
-	return h.inner.TryExecute(op)
-}
+// once replicas have diverged. A nil error means resp is the operation's
+// result.
+func (h *Handle[O, R]) TryExecute(op O) (R, error) { return h.inner.TryExecute(op) }
 
-// Node returns the node this handle is bound to (the same on every shard).
+// Node returns the node this handle is bound to.
 func (h *Handle[O, R]) Node() int { return h.inner.Node() }
 
 // PostAndAbandon submits an update without waiting for its response: the
@@ -561,14 +476,7 @@ func (h *Handle[O, R]) Node() int { return h.inner.Node() }
 // combiner picks it up, while the caller moves on immediately. The
 // response is discarded. Capture LastToken right after the call to make
 // the abandoned op detectable after a crash.
-func (h *Handle[O, R]) PostAndAbandon(op O) {
-	if len(h.hs) > 1 {
-		if err := h.route(op); err != nil {
-			panic(err)
-		}
-	}
-	h.inner.PostAndAbandon(op)
-}
+func (h *Handle[O, R]) PostAndAbandon(op O) { h.inner.PostAndAbandon(op) }
 
 // LastToken identifies the most recent operation submitted through this
 // handle: the flight-recorder token (log index | node | combining slot |

@@ -3,8 +3,10 @@ package nr_test
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -276,6 +278,27 @@ func TestNewRefusesExistingState(t *testing.T) {
 	_, err := nr.New(newKV, nr.WithNodes(2, 2, 1), nr.WithPersistence(dir, kvCodec{}))
 	if err == nil {
 		t.Fatal("New over existing durable state succeeded; want refusal directing to Recover")
+	}
+}
+
+// TestLogsRefusePersistence: persistence × WithLogs(m > 1) is refused by
+// the constructor, citing the missing cross-log recovery barrier, before
+// anything is written to the directory.
+func TestLogsRefusePersistence(t *testing.T) {
+	dir := t.TempDir()
+	inst, err := nr.New(newKV, nr.WithNodes(1, 2, 1),
+		nr.WithLogs(2, nr.KeyMapper(2, func(op kvOp) (uint64, bool) { return op.Key, true })),
+		nr.WithPersistence[kvOp](dir, kvCodec{}))
+	if err == nil {
+		inst.Close()
+		t.Fatal("New accepted WithLogs(2) with WithPersistence")
+	}
+	if !strings.Contains(err.Error(), "cannot be combined with persistence") ||
+		!strings.Contains(err.Error(), "ROADMAP item 5") {
+		t.Errorf("error = %q, want the persistence refusal citing ROADMAP item 5", err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("refused constructor left %d entries in the directory", len(left))
 	}
 }
 

@@ -92,13 +92,12 @@ func WithSLONotify(fn func(BreachEvent)) Option {
 	}
 }
 
-// Telemetry returns the windowed collector (aggregated across shards), nil
+// Telemetry returns the windowed collector, nil
 // unless the instance was built with WithTelemetry/WithSLO.
 func (i *Instance[O, R]) Telemetry() *Telemetry { return i.tel }
 
 // startTelemetry builds and starts the collector: gauges from the
-// instance's (folded) snapshot, latency and batch buckets from the metrics
-// observer every shard records into.
+// instance's snapshot, latency and batch buckets from its metrics observer.
 func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Collector {
 	var m Metrics // reused across ticks: the collector serializes Source calls
 	c := tsdb.New(tsdb.Config{

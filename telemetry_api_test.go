@@ -1,5 +1,5 @@
 // Public-surface tests for the continuous telemetry plane: WithTelemetry /
-// WithSLO wiring on plain, sharded, and persistent instances, the unified
+// WithSLO wiring on plain and persistent instances, the unified
 // snapshot's WAL durability gauges, and the reader-acquisition counter.
 package nr_test
 
@@ -158,38 +158,5 @@ func TestWithSLOBreachNotify(t *testing.T) {
 	}
 	if sts[0].BudgetBurn <= 1 {
 		t.Errorf("BudgetBurn = %v, want > 1 when every window breaches", sts[0].BudgetBurn)
-	}
-}
-
-func TestShardedTelemetryAggregates(t *testing.T) {
-	inst, err := nr.NewSharded(newKV, 4,
-		nr.KeyMapper(4, func(op kvOp) (uint64, bool) { return op.Key, true }),
-		nr.WithNodes(2, 4, 1),
-		nr.WithTelemetry(2*time.Millisecond, 16),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	tel := inst.Telemetry()
-	if tel == nil {
-		t.Fatal("Telemetry() nil on a sharded instance built with WithTelemetry")
-	}
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		for i := uint64(0); i < 200; i++ {
-			h.Execute(kvOp{Key: i, Delta: 1})
-		}
-		if w, ok := tel.Last(); ok && w.UpdateOpsPerSec > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sharded collector derived no traffic window within deadline")
-		}
 	}
 }
