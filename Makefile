@@ -4,7 +4,8 @@
 # (internal/chaos, seeds 1 / 42 / 0xc0ffee / 0xdeadbeef) under -race.
 # lint runs nrlint, the NR-specific static analyzers (DESIGN.md §10). fuzz
 # runs every Fuzz* target with random inputs (their seed corpora already run
-# in tier1). figures regenerates results/nrbench_all.txt.
+# in tier1). figures regenerates results/nrbench_all.txt; memtables checks
+# its three memory tables, the only rows measured on the real structures.
 
 GO ?= go
 
@@ -16,7 +17,7 @@ BENCH_OUT ?= bench-local.json
 # The packages where a data race is a protocol bug, not just a test bug.
 RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/histogram ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
 
-.PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench figures lint lint-sarif
+.PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench figures memtables lint lint-sarif
 
 tier1: ## gofmt + one-benchmark rule + build + vet + lint + unit tests (the acceptance gate)
 	test -z "$$(gofmt -l .)"
@@ -64,6 +65,21 @@ bench: ## the repository's benchmark (BENCHMARK.json, benchmark/README.md): all 
 figures: ## regenerate results/nrbench_all.txt, every §8 figure (results/README.md); about 15 minutes, so not a CI step
 	$(GO) run ./cmd/nrbench -all -ops 600 > results/nrbench_all.txt.tmp
 	mv results/nrbench_all.txt.tmp results/nrbench_all.txt
+
+# memtables compares each memory table's 200000-item row and its "at items="
+# summary, never the wall-time line. The heap these rows measure moves by up
+# to 0.02 MB between runs and between GOMAXPROCS 1 and 8, so each number must
+# lie within 0.1 of the committed one (which also absorbs a last-digit flip of
+# the rounded ratio); every other word must match.
+memtables: ## re-measure the Fig. 5f/6c/7e memory tables (about 5 s) and fail if they drifted from results/nrbench_all.txt
+	for f in 5f 6c 7e; do $(GO) run ./cmd/nrbench -fig $$f || exit 1; done | awk -v tol=0.1 ' \
+		/^=== Figure (5f|6c|7e):/ { on = 1 } /^$$/ { on = 0 } \
+		!(on && /^(200000 |at items=)/) { next } \
+		NR == FNR { want[++n] = $$0; next } \
+		{ print; nw = split(want[++m], w, /[ =,:x]+/); ng = split($$0, g, /[ =,:x]+/); bad += nw != ng; \
+		  for (i = 1; i <= nw; i++) if (w[i] != g[i] && !(w[i] ~ /^[0-9.]+$$/ && g[i] ~ /^[0-9.]+$$/ && (w[i] - g[i]) ^ 2 <= tol ^ 2)) bad++ } \
+		END { if (bad || m != n || n != 6) { printf "memtables: rows differ from results/nrbench_all.txt, which has:\n"; for (i = 1; i <= n; i++) print want[i]; exit 1 } }' \
+		results/nrbench_all.txt -
 
 build:
 	$(GO) build ./...

@@ -12,10 +12,12 @@ import (
 // TestMapWithLogsLinearizable is TestMapLinearizable over the multi-log
 // map: the WHOLE history — not per class — must stay linearizable, because
 // per-key classes touch disjoint sub-maps (locality composes them) and Len
-// serializes through the cross-log barrier.
+// serializes through the cross-log barrier. Every replica must then hold the
+// same sub-maps (mapReplicasAgree). A class gets ~5 updates a round, so its
+// 4-entry log wraps.
 func TestMapWithLogsLinearizable(t *testing.T) {
 	for round := 0; round < 25; round++ {
-		m, err := NewMapWithLogs[int64, uint64](4, nr.WithNodes(2, 2, 1), nr.WithLogEntries(128))
+		m, err := NewMapWithLogs[int64, uint64](4, nr.WithNodes(2, 2, 1), nr.WithLogEntries(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,6 +62,9 @@ func TestMapWithLogsLinearizable(t *testing.T) {
 		wg.Wait()
 		if !linearize.Check(linearize.DictModel(), rec.History()) {
 			t.Fatalf("round %d: multi-log Map history not linearizable", round)
+		}
+		if err := mapReplicasAgree(m); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 		m.Close()
 	}

@@ -817,7 +817,9 @@ type Sizer interface {
 }
 
 // MemoryBytes returns log bytes plus the sum of replica footprints for
-// structures implementing Sizer (used for the paper's memory tables).
+// structures implementing Sizer. No structure in this repository implements
+// Sizer, so for them it is the logs alone. The paper's memory tables
+// (internal/bench) measure the heap instead, replicas included.
 func (i *Instance[O, R]) MemoryBytes() uint64 {
 	total := i.LogMemoryBytes()
 	for _, r := range i.replicas {

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"testing"
 	"unsafe"
+
+	"github.com/asplos17/nr/internal/log"
 )
 
 // TestSlotLayout pins the combining slot's cache-line discipline (§5.2) at
@@ -47,5 +49,22 @@ func TestReplicaCountersLayout(t *testing.T) {
 	}
 	if end := off + unsafe.Sizeof(r.counters); unsafe.Sizeof(r) < end+64 {
 		t.Errorf("replica ends %d bytes after its counters, want >= 64", unsafe.Sizeof(r)-end)
+	}
+}
+
+// TestEntryLogCell pins what NR actually logs: core's entry (op plus the
+// 24-byte response tag node, slot, seq, kind, ticket) is 32 bytes at int64,
+// and its log cell adds only the log's 8-byte marker. Log cells are
+// deliberately unpadded (internal/log's TestEntryLayout).
+func TestEntryLogCell(t *testing.T) {
+	if size := unsafe.Sizeof(entry[int64]{}); size != 32 {
+		t.Errorf("entry[int64] size = %d, want 32 (op 8, node 4, slot 4, seq 4, kind 1+3, ticket 8)", size)
+	}
+	l, err := log.New[entry[int64]](1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell := l.MemoryBytes() / uint64(l.Size()); cell != 40 {
+		t.Errorf("log cell of entry[int64] = %d bytes, want 40 (entry 32 + marker 8)", cell)
 	}
 }

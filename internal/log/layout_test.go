@@ -5,11 +5,12 @@ import (
 	"unsafe"
 )
 
-// TestEntryLayout pins one log cell to exactly one cache line at int64, so
-// concurrent Fill/Get on adjacent entries never false-share.
+// TestEntryLayout pins a log cell at its natural size, the op plus the
+// 8-byte marker with no pad (see entry for why). The cell NR really logs,
+// core's entry with its response tag, is pinned by core's TestEntryLogCell.
 func TestEntryLayout(t *testing.T) {
-	if size := unsafe.Sizeof(entry[int64]{}); size != 64 {
-		t.Errorf("entry[int64] size = %d, want 64 (one cache line per log cell)", size)
+	if size := unsafe.Sizeof(entry[int64]{}); size != 16 {
+		t.Errorf("entry[int64] size = %d, want 16 (op 8 + marker 8, unpadded)", size)
 	}
 }
 

@@ -20,12 +20,13 @@ import (
 // cacheLine keeps hot counters on separate lines.
 type cacheLine = [64]byte
 
-// entry is one log cell; the pad keeps adjacent entries from false sharing
-// under concurrent Fill/Get (one line at int64, pinned by TestEntryLayout).
+// entry is one log cell: the op and its marker, deliberately unpadded
+// (TestEntryLayout). A combiner fills a run of consecutive cells, so only
+// a batch's boundary cell can share a line with another combiner's batch
+// (DESIGN.md §5b).
 type entry[O any] struct {
 	op     O
 	marker atomic.Uint64 // absolute index + 1 once filled
-	_      [48]byte
 }
 
 // Log is the shared circular buffer. It is written by at most one combiner
@@ -258,8 +259,8 @@ func (l *Log[O]) WaitGetObserved(idx uint64) (O, int) {
 	return e.op, spins
 }
 
-// MemoryBytes estimates the log's memory footprint (for the paper's memory
-// cost tables, e.g. Fig. 5f).
+// MemoryBytes returns the bytes of the log's cells: Size() times one cell,
+// the op plus its 8-byte marker.
 func (l *Log[O]) MemoryBytes() uint64 {
 	var e entry[O]
 	return l.size * uint64(unsafe.Sizeof(e))

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -143,6 +144,8 @@ func FuzzParseCommand(f *testing.F) {
 	f.Add("SET", "", "", "")
 	f.Add("zincrby", "k", "nan", "m")
 	f.Add("ZADD", "k", "-NaN", "m")
+	f.Add("ZRANGE", "k", "0", "18446744073709551615")
+	f.Add("zrange", "k", "-9223372036854775809", "+3")
 	f.Fuzz(func(t *testing.T, a, b, c, d string) {
 		for _, args := range [][]string{{a}, {a, b}, {a, b, c}, {a, b, c, d}} {
 			raw := make([][]byte, len(args))
@@ -156,6 +159,14 @@ func FuzzParseCommand(f *testing.F) {
 			}
 			if op.Score != op.Score {
 				t.Fatalf("%q: parsed a NaN score", args)
+			}
+			if len(args) == 4 && cmdIs(a, "ZRANGE") {
+				start, err1 := strconv.ParseInt(c, 10, strconv.IntSize)
+				stop, err2 := strconv.ParseInt(d, 10, strconv.IntSize)
+				ok := err1 == nil && err2 == nil
+				if (errMsg == "") != ok || ok && (int64(op.Start) != start || int64(op.Stop) != stop) {
+					t.Fatalf("%q: parsed %+v %q, strconv gives %d %v, %d %v", args, op, errMsg, start, err1, stop, err2)
+				}
 			}
 			if errMsg != "" {
 				continue

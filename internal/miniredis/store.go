@@ -28,14 +28,16 @@ const (
 )
 
 // StoreOp is one operation on the whole keyspace. It is the black-box op
-// type NR logs and replays.
+// type NR logs and replays. The two one-byte fields come last so they share
+// the tail word: 64 bytes, and a 96-byte log cell once core's response tag
+// and the log's marker are added (TestStoreOpLogCell).
 type StoreOp struct {
-	Cmd        Cmd
 	Key        string
 	Member     string
 	Score      float64
 	Start      int
 	Stop       int
+	Cmd        Cmd
 	WithScores bool
 }
 
@@ -389,26 +391,11 @@ func parseFloat[S byteSeq](s S) (float64, string) {
 	return f, ""
 }
 
-func parseInt[S byteSeq](s S) (v int, ok bool) {
-	neg := false
-	i := 0
-	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
-		neg = s[0] == '-'
-		i = 1
-	}
-	if i == len(s) {
-		return 0, false
-	}
-	for ; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, false
-		}
-		v = v*10 + int(s[i]-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
+// parseInt reads a ZRANGE bound. A value that does not fit an int is an
+// error, as in Redis, not a wrapped index.
+func parseInt[S byteSeq](s S) (int, bool) {
+	v, err := strconv.Atoi(string(s))
+	return v, err == nil
 }
 
 // WriteResult renders a command result as RESP.

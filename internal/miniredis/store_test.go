@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
+
+	nr "github.com/asplos17/nr"
 )
 
 func TestStoreStringOps(t *testing.T) {
@@ -251,6 +254,49 @@ func TestParseCommand(t *testing.T) {
 		if !c.bad && (errMsg != "" || op.Cmd != c.cmd) {
 			t.Errorf("ParseCommand(%v) = %+v, %q", c.args, op, errMsg)
 		}
+	}
+}
+
+// TestParseZRangeBoundOverflow: a ZRANGE bound that does not fit an int is
+// refused, as Redis refuses it, on both argument forms. Wrapping it turned
+// 18446744073709551615 into -1, a whole-set range.
+func TestParseZRangeBoundOverflow(t *testing.T) {
+	for _, bound := range []string{"18446744073709551615", "9223372036854775808", "-9223372036854775809", "99999999999999999999999"} {
+		for _, args := range [][]string{{"ZRANGE", "k", "0", bound}, {"ZRANGE", "k", bound, "-1"}} {
+			raw := [][]byte{[]byte(args[0]), []byte(args[1]), []byte(args[2]), []byte(args[3])}
+			op, msg := ParseCommand(args)
+			rawOp, rawMsg := parseOp(raw)
+			if want := "value is not an integer or out of range"; msg != want || rawMsg != want {
+				t.Errorf("%q = %+v %q (bytes: %+v %q), want the out-of-range error", args, op, msg, rawOp, rawMsg)
+			}
+		}
+	}
+	for _, c := range []struct {
+		bound string
+		want  int
+	}{{"9223372036854775807", math.MaxInt64}, {"-9223372036854775808", math.MinInt64}, {"+7", 7}, {"-0", 0}} {
+		op, msg := ParseCommand([]string{"ZRANGE", "k", c.bound, c.bound})
+		if msg != "" || op.Start != c.want || op.Stop != c.want {
+			t.Errorf("ZRANGE k %s %s = %+v %q, want both bounds %d", c.bound, c.bound, op, msg, c.want)
+		}
+	}
+}
+
+// TestStoreOpLogCell pins the server's op at 64 bytes and its log cell at
+// 96: StoreOp plus core's 24-byte response tag plus the log's 8-byte marker,
+// with no pad (the cell was 152 bytes with a 48-byte pad and a 72-byte op).
+func TestStoreOpLogCell(t *testing.T) {
+	if size := unsafe.Sizeof(StoreOp{}); size != 64 {
+		t.Errorf("StoreOp size = %d, want 64 (Cmd and WithScores share the tail word)", size)
+	}
+	const entries = 1024
+	inst, err := nr.New(func() nr.Sequential[StoreOp, StoreResult] { return NewStore(1) }, nr.WithLogEntries(entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if cell := inst.MemoryBytes() / entries; cell != 96 {
+		t.Errorf("log cell of StoreOp = %d bytes, want 96", cell)
 	}
 }
 

@@ -418,7 +418,9 @@ func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
 
 // MemoryBytes reports the shared logs' footprint plus, for replicas whose
 // sequential structure implements interface{ MemoryBytes() uint64 }, the
-// replicas' footprints — the space cost the paper tabulates.
+// replicas' footprints. For a structure without that method it is the logs
+// alone: one cell per log entry, the op plus 32 bytes of response tag and
+// marker for an op of 8-byte alignment.
 func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
 
 // Quiesce brings every replica up to date with all completed operations —
