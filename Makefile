@@ -2,9 +2,10 @@
 # protocol-critical packages under the race detector; tier2 adds the race
 # detector everywhere; chaos replays the seeded fault-injection schedules
 # (internal/chaos, seeds 1 / 42 / 0xc0ffee / 0xdeadbeef) under -race.
-# lint runs nrlint, the NR-specific static analyzers (DESIGN.md §10). fuzz
-# runs every Fuzz* target with random inputs (their seed corpora already run
-# in tier1). figures regenerates results/nrbench_all.txt; memtables checks
+# NR's own invariants (spin waits yield, the lock order, no I/O on the hot
+# path) are held by tests and by one tier1 grep (DESIGN.md §10). fuzz runs
+# every Fuzz* target with random inputs (their seed corpora already run in
+# tier1). figures regenerates results/nrbench_all.txt; memtables checks
 # its three memory tables, the only rows measured on the real structures.
 
 GO ?= go
@@ -17,27 +18,25 @@ BENCH_OUT ?= bench-local.json
 # The packages where a data race is a protocol bug, not just a test bug.
 RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/histogram ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
 
-.PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench figures memtables lint lint-sarif
+# The hot-path packages: no non-test file of theirs may import os or
+# syscall, except internal/trace/dump.go, the flight recorder's failure dump.
+HOTPATH_DIRS = internal/core internal/log internal/rwlock internal/obs internal/histogram internal/trace
 
-tier1: ## gofmt + one-benchmark rule + build + vet + lint + unit tests (the acceptance gate)
+.PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench figures memtables
+
+tier1: ## gofmt + one-benchmark rule + hot-path import rule + build + vet + unit tests (the acceptance gate)
 	test -z "$$(gofmt -l .)"
 	! grep -rn '^func Benchmark' --include='*_test.go' . | grep -v '^./benchmark/'
 	! grep -rnE 'atomic\.(Add|And|Or|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' --include='*.go' --exclude='*_test.go' .
 	! grep -nE 'time\.(Now|Since)\(' --exclude='*_test.go' internal/core/*.go
+	! grep -rlE '"(os|syscall)(/[^"]*)?"|"io/ioutil"' --include='*.go' --exclude='*_test.go' $(HOTPATH_DIRS) | grep -vx 'internal/trace/dump.go'
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) run ./cmd/nrlint ./...
 	$(GO) test ./...
 
 tier1-race: ## race detector on the protocol-critical packages, and on the durable path's kill-and-recover cuts
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run 'Recover' ./internal/chaos
-
-lint: ## nrlint: NR layout, hot-path, and concurrency-contract invariants (DESIGN.md §10)
-	$(GO) run ./cmd/nrlint -v ./...
-
-lint-sarif: ## nrlint with machine-readable output for code scanning
-	$(GO) run ./cmd/nrlint -json -sarif nrlint.sarif ./... > nrlint.json
 
 check: tier1 tier1-race ## the default pre-commit gate: tier1 + race tier
 

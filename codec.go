@@ -9,9 +9,10 @@ import (
 // GobCodec is the batteries-included Codec: encoding/gob over the
 // operation type. It works for any gob-encodable O with zero setup, at the
 // price of gob's per-value overhead (type prefixes, reflection, an
-// allocation per op) on the combiner's append path — for throughput-
-// sensitive workloads, write a hand-rolled Codec instead; see
-// internal/chaos and internal/miniredis for examples.
+// allocation per op) on the WAL's append path, which runs on the log
+// follower's goroutine — for throughput-sensitive workloads, write a
+// hand-rolled Codec instead; see internal/chaos and internal/miniredis for
+// examples.
 type GobCodec[O any] struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
@@ -25,8 +26,9 @@ func NewGobCodec[O any]() *GobCodec[O] { return &GobCodec[O]{} }
 // depend on its predecessors' type dictionary).
 func (c *GobCodec[O]) AppendEncode(dst []byte, op O) ([]byte, error) {
 	// Guards the scratch buffer against direct multi-goroutine use; under NR
-	// only the combiner encodes, so the lock is uncontended there.
-	c.mu.Lock() //nr:blockok
+	// only the log follower's goroutine encodes (the WAL follows the log),
+	// so the lock is uncontended there.
+	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.buf.Reset()
 	enc := gob.NewEncoder(&c.buf)

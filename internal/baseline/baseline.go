@@ -26,12 +26,12 @@ import (
 // Executor runs operations on behalf of one registered thread. Executors
 // must not be shared between goroutines.
 type Executor[O, R any] interface {
-	Execute(op O) R //nr:opaque black-box boundary (benchmarked structure)
+	Execute(op O) R
 }
 
 // Shared is a concurrent data structure that threads register with.
 type Shared[O, R any] interface {
-	Register() (Executor[O, R], error) //nr:opaque
+	Register() (Executor[O, R], error)
 }
 
 // SpinLocked is SL: every operation takes one global spinlock.

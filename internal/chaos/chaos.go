@@ -34,6 +34,8 @@ package chaos
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 )
@@ -129,6 +131,36 @@ func (d *DS) Value(k uint16) int64 { return d.vals[k] }
 // Fingerprint returns an order-independent digest of the accumulator's
 // contents; convergent replicas have equal fingerprints.
 func (d *DS) Fingerprint() uint64 { return FingerprintMap(d.vals) }
+
+// Values returns a copy of the accumulator's contents, the replica oracle's
+// canonical state: convergent replicas hold equal maps.
+func (d *DS) Values() map[uint16]int64 { return maps.Clone(d.vals) }
+
+// divergence compares every replica's canonical state (Values) with replica
+// 0's and returns the first difference, or nil when all are equal. It is
+// the replica oracle that runs after every schedule: a fingerprint is a
+// digest, the states are the whole contents.
+func divergence(states []map[uint16]int64) error {
+	for n := 1; n < len(states); n++ {
+		if maps.Equal(states[n], states[0]) {
+			continue
+		}
+		show := func(m map[uint16]int64, k uint16) string {
+			if v, ok := m[k]; ok {
+				return fmt.Sprint(v)
+			}
+			return "nothing"
+		}
+		keys := slices.Sorted(maps.Keys(states[0]))
+		keys = append(keys, slices.Sorted(maps.Keys(states[n]))...)
+		for _, k := range keys {
+			if got, want := show(states[n], k), show(states[0], k); got != want {
+				return fmt.Errorf("replica %d holds %s at key %d, replica 0 holds %s (divergence)", n, got, k, want)
+			}
+		}
+	}
+	return nil
+}
 
 // mix is splitmix64's finalizer: a cheap, well-distributed 64-bit mixer.
 func mix(x uint64) uint64 {

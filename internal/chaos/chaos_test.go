@@ -254,3 +254,24 @@ func TestTraceDumpsOnStall(t *testing.T) {
 		t.Errorf("no stall-reason trace dumps in %v", rep.TraceDumps)
 	}
 }
+
+// TestDivergenceComparesWholeStates pins the replica oracle: equal states
+// pass, and a differing value, a missing key or a key held at zero on one
+// replica only is reported.
+func TestDivergenceComparesWholeStates(t *testing.T) {
+	base := map[uint16]int64{1: 5, 2: 7}
+	for _, tc := range []struct {
+		name  string
+		other map[uint16]int64
+		want  bool
+	}{
+		{"equal", map[uint16]int64{2: 7, 1: 5}, false},
+		{"value", map[uint16]int64{1: 5, 2: 8}, true},
+		{"missing", map[uint16]int64{1: 5}, true},
+		{"zero-extra", map[uint16]int64{1: 5, 2: 7, 3: 0}, true},
+	} {
+		if err := divergence([]map[uint16]int64{base, tc.other}); (err != nil) != tc.want {
+			t.Errorf("%s: divergence = %v, want an error: %v", tc.name, err, tc.want)
+		}
+	}
+}

@@ -103,9 +103,11 @@ type Outcome struct {
 
 // Report is the result of a chaos run.
 type Report struct {
-	Schedule     Schedule
-	Outcomes     []Outcome
-	Fingerprints []uint64 // one per replica, after Quiesce
+	Schedule Schedule
+	Outcomes []Outcome
+	// States holds every replica's canonical state (Values) after Quiesce:
+	// the replica oracle requires them all equal.
+	States []map[uint16]int64
 	// ClassFingerprints, on multi-log schedules, digests each replica
 	// per conflict class: ClassFingerprints[n][c] covers replica n's keys
 	// of class c. Check verifies each class column converges on its own —
@@ -129,9 +131,10 @@ type Report struct {
 	OrphansDrained bool
 }
 
-// ErrDeadlock is returned by Run when workers fail to finish within the
-// schedule's timeout — the "no deadlock" invariant.
-var ErrDeadlock = errors.New("chaos: workers did not finish within timeout (deadlock?)")
+// ErrDeadlock is returned by Run when the run — workers, drain, quiesce —
+// fails to finish within the schedule's timeout: the "no deadlock"
+// invariant.
+var ErrDeadlock = errors.New("chaos: run did not finish within timeout (deadlock?)")
 
 // Run executes the schedule against a fresh NR instance and returns the
 // report; call (*Report).Check for the invariants. The returned error is
@@ -154,11 +157,15 @@ func Run(s Schedule) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: building instance: %w", err)
 	}
-	defer inst.Close()
 	rep, err := run(inst, s)
 	if rep != nil && rec != nil {
 		rep.TraceDumps = dumps()
 		rep.TraceEvents = len(rec.Snapshot().Events())
+	}
+	if !errors.Is(err, ErrDeadlock) {
+		// A deadlocked instance is left open: Close would wait for its
+		// dedicated combiners, which are stuck with the rest.
+		inst.Close()
 	}
 	return rep, err
 }
@@ -215,9 +222,9 @@ func (s *Schedule) logMapper() any {
 	}
 }
 
-// fingerprinter is how the harness digests a replica without knowing which
+// valuer is how the harness reads a replica's state without knowing which
 // accumulator variant it replicated.
-type fingerprinter interface{ Fingerprint() uint64 }
+type valuer interface{ Values() map[uint16]int64 }
 
 // runWorkers drives s's seeded op streams through handles registered on
 // inst, re-registering on the same node after an abandonment. Returns the
@@ -262,13 +269,7 @@ func runWorkers(inst *core.Instance[Op, Result], s Schedule) ([]Outcome, error) 
 			outcomes[t] = outs
 		}(t)
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(s.Timeout):
-		return nil, fmt.Errorf("%w after %v; stats %+v health %+v", ErrDeadlock, s.Timeout, inst.Stats(), inst.Health())
-	}
+	wg.Wait()
 	var all []Outcome
 	for _, outs := range outcomes {
 		all = append(all, outs...)
@@ -276,9 +277,28 @@ func runWorkers(inst *core.Instance[Op, Result], s Schedule) ([]Outcome, error) 
 	return all, nil
 }
 
-// run drives s's workers against inst (already configured). Extracted so
-// divergence tests can supply their own instance.
+// run drives s's workers against inst (already configured), within
+// s.Timeout: workers, the orphan drain, the quiesce and the replica reads
+// all count, since a deadlock in any of them is the invariant firing.
 func run(inst *core.Instance[Op, Result], s Schedule) (*Report, error) {
+	type result struct {
+		rep *Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := runUnbounded(inst, s)
+		done <- result{rep, err}
+	}()
+	select {
+	case r := <-done:
+		return r.rep, r.err
+	case <-time.After(s.Timeout):
+		return nil, fmt.Errorf("%w after %v; stats %+v health %+v", ErrDeadlock, s.Timeout, inst.Stats(), inst.Health())
+	}
+}
+
+func runUnbounded(inst *core.Instance[Op, Result], s Schedule) (*Report, error) {
 	start := time.Now()
 	all, err := runWorkers(inst, s)
 	if err != nil {
@@ -315,7 +335,7 @@ func run(inst *core.Instance[Op, Result], s Schedule) (*Report, error) {
 	rep := &Report{Schedule: s, Elapsed: time.Since(start), OrphansDrained: drained, Outcomes: all}
 	for n := 0; n < inst.Replicas(); n++ {
 		inst.InspectReplica(n, func(ds core.Sequential[Op, Result]) {
-			rep.Fingerprints = append(rep.Fingerprints, ds.(fingerprinter).Fingerprint())
+			rep.States = append(rep.States, ds.(valuer).Values())
 			if s.Logs > 1 {
 				row := make([]uint64, s.Logs)
 				for c := range row {
@@ -352,7 +372,8 @@ func (s *Schedule) opFor(rng *Rand, t, seq int) Op {
 //  1. Response delivery: every non-abandoned op has an outcome — faulty ops
 //     a *core.PanicError carrying the injected panic value, healthy ops a
 //     nil error. (Run already proved "no deadlock" by returning.)
-//  2. Convergence: after Quiesce, every replica fingerprint is identical.
+//  2. Convergence: after Quiesce, every replica holds the same state (the
+//     replica oracle compares whole contents, not digests).
 //  3. No poisoning: deterministic faults must never trip the divergence
 //     detector.
 //  4. Stall visibility: when stalls were injected and the watchdog enabled,
@@ -365,7 +386,7 @@ func (s *Schedule) opFor(rng *Rand, t, seq int) Op {
 //     legitimately absent.
 func (r *Report) Check() []error {
 	var errs []error
-	if len(r.Fingerprints) > 0 && (r.Schedule.AbandonEveryN == 0 || r.OrphansDrained) {
+	if len(r.States) > 0 && (r.Schedule.AbandonEveryN == 0 || r.OrphansDrained) {
 		expected := make(map[uint16]int64)
 		for _, o := range r.Outcomes {
 			// Panicking ops mutated before the panic; only a non-panic error
@@ -374,8 +395,8 @@ func (r *Report) Check() []error {
 				ApplyEffect(expected, o.Op)
 			}
 		}
-		if want := FingerprintMap(expected); r.Fingerprints[0] != want {
-			errs = append(errs, fmt.Errorf("replica state fingerprint %x != expected op-fold fingerprint %x (lost or duplicated effects)", r.Fingerprints[0], want))
+		if got, want := FingerprintMap(r.States[0]), FingerprintMap(expected); got != want {
+			errs = append(errs, fmt.Errorf("replica state fingerprint %x != expected op-fold fingerprint %x (lost or duplicated effects)", got, want))
 		}
 	}
 	for _, o := range r.Outcomes {
@@ -395,10 +416,8 @@ func (r *Report) Check() []error {
 			}
 		}
 	}
-	for n := 1; n < len(r.Fingerprints); n++ {
-		if r.Fingerprints[n] != r.Fingerprints[0] {
-			errs = append(errs, fmt.Errorf("replica %d fingerprint %x != replica 0 fingerprint %x (divergence)", n, r.Fingerprints[n], r.Fingerprints[0]))
-		}
+	if err := divergence(r.States); err != nil {
+		errs = append(errs, err)
 	}
 	for n := 1; n < len(r.ClassFingerprints); n++ {
 		for c := range r.ClassFingerprints[n] {

@@ -1,12 +1,13 @@
 package chaos
 
 import (
+	"maps"
 	"testing"
 	"time"
 )
 
 // TestMultiLogClean is the fault-free multi-log baseline: per-key classes
-// plus cross-class Sums, whole-replica AND per-class fingerprints must
+// plus cross-class Sums, whole-replica states AND per-class fingerprints must
 // converge.
 func TestMultiLogClean(t *testing.T) {
 	runAndCheck(t, Schedule{
@@ -104,8 +105,8 @@ func TestMultiLogDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Fingerprints[0] != b.Fingerprints[0] {
-		t.Fatalf("same schedule, different final states: %x vs %x", a.Fingerprints[0], b.Fingerprints[0])
+	if !maps.Equal(a.States[0], b.States[0]) {
+		t.Fatalf("same schedule, different final states: %v vs %v", a.States[0], b.States[0])
 	}
 	for c := range a.ClassFingerprints[0] {
 		if a.ClassFingerprints[0][c] != b.ClassFingerprints[0][c] {

@@ -76,14 +76,14 @@ func (d *ParDS) ClassFingerprint(class, logs int) uint64 {
 	return FingerprintMap(m)
 }
 
-// Fingerprint digests the cells with the same order-independent function
-// as DS, so Report.Check's fold comparison works unchanged.
-func (d *ParDS) Fingerprint() uint64 {
+// Values returns the non-zero cells as DS.Values does, so the replica
+// oracle and Report.Check's fold comparison work unchanged.
+func (d *ParDS) Values() map[uint16]int64 {
 	m := make(map[uint16]int64)
 	for k := range d.cells {
 		if v := d.cells[k].Load(); v != 0 {
 			m[uint16(k)] = v
 		}
 	}
-	return FingerprintMap(m)
+	return m
 }

@@ -107,8 +107,8 @@ type RecoverReport struct {
 	Ops []RecordedOp
 	// Recovered is the post-crash instance; callers own Close.
 	Recovered *nr.Recovered[Op, Result]
-	// Fingerprints holds every recovered replica's fingerprint.
-	Fingerprints []uint64
+	// States holds every recovered replica's canonical state (Values).
+	States []map[uint16]int64
 	// DurableAtBarrier is the WAL watermark right after the phase-1 sync.
 	DurableAtBarrier uint64
 	// CrashBoundary is the sync boundary the run rewound to (zero value
@@ -310,7 +310,7 @@ func RunRecover(dir string, s RecoverSchedule) (*RecoverReport, error) {
 	rec.Quiesce()
 	for n := 0; n < rec.Replicas(); n++ {
 		rec.Inspect(n, func(ds nr.Sequential[Op, Result]) {
-			rep.Fingerprints = append(rep.Fingerprints, ds.(*DS).Fingerprint())
+			rep.States = append(rep.States, ds.(*DS).Values())
 		})
 	}
 	return rep, nil
@@ -392,10 +392,8 @@ func (r *RecoverReport) Check() []error {
 			errs = append(errs, fmt.Errorf("acked op lost: thread %d %s token %#x not executed after recovery", o.Thread, o.Op, o.Token))
 		}
 	}
-	for n := 1; n < len(r.Fingerprints); n++ {
-		if r.Fingerprints[n] != r.Fingerprints[0] {
-			errs = append(errs, fmt.Errorf("recovered replica %d fingerprint %x != replica 0 %x", n, r.Fingerprints[n], r.Fingerprints[0]))
-		}
+	if err := divergence(r.States); err != nil {
+		errs = append(errs, fmt.Errorf("recovered: %w", err))
 	}
 	executed := make(map[uint16]int64)
 	for _, o := range r.Ops {
@@ -403,14 +401,14 @@ func (r *RecoverReport) Check() []error {
 			ApplyEffect(executed, o.Op)
 		}
 	}
-	if len(r.Fingerprints) > 0 {
-		if want := FingerprintMap(executed); r.Fingerprints[0] != want {
-			errs = append(errs, fmt.Errorf("recovered fingerprint %x != fold of detected-executed ops %x (detectability inconsistent with state)", r.Fingerprints[0], want))
+	if len(r.States) > 0 {
+		if got, want := FingerprintMap(r.States[0]), FingerprintMap(executed); got != want {
+			errs = append(errs, fmt.Errorf("recovered fingerprint %x != fold of detected-executed ops %x (detectability inconsistent with state)", got, want))
 		}
 	}
 	if r.Graceful {
-		if len(r.Fingerprints) > 0 && r.Fingerprints[0] != r.LiveFingerprint {
-			errs = append(errs, fmt.Errorf("graceful shutdown: recovered fingerprint %x != pre-close fingerprint %x", r.Fingerprints[0], r.LiveFingerprint))
+		if len(r.States) > 0 && FingerprintMap(r.States[0]) != r.LiveFingerprint {
+			errs = append(errs, fmt.Errorf("graceful shutdown: recovered fingerprint %x != pre-close fingerprint %x", FingerprintMap(r.States[0]), r.LiveFingerprint))
 		}
 		for _, o := range r.Ops {
 			if !r.Recovered.WasExecuted(o.Token) {

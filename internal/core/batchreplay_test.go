@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/asplos17/nr/internal/topology"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // TestBatchReplayLocksOncePerBatch pins the batch-aware replay contract on
@@ -13,6 +14,7 @@ import (
 // WriterAcquires counter is the witness.
 func TestBatchReplayLocksOncePerBatch(t *testing.T) {
 	const updates = 32
+	waittest.Deadline(t)
 	inst, err := New(func() Sequential[mlOp, int64] {
 		return &mlCells{cells: make([]int64, 1)}
 	}, Options{Topology: topology.New(2, 2, 1)})

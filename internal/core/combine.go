@@ -12,9 +12,6 @@ import (
 // events land on the combiner's timeline, joined to each op by token).
 // Round events are recorded every round; per-op milestones only for the
 // sampled ops of the batch. The caller holds class c's combiner lock.
-//
-//nr:hotpath-noio
-//nr:spin
 func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) {
 	lg := &r.logs[c]
 	// The combiner lock's acquisition stamp is the round's start: it covers
@@ -82,7 +79,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		if e.kind != entryOp {
 			lg.rw.Unlock()
 			i.advanceCrossTo(r, e.ticket, ring)
-			lg.rw.Lock() //nr:lockok re-acquire: released two lines up, around the cross applier
+			lg.rw.Lock()
 			idx = lg.localTail.Load()
 			continue
 		}
@@ -149,8 +146,6 @@ func (i *Instance[O, R]) endRound(r *replica[O, R], t0 int64, n int, ring *trace
 // completedTail — driving the cross applier through any barrier that is
 // what actually blocks a lagging replica. The one tail it cannot help is a
 // log follower's (persistence): it wakes the follower and yields to it.
-//
-//nr:spin
 func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trace.Ring) uint64 {
 	l := i.logs[c]
 	reported := false

@@ -67,12 +67,11 @@ import (
 // Execute must be deterministic, must not block, and must produce side
 // effects only on the structure. IsReadOnly must be a pure function of op.
 type Sequential[O, R any] interface {
-	// Execute applies op. nrlint treats this as the black-box dispatch
-	// boundary: the structure behind it is user code, so the call graph
-	// does not follow it (//nr:opaque) — its "must not block" obligation
-	// is the contract above, not a checked invariant.
-	Execute(op O) R       //nr:opaque
-	IsReadOnly(op O) bool //nr:opaque
+	// Execute applies op. It is the black-box boundary: the structure
+	// behind it is user code, so its "must not block" obligation is the
+	// contract above, which no test of NR's own can check.
+	Execute(op O) R
+	IsReadOnly(op O) bool
 }
 
 // CrossLog is the LogMapper sentinel for operations that touch more than
@@ -328,12 +327,13 @@ type takenSlot[O, R any] struct {
 // combiner, class-c readers and class-c helpers touch only index c — the
 // independence that lets commuting classes proceed in parallel on one node.
 //
-// The lock classes declared on the fields below, plus the cross-apply lock
-// (replica.crossApply), form the system-wide acquisition order that makes
-// NR's deadlock-freedom argument (§5.3/§5.5) machine-checkable. Every
-// replicaLog instance's combiner lock is one class ("combiner[i] instances
-// are one class"): no path nests two combiner locks, of the same or
-// different logs.
+// The locks below — combiner (combinerLock), refresher and replicaWriter
+// (rw) — plus the cross-apply lock (replica.crossApply) follow one
+// system-wide acquisition order, combiner < crossApply < replicaWriter and
+// refresher < replicaWriter, on which NR's deadlock-freedom argument
+// (§5.3/§5.5) rests. Every replicaLog instance's combiner lock is one class
+// ("combiner[i] instances are one class"): no path nests two combiner
+// locks, of the same or different logs.
 //
 // A combiner holds combiner while taking replicaWriter to replay (and takes
 // nothing for durability: the WAL follows the log on its own goroutine, see
@@ -342,19 +342,18 @@ type takenSlot[O, R any] struct {
 // log's replicaWriter in index order, and is only ever invoked with no
 // replicaWriter held. Nothing acquires in the other direction — readers
 // that find the combiner lock busy help via TryLock instead of waiting,
-// which is why TryLock sites are exempt from inversion checking.
-//
-//nr:lockorder combiner < crossApply < replicaWriter
-//nr:lockorder refresher < replicaWriter
+// which is why a TryLock cannot invert the order. A path that breaks it
+// deadlocks, and the tests that reach each such path run under
+// waittest.Deadline (DESIGN.md §10).
 type replicaLog[O, R any] struct {
 	localTail    *atomic.Uint64
-	combinerLock rwlock.StampedMutex //nr:lockorder combiner
+	combinerLock rwlock.StampedMutex
 	// refresher elects a single reader to bring the replica up to date when
 	// no combiner is active, so stale readers don't convoy on the writer
 	// lock (an engineering refinement over Algorithm 1, which lets every
 	// stale reader acquire the writer lock in turn).
-	refresher rwlock.SpinMutex    //nr:lockorder refresher
-	rw        *rwlock.Distributed //nr:lockorder replicaWriter
+	refresher rwlock.SpinMutex
+	rw        *rwlock.Distributed
 	// scratch is the combiner's batch buffer, reused across rounds so a
 	// combining round never allocates. Only the combiner-lock holder
 	// touches it.
@@ -391,7 +390,7 @@ type replica[O, R any] struct {
 	// stall watchdog can see an op stalling INSIDE the cross applier — the
 	// one multi-log replay path no per-class combiner lock covers (readers
 	// drive it too).
-	crossApply rwlock.StampedMutex //nr:lockorder crossApply
+	crossApply rwlock.StampedMutex
 	crossDone  atomic.Uint64
 	slots      []slot[O, R]
 	registered int // slots handed out on this node
@@ -755,7 +754,7 @@ func (h *Handle[O, R]) Thread() int { return h.thread }
 // cheap read path; otherwise NR falls back to the normal update path, which
 // re-evaluates the operation from scratch.
 type FakeUpdater[O, R any] interface {
-	TryReadOnly(op O) (resp R, done bool) //nr:opaque black-box boundary
+	TryReadOnly(op O) (resp R, done bool)
 }
 
 // stats builds the counter slice of the Metrics snapshot.

@@ -7,6 +7,7 @@ import (
 
 	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/topology"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // counter is a minimal sequential structure for tests: op +1 increments and
@@ -33,6 +34,7 @@ func (c *counter) IsReadOnly(op ctrOp) bool { return op == ctrRead }
 
 func newCounterInstance(t *testing.T, opts Options) *Instance[ctrOp, uint64] {
 	t.Helper()
+	waittest.Deadline(t)
 	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} }, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -262,6 +264,7 @@ func TestDictThroughNRMatchesOracle(t *testing.T) {
 	// Run a dictionary through NR concurrently, mirror every op through a
 	// mutex-protected oracle keyed per thread range, and compare final state.
 	opts := smallTopo()
+	waittest.Deadline(t)
 	inst, err := New[ds.DictOp, ds.DictResult](
 		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewSkipListDict(42) }, opts)
 	if err != nil {
@@ -373,6 +376,7 @@ func TestQuiesceAndMemory(t *testing.T) {
 // whole machine with a small log, under the race detector in CI.
 func TestHeavyMixedStress(t *testing.T) {
 	opts := Options{Topology: topology.New(4, 2, 1), LogEntries: 64}
+	waittest.Deadline(t)
 	inst, err := New[ds.PQOp, ds.PQResult](
 		func() Sequential[ds.PQOp, ds.PQResult] { return ds.NewSkipListPQ(7) }, opts)
 	if err != nil {
@@ -421,26 +425,41 @@ func TestHeavyMixedStress(t *testing.T) {
 
 // TestHelpingStatIsWired: with a log far smaller than the op count and one
 // node inactive, appenders must help (HelpedEntries > 0) rather than
-// deadlock.
+// deadlock. The helper takes only the idle replica's writer lock, by
+// TryLock, so it gets through also while that node's combiner or refresher
+// lock is held — as by a combiner or an elected reader about to wait for
+// the writer lock (§5.5's order puts both below it).
 func TestHelpingStatIsWired(t *testing.T) {
-	opts := Options{Topology: topology.New(2, 2, 1), LogEntries: 16}
-	inst := newCounterInstance(t, opts)
-	h, err := inst.RegisterOnNode(0) // node 1 stays inactive
-	if err != nil {
-		t.Fatal(err)
+	for _, held := range []string{"none", "combiner", "refresher"} {
+		t.Run(held, func(t *testing.T) {
+			opts := Options{Topology: topology.New(2, 2, 1), LogEntries: 16}
+			inst := newCounterInstance(t, opts)
+			h, err := inst.RegisterOnNode(0) // node 1 stays inactive
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch lg := &inst.replicas[1].logs[0]; held {
+			case "combiner":
+				lg.combinerLock.Lock()
+				defer lg.combinerLock.Unlock()
+			case "refresher":
+				lg.refresher.Lock()
+				defer lg.refresher.Unlock()
+			}
+			for i := 0; i < 2000; i++ {
+				h.Execute(ctrInc)
+			}
+			if st := inst.Stats(); st.HelpedEntries == 0 {
+				t.Errorf("expected helping with an inactive node and a 16-entry log; stats = %+v", st)
+			}
+			// The inactive replica must have been helped to (near) the tail.
+			inst.InspectReplica(1, func(s Sequential[ctrOp, uint64]) {
+				if got := s.(*counter).v; got != 2000 {
+					t.Errorf("inactive replica = %d, want 2000", got)
+				}
+			})
+		})
 	}
-	for i := 0; i < 2000; i++ {
-		h.Execute(ctrInc)
-	}
-	if st := inst.Stats(); st.HelpedEntries == 0 {
-		t.Errorf("expected helping with an inactive node and a 16-entry log; stats = %+v", st)
-	}
-	// The inactive replica must have been helped to (near) the tail.
-	inst.InspectReplica(1, func(s Sequential[ctrOp, uint64]) {
-		if got := s.(*counter).v; got != 2000 {
-			t.Errorf("inactive replica = %d, want 2000", got)
-		}
-	})
 }
 
 // TestMixedRegistrationStyles: Register and RegisterOnNode can be mixed;
@@ -493,6 +512,7 @@ func TestRegisterSkipsExplicitlyFilledNodes(t *testing.T) {
 // observationally identical to the bare sequential structure, for any
 // operation stream (quick.Check).
 func TestSequentialEquivalenceProperty(t *testing.T) {
+	waittest.Deadline(t)
 	configs := []Options{
 		smallTopo(),
 		{Topology: topology.New(2, 2, 1), LogEntries: 16}, // wrapping log

@@ -89,8 +89,6 @@ func (i *Instance[O, R]) appendCross(h *Handle[O, R], op O) uint64 {
 // applied there. Multiple threads may push the same replica; the crossApply
 // lock elects one applier per ticket while the rest spin on crossDone.
 // Callers must hold none of r's replicaWriter locks (lock order).
-//
-//nr:spin
 func (i *Instance[O, R]) advanceCrossTo(r *replica[O, R], t uint64, ring *trace.Ring) {
 	for r.crossDone.Load() < t {
 		if !r.crossApply.TryLock() {
@@ -114,7 +112,7 @@ func (i *Instance[O, R]) applyCross(r *replica[O, R], next uint64, ring *trace.R
 	// (readOnlyCross) a torn-view-free snapshot rule. Same-class instances
 	// acquired in index order, applier elected by crossApply — no cycle.
 	for c := range i.logs {
-		r.logs[c].rw.Lock() //nr:lockok index order across one replica's logs
+		r.logs[c].rw.Lock() // index order across one replica's logs
 	}
 	// Align logs 1..M-1 first: replay their plain entries up to ticket
 	// 'next''s barrier and consume it. Any earlier cross ticket's barrier
@@ -178,7 +176,7 @@ func (i *Instance[O, R]) readOnlyCross(h *Handle[O, R], op O) (R, error) {
 		i.waitReplicaTail(h, r, c, tails[c])
 	}
 	for c := range i.logs {
-		r.logs[c].rw.RLock(h.slot) //nr:lockok index order across one replica's logs
+		r.logs[c].rw.RLock(h.slot) // index order across one replica's logs
 	}
 	h.ring.Record(trace.KRLock, h.node, h.token(), 0)
 	resp, _, err := i.safeRead(r, op, false)

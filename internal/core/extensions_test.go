@@ -7,6 +7,7 @@ import (
 
 	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/topology"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // TestDedicatedCombinersRefreshIdleNodes: with dedicated combiners, a node
@@ -92,6 +93,7 @@ func TestDedicatedCombinersUnderConcurrency(t *testing.T) {
 // never reach the log; real deletes still work.
 func TestFakeUpdateFastPath(t *testing.T) {
 	opts := Options{Topology: topology.New(2, 2, 1), LogEntries: 256}
+	waittest.Deadline(t)
 	inst, err := New[ds.DictOp, ds.DictResult](
 		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(5) }, opts)
 	if err != nil {
@@ -130,6 +132,7 @@ func TestFakeUpdateFastPath(t *testing.T) {
 // deletes race no-op deletes on the same keys.
 func TestFakeUpdateConcurrent(t *testing.T) {
 	opts := Options{Topology: topology.New(2, 2, 1), LogEntries: 256}
+	waittest.Deadline(t)
 	inst, err := New[ds.DictOp, ds.DictResult](
 		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(9) }, opts)
 	if err != nil {

@@ -140,8 +140,6 @@ type panicTracker struct {
 // already fired when this runs, so taking a sync mutex is acceptable even
 // under a spinning combiner (the record map needs real mutual exclusion
 // across replicas, and the contended case implies divergence, not load).
-//
-//nr:blockok
 func (t *panicTracker) recordPanic(replica int32, idx uint64, msg string, minTail uint64) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -176,8 +174,6 @@ func (t *panicTracker) recordPanic(replica int32, idx uint64, msg string, minTai
 // poison reason if some replica panicked on the same entry. Callers gate on
 // active() so this stays off the hot path; once active, a panic has already
 // happened and the blocking lock is acceptable (see recordPanic).
-//
-//nr:blockok
 func (t *panicTracker) recordOK(replica int32, idx uint64) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -194,8 +190,6 @@ func (t *panicTracker) recordOK(replica int32, idx uint64) string {
 // poison marks the instance poisoned with the first observed reason. The
 // instance is already lost when this runs; the blocking lock and the trace
 // dump are deliberate (see AutoDump).
-//
-//nr:blockok
 func (i *Instance[O, R]) poison(reason string) {
 	i.poisonMu.Lock()
 	if i.poisonReason == "" {

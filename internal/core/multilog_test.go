@@ -2,11 +2,15 @@ package core
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/asplos17/nr/internal/topology"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // mlOp is the multi-log test operation: a per-class counter bump or read,
@@ -56,6 +60,7 @@ func mlMapper(m int) func(mlOp) int {
 
 func newMultiLog(t *testing.T, m int, opts Options) *Instance[mlOp, int64] {
 	t.Helper()
+	waittest.Deadline(t)
 	opts.Logs = m
 	opts.LogMapper = mlMapper(m)
 	if opts.Topology == (topology.Topology{}) {
@@ -215,25 +220,15 @@ func TestMultiLogConcurrent(t *testing.T) {
 }
 
 // TestMultiLogCrossUpdateConcurrent mixes cross-class UPDATES with
-// class-local updates: a cross add that bumps every cell, racing per-class
-// adds, must leave all replicas identical and totals exact.
+// class-local updates, cross-class reads and replica inspections: a cross
+// add that bumps every cell, racing per-class adds, sums that hold every
+// log's read lock and InspectReplica, which holds every log's write lock,
+// must leave all replicas identical and totals exact.
 func TestMultiLogCrossUpdateConcurrent(t *testing.T) {
 	const m = 3
-	opts := Options{Topology: topology.New(2, 3, 1), Logs: m}
-	opts.LogMapper = func(op mlOp) int {
-		if op.kind >= 2 {
-			return CrossLog
-		}
-		return op.class
-	}
-	inst2, err := New(func() Sequential[mlOp, int64] {
-		return &mlCrossCells{mlCells{cells: make([]int64, m)}}
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst2 := newCrossCells(t, m, Options{Topology: topology.New(2, 3, 1)})
 	threads := 6
-	const perGoro = 200
+	const perGoro = 2000
 	var wg sync.WaitGroup
 	for g := 0; g < threads; g++ {
 		h, err := inst2.Register()
@@ -244,17 +239,35 @@ func TestMultiLogCrossUpdateConcurrent(t *testing.T) {
 		go func(g int, h *Handle[mlOp, int64]) {
 			defer wg.Done()
 			for k := 0; k < perGoro; k++ {
-				if k%10 == 0 {
+				switch k % 10 {
+				case 0:
 					h.Execute(mlOp{kind: 3, delta: 1}) // cross add: +1 to every cell
-				} else {
+				case 5:
+					h.Execute(mlOp{kind: 2}) // cross sum
+				default:
 					h.Execute(mlOp{kind: 0, class: (g + k) % m, delta: 1})
 				}
 			}
 		}(g, h)
 	}
+	stop := make(chan struct{})
+	inspected := make(chan struct{})
+	go func() {
+		defer close(inspected)
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			inst2.InspectReplica(n%inst2.Replicas(), func(Sequential[mlOp, int64]) {})
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-inspected
 	crossAdds := int64(threads) * (perGoro / 10)
-	localAdds := int64(threads)*perGoro - crossAdds
+	localAdds := int64(threads)*perGoro - 2*crossAdds
 	wantTotal := localAdds + crossAdds*int64(m)
 	inst2.Quiesce()
 	var ref []int64
@@ -304,6 +317,173 @@ func (c *mlCrossCells) Execute(op mlOp) int64 {
 
 func (c *mlCrossCells) IsReadOnly(op mlOp) bool { return op.kind == 1 || op.kind == 2 }
 
+// newCrossCells builds an m-log instance of mlCrossCells, where kinds 2
+// (sum) and 3 (cross add) are cross-class.
+func newCrossCells(t *testing.T, m int, opts Options) *Instance[mlOp, int64] {
+	t.Helper()
+	waittest.Deadline(t)
+	opts.Logs = m
+	opts.LogMapper = func(op mlOp) int {
+		if op.kind >= 2 {
+			return CrossLog
+		}
+		return op.class
+	}
+	waittest.Deadline(t)
+	inst, err := New(func() Sequential[mlOp, int64] {
+		return &mlCrossCells{mlCells{cells: make([]int64, m)}}
+	}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestCrossBarrierOnEveryReplayPath drives each path that can meet a
+// cross-log barrier on a replica lagging it — a combiner catching up, an
+// elected reader refreshing, a quiesce, a dedicated combiner, an appender
+// draining its own replica on a full log, and a helper on a full log — and
+// checks that the lagging replica applies the cross op. Each path must
+// release its replica writer lock before it runs the cross applier, which
+// takes every log's (§5.5): a path that holds it deadlocks, and
+// waittest.Deadline names the subtest.
+func TestCrossBarrierOnEveryReplayPath(t *testing.T) {
+	const logEntries = 16
+	// setup builds two nodes on two logs and has node `from` add 5 to every
+	// cell through a cross op, so the other node's replica lags a barrier in
+	// log 1 and the cross entry in log 0.
+	setup := func(t *testing.T, opts Options, from int) (*Instance[mlOp, int64], [2]*Handle[mlOp, int64]) {
+		opts.Topology = topology.New(2, 2, 1)
+		inst := newCrossCells(t, 2, opts)
+		h := [2]*Handle[mlOp, int64]{registerCross(t, inst, 0), registerCross(t, inst, 1)}
+		h[from].Execute(mlOp{kind: 3, delta: 5})
+		return inst, h
+	}
+	holds := func(t *testing.T, inst *Instance[mlOp, int64], node int, want ...int64) {
+		t.Helper()
+		inst.InspectReplica(node, func(ds Sequential[mlOp, int64]) {
+			if got := ds.(*mlCrossCells).cells; !slices.Equal(got, want) {
+				t.Errorf("replica %d holds %v, want %v", node, got, want)
+			}
+		})
+	}
+
+	t.Run("combiner", func(t *testing.T) {
+		_, h := setup(t, Options{}, 0)
+		if got := h[1].Execute(mlOp{kind: 0, class: 1, delta: 1}); got != 6 {
+			t.Errorf("class-1 add behind the barrier = %d, want 6", got)
+		}
+	})
+	t.Run("reader-refresh", func(t *testing.T) {
+		_, h := setup(t, Options{}, 0)
+		if got := h[1].Execute(mlOp{kind: 1, class: 1}); got != 5 {
+			t.Errorf("class-1 read behind the barrier = %d, want 5", got)
+		}
+	})
+	t.Run("quiesce", func(t *testing.T) {
+		inst, _ := setup(t, Options{}, 0)
+		inst.Quiesce()
+		holds(t, inst, 1, 5, 5)
+	})
+	t.Run("dedicated-combiner", func(t *testing.T) {
+		inst, _ := setup(t, Options{DedicatedCombiners: true}, 0)
+		defer inst.Close()
+		for inst.replicas[1].crossDone.Load() < 1 {
+			runtime.Gosched()
+		}
+		holds(t, inst, 1, 5, 5)
+	})
+	// On a full log: node 1 fills log 1 behind the barrier that node 0's
+	// replica lags, and the op that finds it full is node 0's own (it
+	// drains its replica) or node 1's (it helps node 0's).
+	for _, appender := range []int{0, 1} {
+		name := map[int]string{0: "full-log-drain", 1: "full-log-help"}[appender]
+		t.Run(name, func(t *testing.T) {
+			inst, h := setup(t, Options{LogEntries: logEntries}, 1)
+			for range logEntries - 1 {
+				h[1].Execute(mlOp{kind: 0, class: 1, delta: 1})
+			}
+			if got, want := h[appender].Execute(mlOp{kind: 0, class: 1, delta: 1}), int64(5+logEntries); got != want {
+				t.Errorf("class-1 add on the full log = %d, want %d", got, want)
+			}
+			if inst.replicas[0].crossDone.Load() != 1 {
+				t.Error("the full log was freed without node 0's replica applying the cross op")
+			}
+			holds(t, inst, 0, 5, 5+logEntries)
+		})
+	}
+}
+
+// TestCrossPathsLockLogsInIndexOrder pins the order in which a replica's
+// cross applier takes every log's write lock and a cross-class reader every
+// log's read lock: index order (§5.5), the order every other multi-log
+// holder uses, so two of them can never each hold a lock the other waits
+// for. With log 1's write lock held, each must be found holding log 0's
+// lock while it waits for log 1's.
+func TestCrossPathsLockLogsInIndexOrder(t *testing.T) {
+	// waitFor polls cond until it holds, or fails t after a few seconds.
+	waitFor := func(t *testing.T, what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Errorf("%s: it waits for log 1's lock without holding log 0's", what)
+				return
+			}
+		}
+	}
+	t.Run("cross-applier", func(t *testing.T) {
+		inst := newCrossCells(t, 2, Options{Topology: topology.New(2, 2, 1)})
+		h0, h1 := registerCross(t, inst, 0), registerCross(t, inst, 1)
+		h0.Execute(mlOp{kind: 3, delta: 1}) // node 1's replica lags the cross op
+		r := inst.replicas[1]
+		r.logs[1].rw.Lock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h1.Execute(mlOp{kind: 0, class: 0, delta: 1}) // its combiner meets the cross entry
+		}()
+		waitFor(t, "the cross applier", func() bool {
+			if !r.crossApply.Locked() {
+				return false
+			}
+			if r.logs[0].rw.TryLock() {
+				r.logs[0].rw.Unlock()
+				return false
+			}
+			return true
+		})
+		r.logs[1].rw.Unlock()
+		<-done
+	})
+	t.Run("cross-reader", func(t *testing.T) {
+		inst := newCrossCells(t, 2, Options{Topology: topology.New(2, 2, 1)})
+		h1 := registerCross(t, inst, 1)
+		r := inst.replicas[1]
+		before := r.logs[0].rw.ReaderAcquires()
+		r.logs[1].rw.Lock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h1.Execute(mlOp{kind: 2}) // a cross-class sum
+		}()
+		waitFor(t, "the cross-class reader", func() bool { return r.logs[0].rw.ReaderAcquires() > before })
+		r.logs[1].rw.Unlock()
+		<-done
+	})
+}
+
+// registerCross registers a handle on node and warms it up with one
+// class-0 add.
+func registerCross(t *testing.T, inst *Instance[mlOp, int64], node int) *Handle[mlOp, int64] {
+	t.Helper()
+	h, err := inst.RegisterOnNode(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Execute(mlOp{kind: 0, class: 0, delta: 0})
+	return h
+}
+
 // TestMultiLogReaderWaitsOwnClassOnly pins the read-path independence
 // claim: a reader of class 0 completes even while class 1's log holds a
 // reserved-but-unfilled entry (a stalled class-1 combiner mid-append).
@@ -340,20 +520,7 @@ func TestMultiLogReaderWaitsOwnClassOnly(t *testing.T) {
 // ticket is appended with its barriers, the handle is retired, and the op
 // is applied by whichever thread next crosses the barrier.
 func TestMultiLogPostAndAbandonCross(t *testing.T) {
-	const m = 2
-	opts := Options{Topology: topology.New(1, 4, 1), Logs: m}
-	opts.LogMapper = func(op mlOp) int {
-		if op.kind >= 2 {
-			return CrossLog
-		}
-		return op.class
-	}
-	inst, err := New(func() Sequential[mlOp, int64] {
-		return &mlCrossCells{mlCells{cells: make([]int64, m)}}
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := newCrossCells(t, 2, Options{Topology: topology.New(1, 4, 1)})
 	h, err := inst.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -384,6 +551,7 @@ func TestMultiLogMapperFolding(t *testing.T) {
 	const m = 3
 	opts := Options{Topology: topology.New(1, 2, 1), Logs: m}
 	opts.LogMapper = func(op mlOp) int { return op.class + 2*m } // always out of range
+	waittest.Deadline(t)
 	inst, err := New(func() Sequential[mlOp, int64] {
 		return &mlCells{cells: make([]int64, m)}
 	}, opts)
@@ -442,6 +610,7 @@ func TestMultiLogMetrics(t *testing.T) {
 // TestSingleLogUnchanged pins that m=1 instances reject nothing and that
 // Logs() reports 1 — the compatibility half of the WithLogs contract.
 func TestSingleLogUnchanged(t *testing.T) {
+	waittest.Deadline(t)
 	inst, err := New(func() Sequential[mlOp, int64] {
 		return &mlCells{cells: make([]int64, 1)}
 	}, Options{Topology: topology.New(1, 2, 1)})
@@ -472,6 +641,7 @@ func TestMultiLogPanicContainment(t *testing.T) {
 		}
 		return op.class
 	}
+	waittest.Deadline(t)
 	inst, err := New(func() Sequential[mlOp, int64] {
 		return &mlPanicCells{mlCells{cells: make([]int64, m)}}
 	}, opts)

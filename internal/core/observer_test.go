@@ -12,6 +12,7 @@ import (
 	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/trace"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // recordingObserver tallies every hook event so tests can reconcile the
@@ -301,6 +302,7 @@ func TestObserverReconcilesOnFixedSchedules(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				hold := make(chan struct{})
+				waittest.Deadline(t)
 				i, err := New[bombOp, int64](func() Sequential[bombOp, int64] { return holding{newBomb(), hold} }, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -356,6 +358,7 @@ func TestTailRetriesCountedOnce(t *testing.T) {
 // PanicContained on the observer as well as count in Stats.
 func TestObserverSeesContainedPanic(t *testing.T) {
 	rec := &recordingObserver{}
+	waittest.Deadline(t)
 	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &panicky{} },
 		Options{Topology: topology.New(1, 2, 1), LogEntries: 64, Observer: rec})
 	if err != nil {
@@ -540,6 +543,7 @@ func TestNoObserverHotPathDoesNotAllocate(t *testing.T) {
 		{name: "fake-update", setup: func(t *testing.T) (func(), func() Stats) {
 			// Deleting an absent key is resolved on the read path (safeRead
 			// through FakeUpdater.TryReadOnly) and never logged.
+			waittest.Deadline(t)
 			inst, err := New[ds.DictOp, ds.DictResult](
 				func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(5) }, smallTopo())
 			if err != nil {

@@ -179,9 +179,6 @@ func (h *Handle[O, R]) PostAndAbandon(op O) {
 // combine is Algorithm 1's Combine on conflict class c: post the op, then
 // either become the class-c combiner or wait for a response (a value or a
 // contained panic).
-//
-//nr:hotpath-noio
-//nr:spin
 func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
 	r := i.replicas[h.node]
 	lg := &r.logs[c]

@@ -10,8 +10,6 @@ import (
 // combining with an active class-c combiner when one exists and otherwise
 // electing one reader to refresh the replica (§5.3). It reports whether it
 // had to wait at all.
-//
-//nr:spin
 func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c int, readTail uint64) (waited bool) {
 	lg := &r.logs[c]
 	for lg.localTail.Load() < readTail {
@@ -54,9 +52,6 @@ func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c in
 // FakeUpdater.TryReadOnly instead of Execute (§6), and done reports whether
 // that resolved it. The body avoids closures so the read hot path does not
 // allocate.
-//
-//nr:hotpath-noio
-//nr:spin
 func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O, fake bool) (R, bool, error) {
 	r := i.replicas[h.node]
 	lg := &r.logs[c]

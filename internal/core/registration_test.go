@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/asplos17/nr/internal/topology"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // TestRegisterExhaustionInterleavedWithRegisterOnNode interleaves fill-order
@@ -119,6 +120,7 @@ func TestDoubleCloseIsIdempotent(t *testing.T) {
 		{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: 1e6},
 		{Topology: topology.New(2, 2, 1), LogEntries: 64}, // no background goroutines at all
 	} {
+		waittest.Deadline(t)
 		inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} }, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -138,6 +140,7 @@ func TestDoubleCloseIsIdempotent(t *testing.T) {
 // a DedicatedCombiners instance — existing handles keep executing reads and
 // updates correctly afterwards, per Close's documented contract.
 func TestHandleUsableAfterClose(t *testing.T) {
+	waittest.Deadline(t)
 	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
 		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, DedicatedCombiners: true})
 	if err != nil {
@@ -169,6 +172,7 @@ func TestHandleUsableAfterClose(t *testing.T) {
 // threads, whose replica would then never drain the log again. Instances
 // without dedicated combiners are unaffected.
 func TestRegisterAfterCloseWithDedicatedCombiners(t *testing.T) {
+	waittest.Deadline(t)
 	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
 		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, DedicatedCombiners: true})
 	if err != nil {

@@ -7,8 +7,6 @@ import "github.com/asplos17/nr/internal/trace"
 // and, if the entry originated on r's node with a response slot, delivers
 // the outcome (value or error). Callers have already ruled out barrier and
 // cross entries (refreshTo stops at them; cross.go applies them).
-//
-//nr:hotpath-noio
 func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry[O], ring *trace.Ring) {
 	res, err := i.safeExecute(r, c, e.op, idx)
 	i.deliver(r, c, idx, e, res, err, ring)
@@ -25,8 +23,6 @@ func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry
 // serialized cost of every update by the node count. Bulk replay remains
 // visible through the aggregate events (KReaderRefresh, KHelp,
 // KCombineEnd).
-//
-//nr:hotpath-noio
 func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O], res R, err error, ring *trace.Ring) {
 	if e.slot >= 0 && e.node == r.id {
 		tok := trace.TokenWithLog(c, int(e.node), int(e.slot), e.seq)
@@ -145,7 +141,7 @@ func (i *Instance[O, R]) CheckpointReplica(node int, fn func(ds Sequential[O, R]
 	r := i.replicas[node]
 	i.quiesceReplica(r)
 	for c := range i.logs {
-		r.logs[c].rw.Lock() //nr:lockok index order across one replica's logs
+		r.logs[c].rw.Lock() // index order across one replica's logs
 	}
 	fn(r.ds, r.logs[0].localTail.Load())
 	for c := len(i.logs) - 1; c >= 0; c-- {
@@ -160,7 +156,7 @@ func (i *Instance[O, R]) InspectReplica(node int, fn func(ds Sequential[O, R])) 
 	r := i.replicas[node]
 	i.quiesceReplica(r)
 	for c := range i.logs {
-		r.logs[c].rw.Lock() //nr:lockok index order across one replica's logs
+		r.logs[c].rw.Lock() // index order across one replica's logs
 	}
 	fn(r.ds)
 	for c := len(i.logs) - 1; c >= 0; c-- {

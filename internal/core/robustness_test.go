@@ -9,6 +9,7 @@ import (
 
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/trace"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // bomb is a keyed accumulator whose negative-key updates panic after a
@@ -43,6 +44,7 @@ func (b *bomb) IsReadOnly(op bombOp) bool { return op.Key == 0 }
 
 func newBombInstance(t *testing.T, opts Options) *Instance[bombOp, int64] {
 	t.Helper()
+	waittest.Deadline(t)
 	inst, err := New[bombOp, int64](func() Sequential[bombOp, int64] { return newBomb() }, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +164,7 @@ func TestExecuteReRaisesPanicOnSubmitter(t *testing.T) {
 // TestPanicOnReadPathContained: a panicking read releases the reader lock
 // and reports the error without touching the log.
 func TestPanicOnReadPathContained(t *testing.T) {
+	waittest.Deadline(t)
 	inst, err := New[bombOp, int64](func() Sequential[bombOp, int64] { return &readBomb{} }, smallTopo())
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +206,7 @@ func (r *readBomb) IsReadOnly(op bombOp) bool { return op.Key == 0 }
 // late still catches the stall.
 func TestWatchdogFlagsStall(t *testing.T) {
 	release := make(chan struct{})
+	waittest.Deadline(t)
 	inst, err := New[bombOp, int64](func() Sequential[bombOp, int64] { return &gate{release: release} },
 		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: time.Millisecond})
 	if err != nil {

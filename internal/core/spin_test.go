@@ -6,34 +6,8 @@ import (
 
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/trace"
+	"github.com/asplos17/nr/internal/waittest"
 )
-
-// spinYields is how many times a spin test's holder yields while a second
-// goroutine waits on what it holds. With GOMAXPROCS at 1 each yield hands
-// the waiter one turn of its wait loop, so the waiter spins about this many
-// times.
-const spinYields = 10000
-
-// spinMallocs runs wait on a second goroutine while the caller holds what it
-// waits for, yields spinYields times, calls release, and returns the mallocs
-// of the whole window once wait has returned.
-func spinMallocs(wait, release func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	done := make(chan struct{})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	go func() {
-		wait()
-		close(done)
-	}()
-	for range spinYields {
-		runtime.Gosched()
-	}
-	release()
-	<-done
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
 
 // registerOn registers a handle on node and warms up its slot, the log and
 // the replicas with one update.
@@ -48,17 +22,19 @@ func registerOn(t *testing.T, inst *Instance[ctrOp, uint64], node int) *Handle[c
 }
 
 // TestSpinWaitsDoNotAllocate pins the wait loops of the update and read
-// paths: a reader waiting on an active combiner (waitReplicaTail), a full
-// log whose laggard cannot be helped (reserveConsuming) and an op waiting
-// for its node's combiner (combine) at fewer than one allocation per 100
-// spins, and a combiner's waits on holes in the log (waitGet) at fewer than
-// one per four waits. Each test holds what the loop waits for while a second
-// goroutine spins on it.
+// paths: a reader waiting on an active combiner or on another reader's
+// refresh (waitReplicaTail), a full log whose laggard cannot be helped
+// (reserveConsuming), an op waiting for its node's combiner (combine) and a
+// cross-class update waiting for its replica's cross applier
+// (advanceCrossTo) at fewer than one allocation per 100 spins, yielding on
+// every turn and never parking (waittest.Window), and a combiner's waits on
+// holes in the log (waitGet) at fewer than one per four waits. Each test
+// holds what the loop waits for while a second goroutine spins on it.
 func TestSpinWaitsDoNotAllocate(t *testing.T) {
 	check := func(t *testing.T, mallocs uint64) {
 		t.Helper()
-		if mallocs >= spinYields/100 {
-			t.Errorf("%d mallocs over about %d spins, want fewer than one per 100 spins", mallocs, spinYields)
+		if mallocs >= waittest.Yields/100 {
+			t.Errorf("%d mallocs over about %d spins, want fewer than one per 100 spins", mallocs, waittest.Yields)
 		}
 	}
 
@@ -112,7 +88,17 @@ func TestSpinWaitsDoNotAllocate(t *testing.T) {
 		h0.Execute(ctrInc) // node 1's replica is now behind
 		lock := &inst.replicas[1].logs[0].combinerLock
 		lock.Lock()
-		check(t, spinMallocs(func() { h1.Execute(ctrRead) }, lock.Unlock))
+		check(t, waittest.Window(t, func() { h1.Execute(ctrRead) }, lock.Unlock))
+	})
+
+	t.Run("reader-behind-refresher", func(t *testing.T) {
+		inst := newCounterInstance(t, smallTopo())
+		h0 := registerOn(t, inst, 0)
+		h1 := registerOn(t, inst, 1)
+		h0.Execute(ctrInc) // node 1's replica is now behind, with no combiner
+		lock := &inst.replicas[1].logs[0].refresher
+		lock.Lock()
+		check(t, waittest.Window(t, func() { h1.Execute(ctrRead) }, lock.Unlock))
 	})
 
 	t.Run("log-full", func(t *testing.T) {
@@ -122,7 +108,7 @@ func TestSpinWaitsDoNotAllocate(t *testing.T) {
 		// nor reserve until it is released.
 		rw := inst.replicas[1].logs[0].rw
 		rw.Lock()
-		check(t, spinMallocs(func() {
+		check(t, waittest.Window(t, func() {
 			for range 16 {
 				h.Execute(ctrInc)
 			}
@@ -137,6 +123,30 @@ func TestSpinWaitsDoNotAllocate(t *testing.T) {
 		h := registerOn(t, inst, 0)
 		lock := &inst.replicas[0].logs[0].combinerLock
 		lock.Lock()
-		check(t, spinMallocs(func() { h.Execute(ctrInc) }, lock.Unlock))
+		check(t, waittest.Window(t, func() { h.Execute(ctrInc) }, lock.Unlock))
 	})
+
+	t.Run("cross-applier-busy", func(t *testing.T) {
+		inst := newCrossCells(t, 2, Options{Topology: topology.New(2, 2, 1)})
+		h := registerCross(t, inst, 0)
+		h.Execute(mlOp{kind: 3, delta: 1})
+		lock := &inst.replicas[0].crossApply
+		lock.Lock()
+		check(t, waittest.Window(t, func() { h.Execute(mlOp{kind: 3, delta: 1}) }, lock.Unlock))
+	})
+}
+
+// TestKickNeverBlocks pins Follower.Kick as a wake that never waits: an
+// appender on a full log kicks the follower on every turn of its spin, so a
+// Kick with the last wake still pending must return at once rather than
+// wait for the follower to take it (a Kick that waits fails the test's
+// waittest.Deadline).
+func TestKickNeverBlocks(t *testing.T) {
+	f, err := newCounterInstance(t, smallTopo()).Follow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Kick()
+	f.Kick() // the first wake is still pending
+	<-f.Wake()
 }

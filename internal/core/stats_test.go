@@ -7,6 +7,7 @@ import (
 
 	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/topology"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // TestStatsCountEachOpOnceDeterministic walks a FakeUpdater structure
@@ -15,6 +16,7 @@ import (
 // (delete of a present key) must count only as an update, never as both a
 // read and an update.
 func TestStatsCountEachOpOnceDeterministic(t *testing.T) {
+	waittest.Deadline(t)
 	inst, err := New[ds.DictOp, ds.DictResult](
 		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(3) },
 		Options{Topology: topology.New(1, 2, 1), LogEntries: 64})
@@ -53,6 +55,7 @@ func TestStatsCountEachOpOnceDeterministic(t *testing.T) {
 // the fast path (absent key) and the fallthrough (present key) — and asserts
 // ReadOps+UpdateOps equals exactly the number of operations executed.
 func TestStatsReadPlusUpdateEqualsOpsExecuted(t *testing.T) {
+	waittest.Deadline(t)
 	inst, err := New[ds.DictOp, ds.DictResult](
 		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(11) },
 		Options{Topology: topology.New(2, 2, 1), LogEntries: 128})

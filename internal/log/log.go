@@ -131,8 +131,6 @@ func (l *Log[O]) refreshMin() {
 // log is full because that replica lags, waiting here deadlocks. Combiners
 // use TryReserve and consume entries into their own replica between
 // attempts.
-//
-//nr:spin
 func (l *Log[O]) Reserve(n int) uint64 {
 	for {
 		if start, ok := l.TryReserve(n); ok {
@@ -155,8 +153,8 @@ func (l *Log[O]) TryReserve(n int) (uint64, bool) {
 // tail-CAS attempts lost to a concurrent reserver before the outcome. The
 // tail CAS is the only cross-node contention point of the update path
 // (§5.1), so casRetries is the direct signal of inter-node append pressure.
-// (Not //nr:spin: the tail CAS retry is a deliberate tight loop — backing
-// off would cede the reservation to the other node every time.)
+// (The tail CAS retry does not yield: it is a deliberate tight loop —
+// backing off would cede the reservation to the other node every time.)
 //
 // Wraparound audit (pinned by wrap_test.go): the space check and the tail
 // CAS read `start` from the same load, so a successful CAS proves the
@@ -245,8 +243,6 @@ const holeSpinLoads = 256
 // stall signal of §5.1 (a combiner preempted between reserve and fill
 // blocks every replayer behind it), so the flight recorder tags them with
 // the yield count.
-//
-//nr:spin
 func (l *Log[O]) WaitGetObserved(idx uint64) (O, int) {
 	e := &l.entries[idx%l.size]
 	spins := 0

@@ -1,12 +1,15 @@
 package log
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -84,6 +87,7 @@ func TestAdvanceCompleted(t *testing.T) {
 }
 
 func TestWrapAroundRecycling(t *testing.T) {
+	waittest.Deadline(t)
 	l, _ := New[int](8, 2)
 	lt := l.RegisterReplica()
 	// Drive several laps around the buffer; the consumer keeps up.
@@ -112,6 +116,7 @@ func TestWrapAroundRecycling(t *testing.T) {
 }
 
 func TestReserveBlocksWhenFullAndResumes(t *testing.T) {
+	waittest.Deadline(t)
 	l, _ := New[int](8, 4)
 	lt := l.RegisterReplica()
 	// Fill the buffer completely (2 reservations of 4).
@@ -136,6 +141,7 @@ func TestReserveBlocksWhenFullAndResumes(t *testing.T) {
 }
 
 func TestWaitGet(t *testing.T) {
+	waittest.Deadline(t)
 	l, _ := New[int](8, 2)
 	l.RegisterReplica()
 	s := l.Reserve(1)
@@ -153,6 +159,7 @@ func TestWaitGet(t *testing.T) {
 }
 
 func TestConcurrentAppendersSeeAllOps(t *testing.T) {
+	waittest.Deadline(t)
 	// Multiple combiners append concurrently while one consumer replays in
 	// order; every op must be seen exactly once, in log order.
 	const (
@@ -184,6 +191,9 @@ func TestConcurrentAppendersSeeAllOps(t *testing.T) {
 	cwg.Add(1)
 	go func() {
 		defer cwg.Done()
+		// A consumer that stops at a wrong op must not leave the appenders
+		// waiting on a full log: mark everything consumed.
+		defer lt.Store(math.MaxUint64)
 		for idx := uint64(0); idx < total; idx++ {
 			op := l.WaitGet(idx)
 			if op[1] != idx {
@@ -216,6 +226,7 @@ type indexMismatch struct{ want, got uint64 }
 func (e *indexMismatch) Error() string { return "log order violated" }
 
 func TestMultipleReplicasGateRecycling(t *testing.T) {
+	waittest.Deadline(t)
 	l, _ := New[int](8, 2)
 	fast := l.RegisterReplica()
 	slow := l.RegisterReplica()
@@ -276,6 +287,7 @@ func TestMemoryBytes(t *testing.T) {
 // property the combiner leans on when it reserves one multi-entry range
 // for a whole batch.
 func TestMultiEntryReservationPartitions(t *testing.T) {
+	waittest.Deadline(t)
 	const (
 		publishers = 4
 		batches    = 150
@@ -367,36 +379,10 @@ func TestMultiEntryReservationPartitions(t *testing.T) {
 	t.Logf("multi-entry reservations: %d grants, %d entries, %d tail-CAS retries", len(grants), next, casRetries.Load())
 }
 
-// spinYields is how many times a spin test's holder yields while a second
-// goroutine waits on what it holds. With GOMAXPROCS at 1 each yield hands
-// the waiter one turn of its wait loop, so the waiter spins about this many
-// times.
-const spinYields = 10000
-
-// spinMallocs runs wait on a second goroutine while the caller holds what it
-// waits for, yields spinYields times, calls release, and returns the mallocs
-// of the whole window once wait has returned.
-func spinMallocs(wait, release func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	done := make(chan struct{})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	go func() {
-		wait()
-		close(done)
-	}()
-	for range spinYields {
-		runtime.Gosched()
-	}
-	release()
-	<-done
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
 // TestLogDoesNotAllocate pins the append and replay primitives at zero
 // allocations per entry, and their two wait loops — Reserve on a full log,
-// WaitGetObserved on a hole — at fewer than one allocation per 100 spins.
+// WaitGetObserved on a hole — at fewer than one allocation per 100 spins,
+// yielding on every turn and never parking (waittest.Window).
 func TestLogDoesNotAllocate(t *testing.T) {
 	l, _ := New[int](8, 2)
 	lt := l.RegisterReplica()
@@ -415,21 +401,21 @@ func TestLogDoesNotAllocate(t *testing.T) {
 
 	check := func(name string, mallocs uint64) {
 		t.Helper()
-		if mallocs >= spinYields/100 {
-			t.Errorf("%s: %d mallocs over about %d spins, want fewer than one per 100 spins", name, mallocs, spinYields)
+		if mallocs >= waittest.Yields/100 {
+			t.Errorf("%s: %d mallocs over about %d spins, want fewer than one per 100 spins", name, mallocs, waittest.Yields)
 		}
 	}
 	// A full log: the reservation waits until the replica consumes.
 	for l.Tail() < lt.Load()+8 {
 		l.Fill(l.Reserve(2), 0)
 	}
-	check("Reserve", spinMallocs(func() { l.Reserve(2) }, func() { lt.Store(l.Tail()) }))
+	check("Reserve", waittest.Window(t, func() { l.Reserve(2) }, func() { lt.Store(l.Tail()) }))
 
 	// A hole: the reader waits until the entry is filled.
 	idx := l.Reserve(1)
 	var spins int
-	check("WaitGetObserved", spinMallocs(func() { _, spins = l.WaitGetObserved(idx) }, func() { l.Fill(idx, 3) }))
-	if spins < spinYields/2 {
-		t.Errorf("WaitGetObserved spun %d times, want about %d", spins, spinYields)
+	check("WaitGetObserved", waittest.Window(t, func() { _, spins = l.WaitGetObserved(idx) }, func() { l.Fill(idx, 3) }))
+	if spins < waittest.Yields/2 {
+		t.Errorf("WaitGetObserved spun %d times, want about %d", spins, waittest.Yields)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // TestWrapDeterministic walks one reserver and one consumer across several
@@ -12,6 +14,7 @@ import (
 // consumer advances, markers distinguish laps (stale indexes read as
 // empty), and freed space becomes visible to the very next attempt.
 func TestWrapDeterministic(t *testing.T) {
+	waittest.Deadline(t)
 	const size, maxBatch = 8, 4
 	l, err := New[uint64](size, maxBatch)
 	if err != nil {
@@ -90,6 +93,7 @@ func TestWrapDeterministic(t *testing.T) {
 // previous lap) is a data race the race detector reports; any flaw in the
 // space accounting shows up as a wrong payload.
 func TestWrapRecyclingRace(t *testing.T) {
+	waittest.Deadline(t)
 	const (
 		size      = 16
 		maxBatch  = 4

@@ -25,7 +25,7 @@ type WAL struct {
 	// mu guards everything below except the atomics. Its one regular holder
 	// is the appender, file I/O included; Sync, Close and the checkpoint's
 	// journal reads are rare and wait out a write or an fsync.
-	mu       sync.Mutex //nr:lockorder walAppend
+	mu       sync.Mutex
 	page     []byte
 	frontier uint64       // one past the last index appended
 	tokens   tokenJournal // (index, token) pairs not yet durable or checkpointed

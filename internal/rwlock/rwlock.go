@@ -72,8 +72,6 @@ func (l *Distributed) RLock(slot int) {
 // RLockObserved acquires read mode for reader slot, reporting how many
 // scheduler yields it spent blocked behind a writer (0 on the uncontended
 // path).
-//
-//nr:spin
 func (l *Distributed) RLockObserved(slot int) (spins int) {
 	r := &l.readers[slot]
 	for {
@@ -129,8 +127,6 @@ func (l *Distributed) ReaderAcquires() uint64 {
 
 // waitReaders waits for every reader flag to drain, reporting spins to the
 // writer-wait hook. Caller holds the writer flag.
-//
-//nr:spin
 func (l *Distributed) waitReaders() {
 	spins := 0
 	for i := range l.readers {
@@ -145,8 +141,6 @@ func (l *Distributed) waitReaders() {
 }
 
 // Lock acquires write mode. Concurrent writers serialize on the writer flag.
-//
-//nr:spin
 func (l *Distributed) Lock() {
 	for !l.writer.CompareAndSwap(0, 1) {
 		runtime.Gosched()
@@ -192,8 +186,6 @@ func (m *SpinMutex) TryLock() bool {
 }
 
 // Lock spins until the lock is acquired.
-//
-//nr:spin
 func (m *SpinMutex) Lock() {
 	for {
 		if m.TryLock() {

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // TestDistributedMutualExclusion drives readers and writers over a shared
@@ -235,37 +237,11 @@ func TestSpinMutex(t *testing.T) {
 	}
 }
 
-// spinYields is how many times a spin test's holder yields while a second
-// goroutine waits on what it holds. With GOMAXPROCS at 1 each yield hands
-// the waiter one turn of its wait loop, so the waiter spins about this many
-// times.
-const spinYields = 10000
-
-// spinMallocs runs wait on a second goroutine while the caller holds what it
-// waits for, yields spinYields times, calls release, and returns the mallocs
-// of the whole window once wait has returned.
-func spinMallocs(wait, release func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	done := make(chan struct{})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	go func() {
-		wait()
-		close(done)
-	}()
-	for range spinYields {
-		runtime.Gosched()
-	}
-	release()
-	<-done
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
 // TestLocksDoNotAllocate pins every acquisition at zero allocations when
 // uncontended, and every wait loop — a reader behind a writer, a writer
 // behind a reader, a writer behind a writer, a spin mutex behind its holder
-// — at fewer than one allocation per 100 spins.
+// — at fewer than one allocation per 100 spins, yielding on every turn and
+// never parking (waittest.Window).
 func TestLocksDoNotAllocate(t *testing.T) {
 	l := NewDistributed(2)
 	var writerSpins int
@@ -286,26 +262,26 @@ func TestLocksDoNotAllocate(t *testing.T) {
 
 	check := func(name string, mallocs uint64) {
 		t.Helper()
-		if mallocs >= spinYields/100 {
-			t.Errorf("%s: %d mallocs over about %d spins, want fewer than one per 100 spins", name, mallocs, spinYields)
+		if mallocs >= waittest.Yields/100 {
+			t.Errorf("%s: %d mallocs over about %d spins, want fewer than one per 100 spins", name, mallocs, waittest.Yields)
 		}
 	}
 	l.Lock()
 	var readerSpins int
-	check("RLockObserved", spinMallocs(func() { readerSpins = l.RLockObserved(0); l.RUnlock(0) }, l.Unlock))
-	if readerSpins < spinYields/2 {
-		t.Errorf("reader spun %d times behind the writer, want about %d", readerSpins, spinYields)
+	check("RLockObserved", waittest.Window(t, func() { readerSpins = l.RLockObserved(0); l.RUnlock(0) }, l.Unlock))
+	if readerSpins < waittest.Yields/2 {
+		t.Errorf("reader spun %d times behind the writer, want about %d", readerSpins, waittest.Yields)
 	}
 
 	l.RLock(1)
-	check("waitReaders", spinMallocs(func() { l.Lock(); l.Unlock() }, func() { l.RUnlock(1) }))
-	if writerSpins < spinYields/2 {
-		t.Errorf("writer spun %d times behind the reader, want about %d", writerSpins, spinYields)
+	check("waitReaders", waittest.Window(t, func() { l.Lock(); l.Unlock() }, func() { l.RUnlock(1) }))
+	if writerSpins < waittest.Yields/2 {
+		t.Errorf("writer spun %d times behind the reader, want about %d", writerSpins, waittest.Yields)
 	}
 
 	l.Lock()
-	check("Lock", spinMallocs(func() { l.Lock(); l.Unlock() }, l.Unlock))
+	check("Lock", waittest.Window(t, func() { l.Lock(); l.Unlock() }, l.Unlock))
 
 	m.Lock()
-	check("SpinMutex.Lock", spinMallocs(func() { m.Lock(); m.Unlock() }, m.Unlock))
+	check("SpinMutex.Lock", waittest.Window(t, func() { m.Lock(); m.Unlock() }, m.Unlock))
 }

@@ -11,12 +11,15 @@ import (
 	nr "github.com/asplos17/nr"
 	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/linearize"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // newPartitionedDict builds a multi-log instance over ds.PartitionedDict
-// with the matching per-key conflict-class mapper.
+// with the matching per-key conflict-class mapper. The test it serves fails
+// with every goroutine's stack if it deadlocks (waittest.Deadline).
 func newPartitionedDict(t testing.TB, m int, opts ...nr.Option) *nr.Instance[ds.DictOp, ds.DictResult] {
 	t.Helper()
+	waittest.Deadline(t)
 	opts = append(opts, nr.WithLogs[ds.DictOp](m, nr.LogMapperFunc[ds.DictOp](ds.DictClass(m))))
 	inst, err := nr.New(func() nr.Sequential[ds.DictOp, ds.DictResult] {
 		return ds.NewPartitionedDict(m, 42)

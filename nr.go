@@ -42,8 +42,8 @@ import (
 // constructor you pass to New, Execute applies an operation, IsReadOnly
 // classifies it.
 type Sequential[O, R any] interface {
-	Execute(op O) R       //nr:opaque black-box boundary (user structure)
-	IsReadOnly(op O) bool //nr:opaque
+	Execute(op O) R
+	IsReadOnly(op O) bool
 }
 
 // Option configures New. Options are applied in order; later options win.
@@ -449,7 +449,7 @@ func (i *Instance[O, R]) Close() {
 // read path and only falls back to the shared log when a real update is
 // needed. TryReadOnly must not modify the structure.
 type FakeUpdater[O, R any] interface {
-	TryReadOnly(op O) (resp R, done bool) //nr:opaque black-box boundary
+	TryReadOnly(op O) (resp R, done bool)
 }
 
 // Inspect quiesces node's replica and runs fn on its sequential structure

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	nr "github.com/asplos17/nr"
+	"github.com/asplos17/nr/internal/waittest"
 )
 
 // kvOp is the test operation: add Delta to Key, or read Key.
@@ -439,10 +439,11 @@ func TestDurableUpdateAllocatesNothing(t *testing.T) {
 // TestDurableLogFullDoesNotAllocate pins the durable path's backpressure
 // loop: with the follower held inside its sync hook, a 16-entry log fills,
 // and the appender waits in reserveConsuming, kicking the follower on every
-// spin. Over about 10 000 spins (GOMAXPROCS 1, one spin per yield of this
-// goroutine) fewer than one allocation per 100 spins is allowed.
+// spin. Over about 10 000 spins (waittest.Window: GOMAXPROCS 1, one spin per
+// yield of this goroutine) fewer than one allocation per 100 spins is
+// allowed, and the appender must yield on every turn and never park: a
+// Kick that waited for the parked follower would.
 func TestDurableLogFullDoesNotAllocate(t *testing.T) {
-	const spinYields = 10000
 	var stall atomic.Bool
 	entered, gate := make(chan struct{}, 1), make(chan struct{})
 	hook := func(nr.SyncInfo) {
@@ -487,24 +488,15 @@ func TestDurableLogFullDoesNotAllocate(t *testing.T) {
 		}
 	}
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	done := make(chan struct{})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	go func() {
+	n := waittest.Window(t, func() {
 		for i := uint64(0); i < 32; i++ { // more than the log holds
 			h.Execute(kvOp{Key: i % 7, Delta: 1})
 		}
-		close(done)
-	}()
-	for range spinYields {
-		runtime.Gosched()
-	}
-	stall.Store(false)
-	gate <- struct{}{}
-	<-done
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n >= spinYields/100 {
-		t.Errorf("%d mallocs over about %d spins on a full log, want fewer than one per 100 spins", n, spinYields)
+	}, func() {
+		stall.Store(false)
+		gate <- struct{}{}
+	})
+	if n >= waittest.Yields/100 {
+		t.Errorf("%d mallocs over about %d spins on a full log, want fewer than one per 100 spins", n, waittest.Yields)
 	}
 }
