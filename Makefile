@@ -1,7 +1,9 @@
 # Test tiers. tier1 is the gate every change must pass; tier1-race runs the
-# protocol-critical packages under the race detector; tier2 adds the race
-# detector everywhere; chaos replays the seeded fault-injection schedules
-# (internal/chaos, seeds 1 / 42 / 0xc0ffee / 0xdeadbeef) under -race.
+# protocol-critical packages under the race detector, plus the chaos suite's
+# kill-and-recover cuts and multi-log schedules (the durable path and the
+# cross-log barrier); tier2 adds the race detector everywhere; chaos replays
+# the seeded fault-injection schedules (internal/chaos, seeds 1 / 42 /
+# 0xc0ffee / 0xdeadbeef) under -race.
 # NR's own invariants (spin waits yield, the lock order, no I/O on the hot
 # path) are held by tests and by one tier1 grep (DESIGN.md §10). fuzz runs
 # every Fuzz* target with random inputs (their seed corpora already run in
@@ -34,9 +36,9 @@ tier1: ## gofmt + one-benchmark rule + hot-path import rule + build + vet + unit
 	$(GO) vet ./...
 	$(GO) test ./...
 
-tier1-race: ## race detector on the protocol-critical packages, and on the durable path's kill-and-recover cuts
+tier1-race: ## race detector on the protocol-critical packages, and on the chaos suite's kill-and-recover cuts and multi-log schedules
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'Recover' ./internal/chaos
+	$(GO) test -race -run 'Recover|MultiLog' ./internal/chaos
 
 check: tier1 tier1-race ## the default pre-commit gate: tier1 + race tier
 

@@ -45,8 +45,8 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 	r.counters.combinedOps.Add(uint64(len(batch)))
 
 	// Append the batch: reserve with one CAS, then fill (§5.1). Entries
-	// carry (node, slot) tags so that if a helper replays them into this
-	// replica first, the helper delivers the responses.
+	// carry (node, slot) in their tags so that if a helper replays them
+	// into this replica first, the helper delivers the responses.
 	start := i.reserveConsuming(r, c, len(batch), ring)
 	// One clock read stamps the reservation and the fills: it is taken
 	// AFTER reserveConsuming returns, so a slow reservation (log full,
@@ -61,7 +61,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		// replayer that overtakes this round may answer the slot by tag, and
 		// its owner may already be writing its next op into it.
 		seq := t.s.seq
-		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, node: r.id, slot: t.slot, seq: seq})
+		i.logs[c].Fill(start+uint64(k), entry[O]{op: t.s.op, tag: opTag(entryOp, int(r.id), int(t.slot), seq)})
 		if ring != nil && i.sampled(seq) {
 			ring.RecordAt(t1, trace.KLogFill, int(r.id), trace.TokenWithLog(c, int(r.id), int(t.slot), seq), start+uint64(k))
 		}
@@ -76,9 +76,10 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 	idx := lg.localTail.Load()
 	for idx < start {
 		e := i.waitGet(int(r.id), c, idx, ring)
-		if e.kind != entryOp {
+		if e.kind() != entryOp {
+			t := r.nextTicket() // before the unlock lets crossDone move
 			lg.rw.Unlock()
-			i.advanceCrossTo(r, e.ticket, ring)
+			i.advanceCrossTo(r, t, ring)
 			lg.rw.Lock()
 			idx = lg.localTail.Load()
 			continue

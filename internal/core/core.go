@@ -35,7 +35,7 @@
 //     combiner's application of its own batch (a combiner advances its
 //     replica's localTail past its batch before advancing completedTail).
 //
-//   - Response tags. Log entries carry (node, slot) so that whichever
+//   - Response tags. Log entries' tags carry (node, slot) so that whichever
 //     thread replays an entry into its *home* replica delivers the response
 //     to the waiting thread. A combiner normally answers its batch from the
 //     node-local combining slots, exactly as in §5.2, but it is not the only
@@ -80,9 +80,14 @@ type Sequential[O, R any] interface {
 // the same point relative to each class's history.
 const CrossLog = -1
 
-// maxLogs bounds Options.Logs: the flight-recorder token reserves 6 bits
-// for the log index (trace.TokenWithLog).
-const maxLogs = 64
+// maxLogs bounds Options.Logs and maxNodes the topology's nodes: the op
+// token reserves 6 bits for the log index and 10 for the node
+// (trace.TokenWithLog), and delivery trusts the node bits of a log entry's
+// tag.
+const (
+	maxLogs  = 64
+	maxNodes = 1 << 10
+)
 
 // Options configures an NR instance.
 type Options struct {
@@ -92,8 +97,11 @@ type Options struct {
 
 	// LogEntries sets the shared log size — per log, when Logs > 1. The
 	// paper fixes 1M entries (§7); the default here is 64K, which the
-	// paper's sizing argument (§5.6) equally satisfies for our batch sizes
-	// while staying test-friendly.
+	// paper's sizing argument (§5.6) equally satisfies for our batch sizes.
+	// A smaller log is a measured trade, not a free saving: at 16K entries
+	// the benchmark's lib-mixed heap fell from 10.2 to 5.45 MB, but
+	// lib-durable lost 11 % of its ops/s, an all-update variant about 10 %,
+	// and set-up ran 14 % longer on more GC cycles (ROADMAP item 8).
 	LogEntries int
 
 	// Logs is the number of shared logs (conflict classes); 0 or 1 means
@@ -203,7 +211,7 @@ func (f *Follower[O]) Drain(fn func(idx, token uint64, op O)) {
 		if !ok {
 			return
 		}
-		fn(idx, trace.TokenWithLog(0, int(e.node), int(e.slot), e.seq), e.op)
+		fn(idx, e.token(0), e.op)
 		f.tail.Store(idx + 1)
 	}
 }
@@ -287,32 +295,50 @@ type slot[O, R any] struct {
 	err   error
 }
 
-// entry kinds stored in the shared logs. entryOp is a normal operation;
-// entryCross (log 0 only) carries a multi-class operation plus its ticket;
-// entryBarrier (logs 1..M-1) carries only the ticket and marks the point in
-// that log's history where the cross operation with the same ticket must be
-// applied (cross.go).
+// entry kinds, stored in the six log-index bits of an entry's tag (an
+// entry's log index is the log it sits in, so the bits are free). entryOp is
+// a normal operation; entryCross (log 0 only) carries a multi-class
+// operation; entryBarrier (logs 1..M-1) carries nothing and marks the point
+// in that log's history where the next cross operation must be applied
+// (cross.go). Neither cross kind stores its ticket: a replica meets its
+// cross entries and barriers in ticket order, so the one it meets next is
+// always its crossDone+1.
 const (
-	entryOp uint8 = iota
+	entryOp uint64 = iota
 	entryCross
 	entryBarrier
 )
 
-// entry is what NR stores in the shared log: the operation plus the
-// response tag (node, slot) under which whichever thread replays it into
-// its home replica answers the waiting thread (slot < 0 means no delivery;
-// see "Response tags" in the package doc). seq completes the op token (log,
-// node, slot, seq) so a remote replayer's trace events join the originating
-// op's span; it is published by the log's marker store like the rest of the
-// entry. kind and ticket implement the cross-log barrier: replayers stop at
-// non-entryOp entries and hand control to the cross applier (cross.go).
+// tagKindShift places an entry's kind in the log-index bits of its tag
+// (trace.TokenWithLog's layout).
+const tagKindShift = 58
+
+// entry is what NR stores in the shared log: the operation plus one tag
+// word. The tag is the op token (node, slot, seq in trace.TokenWithLog's
+// layout) with the entry's kind in the log-index bits. node and slot are the
+// response tag under which whichever thread replays the entry into its home
+// replica answers the waiting thread (see "Response tags" in the package
+// doc); seq completes the token so a remote replayer's trace events join the
+// originating op's span. The tag is published by the log's marker store like
+// the op.
 type entry[O any] struct {
-	op     O
-	node   int32
-	slot   int32
-	seq    uint32
-	kind   uint8
-	ticket uint64
+	op  O
+	tag uint64
+}
+
+// opTag is the tag of an entry of kind k submitted through (node, slot) as
+// the handle's seq-th op.
+func opTag(k uint64, node, slot int, seq uint32) uint64 {
+	return k<<tagKindShift | trace.Token(node, slot, seq)
+}
+
+// kind returns the entry's kind (entryOp, entryCross or entryBarrier).
+func (e entry[O]) kind() uint64 { return e.tag >> tagKindShift }
+
+// token returns the op token of the entry as it sits in log c: its tag with
+// c in place of the kind.
+func (e entry[O]) token(c int) uint64 {
+	return e.tag&(1<<tagKindShift-1) | uint64(c)<<tagKindShift
 }
 
 // takenSlot records one collected combining slot during a round.
@@ -483,6 +509,9 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 			return nil, fmt.Errorf("core: LogMapper has type %T, want func(O) int for this instance's operation type", opts.LogMapper)
 		}
 		mapper = fn
+	}
+	if n := opts.Topology.Nodes(); n > maxNodes {
+		return nil, fmt.Errorf("core: %d nodes overflow the token's 10-bit node field (at most %d)", n, maxNodes)
 	}
 	maxBatch := opts.Topology.ThreadsPerNode()
 	if maxBatch > 1<<16 {

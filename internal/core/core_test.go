@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,31 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
 		Options{LogEntries: 1}); err == nil {
 		t.Error("log size 1 accepted")
+	}
+}
+
+// TestNewRefusesTopologiesTheTokenCannotName: the op token has 10 bits for
+// the node and 16 for the slot, and delivery trusts a log entry's token
+// bits, so a topology whose node ids or slots overflow them is refused
+// (1025 nodes would give node 1024 node 0's tokens). 1024 nodes still fit,
+// with distinct tokens on the first and the last node.
+func TestNewRefusesTopologiesTheTokenCannotName(t *testing.T) {
+	create := func() Sequential[ctrOp, uint64] { return &counter{} }
+	for _, c := range []struct {
+		top   topology.Topology
+		field string
+	}{{topology.New(maxNodes+1, 1, 1), "node field"}, {topology.New(1, 1<<16+1, 1), "slot field"}} {
+		if _, err := New(create, Options{Topology: c.top, LogEntries: 64}); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("New on %d nodes × %d threads: err = %v, want one naming the token's %s", c.top.Nodes(), c.top.ThreadsPerNode(), err, c.field)
+		}
+	}
+	inst := newCounterInstance(t, Options{Topology: topology.New(maxNodes, 1, 1), LogEntries: 64})
+	first, last := registerOn(t, inst, 0), registerOn(t, inst, maxNodes-1) // one increment each
+	if first.LastToken() == last.LastToken() {
+		t.Errorf("nodes 0 and %d share op token %#x", maxNodes-1, first.LastToken())
+	}
+	if got := last.Execute(ctrRead); got != 2 {
+		t.Errorf("read on node %d = %d, want 2", maxNodes-1, got)
 	}
 }
 

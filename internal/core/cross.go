@@ -2,18 +2,26 @@
 // is CrossLog touches more than one conflict class, so no single log's
 // order covers it. It serializes through log 0 behind a ticket barrier:
 //
-//	reserve, under the instance-wide crossMu, ONE entry in EVERY log —
-//	an entryCross carrying the op in log 0, an entryBarrier in each of
-//	logs 1..M-1 — all stamped with the same fresh ticket t;
+//	take, under the instance-wide crossMu, the next ticket t and reserve
+//	ONE entry in EVERY log — an entryCross carrying the op in log 0, an
+//	entryBarrier in each of logs 1..M-1;
 //	fill log 0's cross entry first, then the barriers, still under
 //	crossMu; release crossMu.
+//
+// The entries do not store t. Because tickets are taken and reserved
+// under crossMu, each log holds its cross entries or barriers in ticket
+// order, and every replica consumes ticket t's entries exactly when it
+// applies t. So a replica's next unconsumed barrier in each log, and its
+// next cross entry in log 0, belong to ticket crossDone+1 (nextTicket) —
+// read while the replayer still holds that log's write lock, because
+// crossDone only moves under all of the replica's write locks.
 //
 // Replayers (refreshTo, the combiner pre-batch loop, helpers, quiesce)
 // stop when they meet a non-entryOp entry and hand its ticket to
 // advanceCrossTo, which applies cross tickets to one replica in order:
 // the applier takes EVERY log's write lock (index order), aligns each
-// log j >= 1 to its barrier for the ticket — replaying any normal entries
-// before it — consumes the barrier, replays log 0 to the cross entry, and
+// log j >= 1 to its next barrier — replaying any normal entries before
+// it — consumes the barrier, replays log 0 to the next cross entry, and
 // executes the op there. Because every replica consumes ticket t's barrier
 // at the same point in each log's history, the cross op is applied against
 // the same state everywhere: that point IS the op's linearization point.
@@ -76,14 +84,20 @@ func (i *Instance[O, R]) appendCross(h *Handle[O, R], op O) uint64 {
 	h.ring.Record(trace.KLogReserve, h.node, i.crossIdx[0], uint64(len(i.logs)))
 	// Log 0's cross entry becomes visible before any barrier: an applier
 	// chasing a barrier's ticket always finds the op already filled.
-	i.logs[0].Fill(i.crossIdx[0], entry[O]{op: op, node: r.id, slot: int32(h.slot), seq: h.seq, kind: entryCross, ticket: t})
+	i.logs[0].Fill(i.crossIdx[0], entry[O]{op: op, tag: opTag(entryCross, h.node, h.slot, h.seq)})
 	h.ring.Record(trace.KLogFill, h.node, tok, i.crossIdx[0])
 	for c := 1; c < len(i.logs); c++ {
-		i.logs[c].Fill(i.crossIdx[c], entry[O]{kind: entryBarrier, ticket: t})
+		i.logs[c].Fill(i.crossIdx[c], entry[O]{tag: entryBarrier << tagKindShift})
 	}
 	i.crossMu.Unlock()
 	return t
 }
+
+// nextTicket is the ticket of the cross entry or barrier at which one of
+// r's logs stands: tickets are consumed in order, so it is the one after
+// the last r applied. The caller holds that log's write lock, without which
+// crossDone could move past the entry before it is read.
+func (r *replica[O, R]) nextTicket() uint64 { return r.crossDone.Load() + 1 }
 
 // advanceCrossTo drives replica r's cross applier until ticket t has been
 // applied there. Multiple threads may push the same replica; the crossApply
@@ -114,16 +128,16 @@ func (i *Instance[O, R]) applyCross(r *replica[O, R], next uint64, ring *trace.R
 	for c := range i.logs {
 		r.logs[c].rw.Lock() // index order across one replica's logs
 	}
-	// Align logs 1..M-1 first: replay their plain entries up to ticket
-	// 'next''s barrier and consume it. Any earlier cross ticket's barrier
-	// cannot appear — tickets are applied in order, so barriers for
-	// next-1 and below are already consumed on this replica.
+	// Align logs 1..M-1 first: replay their plain entries up to the next
+	// barrier and consume it. It is ticket 'next''s — tickets are applied
+	// in order, so barriers for next-1 and below are already consumed on
+	// this replica.
 	for c := 1; c < len(i.logs); c++ {
 		lg := &r.logs[c]
 		for {
 			idx := lg.localTail.Load()
 			e := i.waitGet(int(r.id), c, idx, ring)
-			if e.kind == entryBarrier && e.ticket == next {
+			if e.kind() == entryBarrier {
 				lg.localTail.Store(idx + 1)
 				i.logs[c].AdvanceCompleted(idx + 1)
 				break
@@ -132,12 +146,13 @@ func (i *Instance[O, R]) applyCross(r *replica[O, R], next uint64, ring *trace.R
 			lg.localTail.Store(idx + 1)
 		}
 	}
-	// Replay log 0 up to and including the cross entry itself.
+	// Replay log 0 up to and including the next cross entry, ticket
+	// 'next''s for the same reason.
 	lg0 := &r.logs[0]
 	for {
 		idx := lg0.localTail.Load()
 		e := i.waitGet(int(r.id), 0, idx, ring)
-		if e.kind == entryCross && e.ticket == next {
+		if e.kind() == entryCross {
 			res, err := i.safeExecute(r, 0, e.op, idx)
 			lg0.localTail.Store(idx + 1)
 			// Advance completed tails BEFORE delivering the response: a

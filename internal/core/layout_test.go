@@ -52,19 +52,19 @@ func TestReplicaCountersLayout(t *testing.T) {
 	}
 }
 
-// TestEntryLogCell pins what NR actually logs: core's entry (op plus the
-// 24-byte response tag node, slot, seq, kind, ticket) is 32 bytes at int64,
-// and its log cell adds only the log's 8-byte marker. Log cells are
-// deliberately unpadded (internal/log's TestEntryLayout).
+// TestEntryLogCell pins what NR actually logs: core's entry (op plus one
+// 8-byte tag word: the op token with the entry kind in its log-index bits)
+// is 16 bytes at int64, and its log cell adds only the log's 8-byte marker.
+// Log cells are deliberately unpadded (internal/log's TestEntryLayout).
 func TestEntryLogCell(t *testing.T) {
-	if size := unsafe.Sizeof(entry[int64]{}); size != 32 {
-		t.Errorf("entry[int64] size = %d, want 32 (op 8, node 4, slot 4, seq 4, kind 1+3, ticket 8)", size)
+	if size := unsafe.Sizeof(entry[int64]{}); size != 16 {
+		t.Errorf("entry[int64] size = %d, want 16 (op 8, tag 8)", size)
 	}
 	l, err := log.New[entry[int64]](1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell := l.MemoryBytes() / uint64(l.Size()); cell != 40 {
-		t.Errorf("log cell of entry[int64] = %d bytes, want 40 (entry 32 + marker 8)", cell)
+	if cell := l.MemoryBytes() / uint64(l.Size()); cell != 24 {
+		t.Errorf("log cell of entry[int64] = %d bytes, want 24 (entry 16 + marker 8)", cell)
 	}
 }

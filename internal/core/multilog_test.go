@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/waittest"
 )
@@ -317,19 +318,21 @@ func (c *mlCrossCells) Execute(op mlOp) int64 {
 
 func (c *mlCrossCells) IsReadOnly(op mlOp) bool { return op.kind == 1 || op.kind == 2 }
 
-// newCrossCells builds an m-log instance of mlCrossCells, where kinds 2
-// (sum) and 3 (cross add) are cross-class.
+// crossCellsMapper maps mlCrossCells' kinds 2 (sum) and 3 (cross add) to
+// CrossLog and the rest to their class.
+func crossCellsMapper(op mlOp) int {
+	if op.kind >= 2 {
+		return CrossLog
+	}
+	return op.class
+}
+
+// newCrossCells builds an m-log instance of mlCrossCells.
 func newCrossCells(t *testing.T, m int, opts Options) *Instance[mlOp, int64] {
 	t.Helper()
 	waittest.Deadline(t)
 	opts.Logs = m
-	opts.LogMapper = func(op mlOp) int {
-		if op.kind >= 2 {
-			return CrossLog
-		}
-		return op.class
-	}
-	waittest.Deadline(t)
+	opts.LogMapper = crossCellsMapper
 	inst, err := New(func() Sequential[mlOp, int64] {
 		return &mlCrossCells{mlCells{cells: make([]int64, m)}}
 	}, opts)
@@ -410,6 +413,130 @@ func TestCrossBarrierOnEveryReplayPath(t *testing.T) {
 				t.Error("the full log was freed without node 0's replica applying the cross op")
 			}
 			holds(t, inst, 0, 5, 5+logEntries)
+		})
+	}
+}
+
+// mlTicketCells is mlCrossCells recording the delta of every cross add it
+// applies. TestCrossTicketIsTheReplicasNext numbers its cross adds by their
+// tickets, so each replica's record must read 1, 2, ..., n.
+type mlTicketCells struct {
+	mlCrossCells
+	applied []int64
+}
+
+func (c *mlTicketCells) Execute(op mlOp) int64 {
+	if op.kind == 3 {
+		c.applied = append(c.applied, op.delta)
+	}
+	return c.mlCrossCells.Execute(op)
+}
+
+// parkingObserver parks a helper in Help, which helpLaggards calls after it
+// has released the helped replica's write lock and before it runs the cross
+// applier, until the test resumes it.
+type parkingObserver struct {
+	obs.Nop
+	parked, resume chan struct{}
+}
+
+func (o *parkingObserver) Help(int, int) {
+	o.parked <- struct{}{}
+	<-o.resume
+}
+
+// TestCrossTicketIsTheReplicasNext pins the implicit cross ticket: log
+// entries do not store it, and a replayer that meets a barrier takes its
+// replica's crossDone+1 while it still holds that log's write lock. On a
+// 3-log instance, node 1's combiner catching up, an elected reader
+// refreshing and a helper each meet ticket t's barrier (in log 1 or 2)
+// while ticket t is being applied on node 1's replica: the test holds the
+// replica's cross applier and log 0's write lock, as an applier does while
+// it waits for log 1's, until the path has released its log and waits on
+// the applier; then it applies t. The helper stays parked past its unlock
+// until t is applied, so a helper that read the ticket after the unlock
+// would wait for t+1, which never comes. Every replica must apply tickets
+// 1..n once each, in order.
+func TestCrossTicketIsTheReplicasNext(t *testing.T) {
+	const m, rounds = 3, 9
+	waittest.Deadline(t)
+	o := &parkingObserver{parked: make(chan struct{}), resume: make(chan struct{})}
+	inst, err := New(func() Sequential[mlOp, int64] {
+		return &mlTicketCells{mlCrossCells: mlCrossCells{mlCells{cells: make([]int64, m)}}}
+	}, Options{Topology: topology.New(2, 2, 1), Logs: m, LogMapper: crossCellsMapper, Observer: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, h1 := registerCross(t, inst, 0), registerCross(t, inst, 1)
+	r := inst.replicas[1]
+	var want [m]int64
+	var tickets []int64
+	for tk := int64(1); tk <= rounds; tk++ {
+		path := [3]string{"combiner", "reader-refresh", "helper"}[(tk-1)%3]
+		c := 1 + int(tk%2)
+		if path == "helper" {
+			// An entry before the barrier, so the helper replays one and
+			// reports it through Help.
+			h0.Execute(mlOp{kind: 0, class: c, delta: 1})
+			want[c]++
+		}
+		h0.Execute(mlOp{kind: 3, delta: tk}) // ticket tk; node 1's replica lags it
+		for k := range want {
+			want[k] += tk
+		}
+		tickets = append(tickets, tk)
+
+		r.crossApply.Lock()
+		r.logs[0].rw.Lock()
+		acquires := r.logs[c].rw.WriterAcquires()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			switch path {
+			case "combiner":
+				if got := h1.Execute(mlOp{kind: 0, class: c, delta: 1}); got != want[c]+1 {
+					t.Errorf("ticket %d: class-%d add behind the barrier = %d, want %d", tk, c, got, want[c]+1)
+				}
+			case "reader-refresh":
+				if got := h1.Execute(mlOp{kind: 1, class: c}); got != want[c] {
+					t.Errorf("ticket %d: class-%d read behind the barrier = %d, want %d", tk, c, got, want[c])
+				}
+			case "helper":
+				inst.helpLaggards(inst.replicas[0], c, inst.logs[c].Completed(), nil)
+			}
+		}()
+		if path == "helper" {
+			<-o.parked
+		} else {
+			// The path took log c's write lock, met the barrier and let go.
+			for r.logs[c].rw.WriterAcquires() == acquires || !r.logs[c].rw.TryLock() {
+				runtime.Gosched()
+			}
+			r.logs[c].rw.Unlock()
+		}
+		if got := r.crossDone.Load(); got != uint64(tk-1) {
+			t.Errorf("%s on log %d: crossDone = %d before ticket %d was applied, want %d", path, c, got, tk, tk-1)
+		}
+		r.logs[0].rw.Unlock()
+		inst.applyCross(r, uint64(tk), nil)
+		r.crossApply.Unlock()
+		if path == "helper" {
+			o.resume <- struct{}{}
+		}
+		<-done
+		if path == "combiner" {
+			want[c]++
+		}
+	}
+	for n := 0; n < inst.Replicas(); n++ {
+		inst.InspectReplica(n, func(ds Sequential[mlOp, int64]) {
+			d := ds.(*mlTicketCells)
+			if !slices.Equal(d.applied, tickets) {
+				t.Errorf("replica %d applied cross tickets %v, want %v", n, d.applied, tickets)
+			}
+			if !slices.Equal(d.cells, want[:]) {
+				t.Errorf("replica %d holds %v, want %v", n, d.cells, want)
+			}
 		})
 	}
 }

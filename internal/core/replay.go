@@ -4,17 +4,17 @@ import "github.com/asplos17/nr/internal/trace"
 
 // applyEntry executes log c's entry at absolute index idx against r — with
 // panic containment, so a poisonous op advances localTail like any other —
-// and, if the entry originated on r's node with a response slot, delivers
-// the outcome (value or error). Callers have already ruled out barrier and
-// cross entries (refreshTo stops at them; cross.go applies them).
+// and, if the entry originated on r's node, delivers the outcome (value or
+// error) to its slot. Callers have already ruled out barrier and cross
+// entries (refreshTo stops at them; cross.go applies them).
 func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry[O], ring *trace.Ring) {
 	res, err := i.safeExecute(r, c, e.op, idx)
 	i.deliver(r, c, idx, e, res, err, ring)
 }
 
 // deliver hands the outcome of log c's entry at idx, just executed against
-// r, to its submitter's slot if the entry originated on r's node with a
-// response slot, and records a contained panic either way.
+// r, to its submitter's slot if the entry's tag names r's node, and records
+// a contained panic either way.
 //
 // Per-entry trace events are recorded only for the replay that DELIVERS a
 // response, and only for a sampled op (a cross-class op always is), plus any
@@ -24,16 +24,16 @@ func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry
 // visible through the aggregate events (KReaderRefresh, KHelp,
 // KCombineEnd).
 func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O], res R, err error, ring *trace.Ring) {
-	if e.slot >= 0 && e.node == r.id {
-		tok := trace.TokenWithLog(c, int(e.node), int(e.slot), e.seq)
-		sampled := ring != nil && (e.kind == entryCross || i.sampled(e.seq))
+	if node, slot, seq := trace.TokenParts(e.tag); node == int(r.id) {
+		tok := e.token(c)
+		sampled := ring != nil && (e.kind() == entryCross || i.sampled(seq))
 		if sampled {
 			ring.Record(trace.KReplay, int(r.id), idx, tok)
 		}
 		if err != nil {
 			ring.Record(trace.KPanic, int(r.id), idx, tok)
 		}
-		s := &r.slots[e.slot]
+		s := &r.slots[slot]
 		s.resp, s.err = res, err
 		s.state.Store(slotDone)
 		if sampled {
@@ -49,7 +49,8 @@ func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O]
 // entry (§5.3) — or at a cross-log barrier/cross entry, whose ticket it
 // returns (0 otherwise): the caller must release the replica lock and run
 // the cross applier (advanceCrossTo) before replaying further. Caller
-// holds (r, c)'s write-side lock.
+// holds (r, c)'s write-side lock, which keeps crossDone still while the
+// ticket is read (nextTicket).
 func (i *Instance[O, R]) refreshTo(r *replica[O, R], c int, to uint64, ring *trace.Ring) uint64 {
 	lg := &r.logs[c]
 	for idx := lg.localTail.Load(); idx < to; idx++ {
@@ -57,8 +58,8 @@ func (i *Instance[O, R]) refreshTo(r *replica[O, R], c int, to uint64, ring *tra
 		if !ok {
 			return 0
 		}
-		if e.kind != entryOp {
-			return e.ticket
+		if e.kind() != entryOp {
+			return r.nextTicket()
 		}
 		i.applyEntry(r, c, idx, e, ring)
 		lg.localTail.Store(idx + 1)
@@ -106,8 +107,8 @@ func (i *Instance[O, R]) quiesceReplica(r *replica[O, R]) {
 			lg.rw.Lock()
 			for idx := lg.localTail.Load(); idx < to; idx++ {
 				e := i.logs[c].WaitGet(idx)
-				if e.kind != entryOp {
-					blocked = e.ticket
+				if e.kind() != entryOp {
+					blocked = r.nextTicket()
 					break
 				}
 				i.applyEntry(r, c, idx, e, nil)

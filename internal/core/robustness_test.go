@@ -282,7 +282,7 @@ func TestTagDeliversContainedPanic(t *testing.T) {
 	if !ok {
 		t.Fatal("empty log refused a reservation")
 	}
-	inst.logs[0].Fill(idx, entry[bombOp]{op: bombOp{Key: -3, Delta: 2}, node: r.id, slot: int32(h.slot), seq: 7})
+	inst.logs[0].Fill(idx, entry[bombOp]{op: bombOp{Key: -3, Delta: 2}, tag: opTag(entryOp, int(r.id), h.slot, 7)})
 
 	ring := rec.AcquireRing()
 	r.logs[0].rw.Lock()

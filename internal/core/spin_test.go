@@ -63,7 +63,8 @@ func TestSpinWaitsDoNotAllocate(t *testing.T) {
 			idx := inst.logs[0].Reserve(1)
 			turn <- struct{}{}
 			runtime.Gosched() // the op reserves behind the hole and yields on it
-			inst.logs[0].Fill(idx, entry[ctrOp]{op: ctrInc, node: 0, slot: -1})
+			// Tagged for node 2, which does not exist: no replica answers it.
+			inst.logs[0].Fill(idx, entry[ctrOp]{op: ctrInc, tag: opTag(entryOp, 2, 0, 0)})
 		}
 		<-done
 		runtime.ReadMemStats(&after)

@@ -7,7 +7,7 @@ import (
 
 // TestEntryLayout pins a log cell at its natural size, the op plus the
 // 8-byte marker with no pad (see entry for why). The cell NR really logs,
-// core's entry with its response tag, is pinned by core's TestEntryLogCell.
+// core's entry with its tag word, is pinned by core's TestEntryLogCell.
 func TestEntryLayout(t *testing.T) {
 	if size := unsafe.Sizeof(entry[int64]{}); size != 16 {
 		t.Errorf("entry[int64] size = %d, want 16 (op 8 + marker 8, unpadded)", size)

@@ -1,10 +1,11 @@
 // Package miniredis is a small in-memory storage server in the style of
 // Redis, built for the paper's macro-benchmark (§8.3): sorted sets backed by
-// a hash table plus a skip list, updated atomically per request, behind a
-// bounded pool of registered executors and a RESP wire protocol. The entire
-// keyspace is a single sequential structure (ds.HashMap of values) made
-// concurrent through NR or any of the baseline methods — the "coupled data
-// structures" case of §6 that lock-free algorithms cannot compose.
+// a hash map plus an order-statistic B+tree (ds.SortedSet), updated
+// atomically per request, behind a bounded pool of registered executors and
+// a RESP wire protocol. The entire keyspace is a single sequential structure
+// (ds.HashMap of values) made concurrent through NR or any of the baseline
+// methods — the "coupled data structures" case of §6 that lock-free
+// algorithms cannot compose.
 package miniredis
 
 import (

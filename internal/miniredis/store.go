@@ -29,8 +29,8 @@ const (
 
 // StoreOp is one operation on the whole keyspace. It is the black-box op
 // type NR logs and replays. The two one-byte fields come last so they share
-// the tail word: 64 bytes, and a 96-byte log cell once core's response tag
-// and the log's marker are added (TestStoreOpLogCell).
+// the tail word: 64 bytes, and an 80-byte log cell once core's 8-byte entry
+// tag and the log's marker are added (TestStoreOpLogCell).
 type StoreOp struct {
 	Key        string
 	Member     string

@@ -283,8 +283,9 @@ func TestParseZRangeBoundOverflow(t *testing.T) {
 }
 
 // TestStoreOpLogCell pins the server's op at 64 bytes and its log cell at
-// 96: StoreOp plus core's 24-byte response tag plus the log's 8-byte marker,
-// with no pad (the cell was 152 bytes with a 48-byte pad and a 72-byte op).
+// 80: StoreOp plus core's 8-byte entry tag plus the log's 8-byte marker,
+// with no pad (the cell was 96 bytes with a 24-byte response tag, and 152
+// with a 48-byte pad and a 72-byte op before that).
 func TestStoreOpLogCell(t *testing.T) {
 	if size := unsafe.Sizeof(StoreOp{}); size != 64 {
 		t.Errorf("StoreOp size = %d, want 64 (Cmd and WithScores share the tail word)", size)
@@ -295,8 +296,8 @@ func TestStoreOpLogCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	if cell := inst.MemoryBytes() / entries; cell != 96 {
-		t.Errorf("log cell of StoreOp = %d bytes, want 96", cell)
+	if cell := inst.MemoryBytes() / entries; cell != 80 {
+		t.Errorf("log cell of StoreOp = %d bytes, want 80", cell)
 	}
 }
 

@@ -419,8 +419,8 @@ func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
 // MemoryBytes reports the shared logs' footprint plus, for replicas whose
 // sequential structure implements interface{ MemoryBytes() uint64 }, the
 // replicas' footprints. For a structure without that method it is the logs
-// alone: one cell per log entry, the op plus 32 bytes of response tag and
-// marker for an op of 8-byte alignment.
+// alone: one cell per log entry, the op plus 16 bytes (an 8-byte tag word
+// and the log's 8-byte marker) for an op of 8-byte alignment.
 func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
 
 // Quiesce brings every replica up to date with all completed operations —
