@@ -156,43 +156,33 @@ func TestIntegration_EveryShippedStructureUnderNR(t *testing.T) {
 		})
 	})
 
-	// Two dictionaries behind one op type: swapping the constructor is the
-	// whole port (the black-box claim). Keys are few enough that deletes hit
-	// absent keys, which FastPathDict serves through TryReadOnly (§6).
-	dictOp := func(rng *workload.RNG) ds.DictOp {
-		k := int64(rng.Intn(300))
-		switch rng.Intn(4) {
-		case 0:
-			return ds.DictOp{Kind: ds.DictInsert, Key: k, Value: rng.Next()}
-		case 1, 2:
-			return ds.DictOp{Kind: ds.DictDelete, Key: k}
+	// Keys are few enough that deletes hit absent keys as well as present
+	// ones.
+	t.Run("skiplist-dict", func(t *testing.T) {
+		inst, err := nr.New(func() nr.Sequential[ds.DictOp, ds.DictResult] {
+			return ds.NewSkipListDict(5)
+		}, cfg...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return ds.DictOp{Kind: ds.DictLookup, Key: k}
-	}
-	for _, d := range []struct {
-		name   string
-		create func() nr.Sequential[ds.DictOp, ds.DictResult]
-	}{
-		{"skiplist-dict", func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewSkipListDict(5) }},
-		{"fastpath-dict", func() nr.Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(5) }},
-	} {
-		t.Run(d.name, func(t *testing.T) {
-			inst, err := nr.New(d.create, cfg...)
-			if err != nil {
-				t.Fatal(err)
+		driveAndCompare(t, inst, func(rng *workload.RNG) ds.DictOp {
+			k := int64(rng.Intn(300))
+			switch rng.Intn(4) {
+			case 0:
+				return ds.DictOp{Kind: ds.DictInsert, Key: k, Value: rng.Next()}
+			case 1, 2:
+				return ds.DictOp{Kind: ds.DictDelete, Key: k}
 			}
-			driveAndCompare(t, inst, dictOp, func(s nr.Sequential[ds.DictOp, ds.DictResult]) string {
-				var b strings.Builder
-				s.(interface {
-					Range(func(int64, uint64) bool)
-				}).Range(func(k int64, v uint64) bool {
-					fmt.Fprintf(&b, "%d=%d ", k, v)
-					return true
-				})
-				return b.String()
+			return ds.DictOp{Kind: ds.DictLookup, Key: k}
+		}, func(s nr.Sequential[ds.DictOp, ds.DictResult]) string {
+			var b strings.Builder
+			s.(*ds.SkipListDict).Range(func(k int64, v uint64) bool {
+				fmt.Fprintf(&b, "%d=%d ", k, v)
+				return true
 			})
+			return b.String()
 		})
-	}
+	})
 
 	t.Run("miniredis-store", func(t *testing.T) {
 		inst, err := nr.New(func() nr.Sequential[miniredis.StoreOp, miniredis.StoreResult] {

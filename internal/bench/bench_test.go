@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/asplos17/nr/internal/sim"
 	"github.com/asplos17/nr/internal/topology"
 )
 
@@ -191,4 +192,20 @@ func TestMethodSetUnknownPanics(t *testing.T) {
 		}
 	}()
 	methodSet("XYZ")
+}
+
+// TestSizeShape_NRLeadsBeyondL3 pins §8.2.3's size sweep at its last point:
+// at n = 1M lines a shared structure no longer fits one node's L3 while
+// NR's per-node replica still pays only its own share, so NR stays on top.
+// FC is the best of the others there (results/nrbench_all.txt).
+func TestSizeShape_NRLeadsBeyondL3(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	r := sim.Run{Threads: cfg.Topo.TotalThreads(), OpsPerThread: 100, UpdatePermille: 1000}
+	var got [2]float64
+	for k, m := range methodSet("NR", "FC") {
+		got[k] = m.run(sim.New(cfg.Topo, cfg.Cost), Synthetic(1000000, 8), r).OpsPerUs()
+	}
+	if got[0] <= got[1] {
+		t.Errorf("n=1M: NR %.2f ops/us, FC %.2f; want NR ahead", got[0], got[1])
+	}
 }

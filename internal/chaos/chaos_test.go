@@ -81,20 +81,18 @@ func TestGoroutineDeath(t *testing.T) {
 	})
 }
 
-// TestEverythingAtOnce composes all four fault types with dedicated
-// combiners on a pressured log.
+// TestEverythingAtOnce composes all four fault types on a pressured log.
 func TestEverythingAtOnce(t *testing.T) {
 	runAndCheck(t, Schedule{
 		Nodes: 2, CoresPerNode: 10,
-		Threads:            6,
-		OpsPerThread:       150,
-		LogEntries:         32,
-		PanicEveryN:        13,
-		StallEveryN:        40,
-		StallFor:           2 * time.Millisecond,
-		StallThreshold:     time.Millisecond,
-		AbandonEveryN:      60,
-		DedicatedCombiners: true,
+		Threads:        6,
+		OpsPerThread:   150,
+		LogEntries:     32,
+		PanicEveryN:    13,
+		StallEveryN:    40,
+		StallFor:       2 * time.Millisecond,
+		StallThreshold: time.Millisecond,
+		AbandonEveryN:  60,
 	})
 }
 

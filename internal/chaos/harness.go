@@ -46,8 +46,6 @@ type Schedule struct {
 	// ReadFraction is the percentage [0,100] of well-behaved ops that are
 	// reads (default 30).
 	ReadFraction int
-	// DedicatedCombiners mirrors core.Options.
-	DedicatedCombiners bool
 	// StallThreshold enables the core watchdog (default 1ms when
 	// StallEveryN > 0, else off).
 	StallThreshold time.Duration
@@ -146,13 +144,12 @@ func Run(s Schedule) (*Report, error) {
 	inst, err := core.New[Op, Result](
 		s.newDS(),
 		core.Options{
-			Topology:           topology.New(s.Nodes, s.CoresPerNode, 1),
-			LogEntries:         s.LogEntries,
-			Logs:               s.Logs,
-			LogMapper:          s.logMapper(),
-			DedicatedCombiners: s.DedicatedCombiners,
-			StallThreshold:     s.StallThreshold,
-			Trace:              rec,
+			Topology:       topology.New(s.Nodes, s.CoresPerNode, 1),
+			LogEntries:     s.LogEntries,
+			Logs:           s.Logs,
+			LogMapper:      s.logMapper(),
+			StallThreshold: s.StallThreshold,
+			Trace:          rec,
 		})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: building instance: %w", err)
@@ -164,7 +161,7 @@ func Run(s Schedule) (*Report, error) {
 	}
 	if !errors.Is(err, ErrDeadlock) {
 		// A deadlocked instance is left open: Close would wait for its
-		// dedicated combiners, which are stuck with the rest.
+		// watchdog, which may be stuck helping with the rest.
 		inst.Close()
 	}
 	return rep, err

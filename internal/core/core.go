@@ -117,13 +117,6 @@ type Options struct {
 	// it against the instance's operation type.
 	LogMapper any
 
-	// DedicatedCombiners starts one background goroutine per node that
-	// keeps the node's replica fresh even when its threads are idle — the
-	// optional optimization of §4 and the paper's own suggested fix for
-	// the inactive-replica problem (§6). Instances with dedicated
-	// combiners must be Closed.
-	DedicatedCombiners bool
-
 	// StallThreshold, when positive, starts a watchdog goroutine that flags
 	// any combiner lock held longer than this (a stalled or preempted
 	// combiner, the §6 hazard), counts it in Stats.Stalls, reports it via
@@ -567,16 +560,8 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 		}
 		inst.replicas = append(inst.replicas, r)
 	}
-	if opts.DedicatedCombiners || opts.StallThreshold > 0 {
-		inst.stop = make(chan struct{})
-	}
-	if opts.DedicatedCombiners {
-		for _, r := range inst.replicas {
-			inst.stopWG.Add(1)
-			go inst.dedicatedCombiner(r)
-		}
-	}
 	if opts.StallThreshold > 0 {
+		inst.stop = make(chan struct{})
 		inst.stopWG.Add(1)
 		go inst.watchdog()
 	}
@@ -604,41 +589,8 @@ func (i *Instance[O, R]) opClass(op O) int {
 	return c
 }
 
-// dedicatedCombiner keeps one replica fresh in the background (§4, §6),
-// cycling over every log. It takes the node's per-log combiner lock so it
-// can never race an active combiner's batch, then replays completed entries
-// like any combining round would.
-func (i *Instance[O, R]) dedicatedCombiner(r *replica[O, R]) {
-	defer i.stopWG.Done()
-	ring := i.rec.AcquireRing()
-	for {
-		select {
-		case <-i.stop:
-			return
-		default:
-		}
-		worked := false
-		for c := range i.logs {
-			lg := &r.logs[c]
-			if to := i.logs[c].Completed(); to > lg.localTail.Load() {
-				if lg.combinerLock.TryLock() {
-					if to := i.logs[c].Completed(); to > lg.localTail.Load() {
-						i.refreshOwn(r, c, to, ring)
-						worked = true
-					}
-					lg.combinerLock.Unlock()
-				}
-			}
-		}
-		if !worked {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-}
-
-// Close stops the dedicated combiners and the stall watchdog, if any. The
-// instance remains usable for operations; Close only ends the background
-// goroutines. It is idempotent.
+// Close stops the stall watchdog, if any. The instance remains usable for
+// operations; Close only ends the background goroutine. It is idempotent.
 func (i *Instance[O, R]) Close() {
 	if i.stop == nil || !i.closed.CompareAndSwap(false, true) {
 		return
@@ -690,23 +642,6 @@ func (h *Handle[O, R]) token() uint64 {
 // before the handle's first operation.
 func (h *Handle[O, R]) LastToken() uint64 { return h.token() }
 
-// ErrClosed is reported (wrapped, via errors.Is) by Register and
-// RegisterOnNode after Close on an instance configured with dedicated
-// combiners: a fresh handle could land on a node none of whose threads are
-// active, and with the dedicated combiners gone that node's replica may
-// never drain the log again, eventually wedging every appender (§6). The
-// refusal is sticky — the dedicated combiners do not come back.
-var ErrClosed = errors.New("core: instance closed")
-
-// registerableLocked reports whether handing out new handles is still
-// sound; callers hold i.mu.
-func (i *Instance[O, R]) registerableLocked() error {
-	if i.opts.DedicatedCombiners && i.closed.Load() {
-		return fmt.Errorf("%w: dedicated combiners stopped, a new handle's node might never drain", ErrClosed)
-	}
-	return nil
-}
-
 // newHandle builds a handle bound to (node, slot); callers hold i.mu.
 func (i *Instance[O, R]) newHandle(node, slot, thread int) *Handle[O, R] {
 	h := &Handle[O, R]{inst: i, node: node, slot: slot, thread: thread, ring: i.rec.AcquireRing()}
@@ -723,9 +658,6 @@ func (i *Instance[O, R]) newHandle(node, slot, thread int) *Handle[O, R] {
 func (i *Instance[O, R]) Register() (*Handle[O, R], error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if err := i.registerableLocked(); err != nil {
-		return nil, err
-	}
 	total := i.opts.Topology.TotalThreads()
 	for i.place.Assigned() < total {
 		thread, node := i.place.Next()
@@ -754,9 +686,6 @@ func (i *Instance[O, R]) Register() (*Handle[O, R], error) {
 func (i *Instance[O, R]) RegisterOnNode(node int) (*Handle[O, R], error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if err := i.registerableLocked(); err != nil {
-		return nil, err
-	}
 	if node < 0 || node >= len(i.replicas) {
 		return nil, fmt.Errorf("core: node %d out of range [0,%d)", node, len(i.replicas))
 	}
@@ -774,17 +703,6 @@ func (h *Handle[O, R]) Node() int { return h.node }
 
 // Thread returns the logical thread id (-1 for explicit-node registration).
 func (h *Handle[O, R]) Thread() int { return h.thread }
-
-// FakeUpdater is optionally implemented by sequential structures some of
-// whose update operations frequently turn out to be no-ops (§6 "fake update
-// operations": a remove of a non-existent key, an insert of a present one).
-// TryReadOnly must behave like a read: no side effects. When it reports
-// done=true, its result is the operation's result and NR served it on the
-// cheap read path; otherwise NR falls back to the normal update path, which
-// re-evaluates the operation from scratch.
-type FakeUpdater[O, R any] interface {
-	TryReadOnly(op O) (resp R, done bool)
-}
 
 // stats builds the counter slice of the Metrics snapshot.
 func (i *Instance[O, R]) stats() Stats {

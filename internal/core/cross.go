@@ -194,7 +194,7 @@ func (i *Instance[O, R]) readOnlyCross(h *Handle[O, R], op O) (R, error) {
 		r.logs[c].rw.RLock(h.slot) // index order across one replica's logs
 	}
 	h.ring.Record(trace.KRLock, h.node, h.token(), 0)
-	resp, _, err := i.safeRead(r, op, false)
+	resp, err := i.safeRead(r, op)
 	for c := len(i.logs) - 1; c >= 0; c-- {
 		r.logs[c].rw.RUnlock(h.slot)
 	}

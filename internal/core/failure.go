@@ -3,9 +3,8 @@
 // The paper's protocol assumes Sequential.Execute always returns. §6 concedes
 // the weakest point of the design: a thread that stops making progress
 // mid-protocol — in particular a combiner — blocks its node and, once the log
-// fills, every appender. The seed already defends against *idle* nodes
-// (inactive-replica helping, dedicated combiners); this file defends against
-// the two remaining hazards:
+// fills, every appender. Inactive-replica helping (combine.go) defends
+// against *idle* nodes; this file defends against the two remaining hazards:
 //
 //   - User code that panics. Every site that runs user Execute does so
 //     through safeExecute/safeRead, which convert a panic into a *PanicError
@@ -75,7 +74,7 @@ var ErrPoisoned = errors.New("core: instance poisoned by non-deterministic Seque
 // PanicError is the outcome of an operation whose Sequential.Execute
 // panicked. It is delivered to the submitting thread through TryExecute (or
 // re-raised by Execute) regardless of which thread — combiner, helper,
-// reader, dedicated combiner — actually ran the operation.
+// reader — actually ran the operation.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -242,30 +241,19 @@ func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op O, idx uint64
 	return resp, nil
 }
 
-// safeRead runs op on the read path against r's structure — through
-// FakeUpdater.TryReadOnly when fake is set, plain Execute otherwise — with
-// panic containment; the replica lock held by the caller is released
-// normally on the contained path. A panic reports done=true so the caller
-// does not retry the operation on the update path.
-func (i *Instance[O, R]) safeRead(r *replica[O, R], op O, fake bool) (resp R, done bool, err error) {
+// safeRead runs op on the read path against r's structure with panic
+// containment; the replica lock held by the caller is released normally on
+// the contained path.
+func (i *Instance[O, R]) safeRead(r *replica[O, R], op O) (resp R, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			i.panics.Add(1)
 			i.observer.PanicContained(int(r.id), noIndex)
 			i.rec.AutoDump("panic")
 			err = &PanicError{Value: p, Stack: string(debug.Stack()), Index: noIndex}
-			done = true
 		}
 	}()
-	if fake {
-		fu, ok := r.ds.(FakeUpdater[O, R])
-		if !ok {
-			return resp, false, nil
-		}
-		resp, done = fu.TryReadOnly(op)
-		return resp, done, nil
-	}
-	return r.ds.Execute(op), true, nil
+	return r.ds.Execute(op), nil
 }
 
 // health builds the failure-state slice of the Metrics snapshot.

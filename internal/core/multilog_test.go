@@ -344,7 +344,7 @@ func newCrossCells(t *testing.T, m int, opts Options) *Instance[mlOp, int64] {
 
 // TestCrossBarrierOnEveryReplayPath drives each path that can meet a
 // cross-log barrier on a replica lagging it — a combiner catching up, an
-// elected reader refreshing, a quiesce, a dedicated combiner, an appender
+// elected reader refreshing, a quiesce, an appender
 // draining its own replica on a full log, and a helper on a full log — and
 // checks that the lagging replica applies the cross op. Each path must
 // release its replica writer lock before it runs the cross applier, which
@@ -386,14 +386,6 @@ func TestCrossBarrierOnEveryReplayPath(t *testing.T) {
 	t.Run("quiesce", func(t *testing.T) {
 		inst, _ := setup(t, Options{}, 0)
 		inst.Quiesce()
-		holds(t, inst, 1, 5, 5)
-	})
-	t.Run("dedicated-combiner", func(t *testing.T) {
-		inst, _ := setup(t, Options{DedicatedCombiners: true}, 0)
-		defer inst.Close()
-		for inst.replicas[1].crossDone.Load() < 1 {
-			runtime.Gosched()
-		}
 		holds(t, inst, 1, 5, 5)
 	})
 	// On a full log: node 1 fills log 1 behind the barrier that node 0's

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/asplos17/nr/internal/ds"
 	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/trace"
@@ -86,8 +85,7 @@ func sampledOps(n int, read func(k int) bool) (reads, updates uint64) {
 // recording observer attached and checks that the event stream and the
 // instance's Stats counters tell the same story: round and rare events
 // match their counters exactly, and OpDone fires for exactly the sampled
-// ops of each class (the counter structure has no FakeUpdater, so every op
-// keeps its class).
+// ops of each class.
 func TestObserverReconcilesWithStats(t *testing.T) {
 	rec := &recordingObserver{}
 	inst := newCounterInstance(t, Options{
@@ -501,8 +499,8 @@ func sumDist(t *testing.T, n obs.NodeSnapshot) uint64 {
 // allocation — the read and the combined update, and, on one goroutine and
 // deterministically, the paths that need a second node or a full log: a
 // combiner replaying another node's entries first, a full log drained by
-// helping the idle node, a FakeUpdater's read fast path, and a multi-log
-// instance routing through its mapper.
+// helping the idle node, and a multi-log instance routing through its
+// mapper.
 func TestNoObserverHotPathDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -540,24 +538,6 @@ func TestNoObserverHotPathDoesNotAllocate(t *testing.T) {
 				}
 			}, inst.Stats
 		}, reached: func(before, after Stats) bool { return after.HelpedEntries > before.HelpedEntries }},
-		{name: "fake-update", setup: func(t *testing.T) (func(), func() Stats) {
-			// Deleting an absent key is resolved on the read path (safeRead
-			// through FakeUpdater.TryReadOnly) and never logged.
-			waittest.Deadline(t)
-			inst, err := New[ds.DictOp, ds.DictResult](
-				func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(5) }, smallTopo())
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := inst.Register()
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Execute(ds.DictOp{Kind: ds.DictInsert, Key: 1, Value: 1})
-			return func() { h.Execute(ds.DictOp{Kind: ds.DictDelete, Key: 2}) }, inst.Stats
-		}, reached: func(before, after Stats) bool {
-			return after.UpdateOps == before.UpdateOps && after.ReadOps > before.ReadOps
-		}},
 		{name: "multi-log", setup: func(t *testing.T) (func(), func() Stats) {
 			// Two logs and a mapper: opClass routes each op to its class.
 			inst := newMultiLog(t, 2, Options{Topology: topology.New(2, 2, 1), LogEntries: 256})

@@ -97,10 +97,7 @@ func (i *Instance[O, R]) dispatchLabeled(h *Handle[O, R], c int, op O) (resp R, 
 }
 
 // dispatch routes op to the read or update path of its conflict class c and
-// reports which class served it: ops a FakeUpdater resolved without logging
-// count as reads, matching the Stats.ReadOps accounting. Each op is counted
-// exactly once, in the class that actually served it — a fake update that
-// fails its read-path attempt counts only as an update, so
+// reports which class served it. Each op is counted exactly once, so
 // ReadOps+UpdateOps always equals the number of ops executed, and a sampled
 // op's OpDone carries the same class.
 func (i *Instance[O, R]) dispatch(h *Handle[O, R], c int, op O) (R, obs.OpClass, error) {
@@ -116,22 +113,8 @@ func (i *Instance[O, R]) dispatch(h *Handle[O, R], c int, op O) (R, obs.OpClass,
 			resp, err := i.readOnlyCross(h, op)
 			return resp, obs.OpRead, err
 		}
-		resp, _, err := i.readOnlyVia(h, c, op, false)
+		resp, err := i.readOnlyVia(h, c, op)
 		return resp, obs.OpRead, err
-	}
-	if _, ok := r.ds.(FakeUpdater[O, R]); ok && c != CrossLog {
-		// First attempt the operation as a read (§6). Linearizable: the
-		// no-op outcome is justified by the replica state at the read
-		// point; a false return falls through to the full update, which
-		// re-executes the operation atomically. A panic inside TryReadOnly
-		// is final (done=true): retrying on the update path would replay
-		// the panic into every replica. Cross-class updates skip the fast
-		// path — a consistent multi-class read needs every log's lock,
-		// costing more than the log append it would save.
-		if resp, done, err := i.readOnlyVia(h, c, op, true); done {
-			r.counters.readOps.Add(1)
-			return resp, obs.OpRead, err
-		}
 	}
 	r.counters.updateOps.Add(1)
 	if c == CrossLog {

@@ -47,12 +47,9 @@ func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c in
 // readOnlyVia is Algorithm 1's ReadOnly (§5.3) on conflict class c: wait
 // until the local replica reflects class c's completedTail as of the start
 // of the read, then run the operation locally under that class's read-side
-// lock — reads never wait on logs their class does not touch. With fake
-// set, the operation is attempted through the structure's
-// FakeUpdater.TryReadOnly instead of Execute (§6), and done reports whether
-// that resolved it. The body avoids closures so the read hot path does not
-// allocate.
-func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O, fake bool) (R, bool, error) {
+// lock — reads never wait on logs their class does not touch. The body
+// avoids closures so the read hot path does not allocate.
+func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O) (R, error) {
 	r := i.replicas[h.node]
 	lg := &r.logs[c]
 	readTail := i.logs[c].Completed()
@@ -76,7 +73,7 @@ func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O, fake bool) (R
 	} else {
 		lg.rw.RLock(h.slot)
 	}
-	resp, done, err := i.safeRead(r, op, fake)
+	resp, err := i.safeRead(r, op)
 	lg.rw.RUnlock(h.slot)
-	return resp, done, err
+	return resp, err
 }

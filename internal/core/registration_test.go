@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/waittest"
@@ -112,11 +113,20 @@ func TestConcurrentRegistrationExhaustion(t *testing.T) {
 	}
 }
 
-// TestDoubleCloseIsIdempotent: Close twice (and concurrently) on instances
-// with dedicated combiners and with a watchdog must not panic or hang.
+// TestCloseIdempotentAndOptional: Close may be called twice, and on an
+// instance with no background goroutine it is a no-op.
+func TestCloseIdempotentAndOptional(t *testing.T) {
+	with := newCounterInstance(t, Options{Topology: topology.New(2, 2, 1), LogEntries: 256, StallThreshold: time.Second})
+	with.Close()
+	with.Close() // second Close is a no-op
+	without := newCounterInstance(t, smallTopo())
+	without.Close() // Close without a watchdog is a no-op
+}
+
+// TestDoubleCloseIsIdempotent: Close twice (and concurrently) on an
+// instance with a watchdog must not panic or hang.
 func TestDoubleCloseIsIdempotent(t *testing.T) {
 	for _, opts := range []Options{
-		{Topology: topology.New(2, 2, 1), LogEntries: 64, DedicatedCombiners: true},
 		{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: 1e6},
 		{Topology: topology.New(2, 2, 1), LogEntries: 64}, // no background goroutines at all
 	} {
@@ -136,13 +146,13 @@ func TestDoubleCloseIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestHandleUsableAfterClose: Close only stops the background goroutines of
-// a DedicatedCombiners instance — existing handles keep executing reads and
-// updates correctly afterwards, per Close's documented contract.
+// TestHandleUsableAfterClose: Close only stops the watchdog goroutine —
+// existing handles keep executing reads and updates correctly afterwards,
+// per Close's documented contract.
 func TestHandleUsableAfterClose(t *testing.T) {
 	waittest.Deadline(t)
 	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, DedicatedCombiners: true})
+		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +164,8 @@ func TestHandleUsableAfterClose(t *testing.T) {
 		h.Execute(ctrInc)
 	}
 	inst.Close()
-	// The dedicated combiners are gone; the regular combining path must
-	// still serve updates and keep reads fresh.
+	// The watchdog is gone; the regular combining path must still serve
+	// updates and keep reads fresh.
 	for k := 0; k < 10; k++ {
 		if got := h.Execute(ctrInc); got != uint64(11+k) {
 			t.Fatalf("increment %d after Close returned %d", k, got)
@@ -166,42 +176,34 @@ func TestHandleUsableAfterClose(t *testing.T) {
 	}
 }
 
-// TestRegisterAfterCloseWithDedicatedCombiners: once Close stops the
-// dedicated combiners, both registration paths must refuse new handles with
-// a sticky ErrClosed — a fresh handle could land on a node with no active
-// threads, whose replica would then never drain the log again. Instances
-// without dedicated combiners are unaffected.
-func TestRegisterAfterCloseWithDedicatedCombiners(t *testing.T) {
+// TestRegisterAfterCloseSucceeds: Close does not gate registration on
+// either path, and the new handles execute — an idle node's replica is
+// drained by helping, not by a background goroutine Close could stop.
+func TestRegisterAfterCloseSucceeds(t *testing.T) {
 	waittest.Deadline(t)
 	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, DedicatedCombiners: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.Close()
-	for k := 0; k < 3; k++ { // sticky: every attempt fails the same way
-		if _, err := inst.Register(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("Register after Close: err = %v, want ErrClosed", err)
-		}
-		if _, err := inst.RegisterOnNode(0); !errors.Is(err, ErrClosed) {
-			t.Fatalf("RegisterOnNode after Close: err = %v, want ErrClosed", err)
-		}
-	}
-
-	// Close on an instance without dedicated combiners does not gate
-	// registration: there is no background drainer to lose.
-	plain, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
 		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.Close()
-	h, err := plain.Register()
+	inst.Close()
+	h, err := inst.Register()
 	if err != nil {
-		t.Fatalf("Register after Close without dedicated combiners: %v", err)
+		t.Fatalf("Register after Close: %v", err)
 	}
-	if got := h.Execute(ctrInc); got != 1 {
-		t.Errorf("op on post-Close handle = %d, want 1", got)
+	h1, err := inst.RegisterOnNode(1)
+	if err != nil {
+		t.Fatalf("RegisterOnNode after Close: %v", err)
+	}
+	// More updates than the log holds, all from one node: node 1's replica
+	// must still be drained for the log to wrap.
+	for k := 1; k <= 200; k++ {
+		if got := h.Execute(ctrInc); got != uint64(k) {
+			t.Fatalf("increment %d on post-Close handle = %d", k, got)
+		}
+	}
+	if got := h1.Execute(ctrRead); got != 200 {
+		t.Errorf("read on post-Close RegisterOnNode handle = %d, want 200", got)
 	}
 }
 

@@ -97,29 +97,12 @@ func (i *Instance[O, R]) refreshOwn(r *replica[O, R], c int, to uint64, ring *tr
 }
 
 // quiesceReplica brings one replica up to date with every log's completed
-// tail, applying cross-log barriers as it meets them.
+// tail, applying cross-log barriers as it meets them. Every entry below a
+// completed tail is filled (each combiner waits out its whole prefix before
+// advancing it), so refreshTo's hole stop never cuts the replay short.
 func (i *Instance[O, R]) quiesceReplica(r *replica[O, R]) {
 	for c := range i.logs {
-		to := i.logs[c].Completed()
-		for {
-			lg := &r.logs[c]
-			var blocked uint64
-			lg.rw.Lock()
-			for idx := lg.localTail.Load(); idx < to; idx++ {
-				e := i.logs[c].WaitGet(idx)
-				if e.kind() != entryOp {
-					blocked = r.nextTicket()
-					break
-				}
-				i.applyEntry(r, c, idx, e, nil)
-				lg.localTail.Store(idx + 1)
-			}
-			lg.rw.Unlock()
-			if blocked == 0 {
-				break
-			}
-			i.advanceCrossTo(r, blocked, nil)
-		}
+		i.refreshOwn(r, c, i.logs[c].Completed(), nil)
 	}
 }
 

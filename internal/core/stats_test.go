@@ -10,15 +10,14 @@ import (
 	"github.com/asplos17/nr/internal/waittest"
 )
 
-// TestStatsCountEachOpOnceDeterministic walks a FakeUpdater structure
-// through every dispatch outcome single-threaded and checks the per-class
-// counters after each op: a fake update that fails its read-path attempt
-// (delete of a present key) must count only as an update, never as both a
-// read and an update.
+// TestStatsCountEachOpOnceDeterministic walks a dictionary through reads
+// and updates single-threaded and checks the per-class counters after each
+// op: every op counts once, in its own class, whether or not it changed the
+// structure.
 func TestStatsCountEachOpOnceDeterministic(t *testing.T) {
 	waittest.Deadline(t)
 	inst, err := New[ds.DictOp, ds.DictResult](
-		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(3) },
+		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewSkipListDict(3) },
 		Options{Topology: topology.New(1, 2, 1), LogEntries: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -37,27 +36,24 @@ func TestStatsCountEachOpOnceDeterministic(t *testing.T) {
 	// Plain read.
 	h.Execute(ds.DictOp{Kind: ds.DictLookup, Key: 1})
 	check("lookup", 1, 0)
-	// Fake update resolved on the read path (delete of absent key).
+	// An update that changes nothing (delete of an absent key) is still
+	// an update.
 	h.Execute(ds.DictOp{Kind: ds.DictDelete, Key: 1})
-	check("no-op delete", 2, 0)
-	// Real update (insert has no fake fast path on this structure).
+	check("no-op delete", 1, 1)
 	h.Execute(ds.DictOp{Kind: ds.DictInsert, Key: 1, Value: 10})
-	check("insert", 2, 1)
-	// Fake update that FAILS its read-path attempt: the key exists, so
-	// TryReadOnly reports done=false and the op falls through to the log.
-	// Before the fix this op counted as one read AND one update.
+	check("insert", 1, 2)
 	h.Execute(ds.DictOp{Kind: ds.DictDelete, Key: 1})
-	check("real delete (fake fallthrough)", 2, 2)
+	check("real delete", 1, 3)
 }
 
-// TestStatsReadPlusUpdateEqualsOpsExecuted drives a fake-update-heavy
-// concurrent workload — a dense key range so deletes constantly flip between
-// the fast path (absent key) and the fallthrough (present key) — and asserts
-// ReadOps+UpdateOps equals exactly the number of operations executed.
+// TestStatsReadPlusUpdateEqualsOpsExecuted drives a delete-heavy concurrent
+// workload — a dense key range so deletes constantly flip between absent and
+// present keys — and asserts ReadOps+UpdateOps equals exactly the number of
+// operations executed.
 func TestStatsReadPlusUpdateEqualsOpsExecuted(t *testing.T) {
 	waittest.Deadline(t)
 	inst, err := New[ds.DictOp, ds.DictResult](
-		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewFastPathDict(11) },
+		func() Sequential[ds.DictOp, ds.DictResult] { return ds.NewSkipListDict(11) },
 		Options{Topology: topology.New(2, 2, 1), LogEntries: 128})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +79,7 @@ func TestStatsReadPlusUpdateEqualsOpsExecuted(t *testing.T) {
 					h.Execute(ds.DictOp{Kind: ds.DictLookup, Key: k})
 				case 1:
 					h.Execute(ds.DictOp{Kind: ds.DictInsert, Key: k, Value: rng})
-				default: // delete-heavy: exercises both fake-update outcomes
+				default: // delete-heavy: hits both absent and present keys
 					h.Execute(ds.DictOp{Kind: ds.DictDelete, Key: k})
 				}
 			}

@@ -292,11 +292,10 @@ func TestTraceRecorderAccessors(t *testing.T) {
 func TestMetricsSnapshotRacesClose(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 256})
 	opts := Options{
-		Topology:           topology.New(2, 2, 1),
-		LogEntries:         256,
-		DedicatedCombiners: true,
-		StallThreshold:     50 * time.Millisecond,
-		Trace:              rec,
+		Topology:       topology.New(2, 2, 1),
+		LogEntries:     256,
+		StallThreshold: 50 * time.Millisecond,
+		Trace:          rec,
 	}
 	mo := obs.NewMetrics(2)
 	opts.Observer = mo

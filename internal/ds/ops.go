@@ -235,28 +235,6 @@ func (d *PartitionedDict) Execute(op DictOp) DictResult {
 // IsReadOnly reports whether op is read-only.
 func (d *PartitionedDict) IsReadOnly(op DictOp) bool { return IsReadOnlyDict(op) }
 
-// FastPathDict wraps SkipListDict with the §6 "fake update" optimization:
-// a delete of an absent key is first attempted as a read, so workloads full
-// of no-op deletes skip the shared log entirely. TryReadOnly implements the
-// core.FakeUpdater fast path.
-type FastPathDict struct {
-	*SkipListDict
-}
-
-// NewFastPathDict returns a dictionary with the fake-update fast path.
-func NewFastPathDict(seed uint64) *FastPathDict {
-	return &FastPathDict{SkipListDict: NewSkipListDict(seed)}
-}
-
-// TryReadOnly serves updates that are provably no-ops from the local
-// replica. It must not modify the structure.
-func (d *FastPathDict) TryReadOnly(op DictOp) (DictResult, bool) {
-	if op.Kind == DictDelete && !d.sl.Contains(IntKey(op.Key)) {
-		return DictResult{OK: false}, true
-	}
-	return DictResult{}, false
-}
-
 // ZOpKind enumerates sorted-set operations.
 type ZOpKind uint8
 

@@ -224,9 +224,6 @@ func (s *SkipList[V]) Get(key Key) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether key is present.
-func (s *SkipList[V]) Contains(key Key) bool { return s.find(key) != nil }
-
 // Min returns the smallest key and its value without removing it.
 func (s *SkipList[V]) Min() (Key, V, bool) {
 	if n := s.head.next[0]; n != nil {

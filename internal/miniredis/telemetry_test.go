@@ -12,6 +12,7 @@ import (
 
 	nr "github.com/asplos17/nr"
 	"github.com/asplos17/nr/internal/obs/prom"
+	"github.com/asplos17/nr/internal/obs/prom/promtest"
 	"github.com/asplos17/nr/internal/obs/tsdb"
 	"github.com/asplos17/nr/internal/topology"
 )
@@ -125,7 +126,7 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 			t.Fatalf("%s: Content-Type = %q, want %q", req.name, ct, prom.ContentType)
 		}
 		text := rec.Body.String()
-		if err := prom.Lint(text); err != nil {
+		if err := promtest.Lint(text); err != nil {
 			t.Fatalf("%s: live exposition fails lint: %v\n%s", req.name, err, text)
 		}
 		for _, family := range []string{
@@ -157,7 +158,7 @@ func TestMetricsPrometheusBaseline(t *testing.T) {
 	rec := httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
 	text := rec.Body.String()
-	if err := prom.Lint(text); err != nil {
+	if err := promtest.Lint(text); err != nil {
 		t.Fatalf("baseline exposition fails lint: %v\n%s", err, text)
 	}
 	if !strings.Contains(text, "nrredis_uptime_seconds") {

@@ -46,8 +46,7 @@ import "time"
 type OpClass uint8
 
 const (
-	// OpRead is an operation served on the local-replica read path. This
-	// includes "fake updates" (§6) that a FakeUpdater resolved as reads.
+	// OpRead is an operation served on the local-replica read path.
 	OpRead OpClass = iota
 	// OpUpdate is an operation that went through the shared log.
 	OpUpdate

@@ -1,11 +1,12 @@
-// Lint: a hand-rolled structural validator for the exposition output. Not
-// a full openmetrics parser — it checks exactly the invariants a scraper
-// trips over: HELP/TYPE present before any sample of a family, no
-// duplicate series, histogram buckets cumulative-monotone with a +Inf
-// bucket equal to _count. CI runs it over the live /metrics output via the
-// golden test, so a family added without HELP or a broken bucket ladder
-// fails the build, not the first scrape.
-package prom
+// Package promtest holds Lint, a hand-rolled structural validator for the
+// Prometheus exposition that internal/obs/prom writes. Not a full
+// openmetrics parser — it checks exactly the invariants a scraper trips
+// over: HELP/TYPE present before any sample of a family, no duplicate
+// series, histogram buckets cumulative-monotone with a +Inf bucket equal
+// to _count. Tests run it over the golden exposition and the live /metrics
+// output, so a family added without HELP or a broken bucket ladder fails
+// the build, not the first scrape. Only tests import this package.
+package promtest
 
 import (
 	"fmt"
@@ -168,8 +169,11 @@ func Lint(text string) error {
 	return nil
 }
 
+// label is one parsed name="value" pair of a sample.
+type label struct{ name, value string }
+
 // parseSample splits one sample line into name, labels, value.
-func parseSample(line string) (string, []Label, float64, error) {
+func parseSample(line string) (string, []label, float64, error) {
 	rest := line
 	var name string
 	if i := strings.IndexAny(rest, "{ "); i < 0 {
@@ -178,7 +182,7 @@ func parseSample(line string) (string, []Label, float64, error) {
 		name = rest[:i]
 		rest = rest[i:]
 	}
-	var labels []Label
+	var labels []label
 	if strings.HasPrefix(rest, "{") {
 		end := strings.Index(rest, "}")
 		if end < 0 {
@@ -195,7 +199,7 @@ func parseSample(line string) (string, []Label, float64, error) {
 			if err != nil {
 				return "", nil, 0, fmt.Errorf("malformed label value %q", pair)
 			}
-			labels = append(labels, Label{Name: pair[:eq], Value: val})
+			labels = append(labels, label{name: pair[:eq], value: val})
 		}
 	}
 	rest = strings.TrimSpace(rest)
@@ -240,31 +244,31 @@ func splitLabels(body string) []string {
 	return out
 }
 
-func canonicalLabels(labels []Label) string {
+func canonicalLabels(labels []label) string {
 	parts := make([]string, 0, len(labels))
 	for _, l := range labels {
-		parts = append(parts, l.Name+"="+l.Value)
+		parts = append(parts, l.name+"="+l.value)
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
 }
 
-func canonicalLabelsExcept(labels []Label, skip string) string {
+func canonicalLabelsExcept(labels []label, skip string) string {
 	parts := make([]string, 0, len(labels))
 	for _, l := range labels {
-		if l.Name == skip {
+		if l.name == skip {
 			continue
 		}
-		parts = append(parts, l.Name+"="+l.Value)
+		parts = append(parts, l.name+"="+l.value)
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
 }
 
-func labelValue(labels []Label, name string) (string, bool) {
+func labelValue(labels []label, name string) (string, bool) {
 	for _, l := range labels {
-		if l.Name == name {
-			return l.Value, true
+		if l.name == name {
+			return l.value, true
 		}
 	}
 	return "", false

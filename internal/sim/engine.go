@@ -129,16 +129,18 @@ type Sim struct {
 	fault   any // panic payload from a model, rethrown in Run
 
 	capMissPermille uint64 // computed from L3Lines vs allocated lines
+	replicaLines    []int  // lines AllocReplica charged to each node
 }
 
 // New returns a simulator for the given machine.
 func New(topo topology.Topology, cost CostModel) *Sim {
 	return &Sim{
-		topo:    topo,
-		cost:    cost,
-		waiters: make(map[Addr][]waiter),
-		done:    make(chan struct{}),
-		missRng: 0x9e3779b97f4a7c15,
+		topo:         topo,
+		cost:         cost,
+		replicaLines: make([]int, topo.Nodes()),
+		waiters:      make(map[Addr][]waiter),
+		done:         make(chan struct{}),
+		missRng:      0x9e3779b97f4a7c15,
 	}
 }
 
@@ -155,6 +157,14 @@ func (s *Sim) Alloc(n int) Addr {
 	return Addr(base)
 }
 
+// AllocReplica is Alloc for lines that only node's threads touch, such as
+// NR's per-node replica: they count toward node's L3 footprint alone, where
+// Alloc's shared lines count toward every node's.
+func (s *Sim) AllocReplica(node, n int) Addr {
+	s.replicaLines[node] += n
+	return s.Alloc(n)
+}
+
 // Run starts one goroutine per body under the fill placement and drives
 // them in virtual-time order until all return. It returns the largest
 // virtual clock reached. Run panics if the models deadlock (all threads
@@ -167,12 +177,15 @@ func (s *Sim) Run(bodies []func(t *Thread)) uint64 {
 		panic(fmt.Sprintf("sim: %d threads exceed topology capacity %d", len(bodies), s.topo.TotalThreads()))
 	}
 	// Working set vs per-node L3: beyond capacity, that fraction of cache
-	// hits becomes DRAM accesses. Replicated structures count once per
-	// node, so per-node working set is roughly total lines / nodes for NR
-	// and the full set for shared structures; allocated lines already
-	// reflect that (NR allocates one replica per node).
+	// hits becomes DRAM accesses. A node's working set is every shared line
+	// plus its own replica lines; the largest one sets the miss rate.
 	if s.cost.L3Lines > 0 {
-		perNode := len(s.lines) / s.topo.Nodes()
+		shared, own := len(s.lines), 0
+		for _, n := range s.replicaLines {
+			shared -= n
+			own = max(own, n)
+		}
+		perNode := shared + own
 		if perNode > s.cost.L3Lines {
 			s.capMissPermille = uint64(1000 - 1000*s.cost.L3Lines/perNode)
 		} else {

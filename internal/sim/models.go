@@ -430,7 +430,7 @@ func RunNR(s *Sim, p Profile, r Run, o NROpts) Result {
 	rw := make([]RWLock, nodes)
 	slotOf := make([][]Addr, nodes)
 	for n := 0; n < nodes; n++ {
-		replica[n] = s.Alloc(p.NLines)
+		replica[n] = s.AllocReplica(n, p.NLines)
 		localTail[n] = s.Alloc(1)
 		combiner[n] = NewSpinLock(s)
 		refresher[n] = NewSpinLock(s)

@@ -338,8 +338,7 @@ func (c Config) minInterval() time.Duration {
 }
 
 // Recorder owns the ring set. One Recorder instruments one NR instance;
-// rings are handed to each registered handle and to background goroutines
-// (dedicated combiners, the watchdog).
+// rings are handed to each registered handle and to the stall watchdog.
 type Recorder struct {
 	cfg Config
 

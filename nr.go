@@ -56,7 +56,6 @@ type settings struct {
 	// 4×14×2.
 	nodes, coresPerNode, smt int
 	logEntries               int
-	dedicatedCombiners       bool
 	stallThreshold           time.Duration
 
 	logs          int
@@ -148,14 +147,6 @@ func WithLogEntries(n int) Option {
 	return func(s *settings) { s.logEntries = n }
 }
 
-// WithDedicatedCombiners starts one background goroutine per node that
-// keeps that node's replica fresh even when its threads are idle (§4, §6).
-// Instances built with it must be Closed; after Close, Register returns a
-// sticky ErrClosed (a fresh handle's node might never drain again).
-func WithDedicatedCombiners() Option {
-	return func(s *settings) { s.dedicatedCombiners = true }
-}
-
 // WithStallThreshold starts a watchdog that flags combiners holding their
 // lock longer than d (§6's stalled-thread hazard), surfacing them via
 // Metrics/Health while the helping path keeps the log draining. Instances
@@ -236,11 +227,6 @@ type PanicError = core.PanicError
 // "Failure model".
 var ErrPoisoned = core.ErrPoisoned
 
-// ErrClosed is reported (via errors.Is) by Register and RegisterOnNode
-// after Close on an instance built with dedicated combiners; see
-// WithDedicatedCombiners.
-var ErrClosed = core.ErrClosed
-
 // Instance is a replicated, linearizable version of a sequential structure:
 // one set of per-node replicas over one set of logs.
 type Instance[O, R any] struct {
@@ -261,11 +247,10 @@ type Handle[O, R any] struct {
 // it (nil without WithMetrics).
 func (s *settings) lower() (core.Options, *obs.Metrics) {
 	opts := core.Options{
-		LogEntries:         s.logEntries,
-		Logs:               s.logs,
-		LogMapper:          s.mapper,
-		DedicatedCombiners: s.dedicatedCombiners,
-		StallThreshold:     s.stallThreshold,
+		LogEntries:     s.logEntries,
+		Logs:           s.logs,
+		LogMapper:      s.mapper,
+		StallThreshold: s.stallThreshold,
 	}
 	nodes := 4 // the default Intel testbed
 	if s.nodes != 0 {
@@ -331,8 +316,7 @@ func New[O, R any](create func() Sequential[O, R], options ...Option) (*Instance
 
 // Register binds the calling goroutine to the next hardware-thread position
 // (filling one node before spilling to the next, the paper's placement).
-// It fails once every simulated hardware thread is taken, and with
-// ErrClosed after Close on a dedicated-combiners instance.
+// It fails once every simulated hardware thread is taken.
 func (i *Instance[O, R]) Register() (*Handle[O, R], error) {
 	h, err := i.inner.Register()
 	if err != nil {
@@ -427,12 +411,12 @@ func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
 // useful before inspecting replicas, never required for correctness.
 func (i *Instance[O, R]) Quiesce() { i.inner.Quiesce() }
 
-// Close stops the dedicated combiners, if configured, and — on a
-// persistent instance — flushes and closes the write-ahead log (call
-// SyncWAL first when the sticky WAL error matters; Close discards it).
-// Existing handles remain usable afterwards for in-memory operation; on a
-// dedicated-combiners instance new registration is refused with ErrClosed.
-// Close is idempotent and a no-op otherwise.
+// Close stops the stall watchdog and the telemetry collector, if
+// configured, and — on a persistent instance — flushes and closes the
+// write-ahead log (call SyncWAL first when the sticky WAL error matters;
+// Close discards it). Existing handles remain usable afterwards for
+// in-memory operation, and Register still hands out new ones. Close is
+// idempotent and a no-op otherwise.
 func (i *Instance[O, R]) Close() {
 	if i.tel != nil {
 		i.tel.Close()
@@ -441,15 +425,6 @@ func (i *Instance[O, R]) Close() {
 	if i.pst != nil {
 		i.pst.close()
 	}
-}
-
-// FakeUpdater is the optional fast path of §6: structures whose update
-// operations frequently turn out to be no-ops (removing an absent key) can
-// implement TryReadOnly; NR first attempts such updates on the cheap local
-// read path and only falls back to the shared log when a real update is
-// needed. TryReadOnly must not modify the structure.
-type FakeUpdater[O, R any] interface {
-	TryReadOnly(op O) (resp R, done bool)
 }
 
 // Inspect quiesces node's replica and runs fn on its sequential structure

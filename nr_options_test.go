@@ -266,17 +266,25 @@ func TestWithObserverNilIsIgnored(t *testing.T) {
 	}
 }
 
-func TestRegisterAfterCloseReturnsErrClosed(t *testing.T) {
-	inst, err := nr.New(newRegister, nr.WithNodes(2, 2, 1), nr.WithDedicatedCombiners())
+func TestRegisterAfterCloseSucceeds(t *testing.T) {
+	inst, err := nr.New(newRegister, nr.WithNodes(2, 2, 1), nr.WithStallThreshold(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst.Close()
-	if _, err := inst.Register(); !errors.Is(err, nr.ErrClosed) {
-		t.Errorf("Register after Close: err = %v, want nr.ErrClosed", err)
+	h, err := inst.Register()
+	if err != nil {
+		t.Fatalf("Register after Close: %v", err)
 	}
-	if _, err := inst.RegisterOnNode(0); !errors.Is(err, nr.ErrClosed) {
-		t.Errorf("RegisterOnNode after Close: err = %v, want nr.ErrClosed", err)
+	if got := h.Execute(regOp{write: true, val: 7}); got != 7 {
+		t.Errorf("Execute on a post-Close handle = %d, want 7", got)
+	}
+	h1, err := inst.RegisterOnNode(1)
+	if err != nil {
+		t.Fatalf("RegisterOnNode after Close: %v", err)
+	}
+	if got := h1.Execute(regOp{}); got != 7 {
+		t.Errorf("read on a post-Close RegisterOnNode handle = %d, want 7", got)
 	}
 }
 
