@@ -383,11 +383,12 @@ func TestCmdReaderLeavesThePipelineBuffered(t *testing.T) {
 }
 
 // TestServingPathAllocations pins the server's own path — bytes in the read
-// buffer to StoreOp to reply bytes in the write buffer — at the strings the
-// op must own, because it outlives the buffer in the log: at most two (key
-// and member), exactly as many as the command carries. It runs every
-// command parseOp knows, every reply shape WriteResult writes, an inline
-// command, and a command that does not fit the read buffer (the spill path).
+// buffer to StoreOp to reply bytes in the write buffer — at the copies the
+// op must own. A read op borrows its key and member from the buffer and
+// allocates nothing; an update lives on in the log, so it owns one
+// allocation holding both. It runs every command parseOp knows through
+// parseServed, every reply shape WriteResult writes, an inline command, and
+// a command that does not fit the read buffer (the spill path).
 func TestServingPathAllocations(t *testing.T) {
 	bulk := func(args ...string) string {
 		s := "*" + strconv.Itoa(len(args)) + "\r\n"
@@ -401,28 +402,28 @@ func TestServingPathAllocations(t *testing.T) {
 		name string
 		wire string
 		res  StoreResult
-		owns float64 // strings the op copies out of the buffer (a one-byte string would not allocate)
+		owns float64 // allocations the op owns: 1 for an update that carries strings, else 0
 		buf  int     // read buffer size; 0 for the server's
 	}{
-		{"ZRANK", bulk("ZRANK", "bench:zset", "item:001234"), StoreResult{OK: true, Int: 1234}, 2, 0},
-		{"ZINCRBY", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{OK: true, Score: 1235.5}, 2, 0},
-		{"ZRANK-nil", bulk("ZRANK", "bench:zset", "nobody"), StoreResult{}, 2, 0},
-		{"ZINCRBY-error", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{Err: resultNaN}, 2, 0},
+		{"ZRANK", bulk("ZRANK", "bench:zset", "item:001234"), StoreResult{OK: true, Int: 1234}, 0, 0},
+		{"ZINCRBY", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{OK: true, Score: 1235.5}, 1, 0},
+		{"ZRANK-nil", bulk("ZRANK", "bench:zset", "nobody"), StoreResult{}, 0, 0},
+		{"ZINCRBY-error", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{Err: resultNaN}, 1, 0},
 		{"PING", bulk("PING"), StoreResult{}, 0, 0},
-		{"SET", bulk("SET", "key:1", "value:1"), StoreResult{OK: true}, 2, 0},
-		{"GET", bulk("GET", "key:1"), StoreResult{OK: true, Str: "value:1"}, 1, 0},
-		{"GET-nil", bulk("GET", "key:2"), StoreResult{}, 1, 0},
+		{"SET", bulk("SET", "key:1", "value:1"), StoreResult{OK: true}, 1, 0},
+		{"GET", bulk("GET", "key:1"), StoreResult{OK: true, Str: "value:1"}, 0, 0},
+		{"GET-nil", bulk("GET", "key:2"), StoreResult{}, 0, 0},
 		{"DEL", bulk("DEL", "key:1"), StoreResult{Int: 1}, 1, 0},
-		{"ZADD", bulk("ZADD", "bench:zset", "2.5", "item:001234"), StoreResult{Int: 1}, 2, 0},
-		{"ZREM", bulk("ZREM", "bench:zset", "item:001234"), StoreResult{Int: 1}, 2, 0},
-		{"ZSCORE", bulk("ZSCORE", "bench:zset", "item:001234"), StoreResult{OK: true, Score: 2.5}, 2, 0},
-		{"ZSCORE-nil", bulk("ZSCORE", "bench:zset", "nobody"), StoreResult{}, 2, 0},
-		{"ZCARD", bulk("ZCARD", "bench:zset"), StoreResult{Int: 1}, 1, 0},
-		{"ZRANGE", bulk("ZRANGE", "bench:zset", "0", "-1", "WITHSCORES"), StoreResult{Members: members}, 1, 0},
+		{"ZADD", bulk("ZADD", "bench:zset", "2.5", "item:001234"), StoreResult{Int: 1}, 1, 0},
+		{"ZREM", bulk("ZREM", "bench:zset", "item:001234"), StoreResult{Int: 1}, 1, 0},
+		{"ZSCORE", bulk("ZSCORE", "bench:zset", "item:001234"), StoreResult{OK: true, Score: 2.5}, 0, 0},
+		{"ZSCORE-nil", bulk("ZSCORE", "bench:zset", "nobody"), StoreResult{}, 0, 0},
+		{"ZCARD", bulk("ZCARD", "bench:zset"), StoreResult{Int: 1}, 0, 0},
+		{"ZRANGE", bulk("ZRANGE", "bench:zset", "0", "-1", "WITHSCORES"), StoreResult{Members: members}, 0, 0},
 		{"DBSIZE", bulk("DBSIZE"), StoreResult{Int: 3}, 0, 0},
 		{"FLUSHALL", bulk("FLUSHALL"), StoreResult{}, 0, 0},
-		{"inline", "GET key:1\r\n", StoreResult{OK: true, Str: "value:1"}, 1, 0},
-		{"spilled", bulk("ZRANK", "bench:zset", "item:001234"), StoreResult{OK: true, Int: 1234}, 2, 16},
+		{"inline", "GET key:1\r\n", StoreResult{OK: true, Str: "value:1"}, 0, 0},
+		{"spilled", bulk("ZRANK", "bench:zset", "item:001234"), StoreResult{OK: true, Int: 1234}, 0, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -443,7 +444,7 @@ func TestServingPathAllocations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				op, errMsg := parseOp(args)
+				op, errMsg := parseServed(args)
 				if errMsg != "" {
 					t.Fatal(errMsg)
 				}
@@ -451,11 +452,105 @@ func TestServingPathAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs > tc.owns {
-				t.Errorf("%.1f allocations per command, want <= %.0f (the strings the op owns)", allocs, tc.owns)
+			if allocs != tc.owns {
+				t.Errorf("%.1f allocations per command, want %.0f (the copy the op owns)", allocs, tc.owns)
 			}
 		})
 	}
+}
+
+// TestServedOpOwnership: parseServed leaves a read op borrowing the
+// connection's buffer and gives an update its own strings. Each command
+// parseOp knows is parsed as Server.serve parses it, from a buffer that
+// holds it whole and from one it spills past; then every byte the command
+// occupied, the spill buffer included, is overwritten. An update must come
+// through intact, a read that carries strings must show the new bytes (it
+// copied nothing). Last, an update is applied and its buffer scribbled: the
+// keyspace must still answer with the original bytes.
+func TestServedOpOwnership(t *testing.T) {
+	cmds := [][]string{
+		{"PING"},
+		{"SET", "key:1", "value:1"},
+		{"GET", "key:1"},
+		{"DEL", "key:1"},
+		{"ZADD", "zset:1", "2.5", "member:1"},
+		{"ZINCRBY", "zset:1", "1", "member:1"},
+		{"ZREM", "zset:1", "member:1"},
+		{"ZSCORE", "zset:1", "member:1"},
+		{"ZRANK", "zset:1", "member:1"},
+		{"ZCARD", "zset:1"},
+		{"ZRANGE", "zset:1", "0", "-1", "WITHSCORES"},
+		{"DBSIZE"},
+		{"FLUSHALL"},
+	}
+	// parse reads one command from a reader of the given buffer size and
+	// returns its served op and a function that scribbles its bytes.
+	parse := func(t *testing.T, cmd []string, size int) (StoreOp, func()) {
+		c := cmdReader{r: bufio.NewReaderSize(strings.NewReader(encode(cmd...)), size)}
+		args, err := c.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, errMsg := parseServed(args)
+		if errMsg != "" {
+			t.Fatal(errMsg)
+		}
+		return op, func() {
+			for _, a := range args {
+				for i := range a {
+					a[i] = '#'
+				}
+			}
+			spill := c.spill[:cap(c.spill)]
+			for i := range spill {
+				spill[i] = '#'
+			}
+		}
+	}
+	seen := map[Cmd]bool{}
+	for _, cmd := range cmds {
+		for _, size := range []int{connReadBuffer, 16} {
+			t.Run(fmt.Sprintf("%s/buf=%d", cmd[0], size), func(t *testing.T) {
+				op, scribble := parse(t, cmd, size)
+				seen[op.Cmd] = true
+				key, member := strings.Clone(op.Key), strings.Clone(op.Member)
+				scribble()
+				intact := op.Key == key && op.Member == member
+				switch {
+				case !IsReadOnlyOp(op) && !intact:
+					t.Errorf("update's strings changed with the buffer: %q %q, parsed as %q %q", op.Key, op.Member, key, member)
+				case IsReadOnlyOp(op) && key+member != "" && intact:
+					t.Errorf("read op %q %q did not borrow the buffer", op.Key, op.Member)
+				}
+			})
+		}
+	}
+	if len(seen) != int(CmdFlushAll)+1 {
+		t.Errorf("covered %d commands, want all %d parseOp knows", len(seen), CmdFlushAll+1)
+	}
+
+	t.Run("applied", func(t *testing.T) {
+		st := NewStore(1)
+		for i, size := range []int{connReadBuffer, 16} {
+			n := strconv.Itoa(i)
+			for _, cmd := range [][]string{{"ZADD", "zset", "2.5", "member:" + n}, {"SET", "key:" + n, "value:" + n}} {
+				op, scribble := parse(t, cmd, size)
+				if res := st.Execute(op); res.Err != "" {
+					t.Fatal(res.Err)
+				}
+				scribble()
+			}
+		}
+		zr := st.Execute(StoreOp{Cmd: CmdZRange, Key: "zset", Start: 0, Stop: -1, WithScores: true})
+		if got := strings.Join(zr.Members, " "); got != "member:0 2.5 member:1 2.5" {
+			t.Errorf("ZRANGE zset 0 -1 WITHSCORES = %q after the buffers were reused", got)
+		}
+		for _, n := range []string{"0", "1"} {
+			if get := st.Execute(StoreOp{Cmd: CmdGet, Key: "key:" + n}); get.Str != "value:"+n {
+				t.Errorf("GET key:%s = %q after the buffers were reused", n, get.Str)
+			}
+		}
+	})
 }
 
 // TestWriterStatusLinesCannotBeSplit: Error and Simple may quote client

@@ -407,11 +407,30 @@ func (s *Server) serve(w *Writer, args [][]byte) error {
 			return s.lastsave(w)
 		}
 	}
-	op, errMsg := parseOp(args)
+	op, errMsg := parseServed(args)
 	if errMsg != "" {
 		return w.Error(errMsg)
 	}
 	return WriteResult(w, op, s.execute(op))
+}
+
+// parseServed is parseOp for a command in the connection's read buffer,
+// which the connection's next command overwrites. A read op keeps
+// borrowing the buffer: serve executes and answers it before reading on,
+// and no method keeps a read op beyond Execute (NR, SL, RWL and FC+ run it
+// in the caller, FC's combiner while the caller waits). An update lives on
+// in the log, the WAL and the keyspace, so it gets its own copy, one
+// allocation for key and member.
+func parseServed(args [][]byte) (StoreOp, string) {
+	op, errMsg := parseOp(args)
+	if errMsg != "" || IsReadOnlyOp(op) {
+		return op, errMsg
+	}
+	n := len(op.Key)
+	b := make([]byte, 0, n+len(op.Member))
+	s := view(append(append(b, op.Key...), op.Member...))
+	op.Key, op.Member = s[:n], s[n:]
+	return op, ""
 }
 
 const persistenceOff = "persistence not enabled (start the server with -appendonly)"

@@ -469,8 +469,16 @@ func mixedPipeline() [][]string {
 
 // TestServerPipelineMatchesSequential: a pipeline sent in one write gets
 // one reply per command, in order, and each reply is what the same command
-// gets when sent alone and waited for.
+// gets when sent alone and waited for. It runs on every method, since a
+// read op borrows the connection's buffer on each of them (under FC it is
+// executed by another goroutine, the combiner).
 func TestServerPipelineMatchesSequential(t *testing.T) {
+	for _, method := range []string{MethodNR, MethodSL, MethodRWL, MethodFC, MethodFCP} {
+		t.Run(method, func(t *testing.T) { testPipelineMatchesSequential(t, method) })
+	}
+}
+
+func testPipelineMatchesSequential(t *testing.T, method string) {
 	cmds := mixedPipeline()
 	if len(cmds) != 64 {
 		t.Fatalf("pipeline of %d commands, want 64", len(cmds))
@@ -485,7 +493,7 @@ func TestServerPipelineMatchesSequential(t *testing.T) {
 		return reply
 	}
 
-	_, addr := startServer(t, MethodNR)
+	_, addr := startServer(t, method)
 	c := dial(t, addr)
 	var wire strings.Builder
 	for _, cmd := range cmds {
@@ -500,7 +508,7 @@ func TestServerPipelineMatchesSequential(t *testing.T) {
 		pipelined[i] = normalize(cmd, c.readReply(t))
 	}
 
-	_, addr = startServer(t, MethodNR)
+	_, addr = startServer(t, method)
 	c = dial(t, addr)
 	for i, cmd := range cmds {
 		if got := normalize(cmd, c.cmd(t, cmd...)); got != pipelined[i] {

@@ -2,6 +2,7 @@ package miniredis
 
 import (
 	"strconv"
+	"unsafe"
 
 	"github.com/asplos17/nr/internal/ds"
 )
@@ -31,6 +32,11 @@ const (
 // type NR logs and replays. The two one-byte fields come last so they share
 // the tail word: 64 bytes, and an 80-byte log cell once core's 8-byte entry
 // tag and the log's marker are added (TestStoreOpLogCell).
+//
+// Key and Member may borrow another's bytes (parseOp). An op that enters
+// the log, the WAL or the keyspace must own them (parseServed copies an
+// update's); an op for which IsReadOnlyOp holds never does, so a read's
+// strings need to live only until Execute has returned.
 type StoreOp struct {
 	Key        string
 	Member     string
@@ -271,9 +277,24 @@ func clampRange(start, stop, n int) (int, int) {
 
 // byteSeq is what a command argument arrives as: a string from ParseCommand's
 // callers, a slice of the connection's read buffer on the serving path.
-type byteSeq interface{ ~string | ~[]byte }
+type byteSeq interface{ string | []byte }
 
-// ParseCommand converts a RESP argument vector into a StoreOp.
+// view returns s as a string that shares s's bytes: the string itself, or
+// the slice's bytes without a copy. The result is valid only as long as
+// those bytes stay unchanged.
+func view[S byteSeq](s S) string {
+	switch s := any(s).(type) {
+	case []byte:
+		return unsafe.String(unsafe.SliceData(s), len(s))
+	case string:
+		return s
+	}
+	panic("unreachable")
+}
+
+// ParseCommand converts a RESP argument vector into a StoreOp. Its Key and
+// Member are args' own strings, which nothing can change, so the op may be
+// kept.
 func ParseCommand(args []string) (StoreOp, string) { return parseOp(args) }
 
 // cmdIs reports whether name is the command upper (given in upper case),
@@ -296,8 +317,11 @@ func cmdIs[S byteSeq](name S, upper string) bool {
 
 // parseOp is the command table: it checks a command's arity and argument
 // syntax and builds its StoreOp, or returns the error reply's message. Key
-// and member are copied out of args, which on the serving path is a buffer
-// about to be reused, while the op lives on in the log.
+// and member are views of args (view), not copies, so the op is valid only
+// while args' bytes stay unchanged. On the serving path args is the
+// connection's read buffer, which the next command overwrites: parseServed
+// lets a read op borrow it until its reply is written and gives an update
+// its own strings before it executes.
 func parseOp[S byteSeq](args []S) (StoreOp, string) {
 	if len(args) == 0 {
 		return StoreOp{}, "empty command"
@@ -308,7 +332,7 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'zrank' command"
 		}
-		return StoreOp{Cmd: CmdZRank, Key: string(args[1]), Member: string(args[2])}, ""
+		return StoreOp{Cmd: CmdZRank, Key: view(args[1]), Member: view(args[2])}, ""
 	case cmdIs(cmd, "ZINCRBY"):
 		if !want(4) {
 			return StoreOp{}, "wrong number of arguments for 'zincrby' command"
@@ -317,24 +341,24 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if err != "" {
 			return StoreOp{}, err
 		}
-		return StoreOp{Cmd: CmdZIncrBy, Key: string(args[1]), Member: string(args[3]), Score: sc}, ""
+		return StoreOp{Cmd: CmdZIncrBy, Key: view(args[1]), Member: view(args[3]), Score: sc}, ""
 	case cmdIs(cmd, "PING"):
 		return StoreOp{Cmd: CmdPing}, ""
 	case cmdIs(cmd, "SET"):
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'set' command"
 		}
-		return StoreOp{Cmd: CmdSet, Key: string(args[1]), Member: string(args[2])}, ""
+		return StoreOp{Cmd: CmdSet, Key: view(args[1]), Member: view(args[2])}, ""
 	case cmdIs(cmd, "GET"):
 		if !want(2) {
 			return StoreOp{}, "wrong number of arguments for 'get' command"
 		}
-		return StoreOp{Cmd: CmdGet, Key: string(args[1])}, ""
+		return StoreOp{Cmd: CmdGet, Key: view(args[1])}, ""
 	case cmdIs(cmd, "DEL"):
 		if !want(2) {
 			return StoreOp{}, "wrong number of arguments for 'del' command"
 		}
-		return StoreOp{Cmd: CmdDel, Key: string(args[1])}, ""
+		return StoreOp{Cmd: CmdDel, Key: view(args[1])}, ""
 	case cmdIs(cmd, "ZADD"):
 		if !want(4) {
 			return StoreOp{}, "wrong number of arguments for 'zadd' command"
@@ -343,22 +367,22 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if err != "" {
 			return StoreOp{}, err
 		}
-		return StoreOp{Cmd: CmdZAdd, Key: string(args[1]), Member: string(args[3]), Score: sc}, ""
+		return StoreOp{Cmd: CmdZAdd, Key: view(args[1]), Member: view(args[3]), Score: sc}, ""
 	case cmdIs(cmd, "ZREM"):
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'zrem' command"
 		}
-		return StoreOp{Cmd: CmdZRem, Key: string(args[1]), Member: string(args[2])}, ""
+		return StoreOp{Cmd: CmdZRem, Key: view(args[1]), Member: view(args[2])}, ""
 	case cmdIs(cmd, "ZSCORE"):
 		if !want(3) {
 			return StoreOp{}, "wrong number of arguments for 'zscore' command"
 		}
-		return StoreOp{Cmd: CmdZScore, Key: string(args[1]), Member: string(args[2])}, ""
+		return StoreOp{Cmd: CmdZScore, Key: view(args[1]), Member: view(args[2])}, ""
 	case cmdIs(cmd, "ZCARD"):
 		if !want(2) {
 			return StoreOp{}, "wrong number of arguments for 'zcard' command"
 		}
-		return StoreOp{Cmd: CmdZCard, Key: string(args[1])}, ""
+		return StoreOp{Cmd: CmdZCard, Key: view(args[1])}, ""
 	case cmdIs(cmd, "ZRANGE"):
 		if len(args) != 4 && len(args) != 5 {
 			return StoreOp{}, "wrong number of arguments for 'zrange' command"
@@ -372,13 +396,13 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if withScores && !cmdIs(args[4], "WITHSCORES") {
 			return StoreOp{}, "syntax error"
 		}
-		return StoreOp{Cmd: CmdZRange, Key: string(args[1]), Start: start, Stop: stop, WithScores: withScores}, ""
+		return StoreOp{Cmd: CmdZRange, Key: view(args[1]), Start: start, Stop: stop, WithScores: withScores}, ""
 	case cmdIs(cmd, "DBSIZE"):
 		return StoreOp{Cmd: CmdDBSize}, ""
 	case cmdIs(cmd, "FLUSHALL"):
 		return StoreOp{Cmd: CmdFlushAll}, ""
 	}
-	return StoreOp{}, "unknown command '" + string(args[0]) + "'"
+	return StoreOp{}, "unknown command '" + view(args[0]) + "'"
 }
 
 // parseFloat reads a score. The string made for strconv does not outlive
