@@ -19,7 +19,7 @@ GO ?= go
 BENCH_OUT ?= bench-local.json
 
 # The packages where a data race is a protocol bug, not just a test bug.
-RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/histogram ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./internal/obs/prom/promtest ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds
+RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./internal/trace ./internal/histogram ./internal/obs ./internal/obs/tsdb ./internal/obs/prom ./internal/obs/prom/promtest ./cmd/nrtop ./internal/miniredis ./internal/persist ./internal/ds ./internal/baseline ./cmd/nrredis
 
 # The hot-path packages: no non-test file of theirs may import os or
 # syscall, except internal/trace/dump.go, the flight recorder's failure dump.

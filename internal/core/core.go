@@ -747,31 +747,13 @@ func (i *Instance[O, R]) TraceSnapshot() trace.Snapshot { return i.rec.Snapshot(
 // instances have only log 0; see Metrics for the per-log gauges).
 func (i *Instance[O, R]) LogTail() uint64 { return i.logs[0].Tail() }
 
-// LogMemoryBytes returns the shared logs' combined memory footprint.
-func (i *Instance[O, R]) LogMemoryBytes() uint64 {
+// MemoryBytes returns the shared logs' combined footprint: one cell per
+// entry. Replicas are not counted; the paper's memory tables
+// (internal/bench) measure the heap instead, replicas included.
+func (i *Instance[O, R]) MemoryBytes() uint64 {
 	var total uint64
 	for _, l := range i.logs {
 		total += l.MemoryBytes()
-	}
-	return total
-}
-
-// Sizer is optionally implemented by sequential structures that can report
-// their memory footprint; MemoryBytes sums it across replicas.
-type Sizer interface {
-	MemoryBytes() uint64
-}
-
-// MemoryBytes returns log bytes plus the sum of replica footprints for
-// structures implementing Sizer. No structure in this repository implements
-// Sizer, so for them it is the logs alone. The paper's memory tables
-// (internal/bench) measure the heap instead, replicas included.
-func (i *Instance[O, R]) MemoryBytes() uint64 {
-	total := i.LogMemoryBytes()
-	for _, r := range i.replicas {
-		if s, ok := r.ds.(Sizer); ok {
-			total += s.MemoryBytes()
-		}
 	}
 	return total
 }

@@ -387,14 +387,11 @@ func TestQuiesceAndMemory(t *testing.T) {
 			}
 		})
 	}
-	if inst.LogMemoryBytes() == 0 {
-		t.Error("LogMemoryBytes = 0")
+	if inst.MemoryBytes() == 0 {
+		t.Error("MemoryBytes = 0")
 	}
 	if inst.LogTail() != 50 {
 		t.Errorf("LogTail = %d, want 50", inst.LogTail())
-	}
-	if inst.MemoryBytes() < inst.LogMemoryBytes() {
-		t.Error("MemoryBytes < LogMemoryBytes")
 	}
 }
 

@@ -161,13 +161,12 @@ func (i *Instance[O, R]) Metrics() Metrics {
 // MetricsInto fills m in place, reusing m.Logs' and m.Replicas' capacity
 // (including each ReplicaGauges' nested Logs slice), so a caller that polls
 // on a cadence (the telemetry collector) does not allocate a fresh snapshot
-// every tick after the first. Persist and Observed are left nil: the public
-// nr layer owns the WAL and the metrics observer and fills both.
+// every tick after the first. Persist and Observed are left as they are:
+// the public nr layer owns the WAL and the metrics observer and fills both
+// (Persist in place, so a reused snapshot keeps its gauges' allocation).
 func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 	m.Stats = i.stats()
 	m.Health = i.health()
-	m.Persist = nil
-	m.Observed = nil
 
 	nlogs := len(i.logs)
 	if cap(m.Logs) < nlogs {

@@ -132,6 +132,7 @@ func (i *Instance[O, R]) dispatch(h *Handle[O, R], c int, op O) (R, obs.OpClass,
 // executes the op and delivers a response nobody collects; the slot is
 // permanently retired. A cross-class op is appended (with its barriers)
 // but not applied — whichever thread next crosses the barrier applies it.
+// LastToken, read right after the call, identifies the abandoned op.
 func (h *Handle[O, R]) PostAndAbandon(op O) {
 	if h.broken == nil {
 		h.broken = errors.New("core: handle abandoned by PostAndAbandon")

@@ -11,13 +11,14 @@
 // rates; raw histogram buckets subtract bucket-wise into the interval's
 // distribution — summary percentiles do not subtract, which is why the
 // collector captures buckets via obs.ReadCum, not obs.Snapshot). An instance
-// has one obs.Metrics observer, so one ReadCum per tick is the whole
-// capture.
+// has one obs.Metrics observer, so one ReadCum per tick captures every
+// distribution.
 //
-// The capture path is allocation-free in steady state: ring slots are
-// reused, the Gauges struct is filled in place by a caller-supplied Source
-// closure (keeping tsdb free of a core dependency), and obs.ReadCum reuses
-// its per-node slice. Deriving Windows and SLO statuses allocates, but that
+// Each ring slot holds one core.Metrics capture, filled in place by a
+// caller-supplied Source closure, next to the observer's obs.Cum. The
+// capture path is allocation-free in steady state: ring slots are reused,
+// core's MetricsInto refills a slot's slices, and obs.ReadCum reuses its
+// per-node slice. Deriving Windows and SLO statuses allocates, but that
 // is the cold read path — a human or a scrape, not an operation.
 package tsdb
 
@@ -25,62 +26,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/asplos17/nr/internal/core"
 	"github.com/asplos17/nr/internal/obs"
 )
-
-// ReplicaGauge is one replica's slice of a Gauges capture.
-type ReplicaGauge struct {
-	Node int `json:"node"`
-	// CompletedLag is how many completed entries the replica has not yet
-	// absorbed (core.ReplicaGauges.CompletedLag).
-	CompletedLag uint64 `json:"completed_lag"`
-	// ReaderAcquires is the replica lock's cumulative read acquisitions.
-	ReaderAcquires uint64 `json:"reader_acquires"`
-	// ReadOps and UpdateOps are the node's cumulative op counts by class
-	// (core.ReplicaGauges.ReadOps / UpdateOps): exact, where the observer's
-	// per-node latency histograms hold a sample of the ops.
-	ReadOps   uint64 `json:"read_ops"`
-	UpdateOps uint64 `json:"update_ops"`
-	// Combines and ReaderRefreshes are the node's cumulative non-empty
-	// combining rounds and self-refreshing reads
-	// (core.ReplicaGauges.Combines / ReaderRefreshes).
-	Combines        uint64 `json:"combines"`
-	ReaderRefreshes uint64 `json:"reader_refreshes"`
-}
-
-// Gauges is the flat cumulative capture the Source closure fills on every
-// cadence tick: core counters, log gauges, and (when the instance is
-// durable) WAL counters. Fill in place; the Replicas slice is reused
-// across ticks (truncate with Replicas[:0] and append).
-type Gauges struct {
-	// Counters (cumulative; deltas become per-window rates).
-	ReadOps         uint64 `json:"read_ops"`
-	UpdateOps       uint64 `json:"update_ops"`
-	Combines        uint64 `json:"combines"`
-	CombinedOps     uint64 `json:"combined_ops"`
-	ReaderRefreshes uint64 `json:"reader_refreshes"`
-	HelpedEntries   uint64 `json:"helped_entries"`
-	ReaderAcquires  uint64 `json:"reader_acquires"`
-	Panics          uint64 `json:"panics"`
-	Stalls          uint64 `json:"stalls"`
-
-	// Instant gauges (carried through to the window as-is).
-	LogTail       uint64  `json:"log_tail"`
-	LogCompleted  uint64  `json:"log_completed"`
-	LogOccupancy  float64 `json:"log_occupancy"`
-	MaxReplicaLag uint64  `json:"max_replica_lag"`
-
-	// WAL counters; valid only when HasWAL.
-	HasWAL        bool   `json:"has_wal"`
-	WALAppends    uint64 `json:"wal_appends"`
-	WALPages      uint64 `json:"wal_pages"`
-	WALFsyncs     uint64 `json:"wal_fsyncs"`
-	WALFsyncNanos uint64 `json:"wal_fsync_ns"`
-	DurableIndex  uint64 `json:"durable_index"`
-	DurableLag    uint64 `json:"durable_lag"`
-
-	Replicas []ReplicaGauge `json:"replicas"`
-}
 
 // Config configures a Collector.
 type Config struct {
@@ -89,10 +37,11 @@ type Config struct {
 	// Windows is how many derived windows the ring retains (default 120 —
 	// two minutes of history at the default cadence).
 	Windows int
-	// Source fills a Gauges capture in place. Called under the collector's
-	// lock, never concurrently with itself, so it may reuse private scratch
-	// state. nil means no gauges (distribution-only telemetry).
-	Source func(*Gauges)
+	// Source fills a snapshot in place: the ring slot's own, so it may reuse
+	// the slot's slices and Persist gauges. Called under the collector's
+	// lock, never concurrently with itself. nil means no counters or gauges
+	// (distribution-only telemetry).
+	Source func(*core.Metrics)
 	// Observed is the obs.Metrics observer whose raw buckets each capture
 	// reads. May be nil: rates still work, latency percentiles read as 0.
 	Observed *obs.Metrics
@@ -112,7 +61,7 @@ type Config struct {
 // sample is one ring slot: a cumulative capture at one instant.
 type sample struct {
 	when time.Time
-	g    Gauges
+	m    core.Metrics
 	cum  obs.Cum
 }
 
@@ -216,7 +165,7 @@ func (c *Collector) Close() {
 	}
 }
 
-// Advance takes one capture now: gauges via Source, raw distribution
+// Advance takes one capture now: the snapshot via Source, raw distribution
 // buckets via obs.ReadCum, then evaluates SLOs against the previous capture.
 // Exported so tests (and callers that own their own cadence) can drive the
 // ring deterministically. Allocation-free in steady state — ring slots are
@@ -231,7 +180,7 @@ func (c *Collector) Advance() {
 	s := &c.samples[c.head]
 	s.when = now
 	if c.cfg.Source != nil {
-		c.cfg.Source(&s.g)
+		c.cfg.Source(&s.m)
 	}
 	if c.cfg.Observed != nil {
 		c.cfg.Observed.ReadCum(&s.cum)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/asplos17/nr/internal/core"
 	"github.com/asplos17/nr/internal/obs"
 )
 
@@ -24,18 +25,18 @@ func testConfig(clk *fakeClock, cfg Config) Config {
 
 func TestWindowRatesFromCounterDeltas(t *testing.T) {
 	clk := newClock()
-	var g Gauges
+	var g core.Metrics
 	c := New(testConfig(clk, Config{
 		Interval: time.Second,
 		Windows:  4,
-		Source:   func(dst *Gauges) { *dst = g },
+		Source:   func(dst *core.Metrics) { *dst = g },
 	}))
 
 	// Two seconds, 1000 reads and 100 updates per second.
 	for i := 1; i <= 2; i++ {
-		g.ReadOps = uint64(i) * 1000
-		g.UpdateOps = uint64(i) * 100
-		g.LogOccupancy = 0.25
+		g.Stats.ReadOps = uint64(i) * 1000
+		g.Stats.UpdateOps = uint64(i) * 100
+		g.Log.Occupancy = 0.25
 		clk.step(time.Second)
 		c.Advance()
 	}
@@ -72,9 +73,9 @@ func TestRingEvictsOldestWindows(t *testing.T) {
 	c := New(testConfig(clk, Config{
 		Interval: time.Second,
 		Windows:  3,
-		Source: func(dst *Gauges) {
+		Source: func(dst *core.Metrics) {
 			reads += 10
-			dst.ReadOps = reads
+			dst.Stats.ReadOps = reads
 		},
 	}))
 
@@ -98,13 +99,13 @@ func TestRingEvictsOldestWindows(t *testing.T) {
 
 func TestCounterResetClampsToZero(t *testing.T) {
 	clk := newClock()
-	var g Gauges
-	c := New(testConfig(clk, Config{Windows: 4, Source: func(dst *Gauges) { *dst = g }}))
+	var g core.Metrics
+	c := New(testConfig(clk, Config{Windows: 4, Source: func(dst *core.Metrics) { *dst = g }}))
 
-	g.ReadOps = 1000
+	g.Stats.ReadOps = 1000
 	clk.step(time.Second)
 	c.Advance()
-	g.ReadOps = 50 // went backwards (reset / racy capture)
+	g.Stats.ReadOps = 50 // went backwards (reset / racy capture)
 	clk.step(time.Second)
 	c.Advance()
 
@@ -178,20 +179,21 @@ func TestWindowBatchDistribution(t *testing.T) {
 
 // TestNodeWindowFromReplicaGauges: a node's op, round, refresh and
 // read-lock acquisition rates and its lag come from the replica gauges the
-// Source samples, matched by node — not from the observer, whose latency
-// histograms hold only the sampled ops and which counts no events.
+// Source samples, one per node — not from the observer, whose latency
+// histograms hold only the sampled ops and which counts no events. The
+// window's MaxReplicaLag is the largest of the replicas' lags.
 func TestNodeWindowFromReplicaGauges(t *testing.T) {
 	clk := newClock()
-	var g Gauges
+	var g core.Metrics
 	m := obs.NewMetrics(2)
 	c := New(testConfig(clk, Config{
 		Windows:  4,
 		Observed: m,
-		Source:   func(dst *Gauges) { *dst = g },
+		Source:   func(dst *core.Metrics) { *dst = g },
 	}))
 	for i := uint64(1); i <= 2; i++ {
-		g.Replicas = []ReplicaGauge{
-			{Node: 0, ReaderAcquires: 500 * i, ReadOps: 480 * i, UpdateOps: 32 * i, Combines: 8 * i, ReaderRefreshes: 3 * i},
+		g.Replicas = []core.ReplicaGauges{
+			{Node: 0, ReaderAcquires: 500 * i, ReadOps: 480 * i, UpdateOps: 32 * i, Combines: 8 * i, ReaderRefreshes: 3 * i, CompletedLag: 9},
 			{Node: 1, ReaderAcquires: 30 * i, CompletedLag: 7},
 		}
 		// One op in 16 of node 0's reaches the latency histograms.
@@ -215,6 +217,36 @@ func TestNodeWindowFromReplicaGauges(t *testing.T) {
 	}
 	if got := w.Nodes[1]; got.ReaderAcquiresPerSec != 30 || got.CompletedLag != 7 {
 		t.Errorf("node 1 window = %+v, want 30 acquires/s and lag 7", got)
+	}
+	if w.MaxReplicaLag != 9 {
+		t.Errorf("MaxReplicaLag = %d, want node 0's 9", w.MaxReplicaLag)
+	}
+}
+
+// TestWindowWALRates: two captures with Persist gauges make a WAL window —
+// append and fsync rates, the mean fsync of the window's own fsyncs, and
+// the closing capture's durable lag; captures without them make none.
+func TestWindowWALRates(t *testing.T) {
+	clk := newClock()
+	var g core.Metrics
+	c := New(testConfig(clk, Config{Windows: 4, Source: func(dst *core.Metrics) { *dst = g }}))
+	clk.step(time.Second)
+	c.Advance()
+	if w, _ := c.Last(); w.HasWAL {
+		t.Errorf("window without Persist gauges = %+v, want no WAL", w)
+	}
+
+	for i := uint64(1); i <= 2; i++ {
+		g.Persist = &core.PersistGauges{Appends: 400 * i, Fsyncs: 4 * i, FsyncNanos: 3_000_000 * i, DurableLag: 9 + i}
+		clk.step(2 * time.Second)
+		c.Advance()
+	}
+	w, _ := c.Last()
+	if !w.HasWAL || w.WALAppendsPerSec != 200 || w.WALFsyncsPerSec != 2 {
+		t.Errorf("WAL window = %+v, want 200 appends/s and 2 fsyncs/s", w)
+	}
+	if w.FsyncMeanNs != 750_000 || w.DurableLag != 11 {
+		t.Errorf("FsyncMeanNs = %d, DurableLag = %d, want 750000 and 11", w.FsyncMeanNs, w.DurableLag)
 	}
 }
 
@@ -334,7 +366,7 @@ func TestConcurrentStress(t *testing.T) {
 		Interval: time.Millisecond,
 		Windows:  16,
 		Observed: m,
-		Source:   func(dst *Gauges) { dst.ReadOps = ops.Load() },
+		Source:   func(dst *core.Metrics) { dst.Stats.ReadOps = ops.Load() },
 		SLOs:     []SLO{{Class: obs.OpRead, P99: time.Microsecond}},
 		OnBreach: func(BreachEvent) {},
 	})
@@ -406,7 +438,7 @@ func TestAdvanceDoesNotAllocate(t *testing.T) {
 	m := obs.NewMetrics(2)
 	c := New(testConfig(clk, Config{
 		Windows:  4,
-		Source:   func(g *Gauges) { g.LogTail += 10 },
+		Source:   func(m *core.Metrics) { m.Log.Tail += 10 },
 		Observed: m,
 		SLOs:     []SLO{{Class: obs.OpRead, P99: time.Second, P999: time.Second}},
 	}))

@@ -67,16 +67,6 @@ type Window struct {
 	Nodes []NodeWindow `json:"nodes,omitempty"`
 }
 
-// replica returns node's slice of the capture, nil when it has none.
-func (g *Gauges) replica(node int) *ReplicaGauge {
-	for i := range g.Replicas {
-		if g.Replicas[i].Node == node {
-			return &g.Replicas[i]
-		}
-	}
-	return nil
-}
-
 // rate divides a counter delta by the window length, clamping misordered
 // captures (counter reset, racy reads) to 0.
 func rate(cur, prev uint64, secs float64) float64 {
@@ -89,20 +79,23 @@ func rate(cur, prev uint64, secs float64) float64 {
 // deriveWindow builds the window between two adjacent captures.
 func deriveWindow(prev, cur *sample) Window {
 	secs := cur.when.Sub(prev.when).Seconds()
+	st, pst := &cur.m.Stats, &prev.m.Stats
 	w := Window{
 		Start:   prev.when,
 		End:     cur.when,
 		Seconds: secs,
 
-		ReadOpsPerSec:   rate(cur.g.ReadOps, prev.g.ReadOps, secs),
-		UpdateOpsPerSec: rate(cur.g.UpdateOps, prev.g.UpdateOps, secs),
-		CombinesPerSec:  rate(cur.g.Combines, prev.g.Combines, secs),
+		ReadOpsPerSec:   rate(st.ReadOps, pst.ReadOps, secs),
+		UpdateOpsPerSec: rate(st.UpdateOps, pst.UpdateOps, secs),
+		CombinesPerSec:  rate(st.Combines, pst.Combines, secs),
 
-		ReaderRefreshPerSec:  rate(cur.g.ReaderRefreshes, prev.g.ReaderRefreshes, secs),
-		ReaderAcquiresPerSec: rate(cur.g.ReaderAcquires, prev.g.ReaderAcquires, secs),
+		ReaderRefreshPerSec:  rate(st.ReaderRefreshes, pst.ReaderRefreshes, secs),
+		ReaderAcquiresPerSec: rate(st.ReaderAcquires, pst.ReaderAcquires, secs),
 
-		LogOccupancy:  cur.g.LogOccupancy,
-		MaxReplicaLag: cur.g.MaxReplicaLag,
+		LogOccupancy: cur.m.Log.Occupancy,
+	}
+	for _, r := range cur.m.Replicas {
+		w.MaxReplicaLag = max(w.MaxReplicaLag, r.CompletedLag)
 	}
 	w.OpsPerSec = w.ReadOpsPerSec + w.UpdateOpsPerSec
 
@@ -122,14 +115,14 @@ func deriveWindow(prev, cur *sample) Window {
 	w.UpdateP99Ns = histogram.DeltaPercentile(up, upp, 99)
 	w.UpdateP999Ns = histogram.DeltaPercentile(up, upp, 99.9)
 
-	if cur.g.HasWAL {
+	if p, pp := cur.m.Persist, prev.m.Persist; p != nil && pp != nil {
 		w.HasWAL = true
-		w.WALAppendsPerSec = rate(cur.g.WALAppends, prev.g.WALAppends, secs)
-		w.WALFsyncsPerSec = rate(cur.g.WALFsyncs, prev.g.WALFsyncs, secs)
-		if df := cur.g.WALFsyncs - prev.g.WALFsyncs; cur.g.WALFsyncs > prev.g.WALFsyncs && cur.g.WALFsyncNanos >= prev.g.WALFsyncNanos {
-			w.FsyncMeanNs = (cur.g.WALFsyncNanos - prev.g.WALFsyncNanos) / df
+		w.WALAppendsPerSec = rate(p.Appends, pp.Appends, secs)
+		w.WALFsyncsPerSec = rate(p.Fsyncs, pp.Fsyncs, secs)
+		if p.Fsyncs > pp.Fsyncs && p.FsyncNanos >= pp.FsyncNanos {
+			w.FsyncMeanNs = (p.FsyncNanos - pp.FsyncNanos) / (p.Fsyncs - pp.Fsyncs)
 		}
-		w.DurableLag = cur.g.DurableLag
+		w.DurableLag = p.DurableLag
 	}
 
 	// Per-node: combine time from the observer capture; counter rates and
@@ -145,9 +138,11 @@ func deriveWindow(prev, cur *sample) Window {
 				nw.CombineBusyFrac = float64(cn.CombineNanos-pn.CombineNanos) / wall
 			}
 		}
-		if rg := cur.g.replica(i); rg != nil {
+		if i < len(cur.m.Replicas) {
+			rg := &cur.m.Replicas[i]
 			nw.CompletedLag = rg.CompletedLag
-			if pg := prev.g.replica(i); pg != nil {
+			if i < len(prev.m.Replicas) {
+				pg := &prev.m.Replicas[i]
 				nw.ReadOpsPerSec = rate(rg.ReadOps, pg.ReadOps, secs)
 				nw.UpdateOpsPerSec = rate(rg.UpdateOps, pg.UpdateOps, secs)
 				nw.CombinesPerSec = rate(rg.Combines, pg.Combines, secs)

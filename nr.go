@@ -212,10 +212,6 @@ const (
 	OpUpdate = obs.OpUpdate
 )
 
-// ObservedMetrics is the event-derived part of a Metrics snapshot
-// (Metrics.Observed), present when the instance was built WithMetrics.
-type ObservedMetrics = obs.Snapshot
-
 // PanicError is the error TryExecute returns when the operation's
 // Sequential.Execute panicked; Execute re-raises it as a panic on the
 // submitting goroutine. Value holds the original panic value.
@@ -236,11 +232,10 @@ type Instance[O, R any] struct {
 	tel     *Telemetry      // nil unless built with WithTelemetry/WithSLO
 }
 
-// Handle executes operations on behalf of one registered goroutine. It is
-// not safe for concurrent use; register one handle per goroutine.
-type Handle[O, R any] struct {
-	inner *core.Handle[O, R]
-}
+// Handle executes operations on behalf of one registered goroutine: Execute,
+// TryExecute, PostAndAbandon, LastToken, Node and Thread. It is not safe for
+// concurrent use; register one handle per goroutine.
+type Handle[O, R any] = core.Handle[O, R]
 
 // lower converts the accumulated settings into core.Options. The
 // WithMetrics observer it creates is returned too, so the instance can read
@@ -317,21 +312,11 @@ func New[O, R any](create func() Sequential[O, R], options ...Option) (*Instance
 // Register binds the calling goroutine to the next hardware-thread position
 // (filling one node before spilling to the next, the paper's placement).
 // It fails once every simulated hardware thread is taken.
-func (i *Instance[O, R]) Register() (*Handle[O, R], error) {
-	h, err := i.inner.Register()
-	if err != nil {
-		return nil, err
-	}
-	return &Handle[O, R]{inner: h}, nil
-}
+func (i *Instance[O, R]) Register() (*Handle[O, R], error) { return i.inner.Register() }
 
 // RegisterOnNode binds the calling goroutine to an explicit NUMA node.
 func (i *Instance[O, R]) RegisterOnNode(node int) (*Handle[O, R], error) {
-	h, err := i.inner.RegisterOnNode(node)
-	if err != nil {
-		return nil, err
-	}
-	return &Handle[O, R]{inner: h}, nil
+	return i.inner.RegisterOnNode(node)
 }
 
 // Replicas returns the number of per-node replicas.
@@ -350,28 +335,26 @@ func (i *Instance[O, R]) Logs() int { return i.inner.Logs() }
 // completed operations a crash right now would lose.
 func (i *Instance[O, R]) Metrics() Metrics {
 	var m Metrics
-	i.MetricsInto(&m, true)
-	return m
-}
-
-// MetricsInto fills m in place, reusing its Replicas capacity; observed
-// skips or includes the Observed summary. The telemetry collector's cadence
-// tick uses it to avoid allocating a snapshot per tick.
-func (i *Instance[O, R]) MetricsInto(m *Metrics, observed bool) {
-	i.inner.MetricsInto(m)
-	i.fillPersist(m)
-	if observed && i.metrics != nil {
+	i.inner.MetricsInto(&m)
+	i.fillPersist(&m)
+	if i.metrics != nil {
 		s := i.metrics.Snapshot()
 		m.Observed = &s
 	}
+	return m
 }
 
 // fillPersist folds the WAL's counters into the snapshot when the instance
-// is durable. DurableLag is computed against the same snapshot's Completed
-// gauge (both racy monotone reads, so the clamp absorbs any skew).
+// is durable, reusing m.Persist when it is already set (the telemetry
+// collector refills one snapshot per ring slot). DurableLag is computed
+// against the same snapshot's Completed gauge (both racy monotone reads, so
+// the clamp absorbs any skew).
 func (i *Instance[O, R]) fillPersist(m *Metrics) {
 	if i.pst == nil {
 		return
+	}
+	if m.Persist == nil {
+		m.Persist = new(core.PersistGauges)
 	}
 	ws := i.pst.wal.Stats()
 	durable := i.pst.wal.DurableIndex()
@@ -379,7 +362,7 @@ func (i *Instance[O, R]) fillPersist(m *Metrics) {
 	if m.Log.Completed > durable {
 		lag = m.Log.Completed - durable
 	}
-	m.Persist = &core.PersistGauges{
+	*m.Persist = core.PersistGauges{
 		Appends:      ws.Appends,
 		Pages:        ws.Pages,
 		Fsyncs:       ws.Fsyncs,
@@ -400,11 +383,9 @@ func (i *Instance[O, R]) Stats() Stats { return i.Metrics().Stats }
 // the Health slice of Metrics.
 func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
 
-// MemoryBytes reports the shared logs' footprint plus, for replicas whose
-// sequential structure implements interface{ MemoryBytes() uint64 }, the
-// replicas' footprints. For a structure without that method it is the logs
-// alone: one cell per log entry, the op plus 16 bytes (an 8-byte tag word
-// and the log's 8-byte marker) for an op of 8-byte alignment.
+// MemoryBytes reports the shared logs' footprint, replicas not included:
+// one cell per log entry, the op plus 16 bytes (an 8-byte tag word and the
+// log's 8-byte marker) for an op of 8-byte alignment.
 func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
 
 // Quiesce brings every replica up to date with all completed operations —
@@ -432,33 +413,3 @@ func (i *Instance[O, R]) Close() {
 func (i *Instance[O, R]) Inspect(node int, fn func(s Sequential[O, R])) {
 	i.inner.InspectReplica(node, func(ds core.Sequential[O, R]) { fn(ds) })
 }
-
-// Execute runs op with linearizable semantics. If the operation's
-// Sequential.Execute panics — on whichever goroutine ran it — the panic is re-raised here
-// wrapped in a *PanicError; the NR machinery itself survives. Use
-// TryExecute to receive contained failures as errors instead.
-func (h *Handle[O, R]) Execute(op O) R { return h.inner.Execute(op) }
-
-// TryExecute runs op with linearizable semantics, reporting contained
-// failures as errors: a *PanicError when user Execute panicked, ErrPoisoned
-// once replicas have diverged. A nil error means resp is the operation's
-// result.
-func (h *Handle[O, R]) TryExecute(op O) (R, error) { return h.inner.TryExecute(op) }
-
-// Node returns the node this handle is bound to.
-func (h *Handle[O, R]) Node() int { return h.inner.Node() }
-
-// PostAndAbandon submits an update without waiting for its response: the
-// op is published to this handle's combining slot and applied by whichever
-// combiner picks it up, while the caller moves on immediately. The
-// response is discarded. Capture LastToken right after the call to make
-// the abandoned op detectable after a crash.
-func (h *Handle[O, R]) PostAndAbandon(op O) { h.inner.PostAndAbandon(op) }
-
-// LastToken identifies the most recent operation submitted through this
-// handle: the flight-recorder token (log index | node | combining slot |
-// per-slot sequence number) that also travels with the op into the
-// write-ahead log on persistent instances. Capture it after Execute/TryExecute/
-// PostAndAbandon returns and, after a crash, ask
-// Recovered.WasExecuted(token) whether that operation survived.
-func (h *Handle[O, R]) LastToken() uint64 { return h.inner.LastToken() }

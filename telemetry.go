@@ -96,16 +96,16 @@ func WithSLONotify(fn func(BreachEvent)) Option {
 // unless the instance was built with WithTelemetry/WithSLO.
 func (i *Instance[O, R]) Telemetry() *Telemetry { return i.tel }
 
-// startTelemetry builds and starts the collector: gauges from the
-// instance's snapshot, latency and batch buckets from its metrics observer.
+// startTelemetry builds and starts the collector: each ring slot holds a
+// snapshot of the instance, and latency and batch buckets come from its
+// metrics observer.
 func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Collector {
-	var m Metrics // reused across ticks: the collector serializes Source calls
 	c := tsdb.New(tsdb.Config{
 		Interval: t.interval,
 		Windows:  t.windows,
-		Source: func(g *tsdb.Gauges) {
-			inst.MetricsInto(&m, false)
-			setGauges(g, &m)
+		Source: func(m *core.Metrics) {
+			inst.inner.MetricsInto(m)
+			inst.fillPersist(m)
 		},
 		Observed: inst.metrics,
 		SLOs:     t.slos,
@@ -113,41 +113,6 @@ func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Co
 	})
 	c.Start()
 	return c
-}
-
-// setGauges converts one snapshot into g, keeping g's Replicas capacity.
-func setGauges(g *tsdb.Gauges, m *core.Metrics) {
-	*g = tsdb.Gauges{Replicas: g.Replicas[:0]}
-	g.ReadOps = m.Stats.ReadOps
-	g.UpdateOps = m.Stats.UpdateOps
-	g.Combines = m.Stats.Combines
-	g.CombinedOps = m.Stats.CombinedOps
-	g.ReaderRefreshes = m.Stats.ReaderRefreshes
-	g.HelpedEntries = m.Stats.HelpedEntries
-	g.ReaderAcquires = m.Stats.ReaderAcquires
-	g.Panics = m.Stats.Panics
-	g.Stalls = m.Stats.Stalls
-
-	g.LogTail = m.Log.Tail
-	g.LogCompleted = m.Log.Completed
-	g.LogOccupancy = m.Log.Occupancy
-	for _, r := range m.Replicas {
-		g.Replicas = append(g.Replicas, tsdb.ReplicaGauge{
-			Node: r.Node, CompletedLag: r.CompletedLag, ReaderAcquires: r.ReaderAcquires,
-			ReadOps: r.ReadOps, UpdateOps: r.UpdateOps,
-			Combines: r.Combines, ReaderRefreshes: r.ReaderRefreshes,
-		})
-		g.MaxReplicaLag = max(g.MaxReplicaLag, r.CompletedLag)
-	}
-	if p := m.Persist; p != nil {
-		g.HasWAL = true
-		g.WALAppends = p.Appends
-		g.WALPages = p.Pages
-		g.WALFsyncs = p.Fsyncs
-		g.WALFsyncNanos = p.FsyncNanos
-		g.DurableIndex = p.DurableIndex
-		g.DurableLag = p.DurableLag
-	}
 }
 
 // breachChain wires a breach into the flight recorder's auto-dump (nil-safe

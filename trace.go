@@ -26,9 +26,6 @@ type TraceEvent = trace.Event
 // OpSpan is one operation's reconstructed lifecycle; see ReconstructSpans.
 type OpSpan = trace.OpSpan
 
-// SpanPhase is one leg of an OpSpan (e.g. slot-publish → combiner-pickup).
-type SpanPhase = trace.Phase
-
 // FlightRecorder records timestamped protocol events with causal context.
 // One recorder instruments one instance; build it with NewFlightRecorder
 // and pass it to WithFlightRecorderInstance.
@@ -89,10 +86,3 @@ func WriteChromeTrace(w io.Writer, snap TraceSnapshot) error {
 func WriteSlowReport(w io.Writer, snap TraceSnapshot, k int) error {
 	return trace.WriteSlowReport(w, snap, k)
 }
-
-// TopSlowSpans returns the k slowest spans, complete ops first (k <= 0
-// means all).
-func TopSlowSpans(spans []OpSpan, k int) []OpSpan { return trace.TopSlow(spans, k) }
-
-// FormatSpan renders one span as a single report line.
-func FormatSpan(sp OpSpan) string { return trace.FormatSpan(sp) }
