@@ -6,7 +6,10 @@
 # 0xc0ffee / 0xdeadbeef) under -race.
 # NR's own invariants (spin waits yield, the lock order, no I/O on the hot
 # path) are held by tests and by one tier1 grep (DESIGN.md §10); another
-# confines unsafe to the two files that need it (UNSAFE_FILES). fuzz runs
+# confines unsafe to the two files that need it (UNSAFE_FILES), and two
+# more confine the cross ticket (DESIGN.md §16): only cross.go reads a
+# replica's crossDone, and only replayTo (replay.go) calls nextTicket, once,
+# under the log's write lock. fuzz runs
 # every Fuzz* target with random inputs (their seed corpora already run in
 # tier1). figures regenerates results/nrbench_all.txt; memtables checks
 # its three memory tables, the only rows measured on the real structures.
@@ -31,13 +34,15 @@ UNSAFE_FILES = ./internal/log/log.go ./internal/miniredis/store.go
 
 .PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench figures memtables
 
-tier1: ## gofmt + one-benchmark rule + hot-path import rule + unsafe confinement + build + vet + unit tests (the acceptance gate)
+tier1: ## gofmt + one-benchmark rule + hot-path import rule + unsafe and cross-ticket confinement + build + vet + unit tests (the acceptance gate)
 	test -z "$$(gofmt -l .)"
 	! grep -rn '^func Benchmark' --include='*_test.go' . | grep -v '^./benchmark/'
 	! grep -rnE 'atomic\.(Add|And|Or|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' --include='*.go' --exclude='*_test.go' .
 	! grep -nE 'time\.(Now|Since)\(' --exclude='*_test.go' internal/core/*.go
 	! grep -rlE '"(os|syscall)(/[^"]*)?"|"io/ioutil"' --include='*.go' --exclude='*_test.go' $(HOTPATH_DIRS) | grep -vx 'internal/trace/dump.go'
 	! grep -rl '"unsafe"' --include='*.go' --exclude='*_test.go' . | grep -vxF $(UNSAFE_FILES:%=-e %)
+	! grep -n 'crossDone\.' --exclude='*_test.go' internal/core/*.go | grep -v '^internal/core/cross\.go:'
+	test "$$(grep -c '\.nextTicket' --exclude='*_test.go' internal/core/*.go | grep -v ':0$$')" = internal/core/replay.go:1
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...

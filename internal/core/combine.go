@@ -73,22 +73,16 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 	// waiting out any holes (§5.1). A cross-log barrier before our batch
 	// must be applied by the cross applier, which takes every log's write
 	// lock — release ours around the call (cross.go's lock order).
-	idx := lg.localTail.Load()
-	for idx < start {
-		e := i.waitGet(int(r.id), c, idx, ring)
-		if e.kind() != entryOp {
-			t := r.nextTicket() // before the unlock lets crossDone move
-			lg.rw.Unlock()
-			i.advanceCrossTo(r, t, ring)
-			lg.rw.Lock()
-			idx = lg.localTail.Load()
-			continue
+	for {
+		t := i.replayTo(r, c, start, true, ring)
+		if t == 0 {
+			break
 		}
-		i.applyEntry(r, c, idx, e, ring)
-		idx++
-		lg.localTail.Store(idx)
+		lg.rw.Unlock()
+		i.advanceCrossTo(r, t, ring)
+		lg.rw.Lock()
 	}
-	if idx == start {
+	if lg.localTail.Load() == start {
 		// Fast path (the paper's §5.2): apply our ops from the node-local
 		// combining slots rather than re-reading the log. safeExecute keeps
 		// a panicking op from killing the combiner: the outcome is recorded
@@ -116,11 +110,8 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		// A helper replayed past our batch start while we were appending;
 		// finish through the log — tag delivery answers our batch slots.
 		// (Helpers consume barriers before advancing past them, so the
-		// entries in [idx, end) are ours alone: plain ops.)
-		for ; idx < end; idx++ {
-			i.applyEntry(r, c, idx, i.waitGet(int(r.id), c, idx, ring), ring)
-			lg.localTail.Store(idx + 1)
-		}
+		// entries left in [start, end) are ours alone: plain ops.)
+		i.replayTo(r, c, end, true, ring)
 		i.logs[c].AdvanceCompleted(end)
 	}
 	lg.rw.Unlock()
@@ -191,7 +182,7 @@ func (i *Instance[O, R]) helpLaggards(self *replica[O, R], c int, to uint64, rin
 		var blocked uint64
 		if r2.logs[c].rw.TryLock() {
 			before := r2.logs[c].localTail.Load()
-			blocked = i.refreshTo(r2, c, to, ring)
+			blocked = i.replayTo(r2, c, to, false, ring)
 			helped := r2.logs[c].localTail.Load() - before
 			charged := self
 			if charged == nil {
@@ -199,8 +190,10 @@ func (i *Instance[O, R]) helpLaggards(self *replica[O, R], c int, to uint64, rin
 			}
 			charged.counters.helpedEntries.Add(helped)
 			r2.logs[c].rw.Unlock()
+			if i.afterHelpUnlock != nil {
+				i.afterHelpUnlock()
+			}
 			if helped > 0 {
-				i.observer.Help(int(r2.id), int(helped))
 				ring.Record(trace.KHelp, int(r2.id), helped, 0)
 			}
 		}

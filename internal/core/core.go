@@ -124,12 +124,12 @@ type Options struct {
 	// log. Instances with a watchdog must be Closed.
 	StallThreshold time.Duration
 
-	// Observer receives protocol events (combine rounds, reader refreshes,
-	// helping, log-tail contention, writer waits, stalls, contained panics,
-	// per-op latency). Round and rare events fire for every occurrence;
-	// OpDone fires for sampled ops only (trace.Sampled, plus pprof-labelled
-	// and cross-class ops). Every event is also counted exactly once in
-	// Stats, whatever is attached. Hooks fire from hot paths: the observer
+	// Observer receives the protocol events that carry a time or a size
+	// (combine rounds, log-tail contention, writer waits, per-op latency).
+	// Round and contention events fire for every occurrence; OpDone fires
+	// for sampled ops only (trace.Sampled, plus pprof-labelled and
+	// cross-class ops). Every event is also counted exactly once in Stats,
+	// whatever is attached. Hooks fire from hot paths: the observer
 	// must be concurrency-safe and non-blocking. nil means obs.Nop; with
 	// nothing but Nop attached, no clock is read for the observer.
 	Observer obs.Observer
@@ -452,6 +452,10 @@ type Instance[O, R any] struct {
 	crossMu  sync.Mutex
 	crossSeq uint64
 	crossIdx []uint64
+	// afterHelpUnlock, when set (tests only), runs each time helpLaggards
+	// releases a helped replica's write lock, before it runs that replica's
+	// cross applier.
+	afterHelpUnlock func()
 
 	mu    sync.Mutex // guards registration
 	place *topology.Placement

@@ -16,13 +16,14 @@
 // read while the replayer still holds that log's write lock, because
 // crossDone only moves under all of the replica's write locks.
 //
-// Replayers (refreshTo, the combiner pre-batch loop, helpers, quiesce)
-// stop when they meet a non-entryOp entry and hand its ticket to
-// advanceCrossTo, which applies cross tickets to one replica in order:
-// the applier takes EVERY log's write lock (index order), aligns each
-// log j >= 1 to its next barrier — replaying any normal entries before
-// it — consumes the barrier, replays log 0 to the next cross entry, and
-// executes the op there. Because every replica consumes ticket t's barrier
+// Every replay path — the combiner catching up to its batch, the elected
+// reader, helpers, an appender draining its own replica, quiesce, and the
+// applier below — replays through replayTo (replay.go), which stops at a
+// non-entryOp entry and returns its ticket; the caller releases its lock
+// and hands the ticket to advanceCrossTo, which applies cross tickets to
+// one replica in order: the applier takes EVERY log's write lock (index
+// order), replays each log j >= 1 to its next barrier and consumes it,
+// replays log 0 to the next cross entry, and executes the op there. Because every replica consumes ticket t's barrier
 // at the same point in each log's history, the cross op is applied against
 // the same state everywhere: that point IS the op's linearization point.
 //
@@ -42,6 +43,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 
 	"github.com/asplos17/nr/internal/trace"
@@ -133,39 +135,24 @@ func (i *Instance[O, R]) applyCross(r *replica[O, R], next uint64, ring *trace.R
 	// in order, so barriers for next-1 and below are already consumed on
 	// this replica.
 	for c := 1; c < len(i.logs); c++ {
-		lg := &r.logs[c]
-		for {
-			idx := lg.localTail.Load()
-			e := i.waitGet(int(r.id), c, idx, ring)
-			if e.kind() == entryBarrier {
-				lg.localTail.Store(idx + 1)
-				i.logs[c].AdvanceCompleted(idx + 1)
-				break
-			}
-			i.applyEntry(r, c, idx, e, ring)
-			lg.localTail.Store(idx + 1)
-		}
+		i.replayTo(r, c, math.MaxUint64, true, ring)
+		idx := r.logs[c].localTail.Load()
+		r.logs[c].localTail.Store(idx + 1)
+		i.logs[c].AdvanceCompleted(idx + 1)
 	}
-	// Replay log 0 up to and including the next cross entry, ticket
-	// 'next''s for the same reason.
-	lg0 := &r.logs[0]
-	for {
-		idx := lg0.localTail.Load()
-		e := i.waitGet(int(r.id), 0, idx, ring)
-		if e.kind() == entryCross {
-			res, err := i.safeExecute(r, 0, e.op, idx)
-			lg0.localTail.Store(idx + 1)
-			// Advance completed tails BEFORE delivering the response: a
-			// reader that runs after the submitter returns must observe a
-			// completed tail covering the cross op on every log, so its
-			// class-local wait suffices to see the op's effects.
-			i.logs[0].AdvanceCompleted(idx + 1)
-			i.deliver(r, 0, idx, e, res, err, ring)
-			break
-		}
-		i.applyEntry(r, 0, idx, e, ring)
-		lg0.localTail.Store(idx + 1)
-	}
+	// Replay log 0 up to the next cross entry, ticket 'next''s for the
+	// same reason, and execute it.
+	i.replayTo(r, 0, math.MaxUint64, true, ring)
+	idx := r.logs[0].localTail.Load()
+	e, _ := i.logs[0].Get(idx) // filled: replayTo stopped at it
+	res, err := i.safeExecute(r, 0, e.op, idx)
+	r.logs[0].localTail.Store(idx + 1)
+	// Advance completed tails BEFORE delivering the response: a reader that
+	// runs after the submitter returns must observe a completed tail
+	// covering the cross op on every log, so its class-local wait suffices
+	// to see the op's effects.
+	i.logs[0].AdvanceCompleted(idx + 1)
+	i.deliver(r, 0, idx, e, res, err, ring)
 	r.crossDone.Store(next)
 	for c := len(i.logs) - 1; c >= 0; c-- {
 		r.logs[c].rw.Unlock()

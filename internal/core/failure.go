@@ -227,7 +227,6 @@ func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op O, idx uint64
 			return
 		}
 		i.panics.Add(1)
-		i.observer.PanicContained(int(r.id), idx)
 		pe := &PanicError{Value: p, Stack: string(debug.Stack()), Index: idx}
 		if idx != noIndex {
 			if reason := i.tracker.recordPanic(r.id, panicKey(cls, idx), fmt.Sprint(p), i.logs[cls].MinLocalTail()); reason != "" {
@@ -248,7 +247,6 @@ func (i *Instance[O, R]) safeRead(r *replica[O, R], op O) (resp R, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			i.panics.Add(1)
-			i.observer.PanicContained(int(r.id), noIndex)
 			i.rec.AutoDump("panic")
 			err = &PanicError{Value: p, Stack: string(debug.Stack()), Index: noIndex}
 		}
@@ -333,7 +331,6 @@ func (i *Instance[O, R]) watchdog() {
 				if counted[n*(m+1)+c] != since {
 					counted[n*(m+1)+c] = since
 					i.stalls.Add(1)
-					i.observer.Stall(n, time.Duration(now-since))
 					ring.Record(trace.KStall, n, uint64(now-since), uint64(c))
 					i.rec.AutoDump("stall")
 				}

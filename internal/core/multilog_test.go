@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/asplos17/nr/internal/obs"
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/waittest"
 )
@@ -424,19 +424,6 @@ func (c *mlTicketCells) Execute(op mlOp) int64 {
 	return c.mlCrossCells.Execute(op)
 }
 
-// parkingObserver parks a helper in Help, which helpLaggards calls after it
-// has released the helped replica's write lock and before it runs the cross
-// applier, until the test resumes it.
-type parkingObserver struct {
-	obs.Nop
-	parked, resume chan struct{}
-}
-
-func (o *parkingObserver) Help(int, int) {
-	o.parked <- struct{}{}
-	<-o.resume
-}
-
 // TestCrossTicketIsTheReplicasNext pins the implicit cross ticket: log
 // entries do not store it, and a replayer that meets a barrier takes its
 // replica's crossDone+1 while it still holds that log's write lock. On a
@@ -452,12 +439,18 @@ func (o *parkingObserver) Help(int, int) {
 func TestCrossTicketIsTheReplicasNext(t *testing.T) {
 	const m, rounds = 3, 9
 	waittest.Deadline(t)
-	o := &parkingObserver{parked: make(chan struct{}), resume: make(chan struct{})}
 	inst, err := New(func() Sequential[mlOp, int64] {
 		return &mlTicketCells{mlCrossCells: mlCrossCells{mlCells{cells: make([]int64, m)}}}
-	}, Options{Topology: topology.New(2, 2, 1), Logs: m, LogMapper: crossCellsMapper, Observer: o})
+	}, Options{Topology: topology.New(2, 2, 1), Logs: m, LogMapper: crossCellsMapper})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The helper parks after it has released the helped replica's write
+	// lock and before it runs the cross applier, until the test resumes it.
+	parked, resume := make(chan struct{}), make(chan struct{})
+	inst.afterHelpUnlock = func() {
+		parked <- struct{}{}
+		<-resume
 	}
 	h0, h1 := registerCross(t, inst, 0), registerCross(t, inst, 1)
 	r := inst.replicas[1]
@@ -467,8 +460,8 @@ func TestCrossTicketIsTheReplicasNext(t *testing.T) {
 		path := [3]string{"combiner", "reader-refresh", "helper"}[(tk-1)%3]
 		c := 1 + int(tk%2)
 		if path == "helper" {
-			// An entry before the barrier, so the helper replays one and
-			// reports it through Help.
+			// An entry before the barrier, so the helper replays one
+			// before it meets the barrier.
 			h0.Execute(mlOp{kind: 0, class: c, delta: 1})
 			want[c]++
 		}
@@ -498,7 +491,7 @@ func TestCrossTicketIsTheReplicasNext(t *testing.T) {
 			}
 		}()
 		if path == "helper" {
-			<-o.parked
+			<-parked
 		} else {
 			// The path took log c's write lock, met the barrier and let go.
 			for r.logs[c].rw.WriterAcquires() == acquires || !r.logs[c].rw.TryLock() {
@@ -513,7 +506,7 @@ func TestCrossTicketIsTheReplicasNext(t *testing.T) {
 		inst.applyCross(r, uint64(tk), nil)
 		r.crossApply.Unlock()
 		if path == "helper" {
-			o.resume <- struct{}{}
+			resume <- struct{}{}
 		}
 		<-done
 		if path == "combiner" {
@@ -531,6 +524,66 @@ func TestCrossTicketIsTheReplicasNext(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplayWaitsOutHolesBeforeBarriers pins the two replay paths that
+// must wait out a reserved but unfilled entry (a hole) rather than stop at
+// it: the cross applier, which must reach its ticket's barrier in each log
+// and its cross entry in log 0, and a combiner catching up to its batch
+// across a barrier. The test reserves the hole itself, appends behind it,
+// and fills it at the end of a waittest.Window, once the path has spun on
+// it: the hole's add must be applied before the cross add, and the
+// combiner must answer its own op. A path that stopped at the hole would
+// take it for the barrier or the cross entry, or leave its batch
+// unapplied.
+func TestReplayWaitsOutHolesBeforeBarriers(t *testing.T) {
+	// fill publishes the hole as a class-c add of 1, tagged for a node that
+	// does not exist, so no replica answers a slot with it.
+	fill := func(inst *Instance[mlOp, int64], c int, idx uint64) func() {
+		return func() {
+			inst.logs[c].Fill(idx, entry[mlOp]{op: mlOp{kind: 0, class: c, delta: 1}, tag: opTag(entryOp, 2, 0, 0)})
+		}
+	}
+	for _, c := range []int{0, 1} {
+		t.Run(fmt.Sprintf("cross-applier/log-%d", c), func(t *testing.T) {
+			inst := newCrossCells(t, 2, Options{Topology: topology.New(2, 2, 1)})
+			h := registerCross(t, inst, 0)
+			hole := inst.logs[c].Reserve(1)
+			var sum int64
+			waittest.Window(t, func() { sum = h.Execute(mlOp{kind: 3, delta: 5}) }, fill(inst, c, hole))
+			if sum != 11 {
+				t.Errorf("cross add behind a log-%d hole: sum = %d, want 11 (5+5 and the hole's 1)", c, sum)
+			}
+			for n := range inst.Replicas() {
+				inst.InspectReplica(n, func(ds Sequential[mlOp, int64]) {
+					want := []int64{5, 5}
+					want[c]++
+					if cells := ds.(*mlCrossCells).cells; !slices.Equal(cells, want) {
+						t.Errorf("replica %d holds %v, want %v", n, cells, want)
+					}
+				})
+			}
+		})
+	}
+	t.Run("combiner", func(t *testing.T) {
+		// Log 1 holds the hole, then a cross barrier, then node 1's batch.
+		inst := newCrossCells(t, 2, Options{Topology: topology.New(2, 2, 1)})
+		h0, h1 := registerCross(t, inst, 0), registerCross(t, inst, 1)
+		hole := inst.logs[1].Reserve(1)
+		cross := make(chan int64)
+		go func() { cross <- h0.Execute(mlOp{kind: 3, delta: 5}) }()
+		for inst.logs[1].Tail() == hole+1 {
+			runtime.Gosched() // the cross op has not reserved its barrier yet
+		}
+		var add int64
+		waittest.Window(t, func() { add = h1.Execute(mlOp{kind: 0, class: 1, delta: 1}) }, fill(inst, 1, hole))
+		if add != 7 {
+			t.Errorf("class-1 add behind a hole and a barrier = %d, want 7 (the hole's 1, the cross 5, its own 1)", add)
+		}
+		if sum := <-cross; sum != 11 {
+			t.Errorf("cross add behind the hole: sum = %d, want 11", sum)
+		}
+	})
 }
 
 // TestCrossPathsLockLogsInIndexOrder pins the order in which a replica's

@@ -29,9 +29,8 @@ func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c in
 		var blocked uint64
 		if before := lg.localTail.Load(); before < readTail {
 			r.counters.readerRefreshes.Add(1)
-			blocked = i.refreshTo(r, c, readTail, h.ring)
-			i.observer.ReaderRefresh(h.node, int(lg.localTail.Load()-before))
-			h.ring.Record(trace.KReaderRefresh, h.node, uint64(lg.localTail.Load()-before), 0)
+			blocked = i.replayTo(r, c, readTail, false, h.ring)
+			h.ring.Record(trace.KReaderRefresh, h.node, lg.localTail.Load()-before, 0)
 		}
 		lg.rw.Unlock()
 		lg.refresher.Unlock()

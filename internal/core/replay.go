@@ -6,7 +6,7 @@ import "github.com/asplos17/nr/internal/trace"
 // panic containment, so a poisonous op advances localTail like any other —
 // and, if the entry originated on r's node, delivers the outcome (value or
 // error) to its slot. Callers have already ruled out barrier and cross
-// entries (refreshTo stops at them; cross.go applies them).
+// entries (replayTo stops at them; applyCross consumes them).
 func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry[O], ring *trace.Ring) {
 	res, err := i.safeExecute(r, c, e.op, idx)
 	i.deliver(r, c, idx, e, res, err, ring)
@@ -44,19 +44,24 @@ func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O]
 	}
 }
 
-// refreshTo replays filled entries of log c into the replica up to 'to',
-// stopping early at a hole — a reader may proceed when it finds an empty
-// entry (§5.3) — or at a cross-log barrier/cross entry, whose ticket it
-// returns (0 otherwise): the caller must release the replica lock and run
-// the cross applier (advanceCrossTo) before replaying further. Caller
-// holds (r, c)'s write-side lock, which keeps crossDone still while the
-// ticket is read (nextTicket).
-func (i *Instance[O, R]) refreshTo(r *replica[O, R], c int, to uint64, ring *trace.Ring) uint64 {
+// replayTo applies log c's entries to r from its localTail up to 'to',
+// the one replay rule every path shares: entries in log order (§5.1). At a
+// reserved but unfilled entry it waits when wait is set — an appender must
+// reach its own batch (§5.1) — and otherwise stops, as a reader may
+// (§5.3). At a cross-log barrier or cross entry it stops and returns that
+// entry's ticket (0 otherwise): the caller must release the replica lock
+// and run the cross applier (advanceCrossTo) before replaying further.
+// Caller holds (r, c)'s write-side lock, which keeps crossDone still while
+// the ticket is read (nextTicket).
+func (i *Instance[O, R]) replayTo(r *replica[O, R], c int, to uint64, wait bool, ring *trace.Ring) uint64 {
 	lg := &r.logs[c]
 	for idx := lg.localTail.Load(); idx < to; idx++ {
 		e, ok := i.logs[c].Get(idx)
 		if !ok {
-			return 0
+			if !wait {
+				return 0
+			}
+			e = i.waitGet(int(r.id), c, idx, ring)
 		}
 		if e.kind() != entryOp {
 			return r.nextTicket()
@@ -87,7 +92,7 @@ func (i *Instance[O, R]) refreshOwn(r *replica[O, R], c int, to uint64, ring *tr
 	lg := &r.logs[c]
 	for {
 		lg.rw.Lock()
-		blocked := i.refreshTo(r, c, to, ring)
+		blocked := i.replayTo(r, c, to, false, ring)
 		lg.rw.Unlock()
 		if blocked == 0 {
 			return
@@ -99,7 +104,7 @@ func (i *Instance[O, R]) refreshOwn(r *replica[O, R], c int, to uint64, ring *tr
 // quiesceReplica brings one replica up to date with every log's completed
 // tail, applying cross-log barriers as it meets them. Every entry below a
 // completed tail is filled (each combiner waits out its whole prefix before
-// advancing it), so refreshTo's hole stop never cuts the replay short.
+// advancing it), so replayTo's hole stop never cuts the replay short.
 func (i *Instance[O, R]) quiesceReplica(r *replica[O, R]) {
 	for c := range i.logs {
 		i.refreshOwn(r, c, i.logs[c].Completed(), nil)

@@ -286,7 +286,7 @@ func TestTagDeliversContainedPanic(t *testing.T) {
 
 	ring := rec.AcquireRing()
 	r.logs[0].rw.Lock()
-	inst.refreshTo(r, 0, idx+1, ring)
+	inst.replayTo(r, 0, idx+1, false, ring)
 	r.logs[0].rw.Unlock()
 
 	if st := s.state.Load(); st != slotDone {

@@ -215,9 +215,6 @@ func (p *Persistence) BgSave() bool {
 	return true
 }
 
-// Saving reports whether a background save is in flight.
-func (p *Persistence) Saving() bool { return p.saving.Load() }
-
 // LastSave returns the completion time of the last successful snapshot
 // (zero time if none this process), as LASTSAVE does.
 func (p *Persistence) LastSave() time.Time { return p.inst.LastSave() }

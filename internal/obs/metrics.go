@@ -11,9 +11,10 @@ import (
 // latency (one per op class, over the sampled ops OpDone reports) and
 // combiner batch size (every non-empty round), and per-node combine time.
 // It keeps only what needs an event's clock or size; the event counts are
-// core's (Stats, ReplicaGauges), so the six rare-event hooks fall through
-// to the embedded Nop. All recording is lock-free; ReadCum and Snapshot may
-// be called concurrently with recording.
+// core's (Stats, ReplicaGauges), so the two contention hooks (LogTailRetry,
+// WriterWait) fall through to the embedded Nop. All recording is
+// lock-free; ReadCum and Snapshot may be called concurrently with
+// recording.
 type Metrics struct {
 	Nop
 	nodes []nodeMetrics

@@ -9,10 +9,7 @@
 // performs with sched_setaffinity.
 package topology
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Topology describes a NUMA machine.
 type Topology struct {
@@ -76,68 +73,32 @@ func (t Topology) NodeOf(thread int) int {
 	return (thread / t.ThreadsPerNode()) % t.nodes
 }
 
-// NodesFor returns how many nodes are occupied when the first n logical
-// threads are placed with the fill policy.
-func (t Topology) NodesFor(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	occupied := (n + t.ThreadsPerNode() - 1) / t.ThreadsPerNode()
-	if occupied > t.nodes {
-		occupied = t.nodes
-	}
-	return occupied
-}
-
 // String renders the topology in a compact nodes×cores×smt form.
 func (t Topology) String() string {
 	return fmt.Sprintf("%d nodes × %d cores × %d SMT (%d threads)",
 		t.nodes, t.coresPerNode, t.smt, t.TotalThreads())
 }
 
-// Describe renders a multi-line picture of the machine, useful for CLIs.
-func (t Topology) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "topology: %s\n", t.String())
-	for n := 0; n < t.nodes; n++ {
-		lo := n * t.ThreadsPerNode()
-		hi := lo + t.ThreadsPerNode() - 1
-		fmt.Fprintf(&b, "  node %d: threads %d-%d\n", n, lo, hi)
-	}
-	return b.String()
-}
-
-// Placement assigns registered threads to nodes. It is deliberately tiny: a
-// strategy function plus bookkeeping, so tests can swap policies.
+// Placement assigns registered threads to nodes with the paper's fill
+// policy (NodeOf), counting the threads placed so far.
 type Placement struct {
 	topo Topology
 	next int
-	node func(p *Placement) int
 }
 
 // NewFillPlacement places threads with the paper's fill policy.
 func NewFillPlacement(t Topology) *Placement {
-	return &Placement{topo: t, node: func(p *Placement) int { return p.topo.NodeOf(p.next) }}
-}
-
-// NewRoundRobinPlacement places consecutive threads on consecutive nodes.
-// The paper found this inferior for every method (§8, footnote 4); it exists
-// so the claim can be reproduced.
-func NewRoundRobinPlacement(t Topology) *Placement {
-	return &Placement{topo: t, node: func(p *Placement) int { return p.next % p.topo.nodes }}
+	return &Placement{topo: t}
 }
 
 // Next assigns and returns the node for the next registered thread.
 // Not safe for concurrent use; callers serialize registration.
 func (p *Placement) Next() (thread, node int) {
 	thread = p.next
-	node = p.node(p)
+	node = p.topo.NodeOf(thread)
 	p.next++
 	return thread, node
 }
 
 // Assigned returns how many threads have been placed.
 func (p *Placement) Assigned() int { return p.next }
-
-// Topology returns the machine the placement targets.
-func (p *Placement) Topology() Topology { return p.topo }

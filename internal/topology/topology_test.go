@@ -85,18 +85,6 @@ func TestNodeOfPanicsOnNegative(t *testing.T) {
 	Intel4x14x2().NodeOf(-1)
 }
 
-func TestNodesFor(t *testing.T) {
-	tp := Intel4x14x2()
-	cases := []struct{ n, want int }{
-		{0, 0}, {-3, 0}, {1, 1}, {28, 1}, {29, 2}, {56, 2}, {57, 3}, {112, 4}, {500, 4},
-	}
-	for _, c := range cases {
-		if got := tp.NodesFor(c.n); got != c.want {
-			t.Errorf("NodesFor(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
 func TestFillPlacementMatchesNodeOf(t *testing.T) {
 	tp := Intel4x14x2()
 	p := NewFillPlacement(tp)
@@ -114,29 +102,10 @@ func TestFillPlacementMatchesNodeOf(t *testing.T) {
 	}
 }
 
-func TestRoundRobinPlacement(t *testing.T) {
-	tp := New(4, 2, 1)
-	p := NewRoundRobinPlacement(tp)
-	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	for i, w := range want {
-		_, node := p.Next()
-		if node != w {
-			t.Errorf("round-robin thread %d on node %d, want %d", i, node, w)
-		}
-	}
-	if p.Topology() != tp {
-		t.Errorf("Topology() = %v, want %v", p.Topology(), tp)
-	}
-}
-
-func TestStringAndDescribe(t *testing.T) {
+func TestString(t *testing.T) {
 	tp := New(2, 3, 1)
 	if s := tp.String(); !strings.Contains(s, "2 nodes") || !strings.Contains(s, "6 threads") {
 		t.Errorf("String() = %q, missing dimensions", s)
-	}
-	d := tp.Describe()
-	if !strings.Contains(d, "node 0: threads 0-2") || !strings.Contains(d, "node 1: threads 3-5") {
-		t.Errorf("Describe() = %q, missing node ranges", d)
 	}
 }
 
@@ -152,22 +121,6 @@ func TestNodeOfProperties(t *testing.T) {
 		// All threads within the same block share a node.
 		block := int(thread) / tp.ThreadsPerNode()
 		return n == block%tp.Nodes()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: NodesFor is monotone non-decreasing in n and bounded by Nodes().
-func TestNodesForMonotone(t *testing.T) {
-	f := func(nodes, cores uint8, a, b uint16) bool {
-		tp := New(int(nodes%8)+1, int(cores%16)+1, 1)
-		lo, hi := int(a), int(b)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		x, y := tp.NodesFor(lo), tp.NodesFor(hi)
-		return x <= y && y <= tp.Nodes()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

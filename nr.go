@@ -156,8 +156,9 @@ func WithStallThreshold(d time.Duration) Option {
 }
 
 // WithObserver attaches an event observer to the instance: it receives
-// combine-round, reader-refresh, helping, log-contention, stall, panic, and
-// per-operation-latency events from inside the protocol. Every event fires
+// combine-round, log-contention (tail CAS retries, writer waits) and
+// per-operation-latency events from inside the protocol; reader refreshes,
+// helping, stalls and contained panics are counted in Stats. Every event fires
 // for every occurrence except OpDone, which fires for the sampled ops only:
 // one op in 16 per handle (plus pprof-labelled and cross-class ops), custom
 // observers included — Stats.ReadOps and Stats.UpdateOps are the exact op
