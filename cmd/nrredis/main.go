@@ -107,7 +107,7 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 
 		traceOn    = fs.Bool("trace", true, "attach the flight recorder (nr method only): SLOWLOG + /debug/trace, ranking sampled ops (one in 16 per handle)")
 		traceSlots = fs.Int("trace-slots", 4096, "flight-recorder ring slots per thread (rounded to a power of two, at most 1048576)")
-		traceDump  = fs.String("trace-dump-dir", "", "directory for automatic black-box dumps on stall/panic/poison; empty disables")
+		traceDump  = fs.String("trace-dump-dir", "", "directory for automatic black-box dumps on a contained panic, poisoning or an SLO breach; empty disables")
 		traceProf  = fs.Int("trace-pprof-rate", 0, "label every Nth op with pprof labels (nr_node, nr_op); 0 disables")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse does not return an error

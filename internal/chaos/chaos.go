@@ -1,12 +1,13 @@
 // Package chaos is a deterministic fault-injection harness for the NR core.
 //
 // The paper's §6 identifies NR's weakest point: a thread that stops making
-// progress mid-protocol. A stalled or dead combiner blocks its node's
-// combining slots and, once the shared log fills, every appender on every
-// node. This package turns that discussion into a repeatable test bed: a
-// seeded schedule injects faults at the protocol's pressure points and an
-// invariant checker asserts that the containment machinery (internal/core's
-// failure.go) actually holds.
+// progress mid-protocol. A slow combiner blocks its node's combining slots
+// and, once the shared log fills, every appender on every node; a
+// panicking one must not take its node down with it. This package turns
+// that discussion into a repeatable test bed: a seeded schedule injects
+// faults at the protocol's pressure points and an invariant checker
+// asserts that the containment machinery (internal/core's failure.go) and
+// the helping path actually hold.
 //
 // Injected fault types:
 //
@@ -17,13 +18,13 @@
 //     deterministic partial mutation the op makes before panicking).
 //   - Stall: an operation whose Execute sleeps, holding the combiner lock
 //     and replica write lock — a preempted/slow combiner as seen by every
-//     other thread. The watchdog must flag it; nothing may deadlock.
+//     other thread. Nothing may deadlock, and the replicas must converge.
 //   - Log pressure: a deliberately tiny log, so appenders constantly hit the
 //     full-log path and exercise inactive-replica helping under faults.
-//   - Death: a thread posts an op to its combining slot and abandons it
-//     (Handle.PostAndAbandon) — a goroutine dying between publish and
-//     combine. The node's next combiner executes the orphan; no response is
-//     collected; the slot is retired; everyone else proceeds.
+//
+// A crash that cuts ops off between publish and response is the
+// kill-and-recover half's subject (recover.go): there the process dies,
+// as it does in production, and recovery must answer for every token.
 //
 // Determinism: every fault decision is a pure function of (seed, thread,
 // sequence number), so a failing schedule replays exactly from its seed.

@@ -43,11 +43,7 @@ func (l *syncLog) boundaries() []persist.SyncInfo {
 
 func followedInstance(t *testing.T, dir string, logEntries int, sl *syncLog, popts ...nr.PersistOption) *nr.Instance[Op, Result] {
 	t.Helper()
-	popts = append([]nr.PersistOption{
-		nr.WithGroupInterval(500 * time.Microsecond),
-		nr.WithSegmentBytes(16 << 10),
-		nr.WithSyncHook(sl.hook),
-	}, popts...)
+	popts = append([]nr.PersistOption{walTuning(sl.hook)}, popts...)
 	inst, err := nr.New(func() nr.Sequential[Op, Result] { return NewDS() },
 		nr.WithNodes(2, 2, 1), nr.WithLogEntries(logEntries),
 		nr.WithPersistence(dir, OpCodec{}, popts...))
@@ -175,8 +171,8 @@ func TestRecoverLogWaitsForSlowFollower(t *testing.T) {
 }
 
 // (b) ack → SyncWAL → crash: at every sync boundary from the barrier on,
-// every token acknowledged before the SyncWAL is WasExecuted — the
-// abandoned one too — and what is replayed is exactly the durable prefix.
+// every token acknowledged before the SyncWAL is WasExecuted, and what is
+// replayed is exactly the durable prefix.
 func TestRecoverAckedSurvivesEveryCutAfterSyncWAL(t *testing.T) {
 	dir := t.TempDir()
 	var sl syncLog
@@ -190,15 +186,9 @@ func TestRecoverAckedSurvivesEveryCutAfterSyncWAL(t *testing.T) {
 	}
 	h0, _ := inst.RegisterOnNode(0)
 	h1, _ := inst.RegisterOnNode(1)
-	orphan, err := inst.RegisterOnNode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	run(h0, 150, &acked)
-	orphan.PostAndAbandon(Op{Kind: KindAdd, Key: 3, Delta: 5})
-	acked = append(acked, orphan.LastToken())
 	run(h1, 150, &acked)
-	run(h0, 20, &acked) // node 0's next combiner picks the orphan up
+	run(h0, 20, &acked)
 	if err := inst.SyncWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +349,7 @@ func TestRecoverCheckpointReadsTrimmedTokensBack(t *testing.T) {
 func TestRecoverCheckpointAfterWALFailure(t *testing.T) {
 	dir := t.TempDir()
 	var sl syncLog
-	inst := followedInstance(t, dir, 64, &sl, nr.WithSegmentBytes(4<<10))
+	inst := followedInstance(t, dir, 64, &sl, func(o *persist.Options) { o.SegmentBytes = 4 << 10 })
 	// The WAL opens segment 1 with O_EXCL when segment 0 passes 4 KiB;
 	// a file already under that name makes the rotation fail.
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*-00000000.wal"))

@@ -39,18 +39,11 @@ type Schedule struct {
 	StallEveryN int
 	// StallFor is the stall duration (default 2ms).
 	StallFor time.Duration
-	// AbandonEveryN makes a worker post-and-abandon every N ops, retiring
-	// that worker's handle and re-registering a fresh one on the same node
-	// (0 = off).
-	AbandonEveryN int
 	// ReadFraction is the percentage [0,100] of well-behaved ops that are
 	// reads (default 30).
 	ReadFraction int
-	// StallThreshold enables the core watchdog (default 1ms when
-	// StallEveryN > 0, else off).
-	StallThreshold time.Duration
 	// Trace attaches a flight recorder with automatic dumps enabled (no
-	// rate limit, callback sink): every stall/panic/poison the run detects
+	// rate limit, callback sink): every panic or poisoning the run detects
 	// lands in Report.TraceDumps, so tests can assert the black box fired.
 	Trace bool
 	// Timeout bounds the whole run; exceeding it is the deadlock invariant
@@ -77,9 +70,6 @@ func (s *Schedule) fillDefaults() {
 	if s.ReadFraction == 0 {
 		s.ReadFraction = 30
 	}
-	if s.StallThreshold == 0 && s.StallEveryN > 0 {
-		s.StallThreshold = time.Millisecond
-	}
 	if s.Timeout == 0 {
 		s.Timeout = 30 * time.Second
 	}
@@ -95,8 +85,6 @@ type Outcome struct {
 	Op     Op
 	Resp   Result
 	Err    error
-	// Abandoned marks ops posted via PostAndAbandon: no response expected.
-	Abandoned bool
 }
 
 // Report is the result of a chaos run.
@@ -116,20 +104,15 @@ type Report struct {
 	Health            core.Health
 	Elapsed           time.Duration
 	// TraceDumps lists the reason of every automatic flight-recorder dump
-	// ("stall", "panic", "poisoned") the run produced, in order. Populated
+	// ("panic", "poisoned") the run produced, in order. Populated
 	// only with Schedule.Trace.
 	TraceDumps []string
 	// TraceEvents counts the events a final recorder snapshot held, a
 	// sanity signal that the recorder was live. Populated with Trace.
 	TraceEvents int
-	// OrphansDrained reports that every abandoned op was forced to execute
-	// before fingerprints were taken (see run's drain pass); when false the
-	// effect-completeness invariant is skipped, since an unexecuted orphan
-	// legitimately leaves the expected state ambiguous.
-	OrphansDrained bool
 }
 
-// ErrDeadlock is returned by Run when the run — workers, drain, quiesce —
+// ErrDeadlock is returned by Run when the run — workers, quiesce —
 // fails to finish within the schedule's timeout: the "no deadlock"
 // invariant.
 var ErrDeadlock = errors.New("chaos: run did not finish within timeout (deadlock?)")
@@ -144,12 +127,11 @@ func Run(s Schedule) (*Report, error) {
 	inst, err := core.New[Op, Result](
 		s.newDS(),
 		core.Options{
-			Topology:       topology.New(s.Nodes, s.CoresPerNode, 1),
-			LogEntries:     s.LogEntries,
-			Logs:           s.Logs,
-			LogMapper:      s.logMapper(),
-			StallThreshold: s.StallThreshold,
-			Trace:          rec,
+			Topology:   topology.New(s.Nodes, s.CoresPerNode, 1),
+			LogEntries: s.LogEntries,
+			Logs:       s.Logs,
+			LogMapper:  s.logMapper(),
+			Trace:      rec,
 		})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: building instance: %w", err)
@@ -158,11 +140,6 @@ func Run(s Schedule) (*Report, error) {
 	if rep != nil && rec != nil {
 		rep.TraceDumps = dumps()
 		rep.TraceEvents = len(rec.Snapshot().Events())
-	}
-	if !errors.Is(err, ErrDeadlock) {
-		// A deadlocked instance is left open: Close would wait for its
-		// watchdog, which may be stuck helping with the rest.
-		inst.Close()
 	}
 	return rep, err
 }
@@ -224,8 +201,7 @@ func (s *Schedule) logMapper() any {
 type valuer interface{ Values() map[uint16]int64 }
 
 // runWorkers drives s's seeded op streams through handles registered on
-// inst, re-registering on the same node after an abandonment. Returns the
-// flattened outcomes in thread order.
+// inst. Returns the flattened outcomes in thread order.
 func runWorkers(inst *core.Instance[Op, Result], s Schedule) ([]Outcome, error) {
 	outcomes := make([][]Outcome, s.Threads)
 	workers := make([]*core.Handle[Op, Result], s.Threads)
@@ -246,20 +222,6 @@ func runWorkers(inst *core.Instance[Op, Result], s Schedule) ([]Outcome, error) 
 			outs := make([]Outcome, 0, s.OpsPerThread)
 			for seq := 0; seq < s.OpsPerThread; seq++ {
 				op := s.opFor(rng, t, seq)
-				if s.AbandonEveryN > 0 && seq%s.AbandonEveryN == s.AbandonEveryN-1 {
-					h.PostAndAbandon(op)
-					outs = append(outs, Outcome{Thread: t, Seq: seq, Op: op, Abandoned: true})
-					// The abandoned handle is dead; take a fresh slot on the
-					// same node, as a restarted worker would.
-					nh, err := inst.RegisterOnNode(h.Node())
-					if err != nil {
-						// Node out of slots: stop this worker. Recorded ops
-						// up to here still count.
-						break
-					}
-					h = nh
-					continue
-				}
 				resp, err := h.TryExecute(op)
 				outs = append(outs, Outcome{Thread: t, Seq: seq, Op: op, Resp: resp, Err: err})
 			}
@@ -275,8 +237,7 @@ func runWorkers(inst *core.Instance[Op, Result], s Schedule) ([]Outcome, error) 
 }
 
 // run drives s's workers against inst (already configured), within
-// s.Timeout: workers, the orphan drain, the quiesce and the replica reads
-// all count, since a deadlock in any of them is the invariant firing.
+// s.Timeout: workers, the quiesce and the replica reads all count, since a deadlock in any of them is the invariant firing.
 func run(inst *core.Instance[Op, Result], s Schedule) (*Report, error) {
 	type result struct {
 		rep *Report
@@ -301,35 +262,8 @@ func runUnbounded(inst *core.Instance[Op, Result], s Schedule) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	drained := true
-	if s.AbandonEveryN > 0 {
-		// Drain orphaned combining slots: one no-op update per node forces a
-		// combining round that scans the node's slots and executes any op a
-		// dead worker left behind. With every orphan executed, the
-		// effect-completeness invariant can fold abandoned ops into the
-		// expected state.
-		classes := s.Logs
-		if classes < 1 {
-			classes = 1
-		}
-		for n := 0; n < inst.Replicas(); n++ {
-			h, err := inst.RegisterOnNode(n)
-			if err != nil {
-				drained = false // out of slots: this node's orphans may be pending
-				continue
-			}
-			// One no-op per conflict class: a combining round only collects
-			// its own class's slots, so each class's orphans need their own
-			// round (key c maps to class c under the harness mapper).
-			for c := 0; c < classes; c++ {
-				if _, err := h.TryExecute(Op{Kind: KindAdd, Key: uint16(c), Delta: 0}); err != nil {
-					drained = false
-				}
-			}
-		}
-	}
 	inst.Quiesce()
-	rep := &Report{Schedule: s, Elapsed: time.Since(start), OrphansDrained: drained, Outcomes: all}
+	rep := &Report{Schedule: s, Elapsed: time.Since(start), Outcomes: all}
 	for n := 0; n < inst.Replicas(); n++ {
 		inst.InspectReplica(n, func(ds core.Sequential[Op, Result]) {
 			rep.States = append(rep.States, ds.(valuer).Values())
@@ -366,24 +300,19 @@ func (s *Schedule) opFor(rng *Rand, t, seq int) Op {
 
 // Check asserts the chaos invariants and returns every violation:
 //
-//  1. Response delivery: every non-abandoned op has an outcome — faulty ops
-//     a *core.PanicError carrying the injected panic value, healthy ops a
+//  1. Response delivery: every op has an outcome — faulty ops a
+//     *core.PanicError carrying the injected panic value, healthy ops a
 //     nil error. (Run already proved "no deadlock" by returning.)
 //  2. Convergence: after Quiesce, every replica holds the same state (the
 //     replica oracle compares whole contents, not digests).
 //  3. No poisoning: deterministic faults must never trip the divergence
 //     detector.
-//  4. Stall visibility: when stalls were injected and the watchdog enabled,
-//     Stats.Stalls must be nonzero.
-//  5. Effect completeness: replica state equals exactly the fold of every
-//     recorded op's effect — successful updates, panicking ops' partial
-//     mutations, and drained abandoned ops alike. Nothing executed twice,
-//     nothing silently skipped. Skipped when orphans could not be drained
-//     (OrphansDrained false) because an unexecuted orphan's effect is
-//     legitimately absent.
+//  4. Effect completeness: replica state equals exactly the fold of every
+//     recorded op's effect — successful updates and panicking ops' partial
+//     mutations alike. Nothing executed twice, nothing silently skipped.
 func (r *Report) Check() []error {
 	var errs []error
-	if len(r.States) > 0 && (r.Schedule.AbandonEveryN == 0 || r.OrphansDrained) {
+	if len(r.States) > 0 {
 		expected := make(map[uint16]int64)
 		for _, o := range r.Outcomes {
 			// Panicking ops mutated before the panic; only a non-panic error
@@ -398,8 +327,6 @@ func (r *Report) Check() []error {
 	}
 	for _, o := range r.Outcomes {
 		switch {
-		case o.Abandoned:
-			continue
 		case o.Op.Kind == KindPanic:
 			var pe *core.PanicError
 			if !errors.As(o.Err, &pe) {
@@ -425,9 +352,6 @@ func (r *Report) Check() []error {
 	}
 	if r.Health.Poisoned {
 		errs = append(errs, fmt.Errorf("instance poisoned under deterministic faults: %s", r.Health.PoisonReason))
-	}
-	if r.Schedule.StallEveryN > 0 && r.Schedule.StallThreshold > 0 && r.Stats.Stalls == 0 {
-		errs = append(errs, errors.New("stalls injected but watchdog counted none"))
 	}
 	return errs
 }

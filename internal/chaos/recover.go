@@ -38,10 +38,6 @@ type RecoverSchedule struct {
 	// PanicEveryN injects deterministic panic ops (0 = off); their partial
 	// mutations must survive recovery too.
 	PanicEveryN int
-	// AbandonEveryN posts-and-abandons every Nth op (0 = off): orphaned
-	// combining slots whose submitter never learns the outcome — the ops
-	// detectability exists for. Their tokens are recorded.
-	AbandonEveryN int
 	// CheckpointMid takes a replica snapshot between the phases, so
 	// recovery exercises snapshot + suffix replay rather than full replay.
 	CheckpointMid bool
@@ -93,8 +89,6 @@ type RecordedOp struct {
 	// Acked marks phase-1 ops: executed before the SyncWAL barrier, so
 	// recovery MUST report them executed and preserve their effects.
 	Acked bool
-	// Abandoned marks PostAndAbandon ops (no response was ever delivered).
-	Abandoned bool
 	// Panicked marks ops whose execution panicked (contained); their
 	// partial mutation is still an effect.
 	Panicked bool
@@ -135,15 +129,11 @@ func RunRecover(dir string, s RecoverSchedule) (*RecoverReport, error) {
 		func() nr.Sequential[Op, Result] { return NewDS() },
 		nr.WithNodes(s.Nodes, s.CoresPerNode, 1),
 		nr.WithLogEntries(s.LogEntries),
-		nr.WithPersistence(dir, OpCodec{},
-			nr.WithGroupInterval(500*time.Microsecond),
-			nr.WithSegmentBytes(16<<10), // small segments: rotation under test
-			nr.WithSyncHook(func(info persist.SyncInfo) {
-				syncMu.Lock()
-				syncs = append(syncs, info)
-				syncMu.Unlock()
-			}),
-		),
+		nr.WithPersistence(dir, OpCodec{}, walTuning(func(info persist.SyncInfo) {
+			syncMu.Lock()
+			syncs = append(syncs, info)
+			syncMu.Unlock()
+		})),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: building persistent instance: %w", err)
@@ -157,10 +147,7 @@ func RunRecover(dir string, s RecoverSchedule) (*RecoverReport, error) {
 		opMu.Unlock()
 	}
 
-	// Workers register once and keep their handles across both phases:
-	// combining slots are a finite per-node resource and abandons burn one
-	// each, so the schedule must fit in Nodes×CoresPerNode slots plus the
-	// abandon/drain overhead.
+	// Workers register once and keep their handles across both phases.
 	handles := make([]*nr.Handle[Op, Result], s.Threads)
 	for t := 0; t < s.Threads; t++ {
 		h, err := inst.RegisterOnNode(t % s.Nodes)
@@ -179,28 +166,10 @@ func RunRecover(dir string, s RecoverSchedule) (*RecoverReport, error) {
 			go func(t int) {
 				defer wg.Done()
 				h := handles[t]
-				if h == nil {
-					return // worker died in an earlier phase (slot exhaustion)
-				}
-				defer func() { handles[t] = h }()
 				rng := NewRand(s.Seed ^ mix(uint64(t)+1) ^ mix(phaseIdx+7))
 				outs := make([]RecordedOp, 0, opsPerThread)
 				for seq := 0; seq < opsPerThread; seq++ {
 					op := s.opFor(rng, seq)
-					if s.AbandonEveryN > 0 && seq%s.AbandonEveryN == s.AbandonEveryN-1 {
-						h.PostAndAbandon(op)
-						outs = append(outs, RecordedOp{
-							Thread: t, Op: op, Token: h.LastToken(),
-							Acked: acked, Abandoned: true,
-						})
-						nh, err := inst.RegisterOnNode(h.Node())
-						if err != nil {
-							h = nil // out of slots; recorded ops still count
-							break
-						}
-						h = nh
-						continue
-					}
 					_, err := h.TryExecute(op)
 					ro := RecordedOp{Thread: t, Op: op, Token: h.LastToken(), Acked: acked}
 					var pe *nr.PanicError
@@ -237,9 +206,6 @@ func RunRecover(dir string, s RecoverSchedule) (*RecoverReport, error) {
 		inst.Close()
 		return nil, err
 	}
-	// Abandoned phase-1 ops are acked only once executed and synced: drain
-	// the orphan slots before the barrier so their effects are in the WAL.
-	drainOrphans(inst, s)
 	if err := inst.SyncWAL(); err != nil {
 		inst.Close()
 		return nil, fmt.Errorf("chaos: phase-1 sync: %w", err)
@@ -259,7 +225,6 @@ func RunRecover(dir string, s RecoverSchedule) (*RecoverReport, error) {
 			inst.Close()
 			return nil, err
 		}
-		drainOrphans(inst, s)
 	}
 
 	inst.Quiesce()
@@ -346,16 +311,14 @@ func tearLastSegment(dir string) error {
 	return os.Truncate(path, fi.Size()-tear)
 }
 
-// drainOrphans forces every abandoned op to execute: one no-op update per
-// node makes that node's combiner scan its slots.
-func drainOrphans(inst *nr.Instance[Op, Result], s RecoverSchedule) {
-	if s.AbandonEveryN <= 0 {
-		return
-	}
-	for n := 0; n < inst.Replicas(); n++ {
-		if h, err := inst.RegisterOnNode(n); err == nil {
-			_, _ = h.TryExecute(Op{Kind: KindAdd, Key: 0, Delta: 0})
-		}
+// walTuning sets the WAL knobs the kill-and-recover runs turn: a short
+// group interval, small segments (rotation under test), and onSync after
+// every sync, which records the crash points.
+func walTuning(onSync func(persist.SyncInfo)) nr.PersistOption {
+	return func(o *persist.Options) {
+		o.GroupInterval = 500 * time.Microsecond
+		o.SegmentBytes = 16 << 10
+		o.OnSync = onSync
 	}
 }
 
@@ -375,7 +338,7 @@ func (s *RecoverSchedule) opFor(rng *Rand, seq int) Op {
 // violation:
 //
 //  1. No acknowledged op lost: every op recorded before the SyncWAL
-//     barrier — including abandoned and panicking ops — reports
+//     barrier — including panicking ops — reports
 //     WasExecuted(token) true after recovery.
 //  2. Convergence: every recovered replica has the same fingerprint.
 //  3. Detectability consistency: the recovered state is exactly the fold

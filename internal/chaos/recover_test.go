@@ -11,6 +11,7 @@ import (
 	"time"
 
 	nr "github.com/asplos17/nr"
+	"github.com/asplos17/nr/internal/persist"
 )
 
 // recoverSeeds mirrors the fixed seeds of the live-fault matrix.
@@ -101,36 +102,6 @@ func TestRecoverWithPanics(t *testing.T) {
 		}
 		if rep.Recovered.ReplayPanics() == 0 && rep.Recovered.SnapshotIndex() == 0 {
 			t.Errorf("seed %#x: %d acked panic ops but replay contained none (and no snapshot covers them)", seed, panicked)
-		}
-	}
-}
-
-// TestRecoverAbandonedOps is the PostAndAbandon coverage: ops posted to a
-// combining slot and orphaned by their submitter must be executed by the
-// next combiner, persisted, and — after a crash at a sync boundary —
-// answered definitively by WasExecuted, even though no submitter ever saw
-// a response. This is the case detectability exists for: without it the
-// orphan's fate is unknowable.
-func TestRecoverAbandonedOps(t *testing.T) {
-	for _, seed := range recoverSeeds {
-		rep := checkRecover(t, t.TempDir(), RecoverSchedule{
-			Seed:            seed,
-			CoresPerNode:    16, // abandons retire slots; leave headroom
-			Threads:         4,  // 2 workers/node over 16 slots/node
-			AbandonEveryN:   25,
-			CrashAtBoundary: true,
-		})
-		abandoned := 0
-		for _, o := range rep.Ops {
-			if o.Abandoned && o.Acked {
-				abandoned++
-				if !rep.Recovered.WasExecuted(o.Token) {
-					t.Errorf("seed %#x: acked abandoned op %s token %#x lost", seed, o.Op, o.Token)
-				}
-			}
-		}
-		if abandoned == 0 {
-			t.Fatalf("seed %#x: schedule produced no acked abandoned ops", seed)
 		}
 	}
 }
@@ -292,7 +263,7 @@ func killVictimMain(dir string) {
 	inst, err := nr.New(
 		func() nr.Sequential[Op, Result] { return NewDS() },
 		nr.WithNodes(2, 2, 1),
-		nr.WithPersistence(dir, OpCodec{}, nr.WithGroupInterval(time.Millisecond)),
+		nr.WithPersistence(dir, OpCodec{}, func(o *persist.Options) { o.GroupInterval = time.Millisecond }),
 	)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "victim: %v\n", err)

@@ -14,13 +14,13 @@ import (
 // sampled ops of the batch. The caller holds class c's combiner lock.
 func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) {
 	lg := &r.logs[c]
-	// The combiner lock's acquisition stamp is the round's start: it covers
-	// the round start and the pickups, and the observer's round duration
-	// runs from it. Collection is a single pass over the node's slots, far
-	// shorter than the clock resolution that matters here, and the round
-	// runs under the combiner lock — every clock read it saves shortens the
-	// serialized section.
-	t0 := lg.combinerLock.HeldSince()
+	// One clock read stamps the round's start, its pickups, and the start
+	// of the observer's round duration — and none is taken when neither is
+	// attached (endRound).
+	var t0 int64
+	if i.observed || ring != nil {
+		t0 = trace.Now()
+	}
 	ring.RecordAt(t0, trace.KCombineStart, int(r.id), 0, uint64(c))
 	// Collect the batch: every posted class-c slot on this node (§5.2),
 	// into this log's preallocated scratch buffer (cap = slot count, so
@@ -169,11 +169,10 @@ func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trac
 
 // helpLaggards replays log c up to 'to' into every replica but self that
 // lags it and whose writer lock is free: the inactive-replica helping path
-// (§6), shared by a blocked appender and the stall watchdog. A laggard
-// parked at a cross-log barrier gets the cross op applied for it, with no
-// replica lock held (the cross applier takes every log's lock itself). The
-// entries are charged to the helper's node, or to the helped replica's when
-// no node is helping (self nil: the watchdog).
+// (§6) of a blocked appender. A laggard parked at a cross-log barrier gets
+// the cross op applied for it, with no replica lock held (the cross applier
+// takes every log's lock itself). The entries are charged to the helper's
+// node.
 func (i *Instance[O, R]) helpLaggards(self *replica[O, R], c int, to uint64, ring *trace.Ring) {
 	for _, r2 := range i.replicas {
 		if r2 == self || r2.logs[c].localTail.Load() >= to {
@@ -184,11 +183,7 @@ func (i *Instance[O, R]) helpLaggards(self *replica[O, R], c int, to uint64, rin
 			before := r2.logs[c].localTail.Load()
 			blocked = i.replayTo(r2, c, to, false, ring)
 			helped := r2.logs[c].localTail.Load() - before
-			charged := self
-			if charged == nil {
-				charged = r2
-			}
-			charged.counters.helpedEntries.Add(helped)
+			self.counters.helpedEntries.Add(helped)
 			r2.logs[c].rw.Unlock()
 			if i.afterHelpUnlock != nil {
 				i.afterHelpUnlock()

@@ -54,7 +54,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/asplos17/nr/internal/log"
 	"github.com/asplos17/nr/internal/obs"
@@ -116,13 +115,6 @@ type Options struct {
 	// is typed any because Options is not generic; core.New type-asserts
 	// it against the instance's operation type.
 	LogMapper any
-
-	// StallThreshold, when positive, starts a watchdog goroutine that flags
-	// any combiner lock held longer than this (a stalled or preempted
-	// combiner, the §6 hazard), counts it in Stats.Stalls, reports it via
-	// Health, and runs the helping path so other nodes keep consuming the
-	// log. Instances with a watchdog must be Closed.
-	StallThreshold time.Duration
 
 	// Observer receives the protocol events that carry a time or a size
 	// (combine rounds, log-tail contention, writer waits, per-op latency).
@@ -250,7 +242,6 @@ type Stats struct {
 	TailRetries     uint64 `json:"tail_retries"`     // log-tail reservation CAS attempts lost to another reserver
 	WriterWaits     uint64 `json:"writer_waits"`     // replica write-lock acquisitions that spun on reader flags
 	Panics          uint64 `json:"panics"`           // user Execute panics contained (see failure.go)
-	Stalls          uint64 `json:"stalls"`           // combiner stalls flagged by the watchdog
 }
 
 // slot state machine values: the owner posts (slotEmpty → slotPosted), a
@@ -364,9 +355,13 @@ type takenSlot[O, R any] struct {
 // which is why a TryLock cannot invert the order. A path that breaks it
 // deadlocks, and the tests that reach each such path run under
 // waittest.Deadline (DESIGN.md §10).
+//
+// A whole line of padding on either side keeps one replica's replicaLogs
+// off the lines of its heap neighbours, which may be another node's.
 type replicaLog[O, R any] struct {
+	_            [64]byte
 	localTail    *atomic.Uint64
-	combinerLock rwlock.StampedMutex
+	combinerLock rwlock.SpinMutex
 	// refresher elects a single reader to bring the replica up to date when
 	// no combiner is active, so stale readers don't convoy on the writer
 	// lock (an engineering refinement over Algorithm 1, which lets every
@@ -377,11 +372,12 @@ type replicaLog[O, R any] struct {
 	// combining round never allocates. Only the combiner-lock holder
 	// touches it.
 	scratch []takenSlot[O, R]
+	_       [64]byte
 }
 
 // opCounters is one node's share of the Stats counters, bumped only by
-// threads running on that node (and, on the slow paths, by a helper or the
-// watchdog writing the node's replica), so counting an op costs no
+// threads running on that node (and, on the slow paths, by a helper
+// writing the node's replica), so counting an op costs no
 // cross-node cache-line transfer: the log-tail CAS stays the update path's
 // only one (§5.1) and a read touches node-local memory only (§5.3). Stats
 // sums the nodes. It fills one cache line (TestReplicaCountersLayout).
@@ -405,11 +401,8 @@ type replica[O, R any] struct {
 	logs []replicaLog[O, R]
 	// crossApply serializes cross-log operation application on this replica
 	// (cross.go): the holder applies the next ticket under every log's
-	// write lock. crossDone is the last ticket applied here. Stamped so the
-	// stall watchdog can see an op stalling INSIDE the cross applier — the
-	// one multi-log replay path no per-class combiner lock covers (readers
-	// drive it too).
-	crossApply rwlock.StampedMutex
+	// write lock. crossDone is the last ticket applied here.
+	crossApply rwlock.SpinMutex
 	crossDone  atomic.Uint64
 	slots      []slot[O, R]
 	registered int // slots handed out on this node
@@ -468,17 +461,12 @@ type Instance[O, R any] struct {
 	// events.
 	crossOps atomic.Uint64
 	panics   atomic.Uint64
-	stalls   atomic.Uint64
 
 	// Failure containment state (failure.go).
 	tracker      panicTracker
 	poisoned     atomic.Bool
 	poisonMu     sync.Mutex
 	poisonReason string
-
-	stop   chan struct{}
-	stopWG sync.WaitGroup
-	closed atomic.Bool
 }
 
 // New builds an NR instance. create is called once per node to build that
@@ -564,11 +552,6 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 		}
 		inst.replicas = append(inst.replicas, r)
 	}
-	if opts.StallThreshold > 0 {
-		inst.stop = make(chan struct{})
-		inst.stopWG.Add(1)
-		go inst.watchdog()
-	}
 	return inst, nil
 }
 
@@ -593,15 +576,10 @@ func (i *Instance[O, R]) opClass(op O) int {
 	return c
 }
 
-// Close stops the stall watchdog, if any. The instance remains usable for
-// operations; Close only ends the background goroutine. It is idempotent.
-func (i *Instance[O, R]) Close() {
-	if i.stop == nil || !i.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(i.stop)
-	i.stopWG.Wait()
-}
+// Close ends the instance's background work. Core starts none, so Close
+// returns at once; it is the hook the nr layer's Close calls beside the
+// telemetry and WAL shutdowns. The instance remains usable afterwards.
+func (i *Instance[O, R]) Close() {}
 
 // Handle binds a goroutine ("thread") to a node, a combiner slot, and a
 // reader-lock slot. A Handle must not be used concurrently.
@@ -628,10 +606,6 @@ type Handle[O, R any] struct {
 	// the top of the op (tail-read, rlock, slot-publish) stamp with it and
 	// record nothing when it is 0. Single-goroutine, like seq.
 	tsHint int64
-	// broken is set when this handle's combining slot can no longer be
-	// trusted (PostAndAbandon left an op in it that nobody will collect);
-	// sticky so a late delivery cannot be mistaken for a later op's response.
-	broken error
 }
 
 // token returns the handle's current op token.
@@ -642,8 +616,8 @@ func (h *Handle[O, R]) token() uint64 {
 // LastToken returns the op token (log|node|slot|seq) of the most recent
 // operation submitted through this handle — the identity under which the
 // flight recorder traces it and the persistence layer records it. Valid
-// after TryExecute/Execute returns or PostAndAbandon is called; zero
-// before the handle's first operation.
+// after TryExecute/Execute returns; zero before the handle's first
+// operation.
 func (h *Handle[O, R]) LastToken() uint64 { return h.token() }
 
 // newHandle builds a handle bound to (node, slot); callers hold i.mu.
@@ -713,7 +687,6 @@ func (i *Instance[O, R]) stats() Stats {
 	st := Stats{
 		CrossOps: i.crossOps.Load(),
 		Panics:   i.panics.Load(),
-		Stalls:   i.stalls.Load(),
 	}
 	for _, r := range i.replicas {
 		st.Combines += r.counters.combines.Load()
@@ -744,7 +717,7 @@ func (i *Instance[O, R]) TraceRecorder() *trace.Recorder { return i.rec }
 
 // TraceSnapshot returns a point-in-time copy of the flight recorder's
 // contents (the zero Snapshot when tracing is disabled). It is safe
-// concurrently with operations and with Close.
+// concurrently with operations.
 func (i *Instance[O, R]) TraceSnapshot() trace.Snapshot { return i.rec.Snapshot() }
 
 // LogTail exposes log 0's tail for tests and monitoring (single-log

@@ -1,10 +1,8 @@
 // Failure containment for NR (this file is an addition over the paper).
 //
-// The paper's protocol assumes Sequential.Execute always returns. §6 concedes
-// the weakest point of the design: a thread that stops making progress
-// mid-protocol — in particular a combiner — blocks its node and, once the log
-// fills, every appender. Inactive-replica helping (combine.go) defends
-// against *idle* nodes; this file defends against the two remaining hazards:
+// The paper's protocol assumes Sequential.Execute always returns. Here it
+// may panic, and the panic must neither kill the combiner that ran it nor
+// leave its node's waiters parked (DESIGN.md §7). Two cases:
 //
 //   - User code that panics. Every site that runs user Execute does so
 //     through safeExecute/safeRead, which convert a panic into a *PanicError
@@ -25,13 +23,6 @@
 //     divergence whenever some replica applies the entry after the first
 //     panic was recorded) — the property it protects is "no silent wrong
 //     answers after observed divergence", not "all divergence is observed".
-//
-//   - A combiner that stalls (preempted, or stuck inside a slow Execute).
-//     The combiner lock is a StampedMutex; an opt-in watchdog goroutine
-//     (Options.StallThreshold) samples hold times, counts stalls, exposes
-//     them through Stats/Health, and runs the existing helping path so the
-//     rest of the machine keeps consuming the log while the stalled node
-//     recovers.
 package core
 
 import (
@@ -40,9 +31,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"github.com/asplos17/nr/internal/trace"
 )
 
 // noIndex marks a panic that did not come from a logged entry (read path).
@@ -104,18 +92,11 @@ type Health struct {
 	PoisonReason string `json:"poison_reason,omitempty"`
 	// Panics counts operations whose Execute panicked (contained).
 	Panics uint64 `json:"panics"`
-	// Stalls counts distinct combiner-lock acquisitions the watchdog saw
-	// exceed StallThreshold (0 when the watchdog is disabled).
-	Stalls uint64 `json:"stalls"`
-	// StalledNodes lists nodes whose combiner lock is held past
-	// StallThreshold right now (nil when the watchdog is disabled).
-	StalledNodes []int `json:"stalled_nodes,omitempty"`
 }
 
-// Healthy reports whether nothing is currently wrong: not poisoned and no
-// node's combiner presently stalled. Past contained panics and recovered
-// stalls do not make an instance unhealthy.
-func (h Health) Healthy() bool { return !h.Poisoned && len(h.StalledNodes) == 0 }
+// Healthy reports whether the instance is not poisoned. Past contained
+// panics do not make an instance unhealthy.
+func (h Health) Healthy() bool { return !h.Poisoned }
 
 // panicRecord tracks one logged entry's observed panic outcomes across
 // replicas.
@@ -256,94 +237,12 @@ func (i *Instance[O, R]) safeRead(r *replica[O, R], op O) (resp R, err error) {
 
 // health builds the failure-state slice of the Metrics snapshot.
 func (i *Instance[O, R]) health() Health {
-	h := Health{
-		Panics: i.panics.Load(),
-		Stalls: i.stalls.Load(),
-	}
+	h := Health{Panics: i.panics.Load()}
 	if err := i.poisonedErr(); err != nil {
 		h.Poisoned = true
 		i.poisonMu.Lock()
 		h.PoisonReason = i.poisonReason
 		i.poisonMu.Unlock()
 	}
-	if th := i.opts.StallThreshold; th > 0 {
-		now := trace.Now()
-		for n, r := range i.replicas {
-			if r.crossApply.HeldFor(now) > th {
-				h.StalledNodes = append(h.StalledNodes, n)
-				continue
-			}
-			for c := range r.logs {
-				if r.logs[c].combinerLock.HeldFor(now) > th {
-					h.StalledNodes = append(h.StalledNodes, n)
-					break // one entry per node, whichever class is stalled
-				}
-			}
-		}
-	}
 	return h
-}
-
-// watchdog samples combiner-lock hold times (§6's stalled-thread hazard).
-// On detecting a hold longer than StallThreshold it counts the stall once
-// per acquisition and runs the existing recovery action — help every replica
-// it can lock catch up to completedTail — so log consumption continues while
-// the stalled combiner is out.
-func (i *Instance[O, R]) watchdog() {
-	defer i.stopWG.Done()
-	ring := i.rec.AcquireRing()
-	th := i.opts.StallThreshold
-	period := th / 4
-	if period < 100*time.Microsecond {
-		period = 100 * time.Microsecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	m := len(i.logs)
-	// counted[n*(m+1)+c]: acquisition stamp already counted as a stall for
-	// (node n, conflict class c) — each per-log combiner stalls on its own.
-	// Pseudo-class m is node n's cross applier, which readers may drive
-	// without holding any combiner lock.
-	counted := make([]int64, len(i.replicas)*(m+1))
-	for {
-		select {
-		case <-i.stop:
-			return
-		case <-tick.C:
-		}
-		now := trace.Now()
-		stalled := false
-		for n, r := range i.replicas {
-			for c := 0; c <= m; c++ {
-				var since int64
-				if c == m {
-					if m == 1 {
-						continue // single-log: no cross applier
-					}
-					since = r.crossApply.HeldSince()
-				} else {
-					since = r.logs[c].combinerLock.HeldSince()
-				}
-				if since == 0 || time.Duration(now-since) <= th {
-					continue
-				}
-				stalled = true
-				if counted[n*(m+1)+c] != since {
-					counted[n*(m+1)+c] = since
-					i.stalls.Add(1)
-					ring.Record(trace.KStall, n, uint64(now-since), uint64(c))
-					i.rec.AutoDump("stall")
-				}
-			}
-		}
-		if !stalled {
-			continue
-		}
-		// Recovery: the inactive-replica helping path on every log, bounded
-		// by completedTail (safe against in-flight combiners; see package
-		// doc).
-		for c := range i.logs {
-			i.helpLaggards(nil, c, i.logs[c].Completed(), ring)
-		}
-	}
 }

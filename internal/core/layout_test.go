@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -66,5 +67,68 @@ func TestEntryLogCell(t *testing.T) {
 	}
 	if cell := l.MemoryBytes() / uint64(l.Size()); cell != 24 {
 		t.Errorf("log cell of entry[int64] = %d bytes, want 24 (entry 16 + marker 8)", cell)
+	}
+}
+
+// span is one owner's hot memory: [lo, hi) in bytes.
+type span struct{ lo, hi uintptr }
+
+// fieldSpans returns the spans of the named (non-blank) fields of the
+// struct of type typ at base: padding fields are nobody's hot words.
+func fieldSpans(base unsafe.Pointer, typ reflect.Type) []span {
+	var out []span
+	for k := 0; k < typ.NumField(); k++ {
+		f := typ.Field(k)
+		if f.Name == "_" {
+			continue
+		}
+		lo := uintptr(base) + f.Offset
+		out = append(out, span{lo, lo + f.Type.Size()})
+	}
+	return out
+}
+
+// TestNodeHotWordsOwnTheirLines checks, by address on a live 2-node
+// instance with a follower, that no 64-byte line holds the hot words of
+// two nodes, or of a node and the follower: each (replica, log) pair's
+// localTail, replicaLog fields and readers-writer lock (writer flag,
+// readers header, per-reader flags), and each replica's slots, cross
+// applier and counters. Field offsets say nothing of where the allocator
+// puts two nodes' objects next to each other, so this reads addresses.
+func TestNodeHotWordsOwnTheirLines(t *testing.T) {
+	inst := newCounterInstance(t, smallTopo())
+	fol, err := inst.Follow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := map[uintptr]string{} // line -> owner
+	claim := func(owner string, spans ...span) {
+		for _, s := range spans {
+			for line := s.lo / 64; line <= (s.hi-1)/64; line++ {
+				if prev, ok := owners[line]; ok && prev != owner {
+					t.Errorf("cache line %#x holds hot words of %s and %s", line*64, prev, owner)
+				}
+				owners[line] = owner
+			}
+		}
+	}
+	word := func(p unsafe.Pointer, size uintptr) span { return span{uintptr(p), uintptr(p) + size} }
+	claim("the follower", word(unsafe.Pointer(fol.tail), 8))
+	for n, r := range inst.replicas {
+		owner := "node " + strconv.Itoa(n)
+		claim(owner,
+			word(unsafe.Pointer(&r.crossApply), unsafe.Sizeof(r.crossApply)),
+			word(unsafe.Pointer(&r.crossDone), 8),
+			word(unsafe.Pointer(&r.counters), unsafe.Sizeof(r.counters)),
+			word(unsafe.Pointer(&r.slots[0]), uintptr(len(r.slots))*unsafe.Sizeof(r.slots[0])))
+		for c := range r.logs {
+			lg := &r.logs[c]
+			claim(owner, word(unsafe.Pointer(lg.localTail), 8))
+			claim(owner, fieldSpans(unsafe.Pointer(lg), reflect.TypeOf(lg).Elem())...)
+			rw := reflect.ValueOf(lg.rw).Elem()
+			claim(owner, fieldSpans(unsafe.Pointer(lg.rw), rw.Type())...)
+			readers := rw.FieldByName("readers")
+			claim(owner, word(unsafe.Pointer(readers.Pointer()), uintptr(readers.Len())*readers.Type().Elem().Size()))
+		}
 	}
 }

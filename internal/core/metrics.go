@@ -18,10 +18,7 @@
 // exactly.
 package core
 
-import (
-	"github.com/asplos17/nr/internal/obs"
-	"github.com/asplos17/nr/internal/trace"
-)
+import "github.com/asplos17/nr/internal/obs"
 
 // LogGauges is a live snapshot of one shared log's position counters.
 type LogGauges struct {
@@ -50,14 +47,10 @@ type ReplicaLogGauges struct {
 	// CompletedLag is this log's completed entries the replica has not yet
 	// absorbed — the staleness a class-local reader would wait out.
 	CompletedLag uint64 `json:"completed_lag"`
-	// CombinerHeldNs is how long this class's current combiner-lock holder
-	// has been inside its round (0 when the lock is free).
-	CombinerHeldNs int64 `json:"combiner_held_ns"`
 }
 
 // ReplicaGauges is a live snapshot of one replica's position in the logs.
-// The flat fields aggregate across the replica's logs (sums for tails and
-// lags, maxima for the hold and window gauges) and equal log 0's values
+// The flat fields sum across the replica's logs and equal log 0's values
 // exactly on single-log instances; Logs carries the per-class breakdown.
 type ReplicaGauges struct {
 	Node int `json:"node"`
@@ -69,9 +62,6 @@ type ReplicaGauges struct {
 	CompletedLag uint64 `json:"completed_lag"`
 	// Registered is the number of handles bound to this node.
 	Registered int `json:"registered"`
-	// CombinerHeldNs is the longest current combiner-lock hold across the
-	// replica's logs (0 when all are free).
-	CombinerHeldNs int64 `json:"combiner_held_ns"`
 	// ReaderAcquires is the cumulative read-lock acquisition count across
 	// this replica's readers-writer locks.
 	ReaderAcquires uint64 `json:"reader_acquires"`
@@ -200,7 +190,6 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 	}
 	m.Log = agg
 
-	now := trace.Now()
 	if cap(m.Replicas) < len(i.replicas) {
 		grown := make([]ReplicaGauges, len(i.replicas))
 		copy(grown, m.Replicas)
@@ -216,10 +205,7 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 			g.Logs = make([]ReplicaLogGauges, nlogs)
 		}
 		g.Logs = g.Logs[:nlogs]
-		var (
-			localSum, lagSum, racq, wacq uint64
-			heldMax                      int64
-		)
+		var localSum, lagSum, racq, wacq uint64
 		for c := range r.logs {
 			lg := &r.logs[c]
 			local := lg.localTail.Load()
@@ -227,26 +213,20 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 			if completed := m.Logs[c].Completed; completed > local {
 				lag = completed - local
 			}
-			held := int64(lg.combinerLock.HeldFor(now))
 			g.Logs[c] = ReplicaLogGauges{
-				Log:            c,
-				LocalTail:      local,
-				CompletedLag:   lag,
-				CombinerHeldNs: held,
+				Log:          c,
+				LocalTail:    local,
+				CompletedLag: lag,
 			}
 			localSum += local
 			lagSum += lag
 			racq += lg.rw.ReaderAcquires()
 			wacq += lg.rw.WriterAcquires()
-			if held > heldMax {
-				heldMax = held
-			}
 		}
 		g.Node = n
 		g.LocalTail = localSum
 		g.CompletedLag = lagSum
 		g.Registered = registered
-		g.CombinerHeldNs = heldMax
 		g.ReaderAcquires = racq
 		g.WriterAcquires = wacq
 		g.ReadOps = r.counters.readOps.Load()

@@ -688,35 +688,6 @@ func TestMultiLogReaderWaitsOwnClassOnly(t *testing.T) {
 	}
 }
 
-// TestMultiLogPostAndAbandonCross pins the cross-class abandon path: the
-// ticket is appended with its barriers, the handle is retired, and the op
-// is applied by whichever thread next crosses the barrier.
-func TestMultiLogPostAndAbandonCross(t *testing.T) {
-	inst := newCrossCells(t, 2, Options{Topology: topology.New(1, 4, 1)})
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.PostAndAbandon(mlOp{kind: 3, delta: 5}) // cross add, abandoned
-	if _, err := h.TryExecute(mlOp{kind: 1, class: 0}); err == nil {
-		t.Fatal("abandoned handle still usable")
-	}
-	h2, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// PostAndAbandon is fire-and-forget: nothing owes the ticket immediate
-	// application. The next class-0 UPDATE replays log 0, hits the cross
-	// entry, and drives the applier through it; afterwards every class
-	// observes the abandoned add.
-	if got := h2.Execute(mlOp{kind: 0, class: 0, delta: 0}); got != 5 {
-		t.Fatalf("class-0 add after abandoned cross add = %d, want 5", got)
-	}
-	if got := h2.Execute(mlOp{kind: 1, class: 1}); got != 5 {
-		t.Fatalf("class-1 read after abandoned cross add = %d, want 5", got)
-	}
-}
-
 // TestMultiLogMapperFolding pins out-of-range class folding: a mapper that
 // returns classes outside [0, m) must not corrupt the instance.
 func TestMultiLogMapperFolding(t *testing.T) {

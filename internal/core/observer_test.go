@@ -177,8 +177,8 @@ func handleOn(t *testing.T, i *Instance[bombOp, int64], node int) *Handle[bombOp
 
 // TestObserverReconcilesOnFixedSchedules drives each rare protocol event on
 // a fixed schedule — a reader refresh, helping out of a full 8-entry log, a
-// writer waiting out a held read lock, a stalled combiner, a contained
-// panic — and checks that it happened exactly as often as the schedule
+// writer waiting out a held read lock, a combiner stalled inside Execute, a
+// contained panic — and checks that it happened exactly as often as the schedule
 // makes it and that a counting observer agrees with Stats / ReplicaGauges
 // on the events it has hooks for.
 // Each schedule runs again with no observer attached: core.New puts
@@ -236,22 +236,31 @@ func TestObserverReconcilesOnFixedSchedules(t *testing.T) {
 				<-done
 			},
 			event: func(m Metrics) uint64 { return m.Replicas[0].WriterWaits }, want: 1},
-		{name: "stall", opts: Options{Topology: topology.New(1, 2, 1), LogEntries: 64, StallThreshold: time.Millisecond},
+		{name: "stall", opts: Options{Topology: topology.New(1, 2, 1), LogEntries: 64},
 			run: func(t *testing.T, i *inst, hold chan struct{}) {
-				// One combiner round held inside Execute past the threshold.
-				h := handleOn(t, i, 0)
+				// One combiner round held inside Execute while the node's
+				// other handle posts behind it; the held round and the
+				// waiter's round are counted once each.
+				h, h2 := handleOn(t, i, 0), handleOn(t, i, 0)
 				done := make(chan struct{})
 				go func() {
 					h.Execute(bombOp{Key: holdKey, Delta: 1})
 					close(done)
 				}()
-				for deadline := time.Now().Add(5 * time.Second); i.Stats().Stalls == 0 && time.Now().Before(deadline); {
+				for _, ok := i.logs[0].Get(0); !ok; _, ok = i.logs[0].Get(0) {
 					time.Sleep(100 * time.Microsecond)
 				}
+				waited := make(chan struct{})
+				go func() {
+					h2.Execute(bombOp{Key: 1, Delta: 1})
+					close(waited)
+				}()
+				time.Sleep(10 * time.Millisecond)
 				close(hold)
 				<-done
+				<-waited
 			},
-			event: func(m Metrics) uint64 { return m.Stats.Stalls }, want: 1},
+			event: func(m Metrics) uint64 { return m.Stats.Combines }, want: 2},
 		{name: "panic", opts: Options{Topology: topology.New(1, 2, 1), LogEntries: 64},
 			run: func(t *testing.T, i *inst, _ chan struct{}) {
 				var pe *PanicError

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -31,10 +30,6 @@ func (h *Handle[O, R]) Execute(op O) R {
 // result.
 func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 	i := h.inst
-	if h.broken != nil {
-		var zero R
-		return zero, h.broken
-	}
 	if err := i.poisonedErr(); err != nil {
 		var zero R
 		return zero, err
@@ -123,41 +118,6 @@ func (i *Instance[O, R]) dispatch(h *Handle[O, R], c int, op O) (R, obs.OpClass,
 	}
 	resp, err := i.combine(h, c, op)
 	return resp, obs.OpUpdate, err
-}
-
-// PostAndAbandon publishes op to this handle's combining slot and returns
-// without waiting for the response, then marks the handle unusable. It
-// simulates a thread that dies between publishing and combining — the §6
-// stalled-thread hazard — for the chaos tests: the node's next combiner
-// executes the op and delivers a response nobody collects; the slot is
-// permanently retired. A cross-class op is appended (with its barriers)
-// but not applied — whichever thread next crosses the barrier applies it.
-// LastToken, read right after the call, identifies the abandoned op.
-func (h *Handle[O, R]) PostAndAbandon(op O) {
-	if h.broken == nil {
-		h.broken = errors.New("core: handle abandoned by PostAndAbandon")
-	}
-	i := h.inst
-	r := i.replicas[h.node]
-	s := &r.slots[h.slot]
-	h.seq++
-	c := i.opClass(op)
-	if c == CrossLog {
-		h.cls = 0
-		s.seq = h.seq
-		s.state.Store(slotTaken) // response delivered to a slot nobody reads
-		i.crossOps.Add(1)
-		i.appendCross(h, op)
-		return
-	}
-	h.cls = c
-	s.op = op
-	s.seq = h.seq
-	s.class.Store(int32(c))
-	if i.sampled(h.seq) {
-		h.ring.Record(trace.KSlotPublish, h.node, h.token(), 0)
-	}
-	s.state.Store(slotPosted)
 }
 
 // combine is Algorithm 1's Combine on conflict class c: post the op, then

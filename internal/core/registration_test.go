@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/waittest"
@@ -113,46 +111,36 @@ func TestConcurrentRegistrationExhaustion(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotentAndOptional: Close may be called twice, and on an
-// instance with no background goroutine it is a no-op.
+// TestCloseIdempotentAndOptional: Close may be called twice, and an
+// instance need not be closed at all.
 func TestCloseIdempotentAndOptional(t *testing.T) {
-	with := newCounterInstance(t, Options{Topology: topology.New(2, 2, 1), LogEntries: 256, StallThreshold: time.Second})
-	with.Close()
-	with.Close() // second Close is a no-op
-	without := newCounterInstance(t, smallTopo())
-	without.Close() // Close without a watchdog is a no-op
+	inst := newCounterInstance(t, smallTopo())
+	inst.Close()
+	inst.Close()                       // second Close is a no-op
+	newCounterInstance(t, smallTopo()) // never closed
 }
 
-// TestDoubleCloseIsIdempotent: Close twice (and concurrently) on an
-// instance with a watchdog must not panic or hang.
+// TestDoubleCloseIsIdempotent: Close twice, and concurrently, must not
+// panic or hang.
 func TestDoubleCloseIsIdempotent(t *testing.T) {
-	for _, opts := range []Options{
-		{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: 1e6},
-		{Topology: topology.New(2, 2, 1), LogEntries: 64}, // no background goroutines at all
-	} {
-		waittest.Deadline(t)
-		inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} }, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst.Close()
-		inst.Close()
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); inst.Close() }()
-		}
-		wg.Wait()
+	waittest.Deadline(t)
+	inst := newCounterInstance(t, Options{Topology: topology.New(2, 2, 1), LogEntries: 64})
+	inst.Close()
+	inst.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); inst.Close() }()
 	}
+	wg.Wait()
 }
 
-// TestHandleUsableAfterClose: Close only stops the watchdog goroutine —
-// existing handles keep executing reads and updates correctly afterwards,
-// per Close's documented contract.
+// TestHandleUsableAfterClose: existing handles keep executing reads and
+// updates correctly after Close, per its documented contract.
 func TestHandleUsableAfterClose(t *testing.T) {
 	waittest.Deadline(t)
 	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: 1e6})
+		Options{Topology: topology.New(2, 2, 1), LogEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +152,6 @@ func TestHandleUsableAfterClose(t *testing.T) {
 		h.Execute(ctrInc)
 	}
 	inst.Close()
-	// The watchdog is gone; the regular combining path must still serve
-	// updates and keep reads fresh.
 	for k := 0; k < 10; k++ {
 		if got := h.Execute(ctrInc); got != uint64(11+k) {
 			t.Fatalf("increment %d after Close returned %d", k, got)
@@ -182,7 +168,7 @@ func TestHandleUsableAfterClose(t *testing.T) {
 func TestRegisterAfterCloseSucceeds(t *testing.T) {
 	waittest.Deadline(t)
 	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: 1e6})
+		Options{Topology: topology.New(2, 2, 1), LogEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,27 +200,5 @@ func TestRegisterOnNodeRangeErrors(t *testing.T) {
 		if _, err := inst.RegisterOnNode(node); err == nil {
 			t.Errorf("RegisterOnNode(%d) succeeded on a 2-node topology", node)
 		}
-	}
-}
-
-// TestBrokenHandleStaysBroken: a handle retired by PostAndAbandon reports a
-// sticky error from TryExecute rather than corrupting slot state.
-func TestBrokenHandleStaysBroken(t *testing.T) {
-	inst := newCounterInstance(t, Options{Topology: topology.New(1, 2, 1), LogEntries: 64})
-	h, err := inst.RegisterOnNode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.PostAndAbandon(ctrInc)
-	for k := 0; k < 3; k++ {
-		if _, err := h.TryExecute(ctrInc); err == nil {
-			t.Fatal("abandoned handle executed an op")
-		}
-	}
-	var one error
-	_, one = h.TryExecute(ctrInc)
-	_, two := h.TryExecute(ctrInc)
-	if !errors.Is(two, one) && one.Error() != two.Error() {
-		t.Errorf("broken-handle error not sticky: %v vs %v", one, two)
 	}
 }

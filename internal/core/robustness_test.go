@@ -199,55 +199,6 @@ func (r *readBomb) Execute(op bombOp) int64 {
 }
 func (r *readBomb) IsReadOnly(op bombOp) bool { return op.Key == 0 }
 
-// TestWatchdogFlagsStall: an Execute that dwells past StallThreshold while
-// the combiner holds its lock must show up in Stats.Stalls and in
-// Health.StalledNodes while held. The op is held inside Execute until both
-// have been seen (or a deadline passes), so a watchdog that is scheduled
-// late still catches the stall.
-func TestWatchdogFlagsStall(t *testing.T) {
-	release := make(chan struct{})
-	waittest.Deadline(t)
-	inst, err := New[bombOp, int64](func() Sequential[bombOp, int64] { return &gate{release: release} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 64, StallThreshold: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := h.TryExecute(bombOp{Key: 1, Delta: 1}) // held inside combine
-		done <- err
-	}()
-	var sawStalled bool
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if hl := inst.Health(); len(hl.StalledNodes) > 0 {
-			sawStalled = true
-		}
-		if sawStalled && inst.Stats().Stalls > 0 {
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if !sawStalled {
-		t.Error("Health never reported the stalled node while the combiner was held")
-	}
-	if st := inst.Stats(); st.Stalls == 0 {
-		t.Errorf("watchdog counted no stalls: %+v", st)
-	}
-	if hl := inst.Health(); !hl.Healthy() {
-		t.Errorf("instance should be healthy again after the stall: %+v", hl)
-	}
-}
-
 // gate holds every update inside Execute until release is closed.
 type gate struct {
 	v       int64
@@ -314,35 +265,6 @@ func TestTagDeliversContainedPanic(t *testing.T) {
 	if !found {
 		t.Errorf("no KPanic event at index %d carrying token %#x", idx, tok)
 	}
-}
-
-// TestPostAndAbandonDoesNotWedgeNode: an op published by a thread that dies
-// before combining is executed by the node's next combiner and the node
-// keeps serving everyone else.
-func TestPostAndAbandonDoesNotWedgeNode(t *testing.T) {
-	inst := newBombInstance(t, Options{Topology: topology.New(1, 4, 1), LogEntries: 64})
-	dead, err := inst.RegisterOnNode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alive, err := inst.RegisterOnNode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead.PostAndAbandon(bombOp{Key: 9, Delta: 100})
-	if _, err := dead.TryExecute(bombOp{Key: 1, Delta: 1}); err == nil {
-		t.Error("abandoned handle still usable")
-	}
-	// The live thread's combine picks up and executes the orphan.
-	if got, err := alive.TryExecute(bombOp{Key: 9, Delta: 1}); err != nil || got != 101 {
-		t.Fatalf("orphaned op not combined before live op: got %d, %v", got, err)
-	}
-	inst.Quiesce()
-	inst.InspectReplica(0, func(ds Sequential[bombOp, int64]) {
-		if v := ds.(*bomb).vals[9]; v != 101 {
-			t.Errorf("key 9 = %d, want 101", v)
-		}
-	})
 }
 
 // TestPanicErrorMessage pins the error rendering the diagnostics rely on.

@@ -156,6 +156,15 @@ func TestTraceSpansAcrossNodes(t *testing.T) {
 	}
 }
 
+// postOnly publishes op to h's combining slot as combine does, without
+// waiting for a response or competing for the combiner lock.
+func postOnly(h *Handle[ctrOp, uint64], op ctrOp) {
+	s := &h.inst.replicas[h.node].slots[h.slot]
+	h.seq++
+	s.op, s.seq = op, h.seq
+	s.state.Store(slotPosted)
+}
+
 // TestTwoPostedOpsShareOneReservation pins the one-CAS k-entry reservation
 // (§5.1) deterministically, with nothing configured: an op left posted by
 // one handle and an op executed by another handle of the same node must go
@@ -175,7 +184,7 @@ func TestTwoPostedOpsShareOneReservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := inst.Stats()
-	h1.PostAndAbandon(ctrInc)
+	postOnly(h1, ctrInc)
 	// The combiner collects slots in index order, so h1's op is applied
 	// first and h2's increment returns 2.
 	if got := h2.Execute(ctrInc); got != 2 {
@@ -292,10 +301,9 @@ func TestTraceRecorderAccessors(t *testing.T) {
 func TestMetricsSnapshotRacesClose(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 256})
 	opts := Options{
-		Topology:       topology.New(2, 2, 1),
-		LogEntries:     256,
-		StallThreshold: 50 * time.Millisecond,
-		Trace:          rec,
+		Topology:   topology.New(2, 2, 1),
+		LogEntries: 256,
+		Trace:      rec,
 	}
 	mo := obs.NewMetrics(2)
 	opts.Observer = mo

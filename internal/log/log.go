@@ -68,13 +68,24 @@ func New[O any](size, maxBatch int) (*Log[O], error) {
 // Size returns the number of entries in the buffer.
 func (l *Log[O]) Size() int { return len(l.entries) }
 
-// RegisterReplica adds a replica and returns its localTail counter. The
-// replica must advance the counter past an index only after it has applied
-// the operation there; the recycler uses the minimum across replicas to
-// decide which entries are free. Registration must complete before any
-// reservation; it is not safe concurrently with appends.
+// paddedTail is one localTail with a whole line on either side: each
+// replica's readers load its tail and its replayers store it, so no other
+// consumer's tail (nor any other heap object) may share its line, wherever
+// the allocator puts it.
+type paddedTail struct {
+	_ cacheLine
+	v atomic.Uint64
+	_ cacheLine
+}
+
+// RegisterReplica adds a replica and returns its localTail counter, alone
+// on its cache line. The replica must advance the counter past an index
+// only after it has applied the operation there; the recycler uses the
+// minimum across replicas to decide which entries are free. Registration
+// must complete before any reservation; it is not safe concurrently with
+// appends.
 func (l *Log[O]) RegisterReplica() *atomic.Uint64 {
-	t := new(atomic.Uint64)
+	t := &new(paddedTail).v
 	l.localTails = append(l.localTails, t)
 	return t
 }

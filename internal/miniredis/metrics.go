@@ -79,7 +79,6 @@ func (s *Server) Info() string {
 	fmt.Fprintf(&b, "# Health\r\n")
 	fmt.Fprintf(&b, "poisoned:%v\r\n", m.Health.Poisoned)
 	fmt.Fprintf(&b, "contained_panics:%d\r\n", m.Health.Panics)
-	fmt.Fprintf(&b, "stalled_combiners:%d\r\n", len(m.Health.StalledNodes))
 	if o := m.Observed; o != nil {
 		fmt.Fprintf(&b, "# Latency\r\n")
 		fmt.Fprintf(&b, "read_p50_ns:%d\r\n", o.Read.P50Ns)

@@ -24,11 +24,10 @@
 // sample. Counting is not this package's job: core.Stats and
 // core.ReplicaGauges carry one exact counter per event (ReadOps, UpdateOps,
 // Combines, ReaderRefreshes, HelpedEntries, TailRetries, WriterWaits,
-// Stalls, Panics), and Metrics keeps only what needs the event's clock.
-// Events with nothing to time or size — a reader refresh, helping, a stall,
-// a contained panic — have no hook: their counters are in Stats and the
-// flight recorder stamps each one (trace.KReaderRefresh, KHelp, KStall,
-// KPanic). Timing every op would cost two clock reads per op, about a tenth
+// Panics), and Metrics keeps only what needs the event's clock. Events
+// with nothing to time or size — a reader refresh, helping, a contained
+// panic — have no hook: their counters are in Stats and the flight
+// recorder stamps each one (trace.KReaderRefresh, KHelp, KPanic). Timing every op would cost two clock reads per op, about a tenth
 // of a node-local read.
 //
 // Every method takes only scalar arguments so that firing an event never

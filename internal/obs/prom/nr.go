@@ -27,7 +27,6 @@ func AppendMetrics(e *Exposition, m *core.Metrics) {
 	e.Counter("nr_helped_entries_total", "Log entries applied to other nodes' replicas by helpers.", float64(m.Stats.HelpedEntries))
 	e.Counter("nr_reader_acquires_total", "Read-lock acquisitions across all replicas.", float64(m.Stats.ReaderAcquires))
 	e.Counter("nr_panics_total", "User Execute panics contained.", float64(m.Stats.Panics))
-	e.Counter("nr_stalls_total", "Combiner stalls flagged by the watchdog.", float64(m.Stats.Stalls))
 	e.Counter("nr_cross_ops_total", "Cross-conflict-class updates serialized through the ticket barrier.", float64(m.Stats.CrossOps))
 	e.Counter("nr_writer_acquires_total", "Replica writer-lock acquisitions across all replicas and logs.", float64(m.Stats.WriterAcquires))
 

@@ -30,7 +30,7 @@ func buildExposition() *Exposition {
 		Stats: core.Stats{
 			ReadOps: 1100000, UpdateOps: 140000, Combines: 9000, CombinedOps: 131000,
 			ReaderRefreshes: 2500, HelpedEntries: 1200,
-			ReaderAcquires: 180000, Panics: 1, Stalls: 2,
+			ReaderAcquires: 180000, Panics: 1,
 			CrossOps: 450, WriterAcquires: 12000,
 		},
 		Log: core.LogGauges{Tail: 5000, Completed: 4990, MinTail: 4800, Size: 65536, Occupancy: 0.003},
@@ -141,7 +141,7 @@ func TestExpositionCoversSnapshot(t *testing.T) {
 		// Stats counters.
 		"nr_read_ops_total", "nr_update_ops_total", "nr_combines_total",
 		"nr_combined_ops_total", "nr_reader_refreshes_total", "nr_helped_entries_total",
-		"nr_reader_acquires_total", "nr_panics_total", "nr_stalls_total",
+		"nr_reader_acquires_total", "nr_panics_total",
 		// Log and health gauges.
 		"nr_log_tail", "nr_log_completed", "nr_log_min_tail", "nr_log_size",
 		"nr_log_occupancy", "nr_poisoned",

@@ -9,9 +9,6 @@ package rwlock
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
-
-	"github.com/asplos17/nr/internal/trace"
 )
 
 // padded is one per-reader flag on its own cache line (size pinned by
@@ -36,11 +33,16 @@ type padded struct {
 // and restart, else enter. Readers may starve under a stream of writers, but
 // with NR only the combiner writes and it has substantial work outside the
 // critical section (§5.5).
+//
+// A whole line of padding on either side keeps the writer flag and the
+// readers header off the lines of the lock's heap neighbours, which in NR
+// may be another node's lock.
 type Distributed struct {
+	_ [64]byte
 	// writerAcq rides the writer flag's cache line: both are written only
 	// by the (single) active writer, so the counter adds no new sharing.
 	writerAcq atomic.Uint64
-	// writer owns line 0; the readers slice starts line 1 (TestPaddedLayout).
+	// writer owns line 1; the readers slice starts line 2 (TestPaddedLayout).
 	writer  atomic.Int32
 	_       [52]byte
 	readers []padded
@@ -48,6 +50,7 @@ type Distributed struct {
 	// (NR counts them). Never nil: a no-op until SetWriterWaitHook installs
 	// one. Written before sharing.
 	onWriterWait func(spins int)
+	_            [64]byte
 }
 
 // noWriterWait is the writer-wait hook of a lock nobody observes.
@@ -203,52 +206,3 @@ func (m *SpinMutex) Unlock() {
 // Locked reports whether the lock is currently held (racy; for waiters that
 // poll, as non-combiner threads do in NR's Combine loop).
 func (m *SpinMutex) Locked() bool { return m.state.Load() != 0 }
-
-// StampedMutex is a SpinMutex that records when it was acquired, on
-// trace.Now (the one instrumentation clock, always above 0), so an external
-// observer (NR's stall watchdog) can tell how long the current holder has
-// been inside the critical section, and the holder can read the stamp back
-// as the start of its own critical section instead of reading the clock
-// again. The stamp is written after
-// the acquisition CAS and cleared before the release store, so readers of
-// HeldSince may observe a slightly stale value — fine for a watchdog that
-// only cares about multi-millisecond stalls.
-type StampedMutex struct {
-	SpinMutex
-	since atomic.Int64 // trace.Now at acquisition; 0 while free
-}
-
-// Lock spins until the lock is acquired, then stamps the acquisition time.
-func (m *StampedMutex) Lock() {
-	m.SpinMutex.Lock()
-	m.since.Store(trace.Now())
-}
-
-// TryLock attempts the lock without blocking, stamping on success.
-func (m *StampedMutex) TryLock() bool {
-	if !m.SpinMutex.TryLock() {
-		return false
-	}
-	m.since.Store(trace.Now())
-	return true
-}
-
-// Unlock clears the stamp and releases the lock.
-func (m *StampedMutex) Unlock() {
-	m.since.Store(0)
-	m.SpinMutex.Unlock()
-}
-
-// HeldSince returns the current holder's acquisition time, a trace.Now
-// reading, or 0 if the lock is free (racy snapshot, see type comment).
-func (m *StampedMutex) HeldSince() int64 { return m.since.Load() }
-
-// HeldFor returns how long the current holder has held the lock as of now
-// (a trace.Now reading), or 0 if the lock is free.
-func (m *StampedMutex) HeldFor(now int64) time.Duration {
-	s := m.since.Load()
-	if s == 0 || now < s {
-		return 0
-	}
-	return time.Duration(now - s)
-}

@@ -54,7 +54,7 @@ var instantKinds = map[Kind]bool{
 	KReaderRefresh: true,
 	KHelp:          true,
 	KLogFull:       true,
-	KStall:         true,
+	kStall:         true,
 	KPanic:         true,
 }
 

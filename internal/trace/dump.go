@@ -8,14 +8,15 @@ import (
 )
 
 // AutoDump persists a snapshot because the protocol detected a failure
-// (reason is "stall", "panic", or "poisoned"). It is rate-limited by
-// Config.DumpMinInterval and a no-op when neither DumpDir nor OnDump is
-// configured, so hot failure paths can call it unconditionally. File dumps
+// (reason is "panic", "poisoned", or "slo-breach-<class>"). It is
+// rate-limited by Config.DumpMinInterval and a no-op when neither DumpDir
+// nor OnDump is configured, so hot failure paths can call it
+// unconditionally. File dumps
 // are Chrome trace JSON, directly loadable in Perfetto.
 //
 // AutoDump is the one sanctioned escape from the hot-path contracts: it
-// runs only after the protocol has already failed (the op is poisoned or
-// the node is stalled), where forensics beat latency. Blocking, allocating,
+// runs only after the protocol has already failed (an op panicked or the
+// instance is poisoned), where forensics beat latency. Blocking, allocating,
 // and file I/O are all deliberate here, which is why it lives in this file,
 // the one non-test file of the hot-path packages that may import os (make
 // tier1 checks the rest).

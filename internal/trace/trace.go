@@ -46,7 +46,8 @@
 //
 // The recorder doubles as the black box of the failure model: AutoDump
 // persists a snapshot (file and/or callback, rate-limited) when the
-// protocol detects a stall, a contained panic, or poisoning, so failures
+// protocol contains a panic or detects poisoning (and, through the nr
+// layer, on an SLO breach), so failures
 // ship with their own trace.
 //
 // Writer waits on the distributed readers-writer lock are not recorded
@@ -109,8 +110,9 @@ const (
 	// KLogFull: an appender found the log full and fell back to draining
 	// and helping. Node, A=log tail at the failure.
 	KLogFull
-	// KStall: the watchdog flagged Node's combiner. A=held nanos.
-	KStall
+	// kStall is reserved: the stall watchdog's event, which no code
+	// records any more. Dumps that hold it still decode under its name.
+	kStall
 	// KPanic: a user Execute panic was contained on Node. A=log index
 	// (^uint64(0) for the read path).
 	KPanic
@@ -135,7 +137,7 @@ var kindNames = [numKinds]string{
 	KReaderRefresh: "reader-refresh",
 	KHelp:          "help",
 	KLogFull:       "log-full",
-	KStall:         "stall",
+	kStall:         "stall",
 	KPanic:         "panic",
 }
 
@@ -186,7 +188,7 @@ const SampleEvery = 16
 // submitter, the combiner and the delivering replayer — applies it to the
 // same seq, so a sampled op's span is complete and an unsampled op leaves
 // no per-op event. Round events (combine-start, log-reserve, combine-end)
-// and rare events (refresh, help, log-full, hole-wait, stall, panic) are
+// and rare events (refresh, help, log-full, hole-wait, panic) are
 // recorded for every occurrence.
 func Sampled(seq uint32) bool { return seq%SampleEvery == 1 }
 
@@ -291,7 +293,7 @@ type Config struct {
 	// slot per ring, so at most 32 MiB.
 	RingSlots int
 	// DumpDir, when non-empty, makes AutoDump write a Chrome trace JSON
-	// file (nrtrace-<reason>-<n>.json) there on stall/panic/poison.
+	// file (nrtrace-<reason>-<n>.json) there on panic, poison or SLO breach.
 	DumpDir string
 	// OnDump, when non-nil, receives every AutoDump snapshot. It runs on
 	// the goroutine that detected the failure and must not call back into
@@ -338,7 +340,7 @@ func (c Config) minInterval() time.Duration {
 }
 
 // Recorder owns the ring set. One Recorder instruments one NR instance;
-// rings are handed to each registered handle and to the stall watchdog.
+// rings are handed to each registered handle.
 type Recorder struct {
 	cfg Config
 

@@ -198,7 +198,7 @@ func TestNilRecorderAndRingAreNoOps(t *testing.T) {
 		t.Fatal("nil recorder snapshot not empty")
 	}
 	rec.Reset()           // must not panic
-	rec.AutoDump("stall") // must not panic
+	rec.AutoDump("panic") // must not panic
 }
 
 // TestSampledPicksOneInSixteen pins the sampling predicate: exactly one
@@ -262,13 +262,13 @@ func TestAutoDumpCallbackAndRateLimit(t *testing.T) {
 		},
 	}
 	rec := New(cfg)
-	rec.AcquireRing().Record(KStall, 0, 1, 0)
-	rec.AutoDump("stall")
+	rec.AcquireRing().Record(KPanic, 0, 1, 0)
+	rec.AutoDump("poisoned")
 	rec.AutoDump("panic") // rate-limited away
 	mu.Lock()
 	defer mu.Unlock()
-	if len(reasons) != 1 || reasons[0] != "stall" {
-		t.Fatalf("dump reasons = %v, want [stall]", reasons)
+	if len(reasons) != 1 || reasons[0] != "poisoned" {
+		t.Fatalf("dump reasons = %v, want [poisoned]", reasons)
 	}
 }
 
@@ -278,8 +278,8 @@ func TestAutoDumpCallbackAndRateLimit(t *testing.T) {
 func TestAutoDumpFileIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	rec := New(Config{RingSlots: 16, DumpMinInterval: -1, DumpDir: dir})
-	rec.AcquireRing().Record(KStall, 0, 1, 0)
-	rec.AutoDump("stall")
+	rec.AcquireRing().Record(KPanic, 0, 1, 0)
+	rec.AutoDump("poisoned")
 	rec.AutoDump("panic")
 
 	entries, err := os.ReadDir(dir)
@@ -313,7 +313,7 @@ func TestAutoDumpFileIsAtomic(t *testing.T) {
 
 	// A dump into a missing directory must fail without leaving state.
 	rec2 := New(Config{RingSlots: 16, DumpMinInterval: -1, DumpDir: filepath.Join(dir, "missing")})
-	rec2.AutoDump("stall") // must not panic
+	rec2.AutoDump("panic") // must not panic
 }
 
 func TestAutoDumpNoLimitDeliversEvery(t *testing.T) {
@@ -322,7 +322,7 @@ func TestAutoDumpNoLimitDeliversEvery(t *testing.T) {
 		DumpMinInterval: -1,
 		OnDump:          func(string, Snapshot) { n++ },
 	})
-	rec.AutoDump("stall")
+	rec.AutoDump("panic")
 	rec.AutoDump("panic")
 	rec.AutoDump("poisoned")
 	if n != 3 {

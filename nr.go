@@ -30,7 +30,6 @@ package nr
 
 import (
 	"errors"
-	"time"
 
 	"github.com/asplos17/nr/internal/core"
 	"github.com/asplos17/nr/internal/obs"
@@ -56,7 +55,6 @@ type settings struct {
 	// 4×14×2.
 	nodes, coresPerNode, smt int
 	logEntries               int
-	stallThreshold           time.Duration
 
 	logs          int
 	mapper        any // func(O) int, type-checked by core.New
@@ -147,18 +145,10 @@ func WithLogEntries(n int) Option {
 	return func(s *settings) { s.logEntries = n }
 }
 
-// WithStallThreshold starts a watchdog that flags combiners holding their
-// lock longer than d (§6's stalled-thread hazard), surfacing them via
-// Metrics/Health while the helping path keeps the log draining. Instances
-// built with it must be Closed.
-func WithStallThreshold(d time.Duration) Option {
-	return func(s *settings) { s.stallThreshold = d }
-}
-
 // WithObserver attaches an event observer to the instance: it receives
 // combine-round, log-contention (tail CAS retries, writer waits) and
 // per-operation-latency events from inside the protocol; reader refreshes,
-// helping, stalls and contained panics are counted in Stats. Every event fires
+// helping and contained panics are counted in Stats. Every event fires
 // for every occurrence except OpDone, which fires for the sampled ops only:
 // one op in 16 per handle (plus pprof-labelled and cross-class ops), custom
 // observers included — Stats.ReadOps and Stats.UpdateOps are the exact op
@@ -234,7 +224,7 @@ type Instance[O, R any] struct {
 }
 
 // Handle executes operations on behalf of one registered goroutine: Execute,
-// TryExecute, PostAndAbandon, LastToken, Node and Thread. It is not safe for
+// TryExecute, LastToken, Node and Thread. It is not safe for
 // concurrent use; register one handle per goroutine.
 type Handle[O, R any] = core.Handle[O, R]
 
@@ -243,10 +233,9 @@ type Handle[O, R any] = core.Handle[O, R]
 // it (nil without WithMetrics).
 func (s *settings) lower() (core.Options, *obs.Metrics) {
 	opts := core.Options{
-		LogEntries:     s.logEntries,
-		Logs:           s.logs,
-		LogMapper:      s.mapper,
-		StallThreshold: s.stallThreshold,
+		LogEntries: s.logEntries,
+		Logs:       s.logs,
+		LogMapper:  s.mapper,
 	}
 	nodes := 4 // the default Intel testbed
 	if s.nodes != 0 {
@@ -378,10 +367,9 @@ func (i *Instance[O, R]) fillPersist(m *Metrics) {
 // It is the Stats slice of Metrics.
 func (i *Instance[O, R]) Stats() Stats { return i.Metrics().Stats }
 
-// Health reports the instance's failure state: contained panics, currently
-// stalled combiners (when a stall threshold is set), and whether the
-// instance has been poisoned by a non-deterministic Execute panic. It is
-// the Health slice of Metrics.
+// Health reports the instance's failure state: contained panics, and
+// whether the instance has been poisoned by a non-deterministic Execute
+// panic. It is the Health slice of Metrics.
 func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
 
 // MemoryBytes reports the shared logs' footprint, replicas not included:
@@ -393,12 +381,12 @@ func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
 // useful before inspecting replicas, never required for correctness.
 func (i *Instance[O, R]) Quiesce() { i.inner.Quiesce() }
 
-// Close stops the stall watchdog and the telemetry collector, if
-// configured, and — on a persistent instance — flushes and closes the
-// write-ahead log (call SyncWAL first when the sticky WAL error matters;
-// Close discards it). Existing handles remain usable afterwards for
-// in-memory operation, and Register still hands out new ones. Close is
-// idempotent and a no-op otherwise.
+// Close stops the telemetry collector, if configured, and — on a
+// persistent instance — flushes and closes the write-ahead log (call
+// SyncWAL first when the sticky WAL error matters; Close discards it).
+// Existing handles remain usable afterwards for in-memory operation, and
+// Register still hands out new ones. Close is idempotent and a no-op
+// otherwise.
 func (i *Instance[O, R]) Close() {
 	if i.tel != nil {
 		i.tel.Close()

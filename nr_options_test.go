@@ -267,7 +267,7 @@ func TestWithObserverNilIsIgnored(t *testing.T) {
 }
 
 func TestRegisterAfterCloseSucceeds(t *testing.T) {
-	inst, err := nr.New(newRegister, nr.WithNodes(2, 2, 1), nr.WithStallThreshold(time.Hour))
+	inst, err := nr.New(newRegister, nr.WithNodes(2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,21 +285,5 @@ func TestRegisterAfterCloseSucceeds(t *testing.T) {
 	}
 	if got := h1.Execute(regOp{}); got != 7 {
 		t.Errorf("read on a post-Close RegisterOnNode handle = %d, want 7", got)
-	}
-}
-
-func TestWithStallThresholdSurfacesStalls(t *testing.T) {
-	inst, err := nr.New(newRegister, nr.WithNodes(1, 2, 1), nr.WithStallThreshold(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Execute(regOp{write: true, val: 1})
-	if hl := inst.Health(); hl.Poisoned || len(hl.StalledNodes) != 0 {
-		t.Errorf("healthy instance reports %+v", hl)
 	}
 }

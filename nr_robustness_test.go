@@ -2,9 +2,7 @@ package nr_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	nr "github.com/asplos17/nr"
 )
@@ -56,51 +54,6 @@ func TestPublicTryExecuteContainsPanics(t *testing.T) {
 	if st := inst.Stats(); st.Panics == 0 {
 		t.Errorf("stats = %+v, want Panics > 0", st)
 	}
-}
-
-// TestPublicWatchdog wires Config.StallThreshold through to the core
-// watchdog and Health. The slow update is held inside Execute until the
-// watchdog has counted the stall, so a watchdog that is scheduled late
-// still sees it.
-func TestPublicWatchdog(t *testing.T) {
-	release := make(chan struct{})
-	gated := func() nr.Sequential[mapOp, mapResp] {
-		return &gatedMap{seqMap{m: make(map[string]int)}, release}
-	}
-	inst, err := nr.New(gated, nr.WithNodes(2, 2, 1), nr.WithStallThreshold(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); h.Execute(mapOp{key: "slow", val: 1}) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for inst.Stats().Stalls == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	if st := inst.Stats(); st.Stalls == 0 {
-		t.Errorf("watchdog saw no stall: %+v", st)
-	}
-}
-
-// gatedMap holds every update inside Execute until release is closed.
-type gatedMap struct {
-	seqMap
-	release chan struct{}
-}
-
-func (g *gatedMap) Execute(op mapOp) mapResp {
-	if !op.get {
-		<-g.release
-	}
-	return g.seqMap.Execute(op)
 }
 
 // TestPublicExecutePanicPropagates keeps the classic API honest: Execute

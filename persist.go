@@ -43,9 +43,6 @@ type Snapshotter interface {
 	SnapshotBytes() ([]byte, error)
 }
 
-// SyncInfo describes one completed WAL sync; see WithSyncHook.
-type SyncInfo = persist.SyncInfo
-
 // PersistStats are point-in-time WAL counters (appends, pages, fsyncs,
 // rotations).
 type PersistStats = persist.Stats
@@ -55,43 +52,17 @@ type PersistStats = persist.Stats
 var ErrNoPersistence = errors.New("nr: instance has no persistence (build with WithPersistence or Recover)")
 
 // PersistOption tunes persistence; pass to WithPersistence (or, for
-// Recover, via WithPersistenceOptions).
-type PersistOption func(*persistTuning)
-
-type persistTuning struct {
-	segmentBytes  int
-	groupInterval time.Duration
-	fsync         persist.FsyncMode
-	onSync        func(SyncInfo)
-}
+// Recover, via WithPersistenceOptions). WithFsyncNever is the one public
+// option; the WAL's other settings keep their defaults outside this
+// module's tests.
+type PersistOption func(*persist.Options)
 
 // WithFsyncNever disables fsync: the WAL still writes pages, but the OS
 // decides when they reach disk. For benchmarking the write path, or for
 // workloads where losing the last instants of history on power failure is
 // acceptable.
 func WithFsyncNever() PersistOption {
-	return func(t *persistTuning) { t.fsync = persist.FsyncNever }
-}
-
-// WithGroupInterval sets how often a partial WAL page is flushed and
-// fsynced (default 2ms): the window of acknowledged-but-not-yet-durable
-// operations after a crash. Use SyncWAL for explicit barriers.
-func WithGroupInterval(d time.Duration) PersistOption {
-	return func(t *persistTuning) { t.groupInterval = d }
-}
-
-// WithSegmentBytes sets the WAL segment rotation threshold (default 8 MiB).
-func WithSegmentBytes(n int) PersistOption {
-	return func(t *persistTuning) { t.segmentBytes = n }
-}
-
-// WithSyncHook installs fn to be called after every WAL sync — on the
-// goroutine that completed it: the log follower, or the caller of SyncWAL /
-// Close — with the durable watermark and the segment byte offset it covers.
-// The chaos harness uses it to enumerate crash points; monitoring can use it
-// to export durability lag. fn must not call into the instance.
-func WithSyncHook(fn func(SyncInfo)) PersistOption {
-	return func(t *persistTuning) { t.onSync = fn }
+	return func(o *persist.Options) { o.Fsync = persist.FsyncNever }
 }
 
 // persistConfig is the non-generic option payload accumulated in settings;
@@ -230,9 +201,9 @@ func attachPersistence[O, R any](inst *Instance[O, R], pc *persistConfig) (*pers
 	if !snapOK {
 		return nil, errors.New("nr: WithPersistence requires the sequential structure to implement nr.Snapshotter")
 	}
-	var t persistTuning
+	var wopts persist.Options
 	for _, o := range pc.popts {
-		o(&t)
+		o(&wopts)
 	}
 	gen := uint64(1)
 	snapTokens := make(map[uint64]struct{})
@@ -250,12 +221,7 @@ func attachPersistence[O, R any](inst *Instance[O, R], pc *persistConfig) (*pers
 			return nil, fmt.Errorf("nr: persistence dir %q already holds durable state; recover it with nr.Recover or remove it deliberately", pc.dir)
 		}
 	}
-	wal, err := persist.Open(pc.dir, gen, persist.Options{
-		SegmentBytes:  t.segmentBytes,
-		GroupInterval: t.groupInterval,
-		Fsync:         t.fsync,
-		OnSync:        t.onSync,
-	})
+	wal, err := persist.Open(pc.dir, gen, wopts)
 	if err != nil {
 		return nil, err
 	}
@@ -406,8 +372,8 @@ type Recovered[O, R any] struct {
 // true when its effect is part of the recovered state, false when it is
 // not — either it never ran, or it ran but had not reached disk. The
 // answer covers every durable operation back to the first generation,
-// including ops submitted via PostAndAbandon (whose submitters never saw a
-// response). Tokens are unique within one instance lifetime; queries are
+// including ops whose submitters never saw a response because the process
+// died first. Tokens are unique within one instance lifetime; queries are
 // about the crashed run's tokens, not ops executed after this recovery.
 func (r *Recovered[O, R]) WasExecuted(token uint64) bool {
 	_, ok := r.executed[token]

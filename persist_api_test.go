@@ -11,6 +11,7 @@ import (
 	"time"
 
 	nr "github.com/asplos17/nr"
+	"github.com/asplos17/nr/internal/persist"
 	"github.com/asplos17/nr/internal/waittest"
 )
 
@@ -93,9 +94,19 @@ func (kvCodec) Decode(data []byte) (kvOp, error) {
 	}, nil
 }
 
+// groupInterval and syncHook set the WAL knobs that only this module's
+// tests turn: a shorter group interval, and a callback after every sync.
+func groupInterval(d time.Duration) nr.PersistOption {
+	return func(o *persist.Options) { o.GroupInterval = d }
+}
+
+func syncHook(fn func(persist.SyncInfo)) nr.PersistOption {
+	return func(o *persist.Options) { o.OnSync = fn }
+}
+
 func smallPersistent(t *testing.T, dir string, popts ...nr.PersistOption) *nr.Instance[kvOp, uint64] {
 	t.Helper()
-	popts = append([]nr.PersistOption{nr.WithGroupInterval(time.Millisecond)}, popts...)
+	popts = append([]nr.PersistOption{groupInterval(time.Millisecond)}, popts...)
 	inst, err := nr.New(newKV,
 		nr.WithNodes(2, 2, 1),
 		nr.WithPersistence(dir, kvCodec{}, popts...),
@@ -227,7 +238,7 @@ func TestRecoverIsOpenOrCreate(t *testing.T) {
 	dir := t.TempDir()
 	rec, err := nr.Recover(dir, restoreKV, kvCodec{},
 		nr.WithNodes(1, 2, 1),
-		nr.WithPersistenceOptions(nr.WithGroupInterval(time.Millisecond)),
+		nr.WithPersistenceOptions(groupInterval(time.Millisecond)),
 	)
 	if err != nil {
 		t.Fatalf("Recover on empty dir: %v", err)
@@ -324,7 +335,7 @@ func TestGobCodecWithPersistence(t *testing.T) {
 	codec := nr.NewGobCodec[kvOp]()
 	inst, err := nr.New(newKV,
 		nr.WithNodes(1, 2, 1),
-		nr.WithPersistence(dir, codec, nr.WithGroupInterval(time.Millisecond)),
+		nr.WithPersistence(dir, codec, groupInterval(time.Millisecond)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +457,7 @@ func TestDurableUpdateAllocatesNothing(t *testing.T) {
 func TestDurableLogFullDoesNotAllocate(t *testing.T) {
 	var stall atomic.Bool
 	entered, gate := make(chan struct{}, 1), make(chan struct{})
-	hook := func(nr.SyncInfo) {
+	hook := func(persist.SyncInfo) {
 		if stall.Load() {
 			select {
 			case entered <- struct{}{}:
@@ -456,7 +467,7 @@ func TestDurableLogFullDoesNotAllocate(t *testing.T) {
 		}
 	}
 	inst, err := nr.New(newKV, nr.WithNodes(2, 2, 1), nr.WithLogEntries(16),
-		nr.WithPersistence(t.TempDir(), kvCodec{}, nr.WithGroupInterval(time.Millisecond), nr.WithSyncHook(hook)))
+		nr.WithPersistence(t.TempDir(), kvCodec{}, groupInterval(time.Millisecond), syncHook(hook)))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -179,7 +179,7 @@ func telemetryInstances(t *testing.T, windows int) []telemetryCase {
 	}
 	return []telemetryCase{
 		{"plain", build()},
-		{"durable", build(nr.WithPersistence(t.TempDir(), kvCodec{}, nr.WithGroupInterval(time.Millisecond)))},
+		{"durable", build(nr.WithPersistence(t.TempDir(), kvCodec{}, groupInterval(time.Millisecond)))},
 	}
 }
 

@@ -35,8 +35,8 @@ type FlightRecorder = trace.Recorder
 // Holding the recorder yourself lets you snapshot, reset, or export it
 // without going through the instance.
 //
-// cfg.DumpDir / cfg.OnDump arm automatic black-box dumps: on a detected
-// stall, a contained panic, or poisoning, the recorder persists its own
+// cfg.DumpDir / cfg.OnDump arm automatic black-box dumps: on a contained
+// panic, poisoning, or an SLO breach, the recorder persists its own
 // snapshot (rate-limited) so the failure ships with its trace.
 // cfg.ProfileSampleRate > 0 additionally labels every Nth operation with
 // runtime/pprof labels (nr_node, nr_op) for CPU-profile attribution.
