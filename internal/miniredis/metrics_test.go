@@ -167,6 +167,29 @@ func TestHealthHandler(t *testing.T) {
 	}
 }
 
+// TestHealthHandlerReportsPoisoned: a panic on one replica only (a
+// non-deterministic Execute) poisons the keyspace once the other replica
+// applies the same command cleanly, and /health turns 503 and reports it.
+func TestHealthHandlerReportsPoisoned(t *testing.T) {
+	srv, addr := startPanickyNR(t, func(n int) bool { return n == 0 })
+	c := dial(t, addr)
+	c.cmd(t, "SET", "kaboom", "x") // node 0's executor: its replica panics
+	c.cmd(t, "GET", "kaboom")      // node 1's: its replica applies the SET cleanly
+
+	rec := httptest.NewRecorder()
+	srv.HealthHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
+	if rec.Code != 503 {
+		t.Errorf("/health status = %d, want 503 once poisoned", rec.Code)
+	}
+	var h core.Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatalf("/health not JSON: %v", err)
+	}
+	if !h.Poisoned || h.PoisonReason == "" {
+		t.Errorf("/health = %+v, want poisoned with a reason", h)
+	}
+}
+
 func TestServerStatsCountsConnections(t *testing.T) {
 	srv, addr := startServer(t, MethodNR)
 	c1 := dial(t, addr)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	nr "github.com/asplos17/nr"
 	"github.com/asplos17/nr/internal/baseline"
 	"github.com/asplos17/nr/internal/topology"
 )
@@ -314,6 +315,67 @@ func TestServerWorkerSurvivesExecutePanic(t *testing.T) {
 	c2 := dial(t, addr)
 	if got := c2.cmd(t, "GET", "fine"); got != "1" {
 		t.Errorf("GET on new conn = %q", got)
+	}
+}
+
+// panickyStore is the real keyspace with a user-code fault: SET kaboom
+// panics inside Execute on the replicas for which panics is true.
+type panickyStore struct {
+	*Store
+	panics bool
+}
+
+func (p panickyStore) Execute(op StoreOp) StoreResult {
+	if p.panics && op.Cmd == CmdSet && op.Key == "kaboom" {
+		panic("injected store panic")
+	}
+	return p.Store.Execute(op)
+}
+
+// startPanickyNR serves an NR keyspace of two nodes, one executor on each,
+// whose replica n panics on SET kaboom when panicsOn(n): the path a panic
+// takes in nrredis, through NR's containment and Execute's re-raise.
+func startPanickyNR(t *testing.T, panicsOn func(replica int) bool) (*Server, net.Addr) {
+	t.Helper()
+	next := 0
+	inst, err := nr.New(func() nr.Sequential[StoreOp, StoreResult] {
+		n := next
+		next++
+		return panickyStore{NewStore(7), panicsOn(n)}
+	}, nr.WithNodes(2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(&nrShared{inst: inst}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, serveOn(t, srv)
+}
+
+// TestServerNRContainsExecutePanic: a command whose Execute panics on every
+// replica is answered with an error reply; the connection, both executors
+// and the instance keep serving, and the panic is counted, not poisoning.
+func TestServerNRContainsExecutePanic(t *testing.T) {
+	srv, addr := startPanickyNR(t, func(int) bool { return true })
+	c := dial(t, addr)
+	for i := 0; i < 3; i++ { // hit both executors, on both nodes
+		if got := c.cmd(t, "SET", "kaboom", "x"); !strings.HasPrefix(got, "-ERR internal error executing command") {
+			t.Fatalf("panic op reply = %q, want -ERR internal error executing command", got)
+		}
+	}
+	if len(srv.pool) != cap(srv.pool) {
+		t.Errorf("%d of %d executors in the pool after panics", len(srv.pool), cap(srv.pool))
+	}
+	if got := c.cmd(t, "SET", "fine", "1"); got != "+OK" {
+		t.Errorf("SET after panic = %q", got)
+	}
+	if got := dial(t, addr).cmd(t, "GET", "fine"); got != "1" {
+		t.Errorf("GET on a new connection = %q", got)
+	}
+	m, _ := srv.Metrics()
+	if m.Health.Poisoned || m.Health.Panics == 0 {
+		t.Errorf("health = %+v, want contained panics and no poison", m.Health)
 	}
 }
 
