@@ -376,11 +376,11 @@ type replicaLog[O, R any] struct {
 }
 
 // opCounters is one node's share of the Stats counters, bumped only by
-// threads running on that node (and, on the slow paths, by a helper
-// writing the node's replica), so counting an op costs no
-// cross-node cache-line transfer: the log-tail CAS stays the update path's
-// only one (§5.1) and a read touches node-local memory only (§5.3). Stats
-// sums the nodes. It fills one cache line (TestReplicaCountersLayout).
+// threads running on that node (and, on the slow paths, by a helper writing
+// the node's replica), so counting an op costs no cross-node cache-line
+// transfer: the log-tail CAS stays the update path's only one (§5.1) and a
+// read touches node-local memory only (§5.3). Stats sums the nodes. It
+// fills one cache line (TestReplicaCountersLayout).
 type opCounters struct {
 	readOps         atomic.Uint64
 	updateOps       atomic.Uint64
@@ -424,8 +424,8 @@ type Instance[O, R any] struct {
 	mapper   func(O) int
 	replicas []*replica[O, R]
 	// observer is opts.Observer, obs.Nop when none was given: never nil.
-	// observed is set when it is anything but Nop, and is what the two
-	// clock-reading sites (TryExecute, endRound) test.
+	// observed is set when it is anything but Nop, and is what the
+	// clock-reading sites (TryExecute, runCombiner, endRound) test.
 	observer obs.Observer
 	observed bool
 	// rec mirrors opts.Trace (nil = flight recorder off).

@@ -94,10 +94,6 @@ type Health struct {
 	Panics uint64 `json:"panics"`
 }
 
-// Healthy reports whether the instance is not poisoned. Past contained
-// panics do not make an instance unhealthy.
-func (h Health) Healthy() bool { return !h.Poisoned }
-
 // panicRecord tracks one logged entry's observed panic outcomes across
 // replicas.
 type panicRecord struct {
@@ -237,9 +233,8 @@ func (i *Instance[O, R]) safeRead(r *replica[O, R], op O) (resp R, err error) {
 
 // health builds the failure-state slice of the Metrics snapshot.
 func (i *Instance[O, R]) health() Health {
-	h := Health{Panics: i.panics.Load()}
-	if err := i.poisonedErr(); err != nil {
-		h.Poisoned = true
+	h := Health{Panics: i.panics.Load(), Poisoned: i.poisoned.Load()}
+	if h.Poisoned {
 		i.poisonMu.Lock()
 		h.PoisonReason = i.poisonReason
 		i.poisonMu.Unlock()

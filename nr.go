@@ -288,7 +288,6 @@ func New[O, R any](create func() Sequential[O, R], options ...Option) (*Instance
 	if s.persist != nil {
 		pst, perr := attachPersistence(inst, s.persist)
 		if perr != nil {
-			inst.inner.Close()
 			return nil, perr
 		}
 		inst.pst = pst
