@@ -30,7 +30,8 @@ RACE_PKGS = . ./collections ./internal/core ./internal/log ./internal/rwlock ./i
 HOTPATH_DIRS = internal/core internal/log internal/rwlock internal/obs internal/histogram internal/trace
 
 # The only non-test files that may import unsafe: the log's cell layout and
-# miniredis's zero-copy view of the read buffer (store.go, view).
+# miniredis's zero-copy views (store.go: view of the read buffer, and
+# unpackPair's of an interned update pair).
 UNSAFE_FILES = ./internal/log/log.go ./internal/miniredis/store.go
 
 .PHONY: tier1 tier1-race tier2 chaos chaos-recover fuzz check test build vet race bench figures memtables

@@ -576,11 +576,6 @@ func (i *Instance[O, R]) opClass(op O) int {
 	return c
 }
 
-// Close ends the instance's background work. Core starts none, so Close
-// returns at once; it is the hook the nr layer's Close calls beside the
-// telemetry and WAL shutdowns. The instance remains usable afterwards.
-func (i *Instance[O, R]) Close() {}
-
 // Handle binds a goroutine ("thread") to a node, a combiner slot, and a
 // reader-lock slot. A Handle must not be used concurrently.
 type Handle[O, R any] struct {

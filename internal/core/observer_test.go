@@ -285,7 +285,6 @@ func TestObserverReconcilesOnFixedSchedules(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer i.Close()
 				tc.run(t, i, hold)
 				m := i.Metrics()
 				if got := tc.event(m); tc.want != 0 && got != tc.want || got == 0 {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/asplos17/nr/internal/topology"
-	"github.com/asplos17/nr/internal/waittest"
 )
 
 // TestRegisterExhaustionInterleavedWithRegisterOnNode interleaves fill-order
@@ -108,88 +107,6 @@ func TestConcurrentRegistrationExhaustion(t *testing.T) {
 	h := handles[0]
 	if got := h.Execute(ctrRead); got != uint64(len(handles)*50) {
 		t.Errorf("count = %d, want %d", got, len(handles)*50)
-	}
-}
-
-// TestCloseIdempotentAndOptional: Close may be called twice, and an
-// instance need not be closed at all.
-func TestCloseIdempotentAndOptional(t *testing.T) {
-	inst := newCounterInstance(t, smallTopo())
-	inst.Close()
-	inst.Close()                       // second Close is a no-op
-	newCounterInstance(t, smallTopo()) // never closed
-}
-
-// TestDoubleCloseIsIdempotent: Close twice, and concurrently, must not
-// panic or hang.
-func TestDoubleCloseIsIdempotent(t *testing.T) {
-	waittest.Deadline(t)
-	inst := newCounterInstance(t, Options{Topology: topology.New(2, 2, 1), LogEntries: 64})
-	inst.Close()
-	inst.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); inst.Close() }()
-	}
-	wg.Wait()
-}
-
-// TestHandleUsableAfterClose: existing handles keep executing reads and
-// updates correctly after Close, per its documented contract.
-func TestHandleUsableAfterClose(t *testing.T) {
-	waittest.Deadline(t)
-	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 10; k++ {
-		h.Execute(ctrInc)
-	}
-	inst.Close()
-	for k := 0; k < 10; k++ {
-		if got := h.Execute(ctrInc); got != uint64(11+k) {
-			t.Fatalf("increment %d after Close returned %d", k, got)
-		}
-	}
-	if got := h.Execute(ctrRead); got != 20 {
-		t.Errorf("read after Close = %d, want 20", got)
-	}
-}
-
-// TestRegisterAfterCloseSucceeds: Close does not gate registration on
-// either path, and the new handles execute — an idle node's replica is
-// drained by helping, not by a background goroutine Close could stop.
-func TestRegisterAfterCloseSucceeds(t *testing.T) {
-	waittest.Deadline(t)
-	inst, err := New[ctrOp, uint64](func() Sequential[ctrOp, uint64] { return &counter{} },
-		Options{Topology: topology.New(2, 2, 1), LogEntries: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.Close()
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatalf("Register after Close: %v", err)
-	}
-	h1, err := inst.RegisterOnNode(1)
-	if err != nil {
-		t.Fatalf("RegisterOnNode after Close: %v", err)
-	}
-	// More updates than the log holds, all from one node: node 1's replica
-	// must still be drained for the log to wrap.
-	for k := 1; k <= 200; k++ {
-		if got := h.Execute(ctrInc); got != uint64(k) {
-			t.Fatalf("increment %d on post-Close handle = %d", k, got)
-		}
-	}
-	if got := h1.Execute(ctrRead); got != 200 {
-		t.Errorf("read on post-Close RegisterOnNode handle = %d, want 200", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refReadCommand is the parser this package shipped before cmdReader,
@@ -385,10 +386,13 @@ func TestCmdReaderLeavesThePipelineBuffered(t *testing.T) {
 // TestServingPathAllocations pins the server's own path — bytes in the read
 // buffer to StoreOp to reply bytes in the write buffer — at the copies the
 // op must own. A read op borrows its key and member from the buffer and
-// allocates nothing; an update lives on in the log, so it owns one
-// allocation holding both. It runs every command parseOp knows through
-// parseServed, every reply shape WriteResult writes, an inline command, and
-// a command that does not fit the read buffer (the spill path).
+// allocates nothing. An update lives on in the log, so it owns its strings:
+// a recurring pair (every case but one runs the same command over and over)
+// takes them from the intern table and allocates nothing, a pair seen for
+// the first time costs one allocation holding both. It runs every command
+// parseOp knows through parseServed, every reply shape WriteResult writes,
+// an inline command, and a command that does not fit the read buffer (the
+// spill path).
 func TestServingPathAllocations(t *testing.T) {
 	bulk := func(args ...string) string {
 		s := "*" + strconv.Itoa(len(args)) + "\r\n"
@@ -397,25 +401,32 @@ func TestServingPathAllocations(t *testing.T) {
 		}
 		return s
 	}
+	// A pipeline of 256 ZINCRBYs of distinct members: each run of the
+	// first-sighting case parses a pair nothing has parsed before.
+	var firsts strings.Builder
+	for i := 0; i < 256; i++ {
+		firsts.WriteString(bulk("ZINCRBY", "bench:zset", "1", fmt.Sprintf("new:%06d", i)))
+	}
 	members := []string{"item:001234", "1235.5"}
 	cases := []struct {
-		name string
-		wire string
-		res  StoreResult
-		owns float64 // allocations the op owns: 1 for an update that carries strings, else 0
-		buf  int     // read buffer size; 0 for the server's
+		name   string
+		wire   string
+		res    StoreResult
+		allocs float64 // 1 for an update whose pair is new, else 0
+		buf    int     // read buffer size; 0 for the server's
 	}{
 		{"ZRANK", bulk("ZRANK", "bench:zset", "item:001234"), StoreResult{OK: true, Int: 1234}, 0, 0},
-		{"ZINCRBY", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{OK: true, Score: 1235.5}, 1, 0},
+		{"ZINCRBY", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{OK: true, Score: 1235.5}, 0, 0},
+		{"ZINCRBY-first", firsts.String(), StoreResult{OK: true, Score: 1}, 1, 0},
 		{"ZRANK-nil", bulk("ZRANK", "bench:zset", "nobody"), StoreResult{}, 0, 0},
-		{"ZINCRBY-error", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{Err: resultNaN}, 1, 0},
+		{"ZINCRBY-error", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{Err: resultNaN}, 0, 0},
 		{"PING", bulk("PING"), StoreResult{}, 0, 0},
-		{"SET", bulk("SET", "key:1", "value:1"), StoreResult{OK: true}, 1, 0},
+		{"SET", bulk("SET", "key:1", "value:1"), StoreResult{OK: true}, 0, 0},
 		{"GET", bulk("GET", "key:1"), StoreResult{OK: true, Str: "value:1"}, 0, 0},
 		{"GET-nil", bulk("GET", "key:2"), StoreResult{}, 0, 0},
-		{"DEL", bulk("DEL", "key:1"), StoreResult{Int: 1}, 1, 0},
-		{"ZADD", bulk("ZADD", "bench:zset", "2.5", "item:001234"), StoreResult{Int: 1}, 1, 0},
-		{"ZREM", bulk("ZREM", "bench:zset", "item:001234"), StoreResult{Int: 1}, 1, 0},
+		{"DEL", bulk("DEL", "key:1"), StoreResult{Int: 1}, 0, 0},
+		{"ZADD", bulk("ZADD", "bench:zset", "2.5", "item:001234"), StoreResult{Int: 1}, 0, 0},
+		{"ZREM", bulk("ZREM", "bench:zset", "item:001234"), StoreResult{Int: 1}, 0, 0},
 		{"ZSCORE", bulk("ZSCORE", "bench:zset", "item:001234"), StoreResult{OK: true, Score: 2.5}, 0, 0},
 		{"ZSCORE-nil", bulk("ZSCORE", "bench:zset", "nobody"), StoreResult{}, 0, 0},
 		{"ZCARD", bulk("ZCARD", "bench:zset"), StoreResult{Int: 1}, 0, 0},
@@ -424,6 +435,7 @@ func TestServingPathAllocations(t *testing.T) {
 		{"FLUSHALL", bulk("FLUSHALL"), StoreResult{}, 0, 0},
 		{"inline", "GET key:1\r\n", StoreResult{OK: true, Str: "value:1"}, 0, 0},
 		{"spilled", bulk("ZRANK", "bench:zset", "item:001234"), StoreResult{OK: true, Int: 1234}, 0, 16},
+		{"spilled-update", bulk("ZINCRBY", "bench:zset", "1", "item:001234"), StoreResult{OK: true, Score: 1235.5}, 0, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -435,6 +447,7 @@ func TestServingPathAllocations(t *testing.T) {
 			}
 			c := cmdReader{r: bufio.NewReaderSize(src, size)}
 			w := NewWriter(bufio.NewWriter(io.Discard))
+			pairs := newInternTable(internSets)
 			allocs := testing.AllocsPerRun(200, func() {
 				args, err := c.next()
 				if err == io.EOF {
@@ -444,7 +457,7 @@ func TestServingPathAllocations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				op, errMsg := parseServed(args)
+				op, errMsg := parseServed(args, pairs)
 				if errMsg != "" {
 					t.Fatal(errMsg)
 				}
@@ -452,8 +465,8 @@ func TestServingPathAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs != tc.owns {
-				t.Errorf("%.1f allocations per command, want %.0f (the copy the op owns)", allocs, tc.owns)
+			if allocs != tc.allocs {
+				t.Errorf("%.1f allocations per command, want %.0f", allocs, tc.allocs)
 			}
 		})
 	}
@@ -462,11 +475,16 @@ func TestServingPathAllocations(t *testing.T) {
 // TestServedOpOwnership: parseServed leaves a read op borrowing the
 // connection's buffer and gives an update its own strings. Each command
 // parseOp knows is parsed as Server.serve parses it, from a buffer that
-// holds it whole and from one it spills past; then every byte the command
-// occupied, the spill buffer included, is overwritten. An update must come
-// through intact, a read that carries strings must show the new bytes (it
-// copied nothing). Last, an update is applied and its buffer scribbled: the
-// keyspace must still answer with the original bytes.
+// holds it whole and then, through the same intern table, from one it
+// spills past (so an update's second parse takes the interned copy); then
+// every byte the command occupied, the spill buffer included, is
+// overwritten. An update must come through intact, a read that carries
+// strings must show the new bytes (it copied nothing). Then the intern
+// table's own cases: an interned update whose buffer is scribbled, two
+// pairs that differ only in where key ends and member begins, and a pair
+// over the length cap, which is copied and not kept. Last, an update is
+// applied and its buffer scribbled: the keyspace must still answer with
+// the original bytes.
 func TestServedOpOwnership(t *testing.T) {
 	cmds := [][]string{
 		{"PING"},
@@ -485,13 +503,13 @@ func TestServedOpOwnership(t *testing.T) {
 	}
 	// parse reads one command from a reader of the given buffer size and
 	// returns its served op and a function that scribbles its bytes.
-	parse := func(t *testing.T, cmd []string, size int) (StoreOp, func()) {
+	parse := func(t *testing.T, pairs *internTable, cmd []string, size int) (StoreOp, func()) {
 		c := cmdReader{r: bufio.NewReaderSize(strings.NewReader(encode(cmd...)), size)}
 		args, err := c.next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, errMsg := parseServed(args)
+		op, errMsg := parseServed(args, pairs)
 		if errMsg != "" {
 			t.Fatal(errMsg)
 		}
@@ -507,11 +525,12 @@ func TestServedOpOwnership(t *testing.T) {
 			}
 		}
 	}
+	pairs := newInternTable(internSets)
 	seen := map[Cmd]bool{}
 	for _, cmd := range cmds {
 		for _, size := range []int{connReadBuffer, 16} {
 			t.Run(fmt.Sprintf("%s/buf=%d", cmd[0], size), func(t *testing.T) {
-				op, scribble := parse(t, cmd, size)
+				op, scribble := parse(t, pairs, cmd, size)
 				seen[op.Cmd] = true
 				key, member := strings.Clone(op.Key), strings.Clone(op.Member)
 				scribble()
@@ -529,12 +548,64 @@ func TestServedOpOwnership(t *testing.T) {
 		t.Errorf("covered %d commands, want all %d parseOp knows", len(seen), CmdFlushAll+1)
 	}
 
+	// The intern table's cases. sameBytes reports whether two strings share
+	// their first byte, which a hit's op and the op that published its
+	// entry do.
+	sameBytes := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	t.Run("interned", func(t *testing.T) {
+		pairs := newInternTable(internSets)
+		cmd := []string{"ZINCRBY", "zset:1", "1", "member:1"}
+		first, scribble := parse(t, pairs, cmd, connReadBuffer)
+		scribble()
+		again, scribble := parse(t, pairs, cmd, connReadBuffer)
+		scribble()
+		if !sameBytes(again.Key, first.Key) || !sameBytes(again.Member, first.Member) {
+			t.Error("a recurring pair did not take the interned copy")
+		}
+		if again.Key != "zset:1" || again.Member != "member:1" {
+			t.Errorf("interned update reads %q %q after its buffer was scribbled", again.Key, again.Member)
+		}
+	})
+	t.Run("split", func(t *testing.T) {
+		pairs := newInternTable(1) // one set: every pair meets every other
+		for _, kv := range [][2]string{{"ab", "c"}, {"a", "bc"}, {"abc", ""}, {"ab", "c"}, {"", "abc"}} {
+			op, scribble := parse(t, pairs, []string{"SET", kv[0], kv[1]}, connReadBuffer)
+			scribble()
+			if op.Key != kv[0] || op.Member != kv[1] {
+				t.Errorf("SET %q %q served as %q %q", kv[0], kv[1], op.Key, op.Member)
+			}
+		}
+	})
+	t.Run("over-cap", func(t *testing.T) {
+		pairs := newInternTable(1)
+		key, member := "zset:1", strings.Repeat("m", internMaxPair+1-len("zset:1"))
+		var ops []StoreOp
+		for range 2 {
+			op, scribble := parse(t, pairs, []string{"ZADD", key, "1", member}, connReadBuffer)
+			scribble()
+			ops = append(ops, op)
+		}
+		for _, op := range ops {
+			if op.Key != key || op.Member != member {
+				t.Errorf("over-cap update reads %q %q after its buffer was scribbled", op.Key, op.Member)
+			}
+		}
+		if sameBytes(ops[0].Member, ops[1].Member) {
+			t.Error("two parses of an over-cap pair share one copy")
+		}
+		for i := range pairs.slots {
+			if pairs.slots[i].Load() != nil {
+				t.Fatalf("the table kept a pair of %d bytes, over the cap of %d", len(key)+len(member), internMaxPair)
+			}
+		}
+	})
+
 	t.Run("applied", func(t *testing.T) {
 		st := NewStore(1)
 		for i, size := range []int{connReadBuffer, 16} {
 			n := strconv.Itoa(i)
 			for _, cmd := range [][]string{{"ZADD", "zset", "2.5", "member:" + n}, {"SET", "key:" + n, "value:" + n}} {
-				op, scribble := parse(t, cmd, size)
+				op, scribble := parse(t, pairs, cmd, size)
 				if res := st.Execute(op); res.Err != "" {
 					t.Fatal(res.Err)
 				}

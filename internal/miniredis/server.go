@@ -119,6 +119,8 @@ type Server struct {
 	// persist enables BGSAVE/LASTSAVE (nil = persistence off). See
 	// WithPersistence.
 	persist *Persistence
+	// pairs interns the key and member of recurring updates (parseServed).
+	pairs *internTable
 
 	// commands counts every parsed command (INFO included); connTotal
 	// counts accepted connections over the server's lifetime.
@@ -192,6 +194,7 @@ func NewServer(shared Shared, workers int, opts ...ServerOption) (*Server, error
 		readTimeout:  DefaultReadTimeout,
 		writeTimeout: DefaultWriteTimeout,
 		started:      time.Now(),
+		pairs:        newInternTable(internSets),
 	}
 	for _, o := range opts {
 		o(s)
@@ -407,7 +410,7 @@ func (s *Server) serve(w *Writer, args [][]byte) error {
 			return s.lastsave(w)
 		}
 	}
-	op, errMsg := parseServed(args)
+	op, errMsg := parseServed(args, s.pairs)
 	if errMsg != "" {
 		return w.Error(errMsg)
 	}
@@ -419,17 +422,15 @@ func (s *Server) serve(w *Writer, args [][]byte) error {
 // borrowing the buffer: serve executes and answers it before reading on,
 // and no method keeps a read op beyond Execute (NR, SL, RWL and FC+ run it
 // in the caller, FC's combiner while the caller waits). An update lives on
-// in the log, the WAL and the keyspace, so it gets its own copy, one
-// allocation for key and member.
-func parseServed(args [][]byte) (StoreOp, string) {
+// in the log, the WAL and the keyspace, so it gets strings of its own from
+// pairs: the interned copy of a pair seen before, else one allocation
+// holding key and member.
+func parseServed(args [][]byte, pairs *internTable) (StoreOp, string) {
 	op, errMsg := parseOp(args)
 	if errMsg != "" || IsReadOnlyOp(op) {
 		return op, errMsg
 	}
-	n := len(op.Key)
-	b := make([]byte, 0, n+len(op.Member))
-	s := view(append(append(b, op.Key...), op.Member...))
-	op.Key, op.Member = s[:n], s[n:]
+	op.Key, op.Member = pairs.own(op.Key, op.Member)
 	return op, ""
 }
 

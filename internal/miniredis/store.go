@@ -34,9 +34,11 @@ const (
 // tag and the log's marker are added (TestStoreOpLogCell).
 //
 // Key and Member may borrow another's bytes (parseOp). An op that enters
-// the log, the WAL or the keyspace must own them (parseServed copies an
-// update's); an op for which IsReadOnlyOp holds never does, so a read's
-// strings need to live only until Execute has returned.
+// the log, the WAL or the keyspace must own them (parseServed gives an
+// update the interned copy of a recurring pair, or a copy of its own); an
+// op for which IsReadOnlyOp holds never does, so a read's strings need to
+// live only until Execute has returned. Owned strings may be shared, with
+// other ops and the keyspace: nothing writes them.
 type StoreOp struct {
 	Key        string
 	Member     string
@@ -292,6 +294,25 @@ func view[S byteSeq](s S) string {
 	panic("unreachable")
 }
 
+// packPair copies key and member into one allocation, headed by their
+// lengths in one byte each (both under 256), and returns its first byte:
+// an entry of the intern table (intern.go). Nothing writes an entry after
+// packPair has returned.
+func packPair(key, member string) *byte {
+	b := make([]byte, 2, 2+len(key)+len(member))
+	b[0], b[1] = byte(len(key)), byte(len(member))
+	b = append(append(b, key...), member...)
+	return &b[0]
+}
+
+// unpackPair returns an entry's key and member as views of the entry.
+func unpackPair(e *byte) (key, member string) {
+	h := unsafe.Slice(e, 2)
+	k := int(h[0])
+	s := view(unsafe.Slice(e, 2+k+int(h[1]))[2:])
+	return s[:k], s[k:]
+}
+
 // ParseCommand converts a RESP argument vector into a StoreOp. Its Key and
 // Member are args' own strings, which nothing can change, so the op may be
 // kept.
@@ -321,7 +342,7 @@ func cmdIs[S byteSeq](name S, upper string) bool {
 // while args' bytes stay unchanged. On the serving path args is the
 // connection's read buffer, which the next command overwrites: parseServed
 // lets a read op borrow it until its reply is written and gives an update
-// its own strings before it executes.
+// owned strings (interned or copied) before it executes.
 func parseOp[S byteSeq](args []S) (StoreOp, string) {
 	if len(args) == 0 {
 		return StoreOp{}, "empty command"

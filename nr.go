@@ -390,7 +390,6 @@ func (i *Instance[O, R]) Close() {
 	if i.tel != nil {
 		i.tel.Close()
 	}
-	i.inner.Close()
 	if i.pst != nil {
 		i.pst.close()
 	}
