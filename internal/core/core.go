@@ -97,10 +97,13 @@ type Options struct {
 	// LogEntries sets the shared log size — per log, when Logs > 1. The
 	// paper fixes 1M entries (§7); the default here is 64K, which the
 	// paper's sizing argument (§5.6) equally satisfies for our batch sizes.
+	// A log costs its entries times (op + 8 bytes): with the server's
+	// 72-byte cells, 4.72 MB at the default and 75.5 MB at the paper's 1M.
 	// A smaller log is a measured trade, not a free saving: at 16K entries
-	// the benchmark's lib-mixed heap fell from 10.2 to 5.45 MB, but
-	// lib-durable lost 11 % of its ops/s, an all-update variant about 10 %,
-	// and set-up ran 14 % longer on more GC cycles (ROADMAP item 8).
+	// (with 96-byte cells) the benchmark's lib-mixed heap fell from 10.2 to
+	// 5.45 MB, but lib-durable lost 11 % of its ops/s, an all-update variant
+	// about 10 %, and set-up ran 14 % longer on more GC cycles (ROADMAP
+	// item 8).
 	LogEntries int
 
 	// Logs is the number of shared logs (conflict classes); 0 or 1 means
@@ -163,7 +166,7 @@ func (o *Options) fillDefaults() {
 // facility (per-log WALs would need per-log recovery generations, ROADMAP
 // item 5).
 type Follower[O any] struct {
-	log  *log.Log[entry[O]]
+	log  *log.Log[O]
 	tail *atomic.Uint64
 	wake chan struct{}
 }
@@ -192,11 +195,11 @@ func (i *Instance[O, R]) Follow() (*Follower[O], error) {
 // follower's one goroutine may call Drain.
 func (f *Follower[O]) Drain(fn func(idx, token uint64, op O)) {
 	for idx := f.tail.Load(); ; idx++ {
-		e, ok := f.log.Get(idx)
+		op, tag, ok := f.log.GetTagged(idx)
 		if !ok {
 			return
 		}
-		fn(idx, e.token(0), e.op)
+		fn(idx, tagToken(tag, 0), op)
 		f.tail.Store(idx + 1)
 	}
 }
@@ -279,8 +282,8 @@ type slot[O, R any] struct {
 	err   error
 }
 
-// entry kinds, stored in the six log-index bits of an entry's tag (an
-// entry's log index is the log it sits in, so the bits are free). entryOp is
+// entry kinds, stored in the log-index bits of an entry's tag (an entry's
+// log index is the log it sits in, so the bits are free). entryOp is
 // a normal operation; entryCross (log 0 only) carries a multi-class
 // operation; entryBarrier (logs 1..M-1) carries nothing and marks the point
 // in that log's history where the next cross operation must be applied
@@ -294,35 +297,31 @@ const (
 )
 
 // tagKindShift places an entry's kind in the log-index bits of its tag
-// (trace.TokenWithLog's layout).
+// (trace.TokenWithLog's layout). The kinds fit in the two bits below the
+// log's lap code, so a tag is at most 60 bits wide.
 const tagKindShift = 58
 
-// entry is what NR stores in the shared log: the operation plus one tag
-// word. The tag is the op token (node, slot, seq in trace.TokenWithLog's
-// layout) with the entry's kind in the log-index bits. node and slot are the
-// response tag under which whichever thread replays the entry into its home
-// replica answers the waiting thread (see "Response tags" in the package
-// doc); seq completes the token so a remote replayer's trace events join the
-// originating op's span. The tag is published by the log's marker store like
-// the op.
-type entry[O any] struct {
-	op  O
-	tag uint64
-}
-
 // opTag is the tag of an entry of kind k submitted through (node, slot) as
-// the handle's seq-th op.
+// the handle's seq-th op. An entry in the shared log is the operation plus
+// this one word, which the log publishes in the same store as its lap code
+// (log.FillTagged). The tag is the op token (node, slot, seq in
+// trace.TokenWithLog's layout) with the entry's kind in the log-index bits.
+// node and slot are the response tag under which whichever thread replays
+// the entry into its home replica answers the waiting thread (see "Response
+// tags" in the package doc); seq completes the token so a remote replayer's
+// trace events join the originating op's span.
 func opTag(k uint64, node, slot int, seq uint32) uint64 {
 	return k<<tagKindShift | trace.Token(node, slot, seq)
 }
 
-// kind returns the entry's kind (entryOp, entryCross or entryBarrier).
-func (e entry[O]) kind() uint64 { return e.tag >> tagKindShift }
+// tagKind returns an entry's kind (entryOp, entryCross or entryBarrier)
+// from its tag.
+func tagKind(tag uint64) uint64 { return tag >> tagKindShift }
 
-// token returns the op token of the entry as it sits in log c: its tag with
-// c in place of the kind.
-func (e entry[O]) token(c int) uint64 {
-	return e.tag&(1<<tagKindShift-1) | uint64(c)<<tagKindShift
+// tagToken returns the op token of an entry as it sits in log c: its tag
+// with c in place of the kind.
+func tagToken(tag uint64, c int) uint64 {
+	return tag&(1<<tagKindShift-1) | uint64(c)<<tagKindShift
 }
 
 // takenSlot records one collected combining slot during a round.
@@ -418,7 +417,7 @@ type replica[O, R any] struct {
 // Instance is a concurrent, NUMA-aware version of a sequential structure.
 type Instance[O, R any] struct {
 	opts Options
-	logs []*log.Log[entry[O]]
+	logs []*log.Log[O]
 	// mapper maps an op to its conflict class; nil on single-log instances
 	// (class 0 for everything).
 	mapper   func(O) int
@@ -502,9 +501,9 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 	if maxBatch > 1<<16 {
 		return nil, fmt.Errorf("core: %d slots per node overflow the token's 16-bit slot field", maxBatch)
 	}
-	logs := make([]*log.Log[entry[O]], m)
+	logs := make([]*log.Log[O], m)
 	for j := range logs {
-		l, err := log.New[entry[O]](opts.LogEntries, maxBatch)
+		l, err := log.New[O](opts.LogEntries, maxBatch)
 		if err != nil {
 			return nil, err
 		}

@@ -86,10 +86,11 @@ func (i *Instance[O, R]) appendCross(h *Handle[O, R], op O) uint64 {
 	h.ring.Record(trace.KLogReserve, h.node, i.crossIdx[0], uint64(len(i.logs)))
 	// Log 0's cross entry becomes visible before any barrier: an applier
 	// chasing a barrier's ticket always finds the op already filled.
-	i.logs[0].Fill(i.crossIdx[0], entry[O]{op: op, tag: opTag(entryCross, h.node, h.slot, h.seq)})
+	i.logs[0].FillTagged(i.crossIdx[0], op, opTag(entryCross, h.node, h.slot, h.seq))
 	h.ring.Record(trace.KLogFill, h.node, tok, i.crossIdx[0])
 	for c := 1; c < len(i.logs); c++ {
-		i.logs[c].Fill(i.crossIdx[c], entry[O]{tag: entryBarrier << tagKindShift})
+		var none O
+		i.logs[c].FillTagged(i.crossIdx[c], none, entryBarrier<<tagKindShift)
 	}
 	i.crossMu.Unlock()
 	return t
@@ -144,15 +145,15 @@ func (i *Instance[O, R]) applyCross(r *replica[O, R], next uint64, ring *trace.R
 	// same reason, and execute it.
 	i.replayTo(r, 0, math.MaxUint64, true, ring)
 	idx := r.logs[0].localTail.Load()
-	e, _ := i.logs[0].Get(idx) // filled: replayTo stopped at it
-	res, err := i.safeExecute(r, 0, e.op, idx)
+	op, tag, _ := i.logs[0].GetTagged(idx) // filled: replayTo stopped at it
+	res, err := i.safeExecute(r, 0, op, idx)
 	r.logs[0].localTail.Store(idx + 1)
 	// Advance completed tails BEFORE delivering the response: a reader that
 	// runs after the submitter returns must observe a completed tail
 	// covering the cross op on every log, so its class-local wait suffices
 	// to see the op's effects.
 	i.logs[0].AdvanceCompleted(idx + 1)
-	i.deliver(r, 0, idx, e, res, err, ring)
+	i.deliver(r, 0, idx, tag, res, err, ring)
 	r.crossDone.Store(next)
 	for c := len(i.logs) - 1; c >= 0; c-- {
 		r.logs[c].rw.Unlock()

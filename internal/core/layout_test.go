@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"testing"
 	"unsafe"
-
-	"github.com/asplos17/nr/internal/log"
 )
 
 // TestSlotLayout pins the combining slot's cache-line discipline (§5.2) at
@@ -53,22 +51,27 @@ func TestReplicaCountersLayout(t *testing.T) {
 	}
 }
 
-// TestEntryLogCell pins what NR actually logs: core's entry (op plus one
-// 8-byte tag word: the op token with the entry kind in its log-index bits)
-// is 16 bytes at int64, and its log cell adds only the log's 8-byte marker.
-// Log cells are deliberately unpadded (internal/log's TestEntryLayout).
+// TestEntryLogCell pins what NR actually logs: the op plus one 8-byte word,
+// which carries the entry's tag (the op token with the entry kind in its
+// log-index bits) under the log's lap code, so an int64 op's cell is 16
+// bytes. Log cells are deliberately unpadded (internal/log's
+// TestEntryLayout).
 func TestEntryLogCell(t *testing.T) {
-	if size := unsafe.Sizeof(entry[int64]{}); size != 16 {
-		t.Errorf("entry[int64] size = %d, want 16 (op 8, tag 8)", size)
-	}
-	l, err := log.New[entry[int64]](1024, 1)
+	inst, err := New[int64, int64](func() Sequential[int64, int64] { return new(sum) }, Options{LogEntries: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell := l.MemoryBytes() / uint64(l.Size()); cell != 24 {
-		t.Errorf("log cell of entry[int64] = %d bytes, want 24 (entry 16 + marker 8)", cell)
+	if cell := inst.MemoryBytes() / 1024; cell != 16 {
+		t.Errorf("log cell of an int64 op = %d bytes, want 16 (op 8 + tag and lap code 8)", cell)
 	}
 }
+
+// sum is a Sequential over int64 ops: it adds each op to its total.
+type sum int64
+
+func (s *sum) Execute(op int64) int64 { *s += sum(op); return int64(*s) }
+
+func (s *sum) IsReadOnly(op int64) bool { return op == 0 }
 
 // span is one owner's hot memory: [lo, hi) in bytes.
 type span struct{ lo, hi uintptr }

@@ -7,9 +7,9 @@ import "github.com/asplos17/nr/internal/trace"
 // and, if the entry originated on r's node, delivers the outcome (value or
 // error) to its slot. Callers have already ruled out barrier and cross
 // entries (replayTo stops at them; applyCross consumes them).
-func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry[O], ring *trace.Ring) {
-	res, err := i.safeExecute(r, c, e.op, idx)
-	i.deliver(r, c, idx, e, res, err, ring)
+func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, op O, tag uint64, ring *trace.Ring) {
+	res, err := i.safeExecute(r, c, op, idx)
+	i.deliver(r, c, idx, tag, res, err, ring)
 }
 
 // deliver hands the outcome of log c's entry at idx, just executed against
@@ -23,10 +23,10 @@ func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, e entry
 // serialized cost of every update by the node count. Bulk replay remains
 // visible through the aggregate events (KReaderRefresh, KHelp,
 // KCombineEnd).
-func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O], res R, err error, ring *trace.Ring) {
-	if node, slot, seq := trace.TokenParts(e.tag); node == int(r.id) {
-		tok := e.token(c)
-		sampled := ring != nil && (e.kind() == entryCross || i.sampled(seq))
+func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx, tag uint64, res R, err error, ring *trace.Ring) {
+	if node, slot, seq := trace.TokenParts(tag); node == int(r.id) {
+		tok := tagToken(tag, c)
+		sampled := ring != nil && (tagKind(tag) == entryCross || i.sampled(seq))
 		if sampled {
 			ring.Record(trace.KReplay, int(r.id), idx, tok)
 		}
@@ -56,33 +56,34 @@ func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx uint64, e entry[O]
 func (i *Instance[O, R]) replayTo(r *replica[O, R], c int, to uint64, wait bool, ring *trace.Ring) uint64 {
 	lg := &r.logs[c]
 	for idx := lg.localTail.Load(); idx < to; idx++ {
-		e, ok := i.logs[c].Get(idx)
+		op, tag, ok := i.logs[c].GetTagged(idx)
 		if !ok {
 			if !wait {
 				return 0
 			}
-			e = i.waitGet(int(r.id), c, idx, ring)
+			op, tag = i.waitGet(int(r.id), c, idx, ring)
 		}
-		if e.kind() != entryOp {
+		if tagKind(tag) != entryOp {
 			return r.nextTicket()
 		}
-		i.applyEntry(r, c, idx, e, ring)
+		i.applyEntry(r, c, idx, op, tag, ring)
 		lg.localTail.Store(idx + 1)
 	}
 	return 0
 }
 
-// waitGet fetches log c's entry at idx, recording a hole-wait event (with
-// the spin count) when the entry was reserved but not yet filled.
-func (i *Instance[O, R]) waitGet(node, c int, idx uint64, ring *trace.Ring) entry[O] {
+// waitGet fetches log c's entry (op and tag) at idx, recording a hole-wait
+// event (with the spin count) when the entry was reserved but not yet
+// filled.
+func (i *Instance[O, R]) waitGet(node, c int, idx uint64, ring *trace.Ring) (O, uint64) {
 	if ring == nil {
 		return i.logs[c].WaitGet(idx)
 	}
-	e, spins := i.logs[c].WaitGetObserved(idx)
+	op, tag, spins := i.logs[c].WaitGetObserved(idx)
 	if spins > 0 {
 		ring.Record(trace.KHoleWait, node, idx, uint64(spins))
 	}
-	return e
+	return op, tag
 }
 
 // refreshOwn refreshes (r, c) to 'to', applying any cross-log barriers it

@@ -6,11 +6,11 @@ import (
 )
 
 // TestEntryLayout pins a log cell at its natural size, the op plus the
-// 8-byte marker with no pad (see entry for why). The cell NR really logs,
-// core's entry with its tag word, is pinned by core's TestEntryLogCell.
+// 8-byte word of tag and lap code with no pad (see entry for why). The
+// cell NR really logs is pinned by core's TestEntryLogCell.
 func TestEntryLayout(t *testing.T) {
 	if size := unsafe.Sizeof(entry[int64]{}); size != 16 {
-		t.Errorf("entry[int64] size = %d, want 16 (op 8 + marker 8, unpadded)", size)
+		t.Errorf("entry[int64] size = %d, want 16 (op 8 + word 8, unpadded)", size)
 	}
 }
 

@@ -3,11 +3,22 @@
 // (§5.3), and the lazy, synchronization-free entry-recycling scheme of §5.6.
 //
 // Indices are absolute (monotonically increasing); an entry's slot is the
-// index modulo the buffer size. Instead of the paper's alternating wrap bit,
-// each entry publishes the absolute index it holds (index+1, so zero means
-// never written). This is semantically the same freshness check with the
-// same single-word cost per entry, but immune to ABA across multiple
-// wrap-arounds and much easier to reason about.
+// index modulo the buffer size, and its lap the index divided by it. Each
+// cell is the op plus one word that the fill publishes with a single
+// release store: the caller's 60-bit tag (core keeps an op's token there)
+// under a 4-bit lap code, lap%15+1. The code is the paper's alternating
+// wrap bit (§5.6) widened so that zero can mean "never filled", and it
+// shares the tag's word, so a cell spends one word on bookkeeping.
+//
+// Two adjacent laps are all a reader must tell apart. A consumer (a
+// replica's replayers, a follower) reads the index i its own localTail
+// names and advances past it only afterwards. Reusing i's slot for i+size
+// waits for logMin, the minimum of every registered localTail, to pass i,
+// and the reader's own tail is still i, so the slot cannot hold a later
+// lap. Index i-size lies below the reader's tail, so it was filled, and i
+// could be reserved only after every tail had passed i-size, so nothing
+// older is left in the slot. The slot therefore holds i's word or
+// i-size's (zero on lap 0), and adjacent laps never share a code.
 package log
 
 import (
@@ -20,13 +31,31 @@ import (
 // cacheLine keeps hot counters on separate lines.
 type cacheLine = [64]byte
 
-// entry is one log cell: the op and its marker, deliberately unpadded
+// entry is one log cell: the op and its word, deliberately unpadded
 // (TestEntryLayout). A combiner fills a run of consecutive cells, so only
 // a batch's boundary cell can share a line with another combiner's batch
 // (DESIGN.md §5b).
 type entry[O any] struct {
-	op     O
-	marker atomic.Uint64 // absolute index + 1 once filled
+	op   O
+	word atomic.Uint64 // lap code << lapShift | tag once filled, 0 before
+}
+
+// lapShift places a cell's lap code above its 60-bit tag.
+const lapShift = 60
+
+// tagMask selects a cell word's tag.
+const tagMask = 1<<lapShift - 1
+
+// lapCodes is the lap code's period: lap L is coded L%lapCodes+1, so codes
+// run from 1 to 15 in the word's top 4 bits and 0 is never a filled
+// cell's.
+const lapCodes = 15
+
+// cell returns idx's cell and the lap code a fill of idx stores, shifted
+// into place.
+func (l *Log[O]) cell(idx uint64) (*entry[O], uint64) {
+	lap := idx / l.size
+	return &l.entries[idx-lap*l.size], (lap%lapCodes + 1) << lapShift
 }
 
 // Log is the shared circular buffer. It is written by at most one combiner
@@ -176,8 +205,8 @@ func (l *Log[O]) TryReserve(n int) (uint64, bool) {
 // advances its localTail (release) only after reading, the reserver
 // observes it via refreshMin before the check passes, and Fill's plain
 // `e.op` store is therefore ordered after every read of the old value.
-// Readers that arrive late see the marker mismatch and treat the entry as
-// empty rather than reading a torn op.
+// Readers that arrive late see the lap code mismatch and treat the entry
+// as empty rather than reading a torn op.
 func (l *Log[O]) TryReserveObserved(n int) (start uint64, casRetries int, ok bool) {
 	if n < 1 || uint64(n) > l.maxBatch {
 		panic(fmt.Sprintf("log: reservation of %d outside [1, %d]", n, l.maxBatch))
@@ -213,35 +242,50 @@ func (l *Log[O]) MinLocalTail() uint64 {
 	return l.min.Load()
 }
 
-// Fill publishes op at absolute index idx. The entry must have been reserved
-// by the caller. The marker store is the linearization of the append: readers
-// treat an unmarked entry as empty.
-func (l *Log[O]) Fill(idx uint64, op O) {
-	e := &l.entries[idx%l.size]
-	e.op = op
-	e.marker.Store(idx + 1)
-}
+// Fill publishes op at absolute index idx with tag 0; see FillTagged.
+func (l *Log[O]) Fill(idx uint64, op O) { l.FillTagged(idx, op, 0) }
 
-// Get returns the operation at absolute index idx if it has been filled.
-// A false return means the entry is reserved but not yet written (a "hole"),
-// or recycled for a later lap.
-func (l *Log[O]) Get(idx uint64) (O, bool) {
-	e := &l.entries[idx%l.size]
-	if e.marker.Load() != idx+1 {
-		var zero O
-		return zero, false
+// FillTagged publishes op and tag at absolute index idx. The entry must
+// have been reserved by the caller, and tag must fit in 60 bits. The store
+// of the word that carries tag and idx's lap code is the linearization of
+// the append: readers treat a cell without idx's lap code as empty.
+func (l *Log[O]) FillTagged(idx uint64, op O, tag uint64) {
+	if tag > tagMask {
+		panic(fmt.Sprintf("log: tag %#x wider than 60 bits", tag))
 	}
-	return e.op, true
+	e, code := l.cell(idx)
+	e.op = op
+	e.word.Store(code | tag)
 }
 
-// WaitGet spins until the entry at idx is filled, then returns it. Combiners
-// must wait for holes preceding their batch (§5.1).
-func (l *Log[O]) WaitGet(idx uint64) O {
-	op, _ := l.WaitGetObserved(idx)
-	return op
+// Get returns the operation at absolute index idx if it has been filled;
+// see GetTagged.
+func (l *Log[O]) Get(idx uint64) (O, bool) {
+	op, _, ok := l.GetTagged(idx)
+	return op, ok
 }
 
-// holeSpinLoads bounds the marker loads spent on a hole before the first
+// GetTagged returns the operation and tag at absolute index idx if it has
+// been filled. A false return means the entry is reserved but not yet
+// written (a "hole"), or still holds the previous lap's op.
+func (l *Log[O]) GetTagged(idx uint64) (O, uint64, bool) {
+	e, code := l.cell(idx)
+	w := e.word.Load()
+	if w&^tagMask != code {
+		var zero O
+		return zero, 0, false
+	}
+	return e.op, w & tagMask, true
+}
+
+// WaitGet spins until the entry at idx is filled, then returns its op and
+// tag. Combiners must wait for holes preceding their batch (§5.1).
+func (l *Log[O]) WaitGet(idx uint64) (O, uint64) {
+	op, tag, _ := l.WaitGetObserved(idx)
+	return op, tag
+}
+
+// holeSpinLoads bounds the word loads spent on a hole before the first
 // scheduler yield. Nothing sits between a combiner's reserve and its Fill,
 // so a hole normally closes within a few stores; yielding at once would pay
 // a scheduler round trip for it. Past the bound the filler is taken to be
@@ -254,20 +298,22 @@ const holeSpinLoads = 256
 // stall signal of §5.1 (a combiner preempted between reserve and fill
 // blocks every replayer behind it), so the flight recorder tags them with
 // the yield count.
-func (l *Log[O]) WaitGetObserved(idx uint64) (O, int) {
-	e := &l.entries[idx%l.size]
+func (l *Log[O]) WaitGetObserved(idx uint64) (O, uint64, int) {
+	e, code := l.cell(idx)
 	spins := 0
-	for n := 0; e.marker.Load() != idx+1; n++ {
+	w := e.word.Load()
+	for n := 0; w&^tagMask != code; n++ {
 		if n >= holeSpinLoads {
 			spins++
 			runtime.Gosched()
 		}
+		w = e.word.Load()
 	}
-	return e.op, spins
+	return e.op, w & tagMask, spins
 }
 
 // MemoryBytes returns the bytes of the log's cells: Size() times one cell,
-// the op plus its 8-byte marker.
+// the op plus the 8-byte word that carries its tag and lap code.
 func (l *Log[O]) MemoryBytes() uint64 {
 	var e entry[O]
 	return l.size * uint64(unsafe.Sizeof(e))

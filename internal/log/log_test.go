@@ -145,16 +145,19 @@ func TestWaitGet(t *testing.T) {
 	l, _ := New[int](8, 2)
 	l.RegisterReplica()
 	s := l.Reserve(1)
-	got := make(chan int)
-	go func() { got <- l.WaitGet(s) }()
+	got := make(chan [2]uint64)
+	go func() {
+		op, tag := l.WaitGet(s)
+		got <- [2]uint64{uint64(op), tag}
+	}()
 	select {
 	case v := <-got:
-		t.Fatalf("WaitGet returned %d before Fill", v)
+		t.Fatalf("WaitGet returned %v before Fill", v)
 	default:
 	}
-	l.Fill(s, 42)
-	if v := <-got; v != 42 {
-		t.Fatalf("WaitGet = %d, want 42", v)
+	l.FillTagged(s, 42, 7)
+	if v := <-got; v != [2]uint64{42, 7} {
+		t.Fatalf("WaitGet = op %d, tag %d, want 42, 7", v[0], v[1])
 	}
 }
 
@@ -195,7 +198,7 @@ func TestConcurrentAppendersSeeAllOps(t *testing.T) {
 		// waiting on a full log: mark everything consumed.
 		defer lt.Store(math.MaxUint64)
 		for idx := uint64(0); idx < total; idx++ {
-			op := l.WaitGet(idx)
+			op, _ := l.WaitGet(idx)
 			if op[1] != idx {
 				consumeErr = &indexMismatch{idx, op[1]}
 				return
@@ -347,7 +350,7 @@ func TestMultiEntryReservationPartitions(t *testing.T) {
 	go func() {
 		defer close(done)
 		for idx := uint64(0); idx < want; idx++ {
-			if op := l.WaitGet(idx); op&0xffffffff != idx {
+			if op, _ := l.WaitGet(idx); op&0xffffffff != idx {
 				t.Errorf("entry %d holds payload for index %d (publisher %d)", idx, op&0xffffffff, op>>32)
 				return
 			}
@@ -414,7 +417,7 @@ func TestLogDoesNotAllocate(t *testing.T) {
 	// A hole: the reader waits until the entry is filled.
 	idx := l.Reserve(1)
 	var spins int
-	check("WaitGetObserved", waittest.Window(t, func() { _, spins = l.WaitGetObserved(idx) }, func() { l.Fill(idx, 3) }))
+	check("WaitGetObserved", waittest.Window(t, func() { _, _, spins = l.WaitGetObserved(idx) }, func() { l.Fill(idx, 3) }))
 	if spins < waittest.Yields/2 {
 		t.Errorf("WaitGetObserved spun %d times, want about %d", spins, waittest.Yields)
 	}

@@ -11,7 +11,7 @@ import (
 // TestWrapDeterministic walks one reserver and one consumer across several
 // laps of a tiny buffer, checking at each step the invariants the
 // wraparound audit relies on: a full log refuses reservations until the
-// consumer advances, markers distinguish laps (stale indexes read as
+// consumer advances, lap codes distinguish laps (stale indexes read as
 // empty), and freed space becomes visible to the very next attempt.
 func TestWrapDeterministic(t *testing.T) {
 	waittest.Deadline(t)
@@ -63,7 +63,7 @@ func TestWrapDeterministic(t *testing.T) {
 	if start := fill(1); start != size {
 		t.Fatalf("first wrapped reservation at %d, want %d", start, size)
 	}
-	// The recycled slot now carries lap-1's marker: reading lap-0's index 0
+	// The recycled slot now carries lap 1's code: reading lap 0's index 0
 	// must report empty, not lap-1's op.
 	if _, ok := l.Get(0); ok {
 		t.Fatal("Get(0) returned an op after slot 0 was recycled for index 8")
@@ -84,6 +84,49 @@ func TestWrapDeterministic(t *testing.T) {
 	if local.Load() != l.Tail() {
 		t.Fatalf("consumer at %d, tail at %d", local.Load(), l.Tail())
 	}
+}
+
+// TestLapCodeCycles walks a small log through more than two full periods
+// of the lap code, so the code wraps from 15 back to 1 twice. After every
+// fill, the index one lap behind in the same slot (the old lap's reader
+// arriving late) and the index one lap ahead (a reader arriving early)
+// must both read as empty, and the filled index must read back its own op
+// and its full 60-bit tag.
+func TestLapCodeCycles(t *testing.T) {
+	waittest.Deadline(t)
+	const size = 4
+	l, err := New[uint64](size, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := l.RegisterReplica()
+	laps := uint64(2*lapCodes + 3)
+	for idx := uint64(0); idx < laps*size; idx++ {
+		start, ok := l.TryReserve(1)
+		if !ok || start != idx {
+			t.Fatalf("TryReserve(1) = %d, %v, want %d", start, ok, idx)
+		}
+		tag := tagMask - idx
+		l.FillTagged(idx, idx*3, tag)
+		if op, got, ok := l.GetTagged(idx); !ok || op != idx*3 || got != tag {
+			t.Fatalf("GetTagged(%d) = %d, %#x, %v, want %d, %#x, true", idx, op, got, ok, idx*3, tag)
+		}
+		if idx >= size {
+			if op, ok := l.Get(idx - size); ok {
+				t.Fatalf("Get(%d), one lap late in lap %d, read op %d from the slot refilled for %d", idx-size, idx/size, op, idx)
+			}
+		}
+		if op, ok := l.Get(idx + size); ok {
+			t.Fatalf("Get(%d), one lap early in lap %d, read op %d", idx+size, idx/size, op)
+		}
+		local.Store(idx + 1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FillTagged accepted a tag wider than 60 bits")
+		}
+	}()
+	l.FillTagged(l.Reserve(1), 0, tagMask+1)
 }
 
 // TestWrapRecyclingRace is the -race witness for the wraparound audit:
@@ -140,7 +183,7 @@ func TestWrapRecyclingRace(t *testing.T) {
 		go func(local *atomic.Uint64) {
 			defer wg.Done()
 			for idx := uint64(0); idx < total; idx++ {
-				op := l.WaitGet(idx)
+				op, _ := l.WaitGet(idx)
 				if op != idx*7+1 {
 					bad.Add(1)
 				}

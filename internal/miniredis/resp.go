@@ -392,3 +392,8 @@ func (w *Writer) Array(items []string) error {
 func FormatScore(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
+
+// appendScore appends FormatScore(f)'s bytes to b.
+func appendScore(b []byte, f float64) []byte {
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
+}

@@ -593,8 +593,8 @@ func TestServedOpOwnership(t *testing.T) {
 		if sameBytes(ops[0].Member, ops[1].Member) {
 			t.Error("two parses of an over-cap pair share one copy")
 		}
-		for i := range pairs.slots {
-			if pairs.slots[i].Load() != nil {
+		for i := range pairs.sets[0].slots {
+			if pairs.sets[0].slots[i].Load() != nil || pairs.sets[0].tags.Load() != 0 {
 				t.Fatalf("the table kept a pair of %d bytes, over the cap of %d", len(key)+len(member), internMaxPair)
 			}
 		}

@@ -30,8 +30,9 @@ const (
 
 // StoreOp is one operation on the whole keyspace. It is the black-box op
 // type NR logs and replays. The two one-byte fields come last so they share
-// the tail word: 64 bytes, and an 80-byte log cell once core's 8-byte entry
-// tag and the log's marker are added (TestStoreOpLogCell).
+// the tail word: 64 bytes, and a 72-byte log cell once the log's one 8-byte
+// word (core's entry tag under the log's lap code) is added
+// (TestStoreOpLogCell).
 //
 // Key and Member may borrow another's bytes (parseOp). An op that enters
 // the log, the WAL or the keyspace must own them (parseServed gives an
@@ -227,10 +228,31 @@ func (st *Store) Execute(op StoreOp) StoreResult {
 			return res
 		}
 		start, stop := clampRange(op.Start, op.Stop, z.Len())
+		stop = min(stop, z.Len()-1)
+		if stop < start {
+			return res
+		}
+		// Every score goes into one buffer, sized by a first pass, so a
+		// reply costs at most two allocations at any range size; the scores
+		// are views of the buffer, which nothing writes once it is full.
+		n := stop - start + 1
+		var scores []byte
+		if op.WithScores {
+			var scratch [32]byte
+			size := 0
+			z.Range(start, stop, func(_ string, sc float64) bool {
+				size += len(appendScore(scratch[:0], sc))
+				return true
+			})
+			scores, n = make([]byte, 0, size), 2*n
+		}
+		res.Members = make([]string, 0, n)
 		z.Range(start, stop, func(m string, sc float64) bool {
 			res.Members = append(res.Members, m)
 			if op.WithScores {
-				res.Members = append(res.Members, FormatScore(sc))
+				at := len(scores)
+				scores = appendScore(scores, sc)
+				res.Members = append(res.Members, view(scores[at:]))
 			}
 			return true
 		})

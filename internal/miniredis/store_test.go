@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -130,6 +131,44 @@ func TestStoreZIncrByAllocatesNothing(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("ZINCRBY of an existing member: %v allocs/op, want 0", n)
+	}
+}
+
+// TestStoreZRangeAllocations pins a ZRANGE reply at no more than 3
+// allocations whatever its size (the member slice is presized and every
+// score is formatted into one buffer), and checks each reply, with and
+// without scores, against members and FormatScore'd scores taken one by
+// one from the set.
+func TestStoreZRangeAllocations(t *testing.T) {
+	scores := []float64{0, math.Copysign(0, -1), 0.1, -2.5, 1e300, -1e-300, 123456789, math.Inf(1), math.Inf(-1)}
+	for _, n := range []int{0, 1, 2, 10, 1000, 10000} {
+		st := NewStore(4)
+		for i := 0; i < n; i++ {
+			st.Execute(StoreOp{Cmd: CmdZAdd, Key: "z", Member: fmt.Sprintf("m%05d", i), Score: scores[i%len(scores)] * float64(1+i%3)})
+		}
+		z, _ := st.zsetFor("z", false)
+		for _, r := range [][2]int{{0, -1}, {1, 3}, {-5, -1}, {n / 2, n}, {3, 1}, {-n - 9, n + 9}, {n, -1}} {
+			for _, ws := range []bool{false, true} {
+				op := StoreOp{Cmd: CmdZRange, Key: "z", Start: r[0], Stop: r[1], WithScores: ws}
+				var want []string
+				if z != nil {
+					start, stop := clampRange(r[0], r[1], z.Len())
+					z.Range(start, stop, func(m string, sc float64) bool {
+						want = append(want, m)
+						if ws {
+							want = append(want, FormatScore(sc))
+						}
+						return true
+					})
+				}
+				if got := st.Execute(op).Members; !slices.Equal(got, want) {
+					t.Fatalf("%d members: ZRANGE z %d %d (scores %v) = %d strings, want %d: %.80q", n, r[0], r[1], ws, len(got), len(want), got)
+				}
+				if a := testing.AllocsPerRun(5, func() { st.Execute(op) }); a > 3 {
+					t.Errorf("%d members: ZRANGE z %d %d (scores %v) makes %v allocations, want at most 3", n, r[0], r[1], ws, a)
+				}
+			}
+		}
 	}
 }
 
@@ -283,9 +322,8 @@ func TestParseZRangeBoundOverflow(t *testing.T) {
 }
 
 // TestStoreOpLogCell pins the server's op at 64 bytes and its log cell at
-// 80: StoreOp plus core's 8-byte entry tag plus the log's 8-byte marker,
-// with no pad (the cell was 96 bytes with a 24-byte response tag, and 152
-// with a 48-byte pad and a 72-byte op before that).
+// 72: StoreOp plus one 8-byte word, core's entry tag under the log's lap
+// code, with no pad (DESIGN.md §5b tables the earlier layouts).
 func TestStoreOpLogCell(t *testing.T) {
 	if size := unsafe.Sizeof(StoreOp{}); size != 64 {
 		t.Errorf("StoreOp size = %d, want 64 (Cmd and WithScores share the tail word)", size)
@@ -296,8 +334,8 @@ func TestStoreOpLogCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	if cell := inst.MemoryBytes() / entries; cell != 80 {
-		t.Errorf("log cell of StoreOp = %d bytes, want 80", cell)
+	if cell := inst.MemoryBytes() / entries; cell != 72 {
+		t.Errorf("log cell of StoreOp = %d bytes, want 72", cell)
 	}
 }
 

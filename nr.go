@@ -372,8 +372,8 @@ func (i *Instance[O, R]) Stats() Stats { return i.Metrics().Stats }
 func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
 
 // MemoryBytes reports the shared logs' footprint, replicas not included:
-// one cell per log entry, the op plus 16 bytes (an 8-byte tag word and the
-// log's 8-byte marker) for an op of 8-byte alignment.
+// one cell per log entry, the op plus 8 bytes (one word that carries the
+// entry's tag and the log's lap code) for an op of 8-byte alignment.
 func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
 
 // Quiesce brings every replica up to date with all completed operations —
