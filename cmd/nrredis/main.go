@@ -14,9 +14,9 @@
 //
 // With -metrics ADDR an HTTP sidecar serves the same observability data:
 //
-//	/metrics      — the full JSON snapshot (server counters + NR metrics)
+//	/metrics      — the Prometheus text exposition (server counters, NR
+//	                metrics, latency histograms, SLOs); nrtop reads it
 //	/health       — 200 while healthy, 503 once the keyspace is poisoned
-//	/debug/vars   — expvar, with the snapshot published under "nrredis"
 //	/debug/trace  — flight-recorder export: Chrome trace JSON for Perfetto,
 //	                or ?format=text for the top-K slowest-ops report
 //
@@ -26,7 +26,6 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -100,10 +99,9 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 		appendOnly = fs.Bool("appendonly", false, "durable mode (nr method): append-only log + snapshots in -dir, recovered on start")
 		dataDir    = fs.String("dir", "nrredis-data", "data directory for -appendonly state")
 
-		telemetry  = fs.Duration("telemetry", time.Second, "windowed telemetry capture cadence (nr method only); 0 disables")
-		telWindows = fs.Int("telemetry-windows", 120, "telemetry windows retained in the ring")
-		sloRead    = fs.String("slo-read", "", "read-latency SLO as p99[,p999] durations, e.g. 500us,2ms; empty disables")
-		sloUpdate  = fs.String("slo-update", "", "update-latency SLO as p99[,p999] durations; empty disables")
+		telemetry = fs.Duration("telemetry", time.Second, "telemetry capture cadence (nr method only): latency histograms on /metrics and SLO judging; 0 disables")
+		sloRead   = fs.String("slo-read", "", "read-latency SLO as p99[,p999] durations, e.g. 500us,2ms; empty disables")
+		sloUpdate = fs.String("slo-update", "", "update-latency SLO as p99[,p999] durations; empty disables")
 
 		traceOn    = fs.Bool("trace", true, "attach the flight recorder (nr method only): SLOWLOG + /debug/trace, ranking sampled ops (one in 16 per handle)")
 		traceSlots = fs.Int("trace-slots", 4096, "flight-recorder ring slots per thread (rounded to a power of two, at most 1048576)")
@@ -130,7 +128,10 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 	// SLO flags on a baseline are an error rather than a silent no-op.
 	if *method == miniredis.MethodNR {
 		if *telemetry > 0 {
-			nrOpts = append(nrOpts, nr.WithTelemetry(*telemetry, *telWindows))
+			// One window: the two captures that /metrics (the newest one's
+			// histograms) and SLO judging (the newest against the one
+			// before) read. Rates and history are the scraper's.
+			nrOpts = append(nrOpts, nr.WithTelemetry(*telemetry, 1))
 		}
 		for _, s := range []struct {
 			spec  string
@@ -187,19 +188,7 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", srv.MetricsHandler())
 		mux.Handle("/health", srv.HealthHandler())
-		mux.Handle("/debug/vars", expvar.Handler())
 		mux.Handle("/debug/trace", srv.TraceHandler())
-		// The expvar snapshot deliberately excludes the flight recorder:
-		// its rings are thousands of events per thread, far too large for a
-		// dump that monitoring systems poll; trace data is served only by
-		// /debug/trace on demand.
-		expvar.Publish("nrredis", expvar.Func(func() any {
-			stats := srv.ServerStats()
-			if m, ok := srv.Metrics(); ok {
-				return map[string]any{"server": stats, "nr": m}
-			}
-			return map[string]any{"server": stats}
-		}))
 		go func() {
 			log.Printf("nrredis: metrics on http://%s/metrics", *metrics)
 			if err := http.ListenAndServe(*metrics, mux); err != nil {

@@ -1,132 +1,221 @@
 package main
 
 import (
-	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
-	"github.com/asplos17/nr/internal/core"
+	nr "github.com/asplos17/nr"
+	"github.com/asplos17/nr/internal/baseline"
 	"github.com/asplos17/nr/internal/miniredis"
-	"github.com/asplos17/nr/internal/obs/tsdb"
+	"github.com/asplos17/nr/internal/obs/prom"
+	"github.com/asplos17/nr/internal/obs/prom/promtest"
+	"github.com/asplos17/nr/internal/topology"
 )
 
-// samplePayload is a representative /metrics body: NR keyspace with
-// telemetry, one SLO in breach, and a WAL.
-func samplePayload() *payload {
-	return &payload{
-		Server: miniredis.ServerStats{
-			UptimeSeconds:    125,
-			ConnectedClients: 3,
-			TotalConnections: 17,
-			TotalCommands:    1234567,
-		},
-		NR: &core.Metrics{
-			Stats: core.Stats{ReadOps: 1100000, UpdateOps: 140000},
-			Log:   core.LogGauges{Tail: 5000, Completed: 4990, Occupancy: 0.12},
-			Replicas: []core.ReplicaGauges{
-				{Node: 0, CompletedLag: 2, ReaderAcquires: 90000, Registered: 4},
-				{Node: 1, CompletedLag: 7, ReaderAcquires: 80000, Registered: 4},
-			},
-			Persist: &core.PersistGauges{Fsyncs: 321, DurableLag: 12},
-		},
-		Telemetry: &telemetryPayload{
-			IntervalSeconds: 1,
-			Windows: []tsdb.Window{
-				{OpsPerSec: 90000},
-				{
-					OpsPerSec: 123456, ReadOpsPerSec: 110000, UpdateOpsPerSec: 13456,
-					CombinesPerSec: 420, BatchMean: 12.5, BatchP50: 8, BatchP99: 64,
-					ReadP50Ns: 850, ReadP99Ns: 12400, ReadP999Ns: 93000,
-					UpdateP50Ns: 2100, UpdateP99Ns: 51000, UpdateP999Ns: 410000,
-					HasWAL: true, WALAppendsPerSec: 13000, WALFsyncsPerSec: 55,
-					FsyncMeanNs: 1800000, DurableLag: 12,
-					Nodes: []tsdb.NodeWindow{
-						{Node: 0, ReadOpsPerSec: 60000, UpdateOpsPerSec: 7000, CombineBusyFrac: 0.41},
-						{Node: 1, ReadOpsPerSec: 50000, UpdateOpsPerSec: 6456, CombineBusyFrac: 0.38},
-					},
-				},
-			},
-			SLOs: []tsdb.SLOStatus{{
-				Class: "read", P99Ns: 10000, P999Ns: 100000,
-				CurrentP99Ns: 12400, CurrentP999Ns: 93000,
-				Breached: true, BreachedWindows: 3, TotalWindows: 60, BudgetBurn: 5,
-			}},
-		},
+// liveServer serves /metrics of an in-process NR keyspace built as nrredis
+// builds it, with a WAL, telemetry with one window (as nrredis keeps) and a
+// read SLO no window can meet. traffic runs n SETs, then n GETs (one op in
+// 16 per handle is timed, so an alternating pair would time only SETs), on
+// each of two executors, then takes a telemetry capture; the cadence is an
+// hour, so every capture is the test's own.
+func liveServer(t *testing.T) (url string, traffic func(n int)) {
+	t.Helper()
+	shared, persist, err := miniredis.NewNRShared(topology.New(2, 2, 1), 1, t.TempDir(), nil,
+		nr.WithTelemetry(time.Hour, 1), nr.WithSLO(nr.OpRead, time.Nanosecond, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(persist.Close)
+	srv, err := miniredis.NewServer(shared, 2, miniredis.WithPersistence(persist))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.MetricsHandler())
+	t.Cleanup(ts.Close)
+	var exs [2]baseline.Executor[miniredis.StoreOp, miniredis.StoreResult]
+	for i := range exs {
+		if exs[i], err = shared.Register(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ts.URL, func(n int) {
+		for _, ex := range exs {
+			for i := 0; i < n; i++ {
+				ex.Execute(miniredis.StoreOp{Cmd: miniredis.CmdSet, Key: "k", Member: "v"})
+			}
+			for i := 0; i < n; i++ {
+				ex.Execute(miniredis.StoreOp{Cmd: miniredis.CmdGet, Key: "k"})
+			}
+		}
+		srv.Telemetry().Advance()
 	}
 }
 
-func TestRenderFrame(t *testing.T) {
-	cur := samplePayload()
-	prev := samplePayload()
-	prev.Server.TotalCommands -= 100000
+func mustFetch(t *testing.T, url string) scrape {
+	t.Helper()
+	s, err := fetch(http.DefaultClient, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
-	frame := render(cur, prev, time.Second)
-	for _, want := range []string{
-		"nrtop",                      // header
-		"clients 3",                  // server stats
-		"ops/s 123.5k",               // windowed throughput
-		"p99 12.4µs",                 // read tail from the window
-		"BATCH       mean 12.5",      // batch distribution
-		"HISTORY",                    // sparkline
-		"occupancy 12.0%",            // log gauge
-		"NODE",                       // replica table header
-		"WAL         durable lag 12", // durability
-		"BREACH (3/60 windows)",      // SLO state
-	} {
-		if !strings.Contains(frame, want) {
-			t.Errorf("frame missing %q\n%s", want, frame)
+// wantRate is a counter's rate between two scrapes, computed as render
+// computes it.
+func wantRate(cur, prev scrape, name string, kv ...string) float64 {
+	return (cur.get(name, kv...) - prev.get(name, kv...)) /
+		(cur.get("nrredis_uptime_seconds") - prev.get("nrredis_uptime_seconds"))
+}
+
+// TestRenderFrame renders frames from three live scrapes with different
+// traffic between them. Each frame's rates must be the counters' increase
+// since the scrape just before it: ops/s from the exact op counters (not
+// the latency histograms, which hold one op in 16), and per node from the
+// replica counters.
+func TestRenderFrame(t *testing.T) {
+	url, traffic := liveServer(t)
+	traffic(10)
+	s0 := mustFetch(t, url)
+	traffic(400)
+	s1 := mustFetch(t, url)
+	traffic(40)
+	s2 := mustFetch(t, url)
+
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := promtest.Lint(string(body)); err != nil {
+		t.Fatalf("live exposition fails lint: %v\n%s", err, body)
+	}
+
+	var tp top
+	if f := tp.render(s0); !strings.Contains(f, "warming up") {
+		t.Errorf("first frame should warm up:\n%s", f)
+	}
+	for i, sc := range [][2]scrape{{s1, s0}, {s2, s1}} {
+		cur, prev := sc[0], sc[1]
+		frame := tp.render(cur)
+		ops := wantRate(cur, prev, "nr_read_ops_total") + wantRate(cur, prev, "nr_update_ops_total")
+		want := []string{
+			"clients 0",
+			"ops/s " + fmtCount(ops) + " ",
+			"read/s " + fmtCount(wantRate(cur, prev, "nr_read_ops_total")) + " ",
+			"LATENCY     read p50 ",
+			"BATCH       mean ",
+			"health ok",
+			"NODE   LAG",
+			"WAL         durable lag ",
+			"appends/s " + fmtCount(wantRate(cur, prev, "nr_wal_appends_total")) + " ",
+			"read    1ns ",
+			"BREACH (",
+		}
+		for _, n := range []string{"0", "1"} {
+			want = append(want, "   "+fmtCount(wantRate(cur, prev, "nr_replica_read_ops_total", "node", n))+" ")
+		}
+		for _, w := range want {
+			if !strings.Contains(frame, w) {
+				t.Errorf("frame %d missing %q\n%s", i+1, w, frame)
+			}
+		}
+		// The sparkline has one bar per frame that had a previous scrape.
+		_, hist, _ := strings.Cut(frame, "HISTORY     ")
+		if bars, _, _ := strings.Cut(hist, "  ("); utf8.RuneCountInString(bars) != i+1 {
+			t.Errorf("frame %d: sparkline %q, want %d bars", i+1, bars, i+1)
+		}
+		if strings.Contains(frame, "read p50 -") {
+			t.Errorf("frame %d: no read latency from the histograms\n%s", i+1, frame)
 		}
 	}
 }
 
 func TestRenderFirstFrameAndBaseline(t *testing.T) {
-	// First frame: no previous poll, telemetry still warming up.
-	cur := samplePayload()
-	cur.Telemetry.Windows = nil
-	frame := render(cur, nil, 0)
-	if !strings.Contains(frame, "warming up") {
-		t.Errorf("first frame without windows should warm up:\n%s", frame)
+	url, traffic := liveServer(t)
+	traffic(10)
+	var tp top
+	frame := tp.render(mustFetch(t, url))
+	if !strings.Contains(frame, "warming up") || strings.Contains(frame, "HISTORY") {
+		t.Errorf("first frame should warm up, with no history:\n%s", frame)
 	}
 
-	// Baseline method: no NR block at all.
-	frame = render(&payload{}, nil, 0)
-	if !strings.Contains(frame, "no NR metrics") {
+	// Baseline method: no NR families at all.
+	shared, err := miniredis.NewShared(miniredis.MethodSL, topology.New(1, 2, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := miniredis.NewServer(shared, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.MetricsHandler())
+	defer ts.Close()
+	if frame := new(top).render(mustFetch(t, ts.URL)); !strings.Contains(frame, "no NR metrics") {
 		t.Errorf("baseline frame should say so:\n%s", frame)
 	}
 }
 
 func TestFetchAgainstServer(t *testing.T) {
-	want := samplePayload()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/metrics" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(want)
-	}))
-	defer ts.Close()
+	url, traffic := liveServer(t)
+	traffic(10)
+	s := mustFetch(t, url)
+	if s.get("nr_update_ops_total") < 20 || s.get("nr_log_size") == 0 {
+		t.Errorf("scrape lacks the NR counters: updates %v, log size %v",
+			s.get("nr_update_ops_total"), s.get("nr_log_size"))
+	}
+	if len(s.labels("nr_replica_combine_seconds_total", "node")) != 2 {
+		t.Errorf("scrape lacks the per-node combine time")
+	}
 
-	got, err := fetch(ts.Client(), ts.URL)
-	if err != nil {
-		t.Fatal(err)
+	for _, h := range []http.HandlerFunc{
+		http.NotFound,
+		func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "not an exposition\n") },
+	} {
+		ts := httptest.NewServer(h)
+		if _, err := fetch(ts.Client(), ts.URL); err == nil {
+			t.Error("fetch accepted a failed or malformed scrape")
+		}
+		ts.Close()
 	}
-	if got.Server.TotalCommands != want.Server.TotalCommands {
-		t.Errorf("TotalCommands = %d, want %d", got.Server.TotalCommands, want.Server.TotalCommands)
+}
+
+// TestQuantileInterpolates pins quantile to histogram_quantile over the
+// increase between two scrapes: linear inside the bucket holding the rank,
+// from 0 in the first bucket, the highest finite bound in the +Inf bucket.
+func TestQuantileInterpolates(t *testing.T) {
+	parse := func(counts ...int) scrape {
+		text := "# HELP h x\n# TYPE h histogram\n"
+		for i, le := range []string{"1", "2", "+Inf"} {
+			text += fmt.Sprintf("h_bucket{c=\"a\",le=%q} %d\n", le, counts[i])
+		}
+		fams, err := prom.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fams[0].Samples
 	}
-	if got.NR == nil || got.NR.Stats.ReadOps != want.NR.Stats.ReadOps {
-		t.Errorf("NR stats did not round-trip: %+v", got.NR)
+	// Between the scrapes: 10 observations up to 1, 20 in (1, 2], 10 above 2.
+	prev, cur := parse(5, 5, 5), parse(15, 35, 45)
+	for _, c := range []struct{ q, want float64 }{
+		{0.1, 0.4}, // rank 4 of the first bucket's 10, from 0
+		{0.5, 1.5}, // rank 20: 10 past le=1, half of (1, 2]'s 20
+		{0.9, 2},   // rank 36 lies in +Inf: the highest finite bound
+	} {
+		if got := quantile(c.q, cur, prev, "h", "c", "a"); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
 	}
-	if got.Telemetry == nil || len(got.Telemetry.Windows) != 2 {
-		t.Fatalf("telemetry did not round-trip: %+v", got.Telemetry)
-	}
-	if w := got.Telemetry.Windows[1]; w.OpsPerSec != 123456 {
-		t.Errorf("window ops/s = %v, want 123456", w.OpsPerSec)
-	}
-	if len(got.Telemetry.SLOs) != 1 || !got.Telemetry.SLOs[0].Breached {
-		t.Errorf("SLO did not round-trip: %+v", got.Telemetry.SLOs)
+	if got := quantile(0.5, cur, cur, "h", "c", "a"); got != 0 {
+		t.Errorf("quantile with no increase = %v, want 0", got)
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,14 +20,25 @@ import (
 // behind the combiners.
 
 // syncLog collects the WAL's sync boundaries; gate, when set, makes every
-// sync wait on it (a disk that has stopped answering).
+// sync wait on it (a disk that has stopped answering). limit, when set, is
+// the most updates the test issues: a sync past it means the follower is
+// persisting entries no op wrote, and the hook ends the test binary at once
+// rather than let the WAL grow until the disk is full. The panic runs on a
+// goroutine of its own, so no deferred Close (which waits for the runaway
+// follower) runs first; the hook blocks until the crash.
 type syncLog struct {
-	mu   sync.Mutex
-	all  []persist.SyncInfo
-	gate atomic.Pointer[chan struct{}]
+	mu    sync.Mutex
+	all   []persist.SyncInfo
+	gate  atomic.Pointer[chan struct{}]
+	limit uint64
 }
 
 func (l *syncLog) hook(info persist.SyncInfo) {
+	if l.limit > 0 && info.DurableIndex > l.limit {
+		msg := fmt.Sprintf("WAL synced up to log index %d, past the %d updates the test issued", info.DurableIndex, l.limit)
+		go func() { panic(msg) }()
+		select {}
+	}
 	l.mu.Lock()
 	l.all = append(l.all, info)
 	l.mu.Unlock()
@@ -239,15 +251,15 @@ func TestRecoverAckedSurvivesEveryCutAfterSyncWAL(t *testing.T) {
 // segment files; a later cut must still answer for every one of them, and
 // for no op beyond the cut.
 func TestRecoverCheckpointReadsTrimmedTokensBack(t *testing.T) {
+	const perThread = 4300 // 8600 updates: more than two 4032-entry journal chunks
 	dir := t.TempDir()
-	var sl syncLog
+	sl := syncLog{limit: 2*perThread + 600}
 	inst := followedInstance(t, dir, 1024, &sl)
 	h0, _ := inst.RegisterOnNode(0)
 	h1, err := inst.RegisterOnNode(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const perThread = 4300 // 8600 updates: more than two 4032-entry journal chunks
 	var acked [2][]uint64
 	var wg sync.WaitGroup
 	for w, h := range []*nr.Handle[Op, Result]{h0, h1} {

@@ -1,7 +1,9 @@
 // Server-level observability: the INFO command text and the HTTP metrics
 // and health endpoints the nrredis binary mounts. All of it reads the same
 // unified core.Metrics snapshot the library exposes, plus the server's own
-// connection and command counters.
+// connection and command counters. /metrics serves it once, as the
+// Prometheus exposition; INFO stays because it is part of the Redis
+// protocol.
 package miniredis
 
 import (
@@ -27,12 +29,12 @@ func (s *Server) Metrics() (core.Metrics, bool) {
 	return core.Metrics{}, false
 }
 
-// ServerStats is the serving-layer slice of the metrics export.
+// ServerStats is the serving layer's slice of INFO and /metrics.
 type ServerStats struct {
-	UptimeSeconds    float64 `json:"uptime_seconds"`
-	ConnectedClients int     `json:"connected_clients"`
-	TotalConnections uint64  `json:"total_connections"`
-	TotalCommands    uint64  `json:"total_commands"`
+	UptimeSeconds    float64
+	ConnectedClients int
+	TotalConnections uint64
+	TotalCommands    uint64
 }
 
 // ServerStats reports the serving layer's own counters.
@@ -100,86 +102,33 @@ func (s *Server) Telemetry() *tsdb.Collector {
 	return nil
 }
 
-// telemetryPayload is the windowed-telemetry slice of the JSON export.
-type telemetryPayload struct {
-	IntervalSeconds float64          `json:"interval_seconds"`
-	Windows         []tsdb.Window    `json:"windows"`
-	SLOs            []tsdb.SLOStatus `json:"slos,omitempty"`
-}
-
-// metricsPayload is the JSON body /metrics serves.
-type metricsPayload struct {
-	Server ServerStats   `json:"server"`
-	NR     *core.Metrics `json:"nr,omitempty"`
-	// Telemetry carries the windowed views when the keyspace was built
-	// with nr.WithTelemetry.
-	Telemetry *telemetryPayload `json:"telemetry,omitempty"`
-}
-
-// wantsPrometheus decides the /metrics representation: Prometheus text for
-// scrapers that ask for it (Accept mentioning text/plain or openmetrics,
-// or an explicit ?format=prometheus), JSON otherwise — the historical
-// default, which dashboards and nrtop consume.
-func wantsPrometheus(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "prometheus" {
-		return true
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
-}
-
-// MetricsHandler serves the full observability snapshot: by default as
-// JSON — the serving-layer counters plus, for NR-backed keyspaces, the
-// unified NR metrics and windowed telemetry — and as
-// Prometheus text exposition (v0.0.4) under content negotiation (see
-// wantsPrometheus).
+// MetricsHandler serves /metrics: the Prometheus text exposition (v0.0.4),
+// the one representation whatever the request's Accept header or query
+// asks for. It holds the serving layer's own families, the unified NR
+// snapshot, and, when a telemetry collector is attached, the latency and
+// batch histograms and per-node combining time (from the collector's
+// newest capture) and the SLO gauges.
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if wantsPrometheus(r) {
-			s.servePrometheus(w)
-			return
-		}
-		p := metricsPayload{Server: s.ServerStats()}
+		e := prom.New()
+		ss := s.ServerStats()
+		e.Gauge("nrredis_uptime_seconds", "Seconds since the server started.", ss.UptimeSeconds)
+		e.Gauge("nrredis_connected_clients", "Currently connected clients.", float64(ss.ConnectedClients))
+		e.Counter("nrredis_connections_total", "Connections accepted since start.", float64(ss.TotalConnections))
+		e.Counter("nrredis_commands_total", "Commands processed since start.", float64(ss.TotalCommands))
 		if m, ok := s.Metrics(); ok {
-			p.NR = &m
+			prom.AppendMetrics(e, &m)
 		}
 		if t := s.Telemetry(); t != nil {
-			p.Telemetry = &telemetryPayload{
-				IntervalSeconds: t.Interval().Seconds(),
-				Windows:         t.Snapshot(),
-				SLOs:            t.SLOStatuses(),
+			var cum obs.Cum
+			if t.LatestCum(&cum) {
+				prom.AppendCum(e, &cum)
 			}
+			prom.AppendSLO(e, t.SLOStatuses())
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(p)
+		w.Header().Set("Content-Type", prom.ContentType)
+		_, _ = e.WriteTo(w)
 	})
-}
-
-// servePrometheus renders the Prometheus exposition: the serving layer's
-// own families, the unified NR snapshot, and — when a telemetry collector
-// is attached — the latency/batch histograms (from the collector's newest
-// cumulative capture) and SLO gauges.
-func (s *Server) servePrometheus(w http.ResponseWriter) {
-	e := prom.New()
-	ss := s.ServerStats()
-	e.Gauge("nrredis_uptime_seconds", "Seconds since the server started.", ss.UptimeSeconds)
-	e.Gauge("nrredis_connected_clients", "Currently connected clients.", float64(ss.ConnectedClients))
-	e.Counter("nrredis_connections_total", "Connections accepted since start.", float64(ss.TotalConnections))
-	e.Counter("nrredis_commands_total", "Commands processed since start.", float64(ss.TotalCommands))
-	if m, ok := s.Metrics(); ok {
-		prom.AppendMetrics(e, &m)
-	}
-	if t := s.Telemetry(); t != nil {
-		var cum obs.Cum
-		if t.LatestCum(&cum) {
-			prom.AppendCum(e, &cum)
-		}
-		prom.AppendSLO(e, t.SLOStatuses())
-	}
-	w.Header().Set("Content-Type", prom.ContentType)
-	_, _ = e.WriteTo(w)
 }
 
 // HealthHandler serves a liveness/health probe: 200 with the Health JSON

@@ -4,11 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	nr "github.com/asplos17/nr"
 	"github.com/asplos17/nr/internal/core"
+	"github.com/asplos17/nr/internal/obs/prom"
+	"github.com/asplos17/nr/internal/obs/prom/promtest"
+	"github.com/asplos17/nr/internal/topology"
 )
 
 // infoCmd sends INFO and reads the multi-line bulk reply by its declared
@@ -86,57 +92,82 @@ func TestInfoCommandBaselineOmitsNRSections(t *testing.T) {
 	}
 }
 
+// scrape serves r through srv's /metrics handler and parses the body: a
+// 200 with the exposition's content type that passes promtest.Lint, its
+// families by name.
+func scrape(t *testing.T, srv *Server, r *http.Request) map[string]*prom.Family {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.MetricsHandler().ServeHTTP(rec, r)
+	if rec.Code != 200 {
+		t.Fatalf("%s status = %d", r.URL, rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != prom.ContentType {
+		t.Errorf("%s Content-Type = %q, want %q", r.URL, ct, prom.ContentType)
+	}
+	text := rec.Body.String()
+	if err := promtest.Lint(text); err != nil {
+		t.Fatalf("%s fails lint: %v\n%s", r.URL, err, text)
+	}
+	fams, err := prom.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]*prom.Family, len(fams))
+	for _, f := range fams {
+		byName[f.Name] = f
+	}
+	return byName
+}
+
+// firstValue returns the first sample of the named family, failing the test
+// when the exposition lacks it.
+func firstValue(t *testing.T, fams map[string]*prom.Family, name string) float64 {
+	t.Helper()
+	f := fams[name]
+	if f == nil || len(f.Samples) == 0 {
+		t.Fatalf("/metrics lacks %s", name)
+	}
+	return f.Samples[0].Value
+}
+
 func TestMetricsHandler(t *testing.T) {
-	srv, addr := startServer(t, MethodNR)
-	c := dial(t, addr)
+	// Telemetry as nrredis runs it: the latency histograms come from the
+	// collector's newest capture.
+	shared, err := NewShared(MethodNR, topology.New(2, 4, 1), 7, nr.WithTelemetry(time.Hour, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(shared, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, serveOn(t, srv))
 	c.cmd(t, "SET", "k", "v")
 	c.cmd(t, "GET", "k")
+	srv.Telemetry().Advance()
 
-	rec := httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/metrics status = %d", rec.Code)
+	fams := scrape(t, srv, httptest.NewRequest("GET", "/metrics", nil))
+	if n := firstValue(t, fams, "nrredis_commands_total"); n < 2 {
+		t.Errorf("total commands = %v, want >= 2", n)
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
+	if r, u := firstValue(t, fams, "nr_read_ops_total"), firstValue(t, fams, "nr_update_ops_total"); r < 1 || u < 1 {
+		t.Errorf("nr ops: %v reads, %v updates, want >= 1 each", r, u)
 	}
-	var payload struct {
-		Server ServerStats   `json:"server"`
-		NR     *core.Metrics `json:"nr"`
+	if f := fams["nr_op_latency_seconds"]; f == nil || f.Type != "histogram" {
+		t.Error("/metrics missing the latency histogram (NewShared attaches the metrics observer)")
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
-		t.Fatalf("/metrics not JSON: %v\n%s", err, rec.Body.String())
-	}
-	if payload.Server.TotalCommands < 2 {
-		t.Errorf("total commands = %d, want >= 2", payload.Server.TotalCommands)
-	}
-	if payload.NR == nil {
-		t.Fatal("/metrics missing nr section for an NR-backed server")
-	}
-	if payload.NR.Stats.ReadOps < 1 || payload.NR.Stats.UpdateOps < 1 {
-		t.Errorf("nr stats empty: %+v", payload.NR.Stats)
-	}
-	if payload.NR.Observed == nil {
-		t.Error("/metrics missing observed distributions (NewShared attaches the metrics observer)")
-	}
-	if payload.NR.Log.Size == 0 {
+	if firstValue(t, fams, "nr_log_size") == 0 {
 		t.Error("/metrics log gauges empty")
 	}
 }
 
 func TestMetricsHandlerBaseline(t *testing.T) {
 	srv, _ := startServer(t, MethodFC)
-	rec := httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/metrics status = %d", rec.Code)
-	}
-	var payload map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, has := payload["nr"]; has {
-		t.Error("baseline /metrics claims an nr section")
+	for name := range scrape(t, srv, httptest.NewRequest("GET", "/metrics", nil)) {
+		if strings.HasPrefix(name, "nr_") {
+			t.Errorf("baseline /metrics claims NR family %s", name)
+		}
 	}
 }
 

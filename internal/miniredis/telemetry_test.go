@@ -1,19 +1,15 @@
-// Endpoint tests for the telemetry plane: content negotiation on /metrics,
-// the Prometheus exposition validated by the hand-rolled lint, and the
-// windowed JSON export nrtop consumes.
+// Endpoint tests for the telemetry plane: /metrics serves the Prometheus
+// exposition whatever the request asks for, and it passes the lint with a
+// telemetry collector and SLOs attached, and on a baseline.
 package miniredis
 
 import (
-	"encoding/json"
+	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	nr "github.com/asplos17/nr"
-	"github.com/asplos17/nr/internal/obs/prom"
-	"github.com/asplos17/nr/internal/obs/prom/promtest"
-	"github.com/asplos17/nr/internal/obs/tsdb"
 	"github.com/asplos17/nr/internal/topology"
 )
 
@@ -68,75 +64,30 @@ func waitWindows(t *testing.T, srv *Server) {
 	t.Fatal("no telemetry window within deadline")
 }
 
-func TestMetricsJSONCarriesTelemetry(t *testing.T) {
+// TestMetricsHasOneRepresentation: /metrics answers every request with the
+// exposition, including one that asks for JSON by header or by query.
+func TestMetricsHasOneRepresentation(t *testing.T) {
 	srv := startTelemetryServer(t)
 	traffic(t, srv)
 	waitWindows(t, srv)
 
-	rec := httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("plain GET Content-Type = %q, want JSON (the historical default)", ct)
-	}
-	var p struct {
-		Telemetry *struct {
-			IntervalSeconds float64          `json:"interval_seconds"`
-			Windows         []tsdb.Window    `json:"windows"`
-			SLOs            []tsdb.SLOStatus `json:"slos"`
-		} `json:"telemetry"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Telemetry == nil {
-		t.Fatal("/metrics JSON missing telemetry section")
-	}
-	if p.Telemetry.IntervalSeconds != 0.005 {
-		t.Errorf("interval_seconds = %v, want 0.005", p.Telemetry.IntervalSeconds)
-	}
-	if len(p.Telemetry.Windows) == 0 {
-		t.Error("telemetry windows empty after traffic")
-	}
-	if len(p.Telemetry.SLOs) != 1 || p.Telemetry.SLOs[0].Class != "read" {
-		t.Errorf("SLO statuses = %+v, want one read objective", p.Telemetry.SLOs)
-	}
-}
-
-func TestMetricsPrometheusNegotiation(t *testing.T) {
-	srv := startTelemetryServer(t)
-	traffic(t, srv)
-	waitWindows(t, srv)
-
-	for _, req := range []struct {
-		name   string
-		target string
-		accept string
-	}{
-		{"query param", "/metrics?format=prometheus", ""},
-		{"accept text/plain", "/metrics", "text/plain"},
-		{"accept openmetrics", "/metrics", "application/openmetrics-text"},
+	jsonAccept := httptest.NewRequest("GET", "/metrics", nil)
+	jsonAccept.Header.Set("Accept", "application/json")
+	for _, r := range []*http.Request{
+		httptest.NewRequest("GET", "/metrics", nil),
+		jsonAccept,
+		httptest.NewRequest("GET", "/metrics?format=json", nil),
 	} {
-		r := httptest.NewRequest("GET", req.target, nil)
-		if req.accept != "" {
-			r.Header.Set("Accept", req.accept)
-		}
-		rec := httptest.NewRecorder()
-		srv.MetricsHandler().ServeHTTP(rec, r)
-		if ct := rec.Header().Get("Content-Type"); ct != prom.ContentType {
-			t.Fatalf("%s: Content-Type = %q, want %q", req.name, ct, prom.ContentType)
-		}
-		text := rec.Body.String()
-		if err := promtest.Lint(text); err != nil {
-			t.Fatalf("%s: live exposition fails lint: %v\n%s", req.name, err, text)
-		}
+		fams := scrape(t, srv, r)
 		for _, family := range []string{
 			"nrredis_commands_total", "nr_read_ops_total", "nr_update_ops_total",
-			"nr_log_occupancy", "nr_replica_completed_lag",
-			"nr_op_latency_seconds_bucket", "nr_combiner_batch_size_bucket",
+			"nr_log_occupancy", "nr_replica_completed_lag", "nr_replica_read_ops_total",
+			"nr_replica_update_ops_total", "nr_replica_combine_seconds_total",
+			"nr_op_latency_seconds", "nr_combiner_batch_size",
 			"nr_slo_target_p99_seconds", "nr_slo_windows_total",
 		} {
-			if !strings.Contains(text, family) {
-				t.Errorf("%s: exposition missing %s", req.name, family)
+			if fams[family] == nil {
+				t.Errorf("%s (Accept %q): exposition missing %s", r.URL, r.Header.Get("Accept"), family)
 			}
 		}
 	}
@@ -155,16 +106,11 @@ func TestMetricsPrometheusBaseline(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 
-	rec := httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
-	text := rec.Body.String()
-	if err := promtest.Lint(text); err != nil {
-		t.Fatalf("baseline exposition fails lint: %v\n%s", err, text)
-	}
-	if !strings.Contains(text, "nrredis_uptime_seconds") {
+	fams := scrape(t, srv, httptest.NewRequest("GET", "/metrics", nil))
+	if fams["nrredis_uptime_seconds"] == nil {
 		t.Error("baseline exposition missing server families")
 	}
-	if strings.Contains(text, "nr_read_ops_total") {
+	if fams["nr_read_ops_total"] != nil {
 		t.Error("baseline exposition claims NR families")
 	}
 }

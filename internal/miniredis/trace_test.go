@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/asplos17/nr/internal/obs/prom"
 	"github.com/asplos17/nr/internal/topology"
 	"github.com/asplos17/nr/internal/trace"
 )
@@ -160,7 +161,7 @@ func TestMetricsContentType(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", rr.Code)
 	}
-	if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("/metrics Content-Type = %q, want application/json", ct)
+	if ct := rr.Header().Get("Content-Type"); ct != prom.ContentType {
+		t.Fatalf("/metrics Content-Type = %q, want %q", ct, prom.ContentType)
 	}
 }

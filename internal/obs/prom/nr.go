@@ -61,6 +61,8 @@ func AppendMetrics(e *Exposition, m *core.Metrics) {
 		e.Gauge("nr_replica_registered", "Handles bound to the replica's node.", float64(r.Registered), node)
 		e.Gauge("nr_replica_reader_acquires", "Cumulative read-lock acquisitions on the replica.", float64(r.ReaderAcquires), node)
 		e.Gauge("nr_replica_writer_acquires", "Cumulative writer-lock acquisitions on the replica (batch-replay witness).", float64(r.WriterAcquires), node)
+		e.Counter("nr_replica_read_ops_total", "Read-only operations executed by handles on the node.", float64(r.ReadOps), node)
+		e.Counter("nr_replica_update_ops_total", "Update operations executed by handles on the node.", float64(r.UpdateOps), node)
 		if len(r.Logs) > 1 {
 			for _, lg := range r.Logs {
 				nl := []Label{node, {"log", strconv.Itoa(lg.Log)}}
@@ -139,8 +141,9 @@ func histData(c *histogram.Cum, bounds []float64, unit float64) HistogramData {
 const opLatencyHelp = "End-to-end operation latency by class, sampled one op in 16 per handle; counts are nr_read_ops_total / nr_update_ops_total."
 
 // AppendCum folds the telemetry collector's cumulative distribution capture
-// into e: per-class op-latency histograms (a sample of the ops) and the
-// combiner batch-size histogram (every round).
+// into e: per-class op-latency histograms (a sample of the ops), the
+// combiner batch-size histogram (every round) and each node's combining
+// time.
 func AppendCum(e *Exposition, c *obs.Cum) {
 	e.Histogram("nr_op_latency_seconds", opLatencyHelp,
 		histData(&c.Latency[obs.OpRead], latencyBounds, 1e9), Label{"class", "read"})
@@ -148,6 +151,10 @@ func AppendCum(e *Exposition, c *obs.Cum) {
 		histData(&c.Latency[obs.OpUpdate], latencyBounds, 1e9), Label{"class", "update"})
 	e.Histogram("nr_combiner_batch_size", "Operations per non-empty combining round.",
 		histData(&c.Batch, batchBounds, 1))
+	for i := range c.Nodes {
+		e.Counter("nr_replica_combine_seconds_total", "Time the node's combiners spent inside combining rounds.",
+			float64(c.Nodes[i].CombineNanos)/1e9, Label{"node", strconv.Itoa(i)})
+	}
 }
 
 // AppendSLO folds SLO statuses into e.

@@ -1,7 +1,8 @@
-package prom
+package prom_test
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/asplos17/nr/internal/core"
 	"github.com/asplos17/nr/internal/obs"
+	"github.com/asplos17/nr/internal/obs/prom"
 	"github.com/asplos17/nr/internal/obs/prom/promtest"
 	"github.com/asplos17/nr/internal/obs/tsdb"
 )
@@ -19,8 +21,8 @@ var update = flag.Bool("update", false, "rewrite the golden exposition file")
 // buildExposition renders a fully-populated exposition: server families,
 // the unified snapshot with WAL gauges, distribution histograms, and SLO
 // status — every family the live /metrics endpoint can emit.
-func buildExposition() *Exposition {
-	e := New()
+func buildExposition() *prom.Exposition {
+	e := prom.New()
 	e.Gauge("nrredis_uptime_seconds", "Seconds since the server started.", 125)
 	e.Gauge("nrredis_connected_clients", "Currently connected clients.", 3)
 	e.Counter("nrredis_connections_total", "Connections accepted since start.", 17)
@@ -40,12 +42,12 @@ func buildExposition() *Exposition {
 		},
 		Replicas: []core.ReplicaGauges{
 			{Node: 0, LocalTail: 4995, CompletedLag: 2, Registered: 4, ReaderAcquires: 95000,
-				WriterAcquires: 6500, Logs: []core.ReplicaLogGauges{
+				WriterAcquires: 6500, ReadOps: 600000, UpdateOps: 75000, Logs: []core.ReplicaLogGauges{
 					{Log: 0, LocalTail: 2998, CompletedLag: 1},
 					{Log: 1, LocalTail: 1997, CompletedLag: 1},
 				}},
 			{Node: 1, LocalTail: 4983, CompletedLag: 7, Registered: 4, ReaderAcquires: 85000,
-				WriterAcquires: 5500, Logs: []core.ReplicaLogGauges{
+				WriterAcquires: 5500, ReadOps: 500000, UpdateOps: 65000, Logs: []core.ReplicaLogGauges{
 					{Log: 0, LocalTail: 2990, CompletedLag: 5},
 					{Log: 1, LocalTail: 1993, CompletedLag: 2},
 				}},
@@ -55,7 +57,7 @@ func buildExposition() *Exposition {
 			Rotations: 2, DurableIndex: 4978, DurableLag: 12,
 		},
 	}
-	AppendMetrics(e, &m)
+	prom.AppendMetrics(e, &m)
 
 	// Distributions through the real observer so bucket placement matches
 	// production exactly.
@@ -78,9 +80,9 @@ func buildExposition() *Exposition {
 	}
 	var cum obs.Cum
 	om.ReadCum(&cum)
-	AppendCum(e, &cum)
+	prom.AppendCum(e, &cum)
 
-	AppendSLO(e, []tsdb.SLOStatus{
+	prom.AppendSLO(e, []tsdb.SLOStatus{
 		{
 			Class: "read", P99Ns: 10000, P999Ns: 100000,
 			CurrentP99Ns: 12400, CurrentP999Ns: 93000,
@@ -182,8 +184,8 @@ func TestBatchBucketsCountNoRoundBelowItsSize(t *testing.T) {
 	}
 	var cum obs.Cum
 	om.ReadCum(&cum)
-	e := New()
-	AppendCum(e, &cum)
+	e := prom.New()
+	prom.AppendCum(e, &cum)
 	var b strings.Builder
 	if _, err := e.WriteTo(&b); err != nil {
 		t.Fatal(err)
@@ -196,6 +198,68 @@ func TestBatchBucketsCountNoRoundBelowItsSize(t *testing.T) {
 	} {
 		if !strings.Contains(b.String(), want+"\n") {
 			t.Errorf("exposition lacks %s:\n%s", want, b.String())
+		}
+	}
+}
+
+// TestParseReadsTheExposition: Parse reads back what WriteTo writes —
+// every family with its HELP and TYPE, labels in order, histogram samples
+// under their family, +Inf bounds — and refuses malformed lines.
+func TestParseReadsTheExposition(t *testing.T) {
+	var b strings.Builder
+	_, _ = buildExposition().WriteTo(&b)
+	fams, err := prom.Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Count(b.String(), "# TYPE "); len(fams) != want {
+		t.Errorf("%d families, want %d", len(fams), want)
+	}
+	byName := make(map[string]*prom.Family)
+	for _, f := range fams {
+		byName[f.Name] = f
+	}
+	if f := byName["nr_replica_completed_lag"]; f == nil || f.Type != "gauge" || len(f.Samples) != 2 ||
+		f.Samples[1].Label("node") != "1" || f.Samples[1].Value != 7 {
+		t.Errorf("nr_replica_completed_lag = %+v", f)
+	}
+	lat := byName["nr_op_latency_seconds"]
+	if lat == nil || lat.Type != "histogram" || !strings.HasPrefix(lat.Help, "End-to-end") {
+		t.Fatalf("nr_op_latency_seconds = %+v", lat)
+	}
+	var inf, count float64
+	for _, s := range lat.Samples {
+		if s.Label("class") != "read" {
+			continue
+		}
+		switch {
+		case s.Name == "nr_op_latency_seconds_bucket" && s.Label("le") == "+Inf":
+			inf = s.Value
+		case s.Name == "nr_op_latency_seconds_count":
+			count = s.Value
+		}
+	}
+	if inf != 1000 || count != 1000 {
+		t.Errorf("read latency +Inf bucket %v, _count %v, want 1000 each", inf, count)
+	}
+
+	quoted, err := prom.Parse("# HELP q x\n# TYPE q gauge\nq{a=\"b,\\\"c}\",d=\"\"} +Inf\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := quoted[0].Samples[0]; s.Label("a") != `b,"c}` || len(s.Labels) != 2 || !math.IsInf(s.Value, 1) {
+		t.Errorf("quoted labels parsed as %+v", s)
+	}
+	for _, bad := range []string{
+		"# HELP q\n",                             // HELP without text
+		"# TYPE q gauge extra\n",                 // malformed TYPE
+		"# HELP q x\n# TYPE q gauge\nq\n",        // no value
+		"# HELP q x\n# TYPE q gauge\nq{a=b} 1\n", // unquoted label value
+		"# HELP q x\n# TYPE q gauge\nq{a=\"b\" 1\n",
+		"# HELP q x\n# TYPE q gauge\nq one\n",
+	} {
+		if _, err := prom.Parse(bad); err == nil {
+			t.Errorf("Parse(%q) accepted a malformed exposition", bad)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package promtest holds Lint, a hand-rolled structural validator for the
-// Prometheus exposition that internal/obs/prom writes. Not a full
-// openmetrics parser — it checks exactly the invariants a scraper trips
-// over: HELP/TYPE present before any sample of a family, no duplicate
+// Package promtest holds Lint, a structural validator for the Prometheus
+// exposition that internal/obs/prom writes. It reads the text through
+// prom.Parse, which already refuses a sample before its family's HELP and
+// TYPE, and checks what a scraper trips over on top of that: no duplicate
 // series, histogram buckets cumulative-monotone with a +Inf bucket equal
 // to _count. Tests run it over the golden exposition and the live /metrics
 // output, so a family added without HELP or a broken bucket ladder fails
@@ -10,268 +10,96 @@ package promtest
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/asplos17/nr/internal/obs/prom"
 )
 
 // Lint validates exposition text, returning the first violation found.
 func Lint(text string) error {
-	type familyInfo struct {
-		hasHelp, hasType bool
-		typ              string
+	fams, err := prom.Parse(text)
+	if err != nil {
+		return err
 	}
-	families := make(map[string]*familyInfo)
 	series := make(map[string]bool)
-	// histogram bucket sequences keyed by series-without-le.
-	type bucketSeq struct {
-		les  []float64
-		vals []float64
-		inf  float64
-		has  bool
-	}
-	buckets := make(map[string]*bucketSeq)
-	counts := make(map[string]float64)
-
-	base := func(name string) string {
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if b, ok := strings.CutSuffix(name, suf); ok {
-				if f, exists := families[b]; exists && f.typ == "histogram" {
-					return b
-				}
-			}
+	for _, f := range fams {
+		// One bucket ladder per histogram series, keyed by its labels
+		// other than le, in the order the series first appears.
+		type ladder struct {
+			les, vals        []float64
+			inf, count       float64
+			hasInf, hasCount bool
 		}
-		return name
-	}
-
-	for ln, line := range strings.Split(text, "\n") {
-		lineNo := ln + 1
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			parts := strings.SplitN(strings.TrimPrefix(line, "# HELP "), " ", 2)
-			if len(parts) < 2 || parts[1] == "" {
-				return fmt.Errorf("line %d: HELP without text", lineNo)
+		ladders := make(map[string]*ladder)
+		var keys []string
+		for i := range f.Samples {
+			s := &f.Samples[i]
+			key := s.Name + "{" + canonicalLabels(s.Labels, "") + "}"
+			if series[key] {
+				return fmt.Errorf("duplicate series %s", key)
 			}
-			f := families[parts[0]]
-			if f == nil {
-				f = &familyInfo{}
-				families[parts[0]] = f
+			series[key] = true
+			if f.Type != "histogram" {
+				continue
 			}
-			if f.hasHelp {
-				return fmt.Errorf("line %d: duplicate HELP for %s", lineNo, parts[0])
+			k := f.Name + "{" + canonicalLabels(s.Labels, "le") + "}"
+			l := ladders[k]
+			if l == nil {
+				l = &ladder{}
+				ladders[k] = l
+				keys = append(keys, k)
 			}
-			f.hasHelp = true
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
-			if len(parts) != 2 {
-				return fmt.Errorf("line %d: malformed TYPE", lineNo)
-			}
-			switch parts[1] {
-			case "counter", "gauge", "histogram", "summary", "untyped":
-			default:
-				return fmt.Errorf("line %d: unknown type %q", lineNo, parts[1])
-			}
-			f := families[parts[0]]
-			if f == nil {
-				f = &familyInfo{}
-				families[parts[0]] = f
-			}
-			if f.hasType {
-				return fmt.Errorf("line %d: duplicate TYPE for %s", lineNo, parts[0])
-			}
-			f.hasType = true
-			f.typ = parts[1]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue // comment
-		}
-
-		// Sample line: name{labels} value
-		name, labels, value, err := parseSample(line)
-		if err != nil {
-			return fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		fam := base(name)
-		f := families[fam]
-		if f == nil || !f.hasHelp || !f.hasType {
-			return fmt.Errorf("line %d: sample %s before HELP+TYPE of family %s", lineNo, name, fam)
-		}
-		key := name + "{" + canonicalLabels(labels) + "}"
-		if series[key] {
-			return fmt.Errorf("line %d: duplicate series %s", lineNo, key)
-		}
-		series[key] = true
-
-		if f.typ == "histogram" {
-			nonLE := canonicalLabelsExcept(labels, "le")
 			switch {
-			case strings.HasSuffix(name, "_bucket"):
-				le, ok := labelValue(labels, "le")
-				if !ok {
-					return fmt.Errorf("line %d: histogram bucket without le label", lineNo)
-				}
-				bk := fam + "{" + nonLE + "}"
-				seq := buckets[bk]
-				if seq == nil {
-					seq = &bucketSeq{}
-					buckets[bk] = seq
-				}
+			case strings.HasSuffix(s.Name, "_bucket"):
+				le := s.Label("le")
 				if le == "+Inf" {
-					seq.inf = value
-					seq.has = true
-				} else {
-					f64, perr := strconv.ParseFloat(le, 64)
-					if perr != nil {
-						return fmt.Errorf("line %d: bad le %q", lineNo, le)
-					}
-					seq.les = append(seq.les, f64)
-					seq.vals = append(seq.vals, value)
+					l.inf, l.hasInf = s.Value, true
+					continue
 				}
-			case strings.HasSuffix(name, "_count"):
-				counts[fam+"{"+nonLE+"}"] = value
+				bound, err := strconv.ParseFloat(le, 64)
+				if err != nil {
+					return fmt.Errorf("histogram %s: bad or missing le %q", k, le)
+				}
+				l.les = append(l.les, bound)
+				l.vals = append(l.vals, s.Value)
+			case strings.HasSuffix(s.Name, "_count"):
+				l.count, l.hasCount = s.Value, true
 			}
 		}
-	}
-
-	// Cross-family checks: every family with samples has both lines (by
-	// construction above), bucket ladders monotone with +Inf == _count.
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		seq := buckets[k]
-		if !seq.has {
-			return fmt.Errorf("histogram %s missing +Inf bucket", k)
-		}
-		for i := 1; i < len(seq.les); i++ {
-			if seq.les[i] <= seq.les[i-1] {
-				return fmt.Errorf("histogram %s: le boundaries not ascending (%g after %g)", k, seq.les[i], seq.les[i-1])
+		for _, k := range keys {
+			l := ladders[k]
+			if !l.hasInf {
+				return fmt.Errorf("histogram %s missing +Inf bucket", k)
 			}
-			if seq.vals[i] < seq.vals[i-1] {
-				return fmt.Errorf("histogram %s: bucket counts not cumulative (%g after %g at le=%g)", k, seq.vals[i], seq.vals[i-1], seq.les[i])
+			for i := 1; i < len(l.les); i++ {
+				if l.les[i] <= l.les[i-1] {
+					return fmt.Errorf("histogram %s: le boundaries not ascending (%g after %g)", k, l.les[i], l.les[i-1])
+				}
+				if l.vals[i] < l.vals[i-1] {
+					return fmt.Errorf("histogram %s: bucket counts not cumulative (%g after %g at le=%g)", k, l.vals[i], l.vals[i-1], l.les[i])
+				}
 			}
-		}
-		if n := len(seq.vals); n > 0 && seq.inf < seq.vals[n-1] {
-			return fmt.Errorf("histogram %s: +Inf bucket %g below last bucket %g", k, seq.inf, seq.vals[n-1])
-		}
-		if c, ok := counts[k]; ok && c != seq.inf {
-			return fmt.Errorf("histogram %s: _count %g != +Inf bucket %g", k, c, seq.inf)
+			if n := len(l.vals); n > 0 && l.inf < l.vals[n-1] {
+				return fmt.Errorf("histogram %s: +Inf bucket %g below last bucket %g", k, l.inf, l.vals[n-1])
+			}
+			if l.hasCount && l.count != l.inf {
+				return fmt.Errorf("histogram %s: _count %g != +Inf bucket %g", k, l.count, l.inf)
+			}
 		}
 	}
 	return nil
 }
 
-// label is one parsed name="value" pair of a sample.
-type label struct{ name, value string }
-
-// parseSample splits one sample line into name, labels, value.
-func parseSample(line string) (string, []label, float64, error) {
-	rest := line
-	var name string
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
-		return "", nil, 0, fmt.Errorf("malformed sample %q", line)
-	} else {
-		name = rest[:i]
-		rest = rest[i:]
-	}
-	var labels []label
-	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return "", nil, 0, fmt.Errorf("unterminated labels in %q", line)
-		}
-		body := rest[1:end]
-		rest = rest[end+1:]
-		for _, pair := range splitLabels(body) {
-			eq := strings.Index(pair, "=")
-			if eq < 0 {
-				return "", nil, 0, fmt.Errorf("malformed label %q", pair)
-			}
-			val, err := strconv.Unquote(pair[eq+1:])
-			if err != nil {
-				return "", nil, 0, fmt.Errorf("malformed label value %q", pair)
-			}
-			labels = append(labels, label{name: pair[:eq], value: val})
-		}
-	}
-	rest = strings.TrimSpace(rest)
-	var value float64
-	switch rest {
-	case "+Inf":
-		value = inf()
-	case "-Inf":
-		value = -inf()
-	default:
-		v, err := strconv.ParseFloat(rest, 64)
-		if err != nil {
-			return "", nil, 0, fmt.Errorf("malformed value %q", rest)
-		}
-		value = v
-	}
-	return name, labels, value, nil
-}
-
-// splitLabels splits a label body on commas outside quotes.
-func splitLabels(body string) []string {
-	if body == "" {
-		return nil
-	}
-	var out []string
-	depth := false // inside quotes
-	start := 0
-	for i := 0; i < len(body); i++ {
-		switch body[i] {
-		case '\\':
-			i++
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				out = append(out, body[start:i])
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, body[start:])
-	return out
-}
-
-func canonicalLabels(labels []label) string {
+// canonicalLabels renders labels sorted by name, leaving out skip.
+func canonicalLabels(labels []prom.Label, skip string) string {
 	parts := make([]string, 0, len(labels))
 	for _, l := range labels {
-		parts = append(parts, l.name+"="+l.value)
+		if l.Name != skip {
+			parts = append(parts, l.Name+"="+l.Value)
+		}
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
 }
-
-func canonicalLabelsExcept(labels []label, skip string) string {
-	parts := make([]string, 0, len(labels))
-	for _, l := range labels {
-		if l.name == skip {
-			continue
-		}
-		parts = append(parts, l.name+"="+l.value)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
-func labelValue(labels []label, name string) (string, bool) {
-	for _, l := range labels {
-		if l.name == name {
-			return l.value, true
-		}
-	}
-	return "", false
-}
-
-func inf() float64 { return math.Inf(1) }

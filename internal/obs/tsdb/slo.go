@@ -52,14 +52,6 @@ type SLOStatus struct {
 	LastBreach time.Time `json:"last_breach,omitempty"`
 }
 
-// BreachEvent describes one SLO breach, delivered to Config.OnBreach
-// (rate-limited). The nr layer chains it into the flight recorder's
-// AutoDump so the seconds leading up to the breach are preserved.
-type BreachEvent struct {
-	When   time.Time `json:"when"`
-	Status SLOStatus `json:"status"`
-}
-
 // sloState is the tracker's mutable state for one objective.
 type sloState struct {
 	slo           SLO
@@ -72,13 +64,10 @@ type sloState struct {
 }
 
 // checkSLOLocked judges the window (prev, cur) against every objective,
-// returning the breach event to fire (rate-limited) if any objective
-// breached. Caller holds c.mu.
-func (c *Collector) checkSLOLocked(prev, cur *sample, now time.Time) (BreachEvent, bool) {
-	var (
-		ev   BreachEvent
-		fire bool
-	)
+// returning the class of the first breached one when OnBreach is due (it is
+// rate-limited), "" otherwise. Caller holds c.mu.
+func (c *Collector) checkSLOLocked(prev, cur *sample, now time.Time) string {
+	fire := ""
 	for i := range c.slo {
 		st := &c.slo[i]
 		class := st.slo.Class
@@ -100,13 +89,12 @@ func (c *Collector) checkSLOLocked(prev, cur *sample, now time.Time) (BreachEven
 		}
 		st.breached++
 		st.lastBreach = now
-		if !fire && now.Sub(c.lastFire) >= c.cfg.BreachMinInterval {
+		if fire == "" && now.Sub(c.lastFire) >= c.cfg.BreachMinInterval {
 			c.lastFire = now
-			ev = BreachEvent{When: now, Status: st.status()}
-			fire = true
+			fire = class.String()
 		}
 	}
-	return ev, fire
+	return fire
 }
 
 // status renders the state as an SLOStatus.

@@ -47,10 +47,10 @@ type Config struct {
 	Observed *obs.Metrics
 	// SLOs are the latency objectives to track per window.
 	SLOs []SLO
-	// OnBreach, when set, is called (outside the collector's lock, on the
-	// capture goroutine) when a window breaches an SLO, rate-limited to one
-	// call per BreachMinInterval. It must not block.
-	OnBreach func(BreachEvent)
+	// OnBreach, when set, is called with the class of an SLO a window
+	// breached (outside the collector's lock, on the capture goroutine),
+	// rate-limited to one call per BreachMinInterval. It must not block.
+	OnBreach func(class string)
 	// BreachMinInterval is the minimum spacing between OnBreach calls
 	// (default 30s).
 	BreachMinInterval time.Duration
@@ -126,9 +126,6 @@ func New(cfg Config) *Collector {
 	return c
 }
 
-// Interval returns the configured capture cadence.
-func (c *Collector) Interval() time.Duration { return c.cfg.Interval }
-
 // Start launches the cadence goroutine. Safe to call once; Close stops it.
 func (c *Collector) Start() {
 	c.startOnce.Do(func() {
@@ -172,10 +169,7 @@ func (c *Collector) Close() {
 // reused.
 func (c *Collector) Advance() {
 	now := c.cfg.now()
-	var (
-		ev   BreachEvent
-		fire bool
-	)
+	var breached string
 	c.mu.Lock()
 	s := &c.samples[c.head]
 	s.when = now
@@ -191,11 +185,11 @@ func (c *Collector) Advance() {
 		c.n++
 	}
 	if prev != nil {
-		ev, fire = c.checkSLOLocked(prev, s, now)
+		breached = c.checkSLOLocked(prev, s, now)
 	}
 	c.mu.Unlock()
-	if fire && c.cfg.OnBreach != nil {
-		c.cfg.OnBreach(ev)
+	if breached != "" && c.cfg.OnBreach != nil {
+		c.cfg.OnBreach(breached)
 	}
 }
 
@@ -221,9 +215,9 @@ func (c *Collector) Samples() int {
 
 // LatestCum copies the newest capture's distribution buckets into
 // dst (reusing dst.Nodes' capacity), reporting whether a capture exists.
-// The Prometheus exposition reads cumulative histogram buckets this way —
-// at most one collector interval stale, which a scraper cannot tell from
-// scrape jitter.
+// The Prometheus exposition reads cumulative histogram buckets and combine
+// time this way, at most one collector interval stale: a delta between two
+// scrapes spans whole capture intervals.
 func (c *Collector) LatestCum(dst *obs.Cum) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

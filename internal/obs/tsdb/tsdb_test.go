@@ -253,12 +253,12 @@ func TestWindowWALRates(t *testing.T) {
 func TestSLOBreachAndBudget(t *testing.T) {
 	clk := newClock()
 	m := obs.NewMetrics(1)
-	var breaches []BreachEvent
+	var breaches []string
 	c := New(testConfig(clk, Config{
 		Windows:           8,
 		Observed:          m,
 		SLOs:              []SLO{{Class: obs.OpRead, P99: time.Millisecond, Budget: 0.5}},
-		OnBreach:          func(ev BreachEvent) { breaches = append(breaches, ev) },
+		OnBreach:          func(class string) { breaches = append(breaches, class) },
 		BreachMinInterval: time.Nanosecond, // no rate limit for the test
 	}))
 
@@ -289,8 +289,8 @@ func TestSLOBreachAndBudget(t *testing.T) {
 	if st.BudgetBurn != 1 { // 1 of 2 windows breached, budget 0.5
 		t.Errorf("BudgetBurn = %v, want 1.0", st.BudgetBurn)
 	}
-	if len(breaches) != 1 || breaches[0].Status.Class != "read" {
-		t.Fatalf("breach callback = %+v, want one read-class event", breaches)
+	if len(breaches) != 1 || breaches[0] != "read" {
+		t.Fatalf("breach callback = %q, want one read-class call", breaches)
 	}
 
 	// Window 3: no traffic — not judged, state holds.
@@ -309,7 +309,7 @@ func TestSLOBreachRateLimit(t *testing.T) {
 		Windows:           8,
 		Observed:          m,
 		SLOs:              []SLO{{Class: obs.OpRead, P99: time.Millisecond}},
-		OnBreach:          func(BreachEvent) { fired.Add(1) },
+		OnBreach:          func(string) { fired.Add(1) },
 		BreachMinInterval: 30 * time.Second,
 	}))
 
@@ -368,7 +368,7 @@ func TestConcurrentStress(t *testing.T) {
 		Observed: m,
 		Source:   func(dst *core.Metrics) { dst.Stats.ReadOps = ops.Load() },
 		SLOs:     []SLO{{Class: obs.OpRead, P99: time.Microsecond}},
-		OnBreach: func(BreachEvent) {},
+		OnBreach: func(string) {},
 	})
 	defer c.Close()
 

@@ -447,6 +447,16 @@ func TestDurableUpdateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// walRunaway ends the test binary at once: the WAL follower is persisting
+// entries no op wrote and would write until the disk is full. The panic runs
+// on a goroutine of its own, because unwinding the caller could run a
+// deferred Close, which waits for that follower; the caller, the follower
+// itself or a SyncWAL, blocks until the crash.
+func walRunaway(msg string) {
+	go func() { panic(msg) }()
+	select {}
+}
+
 // TestDurableLogFullDoesNotAllocate pins the durable path's backpressure
 // loop: with the follower held inside its sync hook, a 16-entry log fills,
 // and the appender waits in reserveConsuming, kicking the follower on every
@@ -456,8 +466,12 @@ func TestDurableUpdateAllocatesNothing(t *testing.T) {
 // Kick that waited for the parked follower would.
 func TestDurableLogFullDoesNotAllocate(t *testing.T) {
 	var stall atomic.Bool
+	var issued atomic.Uint64 // updates started: no sync can cover more
 	entered, gate := make(chan struct{}, 1), make(chan struct{})
-	hook := func(persist.SyncInfo) {
+	hook := func(info persist.SyncInfo) {
+		if n := issued.Load(); info.DurableIndex > n {
+			walRunaway(fmt.Sprintf("WAL synced up to log index %d, past the %d updates issued", info.DurableIndex, n))
+		}
 		if stall.Load() {
 			select {
 			case entered <- struct{}{}:
@@ -477,8 +491,12 @@ func TestDurableLogFullDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exec := func(op kvOp) {
+		issued.Add(1)
+		h.Execute(op)
+	}
 	for i := uint64(0); i < 2000; i++ { // fill the map's buckets and the WAL's page pool
-		h.Execute(kvOp{Key: i % 7, Delta: 1})
+		exec(kvOp{Key: i % 7, Delta: 1})
 	}
 	// Park the follower in its next sync, caught up first so that the log
 	// is not already full when it parks.
@@ -488,7 +506,7 @@ func TestDurableLogFullDoesNotAllocate(t *testing.T) {
 	stall.Store(true)
 	deadline := time.Now().Add(5 * time.Second)
 	for parked := false; !parked; {
-		h.Execute(kvOp{Key: 1, Delta: 1})
+		exec(kvOp{Key: 1, Delta: 1})
 		select {
 		case <-entered:
 			parked = true
@@ -501,7 +519,7 @@ func TestDurableLogFullDoesNotAllocate(t *testing.T) {
 
 	n := waittest.Window(t, func() {
 		for i := uint64(0); i < 32; i++ { // more than the log holds
-			h.Execute(kvOp{Key: i % 7, Delta: 1})
+			exec(kvOp{Key: i % 7, Delta: 1})
 		}
 	}, func() {
 		stall.Store(false)

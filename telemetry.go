@@ -32,16 +32,11 @@ type SLO = tsdb.SLO
 // window's tails, whether it breached, and the error-budget burn.
 type SLOStatus = tsdb.SLOStatus
 
-// BreachEvent describes one SLO breach, delivered to WithSLONotify's
-// callback (rate-limited; see WithTelemetry).
-type BreachEvent = tsdb.BreachEvent
-
 // telemetryConfig accumulates the telemetry options in settings.
 type telemetryConfig struct {
 	interval time.Duration
 	windows  int
 	slos     []tsdb.SLO
-	onBreach func(BreachEvent)
 }
 
 func (s *settings) telemetryCfg() *telemetryConfig {
@@ -83,22 +78,14 @@ func WithSLO(class OpClass, p99, p999 time.Duration) Option {
 	}
 }
 
-// WithSLONotify installs fn to be called on SLO breaches (after the flight
-// recorder's auto-dump), rate-limited to one call per 30s. fn runs on the
-// telemetry goroutine and must not block.
-func WithSLONotify(fn func(BreachEvent)) Option {
-	return func(s *settings) {
-		s.telemetryCfg().onBreach = fn
-	}
-}
-
 // Telemetry returns the windowed collector, nil
 // unless the instance was built with WithTelemetry/WithSLO.
 func (i *Instance[O, R]) Telemetry() *Telemetry { return i.tel }
 
 // startTelemetry builds and starts the collector: each ring slot holds a
 // snapshot of the instance, and latency and batch buckets come from its
-// metrics observer.
+// metrics observer. A breach fires the flight recorder's auto-dump (a no-op
+// without a recorder; rate-limited by the collector and by the recorder).
 func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Collector {
 	c := tsdb.New(tsdb.Config{
 		Interval: t.interval,
@@ -109,20 +96,8 @@ func startTelemetry[O, R any](inst *Instance[O, R], t *telemetryConfig) *tsdb.Co
 		},
 		Observed: inst.metrics,
 		SLOs:     t.slos,
-		OnBreach: breachChain(inst.inner.TraceRecorder().AutoDump, t.onBreach),
+		OnBreach: func(class string) { inst.inner.TraceRecorder().AutoDump("slo-breach-" + class) },
 	})
 	c.Start()
 	return c
-}
-
-// breachChain wires a breach into the flight recorder's auto-dump (nil-safe
-// — AutoDump on a nil recorder is a no-op, and the dump itself is
-// rate-limited) before the user's callback.
-func breachChain(autoDump func(string), user func(BreachEvent)) func(tsdb.BreachEvent) {
-	return func(ev tsdb.BreachEvent) {
-		autoDump("slo-breach-" + ev.Status.Class)
-		if user != nil {
-			user(ev)
-		}
-	}
 }

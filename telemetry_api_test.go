@@ -119,18 +119,21 @@ func TestWithTelemetryWindows(t *testing.T) {
 	}
 }
 
+// TestWithSLOBreachNotify: a breached SLO fires the flight recorder's
+// automatic dump, with the breached class in its reason.
 func TestWithSLOBreachNotify(t *testing.T) {
 	var fired atomic.Int32
-	var gotClass atomic.Value
+	var gotReason atomic.Value
+	rec := nr.NewFlightRecorder(nr.TraceConfig{OnDump: func(reason string, _ nr.TraceSnapshot) {
+		fired.Add(1)
+		gotReason.Store(reason)
+	}})
 	inst, err := nr.New(newKV,
 		nr.WithNodes(1, 2, 1),
 		nr.WithTelemetry(2*time.Millisecond, 16),
 		// 1ns p99: every window with read traffic breaches.
 		nr.WithSLO(nr.OpRead, time.Nanosecond, 0),
-		nr.WithSLONotify(func(ev nr.BreachEvent) {
-			fired.Add(1)
-			gotClass.Store(ev.Status.Class)
-		}),
+		nr.WithFlightRecorderInstance(rec),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +152,10 @@ func TestWithSLOBreachNotify(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if fired.Load() == 0 {
-		t.Fatal("unmeetable SLO never fired the breach callback")
+		t.Fatal("unmeetable SLO never fired the recorder's dump")
 	}
-	if c, _ := gotClass.Load().(string); c != "read" {
-		t.Errorf("breach class = %q, want read", c)
+	if r, _ := gotReason.Load().(string); r != "slo-breach-read" {
+		t.Errorf("dump reason = %q, want slo-breach-read", r)
 	}
 	sts := inst.Telemetry().SLOStatuses()
 	if len(sts) != 1 || sts[0].BreachedWindows == 0 || !strings.Contains(sts[0].Class, "read") {
