@@ -98,7 +98,9 @@ type Options struct {
 	// paper fixes 1M entries (§7); the default here is 64K, which the
 	// paper's sizing argument (§5.6) equally satisfies for our batch sizes.
 	// A log costs its entries times (op + 8 bytes): with the server's
-	// 72-byte cells, 4.72 MB at the default and 75.5 MB at the paper's 1M.
+	// 64-byte cells, 4.19 MB at the default and 67.1 MB at the paper's 1M,
+	// and a log of 512 or more such cells is page-aligned, so each cell is
+	// one line.
 	// A smaller log is a measured trade, not a free saving: at 16K entries
 	// (with 96-byte cells) the benchmark's lib-mixed heap fell from 10.2 to
 	// 5.45 MB, but lib-durable lost 11 % of its ops/s, an all-update variant

@@ -66,6 +66,36 @@ func TestEntryLogCell(t *testing.T) {
 	}
 }
 
+// TestLogCellsOwnLines: an op of 56 bytes, the server's StoreOp, makes a
+// 64-byte cell, and the allocator page-aligns a log of at least 512 such
+// cells (32 KiB), the default 64K-entry log included, so every cell is one
+// 64-byte line and no batch boundary shares one (DESIGN.md §5b).
+func TestLogCellsOwnLines(t *testing.T) {
+	for _, entries := range []int{0, 512} {
+		inst, err := New[lineOp, int64](func() Sequential[lineOp, int64] { return lineSeq{} }, Options{LogEntries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := reflect.ValueOf(inst.logs[0]).Elem().FieldByName("entries")
+		if size := cells.Type().Elem().Size(); size != 64 {
+			t.Fatalf("log cell of a 56-byte op = %d bytes, want 64", size)
+		}
+		if first := cells.Pointer(); first%64 != 0 {
+			t.Errorf("%d-entry log: first cell at %#x, not on a 64-byte boundary", cells.Len(), first)
+		}
+	}
+}
+
+// lineOp is an op of 56 bytes, and lineSeq a Sequential over it that does
+// nothing.
+type lineOp struct{ _ [7]int64 }
+
+type lineSeq struct{}
+
+func (lineSeq) Execute(lineOp) int64 { return 0 }
+
+func (lineSeq) IsReadOnly(lineOp) bool { return true }
+
 // sum is a Sequential over int64 ops: it adds each op to its total.
 type sum int64
 

@@ -45,8 +45,9 @@ func (r *recordingObserver) OpDone(node int, class obs.OpClass, elapsed time.Dur
 }
 
 // sampledOps counts the sampled ops among a handle's first n, by class:
-// op k (0-based) has seq k+1 and is a read when read(k). The total is
-// ⌈n/trace.SampleEvery⌉.
+// op k (0-based) has seq k+1 and is a read when read(k). The total is one
+// per whole block of trace.SampleEvery seqs, plus at most one in a last,
+// partial block.
 func sampledOps(n int, read func(k int) bool) (reads, updates uint64) {
 	for k := 0; k < n; k++ {
 		if !trace.Sampled(uint32(k + 1)) {
@@ -59,6 +60,44 @@ func sampledOps(n int, read func(k int) bool) (reads, updates uint64) {
 		}
 	}
 	return reads, updates
+}
+
+// TestSamplerSeesAlternatingClasses: a handle that alternates an update and
+// a read has both classes timed and traced. A sampler at one fixed offset
+// of each block of trace.SampleEvery seqs would see only the class at that
+// offset's parity.
+func TestSamplerSeesAlternatingClasses(t *testing.T) {
+	rec := &recordingObserver{}
+	tr := trace.New(trace.Config{RingSlots: 1 << 13})
+	opts := smallTopo()
+	opts.Observer, opts.Trace = rec, tr
+	inst := newCounterInstance(t, opts)
+	h, err := inst.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ops = 1024
+	for k := 0; k < ops; k++ {
+		if k%2 == 0 {
+			h.Execute(ctrInc)
+		} else {
+			h.Execute(ctrRead)
+		}
+	}
+	const quarter = ops / trace.SampleEvery / 4
+	updates, reads := rec.opDone[obs.OpUpdate].Load(), rec.opDone[obs.OpRead].Load()
+	if updates+reads != ops/trace.SampleEvery || updates < quarter || reads < quarter {
+		t.Errorf("OpDone: %d updates, %d reads; want %d in all, each class at least %d", updates, reads, ops/trace.SampleEvery, quarter)
+	}
+	spans := map[string]int{}
+	for _, sp := range trace.Reconstruct(inst.TraceSnapshot()) {
+		if sp.Complete {
+			spans[sp.Class]++
+		}
+	}
+	if spans["update"] != int(updates) || spans["read"] != int(reads) {
+		t.Errorf("complete spans %v, want the %d updates and %d reads OpDone saw", spans, updates, reads)
+	}
 }
 
 // TestObserverReconcilesWithStats runs a concurrent mixed workload with a
@@ -103,8 +142,8 @@ func TestObserverReconcilesWithStats(t *testing.T) {
 	if got, want := rec.opDone[obs.OpUpdate].Load(), goroutines*updates; got != want {
 		t.Errorf("OpDone(update) events = %d, want %d sampled updates", got, want)
 	}
-	if perHandle := uint64((per + trace.SampleEvery - 1) / trace.SampleEvery); reads+updates != perHandle {
-		t.Errorf("sampled ops per handle = %d, want ⌈%d/%d⌉ = %d", reads+updates, per, trace.SampleEvery, perHandle)
+	if lo := uint64(per / trace.SampleEvery); reads+updates < lo || reads+updates > lo+1 {
+		t.Errorf("sampled ops per handle = %d, want one in each of the %d whole blocks of %d seqs (and at most one more)", reads+updates, lo, trace.SampleEvery)
 	}
 	if s.ReadOps+s.UpdateOps != goroutines*per {
 		t.Errorf("Stats.ReadOps+UpdateOps = %d, want %d ops executed", s.ReadOps+s.UpdateOps, goroutines*per)

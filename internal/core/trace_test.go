@@ -35,7 +35,8 @@ func indexOf(names []string, name string) int {
 // ops through an instance with the flight recorder attached, then
 // reconstruct complete span chains from the snapshot and check milestone
 // ordering and node attribution. Of 32 ops — 16 updates, then 16 reads —
-// exactly the sampled two (seq 1, an update; seq 17, a read) have spans.
+// exactly the sampled two (seq 1, an update; one of seqs 17..32, a read)
+// have spans.
 func TestTraceEndToEndSpans(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 1024})
 	opts := smallTopo()
@@ -53,6 +54,10 @@ func TestTraceEndToEndSpans(t *testing.T) {
 		}
 	}
 
+	readSeq := uint32(trace.SampleEvery + 1)
+	for !trace.Sampled(readSeq) {
+		readSeq++
+	}
 	spans := trace.Reconstruct(inst.TraceSnapshot())
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want the 2 sampled ops of 32", len(spans))
@@ -66,12 +71,12 @@ func TestTraceEndToEndSpans(t *testing.T) {
 		if sp.Class == "update" && sp.Seq == 1 {
 			update = sp
 		}
-		if sp.Class == "read" && sp.Seq == trace.SampleEvery+1 {
+		if sp.Class == "read" && sp.Seq == readSeq {
 			read = sp
 		}
 	}
 	if update == nil || read == nil {
-		t.Fatalf("missing complete spans (update seq 1 = %v, read seq 17 = %v) in %+v", update != nil, read != nil, spans)
+		t.Fatalf("missing complete spans (update seq 1 = %v, read seq %d = %v) in %+v", update != nil, readSeq, read != nil, spans)
 	}
 
 	// Node attribution: both spans must carry the registering handle's node.
@@ -119,7 +124,7 @@ func TestTraceEndToEndSpans(t *testing.T) {
 // TestTraceSpansAcrossNodes checks attribution when two nodes submit: each
 // node's spans carry that node's id, and log indexes over all update spans
 // are distinct (each op has exactly one log position). Each handle runs 40
-// ops, of which ⌈40/16⌉ = 3 are sampled.
+// ops, of which the trace.Sampled ones have spans.
 func TestTraceSpansAcrossNodes(t *testing.T) {
 	rec := trace.New(trace.Config{RingSlots: 1024})
 	opts := Options{Topology: topology.New(2, 2, 1), LogEntries: 256, Trace: rec}
@@ -151,7 +156,8 @@ func TestTraceSpansAcrossNodes(t *testing.T) {
 		}
 		seenIdx[sp.LogIndex] = sp.Token
 	}
-	if want := 2 * (per + trace.SampleEvery - 1) / trace.SampleEvery; len(seenIdx) != want {
+	reads, updates := sampledOps(per, func(int) bool { return false })
+	if want := int(2 * (reads + updates)); len(seenIdx) != want {
 		t.Errorf("distinct update log indexes = %d, want %d (the sampled ops of both handles)", len(seenIdx), want)
 	}
 }

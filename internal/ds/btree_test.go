@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // check validates the tree's bookkeeping: keys strictly ascend, every count
@@ -409,18 +410,18 @@ func TestBTreeRankProperty(t *testing.T) {
 // AllocsPerRun's integer division.
 func TestBTreeMoveAcrossLeavesAllocatesNothing(t *testing.T) {
 	const members = 10000
-	bt := NewBTree[float64]()
+	bt := NewBTree[struct{}]() // SortedSet's tree
 	names := make([]string, members)
 	scores := make([]float64, members)
 	for i := range names {
 		names[i], scores[i] = fmt.Sprintf("m%05d", i), float64(i)
-		bt.Insert(FloatKey(scores[i], names[i]), scores[i])
+		bt.Insert(FloatKey(scores[i], names[i]), struct{}{})
 	}
 	rng := rand.New(rand.NewSource(1))
 	moves := func(n int) {
 		for range n {
 			i, to := rng.Intn(members), float64(rng.Intn(members))
-			bt.Move(FloatKey(scores[i], names[i]), FloatKey(to, names[i]), to)
+			bt.Move(FloatKey(scores[i], names[i]), FloatKey(to, names[i]), struct{}{})
 			scores[i] = to
 		}
 	}
@@ -432,5 +433,15 @@ func TestBTreeMoveAcrossLeavesAllocatesNothing(t *testing.T) {
 	}
 	if err := bt.check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBTreeNodeSize pins SortedSet's tree node, which carries no values, at
+// 792 bytes: the count, 32 Ords, 32 Ties and the two pointers. It lands in
+// the allocator's 896-byte size class, where a float64 value per entry took
+// it to 1,048 bytes and the 1,152-byte class (DESIGN.md §5d).
+func TestBTreeNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(btreeNode[struct{}]{}); size != 792 {
+		t.Errorf("btreeNode[struct{}] size = %d, want 792", size)
 	}
 }

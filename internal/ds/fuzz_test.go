@@ -1,6 +1,9 @@
 package ds
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzDictImplementationsAgree feeds an arbitrary operation stream to the
 // skip-list dictionary and a map oracle; the two must agree on every result.
@@ -44,23 +47,53 @@ func FuzzDictImplementationsAgree(f *testing.F) {
 }
 
 // FuzzSortedSetConsistency drives the coupled hash+tree sorted set with
-// arbitrary ops and asserts the two structures never diverge.
+// arbitrary ops and asserts the two structures never diverge, and that
+// every read matches a model to the bit. A record's last byte can swap its
+// score for -0, +0 or ±Inf, so -0 meets +0, zero deltas move nothing and
+// inf + -inf is refused.
 func FuzzSortedSetConsistency(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{0, 1, 0, 4, 1, 1, 0, 7, 0, 2, 9, 4, 1, 2, 0, 4, 3, 1, 0, 0, 3, 2, 0, 0})
+	f.Add([]byte{0, 3, 0, 5, 1, 3, 0, 6, 0, 4, 0, 6, 1, 4, 5, 0, 1, 4, 0, 4, 2, 3, 0, 0, 0, 3, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		z := NewSortedSet(4)
+		model := map[string]float64{}
 		for len(data) >= 4 {
 			kind := data[0] % 4
 			member := string(rune('a' + data[1]%16))
 			score := float64(int8(data[2]))
+			switch data[3] % 8 {
+			case 4:
+				score = math.Copysign(0, -1)
+			case 5:
+				score = math.Inf(1)
+			case 6:
+				score = math.Inf(-1)
+			case 7:
+				score = 0
+			}
 			data = data[4:]
+			old, present := model[member]
 			switch kind {
 			case 0:
 				z.Add(member, score)
+				if !present || score != old {
+					model[member] = score
+				}
 			case 1:
-				z.IncrBy(member, score)
+				want := score
+				if present {
+					want = old + score
+				}
+				if got := z.IncrBy(member, score); math.Float64bits(got) != math.Float64bits(want) && (got == got || want == want) {
+					t.Fatalf("IncrBy(%q, %v) = %v, want %v", member, score, got, want)
+				}
+				if want == want && (!present || want != old) {
+					model[member] = want
+				}
 			case 2:
 				z.Remove(member)
+				delete(model, member)
 			case 3:
 				if r, ok := z.Rank(member); ok {
 					if m, _, ok2 := z.ByRank(r); !ok2 || m != member {
@@ -68,11 +101,9 @@ func FuzzSortedSetConsistency(f *testing.F) {
 					}
 				}
 			}
-			if !z.consistent() {
-				t.Fatal("hash and tree diverged")
-			}
-			if err := z.byScore.check(); err != nil {
-				t.Fatal(err)
+			checkSortedSetAgainst(t, z, model)
+			if t.Failed() {
+				t.FailNow()
 			}
 		}
 	})

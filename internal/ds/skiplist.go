@@ -42,6 +42,15 @@ func FloatKey(f float64, tie string) Key {
 	return Key{Ord: ^b, Tie: tie}
 }
 
+// Float returns the float64 a FloatKey was built from, bit for bit, except
+// that -0 and +0 share a key and both come back as +0.
+func (k Key) Float() float64 {
+	if k.Ord>>63 != 0 {
+		return math.Float64frombits(k.Ord &^ (1 << 63))
+	}
+	return math.Float64frombits(^k.Ord)
+}
+
 // SkipList is a sequential skip list (Pugh [54]) mapping Keys to values,
 // under SkipListPQ and SkipListDict.
 //

@@ -22,7 +22,8 @@ func ascending[V any](s *SkipList[V]) []int64 {
 
 // TestKeyOrderMatchesNumericOrder: IntKey and FloatKey order Ord exactly as
 // int64 and float64 order their arguments, -0 with +0, and Tie breaks an
-// Ord tie, as lessScored does.
+// Ord tie, as lessScored does. Int and Float invert them, Float to the bit
+// but for -0, which comes back as +0.
 func TestKeyOrderMatchesNumericOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	floats := []float64{
@@ -36,6 +37,13 @@ func TestKeyOrderMatchesNumericOrder(t *testing.T) {
 		}
 	}
 	for _, a := range floats {
+		want := a
+		if a == 0 {
+			want = 0 // -0 shares +0's key
+		}
+		if got := FloatKey(a, "").Float(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("FloatKey(%v).Float() = %v (%#x), want %#x", a, got, math.Float64bits(got), math.Float64bits(want))
+		}
 		for _, b := range floats {
 			ka, kb := FloatKey(a, ""), FloatKey(b, "")
 			if (ka.Ord < kb.Ord) != (a < b) || (ka.Ord == kb.Ord) != (a == b) {

@@ -7,19 +7,32 @@ package ds
 // "coupled data structures" of §6 that lock-free algorithms fundamentally
 // cannot compose, and that NR updates atomically by treating the pair as one
 // black box.
+//
+// Each score is kept once, in the hash map; the tree's key carries it again
+// in its order-preserving form and holds no value, so Range and ByRank read
+// a score back from the key (Key.Float). The key sorts -0 with +0, so a
+// score read back as 0 takes its sign from the hash map.
 type SortedSet struct {
 	byMember *HashMap[float64]
-	// byScore's value is the stored score: the key sorts -0 with +0, the
-	// value keeps the float exactly as it was set.
-	byScore *BTree[float64]
+	byScore  *BTree[struct{}]
 }
 
 // NewSortedSet returns an empty sorted set.
 func NewSortedSet(capacity int) *SortedSet {
 	return &SortedSet{
 		byMember: NewHashMap[float64](capacity),
-		byScore:  NewBTree[float64](),
+		byScore:  NewBTree[struct{}](),
 	}
+}
+
+// score returns the score of the member whose tree key is k: the key's
+// float, or for a zero the hash map's, which keeps the sign.
+func (z *SortedSet) score(k Key) float64 {
+	if sc := k.Float(); sc != 0 {
+		return sc
+	}
+	sc, _ := z.byMember.Get(k.Tie)
+	return sc
 }
 
 // Len returns the number of members.
@@ -62,7 +75,7 @@ func (z *SortedSet) IncrBy(member string, delta float64) float64 {
 // insert adds a member known to be absent.
 func (z *SortedSet) insert(member string, score float64) {
 	z.byMember.Set(member, score)
-	z.byScore.Insert(FloatKey(score, member), score)
+	z.byScore.Insert(FloatKey(score, member), struct{}{})
 }
 
 // rescore moves a present member, whose hash-map value p points to, to
@@ -71,7 +84,7 @@ func (z *SortedSet) rescore(p *float64, member string, score float64) {
 	if *p == score {
 		return
 	}
-	z.byScore.Move(FloatKey(*p, member), FloatKey(score, member), score)
+	z.byScore.Move(FloatKey(*p, member), FloatKey(score, member), struct{}{})
 	*p = score
 }
 
@@ -103,13 +116,16 @@ func (z *SortedSet) Rank(member string) (int, bool) {
 
 // Range calls fn for members with ranks in [lo, hi] inclusive, ascending.
 func (z *SortedSet) Range(lo, hi int, fn func(member string, score float64) bool) {
-	z.byScore.Range(lo, hi, func(k Key, score float64) bool {
-		return fn(k.Tie, score)
+	z.byScore.Range(lo, hi, func(k Key, _ struct{}) bool {
+		return fn(k.Tie, z.score(k))
 	})
 }
 
 // ByRank returns the member and score at 0-based rank r.
 func (z *SortedSet) ByRank(r int) (member string, score float64, ok bool) {
-	k, score, ok := z.byScore.ByRank(r)
-	return k.Tie, score, ok
+	k, _, ok := z.byScore.ByRank(r)
+	if !ok {
+		return "", 0, false
+	}
+	return k.Tie, z.score(k), true
 }

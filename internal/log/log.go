@@ -33,8 +33,9 @@ type cacheLine = [64]byte
 
 // entry is one log cell: the op and its word, deliberately unpadded
 // (TestEntryLayout). A combiner fills a run of consecutive cells, so only
-// a batch's boundary cell can share a line with another combiner's batch
-// (DESIGN.md §5b).
+// a batch's boundary cell can share a line with another combiner's batch,
+// and none does where a cell is one line: a 56-byte op's 64-byte cell in a
+// log of 512 or more, which the allocator page-aligns (DESIGN.md §5b).
 type entry[O any] struct {
 	op   O
 	word atomic.Uint64 // lap code << lapShift | tag once filled, 0 before

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -146,6 +147,7 @@ func FuzzParseCommand(f *testing.F) {
 	f.Add("ZADD", "k", "-NaN", "m")
 	f.Add("ZRANGE", "k", "0", "18446744073709551615")
 	f.Add("zrange", "k", "-9223372036854775809", "+3")
+	f.Add("ZRANGE", "k", "-5", "2147483648")
 	f.Fuzz(func(t *testing.T, a, b, c, d string) {
 		for _, args := range [][]string{{a}, {a, b}, {a, b, c}, {a, b, c, d}} {
 			raw := make([][]byte, len(args))
@@ -164,7 +166,7 @@ func FuzzParseCommand(f *testing.F) {
 				start, err1 := strconv.ParseInt(c, 10, strconv.IntSize)
 				stop, err2 := strconv.ParseInt(d, 10, strconv.IntSize)
 				ok := err1 == nil && err2 == nil
-				if (errMsg == "") != ok || ok && (int64(op.Start) != start || int64(op.Stop) != stop) {
+				if (errMsg == "") != ok || ok && (int64(op.Start) != start || op.Stop != int32(max(math.MinInt32, min(stop, math.MaxInt32)))) {
 					t.Fatalf("%q: parsed %+v %q, strconv gives %d %v, %d %v", args, op, errMsg, start, err1, stop, err2)
 				}
 			}

@@ -71,7 +71,7 @@ func (StoreCodec) Decode(data []byte) (StoreOp, error) {
 	}
 	op.Score = math.Float64frombits(binary.LittleEndian.Uint64(data))
 	op.Start = int(int64(binary.LittleEndian.Uint64(data[8:])))
-	op.Stop = int(int64(binary.LittleEndian.Uint64(data[16:])))
+	op.Stop = saturate32(int64(binary.LittleEndian.Uint64(data[16:])))
 	return op, nil
 }
 

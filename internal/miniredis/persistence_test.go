@@ -40,6 +40,18 @@ func TestStoreCodecRoundTrip(t *testing.T) {
 			t.Errorf("round trip: got %+v, want %+v", got, op)
 		}
 	}
+	// A record carries both bounds as int64; Stop decodes saturated into
+	// the int32 range, as ZRANGE parses it.
+	for _, c64 := range []struct {
+		stop int64
+		want int32
+	}{{math.MaxInt64, math.MaxInt32}, {1 << 31, math.MaxInt32}, {math.MinInt64, math.MinInt32}, {-1 << 31, math.MinInt32}, {-7, -7}} {
+		enc, _ := c.AppendEncode(nil, StoreOp{Cmd: CmdZRange, Key: "lb"})
+		binary.LittleEndian.PutUint64(enc[len(enc)-8:], uint64(c64.stop))
+		if got, err := c.Decode(enc); err != nil || got.Stop != c64.want {
+			t.Errorf("record with stop %d decodes to %+v, %v; want stop %d", c64.stop, got, err, c64.want)
+		}
+	}
 	if _, err := c.Decode([]byte{1}); err == nil {
 		t.Error("decoding a truncated record succeeded")
 	}

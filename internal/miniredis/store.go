@@ -1,6 +1,7 @@
 package miniredis
 
 import (
+	"math"
 	"strconv"
 	"unsafe"
 
@@ -29,10 +30,12 @@ const (
 )
 
 // StoreOp is one operation on the whole keyspace. It is the black-box op
-// type NR logs and replays. The two one-byte fields come last so they share
-// the tail word: 64 bytes, and a 72-byte log cell once the log's one 8-byte
-// word (core's entry tag under the log's lap code) is added
-// (TestStoreOpLogCell).
+// type NR logs and replays. Stop, Cmd and WithScores share the tail word:
+// 56 bytes, and a 64-byte log cell once the log's one 8-byte word (core's
+// entry tag under the log's lap code) is added (TestStoreOpLogCell), so a
+// page-aligned log puts every cell on a line of its own. Stop is an int32,
+// saturated on parse (saturate32); Start stays an int, which the
+// benchmark's read ops assign.
 //
 // Key and Member may borrow another's bytes (parseOp). An op that enters
 // the log, the WAL or the keyspace must own them (parseServed gives an
@@ -45,7 +48,7 @@ type StoreOp struct {
 	Member     string
 	Score      float64
 	Start      int
-	Stop       int
+	Stop       int32
 	Cmd        Cmd
 	WithScores bool
 }
@@ -227,7 +230,7 @@ func (st *Store) Execute(op StoreOp) StoreResult {
 		if z == nil {
 			return res
 		}
-		start, stop := clampRange(op.Start, op.Stop, z.Len())
+		start, stop := clampRange(op.Start, int(op.Stop), z.Len())
 		stop = min(stop, z.Len()-1)
 		if stop < start {
 			return res
@@ -439,7 +442,7 @@ func parseOp[S byteSeq](args []S) (StoreOp, string) {
 		if withScores && !cmdIs(args[4], "WITHSCORES") {
 			return StoreOp{}, "syntax error"
 		}
-		return StoreOp{Cmd: CmdZRange, Key: view(args[1]), Start: start, Stop: stop, WithScores: withScores}, ""
+		return StoreOp{Cmd: CmdZRange, Key: view(args[1]), Start: start, Stop: saturate32(int64(stop)), WithScores: withScores}, ""
 	case cmdIs(cmd, "DBSIZE"):
 		return StoreOp{Cmd: CmdDBSize}, ""
 	case cmdIs(cmd, "FLUSHALL"):
@@ -463,6 +466,13 @@ func parseFloat[S byteSeq](s S) (float64, string) {
 func parseInt[S byteSeq](s S) (int, bool) {
 	v, err := strconv.Atoi(string(s))
 	return v, err == nil
+}
+
+// saturate32 clamps v into the int32 range: StoreOp.Stop's. Past either end
+// a stop bound means "past the set's last member" (or "before its first")
+// for every set of fewer than 2^31 members, as the bound itself does.
+func saturate32(v int64) int32 {
+	return int32(max(math.MinInt32, min(v, math.MaxInt32)))
 }
 
 // WriteResult renders a command result as RESP.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -149,7 +150,7 @@ func TestStoreZRangeAllocations(t *testing.T) {
 		z, _ := st.zsetFor("z", false)
 		for _, r := range [][2]int{{0, -1}, {1, 3}, {-5, -1}, {n / 2, n}, {3, 1}, {-n - 9, n + 9}, {n, -1}} {
 			for _, ws := range []bool{false, true} {
-				op := StoreOp{Cmd: CmdZRange, Key: "z", Start: r[0], Stop: r[1], WithScores: ws}
+				op := StoreOp{Cmd: CmdZRange, Key: "z", Start: r[0], Stop: int32(r[1]), WithScores: ws}
 				var want []string
 				if z != nil {
 					start, stop := clampRange(r[0], r[1], z.Len())
@@ -310,23 +311,76 @@ func TestParseZRangeBoundOverflow(t *testing.T) {
 			}
 		}
 	}
+	// Stop is an int32 and saturates; Start keeps the int.
 	for _, c := range []struct {
 		bound string
-		want  int
-	}{{"9223372036854775807", math.MaxInt64}, {"-9223372036854775808", math.MinInt64}, {"+7", 7}, {"-0", 0}} {
+		start int
+		stop  int32
+	}{
+		{"9223372036854775807", math.MaxInt64, math.MaxInt32},
+		{"-9223372036854775808", math.MinInt64, math.MinInt32},
+		{"2147483648", 2147483648, math.MaxInt32},
+		{"-2147483649", -2147483649, math.MinInt32},
+		{"2147483647", math.MaxInt32, math.MaxInt32},
+		{"+7", 7, 7}, {"-0", 0, 0},
+	} {
 		op, msg := ParseCommand([]string{"ZRANGE", "k", c.bound, c.bound})
-		if msg != "" || op.Start != c.want || op.Stop != c.want {
-			t.Errorf("ZRANGE k %s %s = %+v %q, want both bounds %d", c.bound, c.bound, op, msg, c.want)
+		if msg != "" || op.Start != c.start || op.Stop != c.stop {
+			t.Errorf("ZRANGE k %s %s = %+v %q, want start %d, stop %d", c.bound, c.bound, op, msg, c.start, c.stop)
 		}
 	}
 }
 
-// TestStoreOpLogCell pins the server's op at 64 bytes and its log cell at
-// 72: StoreOp plus one 8-byte word, core's entry tag under the log's lap
-// code, with no pad (DESIGN.md §5b tables the earlier layouts).
+// TestZRangeSaturatedStopReplies: a stop bound past the int32 range gives
+// the reply the bound itself gives, through Store.Execute and over RESP to
+// a server. A stop at or past the last member answers the whole set, one
+// before the first answers nothing; a truncated int32 would wrap 2^31 to
+// -2^31 and -2^63 to 0.
+func TestZRangeSaturatedStopReplies(t *testing.T) {
+	cases := []struct {
+		stop string
+		want []string
+	}{
+		{"9223372036854775807", []string{"a", "b", "c"}},
+		{"2147483648", []string{"a", "b", "c"}},
+		{"2147483647", []string{"a", "b", "c"}},
+		{"-9223372036854775808", nil},
+		{"-2147483649", nil},
+	}
+	st := NewStore(1)
+	for i, m := range []string{"a", "b", "c"} {
+		st.Execute(StoreOp{Cmd: CmdZAdd, Key: "k", Member: m, Score: float64(i)})
+	}
+	for _, c := range cases {
+		op, msg := ParseCommand([]string{"ZRANGE", "k", "0", c.stop})
+		if msg != "" {
+			t.Fatalf("ZRANGE k 0 %s: %s", c.stop, msg)
+		}
+		if got := st.Execute(op).Members; !slices.Equal(got, c.want) {
+			t.Errorf("Store: ZRANGE k 0 %s = %q, want %q", c.stop, got, c.want)
+		}
+	}
+
+	_, addr := startServer(t, MethodNR)
+	c := dial(t, addr)
+	for i, m := range []string{"a", "b", "c"} {
+		if got := c.cmd(t, "ZADD", "k", strconv.Itoa(i), m); got != ":1" {
+			t.Fatalf("ZADD k %d %s = %q", i, m, got)
+		}
+	}
+	for _, cs := range cases {
+		if got, want := c.cmd(t, "ZRANGE", "k", "0", cs.stop), strings.Join(cs.want, ","); got != want {
+			t.Errorf("server: ZRANGE k 0 %s = %q, want %q", cs.stop, got, want)
+		}
+	}
+}
+
+// TestStoreOpLogCell pins the server's op at 56 bytes and its log cell at
+// 64, one line: StoreOp plus one 8-byte word, core's entry tag under the
+// log's lap code, with no pad (DESIGN.md §5b tables the earlier layouts).
 func TestStoreOpLogCell(t *testing.T) {
-	if size := unsafe.Sizeof(StoreOp{}); size != 64 {
-		t.Errorf("StoreOp size = %d, want 64 (Cmd and WithScores share the tail word)", size)
+	if size := unsafe.Sizeof(StoreOp{}); size != 56 {
+		t.Errorf("StoreOp size = %d, want 56 (Stop, Cmd and WithScores share the tail word)", size)
 	}
 	const entries = 1024
 	inst, err := nr.New(func() nr.Sequential[StoreOp, StoreResult] { return NewStore(1) }, nr.WithLogEntries(entries))
@@ -334,8 +388,8 @@ func TestStoreOpLogCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	if cell := inst.MemoryBytes() / entries; cell != 72 {
-		t.Errorf("log cell of StoreOp = %d bytes, want 72", cell)
+	if cell := inst.MemoryBytes() / entries; cell != 64 {
+		t.Errorf("log cell of StoreOp = %d bytes, want 64", cell)
 	}
 }
 

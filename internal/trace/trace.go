@@ -183,14 +183,30 @@ func TokenLog(tok uint64) int { return int(tok >> 58) }
 const SampleEvery = 16
 
 // Sampled reports whether the op with per-handle sequence number seq (the
-// token's seq) is a sampled one: seq ≡ 1 (mod SampleEvery), so a handle's
-// first op always is. Every site that records a per-op milestone — the
+// token's seq) is a sampled one. Seqs 1..SampleEvery form block 0, the next
+// SampleEvery block 1, and so on; each block has exactly one sampled seq,
+// at an offset taken from a fixed hash of the block's number. A handle
+// whose ops follow a period (update, read, update, ...) therefore samples
+// every class, where a fixed offset would sample only the class at that
+// offset. The hash maps block 0 to offset 0, so a handle's first op is
+// always sampled. Every site that records a per-op milestone — the
 // submitter, the combiner and the delivering replayer — applies it to the
 // same seq, so a sampled op's span is complete and an unsampled op leaves
 // no per-op event. Round events (combine-start, log-reserve, combine-end)
 // and rare events (refresh, help, log-full, hole-wait, panic) are
 // recorded for every occurrence.
-func Sampled(seq uint32) bool { return seq%SampleEvery == 1 }
+func Sampled(seq uint32) bool {
+	i := uint64(seq - 1)
+	return i%SampleEvery == mix(i/SampleEvery)%SampleEvery
+}
+
+// mix is splitmix64's finalizer: a fixed bijection of uint64 that maps 0 to
+// 0 and spreads consecutive inputs across the low bits.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
 
 // epoch anchors Now; set a nanosecond back so that no reading is 0.
 var epoch = time.Now().Add(-1)

@@ -202,22 +202,34 @@ func TestNilRecorderAndRingAreNoOps(t *testing.T) {
 }
 
 // TestSampledPicksOneInSixteen pins the sampling predicate: exactly one
-// seq in every SampleEvery consecutive ones, the first op's (seq 1) among
-// them.
+// seq in every block of SampleEvery (seqs 1..16, 17..32, ...), the first
+// op's (seq 1) among them, and not at one fixed offset: over 64 blocks the
+// picks land at both parities and at no fewer than 8 of the 16 offsets, so
+// a handle whose ops alternate two classes samples both.
 func TestSampledPicksOneInSixteen(t *testing.T) {
 	if !Sampled(1) {
 		t.Error("a handle's first op (seq 1) is not sampled")
 	}
-	for base := uint32(0); base < 4*SampleEvery; base += SampleEvery {
+	offsets := map[uint32]int{}
+	for base := uint32(0); base < 64*SampleEvery; base += SampleEvery {
 		var picked []uint32
 		for seq := base + 1; seq <= base+SampleEvery; seq++ {
 			if Sampled(seq) {
 				picked = append(picked, seq)
 			}
 		}
-		if len(picked) != 1 || picked[0] != base+1 {
-			t.Errorf("Sampled over seqs %d..%d picks %v, want [%d]", base+1, base+SampleEvery, picked, base+1)
+		if len(picked) != 1 {
+			t.Errorf("Sampled over seqs %d..%d picks %v, want exactly one", base+1, base+SampleEvery, picked)
+			continue
 		}
+		offsets[picked[0]-base-1]++
+	}
+	odd := 0
+	for off, n := range offsets {
+		odd += int(off%2) * n
+	}
+	if len(offsets) < 8 || odd < 16 || odd > 48 {
+		t.Errorf("picks over 64 blocks land at offsets %v (%d odd), want at least 8 offsets and 16..48 odd", offsets, odd)
 	}
 }
 

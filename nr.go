@@ -373,7 +373,8 @@ func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
 
 // MemoryBytes reports the shared logs' footprint, replicas not included:
 // one cell per log entry, the op plus 8 bytes (one word that carries the
-// entry's tag and the log's lap code) for an op of 8-byte alignment.
+// entry's tag and the log's lap code) for an op of 8-byte alignment; the
+// server's 56-byte op makes a 64-byte cell.
 func (i *Instance[O, R]) MemoryBytes() uint64 { return i.inner.MemoryBytes() }
 
 // Quiesce brings every replica up to date with all completed operations —

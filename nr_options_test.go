@@ -63,11 +63,12 @@ func TestWithMetricsPopulatesObserved(t *testing.T) {
 	if m.Observed == nil {
 		t.Fatal("Metrics().Observed == nil on an instance built WithMetrics")
 	}
-	// The latency histograms hold the sampled ops: seqs 1, 17, 33, 49 of
-	// the writes and 65 .. 193 of the reads.
+	// The latency histograms hold the sampled ops: one in each of the 12
+	// whole blocks of 16 seqs, here seqs 1, 22, 43, 49 of the writes and 8
+	// of the reads (69 .. 190); block 12 samples seq 205, past the run.
 	sampledReads, sampledWrites := sampledOps(writes+reads, func(k int) bool { return k >= writes })
-	if sampledReads != 9 || sampledWrites != 4 {
-		t.Fatalf("sampledOps = %d reads / %d writes, want 9 / 4", sampledReads, sampledWrites)
+	if sampledReads != 8 || sampledWrites != 4 {
+		t.Fatalf("sampledOps = %d reads / %d writes, want 8 / 4", sampledReads, sampledWrites)
 	}
 	if m.Observed.Read.Count != sampledReads {
 		t.Errorf("observed reads = %d, want the %d sampled", m.Observed.Read.Count, sampledReads)
@@ -108,8 +109,13 @@ func TestWithObserverComposesWithWithMetrics(t *testing.T) {
 	for k := 0; k < total; k++ {
 		h.Execute(regOp{write: k%2 == 0, val: k})
 	}
-	// Both observers see the same sampled ops: ⌈40/16⌉ = 3.
-	const sampled = (total + trace.SampleEvery - 1) / trace.SampleEvery
+	// Both observers see the same sampled ops: seqs 1 and 22 (block 2
+	// samples seq 43, past the run).
+	reads, updates := sampledOps(total, func(k int) bool { return k%2 != 0 })
+	sampled := reads + updates
+	if reads == 0 || updates == 0 {
+		t.Fatalf("sampledOps = %d reads / %d updates, want both classes", reads, updates)
+	}
 	if seen := co.ops[nr.OpRead].Load() + co.ops[nr.OpUpdate].Load(); seen != sampled {
 		t.Errorf("custom observer saw %d OpDone events, want the %d sampled ops", seen, sampled)
 	}
@@ -156,7 +162,8 @@ func (c *classObserver) OpDone(node int, class nr.OpClass, elapsed time.Duration
 // end, deterministically: two handles on two nodes each run 100 mixed ops
 // under WithMetrics, a custom observer and a flight recorder. OpDone, the
 // latency histograms and the reconstructed spans each cover exactly the
-// sampled ops (seq ≡ 1 mod 16), every span is complete, no per-op event
+// sampled ops (trace.Sampled: one per block of 16 seqs), every span is
+// complete, no per-op event
 // belongs to an unsampled op, Stats counts every op, and a contained panic
 // in an unsampled op still leaves its KPanic, carrying the op's token.
 func TestObservationSamplesOneOpInSixteen(t *testing.T) {
@@ -194,8 +201,8 @@ func TestObservationSamplesOneOpInSixteen(t *testing.T) {
 	}
 	reads, updates := sampledOps(per, isRead)
 	reads, updates = 2*reads, 2*updates
-	if reads+updates != 2*(per+trace.SampleEvery-1)/trace.SampleEvery || reads == 0 || updates == 0 {
-		t.Fatalf("sampled = %d reads + %d updates, want ⌈%d/16⌉ per handle of both classes", reads, updates, per)
+	if lo := uint64(per / trace.SampleEvery); reads+updates < 2*lo || reads+updates > 2*(lo+1) || reads == 0 || updates == 0 {
+		t.Fatalf("sampled = %d reads + %d updates, want one per whole block of 16 seqs (%d) per handle, of both classes", reads, updates, lo)
 	}
 
 	if got := [2]uint64{co.ops[nr.OpRead].Load(), co.ops[nr.OpUpdate].Load()}; got != [2]uint64{reads, updates} {
