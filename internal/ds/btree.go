@@ -1,19 +1,31 @@
 package ds
 
-// BTree is a sequential order-statistic B+tree mapping Keys to values, the
-// tree under SortedSet (rank and range by rank).
+// BTree is a sequential order-statistic B+tree over sorted-set members, the
+// index under SortedSet (rank and range by rank).
 //
-// Entries sit in the leaves, values inline. An inner node keeps, per child,
-// a separator and the number of entries below it, so a rank is one descent:
-// the counts left of the path plus the index in the leaf. A node's Ords are
-// one contiguous array searched first; a Tie is read only when two Ords are
-// equal. The shape is a function of the operation stream alone (no PRNG),
-// so replicas built from the same stream are identical.
-type BTree[V any] struct {
-	root   *btreeNode[V]
+// The leaves hold the members themselves: a slot is a *member, the hash
+// map's entry, ordered by (score, name). Every member in the tree points at
+// the leaf that holds it, so a re-scored member is found without a descent.
+// An inner node keeps, per child, a separator and the number of members
+// below it, so a rank is one descent: the counts left of the path plus the
+// index in the leaf. A node's score Ords are one contiguous array searched
+// first; a name is read, through its entry, only when two Ords are equal.
+// The shape is a function of the operation stream alone (no PRNG), so
+// replicas built from the same stream are identical.
+type BTree struct {
+	root   *btreeNode
 	height int // inner levels above the leaves; 0 while the root is a leaf
 	length int
-	free   *btreeNode[V] // nodes freed by merges, linked through next
+	free   *btreeNode // nodes freed by merges, linked through next
+}
+
+// member is a sorted set's member: its hash-map entry, whose key is the
+// member's name and whose value its exact score and its place in the tree.
+type member = hashEntry[memberVal]
+
+type memberVal struct {
+	score float64
+	leaf  *btreeNode // the leaf holding the entry; nil while it is in no tree
 }
 
 // btreeB is the most entries a leaf, and children an inner node, holds;
@@ -25,72 +37,75 @@ const btreeB = 32
 // more than 2^50 entries.
 const btreeMaxHeight = 12
 
-// btreeNode is a leaf (val) or an inner node (kid, cnt); the tree's height
-// says which. Item i's key is ord[i], tie[i]. In an inner node key i > 0
-// separates kid[i-1] from kid[i] (every key below kid[i] is >= it, every
-// key below kid[i-1] < it) and key 0 is not read by searches. The children
-// sit in an allocation of their own, so a leaf does not carry them.
-type btreeNode[V any] struct {
+// btreeNode is a leaf or an inner node (kid, cnt); the tree's height says
+// which. Item i's key is (ord[i], ent[i].key), ord[i] being ent[i]'s score
+// in key order. In an inner node key i > 0 separates kid[i-1] from kid[i]
+// (every key below kid[i] is >= it, every key below kid[i-1] < it) and key 0
+// is not read by searches; a separator's entry lends only its name, which
+// never changes, so the entry may since have moved or left the set. The
+// children sit in an allocation of their own, so a leaf does not carry them.
+type btreeNode struct {
 	n   int
 	ord [btreeB]uint64
-	tie [btreeB]string
-	val [btreeB]V
-	*btreeKids[V]
-	next *btreeNode[V] // on the free list
+	ent [btreeB]*member
+	*btreeKids
+	next *btreeNode // on the free list
 }
 
 // btreeKids is an inner node's children and their entry counts.
-type btreeKids[V any] struct {
-	kid [btreeB]*btreeNode[V]
+type btreeKids struct {
+	kid [btreeB]*btreeNode
 	cnt [btreeB]int // entries below kid[i]
 }
 
 // btreePath records a descent: at inner level h (1 = just above the
 // leaves), the node and the index of the child taken.
-type btreePath[V any] struct {
-	node [btreeMaxHeight + 1]*btreeNode[V]
+type btreePath struct {
+	node [btreeMaxHeight + 1]*btreeNode
 	idx  [btreeMaxHeight + 1]int
 }
 
 // NewBTree returns an empty tree.
-func NewBTree[V any]() *BTree[V] { return &BTree[V]{root: new(btreeNode[V])} }
+func NewBTree() *BTree { return &BTree{root: new(btreeNode)} }
 
 // Len returns the number of entries.
-func (t *BTree[V]) Len() int { return t.length }
+func (t *BTree) Len() int { return t.length }
 
-func (n *btreeNode[V]) key(i int) Key { return Key{Ord: n.ord[i], Tie: n.tie[i]} }
+func (n *btreeNode) key(i int) Key { return Key{Ord: n.ord[i], Tie: n.ent[i].key} }
 
-// search returns the index of the first key >= k.
-func (n *btreeNode[V]) search(k Key) int {
+// search returns the index of the first key >= (o, e.key). An equal Ord is
+// checked for e itself before names are compared.
+func (n *btreeNode) search(o uint64, e *member) int {
 	ord, i := n.ord[:n.n], 0
-	for i < len(ord) && ord[i] < k.Ord {
+	for i < len(ord) && ord[i] < o {
 		i++
 	}
-	for i < len(ord) && ord[i] == k.Ord && n.tie[i] < k.Tie {
+	for i < len(ord) && ord[i] == o && n.ent[i] != e && n.ent[i].key < e.key {
 		i++
 	}
 	return i
 }
 
-// holds reports whether key i is k.
-func (n *btreeNode[V]) holds(i int, k Key) bool {
-	return i < n.n && n.ord[i] == k.Ord && n.tie[i] == k.Tie
+// holds reports whether key i is (o, e.key).
+func (n *btreeNode) holds(i int, o uint64, e *member) bool {
+	return i < n.n && n.ord[i] == o && (n.ent[i] == e || n.ent[i].key == e.key)
 }
 
-// child returns the index of the inner node's child whose range holds k.
-func (n *btreeNode[V]) child(k Key) int {
+// child returns the index of the inner node's child whose range holds
+// (o, e.key).
+func (n *btreeNode) child(o uint64, e *member) int {
 	ord, i := n.ord[:n.n], 1
-	for i < len(ord) && ord[i] < k.Ord {
+	for i < len(ord) && ord[i] < o {
 		i++
 	}
-	for i < len(ord) && ord[i] == k.Ord && n.tie[i] <= k.Tie {
+	for i < len(ord) && ord[i] == o && (n.ent[i] == e || n.ent[i].key <= e.key) {
 		i++
 	}
 	return i - 1
 }
 
 // size returns the number of entries at and below n.
-func (n *btreeNode[V]) size(leaf bool) int {
+func (n *btreeNode) size(leaf bool) int {
 	if leaf {
 		return n.n
 	}
@@ -101,14 +116,19 @@ func (n *btreeNode[V]) size(leaf bool) int {
 	return s
 }
 
+// own points the entries in leaf slots [i, j) at the leaf.
+func (n *btreeNode) own(i, j int) {
+	for _, e := range n.ent[i:j] {
+		e.val.leaf = n
+	}
+}
+
 // moveItems copies m items of src from j to dst at i; the ranges may
-// overlap.
-func moveItems[V any](dst *btreeNode[V], i int, src *btreeNode[V], j, m int, leaf bool) {
+// overlap. A leaf's entries moved to another leaf still point at src.
+func moveItems(dst *btreeNode, i int, src *btreeNode, j, m int, leaf bool) {
 	copy(dst.ord[i:i+m], src.ord[j:j+m])
-	copy(dst.tie[i:i+m], src.tie[j:j+m])
-	if leaf {
-		copy(dst.val[i:i+m], src.val[j:j+m])
-	} else {
+	copy(dst.ent[i:i+m], src.ent[j:j+m])
+	if !leaf {
 		copy(dst.kid[i:i+m], src.kid[j:j+m])
 		copy(dst.cnt[i:i+m], src.cnt[j:j+m])
 	}
@@ -116,22 +136,20 @@ func moveItems[V any](dst *btreeNode[V], i int, src *btreeNode[V], j, m int, lea
 
 // clearItems drops the references held by the items from i on, past the
 // end.
-func (n *btreeNode[V]) clearItems(i int, leaf bool) {
-	clear(n.tie[i:])
-	if leaf {
-		clear(n.val[i:])
-	} else {
+func (n *btreeNode) clearItems(i int, leaf bool) {
+	clear(n.ent[i:])
+	if !leaf {
 		clear(n.kid[i:])
 	}
 }
 
-// insertItem puts an item at i, shifting the items from i right: k, v in a
-// leaf, k, kid, cnt in an inner node.
-func (n *btreeNode[V]) insertItem(i int, k Key, v V, kid *btreeNode[V], cnt int, leaf bool) {
+// insertItem puts an item at i, shifting the items from i right: o, e in a
+// leaf, which e then points at, and o, e, kid, cnt in an inner node.
+func (n *btreeNode) insertItem(i int, o uint64, e *member, kid *btreeNode, cnt int, leaf bool) {
 	moveItems(n, i+1, n, i, n.n-i, leaf)
-	n.ord[i], n.tie[i] = k.Ord, k.Tie
+	n.ord[i], n.ent[i] = o, e
 	if leaf {
-		n.val[i] = v
+		e.val.leaf = n
 	} else {
 		n.kid[i], n.cnt[i] = kid, cnt
 	}
@@ -139,88 +157,117 @@ func (n *btreeNode[V]) insertItem(i int, k Key, v V, kid *btreeNode[V], cnt int,
 }
 
 // removeItem deletes item i, shifting the items after it left.
-func (n *btreeNode[V]) removeItem(i int, leaf bool) {
+func (n *btreeNode) removeItem(i int, leaf bool) {
 	moveItems(n, i, n, i+1, n.n-i-1, leaf)
 	n.n--
 	n.clearItems(n.n, leaf)
 }
 
-// descend walks from the root to the leaf whose range holds k, recording the
-// inner nodes in p. It returns the leaf and the index of the first key >= k.
-func (t *BTree[V]) descend(k Key, p *btreePath[V]) (*btreeNode[V], int) {
+// descend walks from the root to the leaf whose range holds (o, e.key),
+// recording the inner nodes in p. It returns the leaf and the index of the
+// first key >= (o, e.key).
+func (t *BTree) descend(o uint64, e *member, p *btreePath) (*btreeNode, int) {
 	n := t.root
 	for h := t.height; h > 0; h-- {
-		i := n.child(k)
+		i := n.child(o, e)
 		p.node[h], p.idx[h] = n, i
 		n = n.kid[i]
 	}
-	return n, n.search(k)
+	return n, n.search(o, e)
 }
 
-// Get returns the value stored under k.
-func (t *BTree[V]) Get(k Key) (V, bool) {
-	n := t.root
-	for h := t.height; h > 0; h-- {
-		n = n.kid[n.child(k)]
-	}
-	if i := n.search(k); n.holds(i, k) {
-		return n.val[i], true
-	}
-	var zero V
-	return zero, false
-}
-
-// Insert adds k with v, or replaces the value if k is present. It reports
-// whether k was newly inserted.
-func (t *BTree[V]) Insert(k Key, v V) bool {
-	var p btreePath[V]
-	l, i := t.descend(k, &p)
-	if l.holds(i, k) {
-		l.val[i] = v
+// Insert adds e, which is in no tree, under its score and name, and
+// reports true; if an entry is already stored under that key it reports
+// false and changes nothing.
+func (t *BTree) Insert(e *member) bool {
+	o := floatOrd(e.val.score)
+	var p btreePath
+	l, i := t.descend(o, e, &p)
+	if l.holds(i, o, e) {
 		return false
 	}
-	t.insertAt(&p, l, i, k, v)
+	t.insertAt(&p, l, i, o, e)
 	return true
 }
 
-// Delete removes k, reporting whether it was present.
-func (t *BTree[V]) Delete(k Key) bool {
-	var p btreePath[V]
-	l, i := t.descend(k, &p)
-	if !l.holds(i, k) {
+// Delete removes the entry stored under e's score and name, reporting
+// whether there was one.
+func (t *BTree) Delete(e *member) bool {
+	o := floatOrd(e.val.score)
+	var p btreePath
+	l, i := t.descend(o, e, &p)
+	if !l.holds(i, o, e) {
 		return false
 	}
 	t.deleteAt(&p, l, i)
 	return true
 }
 
-// Move re-keys the entry stored under old to k with value v, and reports
-// whether old was present. The result is that of Delete(old) then
-// Insert(k, v), an entry already stored under k being replaced. If k still
-// falls in old's leaf, between the separators that bound it, the entry
-// slides inside the leaf: no count changes and nothing is allocated.
-// Otherwise Move deletes and inserts, reusing the nodes merges freed.
-func (t *BTree[V]) Move(old, k Key, v V) bool {
-	var p btreePath[V]
-	l, i := t.descend(old, &p)
-	if !l.holds(i, old) {
+// Move sets the score of e, an entry of the tree, and moves it to its new
+// place. It reports false, with nothing changed, if e is in no tree or
+// another entry is stored under e's name at the new score, which a sorted
+// set, whose names are unique, never asks for. The result is that of
+// Delete(e), the new score, then Insert(e). If the new key lies strictly
+// between two other keys of e's leaf, e slides there without a descent: no
+// separator bounds it differently and no count changes. A new Ord outside
+// the leaf's first and last skips that scan. Otherwise Move descends to
+// e's leaf, slides e inside it if the key still falls between the
+// separators that bound it, or else deletes and inserts, reusing the nodes
+// merges freed; nothing is allocated.
+func (t *BTree) Move(e *member, score float64) bool {
+	l := e.val.leaf
+	if l == nil {
 		return false
 	}
-	if t.slide(&p, l, i, k, v) {
+	old, o := floatOrd(e.val.score), floatOrd(score)
+	if l.ord[0] <= o && o <= l.ord[l.n-1] && l.slideInside(l.search(old, e), o, e) {
+		e.val.score = score
+		return true
+	}
+	var p btreePath
+	l, i := t.descend(old, e, &p)
+	if t.slide(&p, l, i, o, e) {
+		e.val.score = score
 		return true
 	}
 	t.deleteAt(&p, l, i)
-	if l, i = t.descend(k, &p); l.holds(i, k) {
-		l.val[i] = v
-	} else {
-		t.insertAt(&p, l, i, k, v)
+	prev := e.val.score
+	e.val.score = score
+	if !t.Insert(e) {
+		e.val.score = prev
+		t.Insert(e)
+		return false
 	}
 	return true
 }
 
-// slide moves leaf l's entry i to k, reporting false, with nothing changed,
-// unless k falls in l's range and no other entry of l is stored under k.
-func (t *BTree[V]) slide(p *btreePath[V], l *btreeNode[V], i int, k Key, v V) bool {
+// slideInside moves leaf l's entry i, e, to the key (o, e.key) if another
+// entry of l sorts before that key and another after it, and reports
+// whether it did.
+func (l *btreeNode) slideInside(i int, o uint64, e *member) bool {
+	j := l.search(o, e)
+	if l.holds(j, o, e) && j != i {
+		return false
+	}
+	below, above := j, l.n-j // the other entries before and after the key
+	if i < j {
+		below--
+	} else {
+		above--
+	}
+	if below < 1 || above < 1 {
+		return false
+	}
+	l.place(i, j, o, e)
+	return true
+}
+
+// slide moves leaf l's entry i, e, to the key (o, e.key), reporting false,
+// with nothing changed, unless the key falls in l's range, between the
+// separators on the descent recorded in p, and no other entry of l is
+// stored under it.
+func (t *BTree) slide(p *btreePath, l *btreeNode, i int, o uint64, e *member) bool {
+	k := Key{Ord: o, Tie: e.key}
 	for h := 1; h <= t.height; h++ { // the nearest separators left and right
 		if n, j := p.node[h], p.idx[h]; j > 0 {
 			if k.less(n.key(j)) {
@@ -237,36 +284,43 @@ func (t *BTree[V]) slide(p *btreePath[V], l *btreeNode[V], i int, k Key, v V) bo
 			break
 		}
 	}
-	j := l.search(k)
-	switch {
-	case l.holds(j, k) && j != i:
+	j := l.search(o, e)
+	if l.holds(j, o, e) && j != i {
 		return false
+	}
+	l.place(i, j, o, e)
+	return true
+}
+
+// place moves leaf entry i, e, to key o at index j, the index of the first
+// key >= its new one, shifting the entries between.
+func (l *btreeNode) place(i, j int, o uint64, e *member) {
+	switch {
 	case j > i:
 		j--
 		moveItems(l, i, l, i+1, j-i, true)
 	case j < i:
 		moveItems(l, j+1, l, j, i-j, true)
 	}
-	l.ord[j], l.tie[j], l.val[j] = k.Ord, k.Tie, v
-	return true
+	l.ord[j], l.ent[j] = o, e
 }
 
-// insertAt inserts k, which is absent, at index i of leaf l, the end of the
-// descent recorded in p, and splits what overflows, bottom up.
-func (t *BTree[V]) insertAt(p *btreePath[V], l *btreeNode[V], i int, k Key, v V) {
+// insertAt inserts e, whose key is absent, at index i of leaf l, the end of
+// the descent recorded in p, and splits what overflows, bottom up.
+func (t *BTree) insertAt(p *btreePath, l *btreeNode, i int, o uint64, e *member) {
 	t.length++
 	for h := 1; h <= t.height; h++ {
 		p.node[h].cnt[p.idx[h]]++
 	}
 	var (
 		n   = l
-		kid *btreeNode[V] // the item to insert into n: k, v at a leaf, k, kid, cnt above
+		kid *btreeNode // the item to insert into n: o, e at a leaf, o, e, kid, cnt above
 		cnt int
 	)
 	for h := 0; ; h++ {
 		leaf := h == 0
 		if n.n < btreeB {
-			n.insertItem(i, k, v, kid, cnt, leaf)
+			n.insertItem(i, o, e, kid, cnt, leaf)
 			return
 		}
 		const half = btreeB / 2
@@ -274,16 +328,19 @@ func (t *BTree[V]) insertAt(p *btreePath[V], l *btreeNode[V], i int, k Key, v V)
 		moveItems(r, 0, n, half, btreeB-half, leaf)
 		r.n, n.n = btreeB-half, half
 		n.clearItems(half, leaf)
+		if leaf {
+			r.own(0, r.n)
+		}
 		if i <= half {
-			n.insertItem(i, k, v, kid, cnt, leaf)
+			n.insertItem(i, o, e, kid, cnt, leaf)
 		} else {
-			r.insertItem(i-half, k, v, kid, cnt, leaf)
+			r.insertItem(i-half, o, e, kid, cnt, leaf)
 		}
 		rc := r.size(leaf)
 		if h == t.height { // n is the root: grow a level
 			root := t.alloc(false)
 			root.n = 2
-			root.ord[1], root.tie[1] = r.ord[0], r.tie[0]
+			root.ord[1], root.ent[1] = r.ord[0], r.ent[0]
 			root.kid[0], root.cnt[0] = n, n.size(leaf)
 			root.kid[1], root.cnt[1] = r, rc
 			t.root = root
@@ -292,18 +349,19 @@ func (t *BTree[V]) insertAt(p *btreePath[V], l *btreeNode[V], i int, k Key, v V)
 		}
 		parent, j := p.node[h+1], p.idx[h+1]
 		parent.cnt[j] -= rc // it already counts the new entry
-		k, kid, cnt, i = r.key(0), r, rc, j+1
+		o, e, kid, cnt, i = r.ord[0], r.ent[0], r, rc, j+1
 		n = parent
 	}
 }
 
 // deleteAt removes entry i of leaf l, the end of the descent recorded in p,
 // and tops up what underflows, bottom up, by a borrow or a merge.
-func (t *BTree[V]) deleteAt(p *btreePath[V], l *btreeNode[V], i int) {
+func (t *BTree) deleteAt(p *btreePath, l *btreeNode, i int) {
 	t.length--
 	for h := 1; h <= t.height; h++ {
 		p.node[h].cnt[p.idx[h]]--
 	}
+	l.ent[i].val.leaf = nil
 	l.removeItem(i, true)
 	for h := 1; h <= t.height; h++ {
 		parent, j := p.node[h], p.idx[h]
@@ -322,20 +380,22 @@ func (t *BTree[V]) deleteAt(p *btreePath[V], l *btreeNode[V], i int) {
 
 // rebalance refills parent's child j, one item short of half full, from a
 // sibling that can spare an item, or else merges it with a sibling.
-func (t *BTree[V]) rebalance(parent *btreeNode[V], j int, leaf bool) {
+func (t *BTree) rebalance(parent *btreeNode, j int, leaf bool) {
 	n := parent.kid[j]
 	if j > 0 && parent.kid[j-1].n > btreeB/2 { // borrow the left sibling's last item
 		s := parent.kid[j-1]
 		last := s.n - 1
 		moveItems(n, 1, n, 0, n.n, leaf)
 		if !leaf {
-			n.ord[1], n.tie[1] = parent.ord[j], parent.tie[j]
+			n.ord[1], n.ent[1] = parent.ord[j], parent.ent[j]
 		}
 		moveItems(n, 0, s, last, 1, leaf)
 		n.n++
-		parent.ord[j], parent.tie[j] = s.ord[last], s.tie[last]
+		parent.ord[j], parent.ent[j] = s.ord[last], s.ent[last]
 		moved := 1
-		if !leaf {
+		if leaf {
+			n.own(0, 1)
+		} else {
 			moved = n.cnt[0]
 		}
 		parent.cnt[j-1] -= moved
@@ -348,15 +408,17 @@ func (t *BTree[V]) rebalance(parent *btreeNode[V], j int, leaf bool) {
 		s := parent.kid[j+1]
 		moveItems(n, n.n, s, 0, 1, leaf)
 		if !leaf {
-			n.ord[n.n], n.tie[n.n] = parent.ord[j+1], parent.tie[j+1]
+			n.ord[n.n], n.ent[n.n] = parent.ord[j+1], parent.ent[j+1]
 		}
 		moved := 1
-		if !leaf {
+		if leaf {
+			n.own(n.n, n.n+1)
+		} else {
 			moved = n.cnt[n.n]
 		}
 		n.n++
 		s.removeItem(0, leaf)
-		parent.ord[j+1], parent.tie[j+1] = s.ord[0], s.tie[0]
+		parent.ord[j+1], parent.ent[j+1] = s.ord[0], s.ent[0]
 		parent.cnt[j] += moved
 		parent.cnt[j+1] -= moved
 		return
@@ -366,8 +428,10 @@ func (t *BTree[V]) rebalance(parent *btreeNode[V], j int, leaf bool) {
 	}
 	left, right := parent.kid[j-1], parent.kid[j]
 	moveItems(left, left.n, right, 0, right.n, leaf)
-	if !leaf {
-		left.ord[left.n], left.tie[left.n] = parent.ord[j], parent.tie[j]
+	if leaf {
+		left.own(left.n, left.n+right.n)
+	} else {
+		left.ord[left.n], left.ent[left.n] = parent.ord[j], parent.ent[j]
 	}
 	left.n += right.n
 	parent.cnt[j-1] += parent.cnt[j]
@@ -376,52 +440,53 @@ func (t *BTree[V]) rebalance(parent *btreeNode[V], j int, leaf bool) {
 }
 
 // alloc returns an empty node, a recycled one if a merge freed any.
-func (t *BTree[V]) alloc(leaf bool) *btreeNode[V] {
+func (t *BTree) alloc(leaf bool) *btreeNode {
 	n := t.free
 	if n == nil {
-		n = new(btreeNode[V])
+		n = new(btreeNode)
 	} else {
 		t.free, n.next = n.next, nil
 	}
 	if !leaf && n.btreeKids == nil {
-		n.btreeKids = new(btreeKids[V])
+		n.btreeKids = new(btreeKids)
 	}
 	return n
 }
 
 // release keeps n, which no longer belongs to the tree, for alloc, with
 // its children's arrays cleared but kept.
-func (t *BTree[V]) release(n *btreeNode[V]) {
+func (t *BTree) release(n *btreeNode) {
 	kids := n.btreeKids
-	*n = btreeNode[V]{btreeKids: kids, next: t.free}
+	*n = btreeNode{btreeKids: kids, next: t.free}
 	if kids != nil {
-		*kids = btreeKids[V]{}
+		*kids = btreeKids{}
 	}
 	t.free = n
 }
 
-// Rank returns the 0-based position of k in sorted order, or false if k is
-// absent: the counts left of the descent plus k's index in its leaf.
-func (t *BTree[V]) Rank(k Key) (int, bool) {
+// Rank returns the 0-based position of the key of e, its score and name,
+// in sorted order, or false if no entry has it: the counts left of the
+// descent plus the key's index in its leaf.
+func (t *BTree) Rank(e *member) (int, bool) {
+	o := floatOrd(e.val.score)
 	n, r := t.root, 0
 	for h := t.height; h > 0; h-- {
-		i := n.child(k)
+		i := n.child(o, e)
 		for _, c := range n.cnt[:i] {
 			r += c
 		}
 		n = n.kid[i]
 	}
-	if i := n.search(k); n.holds(i, k) {
+	if i := n.search(o, e); n.holds(i, o, e) {
 		return r + i, true
 	}
 	return 0, false
 }
 
-// ByRank returns the key and value at 0-based sorted position r.
-func (t *BTree[V]) ByRank(r int) (Key, V, bool) {
+// ByRank returns the entry at 0-based sorted position r.
+func (t *BTree) ByRank(r int) (*member, bool) {
 	if r < 0 || r >= t.length {
-		var zero V
-		return Key{}, zero, false
+		return nil, false
 	}
 	n := t.root
 	for h := t.height; h > 0; h-- {
@@ -432,22 +497,22 @@ func (t *BTree[V]) ByRank(r int) (Key, V, bool) {
 		}
 		n = n.kid[i]
 	}
-	return n.key(r), n.val[r], true
+	return n.ent[r], true
 }
 
 // Range calls fn for the entries with ranks in [lo, hi] (inclusive,
 // 0-based), in order, until fn returns false. Out-of-range bounds are
 // clamped.
-func (t *BTree[V]) Range(lo, hi int, fn func(k Key, v V) bool) {
+func (t *BTree) Range(lo, hi int, fn func(*member) bool) {
 	t.root.walk(t.height, max(lo, 0), min(hi, t.length-1), fn)
 }
 
 // walk is Range below n, at height h, with lo and hi relative to n's first
 // entry; it reports whether fn asked for more.
-func (n *btreeNode[V]) walk(h, lo, hi int, fn func(Key, V) bool) bool {
+func (n *btreeNode) walk(h, lo, hi int, fn func(*member) bool) bool {
 	if h == 0 {
 		for i := lo; i <= hi; i++ {
-			if !fn(n.key(i), n.val[i]) {
+			if !fn(n.ent[i]) {
 				return false
 			}
 		}

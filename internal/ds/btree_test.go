@@ -12,18 +12,30 @@ import (
 // check validates the tree's bookkeeping: keys strictly ascend, every count
 // is the size of its subtree, the separators bound their subtrees, every
 // node but the root is within its fill bounds, an inner root has two
-// children, and Rank(ByRank(i)) == i. It returns the first violation.
-func (t *BTree[V]) check() error {
+// children, and Rank(ByRank(i)) == i. It also checks the entries: no used
+// slot is nil (an inner node's slot 0 holds no key), every leaf entry points
+// at its leaf, and a leaf's Ord is its entry's score. It returns the first
+// violation.
+func (t *BTree) check() error {
 	var prev *Key
-	var walk func(n *btreeNode[V], h int, lo, hi *Key) (int, error)
-	walk = func(n *btreeNode[V], h int, lo, hi *Key) (int, error) {
+	var walk func(n *btreeNode, h int, lo, hi *Key) (int, error)
+	walk = func(n *btreeNode, h int, lo, hi *Key) (int, error) {
 		if n != t.root && (n.n < btreeB/2 || n.n > btreeB) {
 			return 0, fmt.Errorf("node at height %d holds %d items", h, n.n)
 		}
+		for i := min(h, 1); i < n.n; i++ {
+			if n.ent[i] == nil {
+				return 0, fmt.Errorf("node at height %d has a nil entry in used slot %d", h, i)
+			}
+		}
 		if h == 0 {
 			for i := 0; i < n.n; i++ {
-				k := n.key(i)
+				k, e := n.key(i), n.ent[i]
 				switch {
+				case e.val.leaf != n:
+					return 0, fmt.Errorf("entry %v does not point at the leaf holding it", k)
+				case k.Ord != floatOrd(e.val.score):
+					return 0, fmt.Errorf("entry %v filed under Ord %#x, its score %v", k, k.Ord, e.val.score)
 				case prev != nil && !prev.less(k):
 					return 0, fmt.Errorf("key %v follows %v", k, *prev)
 				case lo != nil && k.less(*lo), hi != nil && !k.less(*hi):
@@ -66,32 +78,73 @@ func (t *BTree[V]) check() error {
 		return fmt.Errorf("Len = %d with %d entries", t.length, size)
 	}
 	for i := 0; i < t.length; i++ {
-		k, _, _ := t.ByRank(i)
-		if r, ok := t.Rank(k); !ok || r != i {
+		e, _ := t.ByRank(i)
+		if r, ok := t.Rank(e); !ok || r != i {
 			return fmt.Errorf("Rank(ByRank(%d)) = %d, %v", i, r, ok)
 		}
 	}
 	return nil
 }
 
+// treeConsistent reports the first way in which bt is not exactly the
+// entries in: each of them must point at a leaf that holds it in a used
+// slot, bt must hold no more of them, and check must pass.
+func treeConsistent(bt *BTree, in []*member) error {
+	if bt.Len() != len(in) {
+		return fmt.Errorf("tree holds %d entries, want %d", bt.Len(), len(in))
+	}
+	for _, e := range in {
+		l := e.val.leaf
+		if l == nil {
+			return fmt.Errorf("entry %q (%v) points at no leaf", e.key, e.val.score)
+		}
+		i := 0
+		for i < l.n && l.ent[i] != e {
+			i++
+		}
+		if i == l.n {
+			return fmt.Errorf("entry %q (%v) is not in the leaf it points at", e.key, e.val.score)
+		}
+	}
+	return bt.check()
+}
+
+// intEntry returns a new entry keyed by k: score k and an empty name, so a
+// Move to score k' re-keys it to k'. Two int64s past 2^53 may share a
+// float64, and so a key.
+func intEntry(k int64) *member { return &member{val: memberVal{score: float64(k)}} }
+
+// entryInt is the int64 an intEntry was keyed by.
+func entryInt(e *member) int64 { return int64(e.val.score) }
+
+// get returns the entry stored under probe's key, or nil.
+func (t *BTree) get(probe *member) *member {
+	var p btreePath
+	o := floatOrd(probe.val.score)
+	if l, i := t.descend(o, probe, &p); l.holds(i, o, probe) {
+		return l.ent[i]
+	}
+	return nil
+}
+
 func TestBTreeEmpty(t *testing.T) {
-	bt := NewBTree[uint64]()
+	bt := NewBTree()
 	if bt.Len() != 0 {
 		t.Errorf("Len = %d", bt.Len())
 	}
-	if _, ok := bt.Get(IntKey(1)); ok {
-		t.Error("Get on empty = ok")
+	if e := bt.get(intEntry(1)); e != nil {
+		t.Error("get on empty found an entry")
 	}
-	if bt.Delete(IntKey(1)) {
+	if bt.Delete(intEntry(1)) {
 		t.Error("Delete on empty = true")
 	}
-	if bt.Move(IntKey(1), IntKey(2), 0) {
+	if bt.Move(intEntry(1), 2) {
 		t.Error("Move on empty = true")
 	}
-	if _, ok := bt.Rank(IntKey(1)); ok {
+	if _, ok := bt.Rank(intEntry(1)); ok {
 		t.Error("Rank on empty = ok")
 	}
-	if _, _, ok := bt.ByRank(0); ok {
+	if _, ok := bt.ByRank(0); ok {
 		t.Error("ByRank(0) on empty = ok")
 	}
 	if err := bt.check(); err != nil {
@@ -99,45 +152,66 @@ func TestBTreeEmpty(t *testing.T) {
 	}
 }
 
+// TestBTreeInsertGetReplace: an Insert, or a Move, onto a key another entry
+// holds is refused and changes nothing; the stored entry stays.
 func TestBTreeInsertGetReplace(t *testing.T) {
-	bt := NewBTree[uint64]()
-	if !bt.Insert(IntKey(5), 50) {
+	bt := NewBTree()
+	first, second, third := intEntry(5), intEntry(5), intEntry(6)
+	if !bt.Insert(first) {
 		t.Error("fresh Insert = false")
 	}
-	if bt.Insert(IntKey(5), 60) {
-		t.Error("replacing Insert = true")
+	if bt.Insert(second) {
+		t.Error("duplicate Insert = true")
 	}
-	if v, ok := bt.Get(IntKey(5)); !ok || v != 60 {
-		t.Errorf("Get = %d,%v want 60", v, ok)
+	if e := bt.get(intEntry(5)); e != first {
+		t.Errorf("get = %p, want the first entry %p", e, first)
 	}
-	if bt.Len() != 1 {
+	if first.val.leaf == nil || second.val.leaf != nil {
+		t.Errorf("leaves %p and %p, want the first entry's only", first.val.leaf, second.val.leaf)
+	}
+	if !bt.Insert(third) {
+		t.Error("Insert(6) = false")
+	}
+	if bt.Move(third, 5) {
+		t.Error("Move onto a taken key = true")
+	}
+	if third.val.score != 6 || bt.get(intEntry(6)) != third || bt.get(intEntry(5)) != first {
+		t.Errorf("a refused Move changed the tree: score %v", third.val.score)
+	}
+	if bt.Len() != 2 {
 		t.Errorf("Len = %d", bt.Len())
+	}
+	if err := treeConsistent(bt, []*member{first, third}); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestBTreeSplitsAndOrder(t *testing.T) {
-	bt := NewBTree[uint64]()
+	bt := NewBTree()
 	const n = 5000
+	ents := make([]*member, n)
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	for _, k := range perm {
-		bt.Insert(IntKey(int64(k)), uint64(k))
+		ents[k] = intEntry(int64(k))
+		bt.Insert(ents[k])
 	}
 	if bt.Len() != n {
 		t.Fatalf("Len = %d, want %d", bt.Len(), n)
 	}
-	if err := bt.check(); err != nil {
+	if err := treeConsistent(bt, ents); err != nil {
 		t.Fatal(err)
 	}
 	prev := int64(-1)
 	count := 0
-	bt.Range(0, n-1, func(k Key, v uint64) bool {
-		if k.Int() <= prev {
-			t.Fatalf("out of order: %d after %d", k.Int(), prev)
+	bt.Range(0, n-1, func(e *member) bool {
+		k := entryInt(e)
+		if k <= prev {
+			t.Fatalf("out of order: %d after %d", k, prev)
 		}
-		if v != uint64(k.Int()) {
-			t.Fatalf("value mismatch at %d: %d", k.Int(), v)
+		if e != ents[k] {
+			t.Fatalf("entry mismatch at %d", k)
 		}
-		prev = k.Int()
+		prev = k
 		count++
 		return true
 	})
@@ -146,7 +220,7 @@ func TestBTreeSplitsAndOrder(t *testing.T) {
 	}
 	// Early stop.
 	count = 0
-	bt.Range(0, n-1, func(Key, uint64) bool { count++; return count < 10 })
+	bt.Range(0, n-1, func(*member) bool { count++; return count < 10 })
 	if count != 10 {
 		t.Errorf("early-stop Range visited %d", count)
 	}
@@ -175,19 +249,26 @@ func TestBTreeDeleteAllPatterns(t *testing.T) {
 	for name, order := range orders {
 		t.Run(name, func(t *testing.T) {
 			const n = 3000
-			bt := NewBTree[uint64]()
+			bt := NewBTree()
+			in := map[int]*member{}
 			for i := 0; i < n; i++ {
-				bt.Insert(IntKey(int64(i)), uint64(i))
+				in[i] = intEntry(int64(i))
+				bt.Insert(in[i])
 			}
 			for j, k := range order(n) {
-				if !bt.Delete(IntKey(int64(k))) {
+				e := in[k]
+				if !bt.Delete(intEntry(int64(k))) {
 					t.Fatalf("Delete(%d) = false", k)
 				}
-				if bt.Delete(IntKey(int64(k))) {
+				if bt.Delete(intEntry(int64(k))) {
 					t.Fatalf("double Delete(%d) = true", k)
 				}
+				if e.val.leaf != nil {
+					t.Fatalf("deleted entry %d still points at a leaf", k)
+				}
+				delete(in, k)
 				if j%97 == 0 {
-					if err := bt.check(); err != nil {
+					if err := treeConsistent(bt, values(in)); err != nil {
 						t.Fatalf("after Delete(%d): %v", k, err)
 					}
 				}
@@ -202,31 +283,43 @@ func TestBTreeDeleteAllPatterns(t *testing.T) {
 	}
 }
 
+// values returns the map's values, in no order.
+func values[K comparable](m map[K]*member) []*member {
+	in := make([]*member, 0, len(m))
+	for _, e := range m {
+		in = append(in, e)
+	}
+	return in
+}
+
 func TestBTreeAgainstMapOracle(t *testing.T) {
-	bt := NewBTree[uint64]()
-	oracle := map[int64]uint64{}
+	bt := NewBTree()
+	oracle := map[int64]*member{}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 40000; i++ {
 		k := int64(rng.Intn(700))
 		switch rng.Intn(4) {
 		case 0:
-			v := rng.Uint64()
+			e := intEntry(k)
 			_, present := oracle[k]
-			if got := bt.Insert(IntKey(k), v); got == present {
+			if got := bt.Insert(e); got == present {
 				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, !present)
 			}
-			oracle[k] = v
+			if present && e.val.leaf != nil {
+				t.Fatalf("op %d: a refused Insert(%d) left its entry pointing at a leaf", i, k)
+			}
+			if !present {
+				oracle[k] = e
+			}
 		case 1:
 			_, present := oracle[k]
-			if got := bt.Delete(IntKey(k)); got != present {
+			if got := bt.Delete(intEntry(k)); got != present {
 				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, present)
 			}
 			delete(oracle, k)
 		case 2:
-			wv, wok := oracle[k]
-			gv, gok := bt.Get(IntKey(k))
-			if gok != wok || (gok && gv != wv) {
-				t.Fatalf("op %d: Get(%d) = %d,%v want %d,%v", i, k, gv, gok, wv, wok)
+			if got, want := bt.get(intEntry(k)), oracle[k]; got != want {
+				t.Fatalf("op %d: get(%d) = %p, want %p", i, k, got, want)
 			}
 		case 3:
 			// Mostly short hops (the in-leaf slide), some anywhere, some
@@ -235,29 +328,36 @@ func TestBTreeAgainstMapOracle(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				to = int64(rng.Intn(700))
 			}
-			_, present := oracle[k]
-			nv := rng.Uint64()
-			if got := bt.Move(IntKey(k), IntKey(to), nv); got != present {
-				t.Fatalf("op %d: Move(%d, %d) = %v, want %v", i, k, to, got, present)
+			e, present := oracle[k]
+			if !present {
+				e = intEntry(k)
 			}
-			if present {
+			taken := oracle[to]
+			moves := present && (taken == nil || taken == e)
+			if got := bt.Move(e, float64(to)); got != moves {
+				t.Fatalf("op %d: Move(%d, %d) = %v, want %v", i, k, to, got, moves)
+			}
+			if moves {
 				delete(oracle, k)
-				oracle[to] = nv
+				oracle[to] = e
 			}
-			if gv, ok := bt.Get(IntKey(to)); present && (!ok || gv != nv) {
-				t.Fatalf("op %d: after Move(%d, %d) Get = %d,%v, want %d", i, k, to, gv, ok, nv)
+			if got := bt.get(intEntry(to)); present && got != oracle[to] {
+				t.Fatalf("op %d: after Move(%d, %d) get = %p, want %p", i, k, to, got, oracle[to])
+			}
+			if got := bt.get(intEntry(k)); got != oracle[k] {
+				t.Fatalf("op %d: after Move(%d, %d) get(%d) = %p, want %p", i, k, to, k, got, oracle[k])
 			}
 		}
 		if bt.Len() != len(oracle) {
 			t.Fatalf("op %d: Len = %d, want %d", i, bt.Len(), len(oracle))
 		}
 		if i%101 == 0 {
-			if err := bt.check(); err != nil {
+			if err := treeConsistent(bt, values(oracle)); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		}
 	}
-	if err := bt.check(); err != nil {
+	if err := treeConsistent(bt, values(oracle)); err != nil {
 		t.Fatal(err)
 	}
 	var keys []int64
@@ -266,8 +366,8 @@ func TestBTreeAgainstMapOracle(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for r, k := range keys {
-		if got, _, ok := bt.ByRank(r); !ok || got.Int() != k {
-			t.Fatalf("ByRank(%d) = %d,%v, want %d", r, got.Int(), ok, k)
+		if got, ok := bt.ByRank(r); !ok || got != oracle[k] {
+			t.Fatalf("ByRank(%d) = %v,%v, want the entry of %d", r, got, ok, k)
 		}
 	}
 }
@@ -275,21 +375,25 @@ func TestBTreeAgainstMapOracle(t *testing.T) {
 // Property: inserting any key set then checking invariants + retrievability.
 func TestBTreeProperty(t *testing.T) {
 	f := func(keys []int64) bool {
-		bt := NewBTree[uint64]()
-		uniq := map[int64]bool{}
+		bt := NewBTree()
+		uniq := map[float64]*member{}
 		for _, k := range keys {
-			bt.Insert(IntKey(k), uint64(k))
-			uniq[k] = true
+			e := intEntry(k)
+			if _, dup := uniq[e.val.score]; bt.Insert(e) == dup {
+				return false
+			} else if !dup {
+				uniq[e.val.score] = e
+			}
 		}
 		if bt.Len() != len(uniq) {
 			return false
 		}
-		for k := range uniq {
-			if v, ok := bt.Get(IntKey(k)); !ok || v != uint64(k) {
+		for _, e := range uniq {
+			if bt.get(&member{val: e.val}) != e {
 				return false
 			}
 		}
-		return bt.check() == nil
+		return treeConsistent(bt, values(uniq)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -297,45 +401,45 @@ func TestBTreeProperty(t *testing.T) {
 }
 
 func TestBTreeRank(t *testing.T) {
-	bt := NewBTree[uint64]()
+	bt := NewBTree()
 	for i := int64(0); i < 100; i++ {
-		bt.Insert(IntKey(i*2), 0) // even keys 0..198
+		bt.Insert(intEntry(i * 2)) // even keys 0..198
 	}
 	for i := int64(0); i < 100; i++ {
-		r, ok := bt.Rank(IntKey(i * 2))
+		r, ok := bt.Rank(intEntry(i * 2))
 		if !ok || r != int(i) {
 			t.Fatalf("Rank(%d) = %d,%v, want %d,true", i*2, r, ok, i)
 		}
 	}
-	if _, ok := bt.Rank(IntKey(3)); ok {
+	if _, ok := bt.Rank(intEntry(3)); ok {
 		t.Error("Rank(3) = ok for absent key")
 	}
 	for i := 0; i < 100; i++ {
-		k, _, ok := bt.ByRank(i)
-		if !ok || k.Int() != int64(i*2) {
-			t.Fatalf("ByRank(%d) = %d,%v, want %d,true", i, k.Int(), ok, i*2)
+		e, ok := bt.ByRank(i)
+		if !ok || entryInt(e) != int64(i*2) {
+			t.Fatalf("ByRank(%d) = %v,%v, want %d,true", i, e, ok, i*2)
 		}
 	}
-	if _, _, ok := bt.ByRank(100); ok {
+	if _, ok := bt.ByRank(100); ok {
 		t.Error("ByRank(100) out of range = ok")
 	}
-	if _, _, ok := bt.ByRank(-1); ok {
+	if _, ok := bt.ByRank(-1); ok {
 		t.Error("ByRank(-1) = ok")
 	}
 }
 
 func TestBTreeRankAfterDeletes(t *testing.T) {
-	bt := NewBTree[uint64]()
+	bt := NewBTree()
 	for i := int64(0); i < 500; i++ {
-		bt.Insert(IntKey(i), 0)
+		bt.Insert(intEntry(i))
 	}
 	for i := int64(0); i < 500; i += 2 {
-		bt.Delete(IntKey(i)) // remove evens, odds remain
+		bt.Delete(intEntry(i)) // remove evens, odds remain
 	}
 	for i := 0; i < 250; i++ {
-		k, _, ok := bt.ByRank(i)
-		if !ok || k.Int() != int64(2*i+1) {
-			t.Fatalf("ByRank(%d) = %d, want %d", i, k.Int(), 2*i+1)
+		e, ok := bt.ByRank(i)
+		if !ok || entryInt(e) != int64(2*i+1) {
+			t.Fatalf("ByRank(%d) = %v, want %d", i, e, 2*i+1)
 		}
 	}
 	if err := bt.check(); err != nil {
@@ -344,14 +448,14 @@ func TestBTreeRankAfterDeletes(t *testing.T) {
 }
 
 func TestBTreeRangeByRank(t *testing.T) {
-	bt := NewBTree[uint64]()
+	bt := NewBTree()
 	for i := int64(0); i < 100; i++ {
-		bt.Insert(IntKey(i), uint64(i))
+		bt.Insert(intEntry(i))
 	}
 	for _, r := range [][2]int{{3, 6}, {30, 70}, {0, 99}, {95, 99}} {
 		var got []int64
-		bt.Range(r[0], r[1], func(k Key, _ uint64) bool {
-			got = append(got, k.Int())
+		bt.Range(r[0], r[1], func(e *member) bool {
+			got = append(got, entryInt(e))
 			return true
 		})
 		if len(got) != r[1]-r[0]+1 || got[0] != int64(r[0]) || got[len(got)-1] != int64(r[1]) {
@@ -360,15 +464,15 @@ func TestBTreeRangeByRank(t *testing.T) {
 	}
 	// Clamping and early stop.
 	var got []int64
-	bt.Range(-5, 1000, func(k Key, _ uint64) bool {
-		got = append(got, k.Int())
+	bt.Range(-5, 1000, func(e *member) bool {
+		got = append(got, entryInt(e))
 		return len(got) < 3
 	})
 	if len(got) != 3 {
 		t.Errorf("early-stop range returned %d items, want 3", len(got))
 	}
 	got = got[:0]
-	bt.Range(7, 3, func(k Key, _ uint64) bool { got = append(got, k.Int()); return true })
+	bt.Range(7, 3, func(e *member) bool { got = append(got, entryInt(e)); return true })
 	if len(got) != 0 {
 		t.Errorf("inverted range returned %v", got)
 	}
@@ -378,19 +482,20 @@ func TestBTreeRangeByRank(t *testing.T) {
 // with sorted order.
 func TestBTreeRankProperty(t *testing.T) {
 	f := func(keys []int64) bool {
-		bt := NewBTree[uint64]()
-		uniq := map[int64]bool{}
+		bt := NewBTree()
+		uniq := map[float64]bool{}
 		for _, k := range keys {
-			bt.Insert(IntKey(k), 0)
-			uniq[k] = true
+			e := intEntry(k)
+			bt.Insert(e)
+			uniq[e.val.score] = true
 		}
-		var sorted []int64
+		var sorted []float64
 		for k := range uniq {
 			sorted = append(sorted, k)
 		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		sort.Float64s(sorted)
 		for i, k := range sorted {
-			r, ok := bt.Rank(IntKey(k))
+			r, ok := bt.Rank(&member{val: memberVal{score: k}})
 			if !ok || r != i {
 				return false
 			}
@@ -410,19 +515,16 @@ func TestBTreeRankProperty(t *testing.T) {
 // AllocsPerRun's integer division.
 func TestBTreeMoveAcrossLeavesAllocatesNothing(t *testing.T) {
 	const members = 10000
-	bt := NewBTree[struct{}]() // SortedSet's tree
-	names := make([]string, members)
-	scores := make([]float64, members)
-	for i := range names {
-		names[i], scores[i] = fmt.Sprintf("m%05d", i), float64(i)
-		bt.Insert(FloatKey(scores[i], names[i]), struct{}{})
+	bt := NewBTree()
+	ents := make([]*member, members)
+	for i := range ents {
+		ents[i] = &member{key: fmt.Sprintf("m%05d", i), val: memberVal{score: float64(i)}}
+		bt.Insert(ents[i])
 	}
 	rng := rand.New(rand.NewSource(1))
 	moves := func(n int) {
 		for range n {
-			i, to := rng.Intn(members), float64(rng.Intn(members))
-			bt.Move(FloatKey(scores[i], names[i]), FloatKey(to, names[i]), struct{}{})
-			scores[i] = to
+			bt.Move(ents[rng.Intn(members)], float64(rng.Intn(members)))
 		}
 	}
 	// The ascending preload leaves its leaves half full: the most nodes the
@@ -431,17 +533,17 @@ func TestBTreeMoveAcrossLeavesAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1, func() { moves(1000) }); n != 0 {
 		t.Errorf("1,000 moves across leaves allocate %v objects, want 0", n)
 	}
-	if err := bt.check(); err != nil {
+	if err := treeConsistent(bt, ents); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBTreeNodeSize pins SortedSet's tree node, which carries no values, at
-// 792 bytes: the count, 32 Ords, 32 Ties and the two pointers. It lands in
-// the allocator's 896-byte size class, where a float64 value per entry took
-// it to 1,048 bytes and the 1,152-byte class (DESIGN.md §5d).
+// TestBTreeNodeSize pins SortedSet's tree node at 536 bytes: the count, 32
+// Ords, 32 entry pointers and the two pointers. It lands in the allocator's
+// 576-byte size class, where a name string per entry took it to 792 bytes
+// and the 896-byte class (DESIGN.md §5d).
 func TestBTreeNodeSize(t *testing.T) {
-	if size := unsafe.Sizeof(btreeNode[struct{}]{}); size != 792 {
-		t.Errorf("btreeNode[struct{}] size = %d, want 792", size)
+	if size := unsafe.Sizeof(btreeNode{}); size != 536 {
+		t.Errorf("btreeNode size = %d, want 536", size)
 	}
 }

@@ -109,26 +109,59 @@ func FuzzSortedSetConsistency(f *testing.F) {
 	})
 }
 
-// FuzzBTreeRankInvariant checks the tree's bookkeeping, ranks included,
-// after every op of arbitrary insert/delete/move streams over 64 keys.
+// FuzzBTreeRankInvariant checks the tree's bookkeeping, ranks and leaf
+// pointers included, after every op of arbitrary insert/delete/move streams
+// over 64 keys. An Insert or a Move onto a key another entry holds must be
+// refused, and an entry that left the tree or never got in must point at no
+// leaf.
 func FuzzBTreeRankInvariant(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 9, 0, 0, 3, 0, 0, 5, 0, 2, 9, 4, 2, 3, 5, 2, 4, 3, 2, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bt := NewBTree[struct{}]()
+		bt := NewBTree()
+		in := map[int64]*member{}
+		var gone []*member
 		for len(data) >= 3 {
-			key, to := IntKey(int64(data[1]%64)), IntKey(int64(data[2]%64))
+			key, to := int64(data[1]%64), int64(data[2]%64)
 			switch data[0] % 3 {
 			case 0:
-				bt.Insert(key, struct{}{})
+				e, present := intEntry(key), in[key] != nil
+				if got := bt.Insert(e); got == present {
+					t.Fatalf("Insert(%d) = %v, want %v", key, got, !present)
+				}
+				if !present {
+					in[key] = e
+				} else {
+					gone = append(gone, e)
+				}
 			case 1:
-				bt.Delete(key)
+				if old := in[key]; old != nil {
+					gone = append(gone, old)
+				}
+				delete(in, key)
+				bt.Delete(intEntry(key))
 			case 2:
-				bt.Move(key, to, struct{}{})
+				if e := in[key]; e != nil {
+					taken := in[to] != nil && in[to] != e
+					if got := bt.Move(e, float64(to)); got == taken {
+						t.Fatalf("Move(%d, %d) = %v, want %v", key, to, got, !taken)
+					}
+					if !taken {
+						delete(in, key)
+						in[to] = e
+					}
+				} else if bt.Move(intEntry(key), float64(to)) {
+					t.Fatalf("Move of absent key %d = true", key)
+				}
 			}
 			data = data[3:]
-			if err := bt.check(); err != nil {
+			if err := treeConsistent(bt, values(in)); err != nil {
 				t.Fatal(err)
+			}
+			for _, e := range gone {
+				if e.val.leaf != nil {
+					t.Fatalf("entry %d left the tree but points at a leaf", entryInt(e))
+				}
 			}
 		}
 	})

@@ -5,12 +5,13 @@ package ds
 // Redis does (§7 of the paper notes the resize path must be treated as an
 // update under black-box methods).
 //
-// It is kept instead of a Go map for Ref: ZINCRBY reads a member's score and
-// writes it back with one hash, where a map needs two, a lookup and then an
-// assignment. With Go maps under SortedSet and the miniredis Store, the
-// lib-durable benchmark (100% ZINCRBY, 2-CPU x86-64, medians of 6 paired
-// 10 s runs) fell from 1.135 M to 1.017 M ops/s; pointer-valued maps took it
-// to 0.883 M.
+// It is kept instead of a Go map for its entries, which never move: a
+// sorted-set member is its entry, which the sorted set's tree points at and
+// which ZINCRBY reads and rewrites after one hash, where a map needs two, a
+// lookup and then an assignment. With Go maps under SortedSet and the
+// miniredis Store, the lib-durable benchmark (100% ZINCRBY, 2-CPU x86-64,
+// medians of 6 paired 10 s runs) fell from 1.135 M to 1.017 M ops/s;
+// pointer-valued maps took it to 0.883 M.
 type HashMap[V any] struct {
 	buckets []*hashEntry[V]
 	length  int
@@ -55,38 +56,44 @@ func (m *HashMap[V]) Len() int { return m.length }
 // Set stores val under key, reporting whether the key was newly inserted.
 func (m *HashMap[V]) Set(key string, val V) bool {
 	h := fnv1a(key)
-	idx := h & m.mask
-	for e := m.buckets[idx]; e != nil; e = e.next {
+	for e := m.buckets[h&m.mask]; e != nil; e = e.next {
 		if e.hash == h && e.key == key {
 			e.val = val
 			return false
 		}
 	}
-	m.buckets[idx] = &hashEntry[V]{key: key, hash: h, val: val, next: m.buckets[idx]}
+	m.add(key, h, val)
+	return true
+}
+
+// add inserts key, which is absent and hashes to h, and returns its entry.
+func (m *HashMap[V]) add(key string, h uint64, val V) *hashEntry[V] {
+	idx := h & m.mask
+	e := &hashEntry[V]{key: key, hash: h, val: val, next: m.buckets[idx]}
+	m.buckets[idx] = e
 	m.length++
 	if m.length > len(m.buckets)*3/4 {
 		m.grow()
 	}
-	return true
+	return e
 }
 
 // Get returns the value stored under key.
 func (m *HashMap[V]) Get(key string) (V, bool) {
-	if p := m.Ref(key); p != nil {
-		return *p, true
+	if e := m.entry(key); e != nil {
+		return e.val, true
 	}
 	var zero V
 	return zero, false
 }
 
-// Ref returns a pointer to the value stored under key, or nil if the key is
-// absent: one lookup for a caller that reads the value and then writes it.
-// The pointer is valid until the key is deleted.
-func (m *HashMap[V]) Ref(key string) *V {
+// entry returns key's entry, or nil if the key is absent. An entry never
+// moves: it is the same object from add until Delete.
+func (m *HashMap[V]) entry(key string) *hashEntry[V] {
 	h := fnv1a(key)
 	for e := m.buckets[h&m.mask]; e != nil; e = e.next {
 		if e.hash == h && e.key == key {
-			return &e.val
+			return e
 		}
 	}
 	return nil

@@ -12,7 +12,7 @@ import "math"
 
 // Key is the one order of SkipList and BTree: Ord, then Tie. Both compare
 // inline, so a search step costs no call through a comparison function.
-// IntKey and FloatKey map the package's two orders onto Ord.
+// IntKey and floatOrd map the package's two orders onto Ord.
 type Key struct {
 	Ord uint64
 	Tie string
@@ -27,28 +27,19 @@ func IntKey(v int64) Key { return Key{Ord: uint64(v) ^ 1<<63} }
 // Int returns the int64 an IntKey was built from.
 func (k Key) Int() int64 { return int64(k.Ord ^ 1<<63) }
 
-// FloatKey returns the key of f, ties broken by tie. A non-negative float
+// floatOrd returns the Ord of f, a sorted-set score. A non-negative float
 // gets its sign bit set and a negative one has every bit flipped, which
-// turns float64 order into uint64 order; -0 maps to +0's key. f must not be
+// turns float64 order into uint64 order; -0 maps to +0's Ord. f must not be
 // NaN: a NaN has no place in the order.
-func FloatKey(f float64, tie string) Key {
+func floatOrd(f float64) uint64 {
 	b := math.Float64bits(f)
 	if b == 1<<63 { // -0
 		b = 0
 	}
 	if b>>63 == 0 {
-		return Key{Ord: b | 1<<63, Tie: tie}
+		return b | 1<<63
 	}
-	return Key{Ord: ^b, Tie: tie}
-}
-
-// Float returns the float64 a FloatKey was built from, bit for bit, except
-// that -0 and +0 share a key and both come back as +0.
-func (k Key) Float() float64 {
-	if k.Ord>>63 != 0 {
-		return math.Float64frombits(k.Ord &^ (1 << 63))
-	}
-	return math.Float64frombits(^k.Ord)
+	return ^b
 }
 
 // SkipList is a sequential skip list (Pugh [54]) mapping Keys to values,

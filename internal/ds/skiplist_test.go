@@ -20,10 +20,9 @@ func ascending[V any](s *SkipList[V]) []int64 {
 	return keys
 }
 
-// TestKeyOrderMatchesNumericOrder: IntKey and FloatKey order Ord exactly as
+// TestKeyOrderMatchesNumericOrder: IntKey and floatOrd order Ord exactly as
 // int64 and float64 order their arguments, -0 with +0, and Tie breaks an
-// Ord tie, as lessScored does. Int and Float invert them, Float to the bit
-// but for -0, which comes back as +0.
+// Ord tie, as lessScored does. Int inverts IntKey.
 func TestKeyOrderMatchesNumericOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	floats := []float64{
@@ -37,22 +36,15 @@ func TestKeyOrderMatchesNumericOrder(t *testing.T) {
 		}
 	}
 	for _, a := range floats {
-		want := a
-		if a == 0 {
-			want = 0 // -0 shares +0's key
-		}
-		if got := FloatKey(a, "").Float(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("FloatKey(%v).Float() = %v (%#x), want %#x", a, got, math.Float64bits(got), math.Float64bits(want))
-		}
 		for _, b := range floats {
-			ka, kb := FloatKey(a, ""), FloatKey(b, "")
-			if (ka.Ord < kb.Ord) != (a < b) || (ka.Ord == kb.Ord) != (a == b) {
-				t.Fatalf("FloatKey(%v).Ord = %#x, FloatKey(%v).Ord = %#x", a, ka.Ord, b, kb.Ord)
+			oa, ob := floatOrd(a), floatOrd(b)
+			if (oa < ob) != (a < b) || (oa == ob) != (a == b) {
+				t.Fatalf("floatOrd(%v) = %#x, floatOrd(%v) = %#x", a, oa, b, ob)
 			}
 			for _, ties := range [][2]string{{"a", "b"}, {"b", "a"}, {"a", "a"}} {
 				x, y := scoredMember{a, ties[0]}, scoredMember{b, ties[1]}
-				if got := FloatKey(a, ties[0]).less(FloatKey(b, ties[1])); got != lessScored(x, y) {
-					t.Fatalf("FloatKey order of %v, %v = %v, lessScored says %v", x, y, got, !got)
+				if got := (Key{oa, ties[0]}).less(Key{ob, ties[1]}); got != lessScored(x, y) {
+					t.Fatalf("key order of %v, %v = %v, lessScored says %v", x, y, got, !got)
 				}
 			}
 		}

@@ -36,8 +36,8 @@ func TestSortedSetAddScoreRank(t *testing.T) {
 	if _, ok := z.Rank("dave"); ok {
 		t.Error("Rank(dave) = ok for absent member")
 	}
-	if !z.consistent() {
-		t.Error("hash/tree inconsistent")
+	if err := z.consistent(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestSortedSetIncrBy(t *testing.T) {
 	if r, _ := z.Rank("y"); r != 1 {
 		t.Errorf("Rank(y) after IncrBy = %d, want 1", r)
 	}
-	if !z.consistent() {
-		t.Error("inconsistent after IncrBy")
+	if err := z.consistent(); err != nil {
+		t.Errorf("after IncrBy: %v", err)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestSortedSetTieBreakByMember(t *testing.T) {
 	}
 }
 
-// A NaN has no place in the (score, member) order: FloatKey would file it
+// A NaN has no place in the (score, member) order: floatOrd would file it
 // past +Inf (or, sign bit set, before -Inf), where Redis shows nothing, and
 // it never equals itself, so every re-add would move the node again. Neither
 // Add nor IncrBy lets one in.
@@ -152,8 +152,8 @@ func TestSortedSetRandomConsistency(t *testing.T) {
 			z.Rank(m)
 		}
 	}
-	if !z.consistent() {
-		t.Fatal("sorted set inconsistent after random workload")
+	if err := z.consistent(); err != nil {
+		t.Fatalf("after the random workload: %v", err)
 	}
 }
 
@@ -201,7 +201,7 @@ func TestSortedSetAgainstSortedSlice(t *testing.T) {
 }
 
 // scoredMember and lessScored are the (score, member) order, compared as
-// floats and strings: the oracle FloatKey's order is pinned against.
+// floats and strings: the oracle the tree's key order is pinned against.
 type scoredMember struct {
 	score  float64
 	member string
@@ -279,10 +279,7 @@ func checkSortedSetAgainst(t *testing.T, z *SortedSet, model map[string]float64)
 	if z.Len() != len(want) {
 		t.Errorf("Len = %d, want %d", z.Len(), len(want))
 	}
-	if !z.consistent() {
-		t.Error("hash map and tree disagree")
-	}
-	if err := z.byScore.check(); err != nil {
+	if err := z.consistent(); err != nil {
 		t.Error(err)
 	}
 	for r, w := range want {
@@ -322,25 +319,27 @@ func TestSortedSetRankDenseProperty(t *testing.T) {
 				return false
 			}
 		}
-		return z.consistent()
+		return z.consistent() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }
 
-// consistent reports whether the two underlying structures agree: the tree
-// holds FloatKey(score, member) for every member of the hash map, and
-// nothing else. The scores read back from the tree are checked to the bit
-// by checkSortedSetAgainst's ByRank and Range comparisons.
-func (z *SortedSet) consistent() bool {
-	if z.byMember.Len() != z.byScore.Len() {
-		return false
+// consistent reports the first way in which the two underlying structures
+// disagree: the tree must hold exactly the hash map's entries, each of them
+// pointing at the leaf that holds it in a used slot (treeConsistent). The
+// scores read from the entries are checked to the bit by
+// checkSortedSetAgainst's ByRank and Range comparisons.
+func (z *SortedSet) consistent() error {
+	var in []*member
+	for _, b := range z.byMember.buckets {
+		for e := b; e != nil; e = e.next {
+			in = append(in, e)
+		}
 	}
-	ok := true
-	z.byMember.Range(func(member string, score float64) bool {
-		_, ok = z.byScore.Get(FloatKey(score, member))
-		return ok
-	})
-	return ok
+	if len(in) != z.byMember.Len() {
+		return fmt.Errorf("hash map holds %d entries, Len = %d", len(in), z.byMember.Len())
+	}
+	return treeConsistent(z.byScore, in)
 }

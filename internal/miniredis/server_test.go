@@ -2,6 +2,7 @@ package miniredis
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -858,4 +859,58 @@ func TestServerReplyCannotBeForged(t *testing.T) {
 	if got := c.readReply(t); got != "+PONG" {
 		t.Errorf("the reply after it = %q, want +PONG", got)
 	}
+}
+
+// TestNegativeZeroScoreReplies: a member stored at -0 answers -0, as Redis
+// does, from ZRANGE … WITHSCORES and ZSCORE, beside a member at +0 that
+// ties with it. The replies are compared with literal RESP bytes, through
+// Store.Execute and WriteResult and over a connection to a Server.
+func TestNegativeZeroScoreReplies(t *testing.T) {
+	cmds := [][]string{
+		{"ZADD", "k", "-0", "m"},
+		{"ZADD", "k", "0", "a"},
+		{"ZRANGE", "k", "0", "-1", "WITHSCORES"},
+		{"ZSCORE", "k", "m"},
+		{"ZSCORE", "k", "a"},
+	}
+	const want = ":1\r\n" + ":1\r\n" +
+		"*4\r\n$1\r\na\r\n$1\r\n0\r\n$1\r\nm\r\n$2\r\n-0\r\n" +
+		"$2\r\n-0\r\n" +
+		"$1\r\n0\r\n"
+	t.Run("store", func(t *testing.T) {
+		st := NewStore(1)
+		var buf bytes.Buffer
+		w := NewWriter(bufio.NewWriter(&buf))
+		for _, args := range cmds {
+			op, errMsg := ParseCommand(args)
+			if errMsg != "" {
+				t.Fatalf("%v: %s", args, errMsg)
+			}
+			if err := WriteResult(w, op, st.Execute(op)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Flush()
+		if got := buf.String(); got != want {
+			t.Errorf("replies = %q, want %q", got, want)
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		_, addr := startServer(t, MethodNR)
+		c := dial(t, addr)
+		var req strings.Builder
+		for _, args := range cmds {
+			req.WriteString(encode(args...))
+		}
+		if _, err := c.conn.Write([]byte(req.String())); err != nil {
+			t.Fatal(err)
+		}
+		// A wrong reply may be shorter than want: the deadline ends the read.
+		c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got := make([]byte, len(want))
+		n, err := io.ReadFull(c.r, got)
+		if got = got[:n]; string(got) != want {
+			t.Errorf("replies = %q (%v), want %q", got, err, want)
+		}
+	})
 }
