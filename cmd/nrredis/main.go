@@ -94,7 +94,6 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 		nodes   = fs.Int("nodes", 4, "NUMA nodes in the software topology")
 		cores   = fs.Int("cores", 14, "cores per node")
 		smt     = fs.Int("smt", 2, "hardware threads per core")
-		seed    = fs.Uint64("seed", 1, "replica determinism seed")
 
 		appendOnly = fs.Bool("appendonly", false, "durable mode (nr method): append-only log + snapshots in -dir, recovered on start")
 		dataDir    = fs.String("dir", "nrredis-data", "data directory for -appendonly state")
@@ -106,7 +105,6 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 		traceOn    = fs.Bool("trace", true, "attach the flight recorder (nr method only): SLOWLOG + /debug/trace, ranking sampled ops (one in 16 per handle)")
 		traceSlots = fs.Int("trace-slots", 4096, "flight-recorder ring slots per thread (rounded to a power of two, at most 1048576)")
 		traceDump  = fs.String("trace-dump-dir", "", "directory for automatic black-box dumps on a contained panic, poisoning or an SLO breach; empty disables")
-		traceProf  = fs.Int("trace-pprof-rate", 0, "label every Nth op with pprof labels (nr_node, nr_op); 0 disables")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 
@@ -116,11 +114,7 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 	}
 	var rec *trace.Recorder
 	if *traceOn && *method == miniredis.MethodNR {
-		rec = trace.New(trace.Config{
-			RingSlots:         *traceSlots,
-			DumpDir:           *traceDump,
-			ProfileSampleRate: *traceProf,
-		})
+		rec = trace.New(trace.Config{RingSlots: *traceSlots, DumpDir: *traceDump})
 	}
 	var nrOpts []nr.Option
 	// Telemetry rides only on the NR method (like -trace, it is silently
@@ -163,10 +157,12 @@ func run(args []string, sig <-chan os.Signal, ready func(net.Addr)) error {
 		}
 		dir = *dataDir
 	}
+	// The store seed decides nothing (miniredis.Store); snapshots carry it.
+	const seed = 1
 	if *method == miniredis.MethodNR {
-		shared, persist, err = miniredis.NewNRShared(topo, *seed, dir, rec, nrOpts...)
+		shared, persist, err = miniredis.NewNRShared(topo, seed, dir, rec, nrOpts...)
 	} else {
-		shared, err = miniredis.NewSharedTraced(*method, topo, *seed, rec, nrOpts...)
+		shared, err = miniredis.NewSharedTraced(*method, topo, seed, rec, nrOpts...)
 	}
 	if err != nil {
 		return err

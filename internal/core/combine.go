@@ -32,7 +32,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		s := &r.slots[idx]
 		if s.state.Load() == slotPosted && s.class.Load() == int32(c) && s.state.CompareAndSwap(slotPosted, slotTaken) {
 			batch = append(batch, takenSlot[O, R]{s, int32(idx)})
-			if ring != nil && i.sampled(s.seq) {
+			if ring != nil && trace.Sampled(s.seq) {
 				ring.RecordAt(t0, trace.KPickup, int(r.id), trace.TokenWithLog(c, int(r.id), idx, s.seq), 0)
 			}
 		}
@@ -62,7 +62,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		// its owner may already be writing its next op into it.
 		seq := t.s.seq
 		i.logs[c].FillTagged(start+uint64(k), t.s.op, opTag(entryOp, int(r.id), int(t.slot), seq))
-		if ring != nil && i.sampled(seq) {
+		if ring != nil && trace.Sampled(seq) {
 			ring.RecordAt(t1, trace.KLogFill, int(r.id), trace.TokenWithLog(c, int(r.id), int(t.slot), seq), start+uint64(k))
 		}
 	}
@@ -91,7 +91,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		i.logs[c].AdvanceCompleted(end)
 		for k, t := range batch {
 			tok := trace.TokenWithLog(c, int(r.id), int(t.slot), t.s.seq)
-			sampled := ring != nil && i.sampled(t.s.seq)
+			sampled := ring != nil && trace.Sampled(t.s.seq)
 			// KExecute is stamped before the op runs and KRespond after
 			// delivery, so the execute→respond gap is the op's real duration.
 			if sampled {
@@ -142,7 +142,7 @@ func (i *Instance[O, R]) reserveConsuming(r *replica[O, R], c, n int, ring *trac
 	l := i.logs[c]
 	reported := false
 	for {
-		start, casRetries, ok := l.TryReserveObserved(n)
+		start, casRetries, ok := l.TryReserve(n)
 		if casRetries > 0 {
 			r.counters.tailRetries.Add(uint64(casRetries))
 			i.observer.LogTailRetry(int(r.id), casRetries)

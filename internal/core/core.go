@@ -50,8 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -124,11 +122,11 @@ type Options struct {
 	// Observer receives the protocol events that carry a time or a size
 	// (combine rounds, log-tail contention, writer waits, per-op latency).
 	// Round and contention events fire for every occurrence; OpDone fires
-	// for sampled ops only (trace.Sampled, plus pprof-labelled and
-	// cross-class ops). Every event is also counted exactly once in Stats,
-	// whatever is attached. Hooks fire from hot paths: the observer
-	// must be concurrency-safe and non-blocking. nil means obs.Nop; with
-	// nothing but Nop attached, no clock is read for the observer.
+	// for sampled ops only (trace.Sampled, plus every cross-class op).
+	// Every event is also counted exactly once in Stats, whatever is
+	// attached. Hooks fire from hot paths: the observer must be
+	// concurrency-safe and non-blocking. nil means obs.Nop; with nothing
+	// but Nop attached, no clock is read for the observer.
 	Observer obs.Observer
 
 	// Trace, when non-nil, attaches the flight recorder: every handle and
@@ -435,10 +433,6 @@ type Instance[O, R any] struct {
 	// (see Follow). The update path touches it only to kick it when the log
 	// is full.
 	follower *Follower[O]
-	// profLabels holds per-node precomputed pprof label sets ([0] read,
-	// [1] update) for sampled op labeling; nil unless ProfileSampleRate > 0.
-	profLabels [][2]pprof.LabelSet
-	profRate   uint32
 
 	// Cross-log ticket state (cross.go). crossMu serializes cross-op
 	// reservation and fill across the whole instance; crossSeq and crossIdx
@@ -524,15 +518,6 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 		inst.observer = obs.Nop{}
 	default:
 		inst.observer, inst.observed = opts.Observer, true
-	}
-	if rate := opts.Trace.ProfileSampleRate(); rate > 0 {
-		inst.profRate = uint32(rate)
-		inst.profLabels = make([][2]pprof.LabelSet, opts.Topology.Nodes())
-		for n := range inst.profLabels {
-			ns := strconv.Itoa(n)
-			inst.profLabels[n][0] = pprof.Labels("nr_node", ns, "nr_op", "read")
-			inst.profLabels[n][1] = pprof.Labels("nr_node", ns, "nr_op", "update")
-		}
 	}
 	for n := 0; n < opts.Topology.Nodes(); n++ {
 		r := &replica[O, R]{

@@ -238,9 +238,9 @@ func (i *Instance[O, R]) MetricsInto(m *Metrics) {
 	}
 }
 
-// Stats returns the counter slice of the Metrics snapshot. It remains as a
-// convenience alias for callers that only want the flat counters.
-func (i *Instance[O, R]) Stats() Stats { return i.Metrics().Stats }
+// Stats returns the counter slice of the Metrics snapshot, without
+// building the log and replica gauges.
+func (i *Instance[O, R]) Stats() Stats { return i.stats() }
 
 // Health returns the failure-state slice of the Metrics snapshot.
-func (i *Instance[O, R]) Health() Health { return i.Metrics().Health }
+func (i *Instance[O, R]) Health() Health { return i.health() }

@@ -669,7 +669,7 @@ func TestMultiLogReaderWaitsOwnClassOnly(t *testing.T) {
 	}
 	h.Execute(mlOp{kind: 0, class: 0, delta: 7})
 	// Reserve an entry in class 1's log and never fill it: a torn append.
-	if _, _, ok := inst.logs[1].TryReserveObserved(1); !ok {
+	if _, _, ok := inst.logs[1].TryReserve(1); !ok {
 		t.Fatal("reserve on empty log failed")
 	}
 	// Class-0 read must not block on class 1's hole.

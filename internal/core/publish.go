@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"github.com/asplos17/nr/internal/obs"
@@ -36,59 +34,23 @@ func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 	}
 	h.seq++
 	c := i.opClass(op)
-	if !i.observed && h.ring == nil {
-		resp, _, err := i.dispatch(h, c, op)
-		return resp, err
-	}
-	if c != CrossLog && !i.sampled(h.seq) {
-		// Unsampled: no clock read, no per-op trace event, no OpDone.
+	if !i.observed && h.ring == nil || c != CrossLog && !trace.Sampled(h.seq) {
+		// Unsampled, or nothing attached: no clock read, no per-op trace
+		// event, no OpDone.
 		h.tsHint = 0
 		resp, _, err := i.dispatch(h, c, op)
 		return resp, err
 	}
-	// Sampled: one clock read stamps the op's start for the observer and
-	// for the trace sites at the top of the op (tail-read, slot-publish),
-	// one its end for both.
+	// Sampled (trace.Sampled, or any cross-class op): one clock read stamps
+	// the op's start for the observer and for the trace sites at the top of
+	// the op (tail-read, slot-publish), one its end for both.
 	start := trace.Now()
 	h.tsHint = start
-	var (
-		resp  R
-		class obs.OpClass
-		err   error
-	)
-	// Every ProfileSampleRate-th op per handle dispatches under pprof labels.
-	if rate := i.profRate; rate > 0 && h.seq%rate == 0 {
-		resp, class, err = i.dispatchLabeled(h, c, op)
-	} else {
-		resp, class, err = i.dispatch(h, c, op)
-	}
+	resp, class, err := i.dispatch(h, c, op)
 	end := trace.Now()
 	i.observer.OpDone(h.node, class, time.Duration(end-start))
 	h.ring.RecordAt(end, trace.KOpEnd, h.node, h.token(), uint64(class))
 	return resp, err
-}
-
-// sampled is the predicate every per-op instrumentation site applies to an
-// op's per-handle sequence number: trace.Sampled, or a pprof-labelled op
-// (every ProfileSampleRate-th), whose profile samples then have a span to
-// join. Cross-class ops are sampled too; their sites know them by class or
-// entry kind.
-func (i *Instance[O, R]) sampled(seq uint32) bool {
-	return trace.Sampled(seq) || i.profRate > 0 && seq%i.profRate == 0
-}
-
-// dispatchLabeled is dispatch under runtime/pprof labels (nr_node, nr_op), so
-// CPU profiles attribute time to op class and node. Label attachment
-// allocates, which is why TryExecute samples it.
-func (i *Instance[O, R]) dispatchLabeled(h *Handle[O, R], c int, op O) (resp R, class obs.OpClass, err error) {
-	cls := 1
-	if i.replicas[h.node].ds.IsReadOnly(op) {
-		cls = 0
-	}
-	pprof.Do(context.Background(), i.profLabels[h.node][cls], func(context.Context) {
-		resp, class, err = i.dispatch(h, c, op)
-	})
-	return resp, class, err
 }
 
 // dispatch routes op to the read or update path of its conflict class c and

@@ -53,14 +53,14 @@ func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O) (R, error) {
 	lg := &r.logs[c]
 	readTail := i.logs[c].Completed()
 	// t0 is the op's start when it is sampled (TryExecute), else 0: an
-	// unsampled read records nothing and takes the plain RLock.
+	// unsampled read records nothing.
 	t0 := h.tsHint
 	if t0 != 0 {
 		h.ring.RecordAt(t0, trace.KTailRead, h.node, h.token(), readTail)
 	}
 	waited := i.waitReplicaTail(h, r, c, readTail)
-	if t0 != 0 && h.ring != nil {
-		spins := lg.rw.RLockObserved(h.slot)
+	spins := lg.rw.RLock(h.slot)
+	if t0 != 0 {
 		// Uncontended reads acquired the lock nanoseconds after t0: reuse
 		// the clock read. Only a read that actually waited (for the tail or
 		// for the lock) pays a second one for a faithful rlock timestamp.
@@ -69,8 +69,6 @@ func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O) (R, error) {
 			t1 = trace.Now()
 		}
 		h.ring.RecordAt(t1, trace.KRLock, h.node, h.token(), uint64(spins))
-	} else {
-		lg.rw.RLock(h.slot)
 	}
 	resp, err := i.safeRead(r, op)
 	lg.rw.RUnlock(h.slot)

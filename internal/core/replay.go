@@ -26,7 +26,7 @@ func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, op O, t
 func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx, tag uint64, res R, err error, ring *trace.Ring) {
 	if node, slot, seq := trace.TokenParts(tag); node == int(r.id) {
 		tok := tagToken(tag, c)
-		sampled := ring != nil && (tagKind(tag) == entryCross || i.sampled(seq))
+		sampled := ring != nil && (tagKind(tag) == entryCross || trace.Sampled(seq))
 		if sampled {
 			ring.Record(trace.KReplay, int(r.id), idx, tok)
 		}
@@ -73,13 +73,9 @@ func (i *Instance[O, R]) replayTo(r *replica[O, R], c int, to uint64, wait bool,
 }
 
 // waitGet fetches log c's entry (op and tag) at idx, recording a hole-wait
-// event (with the spin count) when the entry was reserved but not yet
-// filled.
+// event (with the yield count) when waiting for its fill took a yield.
 func (i *Instance[O, R]) waitGet(node, c int, idx uint64, ring *trace.Ring) (O, uint64) {
-	if ring == nil {
-		return i.logs[c].WaitGet(idx)
-	}
-	op, tag, spins := i.logs[c].WaitGetObserved(idx)
+	op, tag, spins := i.logs[c].WaitGet(idx)
 	if spins > 0 {
 		ring.Record(trace.KHoleWait, node, idx, uint64(spins))
 	}

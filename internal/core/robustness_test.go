@@ -229,7 +229,7 @@ func TestTagDeliversContainedPanic(t *testing.T) {
 	r := inst.replicas[0]
 	s := &r.slots[h.slot]
 	s.state.Store(slotTaken)
-	idx, ok := inst.logs[0].TryReserve(1)
+	idx, _, ok := inst.logs[0].TryReserve(1)
 	if !ok {
 		t.Fatal("empty log refused a reservation")
 	}

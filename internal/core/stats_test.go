@@ -96,6 +96,47 @@ func TestStatsReadPlusUpdateEqualsOpsExecuted(t *testing.T) {
 	}
 }
 
+// TestStatsAndHealthMatchMetrics pins Stats and Health, which read the
+// counters and the failure state directly, to the matching fields of the
+// full Metrics snapshot: at rest, after reads, updates and a contained
+// panic, and once the instance is poisoned.
+func TestStatsAndHealthMatchMetrics(t *testing.T) {
+	inst := newBombInstance(t, smallTopo())
+	check := func(step string) {
+		t.Helper()
+		m := inst.Metrics()
+		if s := inst.Stats(); s != m.Stats {
+			t.Errorf("%s: Stats() = %+v, Metrics().Stats = %+v", step, s, m.Stats)
+		}
+		if h := inst.Health(); h != m.Health {
+			t.Errorf("%s: Health() = %+v, Metrics().Health = %+v", step, h, m.Health)
+		}
+	}
+	check("fresh")
+	h, err := inst.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int32(1); k <= 20; k++ {
+		h.Execute(bombOp{Key: k, Delta: 1})
+		h.Execute(bombOp{Key: 0})
+	}
+	check("reads and updates")
+	if _, err := h.TryExecute(bombOp{Key: -1, Delta: 1}); err == nil {
+		t.Fatal("panicking op returned no error")
+	}
+	inst.Quiesce()
+	check("contained panic")
+	if inst.Stats().Panics == 0 {
+		t.Fatal("contained panic not counted")
+	}
+	inst.poison("test: poisoned by hand")
+	check("poisoned")
+	if !inst.Health().Poisoned {
+		t.Fatal("Health does not report the poisoning")
+	}
+}
+
 // TestRegisterExhaustionReportsAssignedVsSkipped mixes explicit and fill
 // placement until exhaustion and checks the failure error reports how many
 // handles were actually assigned and how many fill positions were skipped

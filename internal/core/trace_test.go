@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -243,42 +242,6 @@ func TestTraceHotPathDoesNotAllocate(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("traced %s allocates %v per %d ops, want 0", tc.class, n, perCall)
 		}
-	}
-}
-
-// TestTraceProfileLabelsSampled exercises the pprof-labeled sampling path:
-// every rate-th op dispatches through dispatchLabeled and must still return
-// correct results and record its span end. Labelled ops are always traced,
-// beside the trace.Sampled ones, so exactly those have (complete) spans.
-func TestTraceProfileLabelsSampled(t *testing.T) {
-	rec := trace.New(trace.Config{RingSlots: 256, ProfileSampleRate: 2})
-	opts := smallTopo()
-	opts.Trace = rec
-	inst := newCounterInstance(t, opts)
-	h, err := inst.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 10; i++ {
-		if got := h.Execute(ctrInc); got != i {
-			t.Fatalf("inc #%d through sampled path = %d", i, got)
-		}
-	}
-	var want []uint32 // seqs 1 (trace.Sampled) and 2, 4, ..., 10 (labelled)
-	for seq := uint32(1); seq <= 10; seq++ {
-		if trace.Sampled(seq) || seq%2 == 0 {
-			want = append(want, seq)
-		}
-	}
-	var got []uint32
-	for _, sp := range trace.Reconstruct(inst.TraceSnapshot()) {
-		if !sp.Complete {
-			t.Errorf("incomplete span %+v (labelled ops must still close)", sp)
-		}
-		got = append(got, sp.Seq)
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("span seqs = %v, want %v (the trace.Sampled and the labelled ops)", got, want)
 	}
 }
 

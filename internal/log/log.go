@@ -174,28 +174,22 @@ func (l *Log[O]) refreshMin() {
 // attempts.
 func (l *Log[O]) Reserve(n int) uint64 {
 	for {
-		if start, ok := l.TryReserve(n); ok {
+		if start, _, ok := l.TryReserve(n); ok {
 			return start
 		}
 		runtime.Gosched()
 	}
 }
 
-// TryReserve attempts to allocate n consecutive entries without blocking.
-// It returns false when the log has no space, after helping recompute
-// logMin; the caller should consume entries (advancing its replica's
-// localTail) and retry.
-func (l *Log[O]) TryReserve(n int) (uint64, bool) {
-	start, _, ok := l.TryReserveObserved(n)
-	return start, ok
-}
-
-// TryReserveObserved is TryReserve, additionally reporting how many
-// tail-CAS attempts lost to a concurrent reserver before the outcome. The
-// tail CAS is the only cross-node contention point of the update path
-// (§5.1), so casRetries is the direct signal of inter-node append pressure.
-// (The tail CAS retry does not yield: it is a deliberate tight loop —
-// backing off would cede the reservation to the other node every time.)
+// TryReserve attempts to allocate n consecutive entries without blocking,
+// and reports how many tail-CAS attempts lost to a concurrent reserver
+// before the outcome. It returns ok false when the log has no space, after
+// helping recompute logMin; the caller should consume entries (advancing
+// its replica's localTail) and retry. The tail CAS is the only cross-node
+// contention point of the update path (§5.1), so casRetries is the direct
+// signal of inter-node append pressure. (The tail CAS retry does not
+// yield: it is a deliberate tight loop — backing off would cede the
+// reservation to the other node every time.)
 //
 // Wraparound audit (pinned by wrap_test.go): the space check and the tail
 // CAS read `start` from the same load, so a successful CAS proves the
@@ -208,12 +202,12 @@ func (l *Log[O]) TryReserve(n int) (uint64, bool) {
 // `e.op` store is therefore ordered after every read of the old value.
 // Readers that arrive late see the lap code mismatch and treat the entry
 // as empty rather than reading a torn op.
-func (l *Log[O]) TryReserveObserved(n int) (start uint64, casRetries int, ok bool) {
+func (l *Log[O]) TryReserve(n int) (start uint64, casRetries int, ok bool) {
 	if n < 1 || uint64(n) > l.maxBatch {
 		panic(fmt.Sprintf("log: reservation of %d outside [1, %d]", n, l.maxBatch))
 	}
 	for {
-		start := l.tail.Load()
+		start = l.tail.Load()
 		if start+uint64(n) > l.min.Load()+l.size {
 			// Out of space: help recompute logMin, then report to caller.
 			l.refreshMin()
@@ -279,13 +273,6 @@ func (l *Log[O]) GetTagged(idx uint64) (O, uint64, bool) {
 	return e.op, w & tagMask, true
 }
 
-// WaitGet spins until the entry at idx is filled, then returns its op and
-// tag. Combiners must wait for holes preceding their batch (§5.1).
-func (l *Log[O]) WaitGet(idx uint64) (O, uint64) {
-	op, tag, _ := l.WaitGetObserved(idx)
-	return op, tag
-}
-
 // holeSpinLoads bounds the word loads spent on a hole before the first
 // scheduler yield. Nothing sits between a combiner's reserve and its Fill,
 // so a hole normally closes within a few stores; yielding at once would pay
@@ -293,15 +280,15 @@ func (l *Log[O]) WaitGet(idx uint64) (O, uint64) {
 // preempted, and only a yield can let it run.
 const holeSpinLoads = 256
 
-// WaitGetObserved is WaitGet, additionally reporting how many scheduler
-// yields were spent waiting on a reserved-but-unfilled entry (the bounded
-// spin before the first yield is not counted). Hole waits are the log-side
-// stall signal of §5.1 (a combiner preempted between reserve and fill
-// blocks every replayer behind it), so the flight recorder tags them with
-// the yield count.
-func (l *Log[O]) WaitGetObserved(idx uint64) (O, uint64, int) {
+// WaitGet spins until the entry at idx is filled, then returns its op and
+// tag, and how many scheduler yields it spent on the reserved-but-unfilled
+// entry (the bounded spin before the first yield is not counted).
+// Combiners must wait for holes preceding their batch (§5.1), and hole
+// waits are the log-side stall signal there (a combiner preempted between
+// reserve and fill blocks every replayer behind it), so the flight
+// recorder tags them with the yield count.
+func (l *Log[O]) WaitGet(idx uint64) (op O, tag uint64, spins int) {
 	e, code := l.cell(idx)
-	spins := 0
 	w := e.word.Load()
 	for n := 0; w&^tagMask != code; n++ {
 		if n >= holeSpinLoads {

@@ -147,7 +147,7 @@ func TestWaitGet(t *testing.T) {
 	s := l.Reserve(1)
 	got := make(chan [2]uint64)
 	go func() {
-		op, tag := l.WaitGet(s)
+		op, tag, _ := l.WaitGet(s)
 		got <- [2]uint64{uint64(op), tag}
 	}()
 	select {
@@ -198,7 +198,7 @@ func TestConcurrentAppendersSeeAllOps(t *testing.T) {
 		// waiting on a full log: mark everything consumed.
 		defer lt.Store(math.MaxUint64)
 		for idx := uint64(0); idx < total; idx++ {
-			op, _ := l.WaitGet(idx)
+			op, _, _ := l.WaitGet(idx)
 			if op[1] != idx {
 				consumeErr = &indexMismatch{idx, op[1]}
 				return
@@ -326,7 +326,7 @@ func TestMultiEntryReservationPartitions(t *testing.T) {
 				n := (p+b)%maxBatch + 1
 				var start uint64
 				for {
-					s, retries, ok := l.TryReserveObserved(n)
+					s, retries, ok := l.TryReserve(n)
 					casRetries.Add(uint64(retries))
 					if ok {
 						start = s
@@ -350,7 +350,7 @@ func TestMultiEntryReservationPartitions(t *testing.T) {
 	go func() {
 		defer close(done)
 		for idx := uint64(0); idx < want; idx++ {
-			if op, _ := l.WaitGet(idx); op&0xffffffff != idx {
+			if op, _, _ := l.WaitGet(idx); op&0xffffffff != idx {
 				t.Errorf("entry %d holds payload for index %d (publisher %d)", idx, op&0xffffffff, op>>32)
 				return
 			}
@@ -384,7 +384,7 @@ func TestMultiEntryReservationPartitions(t *testing.T) {
 
 // TestLogDoesNotAllocate pins the append and replay primitives at zero
 // allocations per entry, and their two wait loops — Reserve on a full log,
-// WaitGetObserved on a hole — at fewer than one allocation per 100 spins,
+// WaitGet on a hole — at fewer than one allocation per 100 spins,
 // yielding on every turn and never parking (waittest.Window).
 func TestLogDoesNotAllocate(t *testing.T) {
 	l, _ := New[int](8, 2)
@@ -396,7 +396,7 @@ func TestLogDoesNotAllocate(t *testing.T) {
 		if _, ok := l.Get(start); !ok {
 			t.Fatal("filled entry reads as a hole")
 		}
-		l.WaitGetObserved(start + 1)
+		l.WaitGet(start + 1)
 		lt.Store(start + 2)
 	}); n != 0 {
 		t.Errorf("reserve, fill and get allocate %v per entry pair, want 0", n)
@@ -417,8 +417,8 @@ func TestLogDoesNotAllocate(t *testing.T) {
 	// A hole: the reader waits until the entry is filled.
 	idx := l.Reserve(1)
 	var spins int
-	check("WaitGetObserved", waittest.Window(t, func() { _, _, spins = l.WaitGetObserved(idx) }, func() { l.Fill(idx, 3) }))
+	check("WaitGet", waittest.Window(t, func() { _, _, spins = l.WaitGet(idx) }, func() { l.Fill(idx, 3) }))
 	if spins < waittest.Yields/2 {
-		t.Errorf("WaitGetObserved spun %d times, want about %d", spins, waittest.Yields)
+		t.Errorf("WaitGet spun %d times, want about %d", spins, waittest.Yields)
 	}
 }

@@ -24,7 +24,7 @@ func TestWrapDeterministic(t *testing.T) {
 
 	fill := func(n int) uint64 {
 		t.Helper()
-		start, ok := l.TryReserve(n)
+		start, _, ok := l.TryReserve(n)
 		if !ok {
 			t.Fatalf("TryReserve(%d) failed with %d consumed of tail %d", n, local.Load(), l.Tail())
 		}
@@ -51,13 +51,13 @@ func TestWrapDeterministic(t *testing.T) {
 	// Lap 0: fill the buffer completely without consuming.
 	fill(maxBatch)
 	fill(maxBatch)
-	if _, ok := l.TryReserve(1); ok {
+	if _, _, ok := l.TryReserve(1); ok {
 		t.Fatal("reservation succeeded on a full log with a lagging replica")
 	}
 	// One consumed entry frees exactly one slot — on the next attempt, with
 	// no explicit refresh by the consumer.
 	consume(1)
-	if _, ok := l.TryReserve(2); ok {
+	if _, _, ok := l.TryReserve(2); ok {
 		t.Fatal("TryReserve(2) succeeded with only 1 free slot")
 	}
 	if start := fill(1); start != size {
@@ -102,7 +102,7 @@ func TestLapCodeCycles(t *testing.T) {
 	local := l.RegisterReplica()
 	laps := uint64(2*lapCodes + 3)
 	for idx := uint64(0); idx < laps*size; idx++ {
-		start, ok := l.TryReserve(1)
+		start, _, ok := l.TryReserve(1)
 		if !ok || start != idx {
 			t.Fatalf("TryReserve(1) = %d, %v, want %d", start, ok, idx)
 		}
@@ -164,7 +164,7 @@ func TestWrapRecyclingRace(t *testing.T) {
 				if l.Tail() >= total {
 					return
 				}
-				start, _, ok := l.TryReserveObserved(n)
+				start, _, ok := l.TryReserve(n)
 				if !ok {
 					continue // consumers will free space
 				}
@@ -183,7 +183,7 @@ func TestWrapRecyclingRace(t *testing.T) {
 		go func(local *atomic.Uint64) {
 			defer wg.Done()
 			for idx := uint64(0); idx < total; idx++ {
-				op, _ := l.WaitGet(idx)
+				op, _, _ := l.WaitGet(idx)
 				if op != idx*7+1 {
 					bad.Add(1)
 				}

@@ -84,8 +84,8 @@ type value struct {
 type Store struct {
 	keys *ds.HashMap[*value]
 	// seed decides nothing: no structure in the keyspace draws random
-	// numbers. It is kept because the snapshot format and NewStore /
-	// RestoreStore, which the benchmark calls, carry it.
+	// numbers, and nrredis always passes 1. Snapshots and the constructors
+	// the benchmark calls (NewStore, RestoreStore, NewSharedTraced) carry it.
 	seed uint64
 }
 

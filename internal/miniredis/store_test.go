@@ -1,6 +1,9 @@
 package miniredis
 
 import (
+	"bufio"
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -240,6 +243,123 @@ func TestStoreReadOnlyClassification(t *testing.T) {
 
 // TestStoreReplicaDeterminism: two stores with the same seed fed the same op
 // stream must answer identically — the property NR replication needs.
+// TestSortedSetAcrossLeavesMatchesModel drives one key with a few hundred
+// members, enough for the sorted set's B-tree to span many leaves, through
+// a seeded stream of ZINCRBY, ZADD and ZREM on Store.Execute. After every
+// step it compares the reply bytes of the step itself, of ZRANK for the
+// member it touched and for one other, and of ZRANGE 0 -1 WITHSCORES with a
+// model: the members in a slice kept sorted by (score, name). Scores are
+// small integers, so ties ordered by member name fall on leaf edges, and
+// removals come in waves, so leaves underflow, borrow and merge as well as
+// split.
+func TestSortedSetAcrossLeavesMatchesModel(t *testing.T) {
+	st := NewStore(1)
+	var buf bytes.Buffer
+	w := NewWriter(bufio.NewWriter(&buf))
+	reply := func(args ...string) string {
+		t.Helper()
+		op, errMsg := ParseCommand(args)
+		if errMsg != "" {
+			t.Fatalf("%v: %s", args, errMsg)
+		}
+		buf.Reset()
+		if err := WriteResult(w, op, st.Execute(op)); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		return buf.String()
+	}
+	bulk := func(s string) string { return "$" + strconv.Itoa(len(s)) + "\r\n" + s + "\r\n" }
+	score := func(f float64) string { return bulk(strconv.FormatFloat(f, 'g', -1, 64)) }
+	boolInt := func(b bool) string {
+		if b {
+			return ":1\r\n"
+		}
+		return ":0\r\n"
+	}
+
+	type entry struct {
+		name  string
+		score float64
+		reply string // the entry's two bulk strings in a WITHSCORES reply
+	}
+	var order []entry // the model
+	find := func(m string) int {
+		return slices.IndexFunc(order, func(e entry) bool { return e.name == m })
+	}
+	set := func(m string, sc float64) {
+		if i := find(m); i >= 0 {
+			order = slices.Delete(order, i, i+1)
+		}
+		i, _ := slices.BinarySearchFunc(order, entry{name: m, score: sc}, func(a, b entry) int {
+			if c := cmp.Compare(a.score, b.score); c != 0 {
+				return c
+			}
+			return strings.Compare(a.name, b.name)
+		})
+		order = slices.Insert(order, i, entry{m, sc, bulk(m) + score(sc)})
+	}
+
+	const pool, steps = 700, 4000
+	rng := rand.New(rand.NewSource(52))
+	peak := 0
+	var all strings.Builder
+	for step := range steps {
+		m := fmt.Sprintf("m%03d", rng.Intn(pool))
+		removeShare := 10 // growing waves: the set fills towards the pool
+		if step/1000%2 == 1 {
+			removeShare = 75 // shrinking waves: leaves underflow
+		}
+		i := find(m)
+		var args []string
+		var want string
+		switch p := rng.Intn(100); {
+		case p < removeShare:
+			if i >= 0 {
+				order = slices.Delete(order, i, i+1)
+			}
+			args, want = []string{"ZREM", "k", m}, boolInt(i >= 0)
+		case p%2 == 0:
+			d := rng.Intn(9) - 4
+			sc := float64(d)
+			if i >= 0 {
+				sc += order[i].score
+			}
+			set(m, sc)
+			args, want = []string{"ZINCRBY", "k", strconv.Itoa(d), m}, score(sc)
+		default:
+			sc := float64(rng.Intn(40))
+			set(m, sc)
+			args, want = []string{"ZADD", "k", strconv.Itoa(int(sc)), m}, boolInt(i < 0)
+		}
+		peak = max(peak, len(order))
+		if got := reply(args...); got != want {
+			t.Fatalf("step %d: %v = %q, want %q", step, args, got, want)
+		}
+
+		for _, x := range []string{m, fmt.Sprintf("m%03d", rng.Intn(pool))} {
+			want := "$-1\r\n"
+			if i := find(x); i >= 0 {
+				want = ":" + strconv.Itoa(i) + "\r\n"
+			}
+			if got := reply("ZRANK", "k", x); got != want {
+				t.Fatalf("step %d (%v): ZRANK k %s = %q, want %q", step, args, x, got, want)
+			}
+		}
+		all.Reset()
+		all.WriteString("*" + strconv.Itoa(2*len(order)) + "\r\n")
+		for _, e := range order {
+			all.WriteString(e.reply)
+		}
+		if got := reply("ZRANGE", "k", "0", "-1", "WITHSCORES"); got != all.String() {
+			t.Fatalf("step %d (%v): ZRANGE k 0 -1 WITHSCORES = %q, want %q", step, args, got, all.String())
+		}
+	}
+	if peak < 300 {
+		t.Fatalf("the set peaked at %d members, want a few hundred", peak)
+	}
+}
+
 func TestStoreReplicaDeterminism(t *testing.T) {
 	a, b := NewStore(9), NewStore(9)
 	rng := rand.New(rand.NewSource(10))

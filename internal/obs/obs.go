@@ -19,8 +19,8 @@
 //     its end-to-end latency as seen by the submitting thread.
 //
 // Every event but OpDone fires for every occurrence. OpDone fires for one
-// op in trace.SampleEvery per handle (trace.Sampled, plus pprof-labelled
-// and cross-class ops), so the latency histograms and their counts are a
+// op in trace.SampleEvery per handle (trace.Sampled, plus every
+// cross-class op), so the latency histograms and their counts are a
 // sample. Counting is not this package's job: core.Stats and
 // core.ReplicaGauges carry one exact counter per event (ReadOps, UpdateOps,
 // Combines, ReaderRefreshes, HelpedEntries, TailRetries, WriterWaits,

@@ -67,15 +67,9 @@ func NewDistributed(slots int) *Distributed {
 // Slots returns the number of reader slots.
 func (l *Distributed) Slots() int { return len(l.readers) }
 
-// RLock acquires read mode for reader slot.
-func (l *Distributed) RLock(slot int) {
-	l.RLockObserved(slot)
-}
-
-// RLockObserved acquires read mode for reader slot, reporting how many
-// scheduler yields it spent blocked behind a writer (0 on the uncontended
-// path).
-func (l *Distributed) RLockObserved(slot int) (spins int) {
+// RLock acquires read mode for reader slot, reporting how many scheduler
+// yields it spent blocked behind a writer (0 on the uncontended path).
+func (l *Distributed) RLock(slot int) (spins int) {
 	r := &l.readers[slot]
 	for {
 		// Wait for any active writer.

@@ -250,8 +250,6 @@ func TestLocksDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		l.RLock(0)
 		l.RUnlock(0)
-		l.RLockObserved(1)
-		l.RUnlock(1)
 		l.Lock()
 		l.Unlock()
 		m.Lock()
@@ -268,7 +266,7 @@ func TestLocksDoNotAllocate(t *testing.T) {
 	}
 	l.Lock()
 	var readerSpins int
-	check("RLockObserved", waittest.Window(t, func() { readerSpins = l.RLockObserved(0); l.RUnlock(0) }, l.Unlock))
+	check("RLock", waittest.Window(t, func() { readerSpins = l.RLock(0); l.RUnlock(0) }, l.Unlock))
 	if readerSpins < waittest.Yields/2 {
 		t.Errorf("reader spun %d times behind the writer, want about %d", readerSpins, waittest.Yields)
 	}

@@ -54,7 +54,6 @@ var instantKinds = map[Kind]bool{
 	KReaderRefresh: true,
 	KHelp:          true,
 	KLogFull:       true,
-	kStall:         true,
 	KPanic:         true,
 }
 

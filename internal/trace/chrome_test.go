@@ -19,7 +19,6 @@ func goldenSnapshot() Snapshot {
 	buildSpanFixture(rec)
 	g := rec.AcquireRing() // ring 2: instants
 	g.RecordAt(210, KHoleWait, 1, 11, 3)
-	g.RecordAt(520, kStall, 0, 1500, 0)
 	snap := rec.Snapshot()
 	snap.TakenNs = 0
 	snap.WallStart = time.Time{}

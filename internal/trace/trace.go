@@ -110,9 +110,6 @@ const (
 	// KLogFull: an appender found the log full and fell back to draining
 	// and helping. Node, A=log tail at the failure.
 	KLogFull
-	// kStall is reserved: the stall watchdog's event, which no code
-	// records any more. Dumps that hold it still decode under its name.
-	kStall
 	// KPanic: a user Execute panic was contained on Node. A=log index
 	// (^uint64(0) for the read path).
 	KPanic
@@ -137,7 +134,6 @@ var kindNames = [numKinds]string{
 	KReaderRefresh: "reader-refresh",
 	KHelp:          "help",
 	KLogFull:       "log-full",
-	kStall:         "stall",
 	KPanic:         "panic",
 }
 
@@ -302,7 +298,7 @@ func (g *Ring) RecordAt(ts int64, k Kind, node int, a, b uint64) {
 }
 
 // Config tunes a Recorder. The zero value is usable: 1024-slot rings, no
-// automatic dumps, no profile sampling.
+// automatic dumps.
 type Config struct {
 	// RingSlots is each ring's capacity; rounded up to a power of two
 	// (default 1024) and capped at 1<<20 slots. Memory is 32 bytes per
@@ -318,11 +314,6 @@ type Config struct {
 	// DumpMinInterval rate-limits AutoDump (default 1s; negative disables
 	// the limit). Failures inside the window are dropped, not queued.
 	DumpMinInterval time.Duration
-	// ProfileSampleRate, when > 0, labels every Nth operation's execution
-	// with runtime/pprof labels (nr_node, nr_op) so CPU profiles attribute
-	// time to op class and node. Sampled because label attachment
-	// allocates; the recorder itself never does.
-	ProfileSampleRate int
 }
 
 // maxRingSlots caps Config.RingSlots: 32 MiB per ring, and a bound the
@@ -382,15 +373,6 @@ func (r *Recorder) Config() Config {
 		return Config{}
 	}
 	return r.cfg
-}
-
-// ProfileSampleRate returns the pprof-label sampling rate (0 = off). Safe
-// on a nil Recorder.
-func (r *Recorder) ProfileSampleRate() int {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.ProfileSampleRate
 }
 
 // AcquireRing allocates a new ring. Called at registration time, not on

@@ -191,7 +191,7 @@ func TestNilRecorderAndRingAreNoOps(t *testing.T) {
 	if g.ID() != -1 {
 		t.Fatal("nil ring ID not -1")
 	}
-	if rec.ProfileSampleRate() != 0 || rec.Rings() != 0 {
+	if rec.Rings() != 0 {
 		t.Fatal("nil recorder accessors not zero")
 	}
 	if s := rec.Snapshot(); len(s.Rings) != 0 {

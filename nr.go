@@ -150,7 +150,7 @@ func WithLogEntries(n int) Option {
 // per-operation-latency events from inside the protocol; reader refreshes,
 // helping and contained panics are counted in Stats. Every event fires
 // for every occurrence except OpDone, which fires for the sampled ops only:
-// one op in 16 per handle (plus pprof-labelled and cross-class ops), custom
+// one op in 16 per handle (plus every cross-class op), custom
 // observers included — Stats.ReadOps and Stats.UpdateOps are the exact op
 // counts. The observer must be concurrency-safe and non-blocking; events
 // carry only scalars, so a hook never allocates. Repeated WithObserver (and

@@ -12,8 +12,7 @@ import (
 )
 
 // TraceConfig tunes the flight recorder; see NewFlightRecorder. The zero
-// value is usable: 1024-slot rings, no automatic dumps, no profile
-// sampling.
+// value is usable: 1024-slot rings, no automatic dumps.
 type TraceConfig = trace.Config
 
 // TraceSnapshot is a point-in-time copy of the flight recorder's contents:
@@ -37,9 +36,9 @@ type FlightRecorder = trace.Recorder
 //
 // cfg.DumpDir / cfg.OnDump arm automatic black-box dumps: on a contained
 // panic, poisoning, or an SLO breach, the recorder persists its own
-// snapshot (rate-limited) so the failure ships with its trace.
-// cfg.ProfileSampleRate > 0 additionally labels every Nth operation with
-// runtime/pprof labels (nr_node, nr_op) for CPU-profile attribution.
+// snapshot (rate-limited) so the failure ships with its trace. The
+// recorder traces the sampled ops (one in 16 per handle, plus every
+// cross-class op) and every round and rare event.
 func NewFlightRecorder(cfg TraceConfig) *FlightRecorder { return trace.New(cfg) }
 
 // WithFlightRecorderInstance attaches rec (see NewFlightRecorder): every
