@@ -61,7 +61,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 		// replayer that overtakes this round may answer the slot by tag, and
 		// its owner may already be writing its next op into it.
 		seq := t.s.seq
-		i.logs[c].FillTagged(start+uint64(k), t.s.op, opTag(entryOp, int(r.id), int(t.slot), seq))
+		i.logs[c].FillTagged(start+uint64(k), &t.s.op, opTag(entryOp, int(r.id), int(t.slot), seq))
 		if ring != nil && trace.Sampled(seq) {
 			ring.RecordAt(t1, trace.KLogFill, int(r.id), trace.TokenWithLog(c, int(r.id), int(t.slot), seq), start+uint64(k))
 		}
@@ -97,7 +97,7 @@ func (i *Instance[O, R]) runCombiner(r *replica[O, R], c int, ring *trace.Ring) 
 			if sampled {
 				ring.Record(trace.KExecute, int(r.id), tok, start+uint64(k))
 			}
-			t.s.resp, t.s.err = i.safeExecute(r, c, t.s.op, start+uint64(k))
+			t.s.err = i.safeExecute(r, c, &t.s.op, start+uint64(k), &t.s.resp)
 			if t.s.err != nil {
 				ring.Record(trace.KPanic, int(r.id), start+uint64(k), tok)
 			}

@@ -189,11 +189,12 @@ func (i *Instance[O, R]) Follow() (*Follower[O], error) {
 
 // Drain calls fn for every filled entry from the follower's position on, in
 // index order, with the op's token (node|slot|seq, what Handle.LastToken
-// returned to its submitter), and stops at the first entry not yet filled:
-// a combiner preempted between reserve and Fill delays the follower, never
-// the other way round. The entry may be recycled once fn returns. Only the
-// follower's one goroutine may call Drain.
-func (f *Follower[O]) Drain(fn func(idx, token uint64, op O)) {
+// returned to its submitter) and the op in place in its log cell, and stops
+// at the first entry not yet filled: a combiner preempted between reserve
+// and Fill delays the follower, never the other way round. The entry may be
+// recycled once fn returns, so fn must not keep op. Only the follower's one
+// goroutine may call Drain.
+func (f *Follower[O]) Drain(fn func(idx, token uint64, op *O)) {
 	for idx := f.tail.Load(); ; idx++ {
 		op, tag, ok := f.log.GetTagged(idx)
 		if !ok {
@@ -545,11 +546,11 @@ func New[O, R any](create func() Sequential[O, R], opts Options) (*Instance[O, R
 // mapper's class otherwise. Out-of-range classes (a mapper contract slip)
 // fold into range rather than corrupt the slot protocol; CrossLog passes
 // through as the sentinel.
-func (i *Instance[O, R]) opClass(op O) int {
+func (i *Instance[O, R]) opClass(op *O) int {
 	if i.mapper == nil {
 		return 0
 	}
-	c := i.mapper(op)
+	c := i.mapper(*op)
 	if c == CrossLog {
 		if len(i.logs) == 1 {
 			return 0 // one log: cross-class is just the only class

@@ -51,8 +51,8 @@ import (
 
 // updateCross executes a multi-class update: append under the global
 // ticket lock, then drive this replica's cross applier until our ticket is
-// done and collect the response from our combining slot.
-func (i *Instance[O, R]) updateCross(h *Handle[O, R], op O) (R, error) {
+// done and collect the response from our combining slot into out.
+func (i *Instance[O, R]) updateCross(h *Handle[O, R], op *O, out *R) error {
 	i.crossOps.Add(1)
 	r := i.replicas[h.node]
 	s := &r.slots[h.slot]
@@ -65,16 +65,14 @@ func (i *Instance[O, R]) updateCross(h *Handle[O, R], op O) (R, error) {
 	for s.state.Load() != slotDone {
 		runtime.Gosched()
 	}
-	resp, err := s.resp, s.err
-	s.state.Store(slotEmpty)
-	return resp, err
+	return s.take(out)
 }
 
 // appendCross reserves and fills one ticket's entries in every log and
 // returns the ticket. Ticket numbering, reservation, and fill all happen
 // under crossMu so tickets are observed in order and fully filled (see the
 // file comment's invariants).
-func (i *Instance[O, R]) appendCross(h *Handle[O, R], op O) uint64 {
+func (i *Instance[O, R]) appendCross(h *Handle[O, R], op *O) uint64 {
 	r := i.replicas[h.node]
 	i.crossMu.Lock()
 	i.crossSeq++
@@ -90,7 +88,7 @@ func (i *Instance[O, R]) appendCross(h *Handle[O, R], op O) uint64 {
 	h.ring.Record(trace.KLogFill, h.node, tok, i.crossIdx[0])
 	for c := 1; c < len(i.logs); c++ {
 		var none O
-		i.logs[c].FillTagged(i.crossIdx[c], none, entryBarrier<<tagKindShift)
+		i.logs[c].FillTagged(i.crossIdx[c], &none, entryBarrier<<tagKindShift)
 	}
 	i.crossMu.Unlock()
 	return t
@@ -146,14 +144,15 @@ func (i *Instance[O, R]) applyCross(r *replica[O, R], next uint64, ring *trace.R
 	i.replayTo(r, 0, math.MaxUint64, true, ring)
 	idx := r.logs[0].localTail.Load()
 	op, tag, _ := i.logs[0].GetTagged(idx) // filled: replayTo stopped at it
-	res, err := i.safeExecute(r, 0, op, idx)
+	var res R
+	err := i.safeExecute(r, 0, op, idx, &res)
 	r.logs[0].localTail.Store(idx + 1)
 	// Advance completed tails BEFORE delivering the response: a reader that
 	// runs after the submitter returns must observe a completed tail
 	// covering the cross op on every log, so its class-local wait suffices
 	// to see the op's effects.
 	i.logs[0].AdvanceCompleted(idx + 1)
-	i.deliver(r, 0, idx, tag, res, err, ring)
+	i.deliver(r, 0, idx, tag, &res, err, ring)
 	r.crossDone.Store(next)
 	for c := len(i.logs) - 1; c >= 0; c-- {
 		r.logs[c].rw.Unlock()
@@ -167,8 +166,9 @@ func (i *Instance[O, R]) applyCross(r *replica[O, R], next uint64, ring *trace.R
 // that touch multiple classes atomically are cross appliers, and they hold
 // ALL write locks — so holding all read locks excludes them and no torn
 // multi-class state is observable; single-class combiners hold their own
-// class's write lock, excluded the same way.
-func (i *Instance[O, R]) readOnlyCross(h *Handle[O, R], op O) (R, error) {
+// class's write lock, excluded the same way. The result goes straight to
+// out.
+func (i *Instance[O, R]) readOnlyCross(h *Handle[O, R], op *O, out *R) error {
 	r := i.replicas[h.node]
 	tails := h.crossTails
 	for c := range i.logs {
@@ -182,9 +182,9 @@ func (i *Instance[O, R]) readOnlyCross(h *Handle[O, R], op O) (R, error) {
 		r.logs[c].rw.RLock(h.slot) // index order across one replica's logs
 	}
 	h.ring.Record(trace.KRLock, h.node, h.token(), 0)
-	resp, err := i.safeRead(r, op)
+	err := i.safeRead(r, op, out)
 	for c := len(i.logs) - 1; c >= 0; c-- {
 		r.logs[c].rw.RUnlock(h.slot)
 	}
-	return resp, err
+	return err
 }

@@ -187,12 +187,13 @@ func (i *Instance[O, R]) poisonedErr() error {
 	return fmt.Errorf("%w: %s", ErrPoisoned, reason)
 }
 
-// safeExecute runs op against r's structure with panic containment. cls is
-// the op's conflict class and idx the absolute index in that class's log
-// (noIndex for unlogged ops); the pair keys the divergence tracker, while
-// PanicError carries the raw per-log index — the number users see in log
-// gauges and persistence. The returned error is nil or a *PanicError.
-func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op O, idx uint64) (resp R, err error) {
+// safeExecute runs op against r's structure with panic containment and
+// writes the result to out, the zero R on a panic. cls is the op's conflict
+// class and idx the absolute index in that class's log (noIndex for
+// unlogged ops); the pair keys the divergence tracker, while PanicError
+// carries the raw per-log index — the number users see in log gauges and
+// persistence. The returned error is nil or a *PanicError.
+func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op *O, idx uint64, out *R) (err error) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -211,16 +212,18 @@ func (i *Instance[O, R]) safeExecute(r *replica[O, R], cls int, op O, idx uint64
 			}
 		}
 		i.rec.AutoDump("panic")
-		err = pe
+		var zero R
+		*out, err = zero, pe
 	}()
-	resp = r.ds.Execute(op)
-	return resp, nil
+	*out = r.ds.Execute(*op)
+	return nil
 }
 
 // safeRead runs op on the read path against r's structure with panic
-// containment; the replica lock held by the caller is released normally on
-// the contained path.
-func (i *Instance[O, R]) safeRead(r *replica[O, R], op O) (resp R, err error) {
+// containment, writing the result to out, which a panic leaves alone; the
+// replica lock held by the caller is released normally on the contained
+// path.
+func (i *Instance[O, R]) safeRead(r *replica[O, R], op *O, out *R) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			i.panics.Add(1)
@@ -228,7 +231,8 @@ func (i *Instance[O, R]) safeRead(r *replica[O, R], op O) (resp R, err error) {
 			err = &PanicError{Value: p, Stack: string(debug.Stack()), Index: noIndex}
 		}
 	}()
-	return r.ds.Execute(op), nil
+	*out = r.ds.Execute(*op)
+	return nil
 }
 
 // health builds the failure-state slice of the Metrics snapshot.

@@ -541,7 +541,7 @@ func TestReplayWaitsOutHolesBeforeBarriers(t *testing.T) {
 	// does not exist, so no replica answers a slot with it.
 	fill := func(inst *Instance[mlOp, int64], c int, idx uint64) func() {
 		return func() {
-			inst.logs[c].FillTagged(idx, mlOp{kind: 0, class: c, delta: 1}, opTag(entryOp, 2, 0, 0))
+			inst.logs[c].FillTagged(idx, &mlOp{kind: 0, class: c, delta: 1}, opTag(entryOp, 2, 0, 0))
 		}
 	}
 	for _, c := range []int{0, 1} {

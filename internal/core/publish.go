@@ -26,19 +26,23 @@ func (h *Handle[O, R]) Execute(op O) R {
 // operation's Execute panicked, ErrPoisoned (wrapped) once replicas have
 // been observed to diverge. A nil error means resp is the operation's
 // result.
-func (h *Handle[O, R]) TryExecute(op O) (R, error) {
+//
+// Below TryExecute the op travels by pointer, to this frame's op, then to
+// the posted slot's copy or the log cell, up to Sequential.Execute. A
+// read's result is written once, into resp; an update's into its slot, and
+// from there into resp.
+func (h *Handle[O, R]) TryExecute(op O) (resp R, err error) {
 	i := h.inst
 	if err := i.poisonedErr(); err != nil {
-		var zero R
-		return zero, err
+		return resp, err
 	}
 	h.seq++
-	c := i.opClass(op)
+	c := i.opClass(&op)
 	if !i.observed && h.ring == nil || c != CrossLog && !trace.Sampled(h.seq) {
 		// Unsampled, or nothing attached: no clock read, no per-op trace
 		// event, no OpDone.
 		h.tsHint = 0
-		resp, _, err := i.dispatch(h, c, op)
+		_, err = i.dispatch(h, c, &op, &resp)
 		return resp, err
 	}
 	// Sampled (trace.Sampled, or any cross-class op): one clock read stamps
@@ -46,50 +50,46 @@ func (h *Handle[O, R]) TryExecute(op O) (R, error) {
 	// the op (tail-read, slot-publish), one its end for both.
 	start := trace.Now()
 	h.tsHint = start
-	resp, class, err := i.dispatch(h, c, op)
+	class, err := i.dispatch(h, c, &op, &resp)
 	end := trace.Now()
 	i.observer.OpDone(h.node, class, time.Duration(end-start))
 	h.ring.RecordAt(end, trace.KOpEnd, h.node, h.token(), uint64(class))
 	return resp, err
 }
 
-// dispatch routes op to the read or update path of its conflict class c and
-// reports which class served it. Each op is counted exactly once, so
-// ReadOps+UpdateOps always equals the number of ops executed, and a sampled
-// op's OpDone carries the same class.
-func (i *Instance[O, R]) dispatch(h *Handle[O, R], c int, op O) (R, obs.OpClass, error) {
+// dispatch routes op to the read or update path of its conflict class c,
+// which writes the result to out, and reports which class served it. Each
+// op is counted exactly once, so ReadOps+UpdateOps always equals the number
+// of ops executed, and a sampled op's OpDone carries the same class.
+func (i *Instance[O, R]) dispatch(h *Handle[O, R], c int, op *O, out *R) (obs.OpClass, error) {
 	r := i.replicas[h.node]
 	if c == CrossLog {
 		h.cls = 0 // cross ops tokenize on log 0, where their entry lives
 	} else {
 		h.cls = c
 	}
-	if r.ds.IsReadOnly(op) {
+	if r.ds.IsReadOnly(*op) {
 		r.counters.readOps.Add(1)
 		if c == CrossLog {
-			resp, err := i.readOnlyCross(h, op)
-			return resp, obs.OpRead, err
+			return obs.OpRead, i.readOnlyCross(h, op, out)
 		}
-		resp, err := i.readOnlyVia(h, c, op)
-		return resp, obs.OpRead, err
+		return obs.OpRead, i.readOnlyVia(h, c, op, out)
 	}
 	r.counters.updateOps.Add(1)
 	if c == CrossLog {
-		resp, err := i.updateCross(h, op)
-		return resp, obs.OpUpdate, err
+		return obs.OpUpdate, i.updateCross(h, op, out)
 	}
-	resp, err := i.combine(h, c, op)
-	return resp, obs.OpUpdate, err
+	return obs.OpUpdate, i.combine(h, c, op, out)
 }
 
-// combine is Algorithm 1's Combine on conflict class c: post the op, then
-// either become the class-c combiner or wait for a response (a value or a
-// contained panic).
-func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
+// combine is Algorithm 1's Combine on conflict class c: post a copy of the
+// op, then either become the class-c combiner or wait for a response (a
+// value, copied to out, or a contained panic).
+func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op *O, out *R) error {
 	r := i.replicas[h.node]
 	lg := &r.logs[c]
 	s := &r.slots[h.slot]
-	s.op = op
+	s.op = *op
 	s.seq = h.seq
 	s.class.Store(int32(c))
 	if h.tsHint != 0 { // sampled (TryExecute)
@@ -98,9 +98,7 @@ func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
 	s.state.Store(slotPosted)
 	for {
 		if s.state.Load() == slotDone {
-			resp, err := s.resp, s.err
-			s.state.Store(slotEmpty)
-			return resp, err
+			return s.take(out)
 		}
 		if lg.combinerLock.TryLock() {
 			if s.state.Load() != slotDone {
@@ -108,10 +106,17 @@ func (i *Instance[O, R]) combine(h *Handle[O, R], c int, op O) (R, error) {
 			}
 			lg.combinerLock.Unlock()
 			// runCombiner served every posted class-c slot, including ours.
-			resp, err := s.resp, s.err
-			s.state.Store(slotEmpty)
-			return resp, err
+			return s.take(out)
 		}
 		runtime.Gosched()
 	}
+}
+
+// take copies the answered slot's response to out, frees the slot for its
+// owner's next op, and returns the contained panic, if any.
+func (s *slot[O, R]) take(out *R) error {
+	*out = s.resp
+	err := s.err
+	s.state.Store(slotEmpty)
+	return err
 }

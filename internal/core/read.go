@@ -46,9 +46,10 @@ func (i *Instance[O, R]) waitReplicaTail(h *Handle[O, R], r *replica[O, R], c in
 // readOnlyVia is Algorithm 1's ReadOnly (§5.3) on conflict class c: wait
 // until the local replica reflects class c's completedTail as of the start
 // of the read, then run the operation locally under that class's read-side
-// lock — reads never wait on logs their class does not touch. The body
-// avoids closures so the read hot path does not allocate.
-func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O) (R, error) {
+// lock — reads never wait on logs their class does not touch. The result
+// goes straight to out. The body avoids closures so the read hot path does
+// not allocate.
+func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op *O, out *R) error {
 	r := i.replicas[h.node]
 	lg := &r.logs[c]
 	readTail := i.logs[c].Completed()
@@ -70,7 +71,7 @@ func (i *Instance[O, R]) readOnlyVia(h *Handle[O, R], c int, op O) (R, error) {
 		}
 		h.ring.RecordAt(t1, trace.KRLock, h.node, h.token(), uint64(spins))
 	}
-	resp, err := i.safeRead(r, op)
+	err := i.safeRead(r, op, out)
 	lg.rw.RUnlock(h.slot)
-	return resp, err
+	return err
 }

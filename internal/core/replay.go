@@ -7,9 +7,10 @@ import "github.com/asplos17/nr/internal/trace"
 // and, if the entry originated on r's node, delivers the outcome (value or
 // error) to its slot. Callers have already ruled out barrier and cross
 // entries (replayTo stops at them; applyCross consumes them).
-func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, op O, tag uint64, ring *trace.Ring) {
-	res, err := i.safeExecute(r, c, op, idx)
-	i.deliver(r, c, idx, tag, res, err, ring)
+func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, op *O, tag uint64, ring *trace.Ring) {
+	var res R
+	err := i.safeExecute(r, c, op, idx, &res)
+	i.deliver(r, c, idx, tag, &res, err, ring)
 }
 
 // deliver hands the outcome of log c's entry at idx, just executed against
@@ -23,7 +24,7 @@ func (i *Instance[O, R]) applyEntry(r *replica[O, R], c int, idx uint64, op O, t
 // serialized cost of every update by the node count. Bulk replay remains
 // visible through the aggregate events (KReaderRefresh, KHelp,
 // KCombineEnd).
-func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx, tag uint64, res R, err error, ring *trace.Ring) {
+func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx, tag uint64, res *R, err error, ring *trace.Ring) {
 	if node, slot, seq := trace.TokenParts(tag); node == int(r.id) {
 		tok := tagToken(tag, c)
 		sampled := ring != nil && (tagKind(tag) == entryCross || trace.Sampled(seq))
@@ -34,7 +35,7 @@ func (i *Instance[O, R]) deliver(r *replica[O, R], c int, idx, tag uint64, res R
 			ring.Record(trace.KPanic, int(r.id), idx, tok)
 		}
 		s := &r.slots[slot]
-		s.resp, s.err = res, err
+		s.resp, s.err = *res, err
 		s.state.Store(slotDone)
 		if sampled {
 			ring.Record(trace.KRespond, int(r.id), tok, idx)
@@ -72,9 +73,10 @@ func (i *Instance[O, R]) replayTo(r *replica[O, R], c int, to uint64, wait bool,
 	return 0
 }
 
-// waitGet fetches log c's entry (op and tag) at idx, recording a hole-wait
-// event (with the yield count) when waiting for its fill took a yield.
-func (i *Instance[O, R]) waitGet(node, c int, idx uint64, ring *trace.Ring) (O, uint64) {
+// waitGet fetches log c's entry (op, in place in its cell, and tag) at idx,
+// recording a hole-wait event (with the yield count) when waiting for its
+// fill took a yield.
+func (i *Instance[O, R]) waitGet(node, c int, idx uint64, ring *trace.Ring) (*O, uint64) {
 	op, tag, spins := i.logs[c].WaitGet(idx)
 	if spins > 0 {
 		ring.Record(trace.KHoleWait, node, idx, uint64(spins))

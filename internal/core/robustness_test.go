@@ -233,7 +233,7 @@ func TestTagDeliversContainedPanic(t *testing.T) {
 	if !ok {
 		t.Fatal("empty log refused a reservation")
 	}
-	inst.logs[0].FillTagged(idx, bombOp{Key: -3, Delta: 2}, opTag(entryOp, int(r.id), h.slot, 7))
+	inst.logs[0].FillTagged(idx, &bombOp{Key: -3, Delta: 2}, opTag(entryOp, int(r.id), h.slot, 7))
 
 	ring := rec.AcquireRing()
 	r.logs[0].rw.Lock()

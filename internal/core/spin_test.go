@@ -57,6 +57,7 @@ func TestSpinWaitsDoNotAllocate(t *testing.T) {
 			close(done)
 		}()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		inc := ctrInc
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range holes {
@@ -64,7 +65,7 @@ func TestSpinWaitsDoNotAllocate(t *testing.T) {
 			turn <- struct{}{}
 			runtime.Gosched() // the op reserves behind the hole and yields on it
 			// Tagged for node 2, which does not exist: no replica answers it.
-			inst.logs[0].FillTagged(idx, ctrInc, opTag(entryOp, 2, 0, 0))
+			inst.logs[0].FillTagged(idx, &inc, opTag(entryOp, 2, 0, 0))
 		}
 		<-done
 		runtime.ReadMemStats(&after)

@@ -5,11 +5,13 @@ package ds
 //
 // The leaves hold the members themselves: a slot is a *member, the hash
 // map's entry, ordered by (score, name). Every member in the tree points at
-// the leaf that holds it, so a re-scored member is found without a descent.
-// An inner node keeps, per child, a separator and the number of members
-// below it, so a rank is one descent: the counts left of the path plus the
-// index in the leaf. A node's score Ords are one contiguous array searched
-// first; a name is read, through its entry, only when two Ords are equal.
+// the leaf that holds it, and every node at its parent and its index there,
+// so only Insert descends by key: a member's rank is its slot in its leaf
+// plus the counts left of each link up, and Move and Delete build their
+// path from the links. An inner node keeps, per child, a separator and the
+// number of members below it. A node's score Ords are one contiguous array
+// searched first; a name is read, through its entry, only when two Ords are
+// equal.
 // The shape is a function of the operation stream alone (no PRNG), so
 // replicas built from the same stream are identical.
 type BTree struct {
@@ -44,11 +46,15 @@ const btreeMaxHeight = 12
 // is not read by searches; a separator's entry lends only its name, which
 // never changes, so the entry may since have moved or left the set. The
 // children sit in an allocation of their own, so a leaf does not carry them.
+// up and at place a node in the tree: its parent, nil at the root, and its
+// index among the parent's children.
 type btreeNode struct {
 	n   int
 	ord [btreeB]uint64
 	ent [btreeB]*member
 	*btreeKids
+	up   *btreeNode
+	at   int
 	next *btreeNode // on the free list
 }
 
@@ -58,8 +64,8 @@ type btreeKids struct {
 	cnt [btreeB]int // entries below kid[i]
 }
 
-// btreePath records a descent: at inner level h (1 = just above the
-// leaves), the node and the index of the child taken.
+// btreePath records the way down to a leaf: at inner level h (1 = just
+// above the leaves), the node and the index of the child taken.
 type btreePath struct {
 	node [btreeMaxHeight + 1]*btreeNode
 	idx  [btreeMaxHeight + 1]int
@@ -73,14 +79,13 @@ func (t *BTree) Len() int { return t.length }
 
 func (n *btreeNode) key(i int) Key { return Key{Ord: n.ord[i], Tie: n.ent[i].key} }
 
-// search returns the index of the first key >= (o, e.key). An equal Ord is
-// checked for e itself before names are compared.
+// search returns the index of the first key >= (o, e.key).
 func (n *btreeNode) search(o uint64, e *member) int {
 	ord, i := n.ord[:n.n], 0
 	for i < len(ord) && ord[i] < o {
 		i++
 	}
-	for i < len(ord) && ord[i] == o && n.ent[i] != e && n.ent[i].key < e.key {
+	for i < len(ord) && ord[i] == o && n.ent[i].key < e.key {
 		i++
 	}
 	return i
@@ -88,7 +93,7 @@ func (n *btreeNode) search(o uint64, e *member) int {
 
 // holds reports whether key i is (o, e.key).
 func (n *btreeNode) holds(i int, o uint64, e *member) bool {
-	return i < n.n && n.ord[i] == o && (n.ent[i] == e || n.ent[i].key == e.key)
+	return i < n.n && n.ord[i] == o && n.ent[i].key == e.key
 }
 
 // child returns the index of the inner node's child whose range holds
@@ -116,15 +121,36 @@ func (n *btreeNode) size(leaf bool) int {
 	return s
 }
 
-// own points the entries in leaf slots [i, j) at the leaf.
-func (n *btreeNode) own(i, j int) {
-	for _, e := range n.ent[i:j] {
-		e.val.leaf = n
+// own points the items in slots [i, j) at n: a leaf's entries at the leaf,
+// an inner node's children at n and at their slots.
+func (n *btreeNode) own(i, j int, leaf bool) {
+	if leaf {
+		for _, e := range n.ent[i:j] {
+			e.val.leaf = n
+		}
+		return
+	}
+	for k, c := range n.kid[i:j] {
+		c.up, c.at = n, i+k
 	}
 }
 
+// find returns the slot of e in leaf n, which holds it: the first slot
+// with e's Ord, then the pointer.
+func (n *btreeNode) find(e *member) int {
+	o, i := floatOrd(e.val.score), 0
+	for n.ord[i] < o {
+		i++
+	}
+	for n.ent[i] != e {
+		i++
+	}
+	return i
+}
+
 // moveItems copies m items of src from j to dst at i; the ranges may
-// overlap. A leaf's entries moved to another leaf still point at src.
+// overlap. The items keep pointing at src and their old slots: the caller
+// owns them anew.
 func moveItems(dst *btreeNode, i int, src *btreeNode, j, m int, leaf bool) {
 	copy(dst.ord[i:i+m], src.ord[j:j+m])
 	copy(dst.ent[i:i+m], src.ent[j:j+m])
@@ -144,28 +170,35 @@ func (n *btreeNode) clearItems(i int, leaf bool) {
 }
 
 // insertItem puts an item at i, shifting the items from i right: o, e in a
-// leaf, which e then points at, and o, e, kid, cnt in an inner node.
+// leaf, which e then points at, and o, e, kid, cnt in an inner node, whose
+// children from i on are then linked at their new slots.
 func (n *btreeNode) insertItem(i int, o uint64, e *member, kid *btreeNode, cnt int, leaf bool) {
 	moveItems(n, i+1, n, i, n.n-i, leaf)
 	n.ord[i], n.ent[i] = o, e
+	n.n++
 	if leaf {
 		e.val.leaf = n
 	} else {
 		n.kid[i], n.cnt[i] = kid, cnt
+		n.own(i, n.n, false)
 	}
-	n.n++
 }
 
-// removeItem deletes item i, shifting the items after it left.
+// removeItem deletes item i, shifting the items after it left (and, in an
+// inner node, linking the shifted children at their new slots).
 func (n *btreeNode) removeItem(i int, leaf bool) {
 	moveItems(n, i, n, i+1, n.n-i-1, leaf)
 	n.n--
 	n.clearItems(n.n, leaf)
+	if !leaf {
+		n.own(i, n.n, false)
+	}
 }
 
 // descend walks from the root to the leaf whose range holds (o, e.key),
 // recording the inner nodes in p. It returns the leaf and the index of the
-// first key >= (o, e.key).
+// first key >= (o, e.key). Only Insert needs it: an entry in the tree is
+// reached from its leaf (pathTo).
 func (t *BTree) descend(o uint64, e *member, p *btreePath) (*btreeNode, int) {
 	n := t.root
 	for h := t.height; h > 0; h-- {
@@ -190,16 +223,23 @@ func (t *BTree) Insert(e *member) bool {
 	return true
 }
 
-// Delete removes the entry stored under e's score and name, reporting
-// whether there was one.
+// pathTo records in p the inner nodes above leaf l, following the links up.
+func (t *BTree) pathTo(l *btreeNode, p *btreePath) {
+	for h := 1; h <= t.height; h++ {
+		p.node[h], p.idx[h] = l.up, l.at
+		l = l.up
+	}
+}
+
+// Delete removes e from the tree, reporting false if e is in none.
 func (t *BTree) Delete(e *member) bool {
-	o := floatOrd(e.val.score)
-	var p btreePath
-	l, i := t.descend(o, e, &p)
-	if !l.holds(i, o, e) {
+	l := e.val.leaf
+	if l == nil {
 		return false
 	}
-	t.deleteAt(&p, l, i)
+	var p btreePath
+	t.pathTo(l, &p)
+	t.deleteAt(&p, l, l.find(e))
 	return true
 }
 
@@ -207,29 +247,22 @@ func (t *BTree) Delete(e *member) bool {
 // place. It reports false, with nothing changed, if e is in no tree or
 // another entry is stored under e's name at the new score, which a sorted
 // set, whose names are unique, never asks for. The result is that of
-// Delete(e), the new score, then Insert(e). If the new key lies strictly
-// between two other keys of e's leaf, e slides there without a descent: no
-// separator bounds it differently and no count changes. A new Ord outside
-// the leaf's first and last skips that scan. Otherwise Move descends to
-// e's leaf, slides e inside it if the key still falls between the
-// separators that bound it, or else deletes and inserts, reusing the nodes
-// merges freed; nothing is allocated.
+// Delete(e), the new score, then Insert(e). If the new key still belongs in
+// e's leaf, e slides there (slide); otherwise Move deletes e, with the path
+// its leaf's links give, and inserts it, reusing the nodes merges freed;
+// nothing is allocated.
 func (t *BTree) Move(e *member, score float64) bool {
 	l := e.val.leaf
 	if l == nil {
 		return false
 	}
-	old, o := floatOrd(e.val.score), floatOrd(score)
-	if l.ord[0] <= o && o <= l.ord[l.n-1] && l.slideInside(l.search(old, e), o, e) {
+	i := l.find(e)
+	if l.slide(i, floatOrd(score), e) {
 		e.val.score = score
 		return true
 	}
 	var p btreePath
-	l, i := t.descend(old, e, &p)
-	if t.slide(&p, l, i, o, e) {
-		e.val.score = score
-		return true
-	}
+	t.pathTo(l, &p)
 	t.deleteAt(&p, l, i)
 	prev := e.val.score
 	e.val.score = score
@@ -241,68 +274,50 @@ func (t *BTree) Move(e *member, score float64) bool {
 	return true
 }
 
-// slideInside moves leaf l's entry i, e, to the key (o, e.key) if another
-// entry of l sorts before that key and another after it, and reports
-// whether it did.
-func (l *btreeNode) slideInside(i int, o uint64, e *member) bool {
-	j := l.search(o, e)
-	if l.holds(j, o, e) && j != i {
-		return false
-	}
-	below, above := j, l.n-j // the other entries before and after the key
-	if i < j {
-		below--
-	} else {
-		above--
-	}
-	if below < 1 || above < 1 {
-		return false
-	}
-	l.place(i, j, o, e)
-	return true
-}
-
-// slide moves leaf l's entry i, e, to the key (o, e.key), reporting false,
-// with nothing changed, unless the key falls in l's range, between the
-// separators on the descent recorded in p, and no other entry of l is
-// stored under it.
-func (t *BTree) slide(p *btreePath, l *btreeNode, i int, o uint64, e *member) bool {
-	k := Key{Ord: o, Tie: e.key}
-	for h := 1; h <= t.height; h++ { // the nearest separators left and right
-		if n, j := p.node[h], p.idx[h]; j > 0 {
-			if k.less(n.key(j)) {
-				return false
-			}
-			break
-		}
-	}
-	for h := 1; h <= t.height; h++ {
-		if n, j := p.node[h], p.idx[h]; j < n.n-1 {
-			if !k.less(n.key(j + 1)) {
-				return false
-			}
-			break
-		}
-	}
-	j := l.search(o, e)
-	if l.holds(j, o, e) && j != i {
-		return false
-	}
-	l.place(i, j, o, e)
-	return true
-}
-
-// place moves leaf entry i, e, to key o at index j, the index of the first
-// key >= its new one, shifting the entries between.
-func (l *btreeNode) place(i, j int, o uint64, e *member) {
+// slide moves leaf l's entry i, e, to the key (o, e.key) if the key belongs
+// in l, and reports whether it did. The search runs outward from slot i, in
+// the direction of the move: the keys it passes are l's, and the bound
+// behind it is e's old key, so the key belongs in l once a key of l lies
+// past it, or else when it is inside the separator nearest l on that side
+// (bound). An entry of l stored under the key refuses the slide.
+func (l *btreeNode) slide(i int, o uint64, e *member) bool {
+	j := i
 	switch {
-	case j > i:
-		j--
+	case o > l.ord[i]:
+		for j+1 < l.n && (l.ord[j+1] < o || l.ord[j+1] == o && l.ent[j+1].key < e.key) {
+			j++
+		}
+		if j+1 == l.n && !l.bound(o, e, true) || l.holds(j+1, o, e) {
+			return false
+		}
 		moveItems(l, i, l, i+1, j-i, true)
-	case j < i:
+	case o < l.ord[i]:
+		for j > 0 && (l.ord[j-1] > o || l.ord[j-1] == o && l.ent[j-1].key > e.key) {
+			j--
+		}
+		if j == 0 && !l.bound(o, e, false) || j > 0 && l.holds(j-1, o, e) {
+			return false
+		}
 		moveItems(l, j+1, l, j, i-j, true)
 	}
 	l.ord[j], l.ent[j] = o, e
+	return true
+}
+
+// bound reports whether the key (o, e.key) lies inside the separator
+// nearest leaf l on its right, or on its left, found up the links; a leaf
+// at the tree's edge on that side has none.
+func (l *btreeNode) bound(o uint64, e *member, right bool) bool {
+	k := Key{Ord: o, Tie: e.key}
+	for n := l; n.up != nil; n = n.up {
+		switch p := n.up; {
+		case right && n.at < p.n-1:
+			return k.less(p.key(n.at + 1))
+		case !right && n.at > 0:
+			return !k.less(p.key(n.at))
+		}
+	}
+	return true
 }
 
 // insertAt inserts e, whose key is absent, at index i of leaf l, the end of
@@ -328,9 +343,7 @@ func (t *BTree) insertAt(p *btreePath, l *btreeNode, i int, o uint64, e *member)
 		moveItems(r, 0, n, half, btreeB-half, leaf)
 		r.n, n.n = btreeB-half, half
 		n.clearItems(half, leaf)
-		if leaf {
-			r.own(0, r.n)
-		}
+		r.own(0, r.n, leaf)
 		if i <= half {
 			n.insertItem(i, o, e, kid, cnt, leaf)
 		} else {
@@ -343,6 +356,7 @@ func (t *BTree) insertAt(p *btreePath, l *btreeNode, i int, o uint64, e *member)
 			root.ord[1], root.ent[1] = r.ord[0], r.ent[0]
 			root.kid[0], root.cnt[0] = n, n.size(leaf)
 			root.kid[1], root.cnt[1] = r, rc
+			root.own(0, 2, false)
 			t.root = root
 			t.height++
 			return
@@ -354,7 +368,7 @@ func (t *BTree) insertAt(p *btreePath, l *btreeNode, i int, o uint64, e *member)
 	}
 }
 
-// deleteAt removes entry i of leaf l, the end of the descent recorded in p,
+// deleteAt removes entry i of leaf l, the end of the path recorded in p,
 // and tops up what underflows, bottom up, by a borrow or a merge.
 func (t *BTree) deleteAt(p *btreePath, l *btreeNode, i int) {
 	t.length--
@@ -373,6 +387,7 @@ func (t *BTree) deleteAt(p *btreePath, l *btreeNode, i int) {
 	if t.height > 0 && t.root.n == 1 {
 		old := t.root
 		t.root = old.kid[0]
+		t.root.up = nil
 		t.height--
 		t.release(old)
 	}
@@ -394,9 +409,10 @@ func (t *BTree) rebalance(parent *btreeNode, j int, leaf bool) {
 		parent.ord[j], parent.ent[j] = s.ord[last], s.ent[last]
 		moved := 1
 		if leaf {
-			n.own(0, 1)
+			n.own(0, 1, true)
 		} else {
 			moved = n.cnt[0]
+			n.own(0, n.n, false)
 		}
 		parent.cnt[j-1] -= moved
 		parent.cnt[j] += moved
@@ -411,11 +427,10 @@ func (t *BTree) rebalance(parent *btreeNode, j int, leaf bool) {
 			n.ord[n.n], n.ent[n.n] = parent.ord[j+1], parent.ent[j+1]
 		}
 		moved := 1
-		if leaf {
-			n.own(n.n, n.n+1)
-		} else {
+		if !leaf {
 			moved = n.cnt[n.n]
 		}
+		n.own(n.n, n.n+1, leaf)
 		n.n++
 		s.removeItem(0, leaf)
 		parent.ord[j+1], parent.ent[j+1] = s.ord[0], s.ent[0]
@@ -428,9 +443,8 @@ func (t *BTree) rebalance(parent *btreeNode, j int, leaf bool) {
 	}
 	left, right := parent.kid[j-1], parent.kid[j]
 	moveItems(left, left.n, right, 0, right.n, leaf)
-	if leaf {
-		left.own(left.n, left.n+right.n)
-	} else {
+	left.own(left.n, left.n+right.n, leaf)
+	if !leaf {
 		left.ord[left.n], left.ent[left.n] = parent.ord[j], parent.ent[j]
 	}
 	left.n += right.n
@@ -464,23 +478,21 @@ func (t *BTree) release(n *btreeNode) {
 	t.free = n
 }
 
-// Rank returns the 0-based position of the key of e, its score and name,
-// in sorted order, or false if no entry has it: the counts left of the
-// descent plus the key's index in its leaf.
+// Rank returns the 0-based position of e in sorted order, or false if e is
+// in no tree: its slot in its leaf plus, at each link up, the counts of the
+// children left of it. It compares no keys.
 func (t *BTree) Rank(e *member) (int, bool) {
-	o := floatOrd(e.val.score)
-	n, r := t.root, 0
-	for h := t.height; h > 0; h-- {
-		i := n.child(o, e)
-		for _, c := range n.cnt[:i] {
+	l := e.val.leaf
+	if l == nil {
+		return 0, false
+	}
+	r := l.find(e)
+	for n := l; n.up != nil; n = n.up {
+		for _, c := range n.up.cnt[:n.at] {
 			r += c
 		}
-		n = n.kid[i]
 	}
-	if i := n.search(o, e); n.holds(i, o, e) {
-		return r + i, true
-	}
-	return 0, false
+	return r, true
 }
 
 // ByRank returns the entry at 0-based sorted position r.

@@ -14,9 +14,13 @@ import (
 // node but the root is within its fill bounds, an inner root has two
 // children, and Rank(ByRank(i)) == i. It also checks the entries: no used
 // slot is nil (an inner node's slot 0 holds no key), every leaf entry points
-// at its leaf, and a leaf's Ord is its entry's score. It returns the first
-// violation.
+// at its leaf, and a leaf's Ord is its entry's score; and the links: the
+// root's up is nil and every child's up and at name its parent and its slot
+// there. It returns the first violation.
 func (t *BTree) check() error {
+	if t.root.up != nil {
+		return fmt.Errorf("the root has a parent")
+	}
 	var prev *Key
 	var walk func(n *btreeNode, h int, lo, hi *Key) (int, error)
 	walk = func(n *btreeNode, h int, lo, hi *Key) (int, error) {
@@ -50,6 +54,9 @@ func (t *BTree) check() error {
 		}
 		total := 0
 		for i := 0; i < n.n; i++ {
+			if c := n.kid[i]; c.up != n || c.at != i {
+				return 0, fmt.Errorf("child %d at height %d links to slot %d of %p, not of its parent %p", i, h, c.at, c.up, n)
+			}
 			clo, chi := lo, hi
 			if i > 0 {
 				k := n.key(i)
@@ -257,10 +264,13 @@ func TestBTreeDeleteAllPatterns(t *testing.T) {
 			}
 			for j, k := range order(n) {
 				e := in[k]
-				if !bt.Delete(intEntry(int64(k))) {
+				if got := bt.get(intEntry(int64(k))); got != e {
+					t.Fatalf("get(%d) = %p, want %p", k, got, e)
+				}
+				if !bt.Delete(e) {
 					t.Fatalf("Delete(%d) = false", k)
 				}
-				if bt.Delete(intEntry(int64(k))) {
+				if bt.Delete(e) {
 					t.Fatalf("double Delete(%d) = true", k)
 				}
 				if e.val.leaf != nil {
@@ -313,7 +323,11 @@ func TestBTreeAgainstMapOracle(t *testing.T) {
 			}
 		case 1:
 			_, present := oracle[k]
-			if got := bt.Delete(intEntry(k)); got != present {
+			e := bt.get(intEntry(k))
+			if e == nil {
+				e = intEntry(k) // in no tree: Delete refuses it
+			}
+			if got := bt.Delete(e); got != present {
 				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, present)
 			}
 			delete(oracle, k)
@@ -406,13 +420,13 @@ func TestBTreeRank(t *testing.T) {
 		bt.Insert(intEntry(i * 2)) // even keys 0..198
 	}
 	for i := int64(0); i < 100; i++ {
-		r, ok := bt.Rank(intEntry(i * 2))
+		r, ok := bt.Rank(bt.get(intEntry(i * 2)))
 		if !ok || r != int(i) {
 			t.Fatalf("Rank(%d) = %d,%v, want %d,true", i*2, r, ok, i)
 		}
 	}
 	if _, ok := bt.Rank(intEntry(3)); ok {
-		t.Error("Rank(3) = ok for absent key")
+		t.Error("Rank(3) = ok for an entry in no tree")
 	}
 	for i := 0; i < 100; i++ {
 		e, ok := bt.ByRank(i)
@@ -434,7 +448,7 @@ func TestBTreeRankAfterDeletes(t *testing.T) {
 		bt.Insert(intEntry(i))
 	}
 	for i := int64(0); i < 500; i += 2 {
-		bt.Delete(intEntry(i)) // remove evens, odds remain
+		bt.Delete(bt.get(intEntry(i))) // remove evens, odds remain
 	}
 	for i := 0; i < 250; i++ {
 		e, ok := bt.ByRank(i)
@@ -495,7 +509,11 @@ func TestBTreeRankProperty(t *testing.T) {
 		}
 		sort.Float64s(sorted)
 		for i, k := range sorted {
-			r, ok := bt.Rank(&member{val: memberVal{score: k}})
+			e := bt.get(&member{val: memberVal{score: k}})
+			if e == nil {
+				return false
+			}
+			r, ok := bt.Rank(e)
 			if !ok || r != i {
 				return false
 			}
@@ -538,12 +556,14 @@ func TestBTreeMoveAcrossLeavesAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestBTreeNodeSize pins SortedSet's tree node at 536 bytes: the count, 32
-// Ords, 32 entry pointers and the two pointers. It lands in the allocator's
-// 576-byte size class, where a name string per entry took it to 792 bytes
-// and the 896-byte class (DESIGN.md §5d).
+// TestBTreeNodeSize pins SortedSet's tree node at 552 bytes: the count, 32
+// Ords, 32 entry pointers, the children's and the free list's pointers, and
+// the link up (parent and index) that Rank, Delete and Move start from
+// instead of a descent. It stays in the allocator's 576-byte size class,
+// where a name string per entry took it to 792 bytes and the 896-byte class
+// (DESIGN.md §5d).
 func TestBTreeNodeSize(t *testing.T) {
-	if size := unsafe.Sizeof(btreeNode{}); size != 536 {
-		t.Errorf("btreeNode size = %d, want 536", size)
+	if size := unsafe.Sizeof(btreeNode{}); size != 552 {
+		t.Errorf("btreeNode size = %d, want 552", size)
 	}
 }

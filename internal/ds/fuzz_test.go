@@ -109,11 +109,12 @@ func FuzzSortedSetConsistency(f *testing.F) {
 	})
 }
 
-// FuzzBTreeRankInvariant checks the tree's bookkeeping, ranks and leaf
-// pointers included, after every op of arbitrary insert/delete/move streams
-// over 64 keys. An Insert or a Move onto a key another entry holds must be
-// refused, and an entry that left the tree or never got in must point at no
-// leaf.
+// FuzzBTreeRankInvariant checks the tree's bookkeeping, ranks, leaf
+// pointers and parent links included, after every op of arbitrary
+// insert/delete/move streams over 64 keys, and that every entry's Rank is
+// its index in the model's key order and leads ByRank back to it. An Insert
+// or a Move onto a key another entry holds must be refused, and an entry
+// that left the tree or never got in must point at no leaf.
 func FuzzBTreeRankInvariant(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 9, 0, 0, 3, 0, 0, 5, 0, 2, 9, 4, 2, 3, 5, 2, 4, 3, 2, 5, 5})
@@ -139,7 +140,11 @@ func FuzzBTreeRankInvariant(f *testing.F) {
 					gone = append(gone, old)
 				}
 				delete(in, key)
-				bt.Delete(intEntry(key))
+				e := bt.get(intEntry(key))
+				if e == nil {
+					e = intEntry(key)
+				}
+				bt.Delete(e)
 			case 2:
 				if e := in[key]; e != nil {
 					taken := in[to] != nil && in[to] != e
@@ -157,6 +162,20 @@ func FuzzBTreeRankInvariant(f *testing.F) {
 			data = data[3:]
 			if err := treeConsistent(bt, values(in)); err != nil {
 				t.Fatal(err)
+			}
+			r := 0
+			for k := range int64(64) {
+				e := in[k]
+				if e == nil {
+					continue
+				}
+				if got, ok := bt.Rank(e); !ok || got != r {
+					t.Fatalf("Rank(%d) = %d, %v, want %d", k, got, ok, r)
+				}
+				if got, _ := bt.ByRank(r); got != e {
+					t.Fatalf("ByRank(Rank(%d)) is another entry", k)
+				}
+				r++
 			}
 			for _, e := range gone {
 				if e.val.leaf != nil {

@@ -10,8 +10,8 @@ package ds
 // A member is one object, its hash-map entry: the name, the exact score
 // and the tree leaf that holds it. The tree's slots point at these entries,
 // so each name and score is stored once, Range and ByRank read the score
-// from the entry (-0 included), and a re-scored member starts from its leaf
-// rather than from the root.
+// from the entry (-0 included), and a re-scored or ranked member starts
+// from its leaf rather than from the root.
 type SortedSet struct {
 	byMember *HashMap[memberVal]
 	byScore  *BTree
@@ -95,7 +95,8 @@ func (z *SortedSet) Score(member string) (float64, bool) {
 }
 
 // Rank returns member's 0-based rank in ascending (score, member) order.
-// Matches Redis ZRANK: hash lookup first, then the tree's rank (§8.3).
+// Matches Redis ZRANK: hash lookup first, then the tree's rank, counted up
+// from the member's leaf (§8.3).
 func (z *SortedSet) Rank(member string) (int, bool) {
 	e := z.byMember.entry(member)
 	if e == nil {

@@ -238,39 +238,47 @@ func (l *Log[O]) MinLocalTail() uint64 {
 }
 
 // Fill publishes op at absolute index idx with tag 0; see FillTagged.
-func (l *Log[O]) Fill(idx uint64, op O) { l.FillTagged(idx, op, 0) }
+func (l *Log[O]) Fill(idx uint64, op O) { l.FillTagged(idx, &op, 0) }
 
-// FillTagged publishes op and tag at absolute index idx. The entry must
-// have been reserved by the caller, and tag must fit in 60 bits. The store
-// of the word that carries tag and idx's lap code is the linearization of
-// the append: readers treat a cell without idx's lap code as empty.
-func (l *Log[O]) FillTagged(idx uint64, op O, tag uint64) {
+// FillTagged publishes a copy of *op and tag at absolute index idx. The
+// entry must have been reserved by the caller, and tag must fit in 60 bits.
+// The store of the word that carries tag and idx's lap code is the
+// linearization of the append: readers treat a cell without idx's lap code
+// as empty.
+func (l *Log[O]) FillTagged(idx uint64, op *O, tag uint64) {
 	if tag > tagMask {
 		panic(fmt.Sprintf("log: tag %#x wider than 60 bits", tag))
 	}
 	e, code := l.cell(idx)
-	e.op = op
+	e.op = *op
 	e.word.Store(code | tag)
 }
 
-// Get returns the operation at absolute index idx if it has been filled;
-// see GetTagged.
+// Get returns a copy of the operation at absolute index idx if it has been
+// filled; see GetTagged.
 func (l *Log[O]) Get(idx uint64) (O, bool) {
 	op, _, ok := l.GetTagged(idx)
-	return op, ok
+	if !ok {
+		var zero O
+		return zero, false
+	}
+	return *op, true
 }
 
-// GetTagged returns the operation and tag at absolute index idx if it has
-// been filled. A false return means the entry is reserved but not yet
-// written (a "hole"), or still holds the previous lap's op.
-func (l *Log[O]) GetTagged(idx uint64) (O, uint64, bool) {
+// GetTagged returns the operation, in place in its cell, and the tag at
+// absolute index idx if it has been filled. A false return (and a nil op)
+// means the entry is reserved but not yet written (a "hole"), or still
+// holds the previous lap's op. The op is the cell's own: it stays idx's
+// until the caller's own tail (its replica's, or its follower's) passes
+// idx, because the slot is reused only after every tail has; so the caller
+// must be done with it before it advances that tail.
+func (l *Log[O]) GetTagged(idx uint64) (*O, uint64, bool) {
 	e, code := l.cell(idx)
 	w := e.word.Load()
 	if w&^tagMask != code {
-		var zero O
-		return zero, 0, false
+		return nil, 0, false
 	}
-	return e.op, w & tagMask, true
+	return &e.op, w & tagMask, true
 }
 
 // holeSpinLoads bounds the word loads spent on a hole before the first
@@ -280,14 +288,16 @@ func (l *Log[O]) GetTagged(idx uint64) (O, uint64, bool) {
 // preempted, and only a yield can let it run.
 const holeSpinLoads = 256
 
-// WaitGet spins until the entry at idx is filled, then returns its op and
-// tag, and how many scheduler yields it spent on the reserved-but-unfilled
-// entry (the bounded spin before the first yield is not counted).
+// WaitGet spins until the entry at idx is filled, then returns its op, in
+// place in its cell and valid until the caller's own tail passes idx (see
+// GetTagged), its tag, and how many scheduler yields it spent on the
+// reserved-but-unfilled entry (the bounded spin before the first yield is
+// not counted).
 // Combiners must wait for holes preceding their batch (§5.1), and hole
 // waits are the log-side stall signal there (a combiner preempted between
 // reserve and fill blocks every replayer behind it), so the flight
 // recorder tags them with the yield count.
-func (l *Log[O]) WaitGet(idx uint64) (op O, tag uint64, spins int) {
+func (l *Log[O]) WaitGet(idx uint64) (op *O, tag uint64, spins int) {
 	e, code := l.cell(idx)
 	w := e.word.Load()
 	for n := 0; w&^tagMask != code; n++ {
@@ -297,7 +307,7 @@ func (l *Log[O]) WaitGet(idx uint64) (op O, tag uint64, spins int) {
 		}
 		w = e.word.Load()
 	}
-	return e.op, w & tagMask, spins
+	return &e.op, w & tagMask, spins
 }
 
 // MemoryBytes returns the bytes of the log's cells: Size() times one cell,

@@ -148,14 +148,15 @@ func TestWaitGet(t *testing.T) {
 	got := make(chan [2]uint64)
 	go func() {
 		op, tag, _ := l.WaitGet(s)
-		got <- [2]uint64{uint64(op), tag}
+		got <- [2]uint64{uint64(*op), tag}
 	}()
 	select {
 	case v := <-got:
 		t.Fatalf("WaitGet returned %v before Fill", v)
 	default:
 	}
-	l.FillTagged(s, 42, 7)
+	op := 42
+	l.FillTagged(s, &op, 7)
 	if v := <-got; v != [2]uint64{42, 7} {
 		t.Fatalf("WaitGet = op %d, tag %d, want 42, 7", v[0], v[1])
 	}
@@ -350,8 +351,8 @@ func TestMultiEntryReservationPartitions(t *testing.T) {
 	go func() {
 		defer close(done)
 		for idx := uint64(0); idx < want; idx++ {
-			if op, _, _ := l.WaitGet(idx); op&0xffffffff != idx {
-				t.Errorf("entry %d holds payload for index %d (publisher %d)", idx, op&0xffffffff, op>>32)
+			if op, _, _ := l.WaitGet(idx); *op&0xffffffff != idx {
+				t.Errorf("entry %d holds payload for index %d (publisher %d)", idx, *op&0xffffffff, *op>>32)
 				return
 			}
 			lt.Store(idx + 1)

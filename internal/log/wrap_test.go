@@ -107,9 +107,10 @@ func TestLapCodeCycles(t *testing.T) {
 			t.Fatalf("TryReserve(1) = %d, %v, want %d", start, ok, idx)
 		}
 		tag := tagMask - idx
-		l.FillTagged(idx, idx*3, tag)
-		if op, got, ok := l.GetTagged(idx); !ok || op != idx*3 || got != tag {
-			t.Fatalf("GetTagged(%d) = %d, %#x, %v, want %d, %#x, true", idx, op, got, ok, idx*3, tag)
+		op := idx * 3
+		l.FillTagged(idx, &op, tag)
+		if got, gotTag, ok := l.GetTagged(idx); !ok || *got != idx*3 || gotTag != tag {
+			t.Fatalf("GetTagged(%d) = %v, %#x, %v, want %d, %#x, true", idx, got, gotTag, ok, idx*3, tag)
 		}
 		if idx >= size {
 			if op, ok := l.Get(idx - size); ok {
@@ -126,7 +127,8 @@ func TestLapCodeCycles(t *testing.T) {
 			t.Error("FillTagged accepted a tag wider than 60 bits")
 		}
 	}()
-	l.FillTagged(l.Reserve(1), 0, tagMask+1)
+	var zero uint64
+	l.FillTagged(l.Reserve(1), &zero, tagMask+1)
 }
 
 // TestWrapRecyclingRace is the -race witness for the wraparound audit:
@@ -184,7 +186,7 @@ func TestWrapRecyclingRace(t *testing.T) {
 			defer wg.Done()
 			for idx := uint64(0); idx < total; idx++ {
 				op, _, _ := l.WaitGet(idx)
-				if op != idx*7+1 {
+				if *op != idx*7+1 {
 					bad.Add(1)
 				}
 				local.Store(idx + 1)

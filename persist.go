@@ -118,9 +118,10 @@ type persistence[O any] struct {
 	wal   *persist.WAL
 	fol   *core.Follower[O]
 
-	// The follower goroutine's state: the op being appended and the encoder
-	// closure over it, built once so an append allocates nothing.
-	cur     O
+	// The follower goroutine's state: the op being appended, in its log
+	// cell, and the encoder closure over it, built once so an append
+	// allocates nothing.
+	cur     *O
 	encode  func([]byte) ([]byte, error)
 	quit    chan struct{}
 	done    chan struct{}
@@ -163,8 +164,9 @@ func (p *persistence[O]) follow() {
 	}
 }
 
-// append hands one log entry to the WAL, encoded in place into its page.
-func (p *persistence[O]) append(idx, token uint64, op O) {
+// append hands one log entry to the WAL, encoded in place into its page
+// straight from its log cell.
+func (p *persistence[O]) append(idx, token uint64, op *O) {
 	p.cur = op
 	_ = p.wal.Append(idx, token, p.encode)
 }
@@ -239,7 +241,7 @@ func attachPersistence[O, R any](inst *Instance[O, R], pc *persistConfig) (*pers
 		done:       make(chan struct{}),
 		snapTokens: snapTokens,
 	}
-	p.encode = func(dst []byte) ([]byte, error) { return p.codec.AppendEncode(dst, p.cur) }
+	p.encode = func(dst []byte) ([]byte, error) { return p.codec.AppendEncode(dst, *p.cur) }
 	go p.follow()
 	return p, nil
 }
